@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint analyze analyze-sarif bench bench-sweep bench-scale bench-service bench-channels artifacts examples clean
+.PHONY: install test chaos lint analyze analyze-sarif bench bench-repo bench-sweep bench-scale bench-service bench-channels artifacts examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -58,6 +58,12 @@ analyze-sarif:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The repo benchmark (BENCHMARK.json): every workload's end-to-end
+# metrics in reference seconds, outputs checked against the goldens.
+# See benchmarks/harness/README.md; add `--trace 1` for per-layer numbers.
+bench-repo:
+	python3 benchmarks/harness/run.py --all --seed 97
 
 # Sweep-engine gates (parity, payload boundary, >=2x speedup on
 # multi-core) on a tiny grid; writes BENCH_sweep.json at the repo root.

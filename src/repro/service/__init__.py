@@ -29,7 +29,12 @@ Every duration in this package is measured on a monotonic clock
 wall-clock duration math.
 """
 
-from repro.service.clock import Clock, MonotonicClock, SimulatedClock
+from repro.service.clock import (
+    Clock,
+    ClockStalled,
+    MonotonicClock,
+    SimulatedClock,
+)
 from repro.service.degrade import (
     DegradationConfig,
     DegradationController,
@@ -57,6 +62,7 @@ __all__ = [
     "Admission",
     "BoundedUserQueue",
     "Clock",
+    "ClockStalled",
     "DegradationConfig",
     "DegradationController",
     "GuardedSink",

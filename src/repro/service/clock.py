@@ -5,12 +5,12 @@ retry backoffs, end-to-end latency -- so it must never read the wall
 clock: NTP steps and DST jumps would corrupt every interval (richlint
 RL205).  :class:`MonotonicClock` wraps ``time.monotonic`` for live runs.
 
-Tests and chaos scenarios need the opposite of real time: a clock the
-test *drives*.  :class:`SimulatedClock` keeps a heap of sleepers and
-advances only when told to, so a 10-minute flash crowd replays in
-milliseconds and every interleaving is reproducible.  Timeout races
-(:mod:`repro.service.sinks`) are built on ``Clock.sleep`` rather than
-``asyncio.wait_for`` precisely so they stay on virtual time.
+Tests and chaos scenarios need the opposite of real time:
+:class:`SimulatedClock` keeps a heap of sleepers and fires the earliest
+one each time the event loop goes quiescent, so a 10-minute flash crowd
+replays in milliseconds and every interleaving is reproducible.  Timeout
+races (:mod:`repro.service.sinks`) are built on ``Clock.sleep`` rather
+than ``asyncio.wait_for`` precisely so they stay on virtual time.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import selectors
 import time
-from typing import Awaitable, Protocol
+from typing import Awaitable, Callable, Protocol
 
 
 class Clock(Protocol):
@@ -44,19 +45,45 @@ class MonotonicClock:
         await asyncio.sleep(max(0.0, seconds))
 
 
+class ClockStalled(RuntimeError):
+    """The session is still pending but nothing can ever wake it."""
+
+
+class _QuiescenceSelector(selectors.DefaultSelector):
+    """Turns "the loop would block" into a virtual-time step: asyncio
+    passes ``select`` a zero timeout whenever a callback is ready to run,
+    so any other timeout means every task is parked on an await."""
+
+    def __init__(self, fire_next: Callable[[], bool]) -> None:
+        super().__init__()
+        self._fire_next = fire_next
+
+    def select(self, timeout=None):
+        if timeout == 0:
+            return super().select(0)
+        if self._fire_next():
+            return []
+        if timeout is None:
+            raise ClockStalled(
+                "simulated clock stalled: task pending with no sleepers to wake"
+            )
+        return super().select(timeout)  # only a real loop timer is pending
+
+
 class SimulatedClock:
     """Deterministic virtual time for service tests and chaos replays.
 
     ``sleep`` parks the caller on a heap keyed by wake time (with an
-    insertion sequence for FIFO tie-breaks -- no hash-order in wakeups);
-    :meth:`advance` and :meth:`drive` pop sleepers and resolve them in
-    deterministic order while repeatedly yielding to the event loop so
-    woken coroutines run to their next await.
+    insertion sequence for FIFO tie-breaks -- no hash-order in wakeups).
+    :meth:`run` owns the event loop and moves time by the *quiescence
+    rule*: exactly when the loop has no ready callback left, the earliest
+    live sleeper fires and ``now`` becomes its wake time.  Time therefore
+    never runs ahead of causality, however deep the await chain a wakeup
+    sets off, and work is done per transition, never per poll.
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        # advance() and drive() both move time, but a test drives exactly
-        # one of them at a time on the event loop (RL705 discipline).
+        # Moved only by the selector, i.e. between event-loop callbacks.
         self._now = float(start)  # richlint: guarded-by(event-loop)
         self._seq = itertools.count()
         self._sleepers: list[tuple[float, int, asyncio.Future]] = []
@@ -79,73 +106,35 @@ class SimulatedClock:
         )
         await future
 
-    async def advance(self, seconds: float) -> None:
-        """Move virtual time forward, waking every sleeper that comes due.
+    def _fire_next(self) -> bool:
+        """Wake the earliest live sleeper; False when none is left.
+        Cancelled ones (timers of won timeout races) are dropped as they
+        reach the heap top, so at most one timeout horizon of them is held."""
+        sleepers = self._sleepers
+        while sleepers:
+            wake, _, future = heapq.heappop(sleepers)
+            if not future.done():
+                self._now = wake  # >= now: pushed later means due later
+                future.set_result(None)
+                return True
+        return False
 
-        Yields to the event loop between wakeups so chains of awaits
-        (timer fires -> round runs -> sink races) settle in order; after
-        the last due sleeper it keeps yielding until the loop quiesces,
-        then pins ``now`` to the target.
-        """
-        if seconds < 0:
-            raise ValueError(f"cannot advance time backwards ({seconds})")
-        target = self._now + seconds
-        idle = 0
-        while True:
-            await asyncio.sleep(0)
-            if self._sleepers and self._sleepers[0][0] <= target + 1e-12:
-                wake, _, future = heapq.heappop(self._sleepers)
-                if not future.done():  # skip cancelled timeout races
-                    self._now = max(self._now, wake)
-                    future.set_result(None)
-                idle = 0
-                continue
-            idle += 1
-            if idle >= 50:
-                break
-        self._now = target
-
-    #: Consecutive event-loop yields granted between sleeper wakeups so
-    #: await chains (timer fires -> race settles -> cancellation lands)
-    #: run to quiescence before virtual time moves again.  Popping after
-    #: a single yield would let time jump *ahead of causality*: a 120s
-    #: sleeper could resolve before a 5s timeout race finished settling.
-    _settle_yields = 10
-
-    async def drive(self, awaitable: Awaitable, max_idle_yields: int = 100_000):
-        """Run ``awaitable`` to completion, advancing time as far as needed.
-
-        The canonical way to run a bounded service session on virtual
-        time: wraps the awaitable in a task, then alternates between
-        letting the event loop settle and firing the earliest sleeper,
-        until the task finishes.  Raises if the task is still pending
-        with no sleepers left after ``max_idle_yields`` consecutive idle
-        yields (a genuine deadlock, not a timing artifact).
-        """
-        task = asyncio.ensure_future(awaitable)
-        idle = 0
-        settle = 0
-        while not task.done():
-            await asyncio.sleep(0)
-            if task.done():
-                break
-            if self._sleepers:
-                idle = 0
-                if settle < self._settle_yields:
-                    settle += 1
-                    continue
-                settle = 0
-                wake, _, future = heapq.heappop(self._sleepers)
-                if not future.done():  # skip cancelled timeout races
-                    self._now = max(self._now, wake)
-                    future.set_result(None)
-            else:
-                settle = 0
-                idle += 1
-                if idle > max_idle_yields:
+    def run(self, awaitable: Awaitable):
+        """Run ``awaitable`` to completion on a fresh event loop, advancing
+        virtual time as far as needed: the way to run a bounded service
+        session.  Raises :class:`ClockStalled` the moment the session is
+        pending with nothing left to wake it (a genuine deadlock)."""
+        loop = asyncio.SelectorEventLoop(_QuiescenceSelector(self._fire_next))
+        try:
+            return loop.run_until_complete(awaitable)
+        finally:
+            try:
+                leftover = asyncio.all_tasks(loop)
+                for task in leftover:
                     task.cancel()
-                    raise RuntimeError(
-                        "simulated clock stalled: task pending with no "
-                        "sleepers to wake"
+                if leftover:
+                    loop.run_until_complete(
+                        asyncio.gather(*leftover, return_exceptions=True)
                     )
-        return task.result()
+            finally:
+                loop.close()

@@ -207,7 +207,7 @@ def run_demo(config: DemoConfig | None = None, meta: dict | None = None) -> Demo
         return ingest_results
 
     started = time.monotonic()
-    ingest_results = asyncio.run(clock.drive(session()))
+    ingest_results = clock.run(session())
     wall_seconds = time.monotonic() - started
 
     payload = service_bench_payload(

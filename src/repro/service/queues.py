@@ -84,15 +84,22 @@ class IngestResult:
 
 
 class BoundedUserQueue:
-    """FIFO for one user, hard-capped at ``bound`` events."""
+    """FIFO for one user, hard-capped at ``bound`` events.
 
-    __slots__ = ("user_id", "bound", "high_water", "_entries")
+    A frontier's queue keeps the frontier's aggregate depth counter
+    exact, also for events pushed on the queue directly.
+    """
 
-    def __init__(self, user_id: int, bound: int) -> None:
+    __slots__ = ("user_id", "bound", "high_water", "_entries", "_frontier")
+
+    def __init__(
+        self, user_id: int, bound: int, frontier: IngestFrontier | None = None
+    ) -> None:
         if bound < 1:
             raise ValueError(f"queue bound must be >= 1, got {bound}")
         self.user_id = user_id
         self.bound = bound
+        self._frontier = frontier
         #: Largest depth ever observed (the chaos gate asserts it never
         #: exceeds ``bound``).
         self.high_water = 0
@@ -111,12 +118,16 @@ class BoundedUserQueue:
             return False
         self._entries.append(event)
         self.high_water = max(self.high_water, len(self._entries))
+        if self._frontier is not None:
+            self._frontier._depth += 1
         return True
 
     def drain(self) -> list[QueuedEvent]:
         """Remove and return everything, oldest first."""
         drained = list(self._entries)
         self._entries.clear()
+        if self._frontier is not None:
+            self._frontier._depth -= len(drained)
         return drained
 
 
@@ -128,13 +139,15 @@ class IngestFrontier:
             raise ValueError(f"queue bound must be >= 1, got {queue_bound}")
         self.queue_bound = queue_bound
         self._queues: dict[int, BoundedUserQueue] = {}
+        #: Events queued across all users, kept current by the queues.
+        self._depth = 0
         self._window_peak = 0
 
     def register(self, user_id: int) -> BoundedUserQueue:
         """Create (or fetch) the queue of one user."""
         queue = self._queues.get(user_id)
         if queue is None:
-            queue = BoundedUserQueue(user_id, self.queue_bound)
+            queue = BoundedUserQueue(user_id, self.queue_bound, frontier=self)
             self._queues[user_id] = queue
         return queue
 
@@ -147,7 +160,7 @@ class IngestFrontier:
         queue = self.register(event.item.user_id)
         admitted = queue.push(event)
         if admitted:
-            self._window_peak = max(self._window_peak, self.total_depth())
+            self._window_peak = max(self._window_peak, self._depth)
         return admitted
 
     def drain(self, user_id: int) -> list[QueuedEvent]:
@@ -159,7 +172,7 @@ class IngestFrontier:
         return len(queue) if queue is not None else 0
 
     def total_depth(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        return self._depth
 
     def high_water(self) -> int:
         """Largest single-queue depth ever observed across all users."""
@@ -174,8 +187,8 @@ class IngestFrontier:
         it sees the burst even though the queues were drained before the
         reading.
         """
-        peak = max(self._window_peak, self.total_depth())
-        self._window_peak = self.total_depth()
+        peak = max(self._window_peak, self._depth)
+        self._window_peak = self._depth
         return peak
 
     def occupancy_of(self, depth: int) -> float:

@@ -112,6 +112,8 @@ class NotificationService:
         #: Written at admission and settled by egress tasks; every
         #: mutation is a single un-awaited dict op on the event loop.
         self._inflight: dict[int, float] = {}  # richlint: guarded-by(event-loop)
+        #: Items in the round loops; only :meth:`_fire_round` moves them.
+        self._loop_backlog = 0
         #: In-flight egress batches; settled before :meth:`run` returns.
         self._delivery_tasks: list[asyncio.Task] = []
         self._stop_requested = False
@@ -306,10 +308,12 @@ class NotificationService:
     def _fire_round(self, user_id: int, now: float) -> None:
         """Run one user's round; egress continues as a background task."""
         loop = self.loop_for(user_id)
+        backlog_before = loop.pending_items
         for event in self.frontier.drain(user_id):
             loop.enqueue(event.item)
         loop.level_cap = self.controller.level_cap()
         result = loop.run_round(now, self.config.round_seconds)
+        self._loop_backlog += loop.pending_items - backlog_before
         self.stats.rounds_run += 1
         for dropped in result.dropped:
             self._settle_dead_letter(dropped.item.item_id, f"loop:{dropped.reason}")
@@ -354,9 +358,8 @@ class NotificationService:
         self.stats.record_dead_letter(reason)
 
     def _update_pressure(self, now: float) -> None:
-        window_peak = self.frontier.take_window_peak()
-        loop_backlog = self.loop_backlog()
-        occupancy = self.frontier.occupancy_of(window_peak + loop_backlog)
+        depth = self.frontier.take_window_peak() + self._loop_backlog
+        occupancy = self.frontier.occupancy_of(depth)
         open_breakers = sum(
             1 for sink in self.sinks if sink.breaker_state is BreakerState.OPEN
         )
@@ -367,7 +370,7 @@ class NotificationService:
 
     def loop_backlog(self) -> int:
         """Items sitting in round loops (incoming + scheduling queues)."""
-        return sum(loop.pending_items for loop in self._loops.values())
+        return self._loop_backlog
 
     @property
     def deferred_pending(self) -> int:

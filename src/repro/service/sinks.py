@@ -23,7 +23,7 @@ import asyncio
 import contextlib
 import inspect
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Union
 
 from repro.pubsub.broker import BreakerState, CircuitBreakerConfig, SinkCircuit
@@ -129,8 +129,8 @@ class GuardedSink:
             timer_task.cancel()
             attempt_task.result()  # re-raise the sink's exception, if any
             return
-        # The timer fired: a timeout even if the attempt also finished in
-        # the same settling window (the deadline had already passed).
+        # The timer fired: a timeout even if the attempt has finished as
+        # well by now (the deadline had already passed).
         attempt_task.cancel()
         with contextlib.suppress(asyncio.CancelledError, Exception):
             await attempt_task
@@ -185,17 +185,11 @@ class RouterStats:
     """Cumulative routing counters of one :class:`ChannelSinkRouter`."""
 
     #: Deliveries handed to each channel's sink (by channel name).
-    routed: dict = None  # type: ignore[assignment]
+    routed: dict = field(default_factory=dict)
     #: Spill hops taken, keyed ``"<from>-><to>"``.
-    spilled: dict = None  # type: ignore[assignment]
+    spilled: dict = field(default_factory=dict)
     #: Deliveries whose channel had no sink and no spill route.
     unroutable: int = 0
-
-    def __post_init__(self) -> None:
-        if self.routed is None:
-            self.routed = {}
-        if self.spilled is None:
-            self.spilled = {}
 
 
 #: Breaker-state severity for the router's aggregate health view.
@@ -262,15 +256,8 @@ class ChannelSinkRouter:
         """Aggregate egress counters summed across the per-channel sinks."""
         total = SinkStats()
         for sink in self._sinks.values():
-            stats = sink.stats
-            total.attempts += stats.attempts
-            total.delivered += stats.delivered
-            total.failures += stats.failures
-            total.timeouts += stats.timeouts
-            total.retries += stats.retries
-            total.breaker_skips += stats.breaker_skips
-            total.breaker_transitions += stats.breaker_transitions
-            total.exhausted += stats.exhausted
+            for counter, value in vars(sink.stats).items():
+                setattr(total, counter, getattr(total, counter) + value)
         return total
 
     def per_channel_stats(self) -> dict[str, SinkStats]:

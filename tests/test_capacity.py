@@ -1,6 +1,5 @@
 """Tests for broker-side capacity management (satisfied subscribers)."""
 
-import asyncio
 import random
 
 import pytest
@@ -304,7 +303,7 @@ class TestCapacityAcrossOpenBreaker:
                 for notification in selected:
                     await guarded.deliver(_as_delivery(notification))
 
-        asyncio.run(clock.drive(scenario()))
+        clock.run(scenario())
 
     def test_open_breaker_rounds_keep_ledger_exact(self):
         def down(_delivery):
@@ -398,7 +397,7 @@ class TestCapacityAcrossOpenBreaker:
                     await guarded.deliver(_as_delivery(notification))
             return ledgers
 
-        ledgers = asyncio.run(clock.drive(scenario()))
+        ledgers = clock.run(scenario())
         for pending, delivered, dropped in ledgers:
             assert pending == delivered + dropped
         assert guarded.breaker_state is BreakerState.OPEN

@@ -11,7 +11,6 @@ service layer routes, spills and rate-limits per channel.
 
 from __future__ import annotations
 
-import asyncio
 import random
 
 import pytest
@@ -430,7 +429,7 @@ def _delivery(item_id=0, channel="push"):
 
 
 def _drive(clock, awaitable):
-    return asyncio.run(clock.drive(awaitable))
+    return clock.run(awaitable)
 
 
 class TestChannelSinkRouter:

@@ -25,6 +25,7 @@ from repro.runtime.types import Delivery
 from repro.service import (
     Admission,
     BoundedUserQueue,
+    ClockStalled,
     DegradationConfig,
     DegradationController,
     GuardedSink,
@@ -94,7 +95,7 @@ def make_loop(user_id=1):
 
 
 def drive(clock, awaitable):
-    return asyncio.run(clock.drive(awaitable))
+    return clock.run(awaitable)
 
 
 class TestSimulatedClock:
@@ -107,17 +108,78 @@ class TestSimulatedClock:
             order.append(label)
 
         async def scenario():
-            tasks = [
-                asyncio.ensure_future(sleeper("late", 3.0)),
-                asyncio.ensure_future(sleeper("early", 1.0)),
-                asyncio.ensure_future(sleeper("mid", 2.0)),
-            ]
-            await clock.advance(5.0)
-            await asyncio.gather(*tasks)
+            await asyncio.gather(
+                sleeper("late", 3.0), sleeper("early", 1.0), sleeper("mid", 2.0)
+            )
 
-        asyncio.run(scenario())
+        drive(clock, scenario())
         assert order == ["early", "mid", "late"]
-        assert clock.now() == 5.0
+        assert clock.now() == 3.0
+
+    def test_equal_wake_times_resolve_in_insertion_order(self):
+        clock = SimulatedClock()
+        order = []
+
+        async def sleeper(label):
+            await clock.sleep(4.0)
+            order.append(label)
+
+        async def scenario():
+            await asyncio.gather(*(sleeper(label) for label in range(12)))
+
+        drive(clock, scenario())
+        assert order == list(range(12))
+
+    def test_now_never_decreases_and_equals_the_fired_wake_time(self):
+        clock = SimulatedClock(start=10.0)
+        rng = random.Random(5)
+        seen = []
+
+        async def sleeper(seconds):
+            due = clock.now() + seconds
+            await clock.sleep(seconds)
+            seen.append((due, clock.now()))
+            if seconds > 1.0:
+                await sleeper(seconds / 2)
+
+        async def scenario():
+            await asyncio.gather(
+                *(sleeper(rng.uniform(0.1, 30.0)) for _ in range(40))
+            )
+
+        drive(clock, scenario())
+        assert len(seen) > 40
+        assert all(due == woke_at for due, woke_at in seen)
+        woke = [woke_at for _, woke_at in seen]
+        assert woke == sorted(woke)
+        assert clock.now() == woke[-1]
+
+    def test_time_never_runs_ahead_of_a_deep_await_chain(self):
+        """Causality: everything a 5 s wakeup sets off -- here 30 nested
+        awaits, each behind a freshly spawned task -- settles before the
+        120 s sleeper resolves.  (A fixed budget of settling yields per
+        wakeup, as the old driver had, fails this.)"""
+        clock = SimulatedClock()
+        trail = []
+
+        async def nested(depth):
+            if depth:
+                await asyncio.ensure_future(nested(depth - 1))
+            trail.append((depth, clock.now()))
+
+        async def early():
+            await clock.sleep(5.0)
+            await nested(30)
+
+        async def late():
+            await clock.sleep(120.0)
+            trail.append(("late", clock.now()))
+
+        async def scenario():
+            await asyncio.gather(late(), early())
+
+        drive(clock, scenario())
+        assert trail == [(d, 5.0) for d in range(31)] + [("late", 120.0)]
 
     def test_nonpositive_sleep_yields_without_parking(self):
         clock = SimulatedClock()
@@ -127,12 +189,36 @@ class TestSimulatedClock:
             await clock.sleep(-1.0)
             return clock.pending_sleepers
 
-        assert asyncio.run(scenario()) == 0
+        assert drive(clock, scenario()) == 0
+        assert clock.now() == 0.0
 
-    def test_advance_backwards_rejected(self):
+    def test_won_timeout_races_do_not_pile_up_on_the_heap(self):
+        """A cancelled race timer is dropped once time reaches it, so the
+        heap holds one timeout horizon of them, not one per delivery."""
         clock = SimulatedClock()
-        with pytest.raises(ValueError, match="backwards"):
-            asyncio.run(clock.advance(-0.1))
+        deepest = 0
+
+        async def prompt_sink(_delivery):
+            await clock.sleep(1.0)
+
+        guarded = GuardedSink(
+            prompt_sink,
+            clock=clock,
+            rng=random.Random(7),
+            policy=SinkPolicy(timeout_seconds=5.0),
+        )
+
+        async def scenario():
+            nonlocal deepest
+            for i in range(1_000):
+                assert await guarded.deliver(delivery(i))
+                deepest = max(deepest, len(clock._sleepers))
+
+        drive(clock, scenario())
+        assert guarded.stats.timeouts == 0
+        assert clock.now() == 1_000.0
+        assert deepest <= 8
+        assert clock.pending_sleepers == 0
 
     def test_drive_runs_chained_sleeps_to_completion(self):
         clock = SimulatedClock()
@@ -146,12 +232,32 @@ class TestSimulatedClock:
 
     def test_drive_detects_a_genuine_deadlock(self):
         clock = SimulatedClock()
+        cancelled = []
 
         async def stuck():
+            try:
+                await asyncio.get_running_loop().create_future()
+            except asyncio.CancelledError:
+                cancelled.append(True)
+                raise
+
+        with pytest.raises(ClockStalled, match="stalled"):
+            clock.run(stuck())
+        assert isinstance(ClockStalled("x"), RuntimeError)
+        assert cancelled == [True]  # the stuck session is torn down, not leaked
+
+    def test_a_stall_behind_cancelled_sleepers_is_still_a_stall(self):
+        clock = SimulatedClock()
+
+        async def stuck():
+            timer = asyncio.ensure_future(clock.sleep(5.0))
+            await asyncio.sleep(0)
+            timer.cancel()
             await asyncio.get_running_loop().create_future()
 
-        with pytest.raises(RuntimeError, match="stalled"):
-            asyncio.run(clock.drive(stuck(), max_idle_yields=50))
+        with pytest.raises(ClockStalled):
+            clock.run(stuck())
+        assert clock.now() == 0.0
 
 
 class TestTokenBucket:
@@ -268,6 +374,35 @@ class TestBoundedQueues:
         # The tick still sees the burst that came and went.
         assert frontier.take_window_peak() == 3
         assert frontier.take_window_peak() == 0  # window reset
+
+    def test_running_depth_matches_the_queues_under_random_traffic(self):
+        """The O(1) depth counter against the sum it replaced, through
+        offers, drains and pushes made on a registered queue directly."""
+        rng = random.Random(11)
+        frontier = IngestFrontier(queue_bound=3)
+        queues = {user: frontier.register(user) for user in range(5)}
+        model_peak = 0  # the window peak as the per-event re-sum computed it
+
+        def depth():
+            return sum(len(queue) for queue in queues.values())
+
+        for i in range(2_000):
+            user = rng.randrange(5)
+            action = rng.random()
+            if action < 0.55:
+                if frontier.offer(event(i, user_id=user)):
+                    model_peak = max(model_peak, depth())
+            elif action < 0.70:
+                queues[user].push(event(i, user_id=user))
+            elif action < 0.90:
+                drained = frontier.drain(user)
+                assert [e.item.user_id for e in drained] == [user] * len(drained)
+            else:
+                assert frontier.take_window_peak() == max(model_peak, depth())
+                model_peak = depth()
+            assert frontier.total_depth() == depth()
+            assert frontier.depth(user) == len(queues[user])
+        assert frontier.high_water() == 3
 
     def test_occupancy_is_depth_over_aggregate_capacity(self):
         frontier = IngestFrontier(queue_bound=4)
@@ -657,6 +792,52 @@ class TestFlashCrowdChaos:
             + accounting["pending"]
         )
         assert total == accounting["ingested"]
+
+    @pytest.mark.parametrize(
+        "seed, accounting, p50, p99",
+        [
+            (
+                23,
+                {
+                    "ingested": 1670, "delivered": 490, "shed": 1070,
+                    "shed_queue_full": 731, "shed_rate_limited": 0,
+                    "shed_overload": 339, "deferred_total": 311,
+                    "deferred_pending": 0, "readmitted": 311,
+                    "dead_lettered": 12,
+                    "dead_letter_reasons": {"sink_exhausted": 12},
+                    "pending": 98, "error": 0,
+                },
+                60.89467883983605,
+                197.4969843992847,
+            ),
+            (
+                97,
+                {
+                    "ingested": 1770, "delivered": 320, "shed": 1116,
+                    "shed_queue_full": 785, "shed_rate_limited": 0,
+                    "shed_overload": 331, "deferred_total": 531,
+                    "deferred_pending": 147, "readmitted": 384,
+                    "dead_lettered": 22,
+                    "dead_letter_reasons": {"sink_exhausted": 22},
+                    "pending": 165, "error": 0,
+                },
+                57.487329061201336,
+                207.66825342240205,
+            ),
+        ],
+    )
+    def test_sessions_replay_the_values_of_the_polling_clock(
+        self, seed, accounting, p50, p99
+    ):
+        """Recorded from the commit before the quiescence-driven clock:
+        how virtual time is advanced must not change a single outcome."""
+        service = run_demo(DemoConfig(users=16, rounds=6, seed=seed)).service
+        assert service.accounting() == accounting
+        assert service.stats.latency_quantile(0.50) == p50
+        assert service.stats.latency_quantile(0.99) == p99
+        assert service.loop_backlog() == sum(
+            service.loop_for(user).pending_items for user in range(16)
+        )
 
     def test_queues_never_exceed_their_bound(self, run):
         bound = run.service.config.queue_bound
