@@ -13,9 +13,9 @@ The runtime refactor split scheduling into three one-way layers::
   (``repro.runtime.policy``, ``.registry``, ``.loop``) or anything in the
   orchestration layer.  Kernels stay pure array math so they can be
   benchmarked, vectorized and reasoned about in isolation.
-* no module under ``repro.core`` or ``repro.runtime`` may import
-  ``repro.experiments`` or ``repro.cli``.  Orchestration sits *above*
-  the runtime; when a lower layer needs behaviour chosen up top, the
+* no module under ``repro.core``, ``repro.runtime`` or ``repro.trace``
+  may import ``repro.experiments`` or ``repro.cli``.  Orchestration sits
+  *above* them; when a lower layer needs behaviour chosen up top, the
   dependency is inverted through :mod:`repro.runtime.registry`.
 * no module under ``repro.core`` or ``repro.runtime`` may import
   ``repro.service``.  The live service composes the runtime (ISSUE 9's
@@ -111,7 +111,7 @@ class LayeringRule(Rule):
     code = "RL601"
     name = "layering"
     summary = "import that crosses the kernels -> policy -> orchestration layering"
-    scope = ("core", "runtime")
+    scope = ("core", "runtime", "trace")
 
     def check(self, module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
         is_kernels = (
@@ -130,7 +130,7 @@ class LayeringRule(Rule):
                         module,
                         node,
                         f"layer violation: repro.{hit} is orchestration and "
-                        "sits above core/runtime; invert the dependency "
+                        "sits above core/runtime/trace; invert the dependency "
                         "through repro.runtime.registry instead",
                     )
                     continue

@@ -7,11 +7,11 @@ notification streams, runs all of them through a single struct-of-arrays
 round loop, and folds the outcome columns back into the exact
 per-user :class:`~repro.experiments.runner.UserRunOutcome` objects the
 scalar :func:`~repro.experiments.runner.run_user` produces -- bit for
-bit, including delivery digests (the fold materializes real
-:class:`~repro.runtime.types.Delivery` objects for *delivered* items
-only and reuses :func:`~repro.experiments.metrics.compute_user_metrics`
-and :func:`~repro.experiments.runner.delivery_digest`, so the metric
-arithmetic literally cannot drift from the scalar path).
+bit, including delivery digests.  The path is columnar end to end: it
+reads four columns per user (:func:`repro.trace.io.record_columns`),
+never a record object, and the fold hands the engine's delivery tuples
+to the column kernels the scalar path's ``compute_user_metrics`` /
+``delivery_digest`` adapt to, so the arithmetic cannot drift between them.
 
 Scope mirrors the engine's: the paper-default pipeline.  Configs that
 enable the fault-tolerant delivery engine or multi-feed cadences fall
@@ -23,25 +23,22 @@ the parity oracle for everything the columnar path does handle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.presentations import build_audio_ladder
-from repro.core.utility import CombinedUtilityModel, ExponentialAging
+from repro.core.utility import CombinedUtilityModel
 from repro.experiments.adapters import record_to_item
 from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
-from repro.experiments.metrics import (
-    FailureStats,
-    aggregate,
-    compute_user_metrics,
-)
+from repro.experiments.metrics import aggregate, user_metrics_from_columns
 from repro.experiments.runner import (
     ExperimentResult,
     UserRunOutcome,
     UtilityAnnotations,
     _device_stream_seed,
-    delivery_digest,
+    delivery_digest_from_columns,
     run_experiment,
 )
 from repro.experiments.shards import shard_by_user
@@ -53,13 +50,14 @@ from repro.runtime.columnar import (
     needs_item_objects,
     round_times,
 )
-from repro.runtime.types import Delivery
 from repro.trace.generator import Workload
+from repro.trace.io import record_columns
 from repro.trace.records import NotificationRecord
 
 __all__ = [
     "CohortColumns",
     "build_cohort",
+    "concat_record_columns",
     "fold_outcomes",
     "make_engine",
     "run_cohort",
@@ -78,29 +76,28 @@ def supports(config: ExperimentConfig) -> bool:
     return config.faults is None and config.feed_cadences is None
 
 
-class _DeliveredItem:
-    """The item fields metrics and digests read, without a full ContentItem."""
-
-    __slots__ = ("item_id", "created_at", "clicked", "click_time")
-
-    def __init__(self, record: NotificationRecord) -> None:
-        self.item_id = record.notification_id
-        self.created_at = record.timestamp
-        self.clicked = record.clicked
-        self.click_time = record.click_time
-
-
 @dataclass
 class CohortColumns:
-    """A built cohort plus the record columns needed to fold results back.
+    """A built cohort plus the label columns needed to fold results back.
 
-    ``records[u]`` is user ``u``'s notification records in flat (stable
-    created-at) order, aligned with the cohort's flat item columns.
+    ``clicked`` / ``click_time`` (``NaN`` = never clicked) align with the
+    cohort's flat item columns.
     """
 
     cohort: ColumnarCohort
     user_ids: list[int]
-    records: list[list[NotificationRecord]]
+    clicked: np.ndarray
+    click_time: np.ndarray
+
+
+def concat_record_columns(
+    user_records: Sequence[tuple[int, Sequence[NotificationRecord]]],
+) -> tuple[np.ndarray, ...]:
+    """Per-user record counts, then the users' cohort columns end to end."""
+    parts = [record_columns(records) for _, records in user_records]
+    counts = np.asarray([len(part[0]) for part in parts], dtype=np.int64)
+    parts.append(record_columns(()))  # np.concatenate needs one array
+    return counts, *(np.concatenate(column) for column in zip(*parts))
 
 
 def build_cohort(
@@ -114,40 +111,35 @@ def build_cohort(
     Within each user, records are stable-sorted by timestamp -- the order
     the event heap ingests them on the scalar path.  ``materialize_items``
     additionally builds the :class:`~repro.core.content.ContentItem` list
-    the generic-policy adapter path needs.
+    the generic-policy adapter path needs (the one case that walks records).
     """
-    user_ids: list[int] = []
-    sorted_records: list[list[NotificationRecord]] = []
-    offsets: list[int] = [0]
-    item_ids: list[int] = []
-    created: list[float] = []
-    contents: list[float] = []
-    items = [] if materialize_items else None
+    user_ids = [user_id for user_id, _ in user_records]
+    counts, item_ids, created, clicked, click_time = concat_record_columns(user_records)
+    # lexsort is stable: users stay in place, ties keep their stream order.
+    order = np.lexsort((created, np.repeat(np.arange(len(counts)), counts)))
+    item_ids = item_ids[order].tolist()
     scores = annotations.scores
-    for user_id, records in user_records:
-        ordered = sorted(records, key=lambda record: record.timestamp)
-        user_ids.append(user_id)
-        sorted_records.append(ordered)
-        for record in ordered:
-            item_ids.append(record.notification_id)
-            created.append(record.timestamp)
-            contents.append(scores[record.notification_id])
-            if items is not None:
-                item = record_to_item(record, ladder)
-                item.content_utility = scores[record.notification_id]
-                items.append(item)
-        offsets.append(len(item_ids))
+    contents = [scores[item_id] for item_id in item_ids]
+    items = None
+    if materialize_items:
+        records = [r for _, stream in user_records for r in stream]
+        items = [record_to_item(records[i], ladder) for i in order.tolist()]
+        for item, content in zip(items, contents):
+            item.content_utility = content
     cohort = ColumnarCohort(
         user_ids=user_ids,
-        offsets=np.asarray(offsets, dtype=np.int64),
+        offsets=np.concatenate(([0], np.cumsum(counts))),
         item_ids=item_ids,
-        created_at=np.asarray(created, dtype=np.float64),
-        contents=np.asarray(contents, dtype=np.float64),
+        created_at=created[order],
+        contents=contents,
         ladder=ladder,
         items=items,
     )
     return CohortColumns(
-        cohort=cohort, user_ids=user_ids, records=sorted_records
+        cohort=cohort,
+        user_ids=user_ids,
+        clicked=clicked[order],
+        click_time=click_time[order],
     )
 
 
@@ -170,12 +162,7 @@ def make_engine(
     """
     cohort = columns.cohort
     if utility_model is None:
-        aging = (
-            ExponentialAging(config.aging_tau_seconds)
-            if config.aging_tau_seconds
-            else None
-        )
-        utility_model = CombinedUtilityModel(aging=aging)
+        utility_model = config.utility_model()
     policy = registry.create(spec.policy_name, **spec.policy_params(config))
     if cohort.items is None and needs_item_objects(policy, utility_model):
         raise ValueError(
@@ -212,45 +199,43 @@ def fold_outcomes(
 ) -> list[UserRunOutcome]:
     """Fold engine outcome columns back into per-user ``UserRunOutcome``s.
 
-    Materializes real :class:`~repro.runtime.types.Delivery` objects for
-    delivered items only and reuses the scalar metric/digest functions, so
-    the arithmetic cannot drift from the scalar path.  Multichannel runs
-    stamp each delivery with its transport name from the engine's parallel
-    channel-code column.
+    Transposes each user's delivery tuples into columns, gathers the
+    delivered items' fields by flat index and calls the column kernels
+    the scalar metric/digest functions are adapters over -- no
+    per-delivery object is built.
     """
+    cohort = columns.cohort
+    bounds = cohort.offsets.tolist()
+    item_ids = cohort.item_ids
+    created = cohort.created_at.tolist()
+    clicked = columns.clicked.tolist()
+    click_time = columns.click_time.tolist()
     outcomes: list[UserRunOutcome] = []
-    offsets = columns.cohort.offsets
-    names = result.channel_names
-    multichannel = len(names) > 1
     for index, user_id in enumerate(columns.user_ids):
-        records = columns.records[index]
-        base = int(offsets[index])
-        codes = result.channel_codes[index] if multichannel else None
-        deliveries = [
-            Delivery(
-                time=time,
-                user_id=user_id,
-                item=_DeliveredItem(records[flat - base]),
-                level=level,
-                size_bytes=size,
-                energy_joules=share,
-                utility=utility,
-                channel=names[codes[position]] if multichannel else "push",
+        deliveries = result.deliveries[index]
+        times, flat, levels, sizes, energies, utilities = (
+            zip(*deliveries) if deliveries else ((),) * 6
+        )
+        metrics = user_metrics_from_columns(
+            user_id, clicked[bounds[index] : bounds[index + 1]],
+            times, levels, sizes, energies, utilities,
+            [created[i] for i in flat],
+            [clicked[i] for i in flat],
+            [click_time[i] for i in flat],
+        )
+        digest = None
+        if digest_deliveries:
+            digest = delivery_digest_from_columns(
+                times, repeat(user_id), [item_ids[i] for i in flat],
+                levels, sizes, energies, utilities,
             )
-            for position, (time, flat, level, size, share, utility) in (
-                enumerate(result.deliveries[index])
-            )
-        ]
         outcomes.append(
             UserRunOutcome(
-                metrics=compute_user_metrics(user_id, records, deliveries),
+                metrics=metrics,
                 mean_backlog_bytes=float(result.mean_backlog_bytes[index]),
                 max_queue_length=int(result.max_queue_length[index]),
                 final_queue_length=int(result.final_queue_length[index]),
-                failures=FailureStats(),
-                delivery_digest=(
-                    delivery_digest(deliveries) if digest_deliveries else None
-                ),
+                delivery_digest=digest,
             )
         )
     return outcomes
@@ -306,12 +291,7 @@ def run_users_columnar(
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
     if utility_model is None:
-        aging = (
-            ExponentialAging(config.aging_tau_seconds)
-            if config.aging_tau_seconds
-            else None
-        )
-        utility_model = CombinedUtilityModel(aging=aging)
+        utility_model = config.utility_model()
     policy = registry.create(spec.policy_name, **spec.policy_params(config))
     columns = build_cohort(
         user_records,

@@ -21,6 +21,7 @@ from enum import Enum
 from repro.core.delivery import RetryPolicy
 from repro.core.multifeed import FeedCadences
 from repro.core.presentations import AudioPresentationSpec
+from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.sim.faults import FaultConfig
 
 MB = 1_000_000
@@ -161,6 +162,11 @@ class ExperimentConfig:
         """Per-round data allowance implied by the weekly budget."""
         rounds_per_week = HOURS_PER_WEEK * 3600.0 / self.round_seconds
         return self.weekly_budget_mb * MB / rounds_per_week
+
+    def utility_model(self) -> CombinedUtilityModel:
+        """The Eq. 1 utility model these knobs describe (aging per Sec. III-A)."""
+        tau = self.aging_tau_seconds
+        return CombinedUtilityModel(aging=ExponentialAging(tau) if tau else None)
 
     def with_budget(self, weekly_budget_mb: float) -> "ExperimentConfig":
         """A copy at a different budget (sweep helper)."""

@@ -20,6 +20,7 @@ Unless stated otherwise, values are averaged across users.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -146,42 +147,58 @@ class UserMetrics:
         return self.total_utility / self.delivered_notifications
 
 
+def user_metrics_from_columns(
+    user_id: int, record_clicked: Sequence[bool],
+    times: Sequence[float], levels: Sequence[int], sizes: Sequence[float],
+    energies: Sequence[float], utilities: Sequence[float],
+    created_at: Sequence[float], clicked: Sequence[bool], click_times: Sequence[float],
+) -> UserMetrics:
+    """The Section V-C join over columns: the one place it is computed.
+
+    ``record_clicked`` has one entry per notification of the user's trace,
+    every other column one per realized delivery, in delivery order (the
+    last three are the delivered item's fields; ``None`` or ``NaN`` is no
+    click time).  Sums are sequential left folds: the same values in the
+    same order give the same bits, whoever calls.
+    """
+    delivered = len(times)
+    delays = [max(0.0, time - created) for time, created in zip(times, created_at)]
+    in_time_clicks = 0
+    clicked_utility = 0.0
+    for hit, utility, time, click_time in zip(clicked, utilities, times, click_times):
+        if hit:
+            clicked_utility += utility
+            if click_time is not None and time <= click_time:  # NaN: False
+                in_time_clicks += 1
+    return UserMetrics(
+        user_id=user_id,
+        total_notifications=len(record_clicked),
+        delivered_notifications=delivered,
+        delivered_bytes=float(sum(sizes)),
+        clicked_total=sum(map(bool, record_clicked)),
+        clicked_delivered_in_time=in_time_clicks,
+        total_utility=sum(utilities),
+        clicked_utility=clicked_utility,
+        energy_joules=sum(energies),
+        mean_queuing_delay_s=(sum(delays) / delivered) if delivered else 0.0,
+        level_histogram=dict(Counter(levels)),  # keys in first-delivery order
+    )
+
+
 def compute_user_metrics(
     user_id: int,
     records: Sequence[NotificationRecord],
     deliveries: Sequence[Delivery],
 ) -> UserMetrics:
     """Join a user's trace with their realized deliveries."""
-    clicked_total = sum(1 for r in records if r.clicked)
-    delivered = len(deliveries)
-    bytes_delivered = float(sum(d.size_bytes for d in deliveries))
-    energy = sum(d.energy_joules for d in deliveries)
-    total_utility = sum(d.utility for d in deliveries)
-
-    in_time_clicks = 0
-    clicked_utility = 0.0
-    delays: list[float] = []
-    histogram: dict[int, int] = {}
-    for delivery in deliveries:
-        item = delivery.item
-        delays.append(max(0.0, delivery.time - item.created_at))
-        histogram[delivery.level] = histogram.get(delivery.level, 0) + 1
-        if item.clicked:
-            clicked_utility += delivery.utility
-            if item.click_time is not None and delivery.time <= item.click_time:
-                in_time_clicks += 1
-    return UserMetrics(
-        user_id=user_id,
-        total_notifications=len(records),
-        delivered_notifications=delivered,
-        delivered_bytes=bytes_delivered,
-        clicked_total=clicked_total,
-        clicked_delivered_in_time=in_time_clicks,
-        total_utility=total_utility,
-        clicked_utility=clicked_utility,
-        energy_joules=energy,
-        mean_queuing_delay_s=(sum(delays) / len(delays)) if delays else 0.0,
-        level_histogram=histogram,
+    items = [d.item for d in deliveries]
+    return user_metrics_from_columns(
+        user_id, [r.clicked for r in records],
+        [d.time for d in deliveries], [d.level for d in deliveries],
+        [d.size_bytes for d in deliveries],
+        [d.energy_joules for d in deliveries], [d.utility for d in deliveries],
+        [item.created_at for item in items], [item.clicked for item in items],
+        [item.click_time for item in items],
     )
 
 

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.presentations import build_audio_ladder
-from repro.experiments.columnar import run_users_columnar, supports
+from repro.experiments.columnar import concat_record_columns, run_users_columnar, supports
 from repro.experiments.config import ExperimentConfig, MethodSpec
 from repro.experiments.metrics import FailureStats, MetricsAccumulator
 from repro.experiments.runner import (
@@ -102,11 +102,8 @@ def oracle_scores(
     the same scores -- workers can derive their own slice locally instead
     of receiving a population-wide map through the initializer.
     """
-    scores: dict[int, float] = {}
-    for _, records in user_records:
-        for record in records:
-            scores[record.notification_id] = 0.9 if record.clicked else 0.1
-    return scores
+    _, item_ids, _, clicked, _ = concat_record_columns(user_records)
+    return dict(zip(item_ids.tolist(), np.where(clicked, 0.9, 0.1).tolist()))
 
 
 # -- worker side ---------------------------------------------------------------
@@ -120,8 +117,8 @@ class _WorkerState:
     columnar shard store the worker memory-maps on first use -- the
     initializer ships a path string, and record bytes reach the worker
     via shared page cache instead of pickling).  ``scores`` may be
-    ``None`` on the store path: workers then derive the oracle scores for
-    their own record slice (:func:`oracle_scores`), so population-scale
+    ``None`` for columnar range tasks: workers then derive the oracle
+    scores for their own slice (:func:`oracle_scores`), so population-scale
     benches ship no score map at all.
     """
 
@@ -139,7 +136,8 @@ class _WorkerState:
     def records_for(self, user_id: int) -> list[NotificationRecord]:
         if self.shards is not None:
             return self.shards[user_id]
-        return self.ensure_store().records_for_user(user_id)
+        # The scalar runner walks records more than once: build them once.
+        return list(self.ensure_store().records_for_user(user_id))
 
 
 _WORKER: _WorkerState | None = None
@@ -174,14 +172,7 @@ def _run_cell_batch(
             "worker not initialized; _run_cell_batch must run inside an "
             "ExperimentPool worker"
         )
-    if state.scores is not None:
-        annotations = UtilityAnnotations(scores=state.scores)
-    else:
-        annotations = UtilityAnnotations(
-            scores=oracle_scores(
-                [(u, state.records_for(u)) for u in user_ids]
-            )
-        )
+    annotations = UtilityAnnotations(scores=state.scores)
     ladder = build_audio_ladder(config.presentation_spec)
     return [
         run_user(
@@ -208,9 +199,10 @@ def _columnar_outcomes_for_range(
 ) -> list[UserRunOutcome]:
     """One shard range ``[start, stop)`` of store positions, columnar.
 
-    Materializes the range's records from the memory-mapped store (the
-    only copying step), derives or adopts annotations, and runs one
-    :class:`~repro.runtime.columnar.ColumnarEngine` over the sub-cohort.
+    Takes the range's partitions as lazy views over the memory-mapped
+    store (no record object is built), derives or adopts annotations, and
+    runs one :class:`~repro.runtime.columnar.ColumnarEngine` over the
+    sub-cohort.
     Per-user outcomes are independent of how the population is
     partitioned (every kernel is row-independent and every user is seeded
     by user id), so any range split folds back bit-identically.

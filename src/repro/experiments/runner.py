@@ -17,14 +17,14 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.delivery import DeliveryEngine
 from repro.core.presentations import build_audio_ladder
-from repro.core.utility import CombinedUtilityModel, ExponentialAging
+from repro.core.utility import CombinedUtilityModel
 from repro.experiments.adapters import record_to_item
 from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
 from repro.experiments.metrics import (
@@ -202,30 +202,30 @@ def _device_stream_seed(seed: int, user_id: int) -> int:
     return _stream_seed(seed, user_id, 29)
 
 
-def delivery_digest(deliveries: Sequence[Delivery]) -> str:
-    """SHA-256 over a delivery sequence (the golden-parity fingerprint).
+def delivery_digest_from_columns(
+    times: Iterable[float], user_ids: Iterable[int], item_ids: Iterable[int],
+    levels: Iterable[int], sizes: Iterable[float],
+    energies: Iterable[float], utilities: Iterable[float],
+) -> str:
+    """SHA-256 over a delivery sequence given as seven parallel columns.
 
-    Hashes the exact fields the runtime-extraction golden tests pin:
-    time, user, item, level, size, energy and realized utility, in
-    delivery order.  Two engines that produce the same digest for every
-    user produced bit-identical delivery streams.
+    Hashes the ``repr`` of each ``(time, user, item, level, size, energy,
+    realized utility)`` row in delivery order -- the exact fields the
+    runtime-extraction golden tests pin.  Two engines that produce the
+    same digest for every user produced bit-identical delivery streams.
     """
-    digest = hashlib.sha256()
-    for d in deliveries:
-        digest.update(
-            repr(
-                (
-                    d.time,
-                    d.user_id,
-                    d.item.item_id,
-                    d.level,
-                    d.size_bytes,
-                    d.energy_joules,
-                    d.utility,
-                )
-            ).encode()
-        )
-    return digest.hexdigest()
+    rows = zip(times, user_ids, item_ids, levels, sizes, energies, utilities)
+    return hashlib.sha256("".join(map(repr, rows)).encode()).hexdigest()
+
+
+def delivery_digest(deliveries: Sequence[Delivery]) -> str:
+    """:func:`delivery_digest_from_columns` of ``Delivery`` objects."""
+    return delivery_digest_from_columns(
+        [d.time for d in deliveries], [d.user_id for d in deliveries],
+        [d.item.item_id for d in deliveries], [d.level for d in deliveries],
+        [d.size_bytes for d in deliveries],
+        [d.energy_joules for d in deliveries], [d.utility for d in deliveries],
+    )
 
 
 def _build_delivery_engine(
@@ -313,13 +313,7 @@ def run_user(
         items.append(item)
 
     device = _build_device(user_id, config, duration_seconds)
-    aging = (
-        ExponentialAging(config.aging_tau_seconds)
-        if config.aging_tau_seconds
-        else None
-    )
-    utility_model = CombinedUtilityModel(aging=aging)
-    scheduler = _build_scheduler(spec, config, device, utility_model)
+    scheduler = _build_scheduler(spec, config, device, config.utility_model())
     front = scheduler
     if config.feed_cadences is not None:
         from repro.core.multifeed import MultiFeedScheduler

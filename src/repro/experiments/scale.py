@@ -46,14 +46,14 @@ import platform
 import tempfile
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.channels import ChannelSet, builtin_channel
 from repro.core.presentations import build_audio_ladder
-from repro.core.utility import CombinedUtilityModel, ExponentialAging
+from repro.core.utility import CombinedUtilityModel
 from repro.experiments.columnar import build_cohort, fold_outcomes, make_engine
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec
-from repro.experiments.pool import available_cores, run_store_columnar_parallel
+from repro.experiments.pool import available_cores, oracle_scores, run_store_columnar_parallel
 from repro.experiments.runner import UserRunOutcome, UtilityAnnotations, run_user
 from repro.runtime.columnar import round_times
 from repro.trace.generator import TraceConfig, iter_users
@@ -120,18 +120,6 @@ class _PhaseProfiles:
             profile.dump_stats(path)
             paths.append(path)
         return paths
-
-
-def _oracle_annotations(
-    user_records: Iterable[tuple[int, Sequence[NotificationRecord]]],
-) -> UtilityAnnotations:
-    """Ground-truth content scores for a chunk (no classifier in the loop)."""
-    scores = {
-        record.notification_id: (0.9 if record.clicked else 0.1)
-        for _, records in user_records
-        for record in records
-    }
-    return UtilityAnnotations(scores=scores)
 
 
 def _chunked(
@@ -236,13 +224,7 @@ def _bench_multichannel(
             builtin_channel("email"),
         ]
     )
-    annotations = _oracle_annotations(pairs)
-    aging = (
-        ExponentialAging(config.aging_tau_seconds)
-        if config.aging_tau_seconds
-        else None
-    )
-
+    annotations = UtilityAnnotations(scores=oracle_scores(pairs))
     columns = build_cohort(pairs, annotations, ladder)
     engine = make_engine(
         columns, spec, config, duration_seconds, channels=channels
@@ -262,7 +244,7 @@ def _bench_multichannel(
         config,
         duration_seconds,
         channels=channels,
-        utility_model=_AdapterPathModel(aging=aging),
+        utility_model=_AdapterPathModel(aging=config.utility_model().aging),
     )
     adapter_path = adapter_engine.selection_path
     start = time.perf_counter()
@@ -370,7 +352,7 @@ def bench_scale(
                     for user_id, records in chunk:
                         writer.append(user_id, records)
                     store_write_s += time.perf_counter() - start
-                annotations = _oracle_annotations(chunk)
+                annotations = UtilityAnnotations(scores=oracle_scores(chunk))
                 start = time.perf_counter()
                 with profiles.phase("cohort_build"):
                     columns = build_cohort(chunk, annotations, ladder)
@@ -424,7 +406,7 @@ def bench_scale(
         columnar_s = build_s + rounds_s + merge_s
 
         sample = head[:scalar_sample]
-        annotations = _oracle_annotations(sample)
+        annotations = UtilityAnnotations(scores=oracle_scores(sample))
         start = time.perf_counter()
         _scalar_twin(sample, spec, config, annotations, duration_seconds)
         scalar_s = time.perf_counter() - start

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.presentations import build_audio_ladder
-from repro.core.utility import CombinedUtilityModel, ExponentialAging, LearnedContentUtility
+from repro.core.utility import LearnedContentUtility
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.experiments.adapters import record_to_item
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec
@@ -119,19 +119,13 @@ class SystemSimulation:
         """One round loop per user, policies resolved through the registry."""
         config = self.config.experiment
         spec = self.config.method
-        aging = (
-            ExponentialAging(config.aging_tau_seconds)
-            if config.aging_tau_seconds
-            else None
-        )
         schedulers: dict[int, RoundLoop] = {}
         for user_id in user_ids:
             device = _build_device(user_id, config, duration)
             data = DataBudget(theta_bytes=config.theta_bytes_per_round)
             energy = EnergyBudget(kappa_joules=config.kappa_joules_per_round)
-            utility_model = CombinedUtilityModel(aging=aging)
             schedulers[user_id] = RoundLoop(
-                device, data, energy, utility_model,
+                device, data, energy, config.utility_model(),
                 policy=registry.create(
                     spec.policy_name, **spec.policy_params(config)
                 ),

@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 import gzip
 import math
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import fields
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,26 +158,9 @@ class ShardStoreWriter:
         """Append one user's partition (records in their replay order)."""
         if self._closed:
             raise ValueError("shard store writer is closed")
-        columns: dict[str, list] = {name: [] for name in SHARD_COLUMNS}
-        for r in records:
-            columns["notification_id"].append(r.notification_id)
-            columns["sender_id"].append(r.sender_id)
-            columns["kind"].append(self._kind_codes[r.kind.value])
-            columns["track_id"].append(r.track_id)
-            columns["album_id"].append(r.album_id)
-            columns["artist_id"].append(r.artist_id)
-            columns["track_popularity"].append(r.track_popularity)
-            columns["album_popularity"].append(r.album_popularity)
-            columns["artist_popularity"].append(r.artist_popularity)
-            columns["tie_strength"].append(r.tie_strength)
-            columns["is_friend"].append(r.is_friend)
-            columns["favorite_genre"].append(r.favorite_genre)
-            columns["timestamp"].append(r.timestamp)
-            columns["hovered"].append(r.hovered)
-            columns["clicked"].append(r.clicked)
-            columns["click_time"].append(
-                math.nan if r.click_time is None else r.click_time
-            )
+        # Field by field; numpy stores a ``None`` click time as ``NaN``.
+        columns = {name: [getattr(r, name) for r in records] for name in SHARD_COLUMNS}
+        columns["kind"] = [self._kind_codes[kind.value] for kind in columns["kind"]]
         for name, dtype in SHARD_COLUMNS.items():
             np.asarray(columns[name], dtype=np.dtype(dtype)).tofile(
                 self._handles[name]
@@ -230,6 +215,78 @@ def write_shard_store(
     return total
 
 
+class RecordsView(Sequence):
+    """One user's records as a lazy sequence over shard-store column slices.
+
+    ``column(name)`` is the zero-copy slice of a :data:`SHARD_COLUMNS`
+    column; :class:`NotificationRecord` objects exist only while someone
+    iterates or indexes (each pass rebuilds them -- callers that walk the
+    records more than once should ``list(view)`` first).  Compares equal
+    to any sequence of equal records and prints as the list of them.
+    """
+
+    __slots__ = ("user_id", "_columns", "_kinds")
+
+    def __init__(self, user_id: int, columns: dict[str, np.ndarray], kinds) -> None:
+        self.user_id = user_id
+        self._columns = columns
+        self._kinds = kinds
+
+    def column(self, name: str) -> np.ndarray:
+        return self._columns[name]
+
+    def __len__(self) -> int:
+        return len(self._columns["notification_id"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = {name: c[index] for name, c in self._columns.items()}
+            return RecordsView(self.user_id, columns, self._kinds)
+        start = range(len(self))[index]  # normalizes, raises IndexError
+        return next(iter(self[start : start + 1]))
+
+    def __iter__(self) -> Iterator[NotificationRecord]:
+        data = {name: column.tolist() for name, column in self._columns.items()}
+        data["recipient_id"] = repeat(self.user_id)
+        data["kind"] = [self._kinds[code] for code in data["kind"]]
+        for name in ("is_friend", "favorite_genre", "hovered", "clicked"):
+            data[name] = map(bool, data[name])
+        data["click_time"] = [
+            None if math.isnan(time) else time for time in data["click_time"]
+        ]
+        return map(NotificationRecord, *(data[name] for name in _RECORD_FIELDS))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+_RECORD_FIELDS = tuple(field.name for field in fields(NotificationRecord))
+
+#: The columns the columnar cohort path reads (all it needs of a record).
+COHORT_COLUMNS = ("notification_id", "timestamp", "clicked", "click_time")
+
+
+def record_columns(records: Sequence[NotificationRecord]) -> tuple[np.ndarray, ...]:
+    """One user's :data:`COHORT_COLUMNS`, in shard-store dtypes.
+
+    The seam between records and the columnar path: a
+    :class:`RecordsView` serves its mapped slices as they are, any other
+    record sequence is read field by field (numpy turns a ``None``
+    ``click_time`` into ``NaN``, the store's own encoding).
+    """
+    if isinstance(records, RecordsView):
+        return tuple(records.column(name) for name in COHORT_COLUMNS)
+    return tuple(
+        np.asarray([getattr(r, name) for r in records], dtype=SHARD_COLUMNS[name])
+        for name in COHORT_COLUMNS
+    )
+
+
 class TraceShardStore:
     """Zero-copy reader over a shard store directory.
 
@@ -237,9 +294,13 @@ class TraceShardStore:
     calls regardless of trace size, slicing costs page faults only for
     the pages actually touched, and forked/spawned workers opening the
     same store share the page cache instead of each holding a heap copy.
-    The maps hold the file descriptors until :meth:`close` (or garbage
-    collection) releases them -- close explicitly before deleting the
-    directory on Windows-like platforms.
+    :meth:`records_at` hands out a lazy :class:`RecordsView`, so the
+    columnar cohort path (:func:`record_columns`) never builds a record.
+    :meth:`close` drops the store's own references (further reads raise
+    ``ValueError``); a view handed out earlier keeps its slices, and with
+    them the mapping and its file descriptor, alive until it is garbage
+    too -- drop both before deleting the directory on Windows-like
+    platforms.
 
     Concurrent readers are safe by construction: a sealed store is
     immutable (the writer renames nothing into place after
@@ -271,7 +332,7 @@ class TraceShardStore:
         self.user_ids = np.load(self.path / "user_ids.npy")
         self.offsets = np.load(self.path / "offsets.npy")
         n_records = int(self.offsets[-1])
-        self._maps: dict[str, np.memmap | np.ndarray] = {}
+        self._maps: dict[str, np.ndarray] | None = {}
         for name, dtype_str in manifest["columns"].items():
             dtype = np.dtype(dtype_str)
             column_path = self.path / f"{name}.bin"
@@ -284,7 +345,10 @@ class TraceShardStore:
             if n_records == 0:
                 self._maps[name] = np.empty(0, dtype=dtype)
             else:
-                self._maps[name] = np.memmap(column_path, dtype=dtype, mode="r")
+                # asarray: same pages, but slices skip np.memmap's Python
+                # __getitem__ (5x cheaper per slice, 16 slices per view).
+                mapped = np.memmap(column_path, dtype=dtype, mode="r")
+                self._maps[name] = np.asarray(mapped)
         self._position_of: dict[int, int] | None = None
 
     @property
@@ -295,9 +359,14 @@ class TraceShardStore:
     def n_records(self) -> int:
         return int(self.offsets[-1])
 
+    def _open_maps(self) -> dict[str, np.ndarray]:
+        if self._maps is None:
+            raise ValueError(f"{self.path}: shard store is closed")
+        return self._maps
+
     def column(self, name: str) -> np.ndarray:
         """The raw memory-mapped column (length ``n_records``)."""
-        return self._maps[name]
+        return self._open_maps()[name]
 
     def position_of(self, user_id: int) -> int:
         """Partition position of a user id (built lazily, O(1) after)."""
@@ -307,66 +376,29 @@ class TraceShardStore:
             }
         return self._position_of[user_id]
 
-    def records_at(self, position: int) -> list[NotificationRecord]:
-        """Materialize one partition's records (the only copying step)."""
-        start = int(self.offsets[position])
-        end = int(self.offsets[position + 1])
-        user_id = int(self.user_ids[position])
-        data = {
-            name: self._maps[name][start:end].tolist() for name in SHARD_COLUMNS
-        }
-        kinds = self._kinds
-        return [
-            NotificationRecord(
-                notification_id=notification_id,
-                recipient_id=user_id,
-                sender_id=sender_id,
-                kind=kinds[kind],
-                track_id=track_id,
-                album_id=album_id,
-                artist_id=artist_id,
-                track_popularity=track_popularity,
-                album_popularity=album_popularity,
-                artist_popularity=artist_popularity,
-                tie_strength=tie_strength,
-                is_friend=bool(is_friend),
-                favorite_genre=bool(favorite_genre),
-                timestamp=timestamp,
-                hovered=bool(hovered),
-                clicked=bool(clicked),
-                click_time=None if math.isnan(click_time) else click_time,
-            )
-            for (
-                notification_id,
-                sender_id,
-                kind,
-                track_id,
-                album_id,
-                artist_id,
-                track_popularity,
-                album_popularity,
-                artist_popularity,
-                tie_strength,
-                is_friend,
-                favorite_genre,
-                timestamp,
-                hovered,
-                clicked,
-                click_time,
-            ) in zip(*(data[name] for name in SHARD_COLUMNS))
-        ]
+    def records_at(self, position: int) -> RecordsView:
+        """One partition as a lazy view over the mapped columns (no copy)."""
+        maps = self._open_maps()
+        if not 0 <= position < self.n_users:
+            raise IndexError(f"position {position} outside 0..{self.n_users - 1}")
+        start, end = int(self.offsets[position]), int(self.offsets[position + 1])
+        return RecordsView(
+            int(self.user_ids[position]),
+            {name: column[start:end] for name, column in maps.items()},
+            self._kinds,
+        )
 
-    def records_for_user(self, user_id: int) -> list[NotificationRecord]:
+    def records_for_user(self, user_id: int) -> RecordsView:
         return self.records_at(self.position_of(user_id))
 
-    def iter_users(self) -> Iterator[tuple[int, list[NotificationRecord]]]:
+    def iter_users(self) -> Iterator[tuple[int, RecordsView]]:
         """Stream ``(user_id, records)`` partitions in store order."""
         for position in range(self.n_users):
             yield int(self.user_ids[position]), self.records_at(position)
 
     def close(self) -> None:
-        """Drop the memmaps (releases the column file descriptors)."""
-        self._maps.clear()
+        """Drop the store's maps; views already handed out keep theirs."""
+        self._maps = None
 
     def __enter__(self) -> "TraceShardStore":
         return self

@@ -11,8 +11,12 @@ re-derives expected values by hand.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel
@@ -29,6 +33,8 @@ from repro.experiments.config import (
     MethodSpec,
     NetworkMode,
 )
+from repro.experiments.adapters import record_to_item
+from repro.experiments.pool import _columnar_outcomes_for_range, _WorkerState
 from repro.experiments.runner import (
     UtilityAnnotations,
     run_experiment,
@@ -46,7 +52,10 @@ from repro.runtime.columnar import (
 from repro.runtime.policy import FifoPolicy, RichNotePolicy, UtilPolicy
 from repro.sim.engine import Simulator
 from repro.trace.generator import TraceConfig, build_workload, iter_users
-from repro.trace.io import TraceShardStore, write_shard_store
+from repro.pubsub.topics import TopicKind
+from repro.runtime.types import Delivery
+from repro.trace.io import SHARD_COLUMNS, TraceShardStore, write_shard_store
+from repro.trace.records import NotificationRecord
 
 SPECS = (
     MethodSpec(Method.RICHNOTE),
@@ -410,3 +419,236 @@ class TestShardStore:
     def test_rejects_foreign_directory(self, tmp_path):
         with pytest.raises((FileNotFoundError, ValueError)):
             TraceShardStore(tmp_path / "nope")
+
+    def test_out_of_range_positions_raise(self, tmp_path):
+        """-1 used to return an empty partition under the last user's id."""
+        write_shard_store(tmp_path / "store", list(iter_users(3, TraceConfig(seed=13))))
+        with TraceShardStore(tmp_path / "store") as store:
+            for position in (-1, -store.n_users, store.n_users, store.n_users + 5):
+                with pytest.raises(IndexError):
+                    store.records_at(position)
+            with pytest.raises(KeyError):
+                store.records_for_user(10**9)
+
+    def test_reads_after_close_raise_a_typed_error(self, tmp_path):
+        write_shard_store(tmp_path / "store", list(iter_users(3, TraceConfig(seed=13))))
+        store = TraceShardStore(tmp_path / "store")
+        store.close()
+        store.close()  # idempotent
+        for read in (
+            lambda: store.records_at(0),
+            lambda: store.column("timestamp"),
+            lambda: next(store.iter_users()),
+        ):
+            with pytest.raises(ValueError, match="closed"):
+                read()
+
+
+# -- the lazy record view and the column seam ----------------------------------
+
+#: Few distinct timestamps, so generated streams are unsorted *and* tied.
+TIMESTAMPS = st.sampled_from([0.0, 1.5, 1.5000000000000002, 60.0, 3600.0, 7200.0])
+
+
+@st.composite
+def user_streams(draw, max_users=4, max_records=7):
+    """``(user_id, records)`` pairs: unsorted, tied, some users empty."""
+    pairs, next_id = [], 0
+    for user_id in draw(
+        st.lists(st.integers(1, 50), max_size=max_users, unique=True)
+    ):
+        records = []
+        for _ in range(draw(st.integers(0, max_records))):
+            timestamp = draw(TIMESTAMPS)
+            clicked = draw(st.booleans())
+            records.append(
+                NotificationRecord(
+                    notification_id=next_id,
+                    recipient_id=user_id,
+                    sender_id=draw(st.integers(0, 9)),
+                    kind=draw(st.sampled_from(list(TopicKind))),
+                    track_id=draw(st.integers(0, 2**40)),
+                    album_id=3,
+                    artist_id=4,
+                    track_popularity=draw(st.integers(0, 100)),
+                    album_popularity=5,
+                    artist_popularity=6,
+                    tie_strength=draw(st.floats(0.0, 1.0)),
+                    is_friend=draw(st.booleans()),
+                    favorite_genre=draw(st.booleans()),
+                    timestamp=timestamp,
+                    hovered=clicked or draw(st.booleans()),
+                    clicked=clicked,
+                    click_time=(
+                        timestamp + draw(st.floats(0.0, 1e5)) if clicked else None
+                    ),
+                )
+            )
+            next_id += 1
+        pairs.append((user_id, records))
+    return pairs
+
+
+def _views_of(pairs, directory):
+    """Round-trip pairs through a shard store; views outlive the store."""
+    write_shard_store(directory, pairs)
+    with TraceShardStore(directory) as store:
+        return [
+            (int(store.user_ids[p]), store.records_at(p))
+            for p in range(store.n_users)
+        ]
+
+
+class TestRecordsView:
+    """``records_at`` views behave exactly like the record lists they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(user_streams(), st.data())
+    def test_view_is_the_list_it_stands_for(self, pairs, data):
+        with tempfile.TemporaryDirectory() as directory:
+            views = _views_of(pairs, directory)  # the store is closed by now
+            assert [user_id for user_id, _ in views] == [u for u, _ in pairs]
+            for (_, view), (user_id, records) in zip(views, pairs):
+                assert view.user_id == user_id
+                assert len(view) == len(records)
+                assert list(view) == records
+                assert view == records and records == view
+                assert view == tuple(records)
+                assert not (view != records)
+                assert view != records + records[:1] + [None]
+                assert repr(view) == repr(records)
+                for index in range(-len(records), len(records)):
+                    assert view[index] == records[index]
+                for index in (len(records), -len(records) - 1):
+                    with pytest.raises(IndexError):
+                        view[index]
+                cut = data.draw(st.slices(len(records) + 2))
+                assert view[cut] == records[cut]
+                assert len(view[cut]) == len(records[cut])
+                assert list(reversed(view)) == records[::-1]
+                if records:
+                    assert records[-1] in view
+                    assert view.index(records[0]) == 0
+
+    def test_columns_are_zero_copy_slices(self, tmp_path):
+        pairs = [(u, r) for u, r in iter_users(6, TraceConfig(seed=13)) if r]
+        write_shard_store(tmp_path / "store", pairs)
+        with TraceShardStore(tmp_path / "store") as store:
+            view = store.records_at(1)
+            for name in SHARD_COLUMNS:
+                column = view.column(name)
+                assert len(column) == len(view)
+                assert np.shares_memory(column, store.column(name))
+                assert not column.flags.writeable
+        # Closing the store does not pull the pages from under the view.
+        assert list(view) == pairs[1][1]
+        assert view.column("timestamp").tolist() == [
+            r.timestamp for r in pairs[1][1]
+        ]
+
+
+def _reference_cohort(user_records, scores, ladder):
+    """``build_cohort`` as the per-record loop it was (kept as the oracle)."""
+    user_ids, ordered_records, offsets = [], [], [0]
+    item_ids, created, contents, items = [], [], [], []
+    for user_id, records in user_records:
+        ordered = sorted(records, key=lambda record: record.timestamp)
+        user_ids.append(user_id)
+        ordered_records.extend(ordered)
+        for record in ordered:
+            item_ids.append(record.notification_id)
+            created.append(record.timestamp)
+            contents.append(scores[record.notification_id])
+            item = record_to_item(record, ladder)
+            item.content_utility = scores[record.notification_id]
+            items.append(item)
+        offsets.append(len(item_ids))
+    return user_ids, ordered_records, offsets, item_ids, created, contents, items
+
+
+class TestBuildCohortFromColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(user_streams())
+    def test_views_lists_and_the_old_loop_agree(self, pairs):
+        ladder = build_audio_ladder()
+        scores = {
+            r.notification_id: 1.0 / (1 + r.notification_id)
+            for _, records in pairs
+            for r in records
+        }
+        annotations = UtilityAnnotations(scores=scores)
+        user_ids, ordered, offsets, item_ids, created, contents, items = (
+            _reference_cohort(pairs, scores, ladder)
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            views = _views_of(pairs, directory)
+        mixed = [views[i] if i % 2 else pairs[i] for i in range(len(pairs))]
+        for source in (pairs, views, mixed):
+            columns = build_cohort(source, annotations, ladder, materialize_items=True)
+            cohort = columns.cohort
+            assert columns.user_ids == cohort.user_ids == user_ids
+            assert cohort.offsets.tolist() == offsets
+            assert cohort.offsets.dtype == np.int64
+            assert cohort.item_ids == item_ids
+            assert all(type(item_id) is int for item_id in cohort.item_ids)
+            assert cohort.created_at.tobytes() == np.asarray(created, "<f8").tobytes()
+            assert cohort.contents.tobytes() == np.asarray(contents, "<f8").tobytes()
+            assert columns.clicked.tolist() == [r.clicked for r in ordered]
+            assert [
+                None if np.isnan(t) else t for t in columns.click_time.tolist()
+            ] == [r.click_time for r in ordered]
+            assert [item.item_id for item in cohort.items] == item_ids
+            assert cohort.items == items
+
+    def test_zero_users(self):
+        columns = build_cohort([], UtilityAnnotations(scores={}), build_audio_ladder())
+        assert columns.cohort.n_users == 0 and columns.cohort.n_items == 0
+        assert len(columns.clicked) == len(columns.click_time) == 0
+
+
+class TestNoObjectsOnTheCohortPath:
+    def test_store_range_builds_no_record_and_no_delivery(self, tmp_path, monkeypatch):
+        """Store -> cohort -> engine -> fold constructs neither object type."""
+        config = TraceConfig(seed=13)
+        pairs = [(u, r) for u, r in iter_users(25, config) if r]
+        write_shard_store(tmp_path / "store", pairs)
+        built = {NotificationRecord: 0, Delivery: 0}
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls] += 1
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        counting(NotificationRecord)
+        counting(Delivery)
+        state = _WorkerState(
+            shards=None, store_path=str(tmp_path / "store"), scores=None,
+            duration_seconds=config.duration_hours * 3600.0,
+        )
+        outcomes = _columnar_outcomes_for_range(
+            state, MethodSpec(Method.RICHNOTE), ExperimentConfig(seed=13),
+            0, len(pairs), True,
+        )
+        assert built == {NotificationRecord: 0, Delivery: 0}
+        assert sum(o.metrics.delivered_notifications for o in outcomes) > 0
+        assert all(o.delivery_digest for o in outcomes)
+        # The counters are live: the scalar edge of the same store builds
+        # records (once per user, not once per pass) and deliveries.
+        records = state.records_for(pairs[0][0])
+        assert isinstance(records, list)
+        assert built[NotificationRecord] == len(pairs[0][1])
+        twin = run_user(
+            pairs[0][0], records, MethodSpec(Method.RICHNOTE),
+            ExperimentConfig(seed=13), UtilityAnnotations(
+                scores={r.notification_id: 0.9 if r.clicked else 0.1 for r in records}
+            ),
+            config.duration_hours * 3600.0, digest_deliveries=True,
+        )
+        assert built[NotificationRecord] == len(pairs[0][1])
+        assert built[Delivery] == twin.metrics.delivered_notifications > 0
+        assert twin.delivery_digest == outcomes[0].delivery_digest
+        state.store.close()

@@ -1,0 +1,204 @@
+"""Column-form metric/digest kernels == the object-form loops they replaced.
+
+``compute_user_metrics`` and ``delivery_digest`` are adapters over
+``user_metrics_from_columns`` / ``delivery_digest_from_columns`` now, so
+comparing the two forms with each other would prove nothing.  The
+references below are the pre-column per-object loops, kept verbatim as
+the oracle: every generated case must match them bit for bit (dataclass
+equality on floats is exact), including ``level_histogram`` key order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from itertools import repeat
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.presentations import build_audio_ladder
+from repro.experiments.adapters import record_to_item
+from repro.experiments.metrics import (
+    UserMetrics,
+    compute_user_metrics,
+    user_metrics_from_columns,
+)
+from repro.experiments.runner import delivery_digest, delivery_digest_from_columns
+from repro.pubsub.topics import TopicKind
+from repro.runtime.types import Delivery
+from repro.trace.records import NotificationRecord
+
+LADDER = build_audio_ladder()
+FLOATS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+def reference_metrics(user_id, records, deliveries) -> UserMetrics:
+    """The object-form join as it was before the column kernels."""
+    clicked_total = sum(1 for r in records if r.clicked)
+    delivered = len(deliveries)
+    bytes_delivered = float(sum(d.size_bytes for d in deliveries))
+    energy = sum(d.energy_joules for d in deliveries)
+    total_utility = sum(d.utility for d in deliveries)
+    in_time_clicks = 0
+    clicked_utility = 0.0
+    delays = []
+    histogram = {}
+    for delivery in deliveries:
+        item = delivery.item
+        delays.append(max(0.0, delivery.time - item.created_at))
+        histogram[delivery.level] = histogram.get(delivery.level, 0) + 1
+        if item.clicked:
+            clicked_utility += delivery.utility
+            if item.click_time is not None and delivery.time <= item.click_time:
+                in_time_clicks += 1
+    return UserMetrics(
+        user_id=user_id,
+        total_notifications=len(records),
+        delivered_notifications=delivered,
+        delivered_bytes=bytes_delivered,
+        clicked_total=clicked_total,
+        clicked_delivered_in_time=in_time_clicks,
+        total_utility=total_utility,
+        clicked_utility=clicked_utility,
+        energy_joules=energy,
+        mean_queuing_delay_s=(sum(delays) / len(delays)) if delays else 0.0,
+        level_histogram=histogram,
+    )
+
+
+def reference_digest(deliveries) -> str:
+    """The per-delivery ``digest.update`` loop the golden digests came from."""
+    digest = hashlib.sha256()
+    for d in deliveries:
+        digest.update(
+            repr(
+                (d.time, d.user_id, d.item.item_id, d.level, d.size_bytes,
+                 d.energy_joules, d.utility)
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+@st.composite
+def records_and_deliveries(draw):
+    """One user's trace plus a delivery sequence over (some of) its items.
+
+    Items may be delivered out of order, more than once or not at all;
+    zero records and zero deliveries both occur.
+    """
+    n_records = draw(st.integers(min_value=0, max_value=8))
+    records = []
+    for notification_id in range(n_records):
+        timestamp = draw(FLOATS)
+        clicked = draw(st.booleans())
+        # Unclicked records usually have no click time, but the kernels
+        # must also ignore one that is set (hover-then-leave traces).
+        has_time = clicked or draw(st.booleans())
+        click_time = timestamp + draw(FLOATS) if has_time else None
+        records.append(
+            NotificationRecord(
+                notification_id=notification_id, recipient_id=7, sender_id=1,
+                kind=TopicKind.FRIEND, track_id=1, album_id=1, artist_id=1,
+                track_popularity=1, album_popularity=1, artist_popularity=1,
+                tie_strength=0.5, is_friend=True, favorite_genre=False,
+                timestamp=timestamp, hovered=clicked or draw(st.booleans()),
+                clicked=clicked, click_time=click_time,
+            )
+        )
+    items = [record_to_item(r, LADDER) for r in records]
+    picks = draw(
+        st.lists(st.integers(min_value=0, max_value=n_records - 1), max_size=12)
+        if n_records
+        else st.just([])
+    )
+    deliveries = [
+        Delivery(
+            time=draw(FLOATS),
+            user_id=7,
+            item=items[pick],
+            level=draw(st.integers(min_value=1, max_value=6)),
+            size_bytes=draw(st.one_of(st.integers(0, 10**7), FLOATS)),
+            energy_joules=draw(FLOATS),
+            utility=draw(FLOATS),
+        )
+        for pick in picks
+    ]
+    return records, deliveries
+
+
+def as_columns(deliveries):
+    """Transpose the way ``fold_outcomes`` does: tuples, NaN for no click."""
+    if not deliveries:
+        return ((),) * 9
+    return tuple(
+        zip(
+            *(
+                (
+                    d.time, d.item.item_id, d.level, d.size_bytes,
+                    d.energy_joules, d.utility, d.item.created_at,
+                    int(d.item.clicked),
+                    math.nan if d.item.click_time is None else d.item.click_time,
+                )
+                for d in deliveries
+            )
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(records_and_deliveries())
+def test_metric_forms_match_the_object_loop(case):
+    records, deliveries = case
+    expected = reference_metrics(7, records, deliveries)
+
+    adapted = compute_user_metrics(7, records, deliveries)
+    assert adapted == expected
+    assert list(adapted.level_histogram) == list(expected.level_histogram)
+    assert repr(adapted) == repr(expected)
+
+    times, _, levels, sizes, energies, utilities, created, clicked, click_times = (
+        as_columns(deliveries)
+    )
+    from_columns = user_metrics_from_columns(
+        7, [int(r.clicked) for r in records],
+        times, levels, sizes, energies, utilities, created, clicked, click_times,
+    )
+    assert from_columns == expected
+    assert list(from_columns.level_histogram) == list(expected.level_histogram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records_and_deliveries())
+def test_digest_forms_match_the_object_loop(case):
+    _, deliveries = case
+    expected = reference_digest(deliveries)
+    assert delivery_digest(deliveries) == expected
+    times, item_ids, levels, sizes, energies, utilities, *_ = as_columns(deliveries)
+    assert (
+        delivery_digest_from_columns(
+            times, repeat(7), item_ids, levels, sizes, energies, utilities
+        )
+        == expected
+    )
+
+
+def test_no_deliveries_and_no_records():
+    empty = user_metrics_from_columns(3, [], (), (), (), (), (), (), (), ())
+    assert empty == reference_metrics(3, [], [])
+    assert empty.mean_queuing_delay_s == 0.0
+    assert empty.level_histogram == {}
+    assert delivery_digest([]) == hashlib.sha256().hexdigest()
+    assert (
+        delivery_digest_from_columns((), repeat(3), (), (), (), (), ())
+        == hashlib.sha256().hexdigest()
+    )
+
+
+def test_histogram_keys_keep_first_delivery_order():
+    metrics = user_metrics_from_columns(
+        1, [0, 0, 0],
+        (10.0, 20.0, 30.0), (3, 1, 3), (5, 5, 5), (0.1, 0.1, 0.1),
+        (0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (0, 0, 0), (math.nan,) * 3,
+    )
+    assert list(metrics.level_histogram.items()) == [(3, 2), (1, 1)]

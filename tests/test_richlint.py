@@ -127,6 +127,12 @@ class TestScoping:
             codes = [f.code for f in analyze_source(source, relpath)]
             assert "RL205" in codes, relpath
 
+    def test_layering_covers_the_trace_package(self):
+        """trace/ feeds the columnar path columns; it must not reach up."""
+        source = "from repro.experiments.runner import run_user\n"
+        assert [f.code for f in analyze_source(source, "trace/io.py")] == ["RL601"]
+        assert analyze_source(source, "ml/forest.py") == []
+
     def test_set_iteration_scoped_to_core(self):
         source = "def f(items: set):\n    return [x for x in items]\n"
         assert [f.code for f in analyze_source(source, "core/hot.py")] == ["RL204"]
@@ -317,14 +323,17 @@ class TestOnRealTree:
         assert report.findings == []
 
     def test_shard_parallel_modules_clean_on_empty_baseline(self):
-        """ISSUE 10's new/changed modules pass EVERY rule family with no
-        baseline escape hatch -- not just the scoped R2,R4,R7 pass."""
+        """ISSUE 10's new/changed modules, plus ISSUE 15's column kernels
+        (metrics, runner), pass EVERY rule family -- R2/R4/R7 and the
+        RL601 layering rule included -- with no baseline escape hatch."""
         modules = [
             REPO_ROOT / "src/repro/runtime/kernels.py",
             REPO_ROOT / "src/repro/runtime/columnar.py",
             REPO_ROOT / "src/repro/experiments/pool.py",
             REPO_ROOT / "src/repro/experiments/scale.py",
             REPO_ROOT / "src/repro/experiments/columnar.py",
+            REPO_ROOT / "src/repro/experiments/metrics.py",
+            REPO_ROOT / "src/repro/experiments/runner.py",
             REPO_ROOT / "src/repro/trace/io.py",
             REPO_ROOT / "src/repro/cli.py",
         ]

@@ -473,34 +473,25 @@ class TestGoldenParity:
         duration = workload.config.duration_hours * 3600.0
 
         captured = []
-        original = columnar.compute_user_metrics
+        original = columnar.delivery_digest_from_columns
 
-        def spy(user_id, records, deliveries):
-            captured.extend(deliveries)
-            return original(user_id, records, deliveries)
+        def spy(*columns):
+            captured.extend(zip(*columns))
+            return original(*columns)
 
-        monkeypatch.setattr(columnar, "compute_user_metrics", spy)
+        monkeypatch.setattr(columnar, "delivery_digest_from_columns", spy)
 
         for spec in specs:
             captured.clear()
             columnar.run_users_columnar(
-                pairs, spec, config, annotations, duration
+                pairs, spec, config, annotations, duration,
+                digest_deliveries=True,
             )
+            # Rows are (time, user, item, level, size, energy, utility):
+            # the same seven fields the scalar test hashes off Delivery.
             digest = hashlib.sha256()
-            for d in captured:
-                digest.update(
-                    repr(
-                        (
-                            d.time,
-                            d.user_id,
-                            d.item.item_id,
-                            d.level,
-                            d.size_bytes,
-                            d.energy_joules,
-                            d.utility,
-                        )
-                    ).encode()
-                )
+            for row in captured:
+                digest.update(repr(row).encode())
             assert (len(captured), digest.hexdigest()) == (
                 GOLDEN_DELIVERY_DIGESTS[spec.label]
             ), spec.label
