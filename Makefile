@@ -61,9 +61,11 @@ bench:
 
 # The repo benchmark (BENCHMARK.json): every workload's end-to-end
 # metrics in reference seconds, outputs checked against the goldens.
-# See benchmarks/harness/README.md; add `--trace 1` for per-layer numbers.
+# See benchmarks/harness/README.md.  One workload's per-layer table is
+# `make bench-repo WORKLOAD=cohort-push TRACE=1`.
 bench-repo:
-	python3 benchmarks/harness/run.py --all --seed 97
+	python3 benchmarks/harness/run.py --seed 97 \
+		$(if $(WORKLOAD),--workload $(WORKLOAD),--all) $(if $(TRACE),--trace $(TRACE))
 
 # Sweep-engine gates (parity, payload boundary, >=2x speedup on
 # multi-core) on a tiny grid; writes BENCH_sweep.json at the repo root.

@@ -133,11 +133,11 @@ def select_presentations(instance: MckpInstance) -> MckpSolution:
     the number of performed upgrades is ``O(k)``.
 
     The heap loop itself lives in
-    :func:`repro.runtime.kernels.greedy_select`; this wrapper adapts the
+    :func:`repro.runtime.kernels.greedy_select_heap`; this wrapper adapts the
     object-based :class:`MckpInstance` to the kernel's row arrays.
     """
     keys = [item.key for item in instance.items]
-    levels, total_size, total_profit = kernels.greedy_select(
+    levels, total_size, total_profit = kernels.greedy_select_heap(
         keys,
         [item.sizes for item in instance.items],
         [item.profits for item in instance.items],

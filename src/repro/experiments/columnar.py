@@ -9,7 +9,7 @@ per-user :class:`~repro.experiments.runner.UserRunOutcome` objects the
 scalar :func:`~repro.experiments.runner.run_user` produces -- bit for
 bit, including delivery digests.  The path is columnar end to end: it
 reads four columns per user (:func:`repro.trace.io.record_columns`),
-never a record object, and the fold hands the engine's delivery tuples
+never a record object, and the fold hands the engine's delivery columns
 to the column kernels the scalar path's ``compute_user_metrics`` /
 ``delivery_digest`` adapt to, so the arithmetic cannot drift between them.
 
@@ -199,34 +199,39 @@ def fold_outcomes(
 ) -> list[UserRunOutcome]:
     """Fold engine outcome columns back into per-user ``UserRunOutcome``s.
 
-    Transposes each user's delivery tuples into columns, gathers the
-    delivered items' fields by flat index and calls the column kernels
-    the scalar metric/digest functions are adapters over -- no
-    per-delivery object is built.
+    Takes the engine's delivery rows regrouped per user, gathers the
+    delivered items' fields by flat index once for the whole cohort and
+    hands each user's slices to the column kernels the scalar
+    metric/digest functions adapt -- no per-delivery object is built.
     """
     cohort = columns.cohort
     bounds = cohort.offsets.tolist()
-    item_ids = cohort.item_ids
-    created = cohort.created_at.tolist()
     clicked = columns.clicked.tolist()
-    click_time = columns.click_time.tolist()
+    rows, starts = result.user_sorted
+    flat = rows["index"]
+    delivery_columns = [
+        rows[name] for name in ("time", "level", "size", "energy", "utility")
+    ]
+    item_columns = [
+        cohort.created_at[flat], columns.clicked[flat], columns.click_time[flat]
+    ]
+    item_ids = cohort.item_id_column[flat]
     outcomes: list[UserRunOutcome] = []
     for index, user_id in enumerate(columns.user_ids):
-        deliveries = result.deliveries[index]
-        times, flat, levels, sizes, energies, utilities = (
-            zip(*deliveries) if deliveries else ((),) * 6
+        # One user's slices at a time: the Python scalars are transient.
+        mine = slice(starts[index], starts[index + 1])
+        times, levels, sizes, energies, utilities = (
+            column[mine].tolist() for column in delivery_columns
         )
         metrics = user_metrics_from_columns(
             user_id, clicked[bounds[index] : bounds[index + 1]],
             times, levels, sizes, energies, utilities,
-            [created[i] for i in flat],
-            [clicked[i] for i in flat],
-            [click_time[i] for i in flat],
+            *(column[mine].tolist() for column in item_columns),
         )
         digest = None
         if digest_deliveries:
             digest = delivery_digest_from_columns(
-                times, repeat(user_id), [item_ids[i] for i in flat],
+                times, repeat(user_id), item_ids[mine].tolist(),
                 levels, sizes, energies, utilities,
             )
         outcomes.append(

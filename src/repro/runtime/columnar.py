@@ -4,28 +4,32 @@ The scalar stack (:mod:`repro.runtime.loop` driven per user through
 :class:`repro.sim.engine.Simulator`) walks one Python object graph per
 user per round.  That is the right shape for extensibility -- policies,
 fault engines and observers all hook the loop -- but it caps simulations
-at a few hundred users.  This module re-expresses the *paper-default*
-round semantics (no TTL, no fault engine, no level caps) as columns over
-a whole cohort:
+at a few hundred users.  This module expresses the *paper-default* round
+semantics (no TTL, no fault engine, no level caps) as columns over a
+whole cohort; a round phase is a handful of array operations over one
+connectivity group, never a loop over users:
 
 * :class:`ColumnarRoundState` -- the Algorithm 2 state as parallel numpy
-  arrays: byte budgets ``B(t)``, energy budgets ``P(t)``, backlog
-  ``Q(t)``, pending-notification counts and per-user RNG lanes, plus the
-  ragged per-user scheduling queues (lists of flat item indices --
-  masking happens by slicing, not padding);
+  arrays (byte budgets ``B(t)``, energy budgets ``P(t)``, backlog
+  ``Q(t)``, pending counts) plus *one* scheduling queue for the whole
+  cohort: the sorted array of queued flat item indices.  Items are
+  user-partitioned and created-at sorted and the ingest round is
+  monotone in created-at, so ascending flat index *is* queue order and
+  a user's queue is the run inside their ``cohort.offsets`` bounds;
 * :class:`DeviceColumns` -- per-round connectivity states and battery
   replenishment ``e(t)`` for every user, precomputed from the *same*
   seeded :mod:`repro.sim` models the scalar path steps round by round;
-* :class:`ColumnarEngine` -- the phase loop (ingest / replenish / select
-  / deliver) over those columns.  Built-in policies
-  (:class:`~repro.runtime.policy.RichNotePolicy`,
-  :class:`~repro.runtime.policy.FifoPolicy`,
-  :class:`~repro.runtime.policy.UtilPolicy`) run on cohort-wide kernels
-  (:func:`repro.runtime.kernels.lyapunov_adjusted_rows` et al.); any
-  other :class:`~repro.runtime.policy.SchedulerPolicy` runs unchanged
-  through a per-user :class:`~repro.runtime.policy.RoundContext`
-  adapter, exactly the snapshot :class:`~repro.runtime.loop.RoundLoop`
-  would hand it.
+* :class:`ColumnarEngine` -- the phase loop.  Ingest merges the round's
+  slice of a precomputed argsort into the queue; selection stacks a
+  group's queued rows and runs one segmented Algorithm 1
+  (:func:`repro.runtime.kernels.greedy_select`, one segment per user)
+  behind the Eq. 7 kernels; delivery debits the budget columns and
+  appends :data:`DELIVERY_DTYPE` rows to one log.  The built-in
+  RichNote / FIFO / UTIL policies select this way; any other
+  :class:`~repro.runtime.policy.SchedulerPolicy` selects per user
+  through a :class:`~repro.runtime.policy.RoundContext` adapter, exactly
+  the snapshot :class:`~repro.runtime.loop.RoundLoop` would hand it, on
+  the same queue array and the same delivery.
 
 Bit-for-bit parity with the scalar path is a hard contract, not an
 aspiration: every float operation pairs the same operands in the same
@@ -52,8 +56,11 @@ modules, never :mod:`repro.experiments` or the CLI.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property, partial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +85,7 @@ from repro.sim.network import (
 )
 
 __all__ = [
+    "DELIVERY_DTYPE",
     "ColumnarCohort",
     "ColumnarEngine",
     "ColumnarRoundState",
@@ -110,11 +118,6 @@ STATE_CODES: dict[NetworkState, int] = {
     NetworkState.WIFI: 1,
     NetworkState.OFF: 2,
 }
-_CODE_STATES: tuple[NetworkState, ...] = (
-    NetworkState.CELL,
-    NetworkState.WIFI,
-    NetworkState.OFF,
-)
 _OFF_CODE = STATE_CODES[NetworkState.OFF]
 
 
@@ -161,6 +164,8 @@ class ColumnarCohort:
     contents: np.ndarray
     ladder: PresentationLadder
     items: list[ContentItem] | None = None
+    #: ``item_ids`` as an array, for gathers by flat index.
+    item_id_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -186,6 +191,19 @@ class ColumnarCohort:
                 )
         if self.items is not None and len(self.items) != n_items:
             raise ValueError("items, when given, must align with the columns")
+        # Item ids break Algorithm 1's gradient ties, so they must be
+        # unique within a user.  Equal ids stay in flat (= user) order
+        # under a stable sort, which puts a user's duplicates side by side.
+        self.item_id_column = np.asarray(self.item_ids)
+        order = np.argsort(self.item_id_column, kind="stable")
+        owner = np.repeat(np.arange(n_users), np.diff(self.offsets))[order]
+        ids = self.item_id_column[order]
+        repeated = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
+        if repeated.any():
+            at = np.flatnonzero(repeated)[0]
+            raise ValueError(
+                f"user {self.user_ids[owner[at]]} has duplicate item id {ids[at]}"
+            )
 
     @property
     def n_users(self) -> int:
@@ -257,19 +275,33 @@ def build_device_columns(
     )
 
 
+#: One realized delivery per row, in the order the engine delivered them
+#: (round by round; within a round by connectivity group, user, and
+#: realized utility descending).  ``index`` is the item's flat cohort
+#: position, ``size`` the wire bytes, ``energy`` the item's share of its
+#: batch energy and ``channel`` indexes ``ColumnarRunResult.channel_names``.
+DELIVERY_DTYPE = np.dtype(
+    [("user", "i8"), ("time", "f8"), ("index", "i8"), ("level", "i8"),
+     ("size", "i8"), ("energy", "f8"), ("utility", "f8"), ("channel", "i8")]
+)
+
+
 @dataclass
 class ColumnarRoundState:
     """Algorithm 2's mutable state as parallel columns over the cohort.
 
-    ``queues`` are ragged -- one list of flat item indices per user --
-    because queue lengths vary wildly across a population; the dense
+    ``queue`` is the whole cohort's scheduling queue as one sorted array
+    of flat item indices: user ``u``'s queue, in queue order, is the run
+    of entries inside ``cohort.offsets[u]:cohort.offsets[u + 1]``.
+    Ingest merges into it and delivery deletes from it; both rebind the
+    attribute, the array itself is never written in place.  The dense
     arrays carry everything with a fixed per-user width.  ``q_bytes`` and
     ``pending`` are refreshed to end-of-round snapshots after each round
     (the values the scalar ``RoundResult`` records).
 
     ``dirty[u]`` tracks whether user ``u``'s queue composition changed
-    (ingest append or delivery) since the engine last rebuilt its cached
-    merged-row profile for that user -- the invalidation signal of the
+    (ingest or delivery) since the engine last rebuilt its cached
+    merged rows for that user -- the invalidation signal of the
     multichannel merged-row cache.  Every user starts dirty, and
     :meth:`ColumnarEngine.run` re-dirties the whole cohort at each call
     boundary so resumed runs never trust a stale cache.
@@ -279,40 +311,93 @@ class ColumnarRoundState:
     energy_available: np.ndarray
     q_bytes: np.ndarray
     pending: np.ndarray
-    rng_seeds: np.ndarray
-    queues: list[list[int]] = field(default_factory=list)
-    dirty: np.ndarray | None = None
+    queue: np.ndarray
+    dirty: np.ndarray
+
+
+class _PerUser(Sequence):
+    """``view[u]``: user ``u``'s run of some user-sorted columns, as a list
+    of plain Python scalars (one column) or of tuples (several), built on
+    access."""
+
+    def __init__(self, columns: list[np.ndarray], offsets: np.ndarray) -> None:
+        self._columns = columns
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, u: int) -> list:
+        u = range(len(self))[u]
+        mine = slice(self._offsets[u], self._offsets[u + 1])
+        columns = [column[mine].tolist() for column in self._columns]
+        return columns[0] if len(columns) == 1 else list(zip(*columns))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
 class ColumnarRunResult:
-    """Per-user outcome columns of one engine run.
+    """Outcome columns of one engine run; a snapshot, not a live view.
 
-    ``deliveries[u]`` holds user ``u``'s realized deliveries in order as
-    ``(time, flat_index, level, size_bytes, energy_share_joules,
-    utility)`` tuples of plain Python scalars -- the exact fields (and
-    bit-exact values) the scalar path's
-    :class:`~repro.runtime.types.Delivery` records.  ``channel_codes[u]``
-    runs parallel to ``deliveries[u]``: each entry indexes
-    ``channel_names`` for the transport that carried the delivery (all
-    zeros on the single-channel path, where the 6-tuple schema and its
-    consumers stay untouched).
+    ``delivered`` holds every realized delivery as one
+    :data:`DELIVERY_DTYPE` row in delivery order -- bit-exact the fields
+    the scalar path's :class:`~repro.runtime.types.Delivery` records.
+    :attr:`user_sorted` regroups the rows per user for folds;
+    :attr:`deliveries` / :attr:`channel_codes` present them per user as
+    lists of plain Python scalars, built when a user is read.
+    ``backlog_sum_bytes`` is the per-user sum of end-of-round ``Q(t)``.
     """
 
-    deliveries: list[list[tuple]]
-    mean_backlog_bytes: np.ndarray
+    delivered: np.ndarray
+    backlog_sum_bytes: np.ndarray
     max_queue_length: np.ndarray
     final_queue_length: np.ndarray
     rounds: int
-    channel_codes: list[list[int]] | None = None
     channel_names: tuple[str, ...] = ("push",)
 
+    @cached_property
+    def mean_backlog_bytes(self) -> np.ndarray:
+        return self.backlog_sum_bytes / max(self.rounds, 1)
 
-class _AttachShim:
-    """Just enough of a RoundLoop for ``policy.attach`` to validate against."""
+    @cached_property
+    def user_sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, offsets)``: user ``u``'s deliveries, in order, are
+        ``rows[offsets[u]:offsets[u + 1]]``."""
+        order = np.argsort(self.delivered["user"], kind="stable")
+        rows = self.delivered.take(order)  # far cheaper than [order] on records
+        users = np.arange(len(self.backlog_sum_bytes) + 1)
+        return rows, np.searchsorted(rows["user"], users)
 
-    def __init__(self, kappa_joules: float) -> None:
-        self.energy_budget = EnergyBudget(kappa_joules=kappa_joules)
+    @property
+    def deliveries(self) -> Sequence[list[tuple]]:
+        """``deliveries[u]``: ``(time, flat_index, level, size_bytes,
+        energy_share_joules, utility)`` per delivery of user ``u``."""
+        rows, offsets = self.user_sorted
+        fields = ("time", "index", "level", "size", "energy", "utility")
+        return _PerUser([rows[name] for name in fields], offsets)
+
+    @property
+    def channel_codes(self) -> Sequence[list[int]]:
+        """Parallel to :attr:`deliveries`: the carrying channel's index in
+        ``channel_names`` (all zeros on the single-channel path)."""
+        rows, offsets = self.user_sorted
+        return _PerUser([rows["channel"]], offsets)
+
+
+class _Group(NamedTuple):
+    """One connectivity group of one round.
+
+    ``flat`` are the group's queued rows (ascending flat item indices, so
+    each member's rows are contiguous and members come in order),
+    ``counts`` the members' queue lengths.
+    """
+
+    code: int
+    flat: np.ndarray
+    members: np.ndarray
+    counts: np.ndarray
 
 
 class ColumnarEngine:
@@ -321,16 +406,19 @@ class ColumnarEngine:
     Mirrors :class:`repro.runtime.loop.RoundLoop`'s phase sequence --
     ingest, replenish, select, deliver -- but each phase touches columns
     instead of one user's objects.  Selection dispatches on the bound
-    policy: the three built-ins get cohort-batched kernels; anything else
-    runs per user through a :class:`~repro.runtime.policy.RoundContext`
-    (requires ``cohort.items``).
+    policy: the three built-ins select a whole connectivity group per
+    call; anything else runs per user through a
+    :class:`~repro.runtime.policy.RoundContext` (requires
+    ``cohort.items``).  Every path reads the same queue array and ends in
+    the same :meth:`_deliver`.
 
     Parameters mirror what the experiment layer derives from its config:
     ``theta_bytes`` / ``kappa_joules`` parameterize the budgets (data
     starts empty, energy starts at ``kappa``, as in
     :mod:`repro.core.budgets`), ``device`` carries the precomputed
     per-round connectivity/battery columns, and ``expected_batch``
-    prices selection-time energy estimates.
+    prices selection-time energy estimates.  Realized batch energy is
+    priced from the energy model's radio profiles.
     """
 
     def __init__(
@@ -369,191 +457,148 @@ class ColumnarEngine:
             )
         self._theta = theta_bytes
         self._kappa = kappa_joules
-        self._energy_model = energy_model or TransferEnergyModel()
-        self._expected_batch = expected_batch
         self._aging = self.utility_model.aging
+        energy_model = energy_model or TransferEnergyModel()
 
         ladder = cohort.ladder
         n_levels = ladder.max_level + 1
-        self._level_sizes = [ladder.size(level) for level in range(n_levels)]
-        self._presentation_row = [
-            ladder.utility(level) for level in range(n_levels)
-        ]
+        self._level_sizes = np.asarray(
+            [ladder.size(level) for level in range(n_levels)], dtype=np.int64
+        )
+        self._presentation_row = np.asarray(
+            [ladder.utility(level) for level in range(n_levels)],
+            dtype=np.float64,
+        )
         self._ladder_total = ladder.total_size()
         self._ladder_total_f = float(self._ladder_total)
 
-        # Per-state precomputation: round capacity, the shared per-level
-        # energy-estimate row and a selection-time estimator closure --
-        # the device's network state is fixed within a round, so these
-        # are pure functions of the state.
-        self._capacity: dict[int, float] = {}
-        self._energies_row: dict[int, list[float]] = {}
-        self._estimate_fns: dict[int, object] = {}
-        for state in (NetworkState.CELL, NetworkState.WIFI):
-            code = STATE_CODES[state]
-            self._capacity[code] = DEFAULT_BANDWIDTH_BPS[state] * round_seconds
-            self._energies_row[code] = [0.0] + [
-                self._energy_model.estimate_for_selection(
-                    state, size, expected_batch=expected_batch
-                )
-                for size in self._level_sizes[1:]
-            ]
-            self._estimate_fns[code] = self._make_estimator(state)
+        # Per-state precomputation: round capacity, the selection-time
+        # energy estimator with its shared per-level row, and the radio
+        # profile that prices a delivered batch -- the device's network
+        # state is fixed within a round, so these are pure functions of
+        # the state.
+        states = (NetworkState.CELL, NetworkState.WIFI)
+        self._capacity = {
+            STATE_CODES[state]: DEFAULT_BANDWIDTH_BPS[state] * round_seconds
+            for state in states
+        }
+        self._radio = {
+            STATE_CODES[state]: energy_model.profile(state) for state in states
+        }
+        self._estimate = {
+            STATE_CODES[state]: partial(
+                energy_model.estimate_for_selection,
+                state,
+                expected_batch=expected_batch,
+            )
+            for state in states
+        }
+        self._energies_row = {
+            code: _estimate_row(estimate, self._level_sizes.tolist())
+            for code, estimate in self._estimate.items()
+        }
 
         # Per-channel precomputation (multichannel only): each channel's
-        # ladder projected to wire/billed size rows, presentation rows and
-        # per-state energy rows.  The single-channel path never reads
-        # these, so building them cannot perturb parity.
+        # ladder projected to billed size rows, presentation rows and
+        # per-state energy rows, plus dense (channel, level) lookup tables
+        # (ragged rows zero-padded; a selection never indexes past its own
+        # channel's ladder).  The single-channel path never reads these,
+        # so building them cannot perturb parity.
         if self._multichannel:
-            self._ch_wire_sizes: list[list[int]] = []
-            self._ch_billed_sizes: list[list[int]] = []
-            self._ch_pres_rows: list[list[float]] = []
-            for channel in self.channels:
-                ch_ladder = channel.ladder or ladder
-                wire = [
-                    ch_ladder.size(level)
-                    for level in range(ch_ladder.max_level + 1)
-                ]
-                self._ch_wire_sizes.append(wire)
-                self._ch_billed_sizes.append(
-                    [channel.cost.billed_bytes(size) for size in wire]
-                )
-                self._ch_pres_rows.append(
-                    [
-                        ch_ladder.utility(level)
-                        for level in range(ch_ladder.max_level + 1)
-                    ]
-                )
-            self._ch_energies_rows: dict[int, list[list[float]]] = {}
-            for state in (NetworkState.CELL, NetworkState.WIFI):
-                code = STATE_CODES[state]
-                self._ch_energies_rows[code] = [
-                    [0.0]
-                    + [
-                        self._energy_model.estimate_for_selection(
-                            state, size, expected_batch=expected_batch
-                        )
-                        for size in wire[1:]
-                    ]
-                    for wire in self._ch_wire_sizes
-                ]
-            # Dense (channel, level) -> presentation-utility lookup for the
-            # batched joint selection (ragged rows zero-padded; merged
-            # candidates never index past their own channel's ladder).
-            width = max(len(row) for row in self._ch_pres_rows)
-            self._ch_pres_table = np.zeros(
-                (len(self._ch_pres_rows), width), dtype=np.float64
-            )
-            for ci, row in enumerate(self._ch_pres_rows):
-                self._ch_pres_table[ci, : len(row)] = row
-
-        # Column views the per-user Python loops index into.
-        self._created_np = cohort.created_at
-        self._created_list = cohort.created_at.tolist()
-        self._contents_np = cohort.contents
-        self._contents_list = cohort.contents.tolist()
-        self._item_ids = cohort.item_ids
+            ladders = [channel.ladder or ladder for channel in self.channels]
+            wire_rows = [
+                [ch_ladder.size(level) for level in range(ch_ladder.max_level + 1)]
+                for ch_ladder in ladders
+            ]
+            self._ch_billed_sizes = [
+                [channel.cost.billed_bytes(size) for size in wire]
+                for channel, wire in zip(self.channels, wire_rows)
+            ]
+            self._ch_pres_rows = [
+                [ch_ladder.utility(level) for level in range(ch_ladder.max_level + 1)]
+                for ch_ladder in ladders
+            ]
+            self._ch_energies_rows = {
+                code: [_estimate_row(estimate, wire) for wire in wire_rows]
+                for code, estimate in self._estimate.items()
+            }
+            self._ch_wire_table = _padded_table(wire_rows, np.int64)
+            self._ch_billed_table = _padded_table(self._ch_billed_sizes, np.int64)
+            self._ch_pres_table = _padded_table(self._ch_pres_rows, np.float64)
 
         users = cohort.n_users
+        self._user_of = np.repeat(
+            np.arange(users, dtype=np.int64), np.diff(cohort.offsets)
+        )
+        self._all_cell = np.full(users, STATE_CODES[NetworkState.CELL], np.int8)
+        # Ingest schedule: a stable argsort by ingest round keeps each
+        # round's items in flat (= queue) order; items created after the
+        # last round sort past the final offset and never join.
+        rounds = kernels.ingest_round_index(cohort.created_at, self.times)
+        self._ingest_order = np.argsort(rounds, kind="stable")
+        self._ingest_offsets = np.searchsorted(
+            rounds[self._ingest_order], np.arange(n_rounds + 1)
+        )
+
         self.state = ColumnarRoundState(
             data_available=np.zeros(users, dtype=np.float64),
             energy_available=np.full(users, float(kappa_joules)),
             q_bytes=np.zeros(users, dtype=np.float64),
             pending=np.zeros(users, dtype=np.int64),
-            rng_seeds=device.seeds,
-            queues=[[] for _ in range(users)],
+            queue=np.zeros(0, dtype=np.int64),
             dirty=np.ones(users, dtype=bool),
         )
-        # Merged-row cache for the multichannel joint selection: per-user
-        # reduced (hull-filtered) choice rows, valid while the user's queue
-        # composition (state.dirty), energy level and connectivity code are
-        # unchanged.  Only usable without aging -- decay makes adjusted
-        # profits time-dependent, so aged runs rebuild every round.
-        self._merge_cache: dict[int, tuple] = {}
+        # Merged-row cache for the multichannel joint selection: the
+        # reduced (hull-filtered) choice rows of every item, stored by
+        # flat index and valid while the owning user's queue composition
+        # (state.dirty), energy level and connectivity code are
+        # unchanged.  Only used without aging -- decay makes adjusted
+        # profits time-dependent, so aged runs rebuild every round and
+        # never allocate it.
+        self._merge_cache: list[np.ndarray] | None = None
+        self._cached_p = np.full(users, np.nan)
+        self._cached_code = np.full(users, -1, dtype=np.int64)
         self.merge_cache_hits = 0
         self.merge_cache_misses = 0
-        self._deliveries: list[list[tuple]] = [[] for _ in range(users)]
-        self._channel_codes: list[list[int]] = [[] for _ in range(users)]
+        # Every item is delivered at most once, so the log never outgrows
+        # the cohort; rows past ``_n_delivered`` are unwritten.
+        self._delivered = np.empty(cohort.n_items, dtype=DELIVERY_DTYPE)
+        self._n_delivered = 0
         self._backlog_sum = np.zeros(users, dtype=np.float64)
         self._max_queue = np.zeros(users, dtype=np.int64)
         self._next_round = 0
-        # Queue lengths maintained incrementally (ingest +1, deliver
-        # rebuild) so per-round snapshots avoid an O(users) len() scan.
-        self._counts: list[int] = [0] * users
 
-        self._ingest_buckets = self._build_ingest_buckets()
         self._bind_policy()
-
-    # -- setup -----------------------------------------------------------------
-
-    def _build_ingest_buckets(self) -> list[list[int]]:
-        """Flat item indices joining the scheduling queue at each round.
-
-        Within a bucket, each user's items keep their flat (stable
-        created-at) order, so per-user append order matches the event
-        heap's ``(time, sequence)`` ordering.
-        """
-        n_rounds = len(self.times)
-        rounds = kernels.ingest_round_index(self._created_np, self.times)
-        buckets: list[list[int]] = [[] for _ in range(n_rounds)]
-        offsets = self.cohort.offsets
-        user_of = np.repeat(
-            np.arange(self.cohort.n_users, dtype=np.int64), np.diff(offsets)
-        )
-        self._user_of = user_of.tolist()
-        for index, round_index in enumerate(rounds.tolist()):
-            if round_index < n_rounds:
-                buckets[round_index].append(index)
-        return buckets
 
     def _bind_policy(self) -> None:
         policy = self.policy
         attach = getattr(policy, "attach", None)
         if attach is not None:
-            attach(_AttachShim(self._kappa))
-        if not needs_item_objects(policy, self.utility_model) and (
-            type(policy) is RichNotePolicy
-        ):
-            self._mode = "richnote"
-            self._lyapunov = policy.controller.config
-            self._select_fn = (
-                kernels.greedy_select_hull
-                if policy.use_hull_selector
-                else kernels.greedy_select
-            )
-        elif not needs_item_objects(policy, self.utility_model):
-            self._mode = "fifo" if type(policy) is FifoPolicy else "util"
-            if self._multichannel:
-                # Baselines route everything over the primary channel,
-                # mirroring FixedLevelPolicy.fill_channel on the scalar path.
-                primary = self.channels.primary
-                primary_ladder = primary.ladder or self.cohort.ladder
-                self._fixed_level = min(
-                    policy.fixed_level, primary_ladder.max_level
-                )
-            else:
-                self._fixed_level = min(
-                    policy.fixed_level, self.cohort.ladder.max_level
-                )
-        else:
-            self._mode = "compat"
+            # Just enough of a RoundLoop for ``attach`` to validate against.
+            attach(SimpleNamespace(energy_budget=EnergyBudget(self._kappa)))
+        if needs_item_objects(policy, self.utility_model):
+            self._select = self._select_compat
             if self.cohort.items is None:
                 raise ValueError(
                     "a custom policy or utility model needs cohort.items "
                     "(materialized ContentItems) for the RoundContext "
                     "adapter path"
                 )
-
-    def _make_estimator(self, state: NetworkState):
-        model = self._energy_model
-        expected_batch = self._expected_batch
-
-        def estimate(size_bytes: float) -> float:
-            return model.estimate_for_selection(
-                state, size_bytes, expected_batch=expected_batch
+        elif type(policy) is RichNotePolicy:
+            self._select = (
+                self._select_richnote_channels
+                if self._multichannel
+                else self._select_richnote
             )
-
-        return estimate
+            self._lyapunov = policy.controller.config
+        else:
+            self._select = self._select_fixed
+            # Multichannel baselines route everything over the primary
+            # channel, mirroring FixedLevelPolicy.fill_channel.
+            primary_ladder = (
+                self.channels.primary.ladder if self._multichannel else None
+            ) or self.cohort.ladder
+            self._fixed_level = min(policy.fixed_level, primary_ladder.max_level)
 
     # -- the round loop --------------------------------------------------------
 
@@ -571,7 +616,6 @@ class ColumnarEngine:
             stop = min(stop, self._next_round + limit_rounds)
         # Call boundary: callers may inspect or mutate round state between
         # runs, so the merged-row cache never survives a resume.
-        self._merge_cache.clear()
         self.state.dirty[:] = True
         for k in range(self._next_round, stop):
             self._run_round(k, self.times[k])
@@ -586,432 +630,303 @@ class ColumnarEngine:
         :class:`~repro.runtime.policy.RoundContext` per user per round;
         benches read this to prove a scenario stayed on the batched path.
         """
-        return "adapter" if self._mode == "compat" else "batched"
+        return "adapter" if self._select == self._select_compat else "batched"
 
     def result(self) -> ColumnarRunResult:
-        """Outcome columns over the rounds executed so far."""
-        rounds = self._next_round
-        if rounds:
-            mean_backlog = self._backlog_sum / rounds
-        else:
-            mean_backlog = np.zeros(self.cohort.n_users, dtype=np.float64)
+        """Outcome columns over the rounds executed so far.
+
+        O(1): the delivery log is append-only and a round rebinds the
+        per-user columns instead of writing them in place, so the result
+        shares them and later rounds cannot change it.
+        """
         return ColumnarRunResult(
-            deliveries=self._deliveries,
-            mean_backlog_bytes=mean_backlog,
+            delivered=self._delivered[: self._n_delivered],
+            backlog_sum_bytes=self._backlog_sum,
             max_queue_length=self._max_queue,
             final_queue_length=self.state.pending,
-            rounds=rounds,
-            channel_codes=self._channel_codes,
+            rounds=self._next_round,
             channel_names=self.channel_names,
         )
 
     def _run_round(self, k: int, now: float) -> None:
         state = self.state
-        queues = state.queues
-        counts = self._counts
-        user_of = self._user_of
-        dirty = state.dirty
-        for index in self._ingest_buckets[k]:
-            u = user_of[index]
-            queues[u].append(index)
-            counts[u] += 1
-            dirty[u] = True
+        joining = self._ingest_order[
+            self._ingest_offsets[k] : self._ingest_offsets[k + 1]
+        ]
+        if joining.size:
+            state.queue = np.insert(
+                state.queue, np.searchsorted(state.queue, joining), joining
+            )
+            state.dirty[self._user_of[joining]] = True
         kernels.replenish_data_column(state.data_available, self._theta)
         kernels.replenish_energy_column(
             state.energy_available, self.device.e_t[k], self._kappa
         )
-        self._select_and_deliver(k, now)
-        pending = np.asarray(counts, dtype=np.int64)
-        state.pending = pending
-        state.q_bytes = pending * self._ladder_total_f
-        self._backlog_sum += state.q_bytes
-        np.maximum(self._max_queue, pending, out=self._max_queue)
+        if state.queue.size:
+            self._select_and_deliver(k, now)
+        state.pending = np.bincount(
+            self._user_of[state.queue], minlength=self.cohort.n_users
+        )
+        state.q_bytes = state.pending * self._ladder_total_f
+        self._backlog_sum = self._backlog_sum + state.q_bytes
+        self._max_queue = np.maximum(self._max_queue, state.pending)
 
     def _select_and_deliver(self, k: int, now: float) -> None:
-        """Connectivity-gated selection, grouped by network state."""
-        counts = np.asarray(self._counts, dtype=np.int64)
-        active = np.nonzero(counts)[0]
-        if self.device.states is None:
-            groups = [(STATE_CODES[NetworkState.CELL], active)]
-        else:
-            active_codes = self.device.states[k][active]
-            groups = [
-                (code, active[active_codes == code])
-                for code in range(_OFF_CODE)
-            ]
-        for code, members in groups:
-            if not members.size:
-                continue
-            if self._mode == "richnote":
-                if self._multichannel:
-                    self._select_richnote_channels(
-                        now, code, members, counts[members]
-                    )
-                else:
-                    self._select_richnote(now, code, members, counts[members])
-            elif self._mode == "compat":
-                self._select_compat(now, code, members.tolist())
-            else:
-                self._select_fixed(now, code, members)
+        """Connectivity-gated selection, one call per network-state group."""
+        queue = self.state.queue
+        row_user = self._user_of[queue]
+        counts = np.bincount(row_user, minlength=self.cohort.n_users)
+        codes = self._all_cell if self.device.states is None else self.device.states[k]
+        row_codes = codes[row_user]
+        for code in range(_OFF_CODE):
+            flat = queue[row_codes == code]
+            if flat.size:
+                members = np.flatnonzero((counts > 0) & (codes == code))
+                self._select(now, _Group(code, flat, members, counts[members]))
 
-    # -- decayed content utilities ---------------------------------------------
+    def _budgets(self, group: _Group) -> np.ndarray:
+        """Whole-byte round budgets: ``int(min(B(t), link capacity))``."""
+        return np.minimum(
+            self.state.data_available[group.members], self._capacity[group.code]
+        ).astype(np.int64)
 
     def _decay_column_at(self, flat: np.ndarray, now: float) -> np.ndarray:
-        """Decayed content utilities for a flat index column (numpy path)."""
-        contents = self._contents_np[flat]
+        """Decayed content utilities for a flat index column."""
+        contents = self.cohort.contents[flat]
         aging = self._aging
         if aging is None:
             return contents
-        ages = np.maximum(0.0, now - self._created_np[flat])
+        ages = np.maximum(0.0, now - self.cohort.created_at[flat])
         if type(aging) is ExponentialAging:
             return kernels.exp_decay_column(contents, ages, aging.tau_seconds)
         return np.asarray(
             [
-                aging.decay(float(content), float(age))
-                for content, age in zip(contents, ages)
+                aging.decay(content, age)
+                for content, age in zip(contents.tolist(), ages.tolist())
             ],
             dtype=np.float64,
         )
 
-    def _decayed_scalar(self, index: int, now: float) -> float:
-        """One item's decayed content utility, in pure Python floats."""
-        content = self._contents_list[index]
-        aging = self._aging
-        if aging is None:
-            return content
-        return aging.decay(content, max(0.0, now - self._created_list[index]))
+    # -- selection -------------------------------------------------------------
 
-    # -- selection fast paths --------------------------------------------------
-
-    def _select_richnote(
-        self,
-        now: float,
-        code: int,
-        members: np.ndarray,
-        group_counts: np.ndarray,
-    ) -> None:
-        """Eq. 7 + Algorithm 1 over every queued item of the group at once."""
-        state = self.state
-        queues = state.queues
-        flat: list[int] = []
-        bounds: list[tuple[int, int, int]] = []
-        for u in members.tolist():
-            start = len(flat)
-            flat.extend(queues[u])
-            bounds.append((u, start, len(flat)))
-        flat_arr = np.asarray(flat, dtype=np.intp)
-        decayed = self._decay_column_at(flat_arr, now)
-        utilities = kernels.combined_utility_matrix(
-            decayed, self._presentation_row
-        )
+    def _adjusted_rows(
+        self, group: _Group, decayed: np.ndarray, ladders
+    ) -> list[np.ndarray]:
+        """Eq. 1 then Eq. 7 for every queued row of a group: one profit
+        matrix per ``(presentation row, energy-estimate row)`` ladder."""
         cfg = self._lyapunov
         # q = len(queue) * ladder_total: exact int -> float64 conversion,
         # identical bits to the scalar path's float(len * total).
-        adjusted = kernels.lyapunov_adjusted_rows(
-            utilities,
-            self._energies_row[code],
-            self._ladder_total_f,
-            np.repeat(group_counts * self._ladder_total_f, group_counts),
-            np.repeat(state.energy_available[members], group_counts),
-            kappa_joules=cfg.kappa_joules,
-            v=cfg.v,
-            size_scale=cfg.size_scale,
-            energy_scale=cfg.energy_scale,
+        q_column = np.repeat(group.counts * self._ladder_total_f, group.counts)
+        p_column = np.repeat(
+            self.state.energy_available[group.members], group.counts
         )
-        rows = adjusted.tolist()
-        decayed_list = decayed.tolist()
-        level_sizes = self._level_sizes
-        level_utils = self._presentation_row
-        item_ids = self._item_ids
-        select_fn = self._select_fn
-        budgets = np.minimum(
-            state.data_available[members], self._capacity[code]
-        ).tolist()
-        for (u, start, end), user_budget in zip(bounds, budgets):
-            budget = int(user_budget)
-            n = end - start
-            levels, _, _ = select_fn(
-                [item_ids[i] for i in flat[start:end]],
-                [level_sizes] * n,
-                rows[start:end],
-                budget,
+        return [
+            kernels.lyapunov_adjusted_rows(
+                kernels.combined_utility_matrix(decayed, presentation_row),
+                energies_row,
+                self._ladder_total_f,
+                q_column,
+                p_column,
+                kappa_joules=cfg.kappa_joules,
+                v=cfg.v,
+                size_scale=cfg.size_scale,
+                energy_scale=cfg.energy_scale,
             )
-            chosen = [
-                (
-                    flat[start + position],
-                    level,
-                    decayed_list[start + position] * level_utils[level],
-                )
-                for position, level in enumerate(levels)
-                if level > 0
-            ]
-            if not chosen:
-                continue
-            chosen.sort(key=lambda entry: entry[2], reverse=True)
-            self._deliver(u, now, chosen, code)
+            for presentation_row, energies_row in ladders
+        ]
 
-    def _select_richnote_channels(
-        self,
-        now: float,
-        code: int,
-        members: np.ndarray,
-        group_counts: np.ndarray,
-    ) -> None:
+    def _greedy(self, group: _Group, sizes, profits, lengths) -> np.ndarray:
+        """Algorithm 1 for every member at once: the chosen column per row."""
+        return kernels.greedy_select(
+            sizes,
+            profits,
+            lengths,
+            self.cohort.item_id_column[group.flat],
+            np.concatenate(([0], np.cumsum(group.counts))),
+            self._budgets(group),
+        )
+
+    def _by_utility(self, flat: np.ndarray, utility: np.ndarray) -> np.ndarray:
+        """Delivery order: per user, realized utility descending; ties keep
+        queue order (the scalar loop's stable ``sort(reverse=True)``)."""
+        return np.lexsort((-utility, self._user_of[flat]))
+
+    def _select_richnote(self, now: float, group: _Group) -> None:
+        """Eq. 7 + Algorithm 1 over every queued item of the group at once."""
+        decayed = self._decay_column_at(group.flat, now)
+        (profits,) = self._adjusted_rows(
+            group, decayed, [(self._presentation_row, self._energies_row[group.code])]
+        )
+        sizes, lengths, hull = self._level_sizes, None, None
+        if self.policy.use_hull_selector:
+            # The rows greedy_select_hull would reduce each item to.
+            hull, lengths = kernels.hull_levels_batched(sizes, profits)
+            sizes = sizes[hull]
+            profits = np.take_along_axis(profits, hull, axis=1)
+        picked = self._greedy(group, sizes, profits, lengths)
+        rows = np.flatnonzero(picked)
+        level = picked[rows] if hull is None else hull[rows, picked[rows]]
+        utility = decayed[rows] * self._presentation_row[level]
+        order = self._by_utility(group.flat[rows], utility)
+        self._deliver(
+            now, group.code, group.flat[rows][order], level[order], utility[order]
+        )
+
+    def _select_richnote_channels(self, now: float, group: _Group) -> None:
         """Joint (channel x level) MCKP over every queued item of the group.
 
-        One Eq. 7 adjusted-profit matrix per channel, then the per-channel
-        rows of the *whole group* fuse at once
-        (:func:`repro.runtime.kernels.merge_channel_rows_batched` -- the
-        shared billed-size rows make the merged size axis common to every
-        item) and reduce to their convex hulls
-        (:func:`repro.runtime.kernels.hull_levels_batched`), so only
-        Algorithm 1's per-user budget-coupled greedy remains a Python
-        loop.  Bit-identical to merging and hull-filtering each item with
-        the scalar kernels.
+        The group's rows come merged across channels and reduced to their
+        convex hulls (:meth:`_merge_group`), which is exactly the
+        filtering ``greedy_select_hull`` would apply per item, so the
+        plain segmented greedy picks identical choices.
 
         Users whose reduced rows cannot have changed since last round --
         queue composition clean (``state.dirty``), energy level and
-        connectivity code unchanged, no aging -- reuse their cached rows
-        and skip the merge entirely.
+        connectivity code unchanged, no aging -- reuse the rows cached
+        under their items' flat indices and skip the merge entirely.
         """
         state = self.state
-        cache = self._merge_cache
-        cache_enabled = self._aging is None
-        dirty = state.dirty
-        members_list = members.tolist()
-        counts_list = group_counts.tolist()
-        p_list = state.energy_available[members].tolist()
-        budgets = np.minimum(
-            state.data_available[members], self._capacity[code]
-        ).tolist()
-
-        entries: dict[int, tuple] = {}
-        miss_users: list[int] = []
-        miss_counts: list[int] = []
-        miss_p: list[float] = []
-        for u, count, p in zip(members_list, counts_list, p_list):
-            if cache_enabled and not dirty[u]:
-                entry = cache.get(u)
-                if entry is not None and entry[0] == p and entry[1] == code:  # richlint: ignore[RL301] -- bit-exact cache key, not a tolerance check
-                    entries[u] = entry
-                    self.merge_cache_hits += 1
-                    continue
-            miss_users.append(u)
-            miss_counts.append(count)
-            miss_p.append(p)
-        if miss_users:
-            self.merge_cache_misses += len(miss_users)
-            fresh = self._merge_group(now, code, miss_users, miss_counts, miss_p)
-            entries.update(fresh)
-            if cache_enabled:
-                cache.update(fresh)
-                for u in miss_users:
-                    dirty[u] = False
-
-        item_ids = self._item_ids
-        for u, user_budget in zip(members_list, budgets):
-            (
-                _p,
-                _code,
-                queue_items,
-                sizes_rows,
-                profits_rows,
-                chans_rows,
-                lvls_rows,
-                utils_rows,
-            ) = entries[u]
-            budget = int(user_budget)
-            # Reduced rows are exactly the hull filtering greedy_select_hull
-            # would apply, so the plain greedy picks identical choices.
-            choices, _, _ = kernels.greedy_select(
-                [item_ids[i] for i in queue_items],
-                sizes_rows,
-                profits_rows,
-                budget,
+        code, flat, members, counts = group
+        if self._aging is not None:
+            self.merge_cache_misses += members.size
+            merged = self._merge_group(now, group)
+        else:
+            p_values = state.energy_available[members]
+            miss = (
+                state.dirty[members]
+                | (self._cached_p[members] != p_values)  # richlint: ignore[RL301] -- bit-exact cache key, not a tolerance check
+                | (self._cached_code[members] != code)
             )
-            chosen: list[tuple[int, int, float, int]] = []
-            for position, choice in enumerate(choices):
-                if choice <= 0:
-                    continue
-                chosen.append(
-                    (
-                        queue_items[position],
-                        lvls_rows[position][choice],
-                        utils_rows[position][choice],
-                        chans_rows[position][choice],
-                    )
+            missed = members[miss]
+            self.merge_cache_misses += missed.size
+            self.merge_cache_hits += members.size - missed.size
+            if missed.size:
+                stale = flat[np.repeat(miss, counts)]
+                fresh = self._merge_group(
+                    now, _Group(code, stale, missed, counts[miss])
                 )
-            if not chosen:
-                continue
-            chosen.sort(key=lambda entry: entry[2], reverse=True)
-            self._deliver_channels(u, now, chosen, code)
-
-    def _merge_group(
-        self,
-        now: float,
-        code: int,
-        users: list[int],
-        counts: list[int],
-        p_values: list[float],
-    ) -> dict[int, tuple]:
-        """Build merged + hull-reduced choice rows for a batch of users.
-
-        Returns one cache entry per user: ``(p_joules, code, queue_items,
-        reduced_sizes_rows, reduced_profits_rows, channel_rows, level_rows,
-        utility_rows)`` where row ``i`` describes queued item
-        ``queue_items[i]`` and index ``j > 0`` of each row is one surviving
-        joint (channel, level) choice (index 0 = not sent).
-        """
-        queues = self.state.queues
-        flat: list[int] = []
-        bounds: list[tuple[int, int, int]] = []
-        for u in users:
-            start = len(flat)
-            flat.extend(queues[u])
-            bounds.append((u, start, len(flat)))
-        flat_arr = np.asarray(flat, dtype=np.intp)
-        decayed = self._decay_column_at(flat_arr, now)
-        cfg = self._lyapunov
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        q_repeat = np.repeat(counts_arr * self._ladder_total_f, counts_arr)
-        p_repeat = np.repeat(
-            np.asarray(p_values, dtype=np.float64), counts_arr
+                if self._merge_cache is None:
+                    self._merge_cache = [
+                        np.zeros((self.cohort.n_items, *part.shape[1:]), part.dtype)
+                        for part in fresh
+                    ]
+                for dense, part in zip(self._merge_cache, fresh):
+                    dense[stale] = part
+                self._cached_p[missed] = p_values[miss]
+                self._cached_code[missed] = code
+                state.dirty[missed] = False
+            merged = [dense[flat] for dense in self._merge_cache]
+        sizes, profits, lengths, channels, levels, utilities = merged
+        picked = self._greedy(group, sizes, profits, lengths)
+        rows = np.flatnonzero(picked)
+        at = (rows, picked[rows])
+        order = self._by_utility(flat[rows], utilities[at])
+        self._deliver(
+            now,
+            code,
+            flat[rows][order],
+            levels[at][order],
+            utilities[at][order],
+            channels[at][order],
         )
-        profits_stack: list[np.ndarray] = []
-        for ci in range(len(self.channel_names)):
-            utilities = kernels.combined_utility_matrix(
-                decayed, self._ch_pres_rows[ci]
-            )
-            profits_stack.append(
-                kernels.lyapunov_adjusted_rows(
-                    utilities,
-                    self._ch_energies_rows[code][ci],
-                    self._ladder_total_f,
-                    q_repeat,
-                    p_repeat,
-                    kappa_joules=cfg.kappa_joules,
-                    v=cfg.v,
-                    size_scale=cfg.size_scale,
-                    energy_scale=cfg.energy_scale,
-                )
-            )
+
+    def _merge_group(self, now: float, group: _Group) -> tuple[np.ndarray, ...]:
+        """Merged + hull-reduced joint choice rows for a batch of users.
+
+        One Eq. 7 adjusted-profit matrix per channel; the per-channel rows
+        of the whole batch then fuse at once (``merge_channel_rows_batched``
+        -- the shared billed-size rows make the merged size axis common to
+        every item) and reduce to their convex hulls
+        (``hull_levels_batched``).  Bit-identical to merging and
+        hull-filtering each item with the scalar kernels.
+
+        Returns ``(sizes, profits, lengths, channels, levels, utilities)``
+        with one row per entry of ``group.flat``: column ``j > 0`` below
+        ``lengths[i]`` is one surviving joint (channel, level) choice of
+        item ``i`` (column 0 = not sent) with its billed size, adjusted
+        profit and realized utility.
+        """
+        decayed = self._decay_column_at(group.flat, now)
         merged_sizes, merged_profits, merged_chans, merged_lvls = (
             kernels.merge_channel_rows_batched(
-                self._ch_billed_sizes, profits_stack
+                self._ch_billed_sizes,
+                self._adjusted_rows(
+                    group,
+                    decayed,
+                    zip(self._ch_pres_rows, self._ch_energies_rows[group.code]),
+                ),
             )
         )
-        hull_idx, hull_len = kernels.hull_levels_batched(
-            merged_sizes, merged_profits
+        hull, lengths = kernels.hull_levels_batched(merged_sizes, merged_profits)
+        channels = np.take_along_axis(merged_chans, hull, axis=1)
+        levels = np.take_along_axis(merged_lvls, hull, axis=1)
+        return (
+            np.asarray(merged_sizes, dtype=np.int64)[hull],
+            np.take_along_axis(merged_profits, hull, axis=1),
+            lengths,
+            channels,
+            levels,
+            # Realized utility per surviving choice: decayed * U_p on the
+            # winning channel's ladder (same operands, same single multiply
+            # as the scalar recompute -- bit-identical).
+            decayed[:, None] * self._ch_pres_table[channels, levels],
         )
-        reduced_sizes = np.asarray(merged_sizes, dtype=np.int64)[hull_idx]
-        reduced_profits = np.take_along_axis(merged_profits, hull_idx, axis=1)
-        reduced_chans = np.take_along_axis(merged_chans, hull_idx, axis=1)
-        reduced_lvls = np.take_along_axis(merged_lvls, hull_idx, axis=1)
-        # Realized utility per surviving choice: decayed * U_p on the
-        # winning channel's ladder (same operands, same single multiply as
-        # the scalar recompute -- bit-identical).
-        reduced_utils = (
-            decayed[:, None] * self._ch_pres_table[reduced_chans, reduced_lvls]
-        )
-        sizes_l = reduced_sizes.tolist()
-        profits_l = reduced_profits.tolist()
-        chans_l = reduced_chans.tolist()
-        lvls_l = reduced_lvls.tolist()
-        utils_l = reduced_utils.tolist()
-        lengths = hull_len.tolist()
-        out: dict[int, tuple] = {}
-        for (u, start, end), p in zip(bounds, p_values):
-            rows = range(start, end)
-            out[u] = (
-                p,
-                code,
-                flat[start:end],
-                [sizes_l[r][: lengths[r]] for r in rows],
-                [profits_l[r][: lengths[r]] for r in rows],
-                [chans_l[r] for r in rows],
-                [lvls_l[r] for r in rows],
-                [utils_l[r] for r in rows],
-            )
-        return out
 
-    def _select_fixed(
-        self, now: float, code: int, members: np.ndarray
-    ) -> None:
+    def _select_fixed(self, now: float, group: _Group) -> None:
         """FIFO/UTIL baselines: order, greedy-fill at the fixed level.
 
+        Every item costs the same, so the fill takes the first
+        ``budget // size`` items of each user's ordering: queue (=
+        created-at) order for FIFO, realized utility descending for UTIL.
         Multichannel runs route everything over the primary channel --
         billed bytes fill the budget, wire bytes price delivery -- just
         like ``FixedLevelPolicy.fill_channel`` on the scalar path.
         """
-        state = self.state
-        queues = state.queues
+        code, flat, _, counts = group
         level = self._fixed_level
         if self._multichannel:
             size = self._ch_billed_sizes[0][level]
-            level_util = self._ch_pres_rows[0][level]
+            level_utility = self._ch_pres_rows[0][level]
         else:
-            size = self._level_sizes[level]
-            level_util = self._presentation_row[level]
-        created = self._created_list
-        by_util = self._mode == "util"
-        budgets = np.minimum(
-            state.data_available[members], self._capacity[code]
-        ).tolist()
-        for u, user_budget in zip(members.tolist(), budgets):
-            queue = queues[u]
-            if by_util:
-                keys = {
-                    i: self._decayed_scalar(i, now) * level_util for i in queue
-                }
-                ordered = sorted(queue, key=keys.__getitem__, reverse=True)
-            else:
-                ordered = sorted(queue, key=created.__getitem__)
-            remaining = int(user_budget)
-            chosen: list[int] = []
-            for i in ordered:
-                if size <= remaining:
-                    chosen.append(i)
-                    remaining -= size
-            if not chosen:
-                continue
-            if by_util:
-                selected = [(i, level, keys[i]) for i in chosen]
-            else:
-                selected = [
-                    (i, level, self._decayed_scalar(i, now) * level_util)
-                    for i in chosen
-                ]
-            selected.sort(key=lambda entry: entry[2], reverse=True)
-            if self._multichannel:
-                self._deliver_channels(
-                    u,
-                    now,
-                    [(i, lvl, util, 0) for i, lvl, util in selected],
-                    code,
-                )
-            else:
-                self._deliver(u, now, selected, code)
+            size = int(self._level_sizes[level])
+            level_utility = float(self._presentation_row[level])
+        utility = self._decay_column_at(flat, now) * level_utility
+        by_utility = self._by_utility(flat, utility)
+        ordering = (
+            by_utility if type(self.policy) is UtilPolicy else np.arange(flat.size)
+        )
+        affordable = self._budgets(group) // size if size else counts
+        rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        taken = np.zeros(flat.size, dtype=bool)
+        taken[ordering[rank < np.repeat(affordable, counts)]] = True
+        rows = by_utility[taken[by_utility]]
+        self._deliver(
+            now,
+            code,
+            flat[rows],
+            np.full(rows.size, level, dtype=np.int64),
+            utility[rows],
+            np.zeros(rows.size, dtype=np.int64) if self._multichannel else None,
+        )
 
-    def _select_compat(
-        self, now: float, code: int, users: Sequence[int]
-    ) -> None:
+    def _select_compat(self, now: float, group: _Group) -> None:
         """Generic policies: one RoundLoop-shaped context per user.
 
         The snapshot matches :meth:`repro.runtime.loop.RoundLoop.make_context`
         field for field, so any :class:`~repro.runtime.policy.SchedulerPolicy`
         selects exactly as it would inside the scalar loop.  Policies must
         be stateless across rounds (one shared instance serves the whole
-        cohort).
+        cohort).  A user's selections go out over channels as soon as one
+        of them names a channel (bare pairs then ride the primary);
+        otherwise they are priced on the cohort ladder.
         """
         state = self.state
         items_all = self.cohort.items
+        item_ids = self.cohort.item_ids
         model = self.utility_model
-        estimate = self._estimate_fns[code]
-        capacity = self._capacity[code]
         channels = self.channels
-        channel_index = {
-            name: ci for ci, name in enumerate(self.channel_names)
-        }
+        channel_index = {name: ci for ci, name in enumerate(self.channel_names)}
 
         def _utility_key(sel) -> float:
             # Mirrors RoundLoop.select_phase: triples rank by the chosen
@@ -1020,134 +935,127 @@ class ColumnarEngine:
                 return sel[2].utility(model, sel[0], sel[1], now)
             return model.utility(sel[0], sel[1], now)
 
-        for u in users:
-            queue = state.queues[u]
-            items = [items_all[i] for i in queue]
-            budget = int(min(state.data_available[u], capacity))
+        plain: list[tuple[int, int, float]] = []
+        routed: list[tuple[int, int, float, int]] = []
+        queues = np.split(group.flat, np.cumsum(group.counts)[:-1])
+        budgets = self._budgets(group).tolist()
+        for u, queue, budget in zip(group.members.tolist(), queues, budgets):
+            queue = queue.tolist()
             context = RoundContext(
                 now=now,
                 effective_budget=budget,
-                items=items,
+                items=[items_all[i] for i in queue],
                 backlog_bytes=float(len(queue) * self._ladder_total),
                 energy_available_joules=float(state.energy_available[u]),
                 utility_model=model,
-                estimate_energy=estimate,
+                estimate_energy=self._estimate[group.code],
                 channels=channels,
             )
             selected = list(self.policy.select(context).selections)
             selected.sort(key=_utility_key, reverse=True)
-            index_of = {self._item_ids[i]: i for i in queue}
+            index_of = {item_ids[i]: i for i in queue}
             if any(len(sel) == 3 for sel in selected):
-                primary = channels.primary
-                triples = [
-                    sel if len(sel) == 3 else (sel[0], sel[1], primary)
-                    for sel in selected
-                ]
-                self._deliver_channels(
-                    u,
-                    now,
-                    [
+                for item, level, *named in selected:
+                    channel = named[0] if named else channels.primary
+                    routed.append(
                         (
                             index_of[item.item_id],
                             level,
                             channel.utility(model, item, level, now),
                             channel_index[channel.name],
                         )
-                        for item, level, channel in triples
-                    ],
-                    code,
+                    )
+            else:
+                plain.extend(
+                    (index_of[item.item_id], level, model.utility(item, level, now))
+                    for item, level in selected
                 )
-                continue
-            chosen = [
-                (
-                    index_of[item.item_id],
-                    level,
-                    model.utility(item, level, now),
+        for chosen in (plain, routed):
+            if chosen:
+                index, level, utility, *channel = zip(*chosen)
+                self._deliver(
+                    now,
+                    group.code,
+                    np.asarray(index, dtype=np.int64),
+                    np.asarray(level, dtype=np.int64),
+                    np.asarray(utility, dtype=np.float64),
+                    *(np.asarray(column, dtype=np.int64) for column in channel),
                 )
-                for item, level in selected
-            ]
-            self._deliver(u, now, chosen, code)
 
     # -- delivery --------------------------------------------------------------
 
     def _deliver(
         self,
-        u: int,
         now: float,
-        chosen: list[tuple[int, int, float]],
         code: int,
+        index: np.ndarray,
+        level: np.ndarray,
+        utility: np.ndarray,
+        channel: np.ndarray | None = None,
     ) -> None:
-        """Drain one user's delivery queue: debit columns, record tuples.
+        """Drain a group's delivery queues: debit columns, log rows.
 
+        Rows arrive in delivery order, each user's contiguous.
         Replicates :meth:`repro.runtime.loop.RoundLoop._deliver`'s atomic
-        path: one shared batch energy, proportional per-item shares,
-        zero-floored budget debits, queue removal by delivered item.
+        path per user: one shared batch energy, proportional per-item
+        shares, zero-floored budget debits, queue removal by delivered
+        item.  With ``channel`` given, wire bytes price the batch energy
+        and enter the log (the scalar ``Delivery.size_bytes``) while
+        *billed* bytes drain the data column; without, both are the cohort
+        ladder's sizes and the channel code is 0.
         """
-        if not chosen:
+        if not index.size:
             return
-        sizes = [self._level_sizes[level] for _, level, _ in chosen]
-        batch_energy = self._energy_model.batch_energy(
-            _CODE_STATES[code], sizes
-        )
-        total_size = sum(sizes)
+        if channel is None:
+            wire = billed = self._level_sizes[level]
+            channel = 0
+        else:
+            wire = self._ch_wire_table[channel, level]
+            billed = self._ch_billed_table[channel, level]
+        users = self._user_of[index]
+        starts = np.flatnonzero(np.diff(users, prepend=-1))
+        batch_sizes = np.diff(starts, append=users.size)
+        totals = np.repeat(np.add.reduceat(wire, starts), batch_sizes)
+        radio = self._radio[code]
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty batches
+            share = np.where(
+                totals > 0,
+                (radio.per_kb_joules * (totals / 1024.0) + radio.overhead_joules)
+                * (wire / totals),
+                0.0,
+            )
+        # Debits are sequential ``max(0, x - s)`` float steps per user, so
+        # they vectorise across users one batch position at a time.
         state = self.state
-        data = state.data_available
-        energy = state.energy_available
-        out = self._deliveries[u]
-        delivered: set[int] = set()
-        codes_out = self._channel_codes[u]
-        for (index, level, utility), size in zip(chosen, sizes):
-            share = batch_energy * (size / total_size) if total_size else 0.0
-            data[u] = max(0.0, data[u] - size)
-            energy[u] = max(0.0, energy[u] - share)
-            out.append((now, index, level, size, share, utility))
-            codes_out.append(0)
-            delivered.add(index)
-        state.queues[u] = [
-            i for i in state.queues[u] if i not in delivered
-        ]
-        self._counts[u] = len(state.queues[u])
-        state.dirty[u] = True
+        for step in range(int(batch_sizes.max())):
+            at = starts[batch_sizes > step] + step
+            who = users[at]
+            state.data_available[who] = np.maximum(
+                0.0, state.data_available[who] - billed[at]
+            )
+            state.energy_available[who] = np.maximum(
+                0.0, state.energy_available[who] - share[at]
+            )
+        end = self._n_delivered + users.size
+        rows = self._delivered[self._n_delivered : end]
+        for name, column in zip(
+            DELIVERY_DTYPE.names,
+            (users, now, index, level, wire, share, utility, channel),
+        ):
+            rows[name] = column
+        self._n_delivered = end
+        state.queue = np.delete(state.queue, np.searchsorted(state.queue, index))
+        state.dirty[users] = True
 
-    def _deliver_channels(
-        self,
-        u: int,
-        now: float,
-        chosen: list[tuple[int, int, float, int]],
-        code: int,
-    ) -> None:
-        """Multichannel twin of :meth:`_deliver`.
 
-        Wire bytes price the batch energy and appear in the delivery
-        tuples (parallel with the scalar path's ``Delivery.size_bytes``);
-        *billed* bytes drain the data column.  The channel index of each
-        delivery lands in the parallel channel-code column.
-        """
-        if not chosen:
-            return
-        wire_sizes = [
-            self._ch_wire_sizes[ci][level] for _, level, _, ci in chosen
-        ]
-        batch_energy = self._energy_model.batch_energy(
-            _CODE_STATES[code], wire_sizes
-        )
-        total_size = sum(wire_sizes)
-        state = self.state
-        data = state.data_available
-        energy = state.energy_available
-        out = self._deliveries[u]
-        codes_out = self._channel_codes[u]
-        delivered: set[int] = set()
-        for (index, level, utility, ci), wire in zip(chosen, wire_sizes):
-            share = batch_energy * (wire / total_size) if total_size else 0.0
-            billed = self._ch_billed_sizes[ci][level]
-            data[u] = max(0.0, data[u] - billed)
-            energy[u] = max(0.0, energy[u] - share)
-            out.append((now, index, level, wire, share, utility))
-            codes_out.append(ci)
-            delivered.add(index)
-        state.queues[u] = [
-            i for i in state.queues[u] if i not in delivered
-        ]
-        self._counts[u] = len(state.queues[u])
-        state.dirty[u] = True
+def _estimate_row(estimate, sizes: Sequence[int]) -> list[float]:
+    """Selection-time energy estimate per ladder level (level 0 is free)."""
+    return [0.0] + [estimate(size) for size in sizes[1:]]
+
+
+def _padded_table(rows: Sequence[Sequence[float]], dtype) -> np.ndarray:
+    """Ragged per-channel rows as one zero-padded ``(channel, level)`` table."""
+    table = np.zeros((len(rows), max(len(row) for row in rows)), dtype=dtype)
+    for ci, row in enumerate(rows):
+        table[ci, : len(row)] = row
+    return table

@@ -3,7 +3,7 @@
 Each kernel is a stateless function over parallel columns -- sizes,
 energies, utilities for an entire scheduling queue in one call -- so the
 per-round hot path allocates matrices instead of one object per
-(item, level) pair.  The three kernels mirror the paper's math exactly:
+(item, level) pair.  The kernels mirror the paper's math exactly:
 
 * :func:`combined_utility_matrix` -- ``U(i, j) = U_c(i) x U_p(i, j)``
   (Eq. 1) as an outer product of a content-utility column and a
@@ -13,9 +13,13 @@ per-round hot path allocates matrices instead of one object per
   with the same operation order and unit scaling as
   :meth:`repro.core.lyapunov.LyapunovController.adjusted_utility`, so the
   two paths agree bit for bit;
-* :func:`greedy_select` / :func:`greedy_select_hull` -- Algorithm 1's
-  utility-size-gradient greedy over row arrays, optionally behind the
-  LP-domination (convex hull) preprocessing of :func:`hull_levels`;
+* :func:`greedy_select` -- Algorithm 1's utility-size-gradient greedy for
+  a whole group of users in one segmented pass (the columnar engine's
+  selector); :func:`greedy_select_heap` / :func:`greedy_select_hull` --
+  the same algorithm for one user as the paper's heap (the scalar round
+  loop's selector and the segmented kernel's parity oracle), optionally
+  behind the LP-domination (convex hull) preprocessing of
+  :func:`hull_levels`;
 * :func:`feature_matrix` -- Section V-A's classifier feature layout for a
   whole record batch in one array pass (the scoring hot path of
   :meth:`repro.experiments.runner.UtilityAnnotations.train`).
@@ -30,6 +34,7 @@ arithmetic in the exact order written here.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +45,7 @@ __all__ = [
     "feature_matrix",
     "gradient",
     "greedy_select",
+    "greedy_select_heap",
     "greedy_select_hull",
     "hull_levels",
     "ingest_round_index",
@@ -107,14 +113,9 @@ def exp_decay_column(
     bit-identical to :meth:`repro.core.utility.ExponentialAging.decay`
     applied per item -- the two libm paths may differ by one ulp.
     """
-    import math
-
-    return np.array(
-        [
-            content * math.exp(-age / tau_seconds)
-            for content, age in zip(contents, ages_seconds)
-        ],
-        dtype=np.float64,
+    exponents = -np.asarray(ages_seconds, dtype=np.float64) / tau_seconds
+    return np.asarray(contents, dtype=np.float64) * np.fromiter(
+        map(math.exp, exponents.tolist()), dtype=np.float64, count=exponents.size
     )
 
 
@@ -442,13 +443,13 @@ def gradient(
     return dprofit / dsize
 
 
-def greedy_select(
+def greedy_select_heap(
     keys: Sequence[int],
     sizes_rows: Sequence[Sequence[int]],
     profits_rows: Sequence[Sequence[float]],
     budget: int,
 ) -> tuple[list[int], int, float]:
-    """Algorithm 1 (SelectPresentations) over parallel row arrays.
+    """Algorithm 1 (SelectPresentations) for one user, as the paper's heap.
 
     Row ``i`` describes item ``keys[i]``: ``sizes_rows[i][j]`` /
     ``profits_rows[i][j]`` are the size and (possibly Lyapunov-adjusted)
@@ -462,7 +463,9 @@ def greedy_select(
     Semantics match :func:`repro.core.mckp.select_presentations`:
     repeatedly upgrade the item whose next upgrade has the largest
     gradient; skip stale heap entries; stop at the first non-positive
-    head gradient; an unaffordable upgrade freezes that item only.
+    head gradient; an unaffordable upgrade freezes that item only.  The
+    scalar round loop runs this per user; it is the parity oracle of the
+    cohort-wide :func:`greedy_select`.
     """
     levels = [0] * len(keys)
     index_of: dict[int, int] = {}
@@ -504,6 +507,91 @@ def greedy_select(
                 heap, (-gradient(sizes, profits, next_level), key, next_level)
             )
     return levels, total_size, total_profit
+
+
+def greedy_select(
+    sizes: Sequence[int] | np.ndarray,
+    profits: np.ndarray,
+    lengths: np.ndarray | None,
+    keys: np.ndarray,
+    offsets: np.ndarray,
+    budgets: np.ndarray,
+) -> np.ndarray:
+    """Algorithm 1 for every user of a group in one segmented pass.
+
+    Row ``i`` of ``profits`` is one queued item; segment ``s`` (one user)
+    owns rows ``offsets[s]:offsets[s + 1]`` and the byte budget
+    ``budgets[s]``.  ``sizes`` is one shared strictly-increasing row or
+    one row per item, ``lengths[i]`` the number of valid leading columns
+    of row ``i`` (``None``: all), ``keys[i]`` the item id that breaks
+    gradient ties (unique within a segment).  Returns the chosen level
+    per row, bit-identical to :func:`greedy_select_heap` per segment:
+
+    * *order* -- the heap pops an item's upgrades in level order and
+      always the largest head, so its pop order is a stable sort of all
+      upgrades by (segment, running minimum of the item's gradients
+      descending, key, level), cut where that minimum turns non-positive
+      (the heap's ``break``);
+    * *freeze* -- an upgrade that does not fit freezes its item only, so
+      the budget applies iteratively: accept everything up to a segment's
+      first overshoot, drop that upgrade, every later one larger than
+      what is left, and the rest of their items' ladders; re-accumulate.
+      Each pass lowers the largest surviving size gain, so there are at
+      most as many passes as distinct gains.
+    """
+    profits = np.asarray(profits, dtype=np.float64)
+    n_rows, width = profits.shape
+    if n_rows == 0 or width < 2:
+        return np.zeros(n_rows, dtype=np.int64)
+    budgets = np.asarray(budgets, dtype=np.int64)
+    gains = np.diff(np.asarray(sizes, dtype=np.int64), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # padded columns
+        gradients = np.diff(profits, axis=1) / gains
+    segment = np.repeat(np.arange(budgets.size), np.diff(offsets))
+    # An upgrade is reachable while every gradient so far is positive, it
+    # is a real level and it could fit an untouched budget.
+    reachable = (gradients > 0.0) & (gains <= budgets[segment][:, None])
+    if lengths is not None:
+        reachable &= np.arange(1, width) < np.asarray(lengths)[:, None]
+    rows, ups = np.nonzero(np.logical_and.accumulate(reachable, axis=1))
+    # Cheaper than one three-key lexsort: rows ranked by (segment, key)
+    # put the candidates, stably, into the heap's tie order; a dense rank
+    # of the running minimum then packs with the segment into one integer
+    # key whose stable sort sees nearly sorted input.
+    tie_rank = np.empty(n_rows, dtype=np.int64)
+    tie_rank[np.lexsort((keys, segment))] = np.arange(n_rows)
+    ties = np.argsort(tie_rank[rows], kind="stable")
+    rows, ups = rows[ties], ups[ties]
+    running_min = np.minimum.accumulate(gradients, axis=1)[rows, ups]
+    ascending = np.argsort(running_min)
+    value = running_min[ascending]
+    rank = np.empty(rows.size, dtype=np.int64)
+    rank[ascending] = np.cumsum(value != np.roll(value, 1))  # equal values tie
+    seg = segment[rows]
+    order = np.argsort(seg * (rows.size + 1) - rank, kind="stable")
+    rows, ups, seg = rows[order], ups[order], seg[order]
+    gain = gains[ups] if gains.ndim == 1 else gains[rows, ups]
+    limit = budgets[seg]
+    head = np.searchsorted(seg, seg)  # each candidate's first of its segment
+    position = np.arange(rows.size)
+    alive = np.ones(rows.size, dtype=bool)
+    cap = np.full(n_rows, width, dtype=np.int64)  # first dropped upgrade per row
+    while True:
+        live = np.where(alive, gain, 0)
+        total = np.cumsum(live)
+        spent = total - (total - live)[head]
+        over = np.flatnonzero(alive & (spent > limit))
+        if not over.size:
+            break
+        first = over[np.flatnonzero(np.diff(seg[over], prepend=-1))]
+        since = np.full(budgets.size, rows.size)
+        since[seg[first]] = first
+        left = np.zeros(budgets.size, dtype=np.int64)
+        left[seg[first]] = limit[first] - (spent[first] - gain[first])
+        dropped = alive & (position >= since[seg]) & (gain > left[seg])
+        np.minimum.at(cap, rows[dropped], ups[dropped])
+        alive &= ups < cap[rows]
+    return np.bincount(rows[alive], minlength=n_rows)
 
 
 def hull_levels(
@@ -553,9 +641,9 @@ def greedy_select_hull(
     """Algorithm 1 behind per-item LP-domination preprocessing.
 
     Reduces each row to its convex hull (so gradients strictly decrease),
-    runs :func:`greedy_select` on the reduced rows, and maps chosen levels
-    back to original ladder indices.  Identical selections to
-    :func:`greedy_select` on gradient-monotone ladders; strictly safer
+    runs :func:`greedy_select_heap` on the reduced rows, and maps chosen
+    levels back to original ladder indices.  Identical selections to
+    :func:`greedy_select_heap` on gradient-monotone ladders; strictly safer
     when adjusted-utility profiles dip (e.g. strongly negative energy
     pressure), at an ``O(n k)`` preprocessing cost.
     """
@@ -569,7 +657,7 @@ def greedy_select_hull(
     reduced_profits = [
         [profits_rows[i][level] for level in hull] for i, hull in enumerate(hulls)
     ]
-    levels, total_size, total_profit = greedy_select(
+    levels, total_size, total_profit = greedy_select_heap(
         keys, reduced_sizes, reduced_profits, budget
     )
     return (

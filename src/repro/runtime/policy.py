@@ -183,7 +183,7 @@ class RichNotePolicy:
         select_fn = (
             kernels.greedy_select_hull
             if self.use_hull_selector
-            else kernels.greedy_select
+            else kernels.greedy_select_heap
         )
         levels, total_size, total_profit = select_fn(
             [item.item_id for item in items],

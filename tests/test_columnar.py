@@ -347,6 +347,26 @@ class TestEngineEdges:
                 contents=np.asarray([0.5]),
                 ladder=ladder,
             )
+        # Item ids are Algorithm 1's tie-break: unique per user, checked
+        # once at construction and not in whatever round they first meet.
+        with pytest.raises(ValueError, match="user 8 has duplicate item id 11"):
+            ColumnarCohort(
+                user_ids=[7, 8],
+                offsets=np.asarray([0, 2, 5]),
+                item_ids=[10, 11, 11, 12, 11],
+                created_at=np.asarray([0.0, 1.0, 0.0, 1.0, 2.0]),
+                contents=np.full(5, 0.5),
+                ladder=ladder,
+            )
+        shared = ColumnarCohort(  # the same id under two users is fine
+            user_ids=[7, 8],
+            offsets=np.asarray([0, 2, 4]),
+            item_ids=[10, 11, 11, 10],
+            created_at=np.asarray([0.0, 1.0, 0.0, 1.0]),
+            contents=np.full(4, 0.5),
+            ladder=ladder,
+        )
+        assert shared.n_items == 4
 
 
 class TestStreamedUsers:

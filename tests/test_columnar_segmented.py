@@ -1,0 +1,346 @@
+"""The segmented Algorithm 1 and the column-only round it serves.
+
+Two oracles, both per user and both heap-based: the kernel property
+replays every segment through :func:`kernels.greedy_select_heap`; the
+engine matrix replays every configuration through the RoundContext
+adapter, which runs the real policy objects (and so the heap) once per
+user per round, and -- where the scalar runner supports the
+configuration -- through ``run_user``.  Nothing here re-derives expected
+selections by hand.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.channels import ChannelSet, builtin_channel
+from repro.core.presentations import build_audio_ladder
+from repro.core.utility import CombinedUtilityModel
+from repro.experiments.columnar import build_cohort, fold_outcomes, make_engine
+from repro.experiments.config import (
+    ExperimentConfig,
+    Method,
+    MethodSpec,
+    NetworkMode,
+)
+from repro.experiments.runner import UtilityAnnotations, run_user
+from repro.runtime import kernels
+from repro.trace.generator import TraceConfig, iter_users
+
+# -- the kernel against the heap ------------------------------------------------
+
+#: A coarse grid, so equal gradients across items and within an item are
+#: the rule, not the exception; negative steps make rows non-monotone.
+PROFIT_STEPS = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 1.0, 2.0, 4.0])
+SIZE_STEPS = st.sampled_from([1, 2, 2, 4, 8])
+BUDGETS = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 40, 10**6])
+
+
+@st.composite
+def segmented_instances(draw):
+    """Ragged segments of ragged rows, shared or per-row size ladders."""
+    width = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, 5), max_size=5))
+    n_rows = sum(counts)
+    shared = draw(st.booleans())
+
+    def ladder():
+        steps = draw(st.lists(SIZE_STEPS, min_size=width - 1, max_size=width - 1))
+        return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)
+
+    shared_row = ladder()
+    sizes = np.asarray(
+        [shared_row if shared else ladder() for _ in range(n_rows)],
+        dtype=np.int64,
+    ).reshape(n_rows, width)
+    steps = draw(
+        st.lists(
+            st.lists(PROFIT_STEPS, min_size=width, max_size=width),
+            min_size=n_rows, max_size=n_rows,
+        )
+    )
+    profits = np.cumsum(np.asarray(steps, dtype=np.float64).reshape(n_rows, width), axis=1)
+    profits[:, 0] = 0.0
+    lengths = None
+    if draw(st.booleans()):
+        lengths = np.asarray(
+            [draw(st.integers(1, width)) for _ in range(n_rows)], dtype=np.int64
+        )
+        if not shared:
+            # What hull-reduced rows look like: zeros past the valid prefix.
+            sizes[np.arange(width) >= lengths[:, None]] = 0
+    keys = [
+        key
+        for count in counts
+        for key in draw(
+            st.lists(st.integers(0, 30), min_size=count, max_size=count, unique=True)
+        )
+    ]
+    budgets = [draw(BUDGETS) for _ in counts]
+    return (
+        shared_row if shared else sizes, profits, lengths,
+        np.asarray(keys, dtype=np.int64),
+        np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        np.asarray(budgets, dtype=np.int64),
+    )
+
+
+class TestSegmentedGreedy:
+    @settings(max_examples=400, deadline=None)
+    @given(segmented_instances())
+    def test_every_segment_matches_the_heap(self, instance):
+        sizes, profits, lengths, keys, offsets, budgets = instance
+        levels = kernels.greedy_select(sizes, profits, lengths, keys, offsets, budgets)
+        assert levels.shape == (len(keys),)
+        for segment, budget in enumerate(budgets.tolist()):
+            rows = range(offsets[segment], offsets[segment + 1])
+            valid = [
+                profits.shape[1] if lengths is None else int(lengths[row])
+                for row in rows
+            ]
+            expected, _, _ = kernels.greedy_select_heap(
+                keys[list(rows)].tolist(),
+                [
+                    (sizes if sizes.ndim == 1 else sizes[row])[:n].tolist()
+                    for row, n in zip(rows, valid)
+                ],
+                [profits[row, :n].tolist() for row, n in zip(rows, valid)],
+                budget,
+            )
+            assert levels[list(rows)].tolist() == expected
+
+    def test_freeze_is_per_item_and_ties_break_by_key(self):
+        # Segment 0: the 90-byte upgrade freezes, the cheap ladder still
+        # climbs.  Segment 1: equal gradients, the lower key upgrades first
+        # and the budget runs out before the higher one.
+        levels = kernels.greedy_select(
+            np.asarray([[0, 90, 0], [0, 10, 20], [0, 10, 20], [0, 10, 20]]),
+            np.asarray(
+                [[0.0, 9.0, 0.0], [0.0, 0.5, 0.8], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]
+            ),
+            np.asarray([2, 3, 3, 3]),
+            np.asarray([0, 1, 7, 3]),
+            np.asarray([0, 2, 4]),
+            np.asarray([20, 30]),
+        )
+        assert levels.tolist() == [0, 2, 1, 2]
+
+    def test_no_rows_and_single_level_rows(self):
+        empty = kernels.greedy_select(
+            [0, 5], np.zeros((0, 2)), None, np.zeros(0, dtype=np.int64),
+            np.asarray([0, 0, 0]), np.asarray([10, 10]),
+        )
+        assert empty.tolist() == []
+        single = kernels.greedy_select(
+            [0], np.zeros((3, 1)), None, np.arange(3),
+            np.asarray([0, 3]), np.asarray([10]),
+        )
+        assert single.tolist() == [0, 0, 0]
+
+
+# -- the engine against the per-user paths --------------------------------------
+
+
+class _AdapterModel(CombinedUtilityModel):
+    """Stock behaviour under a new type: forces the RoundContext adapter."""
+
+
+@pytest.fixture(scope="module")
+def streams():
+    trace = TraceConfig(seed=23)
+    pairs = [(u, r) for u, r in iter_users(14, trace) if r]
+    scores = {
+        r.notification_id: 0.15 + 0.1 * (r.notification_id % 8)
+        for _, records in pairs for r in records
+    }
+    return pairs, UtilityAnnotations(scores=scores), trace.duration_hours * 3600.0
+
+
+THREE_CHANNELS = ("push", "inapp", "email")
+
+#: (id, policy name, extra policy kwargs, config overrides, channel names)
+MATRIX = [
+    ("richnote-cell", "richnote", {}, {}, None),
+    ("richnote-starved", "richnote", {}, {"weekly_budget_mb": 0.05}, None),
+    ("richnote-markov", "richnote", {}, {"network_mode": NetworkMode.MARKOV}, None),
+    ("richnote-no-aging", "richnote", {}, {"aging_tau_seconds": None}, None),
+    ("hull-cell", "richnote", {"use_hull_selector": True}, {"weekly_budget_mb": 1.0}, None),
+    (
+        "hull-markov", "richnote", {"use_hull_selector": True},
+        {"network_mode": NetworkMode.MARKOV}, None,
+    ),
+    ("fifo-cell", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 1.0}, None),
+    ("fifo-markov", "fifo", {"fixed_level": 3}, {"network_mode": NetworkMode.MARKOV}, None),
+    ("util-cell", "util", {"fixed_level": 3}, {"weekly_budget_mb": 1.0}, None),
+    ("util-markov", "util", {"fixed_level": 2}, {"network_mode": NetworkMode.MARKOV}, None),
+    (
+        "channels-aging", "richnote", {},
+        {"network_mode": NetworkMode.MARKOV, "weekly_budget_mb": 2.0}, THREE_CHANNELS,
+    ),
+    (  # starved and aging-free: the merged-row cache hits on this one
+        "channels-no-aging", "richnote", {},
+        {
+            "aging_tau_seconds": None, "weekly_budget_mb": 0.01,
+            "network_mode": NetworkMode.MARKOV,
+        },
+        THREE_CHANNELS,
+    ),
+    ("channels-fifo", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 2.0}, THREE_CHANNELS),
+]
+
+
+def _build(streams, name, kwargs, overrides, channel_names, adapter):
+    pairs, annotations, duration = streams
+    config = ExperimentConfig(seed=23, **overrides)
+    spec = MethodSpec(Method(name), kwargs.get("fixed_level"))
+    columns = build_cohort(
+        pairs, annotations, build_audio_ladder(config.presentation_spec),
+        materialize_items=adapter,
+    )
+    stock = config.utility_model()
+    engine = make_engine(
+        columns, spec, config, duration,
+        channels=(
+            ChannelSet([builtin_channel(n) for n in channel_names])
+            if channel_names else None
+        ),
+        utility_model=_AdapterModel(aging=stock.aging) if adapter else stock,
+    )
+    if kwargs.get("use_hull_selector"):
+        engine.policy.use_hull_selector = True
+    return columns, config, spec, engine
+
+
+def _folded(columns, result):
+    outcomes = fold_outcomes(columns, result, digest_deliveries=True)
+    return [
+        (o.delivery_digest, o.metrics, o.mean_backlog_bytes,
+         o.max_queue_length, o.final_queue_length)
+        for o in outcomes
+    ]
+
+
+class TestEngineParity:
+    @pytest.mark.parametrize(
+        "name,kwargs,overrides,channel_names",
+        [case[1:] for case in MATRIX], ids=[case[0] for case in MATRIX],
+    )
+    def test_batched_equals_adapter_scalar_and_single_stepped(
+        self, streams, name, kwargs, overrides, channel_names
+    ):
+        args = (streams, name, kwargs, overrides, channel_names)
+        columns, config, spec, engine = _build(*args, adapter=False)
+        assert engine.selection_path == "batched"
+        result = engine.run()
+        batched = _folded(columns, result)
+        assert sum(m.delivered_notifications for _, m, *_ in batched) > 0
+
+        adapter_columns, _, _, adapter = _build(*args, adapter=True)
+        assert adapter.selection_path == "adapter"
+        adapter_result = adapter.run()
+        assert _folded(adapter_columns, adapter_result) == batched
+        assert adapter_result.channel_codes == result.channel_codes
+
+        _, _, _, stepper = _build(*args, adapter=False)
+        for _ in stepper.times:
+            stepped = stepper.run(limit_rounds=1)
+        assert _folded(columns, stepped) == batched
+        assert stepped.deliveries == result.deliveries
+
+        if channel_names is None and not kwargs.get("use_hull_selector"):
+            pairs, annotations, duration = streams
+            for (user_id, records), (digest, metrics, *_) in zip(pairs, batched):
+                twin = run_user(
+                    user_id, records, spec, config, annotations, duration,
+                    digest_deliveries=True,
+                )
+                assert (twin.delivery_digest, twin.metrics) == (digest, metrics)
+
+
+class TestKernelCallsPerRun:
+    @pytest.mark.parametrize(
+        "overrides,channel_names,groups",
+        [
+            ({}, None, 1),
+            ({"network_mode": NetworkMode.MARKOV}, None, 2),
+            ({"network_mode": NetworkMode.MARKOV}, THREE_CHANNELS, 2),
+        ],
+        ids=["cell", "markov", "markov-channels"],
+    )
+    def test_one_segmented_call_per_round_and_group_and_no_heap(
+        self, streams, monkeypatch, overrides, channel_names, groups
+    ):
+        """The batched RichNote paths never reach the per-user heap."""
+        calls = {"segmented": 0, "heap": 0}
+        segmented, heap = kernels.greedy_select, kernels.greedy_select_heap
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(kernels, "greedy_select", count("segmented", segmented))
+        monkeypatch.setattr(kernels, "greedy_select_heap", count("heap", heap))
+        columns, _, _, engine = _build(
+            streams, "richnote", {}, overrides, channel_names, adapter=False
+        )
+        result = engine.run()
+        assert len(result.delivered) > 0
+        assert 0 < calls["segmented"] <= result.rounds * groups
+        assert calls["heap"] == 0
+        # The counter is live: the adapter path selects through the heap.
+        _, _, _, adapter = _build(
+            streams, "richnote", {}, overrides, channel_names, adapter=True
+        )
+        adapter.run(limit_rounds=30)
+        assert calls["heap"] > 0
+
+
+class TestResultIsASnapshot:
+    def test_a_kept_result_survives_later_rounds(self, streams):
+        offline = {"network_mode": NetworkMode.MARKOV}  # OFF rounds queue up
+        columns, _, _, engine = _build(
+            streams, "richnote", {}, offline, None, adapter=False
+        )
+        engine.run(limit_rounds=40)
+        early = engine.run(limit_rounds=0)
+        kept = (
+            early.rounds, early.delivered.copy(), early.deliveries,
+            [list(codes) for codes in early.channel_codes],
+            early.mean_backlog_bytes.copy(), early.max_queue_length.copy(),
+            early.final_queue_length.copy(), _folded(columns, early),
+        )
+        late = engine.run()
+        assert late.rounds > early.rounds
+        assert len(late.delivered) > len(early.delivered)
+        assert not np.array_equal(late.max_queue_length, kept[5])
+        assert early.rounds == kept[0]
+        assert np.array_equal(early.delivered, kept[1])
+        assert early.deliveries == kept[2]
+        assert [list(codes) for codes in early.channel_codes] == kept[3]
+        assert np.array_equal(early.mean_backlog_bytes, kept[4])
+        assert np.array_equal(early.max_queue_length, kept[5])
+        assert np.array_equal(early.final_queue_length, kept[6])
+        assert _folded(columns, early) == kept[7]
+        # ...and the prefix it shares with the later result is the same rows.
+        assert np.array_equal(late.delivered[: len(early.delivered)], early.delivered)
+
+    def test_per_user_views_behave_like_lists(self, streams):
+        _, _, _, engine = _build(streams, "richnote", {}, {}, None, adapter=False)
+        result = engine.run()
+        deliveries = result.deliveries
+        assert len(deliveries) == len(result.channel_codes) == engine.cohort.n_users
+        assert isinstance(deliveries[0], list) and deliveries[-1] == list(deliveries)[-1]
+        assert sum(map(len, deliveries)) == len(result.delivered)
+        some = next(user for user in deliveries if user)
+        assert len(some[0]) == 6 and isinstance(some[0][3], int)
+        assert not next((user for user in deliveries if not user), [])
+        with pytest.raises(IndexError):
+            deliveries[len(deliveries)]
+        assert deliveries == result.deliveries
+        assert deliveries != result.channel_codes

@@ -127,7 +127,7 @@ class TestKernels:
                 budget=budget,
             )
         )
-        levels, total_size, total_profit = kernels.greedy_select(
+        levels, total_size, total_profit = kernels.greedy_select_heap(
             [0, 1, 2], [sizes] * 3, profits_rows, budget
         )
         assert levels == [legacy.levels[key] for key in (0, 1, 2)]
@@ -136,14 +136,14 @@ class TestKernels:
 
     def test_greedy_select_rejects_duplicate_keys(self):
         with pytest.raises(ValueError, match="unique"):
-            kernels.greedy_select(
+            kernels.greedy_select_heap(
                 [7, 7], [[0, 10]] * 2, [[0.0, 1.0]] * 2, budget=100
             )
 
     def test_unaffordable_upgrade_freezes_only_that_item(self):
         # Item 0's first upgrade costs 90, item 1's costs 10: with budget
         # 20 the big item freezes but the cheap one still upgrades.
-        levels, total_size, _ = kernels.greedy_select(
+        levels, total_size, _ = kernels.greedy_select_heap(
             [0, 1],
             [[0, 90], [0, 10, 20]],
             [[0.0, 9.0], [0.0, 0.5, 0.8]],
