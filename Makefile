@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint analyze analyze-sarif bench bench-repo bench-sweep bench-scale bench-service bench-channels artifacts examples clean
+.PHONY: install test chaos lint analyze analyze-sarif bench bench-repo artifacts examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -64,37 +64,8 @@ bench:
 # See benchmarks/harness/README.md.  One workload's per-layer table is
 # `make bench-repo WORKLOAD=cohort-push TRACE=1`.
 bench-repo:
-	python3 benchmarks/harness/run.py --seed 97 \
+	$(PYTHON) benchmarks/harness/run.py --seed 97 \
 		$(if $(WORKLOAD),--workload $(WORKLOAD),--all) $(if $(TRACE),--trace $(TRACE))
-
-# Sweep-engine gates (parity, payload boundary, >=2x speedup on
-# multi-core) on a tiny grid; writes BENCH_sweep.json at the repo root.
-bench-sweep:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_sweep.py -q -rs -s
-
-# Population-scale gates (columnar/scalar digest parity in-bench, >=5x
-# columnar speedup at the 10k-user point, plus the schema-/2 scenarios:
-# >=1.8x multi-core shard-parallel on >=2-core hosts and >=3x batched
-# multichannel kernels); writes BENCH_scalability.json at the repo root.
-# Tune with BENCH_SCALE_USERS=10000,100000 (CI smoke uses a small
-# count), BENCH_SCALE_WORKERS=N (multi-core scenario worker count),
-# BENCH_SCALE_MC_SAMPLE=N (multichannel sample, 0 disables),
-# BENCH_SCALE_1M=1 opts into the million-user leg.
-bench-scale:
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_bench_scalability.py::test_bench_scale_curve -q -rs -s
-
-# Live-service gates (exact conservation under a flash crowd, queue
-# bound + TTL invariants, deterministic payload); writes
-# BENCH_service.json at the repo root.
-bench-service:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_service.py -q -rs -s
-
-# Multi-channel gates (nonzero cross-user degradation on the shared
-# cell, clean control cell, exact per-channel conservation,
-# deterministic payload); writes BENCH_channels.json at the repo root.
-bench-channels:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_channels.py -q -rs -s
 
 # Regenerate every figure artifact from a fresh synthetic trace.
 artifacts:
@@ -110,5 +81,5 @@ examples:
 	$(PYTHON) examples/spotify_week.py --budgets 1,5,20,100 --users 10
 
 clean:
-	rm -rf artifacts .pytest_cache src/repro.egg-info
+	rm -rf artifacts .pytest_cache .bench_work src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

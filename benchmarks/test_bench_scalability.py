@@ -1,38 +1,15 @@
-"""Scalability benchmarks: hot-path micro-benches + the population curve.
+"""Scalability micro-benchmarks of the hot paths a deployment cares about.
 
 The paper's motivation is scale ("daily bandwidth consumption ... is
 around 2TB", millions of users), and its Section V-C argues per-user
-rounds shard to a parallel backend.  Two families live here:
-
-* micro-benchmarks of the three hot paths a deployment cares about --
-  broker fan-out, one scheduler round vs queue size (near-linear MCKP
-  heap), Random Forest inference throughput;
-* the ISSUE 8 population curve: columnar struct-of-arrays execution vs
-  the per-user object loop at 10k and 100k users (1M opt-in), written to
-  ``BENCH_scalability.json`` with a hard >= 5x users/sec/core gate at
-  the 10k-user point (the population the issue names).  ISSUE 10 adds
-  two scenario gates at the same point: multi-core shard-parallel
-  execution >= 1.8x over single-core (only on machines that actually
-  have >= 2 cores) and the multichannel batched kernel path >= 3x over
-  the per-user adapter fallback -- both only ever reported over
-  digest-verified bit-identical runs (the bench raises on divergence).
-
-Environment knobs for the curve (CI smoke runs tiny populations):
-
-* ``BENCH_SCALE_USERS`` -- comma list of population sizes
-  (default ``10000,100000``);
-* ``BENCH_SCALE_OUT`` -- output path (default repo-root
-  ``BENCH_scalability.json``);
-* ``BENCH_SCALE_WORKERS`` -- worker count for the multi-core scenario
-  (default: affinity-aware core count; < 2 skips the scenario);
-* ``BENCH_SCALE_MC_SAMPLE`` -- users in the multichannel scenario
-  (default 1000, ``0`` disables);
-* ``BENCH_SCALE_1M=1`` -- additionally run the 1M-user smoke.
+rounds shard to a parallel backend: broker fan-out, one scheduler round
+vs queue size (near-linear MCKP heap) and Random Forest inference
+throughput are timed here with pytest-benchmark (``make bench``).
+Population-scale speed is the repo benchmark's job
+(``benchmarks/harness/``, ``make bench-repo``).
 """
 
-import os
 import random
-from pathlib import Path
 
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
@@ -160,119 +137,3 @@ def test_bench_forest_inference(benchmark, workload, annotations):
 
     proba = benchmark(forest.predict_proba, batch)
     assert proba.shape == (1000, 2)
-
-
-# -- the ISSUE 8 population curve ----------------------------------------------
-
-SCALE_OUT = Path(
-    os.environ.get(
-        "BENCH_SCALE_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_scalability.json",
-    )
-)
-#: The acceptance gates bind at the population the issue names (the 10k
-#: point): CI smoke runs tiny cohorts where per-call overheads dominate,
-#: and far larger cohorts trade some of the win back to cache pressure,
-#: so only points in the [10k, 50k) band carry the floors.
-GATE_MIN_USERS = 10_000
-GATE_MAX_USERS = 50_000
-GATE_SPEEDUP = 5.0
-#: ISSUE 10: multi-core shard-parallel >= 1.8x over single-core (needs a
-#: machine with >= 2 affinity cores to mean anything) and the batched
-#: multichannel kernels >= 3x over the per-user adapter path.
-GATE_MULTI_CORE_SPEEDUP = 1.8
-GATE_MULTICHANNEL_SPEEDUP = 3.0
-
-
-def _scale_user_counts() -> list[int]:
-    raw = os.environ.get("BENCH_SCALE_USERS", "10000,100000")
-    counts = [int(c) for c in raw.split(",") if c.strip()]
-    if os.environ.get("BENCH_SCALE_1M") == "1":
-        counts.append(1_000_000)
-    return counts
-
-
-def test_bench_scale_curve():
-    """Columnar vs per-user users/sec/core curve -> BENCH_scalability.json.
-
-    Digest parity -- scalar vs columnar on a user sample, single- vs
-    multi-core on the whole store, batched vs adapter on the
-    multichannel sample -- is asserted inside
-    :func:`repro.experiments.scale.bench_scale`; a divergent fast path
-    fails here before any speed number is reported.
-    """
-    from repro.experiments.scale import SCHEMA, bench_scale, write_scale_report
-
-    from repro.experiments.pool import available_cores
-
-    counts = _scale_user_counts()
-    workers_env = os.environ.get("BENCH_SCALE_WORKERS")
-    workers = int(workers_env) if workers_env else None
-    if workers is not None and workers >= 2 and available_cores() < 2:
-        # Same guard as test_bench_sweep's skipif: on a single-core
-        # runner a forced multi-core scenario measures pure process
-        # overhead, not parallelism -- drop back to the default.
-        print("\n# single-core runner: skipping the multi-core scenario")
-        workers = None
-    mc_sample = int(os.environ.get("BENCH_SCALE_MC_SAMPLE", "1000"))
-    payload = bench_scale(
-        counts, workers=workers, multichannel_sample=mc_sample
-    )
-    write_scale_report(SCALE_OUT, payload)
-
-    assert payload["schema"] == SCHEMA
-    assert len(payload["curve"]) == len(counts)
-    assert payload["meta"]["cores_available"] >= 1
-    assert payload["meta"]["cores_used"] >= 1
-    multi_core_machine = payload["meta"]["cores_available"] >= 2
-    print(f"\n# wrote {SCALE_OUT} ({len(counts)} populations)")
-    for point in payload["curve"]:
-        assert point["parity_checked_users"] > 0
-        print(
-            f"#  {point['users']:>8} users: columnar "
-            f"{point['columnar']['users_per_sec_per_core']:.0f} u/s/core, "
-            f"scalar {point['scalar']['users_per_sec_per_core']:.0f} "
-            f"u/s/core, speedup {point['speedup']:.1f}x"
-        )
-        in_gate_band = GATE_MIN_USERS <= point["population"] < GATE_MAX_USERS
-        if in_gate_band:
-            assert point["speedup"] >= GATE_SPEEDUP, (
-                f"columnar only {point['speedup']:.2f}x over the per-user "
-                f"loop at {point['population']} users (gate {GATE_SPEEDUP}x)"
-            )
-        multi = point.get("multi_core")
-        if multi is not None:
-            assert multi["digest_parity_users"] == point["users"]
-            print(
-                f"#    multi-core x{multi['workers']}: "
-                f"{multi['speedup_vs_single_core']:.2f}x vs single-core"
-            )
-            # The 1.8x floor needs real parallel hardware: on a
-            # single-core runner the scenario (if forced via
-            # BENCH_SCALE_WORKERS) measures pure process overhead.
-            if in_gate_band and multi_core_machine:
-                assert multi["speedup_vs_single_core"] >= GATE_MULTI_CORE_SPEEDUP, (
-                    f"shard-parallel only "
-                    f"{multi['speedup_vs_single_core']:.2f}x over "
-                    f"single-core at {point['population']} users "
-                    f"(gate {GATE_MULTI_CORE_SPEEDUP}x)"
-                )
-        multichannel = point.get("multichannel")
-        if multichannel is not None:
-            assert multichannel["kernel_path"] == "batched"
-            assert multichannel["fallback_path"] == "adapter"
-            assert (
-                multichannel["digest_parity_users"]
-                == multichannel["sampled_users"]
-            )
-            print(
-                f"#    multichannel ({multichannel['sampled_users']} "
-                f"users): {multichannel['speedup']:.2f}x batched vs adapter"
-            )
-            if in_gate_band:
-                assert multichannel["speedup"] >= GATE_MULTICHANNEL_SPEEDUP, (
-                    f"batched multichannel kernels only "
-                    f"{multichannel['speedup']:.2f}x over the adapter "
-                    f"path at {point['population']} users "
-                    f"(gate {GATE_MULTICHANNEL_SPEEDUP}x)"
-                )

@@ -10,8 +10,7 @@ Subcommands::
     richnote figures         --trace trace.jsonl --out artifacts/
     richnote survey
     richnote serve           --rounds 3 --chaos flash-crowd
-    richnote bench-scale     --users 10000,100000 --out BENCH_scalability.json
-    richnote bench-channels  --rounds 40 --out BENCH_channels.json
+    richnote bench-channels  --rounds 40
     richnote lint            src/repro --warn-only
 
 ``generate-trace`` synthesizes a labelled Spotify-like notification trace
@@ -143,16 +142,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     users = workload.top_users(args.users) if args.users else None
     config = ExperimentConfig(seed=args.seed, faults=args.faults)
     grid = None
-    telemetry = None
     if args.workers:
         from repro.experiments.pool import sweep_budgets_parallel
-        from repro.experiments.timing import SweepTelemetry
 
-        telemetry = SweepTelemetry()
         grid = sweep_budgets_parallel(
             workload, specs, budgets, config, annotations, users,
             max_workers=args.workers, keep_per_user=False,
-            telemetry=telemetry,
         )
     figs = figure3_and_4(
         workload, budgets, config, annotations, users, specs, grid=grid,
@@ -160,11 +155,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for name in sorted(figs):
         print(render_series_table(figs[name]))
         print()
-    if args.bench_out:
-        if telemetry is None:
-            raise SystemExit("--bench-out requires --workers >= 1")
-        telemetry.write(args.bench_out)
-        print(f"wrote stage timings to {args.bench_out}")
     return 0
 
 
@@ -222,67 +212,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_scale(args: argparse.Namespace) -> int:
-    """Users/sec/core curve: columnar engine vs the per-user loop."""
-    from repro.experiments.scale import bench_scale, write_scale_report
-
-    counts = [int(c) for c in args.users.split(",") if c.strip()]
-    payload = bench_scale(
-        counts,
-        seed=args.seed,
-        scalar_sample=args.scalar_sample,
-        parity_sample=args.parity_sample,
-        chunk_users=args.chunk_users,
-        workers=args.workers,
-        multichannel_sample=args.multichannel_sample,
-        profile_dir=args.profile or None,
-    )
-    meta = payload["meta"]
-    print(
-        f"cores: {meta['cores_used']} used / {meta['cores_available']} "
-        f"available (affinity-aware)"
-    )
-    for point in payload["curve"]:
-        print(
-            f"{point['users']:>8} users ({point['records']} records): "
-            f"columnar {point['columnar']['users_per_sec_per_core']:.0f} "
-            f"users/s/core, scalar "
-            f"{point['scalar']['users_per_sec_per_core']:.0f} users/s/core "
-            f"-> {point['speedup']:.1f}x "
-            f"(parity checked on {point['parity_checked_users']} users)"
-        )
-        multi = point.get("multi_core")
-        if multi:
-            print(
-                f"          multi-core x{multi['workers']}: "
-                f"{multi['single_core_wall_s']:.2f}s -> "
-                f"{multi['multi_core_wall_s']:.2f}s "
-                f"({multi['speedup_vs_single_core']:.2f}x, digests on "
-                f"{multi['digest_parity_users']} users)"
-            )
-        mc = point.get("multichannel")
-        if mc:
-            print(
-                f"          multichannel ({mc['sampled_users']} users): "
-                f"{mc['kernel_path']} {mc['batched_wall_s']:.2f}s vs "
-                f"{mc['fallback_path']} {mc['adapter_wall_s']:.2f}s "
-                f"-> {mc['speedup']:.1f}x"
-            )
-    for path in meta.get("profile_pstats", []):
-        print(f"profiled: {path}")
-    if args.out:
-        write_scale_report(args.out, payload)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_bench_channels(args: argparse.Namespace) -> int:
     """Flash-crowd shared-cell scenario: cross-user degradation report."""
-    from repro.experiments.channels_bench import (
-        ChannelsBenchConfig,
-        bench_channels,
-        write_channels_report,
-    )
+    from repro.experiments.channels_bench import ChannelsBenchConfig, bench_channels
 
     config = ChannelsBenchConfig(
         seed=args.seed,
@@ -309,9 +241,6 @@ def cmd_bench_channels(args: argparse.Namespace) -> int:
         "conservation error: "
         f"{payload['coupled']['conservation_error_bytes']:g} B"
     )
-    if args.out:
-        write_channels_report(args.out, payload)
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -344,11 +273,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Builds the self-contained harness (seeded devices, flash-crowd
     ingress, flaky egress), runs ``--rounds`` round periods on a
-    simulated clock and prints the health ledger; ``--bench-out`` also
-    writes the ``BENCH_service.json`` payload.
+    simulated clock and prints the health ledger.
     """
     from repro.service.harness import DemoConfig, run_demo
-    from repro.service.health import write_bench
 
     config = DemoConfig(
         users=args.users,
@@ -361,11 +288,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sink_fail=args.sink_fail,
         p_outage=args.outage,
     )
-    run = run_demo(config)
-    accounting = run.payload["accounting"]
-    throughput = run.payload["throughput"]
-    latency = run.payload["latency_s"]
-    pressure = run.payload["pressure"]
+    service = run_demo(config).service
+    accounting = service.accounting()
+    stats = service.stats
+    controller = service.controller
     print(
         f"served {config.users} users x {config.rounds} rounds "
         f"({config.round_seconds:g}s each), chaos={config.chaos}"
@@ -376,21 +302,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"dead_lettered={accounting['dead_lettered']} pending={accounting['pending']}"
     )
     print(
-        f"  latency p50={latency['p50']:.1f}s p99={latency['p99']:.1f}s "
-        f"({latency['count']} delivered); "
-        f"{throughput['delivered_per_simulated_s']:.2f} delivered/sim-s"
+        f"  latency p50={stats.latency_quantile(0.50):.1f}s "
+        f"p99={stats.latency_quantile(0.99):.1f}s "
+        f"({len(stats.latencies)} delivered); "
+        f"{stats.delivered / (config.rounds * config.round_seconds):.2f} "
+        f"delivered/sim-s"
     )
     print(
-        f"  pressure max={pressure['max_level']} final={pressure['final_level']} "
-        f"({len(pressure['transitions'])} transitions); "
-        f"queue high-water {run.service.frontier.high_water()}"
+        f"  pressure max={controller.max_level.name} "
+        f"final={controller.level.name} "
+        f"({len(controller.transitions)} transitions); "
+        f"queue high-water {service.frontier.high_water()}"
         f"/{config.queue_bound}"
     )
     error = accounting["error"]
     print(f"  conservation error: {error}")
-    if args.bench_out:
-        out = write_bench(args.bench_out, run.payload)
-        print(f"wrote {out}")
     return 0 if error == 0 else 1
 
 
@@ -456,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=0,
                        help="run the grid on a persistent worker pool with "
                             "N processes (0 = sequential)")
-    sweep.add_argument("--bench-out", default="",
-                       help="write per-stage wall-clock telemetry "
-                            "(BENCH_sweep.json format; needs --workers)")
     sweep.set_defaults(handler=cmd_sweep)
 
     figures = commands.add_parser(
@@ -479,54 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--trace", required=True)
     stats.set_defaults(handler=cmd_stats)
 
-    bench_scale = commands.add_parser(
-        "bench-scale",
-        help="users/sec/core scaling curve: columnar core vs per-user loop",
-    )
-    bench_scale.add_argument(
-        "--users", default="10000,100000",
-        help="comma list of population sizes (default 10000,100000)",
-    )
-    bench_scale.add_argument(
-        "--scalar-sample", type=int, default=150, dest="scalar_sample",
-        help="users replayed on the scalar loop to estimate its rate",
-    )
-    bench_scale.add_argument(
-        "--parity-sample", type=int, default=25, dest="parity_sample",
-        help="users replayed on both paths for digest parity",
-    )
-    bench_scale.add_argument(
-        "--chunk-users", type=int, default=20_000, dest="chunk_users",
-        help="cohort chunk size bounding peak memory",
-    )
-    bench_scale.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the multi-core scenario (default: "
-             "affinity-aware core count; < 2 skips the scenario)",
-    )
-    bench_scale.add_argument(
-        "--multichannel-sample", type=int, default=1000,
-        dest="multichannel_sample",
-        help="users in the multichannel batched-vs-adapter scenario "
-             "(0 disables it)",
-    )
-    bench_scale.add_argument(
-        "--profile", default="",
-        help="dump per-phase cProfile .pstats files (cohort build / "
-             "rounds / merge) into this directory",
-    )
-    bench_scale.add_argument(
-        "--out", default="",
-        help="write the BENCH_scalability.json payload here",
-    )
-    bench_scale.set_defaults(handler=cmd_bench_scale)
-
     bench_channels = commands.add_parser(
         "bench-channels",
         help="multi-channel flash-crowd bench: shared cell pools "
              "coupling users",
     )
-    bench_channels.add_argument("--seed", type=int, default=17)
     bench_channels.add_argument(
         "--rounds", type=int, default=40, help="rounds to simulate"
     )
@@ -541,10 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_channels.add_argument(
         "--pool-bytes", type=float, default=4_000_000.0, dest="pool_bytes",
         help="per-round shared byte pool of each cell",
-    )
-    bench_channels.add_argument(
-        "--out", default="",
-        help="write the BENCH_channels.json payload here",
     )
     bench_channels.set_defaults(handler=cmd_bench_channels)
 
@@ -582,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.10,
         help="per-round probability a connected device is forced offline",
-    )
-    serve.add_argument(
-        "--bench-out",
-        default="",
-        dest="bench_out",
-        help="write BENCH_service.json payload here",
     )
     serve.set_defaults(handler=cmd_serve)
 

@@ -76,7 +76,6 @@ class RichNoteScheduler(RoundBasedScheduler):
         energy_budget: EnergyBudget,
         utility_model: CombinedUtilityModel | None = None,
         lyapunov: LyapunovConfig | None = None,
-        use_hull_selector: bool = False,
         ttl_seconds: float | None = None,
         delivery_engine: "DeliveryEngine | None" = None,
     ) -> None:
@@ -91,9 +90,7 @@ class RichNoteScheduler(RoundBasedScheduler):
             device, data_budget, energy_budget, utility_model, ttl_seconds,
             delivery_engine,
         )
-        self.bind_policy(
-            RichNotePolicy(lyapunov=lyapunov, use_hull_selector=use_hull_selector)
-        )
+        self.bind_policy(RichNotePolicy(lyapunov=lyapunov))
 
     @property
     def controller(self) -> LyapunovController:

@@ -32,7 +32,6 @@ from repro.experiments.runner import (
     sweep_budgets,
 )
 from repro.experiments.shards import balanced_batches, shard_by_user
-from repro.experiments.timing import CellTiming, StageTimer, SweepTelemetry
 from repro.experiments.system import SystemConfig, SystemReport, SystemSimulation
 from repro.experiments.confidence import (
     MetricSummary,

@@ -31,8 +31,6 @@ identical arrival schedules, content utilities and per-user fault seeds.
 
 from __future__ import annotations
 
-import json
-import platform
 import random
 from dataclasses import dataclass, field
 
@@ -50,10 +48,7 @@ from repro.sim.device import MobileDevice
 from repro.sim.faults import FaultConfig, FlashCrowd, RandomFaultPolicy
 from repro.sim.network import CellularOnlyNetwork
 
-__all__ = ["SCHEMA", "ChannelsBenchConfig", "bench_channels", "write_channels_report"]
-
-#: Version tag of the BENCH_channels.json layout.
-SCHEMA = "richnote-bench-channels/1"
+__all__ = ["ChannelsBenchConfig", "bench_channels"]
 
 #: The cell the flash crowd (and the shared bystanders) camp on.
 SHARED_CELL = 0
@@ -63,7 +58,7 @@ CONTROL_CELL = 1
 
 @dataclass(frozen=True)
 class ChannelsBenchConfig:
-    """Scenario knobs; defaults are the CI smoke scale."""
+    """Scenario knobs; defaults are the scale ``tests/test_channels_bench.py`` gates."""
 
     seed: int = 17
     rounds: int = 40
@@ -335,11 +330,6 @@ def bench_channels(config: ChannelsBenchConfig | None = None) -> dict:
         }
 
     return {
-        "schema": SCHEMA,
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
         "meta": {
             "seed": config.seed,
             "rounds": config.rounds,
@@ -367,11 +357,3 @@ def bench_channels(config: ChannelsBenchConfig | None = None) -> dict:
             "crowd": _drop("crowd"),
         },
     }
-
-
-def write_channels_report(path, payload: dict) -> dict:
-    """Serialize a :func:`bench_channels` payload (BENCH_channels.json)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload

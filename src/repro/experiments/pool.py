@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -61,7 +60,6 @@ from repro.experiments.shards import (
     shard_by_user,
     write_user_shards,
 )
-from repro.experiments.timing import StageTimer, SweepTelemetry
 from repro.trace.generator import Workload
 from repro.trace.io import TraceShardStore
 from repro.trace.records import NotificationRecord
@@ -450,71 +448,56 @@ class ExperimentPool:
         max_workers: int | None = None,
         n_batches: int | None = None,
         base_config: ExperimentConfig | None = None,
-        telemetry: SweepTelemetry | None = None,
         shard_store_dir: "str | os.PathLike | None" = None,
     ) -> None:
         base_config = base_config or ExperimentConfig()
-        self.telemetry = telemetry
-        timer = telemetry.timer if telemetry is not None else StageTimer()
-        with timer.stage("train"):
-            if annotations is None:
-                annotations = UtilityAnnotations.train(
-                    workload,
-                    seed=base_config.seed,
-                    oracle=base_config.use_oracle_utility,
-                )
+        if annotations is None:
+            annotations = UtilityAnnotations.train(
+                workload,
+                seed=base_config.seed,
+                oracle=base_config.use_oracle_utility,
+            )
         self.annotations = annotations
-        with timer.stage("shard"):
-            users = list(user_ids) if user_ids is not None else workload.user_ids()
-            by_user = shard_by_user(workload.records, users)
-            #: Canonical fold order == the sequential runner's user order.
-            self.sim_users = [u for u in users if by_user[u]]
-            if not self.sim_users:
-                raise ValueError("no users with notifications to simulate")
-            shards = {u: by_user[u] for u in self.sim_users}
-            counts = {u: len(shards[u]) for u in self.sim_users}
-            self.max_workers = max_workers or available_cores()
-            if n_batches is None:
-                # Oversubscribe so cost balancing has room to smooth
-                # stragglers without batches degenerating to single users.
-                n_batches = self.max_workers * 4
-            self.batches = balanced_batches(counts, n_batches)
-            self.duration_seconds = workload.config.duration_hours * 3600.0
-            self.shard_store_dir = None
-            #: Record counts in store-position order (== sim_users order);
-            #: run_cell_columnar balances its ranges on this.
-            self._store_counts = [counts[u] for u in self.sim_users]
-            if shard_store_dir is not None:
-                # Write the columnar store once; workers memory-map it and
-                # the initializer ships a path instead of pickled records.
-                self.shard_store_dir = str(shard_store_dir)
-                write_user_shards(self.shard_store_dir, shards, self.sim_users)
-                shards = None
-            # Kept so a crashed pool can be rebuilt mid-sweep without the
-            # parent re-sharding; the payload never leaves this process
-            # except through a pool initializer.
-            self._initargs = (
-                shards,
-                self.shard_store_dir,
-                annotations.scores,
-                self.duration_seconds,
-            )
-            self.worker_restarts = 0
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=self._initargs,
-            )
-        if telemetry is not None:
-            telemetry.meta.update(
-                engine="ExperimentPool",
-                workers=self.max_workers,
-                batches=len(self.batches),
-                users=len(self.sim_users),
-                records=sum(counts.values()),
-                worker_restarts=0,
-                shard_store=self.shard_store_dir is not None,
-            )
+        users = list(user_ids) if user_ids is not None else workload.user_ids()
+        by_user = shard_by_user(workload.records, users)
+        #: Canonical fold order == the sequential runner's user order.
+        self.sim_users = [u for u in users if by_user[u]]
+        if not self.sim_users:
+            raise ValueError("no users with notifications to simulate")
+        shards = {u: by_user[u] for u in self.sim_users}
+        counts = {u: len(shards[u]) for u in self.sim_users}
+        self.max_workers = max_workers or available_cores()
+        if n_batches is None:
+            # Oversubscribe so cost balancing has room to smooth
+            # stragglers without batches degenerating to single users.
+            n_batches = self.max_workers * 4
+        self.batches = balanced_batches(counts, n_batches)
+        self.duration_seconds = workload.config.duration_hours * 3600.0
+        self.shard_store_dir = None
+        #: Record counts in store-position order (== sim_users order);
+        #: run_cell_columnar balances its ranges on this.
+        self._store_counts = [counts[u] for u in self.sim_users]
+        if shard_store_dir is not None:
+            # Write the columnar store once; workers memory-map it and
+            # the initializer ships a path instead of pickled records.
+            self.shard_store_dir = str(shard_store_dir)
+            write_user_shards(self.shard_store_dir, shards, self.sim_users)
+            shards = None
+        # Kept so a crashed pool can be rebuilt mid-sweep without the
+        # parent re-sharding; the payload never leaves this process
+        # except through a pool initializer.
+        self._initargs = (
+            shards,
+            self.shard_store_dir,
+            annotations.scores,
+            self.duration_seconds,
+        )
+        self.worker_restarts = 0
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            initializer=_init_worker,
+            initargs=self._initargs,
+        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -601,14 +584,11 @@ class ExperimentPool:
                 spec, config, self.sim_users, keep_per_user
             )
 
-        started = time.perf_counter()
-        remaining: dict[tuple[str, float], int] = {}
-        tasks = []
-        for spec, config in cells:
-            key = (spec.label, config.weekly_budget_mb)
-            remaining[key] = len(self.batches)
-            for batch in self.batches:
-                tasks.append((key, spec, config, batch))
+        tasks = [
+            ((spec.label, config.weekly_budget_mb), spec, config, batch)
+            for spec, config in cells
+            for batch in self.batches
+        ]
 
         def submit(task):
             _, spec, config, batch = task
@@ -639,23 +619,7 @@ class ExperimentPool:
                     self._rebuild_executor()
                     pending = {submit(t): t for t in retry}
                     break
-                key = task[0]
-                fold_start = time.perf_counter()
-                states[key].add_batch(outcomes)
-                fold_end = time.perf_counter()
-                remaining[key] -= 1
-                if self.telemetry is not None:
-                    cell = self.telemetry.cell(*key)
-                    cell.timer.add("aggregate", fold_end - fold_start)
-                    if remaining[key] == 0:
-                        # Parent-observed latency of the cell's slowest
-                        # batch; concurrent cells overlap, so rows sum
-                        # past wall time.
-                        cell.timer.add("simulate", fold_start - started)
-                        cell.users = len(self.sim_users)
-
-        if self.telemetry is not None:
-            self.telemetry.meta["worker_restarts"] = self.worker_restarts
+                states[task[0]].add_batch(outcomes)
         return {key: state.result() for key, state in states.items()}
 
     def run_cell_columnar(
@@ -717,8 +681,6 @@ class ExperimentPool:
                     pending = {submit(r): r for r in retry}
                     break
                 state.add_batch(outcomes)
-        if self.telemetry is not None:
-            self.telemetry.meta["worker_restarts"] = self.worker_restarts
         return state.result()
 
 
@@ -761,15 +723,12 @@ def sweep_budgets_parallel(
     max_workers: int | None = None,
     n_batches: int | None = None,
     keep_per_user: bool = True,
-    telemetry: SweepTelemetry | None = None,
 ) -> dict[tuple[str, float], ExperimentResult]:
     """The Figures 3-5 grid on a shared pool, all cells in flight at once.
 
     Drop-in parallel equivalent of
     :func:`repro.experiments.runner.sweep_budgets`: same arguments, same
-    result mapping, bit-identical aggregates.  Pass a
-    :class:`~repro.experiments.timing.SweepTelemetry` to collect the
-    per-stage wall-clock rows of ``BENCH_sweep.json``.
+    result mapping, bit-identical aggregates.
     """
     base_config = base_config or ExperimentConfig()
     with ExperimentPool(
@@ -779,7 +738,6 @@ def sweep_budgets_parallel(
         max_workers=max_workers,
         n_batches=n_batches,
         base_config=base_config,
-        telemetry=telemetry,
     ) as pool:
         cells = [
             (spec, base_config.with_budget(budget))

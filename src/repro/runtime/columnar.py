@@ -298,13 +298,6 @@ class ColumnarRoundState:
     arrays carry everything with a fixed per-user width.  ``q_bytes`` and
     ``pending`` are refreshed to end-of-round snapshots after each round
     (the values the scalar ``RoundResult`` records).
-
-    ``dirty[u]`` tracks whether user ``u``'s queue composition changed
-    (ingest or delivery) since the engine last rebuilt its cached
-    merged rows for that user -- the invalidation signal of the
-    multichannel merged-row cache.  Every user starts dirty, and
-    :meth:`ColumnarEngine.run` re-dirties the whole cohort at each call
-    boundary so resumed runs never trust a stale cache.
     """
 
     data_available: np.ndarray
@@ -312,7 +305,6 @@ class ColumnarRoundState:
     q_bytes: np.ndarray
     pending: np.ndarray
     queue: np.ndarray
-    dirty: np.ndarray
 
 
 class _PerUser(Sequence):
@@ -420,6 +412,10 @@ class ColumnarEngine:
     prices selection-time energy estimates.  Realized batch energy is
     priced from the energy model's radio profiles.
     """
+
+    # Constants the benchmark harness still reads; removed with its metric in the next benchmark PR.
+    merge_cache_hits = 0
+    merge_cache_misses = 0
 
     def __init__(
         self,
@@ -546,20 +542,7 @@ class ColumnarEngine:
             q_bytes=np.zeros(users, dtype=np.float64),
             pending=np.zeros(users, dtype=np.int64),
             queue=np.zeros(0, dtype=np.int64),
-            dirty=np.ones(users, dtype=bool),
         )
-        # Merged-row cache for the multichannel joint selection: the
-        # reduced (hull-filtered) choice rows of every item, stored by
-        # flat index and valid while the owning user's queue composition
-        # (state.dirty), energy level and connectivity code are
-        # unchanged.  Only used without aging -- decay makes adjusted
-        # profits time-dependent, so aged runs rebuild every round and
-        # never allocate it.
-        self._merge_cache: list[np.ndarray] | None = None
-        self._cached_p = np.full(users, np.nan)
-        self._cached_code = np.full(users, -1, dtype=np.int64)
-        self.merge_cache_hits = 0
-        self.merge_cache_misses = 0
         # Every item is delivered at most once, so the log never outgrows
         # the cohort; rows past ``_n_delivered`` are unwritten.
         self._delivered = np.empty(cohort.n_items, dtype=DELIVERY_DTYPE)
@@ -614,9 +597,6 @@ class ColumnarEngine:
             if limit_rounds < 0:
                 raise ValueError("limit_rounds must be >= 0")
             stop = min(stop, self._next_round + limit_rounds)
-        # Call boundary: callers may inspect or mutate round state between
-        # runs, so the merged-row cache never survives a resume.
-        self.state.dirty[:] = True
         for k in range(self._next_round, stop):
             self._run_round(k, self.times[k])
         self._next_round = stop
@@ -628,7 +608,7 @@ class ColumnarEngine:
 
         The adapter (``needs_item_objects``) path snapshots one
         :class:`~repro.runtime.policy.RoundContext` per user per round;
-        benches read this to prove a scenario stayed on the batched path.
+        tests read this to prove a scenario stayed on the batched path.
         """
         return "adapter" if self._select == self._select_compat else "batched"
 
@@ -657,7 +637,6 @@ class ColumnarEngine:
             state.queue = np.insert(
                 state.queue, np.searchsorted(state.queue, joining), joining
             )
-            state.dirty[self._user_of[joining]] = True
         kernels.replenish_data_column(state.data_available, self._theta)
         kernels.replenish_energy_column(
             state.energy_available, self.device.e_t[k], self._kappa
@@ -758,15 +737,9 @@ class ColumnarEngine:
         (profits,) = self._adjusted_rows(
             group, decayed, [(self._presentation_row, self._energies_row[group.code])]
         )
-        sizes, lengths, hull = self._level_sizes, None, None
-        if self.policy.use_hull_selector:
-            # The rows greedy_select_hull would reduce each item to.
-            hull, lengths = kernels.hull_levels_batched(sizes, profits)
-            sizes = sizes[hull]
-            profits = np.take_along_axis(profits, hull, axis=1)
-        picked = self._greedy(group, sizes, profits, lengths)
+        picked = self._greedy(group, self._level_sizes, profits, None)
         rows = np.flatnonzero(picked)
-        level = picked[rows] if hull is None else hull[rows, picked[rows]]
+        level = picked[rows]
         utility = decayed[rows] * self._presentation_row[level]
         order = self._by_utility(group.flat[rows], utility)
         self._deliver(
@@ -780,51 +753,16 @@ class ColumnarEngine:
         convex hulls (:meth:`_merge_group`), which is exactly the
         filtering ``greedy_select_hull`` would apply per item, so the
         plain segmented greedy picks identical choices.
-
-        Users whose reduced rows cannot have changed since last round --
-        queue composition clean (``state.dirty``), energy level and
-        connectivity code unchanged, no aging -- reuse the rows cached
-        under their items' flat indices and skip the merge entirely.
         """
-        state = self.state
-        code, flat, members, counts = group
-        if self._aging is not None:
-            self.merge_cache_misses += members.size
-            merged = self._merge_group(now, group)
-        else:
-            p_values = state.energy_available[members]
-            miss = (
-                state.dirty[members]
-                | (self._cached_p[members] != p_values)  # richlint: ignore[RL301] -- bit-exact cache key, not a tolerance check
-                | (self._cached_code[members] != code)
-            )
-            missed = members[miss]
-            self.merge_cache_misses += missed.size
-            self.merge_cache_hits += members.size - missed.size
-            if missed.size:
-                stale = flat[np.repeat(miss, counts)]
-                fresh = self._merge_group(
-                    now, _Group(code, stale, missed, counts[miss])
-                )
-                if self._merge_cache is None:
-                    self._merge_cache = [
-                        np.zeros((self.cohort.n_items, *part.shape[1:]), part.dtype)
-                        for part in fresh
-                    ]
-                for dense, part in zip(self._merge_cache, fresh):
-                    dense[stale] = part
-                self._cached_p[missed] = p_values[miss]
-                self._cached_code[missed] = code
-                state.dirty[missed] = False
-            merged = [dense[flat] for dense in self._merge_cache]
-        sizes, profits, lengths, channels, levels, utilities = merged
+        flat = group.flat
+        sizes, profits, lengths, channels, levels, utilities = self._merge_group(now, group)
         picked = self._greedy(group, sizes, profits, lengths)
         rows = np.flatnonzero(picked)
         at = (rows, picked[rows])
         order = self._by_utility(flat[rows], utilities[at])
         self._deliver(
             now,
-            code,
+            group.code,
             flat[rows][order],
             levels[at][order],
             utilities[at][order],
@@ -1045,7 +983,6 @@ class ColumnarEngine:
             rows[name] = column
         self._n_delivered = end
         state.queue = np.delete(state.queue, np.searchsorted(state.queue, index))
-        state.dirty[users] = True
 
 
 def _estimate_row(estimate, sizes: Sequence[int]) -> list[float]:

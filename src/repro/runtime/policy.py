@@ -120,20 +120,10 @@ class RichNotePolicy:
         Control configuration (V, kappa, unit scales).  When ``None`` the
         config is derived from the bound loop's energy budget at
         ``attach`` time; when given, its ``kappa`` must match the loop's.
-    use_hull_selector:
-        Run Algorithm 1 behind LP-domination (convex hull) preprocessing
-        (:func:`repro.runtime.kernels.greedy_select_hull`).  Identical
-        selections on the library's gradient-monotone ladders; strictly
-        safer when adjusted-utility profiles dip.
     """
 
-    def __init__(
-        self,
-        lyapunov: LyapunovConfig | None = None,
-        use_hull_selector: bool = False,
-    ) -> None:
+    def __init__(self, lyapunov: LyapunovConfig | None = None) -> None:
         self._explicit_config = lyapunov
-        self.use_hull_selector = use_hull_selector
         self.controller = LyapunovController(lyapunov)
         #: End-of-round Lyapunov function values L(t) -- the stability
         #: diagnostic (bounded L <=> bounded queues, P near kappa).
@@ -180,12 +170,7 @@ class RichNotePolicy:
             # Custom utility models keep the scalar per-item path.
             sizes_rows, profits_rows = self._object_profiles(ctx, items, state)
 
-        select_fn = (
-            kernels.greedy_select_hull
-            if self.use_hull_selector
-            else kernels.greedy_select_heap
-        )
-        levels, total_size, total_profit = select_fn(
+        levels, total_size, total_profit = kernels.greedy_select_heap(
             [item.item_id for item in items],
             sizes_rows,
             profits_rows,

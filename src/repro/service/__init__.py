@@ -16,12 +16,12 @@ package runs them *continuously*, the deployment shape of Section II:
   timeouts, jittered retry budgets and the broker's circuit breakers;
 * :mod:`repro.service.server` -- :class:`NotificationService`, the
   composition of all of the above around ``runtime/loop.py`` round loops;
-* :mod:`repro.service.health` -- conservation accounting, latency
-  percentiles and the ``BENCH_service.json`` payload;
+* :mod:`repro.service.health` -- conservation accounting and latency
+  percentiles;
 * :mod:`repro.service.chaos` -- flash-crowd load and flaky sinks for
   chaos runs;
 * :mod:`repro.service.clock` -- real monotonic vs simulated time;
-* :mod:`repro.service.harness` -- the self-contained demo/bench harness
+* :mod:`repro.service.harness` -- the self-contained demo harness
   behind ``richnote serve``.
 
 Every duration in this package is measured on a monotonic clock

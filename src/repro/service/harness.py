@@ -1,20 +1,16 @@
-"""Self-contained service harness: build, load, run, report.
+"""Self-contained service harness: build, load, run.
 
-This is what ``richnote serve`` and ``benchmarks/test_bench_service.py``
-share: a complete live pipeline -- seeded devices, registry-resolved
-policies, flash-crowd ingress, flaky egress -- run on a simulated clock,
-so a multi-minute chaos scenario replays in well under a second of wall
-time and produces the ``BENCH_service.json`` payload.
-
-Wall-clock throughput is measured with ``time.monotonic`` (RL205:
-durations never come from ``time.time``).
+This is what ``richnote serve`` and the repo benchmark's
+``service-flash-crowd`` workload share: a complete live pipeline --
+seeded devices, registry-resolved policies, flash-crowd ingress, flaky
+egress -- run on a simulated clock, so a multi-minute chaos scenario
+replays in well under a second of wall time.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.core.budgets import DataBudget, EnergyBudget
@@ -30,7 +26,6 @@ from repro.service.chaos import (
     ScheduledEvent,
 )
 from repro.service.clock import SimulatedClock
-from repro.service.health import service_bench_payload
 from repro.service.server import NotificationService, ServiceConfig
 from repro.sim.battery import DiurnalBatteryModel
 from repro.sim.device import MobileDevice
@@ -53,7 +48,7 @@ def _stream_seed(seed: int, user_id: int, salt: int) -> int:
 
 @dataclass(frozen=True)
 class DemoConfig:
-    """Everything a bounded demo/bench run needs."""
+    """Everything a bounded demo run needs."""
 
     users: int = 16
     rounds: int = 6
@@ -114,7 +109,6 @@ class DemoRun:
     """Results of one bounded harness session."""
 
     service: NotificationService
-    payload: dict
     ingest_results: list = field(default_factory=list)
 
 
@@ -176,8 +170,8 @@ def build_item_factory(config: DemoConfig):
     return item_factory
 
 
-def run_demo(config: DemoConfig | None = None, meta: dict | None = None) -> DemoRun:
-    """Run one bounded chaos session; returns the service + bench payload."""
+def run_demo(config: DemoConfig | None = None) -> DemoRun:
+    """Run one bounded chaos session; returns the service and ingest results."""
     config = config or DemoConfig()
     clock = SimulatedClock()
     service = NotificationService(
@@ -206,26 +200,4 @@ def run_demo(config: DemoConfig | None = None, meta: dict | None = None) -> Demo
         await run_task
         return ingest_results
 
-    started = time.monotonic()
-    ingest_results = clock.run(session())
-    wall_seconds = time.monotonic() - started
-
-    payload = service_bench_payload(
-        service,
-        simulated_seconds=config.rounds * config.round_seconds,
-        wall_seconds=wall_seconds,
-        meta={
-            "users": config.users,
-            "rounds": config.rounds,
-            "round_seconds": config.round_seconds,
-            "queue_bound": config.queue_bound,
-            "chaos": config.chaos,
-            "policy": config.policy,
-            "seed": config.seed,
-            "events": len(scenario.schedule()),
-            **(meta or {}),
-        },
-    )
-    return DemoRun(
-        service=service, payload=payload, ingest_results=ingest_results
-    )
+    return DemoRun(service=service, ingest_results=clock.run(session()))

@@ -1,4 +1,4 @@
-"""Service health: conservation accounting, latency percentiles, bench payload.
+"""Service health: conservation accounting and latency percentiles.
 
 Every event offered to the service must end in exactly one place.  The
 conservation identity the chaos gate asserts (integers, exact):
@@ -14,28 +14,14 @@ Latency is end-to-end on the service clock: ingest admission to sink
 confirmation, including scheduling wait, retries and backoff.  The p50 /
 p99 quantiles use the nearest-rank method (deterministic, no
 interpolation surprises at tiny sample counts).
-
-``BENCH_service.json`` (schema ``richnote-bench-service/1``) packages the
-same numbers for CI: sustained notifications/sec, latency quantiles and
-the shed/deferred/dead-letter ledger under the flash-crowd scenario.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import platform
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.service.degrade import PressureLevel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.server import NotificationService
-
-#: Schema tag of BENCH_service.json.
-SERVICE_SCHEMA = "richnote-bench-service/1"
 
 
 def quantile(samples: list[float], q: float) -> float:
@@ -125,75 +111,3 @@ class HealthSnapshot:
             "conservation_error": self.conservation_error,
             "healthy": self.healthy,
         }
-
-
-def service_bench_payload(
-    service: "NotificationService",
-    simulated_seconds: float,
-    wall_seconds: float,
-    meta: dict | None = None,
-) -> dict:
-    """The ``BENCH_service.json`` document for one bounded service run."""
-    stats = service.stats
-    accounting = service.accounting()
-    controller = service.controller
-    return {
-        "schema": SERVICE_SCHEMA,
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "meta": dict(meta or {}),
-        "throughput": {
-            "simulated_seconds": simulated_seconds,
-            "wall_seconds": wall_seconds,
-            "ingested": stats.ingested,
-            "delivered": stats.delivered,
-            "delivered_per_simulated_s": (
-                stats.delivered / simulated_seconds if simulated_seconds else 0.0
-            ),
-            "ingested_per_wall_s": (
-                stats.ingested / wall_seconds if wall_seconds else 0.0
-            ),
-            "delivered_per_wall_s": (
-                stats.delivered / wall_seconds if wall_seconds else 0.0
-            ),
-        },
-        "latency_s": {
-            "count": len(stats.latencies),
-            "p50": stats.latency_quantile(0.50),
-            "p99": stats.latency_quantile(0.99),
-            "max": max(stats.latencies) if stats.latencies else 0.0,
-        },
-        "accounting": accounting,
-        "pressure": {
-            "max_level": controller.max_level.name,
-            "final_level": controller.level.name,
-            "transitions": [
-                {"time": time, "level": level.name}
-                for time, level in controller.transitions
-            ],
-        },
-        "sinks": {
-            sink.name: {
-                "attempts": sink.stats.attempts,
-                "delivered": sink.stats.delivered,
-                "failures": sink.stats.failures,
-                "timeouts": sink.stats.timeouts,
-                "retries": sink.stats.retries,
-                "breaker_skips": sink.stats.breaker_skips,
-                "breaker_transitions": sink.stats.breaker_transitions,
-                "exhausted": sink.stats.exhausted,
-                "breaker_state": sink.breaker_state.value,
-            }
-            for sink in service.sinks
-        },
-    }
-
-
-def write_bench(path: str | Path, payload: dict) -> Path:
-    """Write the bench document; returns the path written."""
-    out = Path(path)
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return out

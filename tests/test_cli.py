@@ -97,6 +97,21 @@ class TestCommands:
         assert "notifications :" in out
         assert "friend fraction" in out
 
+    def test_bench_channels_runs_the_global_seed(self, monkeypatch, capsys):
+        import repro.experiments.channels_bench as scenario
+
+        seeds = []
+        real = scenario.bench_channels
+
+        def spy(config):
+            seeds.append(config.seed)
+            return real(config)
+
+        monkeypatch.setattr(scenario, "bench_channels", spy)
+        assert main(["--seed", "5", "bench-channels", "--rounds", "14"]) == 0
+        assert seeds == [5]
+        assert "shared-cell bystanders" in capsys.readouterr().out
+
     def test_survey(self, capsys):
         assert main(["survey", "--respondents", "40"]) == 0
         out = capsys.readouterr().out

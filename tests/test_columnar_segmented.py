@@ -167,11 +167,6 @@ MATRIX = [
     ("richnote-starved", "richnote", {}, {"weekly_budget_mb": 0.05}, None),
     ("richnote-markov", "richnote", {}, {"network_mode": NetworkMode.MARKOV}, None),
     ("richnote-no-aging", "richnote", {}, {"aging_tau_seconds": None}, None),
-    ("hull-cell", "richnote", {"use_hull_selector": True}, {"weekly_budget_mb": 1.0}, None),
-    (
-        "hull-markov", "richnote", {"use_hull_selector": True},
-        {"network_mode": NetworkMode.MARKOV}, None,
-    ),
     ("fifo-cell", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 1.0}, None),
     ("fifo-markov", "fifo", {"fixed_level": 3}, {"network_mode": NetworkMode.MARKOV}, None),
     ("util-cell", "util", {"fixed_level": 3}, {"weekly_budget_mb": 1.0}, None),
@@ -180,7 +175,7 @@ MATRIX = [
         "channels-aging", "richnote", {},
         {"network_mode": NetworkMode.MARKOV, "weekly_budget_mb": 2.0}, THREE_CHANNELS,
     ),
-    (  # starved and aging-free: the merged-row cache hits on this one
+    (  # starved and aging-free: the same queued rows merge again every round
         "channels-no-aging", "richnote", {},
         {
             "aging_tau_seconds": None, "weekly_budget_mb": 0.01,
@@ -209,8 +204,6 @@ def _build(streams, name, kwargs, overrides, channel_names, adapter):
         ),
         utility_model=_AdapterModel(aging=stock.aging) if adapter else stock,
     )
-    if kwargs.get("use_hull_selector"):
-        engine.policy.use_hull_selector = True
     return columns, config, spec, engine
 
 
@@ -250,7 +243,7 @@ class TestEngineParity:
         assert _folded(columns, stepped) == batched
         assert stepped.deliveries == result.deliveries
 
-        if channel_names is None and not kwargs.get("use_hull_selector"):
+        if channel_names is None:
             pairs, annotations, duration = streams
             for (user_id, records), (digest, metrics, *_) in zip(pairs, batched):
                 twin = run_user(

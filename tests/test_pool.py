@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     sweep_budgets,
 )
 from repro.experiments.shards import balanced_batches, shard_by_user
-from repro.experiments.timing import SweepTelemetry
 from repro.experiments.workloads import eval_workload
 
 ALL_SPECS = [
@@ -179,13 +178,11 @@ class TestShardStorePool:
         config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
         spec = MethodSpec(Method.RICHNOTE)
         store_dir = tmp_path / "shards"
-        telemetry = SweepTelemetry()
         with ExperimentPool(
             workload,
             annotations=annotations,
             user_ids=users,
             max_workers=2,
-            telemetry=telemetry,
             shard_store_dir=store_dir,
         ) as mapped:
             assert mapped.shard_store_dir == str(store_dir)
@@ -194,7 +191,6 @@ class TestShardStorePool:
             assert shards_arg is None
             result = mapped.run_cell(spec, config, digest_deliveries=True)
         assert store_dir.is_dir() and any(store_dir.iterdir())
-        assert telemetry.meta["shard_store"] is True
 
         sequential = run_experiment(workload, spec, config, annotations, users)
         assert result.aggregate == sequential.aggregate
@@ -221,13 +217,11 @@ class TestPoolRecovery:
         monkeypatch.setattr(pool_module, "_run_cell_batch", _crash_once_batch)
         spec = MethodSpec(Method.RICHNOTE)
         config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
-        telemetry = SweepTelemetry()
         with ExperimentPool(
             workload,
             annotations=annotations,
             user_ids=users,
             max_workers=2,
-            telemetry=telemetry,
         ) as fresh:
             result = fresh.run_cell(spec, config)
             assert fresh.worker_restarts == 1
@@ -238,7 +232,6 @@ class TestPoolRecovery:
         assert [o.metrics.user_id for o in result.per_user] == [
             o.metrics.user_id for o in sequential.per_user
         ]
-        assert telemetry.meta["worker_restarts"] == 1
 
     def test_clean_run_reports_zero_restarts(self, pool):
         assert pool.worker_restarts == 0
@@ -312,34 +305,3 @@ class TestMetricsAccumulator:
     def test_empty_fold_rejected(self):
         with pytest.raises(ValueError, match="no user metrics"):
             MetricsAccumulator().result()
-
-
-class TestTelemetry:
-    def test_sweep_records_stages_and_cells(
-        self, workload, annotations, users, tmp_path
-    ):
-        telemetry = SweepTelemetry()
-        sweep_budgets_parallel(
-            workload,
-            [MethodSpec(Method.RICHNOTE)],
-            (5.0,),
-            ExperimentConfig(seed=7),
-            annotations,
-            users,
-            max_workers=2,
-            keep_per_user=False,
-            telemetry=telemetry,
-        )
-        payload = telemetry.write(tmp_path / "BENCH_sweep.json")
-        assert payload["schema"] == "richnote-bench-sweep/2"
-        assert payload["totals"]["users"] == len(users)
-        assert set(payload["stages_s"]) == {"train", "shard"}
-        assert payload["meta"]["engine"] == "ExperimentPool"
-        assert payload["meta"]["workers"] == 2
-        assert payload["meta"]["worker_restarts"] == 0
-        [cell] = payload["cells"]
-        assert cell["label"] == "RichNote"
-        assert cell["budget_mb"] == 5.0
-        assert set(cell["stages_s"]) == {"simulate", "aggregate"}
-        assert cell["stages_s"]["simulate"] > 0.0
-        assert (tmp_path / "BENCH_sweep.json").exists()

@@ -6,6 +6,9 @@ connectivity, battery, classifier) draws from explicitly seeded streams,
 so whole experiments must be bit-identical across runs.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec, NetworkMode
@@ -107,3 +110,36 @@ class TestLyapunovDiagnostics:
         assert len(history) == 49
         # Stability: the tail is no worse than the warm-up peak.
         assert max(history[10:]) <= max(history[:10]) + 1e-9
+
+
+class TestHostClock:
+    def test_only_the_service_clock_reads_host_time(self):
+        """Speed numbers come from ``benchmarks/harness``; inside
+        ``src/repro`` the one host-clock read is ``MonotonicClock.now()``,
+        so no run's output can depend on how fast the host is."""
+        banned = {"perf_counter", "monotonic", "time", "process_time"}
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            if path.relative_to(src).as_posix() == "service/clock.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            modules = {
+                alias.asname or alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name == "time"
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "time":
+                    names = [a.name for a in node.names if a.name in banned]
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in modules
+                ):
+                    names = [node.func.attr] if node.func.attr in banned else []
+                else:
+                    continue
+                offenders += [f"{path}:{node.lineno} time.{name}" for name in names]
+        assert offenders == []

@@ -306,43 +306,6 @@ class TestOnRealTree:
         assert not report.parse_errors
         assert report.findings == []
 
-    def test_columnar_modules_pass_enforcing_families_unbaselined(self):
-        """ISSUE 8's new modules are clean under the enforcing R2,R4,R7
-        pass with no baseline escape hatch at all."""
-        new_modules = [
-            REPO_ROOT / "src/repro/runtime/columnar.py",
-            REPO_ROOT / "src/repro/experiments/columnar.py",
-            REPO_ROOT / "src/repro/experiments/scale.py",
-        ]
-        for path in new_modules:
-            assert path.exists(), path
-        report = analyze_paths(
-            new_modules, root=REPO_ROOT, select="R2,R4,R7"
-        )
-        assert not report.parse_errors
-        assert report.findings == []
-
-    def test_shard_parallel_modules_clean_on_empty_baseline(self):
-        """ISSUE 10's new/changed modules, plus ISSUE 15's column kernels
-        (metrics, runner), pass EVERY rule family -- R2/R4/R7 and the
-        RL601 layering rule included -- with no baseline escape hatch."""
-        modules = [
-            REPO_ROOT / "src/repro/runtime/kernels.py",
-            REPO_ROOT / "src/repro/runtime/columnar.py",
-            REPO_ROOT / "src/repro/experiments/pool.py",
-            REPO_ROOT / "src/repro/experiments/scale.py",
-            REPO_ROOT / "src/repro/experiments/columnar.py",
-            REPO_ROOT / "src/repro/experiments/metrics.py",
-            REPO_ROOT / "src/repro/experiments/runner.py",
-            REPO_ROOT / "src/repro/trace/io.py",
-            REPO_ROOT / "src/repro/cli.py",
-        ]
-        for path in modules:
-            assert path.exists(), path
-        report = analyze_paths(modules, root=REPO_ROOT)
-        assert not report.parse_errors
-        assert report.findings == []
-
     def test_module_entry_point_runs_clean(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "src/repro"],

@@ -41,6 +41,7 @@ from repro.service import (
     TieredRateLimiter,
     TokenBucket,
 )
+from repro.service.chaos import FlashCrowdConfig
 from repro.service.harness import DemoConfig, run_demo
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
@@ -888,14 +889,24 @@ class TestFlashCrowdChaos:
         # run's TTL; unbounded queueing would blow far past it.
         assert p99 <= DemoConfig().ttl_seconds
 
-    def test_payload_matches_service_state(self, run):
-        payload = run.payload
-        assert payload["schema"] == "richnote-bench-service/1"
-        assert payload["accounting"]["error"] == 0
-        assert payload["throughput"]["delivered"] == run.service.stats.delivered
-        assert payload["latency_s"]["count"] == run.service.stats.delivered
-        assert payload["pressure"]["max_level"] == run.service.controller.max_level.name
-        assert payload["meta"]["users"] == 12
+    def test_quiet_scenario_never_degrades(self):
+        """Without the crowd the ladder stays NORMAL and nothing is shed."""
+        config = DemoConfig(
+            users=6,
+            rounds=4,
+            chaos="none",
+            p_outage=0.0,
+            flash_crowd=FlashCrowdConfig(
+                n_users=6,
+                duration_seconds=4 * 60.0,
+                base_rate=0.5,
+                crowd_multiplier=1.0,
+            ),
+        )
+        service = run_demo(config).service
+        assert service.controller.max_level is PressureLevel.NORMAL
+        assert service.conservation_error() == 0
+        assert service.stats.shed_queue_full == 0
 
 
 class TestDeliveryTaskRetention:

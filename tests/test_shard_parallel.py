@@ -9,10 +9,10 @@ Three contracts under test:
   scalar pool path, regardless of how positions are partitioned.
 * **Concurrent store readers** -- N processes memory-mapping the same
   :class:`TraceShardStore` observe byte-identical columns and records.
-* **Batched multichannel kernels + dirty-set cache** -- the stacked
+* **Batched multichannel kernels + resume** -- the stacked
   (channel x level) kernels match their per-item scalar twins choice
-  for choice, and the merged-row cache both engages on stable queues
-  and invalidates across ``run(limit_rounds=...)`` resume boundaries.
+  for choice, and an aging-free multichannel engine resumed across
+  ``run(limit_rounds=...)`` boundaries equals its one-shot run.
 """
 
 from __future__ import annotations
@@ -345,15 +345,14 @@ class TestBatchedKernels:
                 assert got == expected
 
 
-# -- dirty-set merge cache across resume boundaries ----------------------------
+# -- aging-free multichannel engine across resume boundaries -------------------
 
 
 def _starved_multichannel_engine(pairs, duration):
-    """A backlogged, aging-free multichannel engine: cache-friendly.
+    """A backlogged, aging-free multichannel engine.
 
-    No aging means a queued item's merged rows depend only on the queue
-    composition (the cache key); the starved budget keeps queues stable
-    across rounds so the cache actually gets hits.
+    The starved budget keeps the same items queued round after round, so
+    a resumed run re-merges rows it already merged before the boundary.
     """
     config = ExperimentConfig(
         seed=41, weekly_budget_mb=0.02, aging_tau_seconds=None
@@ -376,31 +375,24 @@ def _starved_multichannel_engine(pairs, duration):
 
 class TestDirtyCacheResume:
     def test_cache_engages_on_stable_queues(self, store):
+        """The starved engine the resume tests step stays on the batched
+        kernels and still delivers."""
         _, pairs, duration = store
         _, engine = _starved_multichannel_engine(pairs, duration)
         assert engine.selection_path == "batched"
-        engine.run()
-        assert engine.merge_cache_hits > 0
+        assert len(engine.run().delivered) > 0
 
     def test_single_stepping_invalidates_and_stays_bit_identical(self, store):
-        """run(limit_rounds=1) to completion == one-shot run.
-
-        Every ``run()`` call is a resume boundary: callers may have
-        mutated round state in between, so the cache must drop all
-        entries -- the stepper records zero hits -- while deliveries and
-        channel codes stay bit-identical to the one-shot run.
-        """
+        """run(limit_rounds=1) to completion == one-shot run: deliveries
+        and channel codes stay bit-identical across every resume boundary."""
         _, pairs, duration = store
         columns, one_shot = _starved_multichannel_engine(pairs, duration)
         result = one_shot.run()
-        assert one_shot.merge_cache_hits > 0
 
         _, stepper = _starved_multichannel_engine(pairs, duration)
         n_rounds = len(stepper.times)
         for _ in range(n_rounds):
             stepped = stepper.run(limit_rounds=1)
-        assert stepper.merge_cache_hits == 0
-        assert stepper.merge_cache_misses >= one_shot.merge_cache_misses
 
         assert stepped.deliveries == result.deliveries
         assert stepped.channel_names == result.channel_names
