@@ -15,11 +15,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.baselines import UtilScheduler
 from repro.core.budgets import DataBudget, EnergyBudget
-from repro.core.scheduler import RichNoteScheduler
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec
 from repro.experiments.runner import run_experiment
+from repro.runtime import RoundLoop, registry
 
 
 def test_bench_round_length(benchmark, workload, annotations, bench_users):
@@ -90,13 +89,11 @@ def test_bench_rollover(benchmark, workload, annotations, bench_users):
             utility_model = CombinedUtilityModel(
                 aging=ExponentialAging(config.aging_tau_seconds)
             )
-            if policy == "richnote":
-                scheduler = RichNoteScheduler(device, budget, energy, utility_model)
-            else:
-                scheduler = UtilScheduler(
-                    device, budget, energy, fixed_level=3,
-                    utility_model=utility_model,
-                )
+            params = {} if policy == "richnote" else {"fixed_level": 3}
+            scheduler = RoundLoop(
+                device, budget, energy, utility_model,
+                policy=registry.create(policy, **params),
+            )
             simulator = Simulator()
             for record in records:
                 item = record_to_item(record, ladder)

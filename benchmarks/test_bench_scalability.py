@@ -14,10 +14,10 @@ import random
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import RichNoteScheduler
 from repro.pubsub.broker import Broker, DeliveryMode
 from repro.pubsub.subscriptions import SubscriptionStore
 from repro.pubsub.topics import Publication, Topic, TopicKind
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import CellularOnlyNetwork
@@ -64,10 +64,11 @@ def _make_scheduler():
         network=CellularOnlyNetwork(),
         battery=BatteryTrace([BatterySample(0.0, 1.0, True)]),
     )
-    return RichNoteScheduler(
+    return RoundLoop(
         device=device,
         data_budget=DataBudget(theta_bytes=5_000_000.0),
         energy_budget=EnergyBudget(kappa_joules=3000.0),
+        policy=registry.create("richnote"),
     )
 
 

@@ -4,9 +4,11 @@ A full reproduction of Uddin et al., *RichNote: Adaptive Selection and
 Delivery of Rich Media Notifications to Mobile Users* (ICDCS 2016):
 
 * :mod:`repro.core` -- the paper's contribution: presentation ladders,
-  utility models, the greedy MCKP selector (Algorithm 1), the
-  Lyapunov-controlled round scheduler (Algorithm 2) and the FIFO/UTIL
-  baselines;
+  utility models, the greedy MCKP selector (Algorithm 1), the Lyapunov
+  controller and the budgets;
+* :mod:`repro.runtime` -- the round scheduler (Algorithm 2): the
+  ``RoundLoop``, the ``richnote`` / ``fifo`` / ``util`` policies and the
+  columnar cohort engine;
 * :mod:`repro.pubsub` -- a topic-based pub/sub broker (the Spotify-style
   substrate notifications originate from);
 * :mod:`repro.ml` -- a from-scratch Random Forest and evaluation tooling
@@ -34,8 +36,6 @@ Quickstart::
 
 from repro.core.content import ContentItem, ContentKind, Presentation, PresentationLadder
 from repro.core.presentations import AudioPresentationSpec, build_audio_ladder
-from repro.core.scheduler import Delivery, RichNoteScheduler, RoundResult
-from repro.core.baselines import FifoScheduler, UtilScheduler
 from repro.core.mckp import MckpInstance, MckpItem, select_presentations
 from repro.core.lyapunov import LyapunovConfig, LyapunovController, LyapunovState
 from repro.core.budgets import DataBudget, EnergyBudget
@@ -46,6 +46,7 @@ from repro.core.utility import (
     OracleContentUtility,
 )
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec, NetworkMode
+from repro.runtime.types import Delivery, RoundResult
 from repro.trace.generator import TraceConfig, Workload, WorkloadSpec, build_workload
 
 __version__ = "1.0.0"
@@ -60,7 +61,6 @@ __all__ = [
     "EnergyBudget",
     "ExperimentConfig",
     "ExponentialAging",
-    "FifoScheduler",
     "LearnedContentUtility",
     "LyapunovConfig",
     "LyapunovController",
@@ -73,10 +73,8 @@ __all__ = [
     "OracleContentUtility",
     "Presentation",
     "PresentationLadder",
-    "RichNoteScheduler",
     "RoundResult",
     "TraceConfig",
-    "UtilScheduler",
     "Workload",
     "WorkloadSpec",
     "build_audio_ladder",

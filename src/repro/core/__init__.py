@@ -23,15 +23,7 @@ from repro.core.utility import (
     OracleContentUtility,
     StepDeadlineAging,
 )
-from repro.core.scheduler import (
-    Delivery,
-    DroppedItem,
-    RichNoteScheduler,
-    RoundBasedScheduler,
-    RoundResult,
-)
 from repro.core.delivery import DeliveryEngine, DeliveryStats, RetryPolicy
-from repro.core.baselines import FifoScheduler, FixedLevelScheduler, UtilScheduler
 from repro.core.media import (
     ImagePresentationSpec,
     LadderRegistry,

@@ -13,11 +13,12 @@ never a record object, and the fold hands the engine's delivery columns
 to the column kernels the scalar path's ``compute_user_metrics`` /
 ``delivery_digest`` adapt to, so the arithmetic cannot drift between them.
 
-Scope mirrors the engine's: the paper-default pipeline.  Configs that
-enable the fault-tolerant delivery engine or multi-feed cadences fall
-back to the scalar runner (:func:`supports` gates this;
-:func:`run_experiment_columnar` falls back transparently), which remains
-the parity oracle for everything the columnar path does handle.
+Scope mirrors the engine's: the paper-default pipeline.  :func:`supports`
+says whether a config is inside it; the one caller that acts on the
+answer is :func:`repro.experiments.runner.run_users`, which sends every
+experiment entry point here and the rest (fault injection, multi-feed
+cadences) to the scalar ``run_user`` -- the parity oracle for everything
+this path does handle.
 """
 
 from __future__ import annotations
@@ -29,28 +30,21 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.presentations import build_audio_ladder
-from repro.core.utility import CombinedUtilityModel
-from repro.experiments.adapters import record_to_item
 from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
-from repro.experiments.metrics import aggregate, user_metrics_from_columns
+from repro.experiments.metrics import user_metrics_from_columns
 from repro.experiments.runner import (
-    ExperimentResult,
     UserRunOutcome,
     UtilityAnnotations,
     _device_stream_seed,
     delivery_digest_from_columns,
-    run_experiment,
 )
-from repro.experiments.shards import shard_by_user
 from repro.runtime import registry
 from repro.runtime.columnar import (
     ColumnarCohort,
     ColumnarEngine,
     build_device_columns,
-    needs_item_objects,
     round_times,
 )
-from repro.trace.generator import Workload
 from repro.trace.io import record_columns
 from repro.trace.records import NotificationRecord
 
@@ -61,7 +55,6 @@ __all__ = [
     "fold_outcomes",
     "make_engine",
     "run_cohort",
-    "run_experiment_columnar",
     "run_users_columnar",
     "supports",
 ]
@@ -71,7 +64,9 @@ def supports(config: ExperimentConfig) -> bool:
     """Whether a config runs on the columnar path.
 
     The engine models the paper-default atomic pipeline; fault injection
-    and multi-feed cadences stay on the scalar runner.
+    and multi-feed cadences stay on the scalar runner.  The engine is
+    *chosen* in one place (:func:`repro.experiments.runner.run_users`);
+    the entry points that only take columnar input raise on ``False``.
     """
     return config.faults is None and config.feed_cadences is None
 
@@ -104,14 +99,11 @@ def build_cohort(
     user_records: Sequence[tuple[int, Sequence[NotificationRecord]]],
     annotations: UtilityAnnotations,
     ladder,
-    materialize_items: bool = False,
 ) -> CohortColumns:
     """Flatten many users' streams into one set of columns.
 
     Within each user, records are stable-sorted by timestamp -- the order
-    the event heap ingests them on the scalar path.  ``materialize_items``
-    additionally builds the :class:`~repro.core.content.ContentItem` list
-    the generic-policy adapter path needs (the one case that walks records).
+    the event heap ingests them on the scalar path.
     """
     user_ids = [user_id for user_id, _ in user_records]
     counts, item_ids, created, clicked, click_time = concat_record_columns(user_records)
@@ -120,12 +112,6 @@ def build_cohort(
     item_ids = item_ids[order].tolist()
     scores = annotations.scores
     contents = [scores[item_id] for item_id in item_ids]
-    items = None
-    if materialize_items:
-        records = [r for _, stream in user_records for r in stream]
-        items = [record_to_item(records[i], ladder) for i in order.tolist()]
-        for item, content in zip(items, contents):
-            item.content_utility = content
     cohort = ColumnarCohort(
         user_ids=user_ids,
         offsets=np.concatenate(([0], np.cumsum(counts))),
@@ -133,7 +119,6 @@ def build_cohort(
         created_at=created[order],
         contents=contents,
         ladder=ladder,
-        items=items,
     )
     return CohortColumns(
         cohort=cohort,
@@ -150,25 +135,15 @@ def make_engine(
     duration_seconds: float,
     *,
     channels=None,
-    utility_model: CombinedUtilityModel | None = None,
 ) -> ColumnarEngine:
     """Build the :class:`ColumnarEngine` one cell's ``run_cohort`` would run.
 
     Exposed separately so benches and the shard-parallel path can time
     cohort construction apart from the round loop (and resume runs via
     ``engine.run(limit_rounds=...)``).  ``channels`` configures
-    multi-channel delivery; ``utility_model`` overrides the config-derived
-    model (benches use a subclass to force the adapter path).
+    multi-channel delivery.
     """
-    cohort = columns.cohort
-    if utility_model is None:
-        utility_model = config.utility_model()
     policy = registry.create(spec.policy_name, **spec.policy_params(config))
-    if cohort.items is None and needs_item_objects(policy, utility_model):
-        raise ValueError(
-            "this policy/utility model needs cohort items; rebuild the "
-            "cohort with build_cohort(..., materialize_items=True)"
-        )
     times = round_times(config.round_seconds, duration_seconds)
     device = build_device_columns(
         [_device_stream_seed(config.seed, u) for u in columns.user_ids],
@@ -179,10 +154,10 @@ def make_engine(
         markov=config.network_mode is NetworkMode.MARKOV,
     )
     return ColumnarEngine(
-        cohort,
+        columns.cohort,
         device,
         policy,
-        utility_model,
+        config.utility_model(),
         theta_bytes=config.theta_bytes_per_round,
         kappa_joules=config.kappa_joules_per_round,
         round_seconds=config.round_seconds,
@@ -254,7 +229,6 @@ def run_cohort(
     digest_deliveries: bool = False,
     *,
     channels=None,
-    utility_model: CombinedUtilityModel | None = None,
 ) -> list[UserRunOutcome]:
     """Run one (method, config) cell over a built cohort.
 
@@ -268,16 +242,8 @@ def run_cohort(
             "(no fault injection, no multi-feed cadences); use the scalar "
             "runner for this config"
         )
-    engine = make_engine(
-        columns,
-        spec,
-        config,
-        duration_seconds,
-        channels=channels,
-        utility_model=utility_model,
-    )
-    result = engine.run()
-    return fold_outcomes(columns, result, digest_deliveries)
+    engine = make_engine(columns, spec, config, duration_seconds, channels=channels)
+    return fold_outcomes(columns, engine.run(), digest_deliveries)
 
 
 def run_users_columnar(
@@ -290,63 +256,15 @@ def run_users_columnar(
     digest_deliveries: bool = False,
     *,
     channels=None,
-    utility_model: CombinedUtilityModel | None = None,
 ) -> list[UserRunOutcome]:
     """Columnar equivalent of per-user ``run_user`` over a user batch."""
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
-    if utility_model is None:
-        utility_model = config.utility_model()
-    policy = registry.create(spec.policy_name, **spec.policy_params(config))
-    columns = build_cohort(
-        user_records,
-        annotations,
-        ladder,
-        materialize_items=needs_item_objects(policy, utility_model),
-    )
     return run_cohort(
-        columns,
+        build_cohort(user_records, annotations, ladder),
         spec,
         config,
         duration_seconds,
         digest_deliveries=digest_deliveries,
         channels=channels,
-        utility_model=utility_model,
-    )
-
-
-def run_experiment_columnar(
-    workload: Workload,
-    spec: MethodSpec,
-    config: ExperimentConfig,
-    annotations: UtilityAnnotations | None = None,
-    user_ids: Sequence[int] | None = None,
-) -> ExperimentResult:
-    """Columnar drop-in for :func:`repro.experiments.runner.run_experiment`.
-
-    Unsupported configs (faults, multi-feed) transparently fall back to
-    the scalar runner, so callers can treat this as the default engine.
-    """
-    if not supports(config):
-        return run_experiment(workload, spec, config, annotations, user_ids)
-    if annotations is None:
-        annotations = UtilityAnnotations.train(
-            workload, seed=config.seed, oracle=config.use_oracle_utility
-        )
-    duration_seconds = workload.config.duration_hours * 3600.0
-    users = list(user_ids) if user_ids is not None else workload.user_ids()
-    by_user = shard_by_user(workload.records, users)
-    user_records = [
-        (user_id, by_user[user_id]) for user_id in users if by_user[user_id]
-    ]
-    if not user_records:
-        raise ValueError("no users with notifications to simulate")
-    outcomes = run_users_columnar(
-        user_records, spec, config, annotations, duration_seconds
-    )
-    return ExperimentResult(
-        spec=spec,
-        config=config,
-        aggregate=aggregate([o.metrics for o in outcomes]),
-        per_user=outcomes,
     )

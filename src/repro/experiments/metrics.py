@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.scheduler import Delivery, RoundResult
+from repro.runtime.types import Delivery, RoundResult
 from repro.trace.records import NotificationRecord
 
 

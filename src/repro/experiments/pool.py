@@ -2,39 +2,52 @@
 
 The paper argues RichNote "can potentially scale to a much larger user
 base using a backend parallel platform since our solution can work in
-rounds and independently for each user".  The one-shot
-:func:`run_experiment_parallel` below proved the sharding; the pool
-makes it a *system*:
+rounds and independently for each user".  Two entry points share one
+worker pool (:class:`_WorkerPool`: submit, wait, one restart per run):
 
-* **Pool lifecycle** -- an :class:`ExperimentPool` is initialized once
-  per sweep.  The per-user record shards and the content-utility score
-  map cross the process boundary exactly once, through the worker
+* :class:`ExperimentPool` / :func:`sweep_budgets_parallel` -- a workload
+  held in memory.  The per-user record shards and the content-utility
+  score map cross the process boundary exactly once, through the worker
   initializer; afterwards each (policy, budget) cell submits only
   ``(MethodSpec, ExperimentConfig, user-batch ids)`` -- kilobytes per
-  task instead of re-pickling the workload for every cell.
+  task.  The pool has **one task**, :func:`_run_cell_batch`, which hands
+  its user batch to :func:`repro.experiments.runner.run_users` -- the
+  same dispatch the sequential runner uses, so a batch runs as one
+  columnar cohort (or, for fault / multi-feed configs, user by user).
+* :func:`run_store_columnar_parallel` -- a population on disk.  The
+  initializer ships a shard-store *path*, tasks ship position ranges and
+  workers read the memory-mapped columns through the shared page cache.
+
+What makes it a system rather than a ``map``:
+
 * **Cost-balanced batching** -- users are partitioned into worker batches
-  by notification count (:func:`repro.experiments.shards.balanced_batches`)
-  instead of a blind fixed chunksize, so one heavy user cannot straggle a
-  whole sweep.
-* **Whole-grid scheduling** -- :func:`sweep_budgets_parallel` submits
-  *all* cells of a Figures 3-5 grid onto the shared pool at once; workers
-  drain a single global queue of (cell, batch) tasks, so the grid
-  finishes in one pipeline instead of cell-by-cell barriers.
+  by notification count (:func:`repro.experiments.shards.balanced_batches`).
+  A cell, not a user, is the columnar engine's unit of work, so
+  :func:`sweep_budgets_parallel` splits a cell only as far as keeping
+  every worker busy needs: ``ceil(4 * workers / n_cells)`` batches.
+* **Whole-grid scheduling** -- all cells of a Figures 3-5 grid go onto
+  the shared pool at once; workers drain a single global queue of
+  (cell, batch) tasks instead of cell-by-cell barriers.
 * **Streamed aggregation** -- batch results fold into a
   :class:`~repro.experiments.metrics.MetricsAccumulator` as they arrive
   and are discarded (unless ``keep_per_user=True``), so the parent holds
   at most the out-of-order frontier, never a 10k-user outcome list.
+* **Worker death** -- a killed worker breaks the whole executor; the pool
+  rebuilds it once per run from the resident initializer payload and
+  resubmits what was outstanding.  A second break propagates.
 
 Determinism: every user's simulation is seeded independently of
-scheduling order (see ``_stream_seed`` in the runner), and the parent
-folds outcomes in the *canonical sequential user order* regardless of
-batch completion order -- float summation order is preserved, so
-aggregates and per-user delivery digests are bit-identical to
+scheduling order (see ``_stream_seed`` in the runner), per-user outcomes
+do not depend on which users share a cohort, and the parent folds
+outcomes in the *canonical sequential user order* regardless of batch
+completion order -- float summation order is preserved, so aggregates
+and per-user delivery digests are bit-identical to
 :func:`repro.experiments.runner.run_experiment`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -44,7 +57,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.presentations import build_audio_ladder
 from repro.experiments.columnar import concat_record_columns, run_users_columnar, supports
 from repro.experiments.config import ExperimentConfig, MethodSpec
 from repro.experiments.metrics import FailureStats, MetricsAccumulator
@@ -53,13 +65,9 @@ from repro.experiments.runner import (
     ExperimentResult,
     UserRunOutcome,
     UtilityAnnotations,
-    run_user,
+    run_users,
 )
-from repro.experiments.shards import (
-    balanced_batches,
-    shard_by_user,
-    write_user_shards,
-)
+from repro.experiments.shards import balanced_batches, shard_by_user
 from repro.trace.generator import Workload
 from repro.trace.io import TraceShardStore
 from repro.trace.records import NotificationRecord
@@ -110,14 +118,14 @@ def oracle_scores(
 class _WorkerState:
     """Everything a worker holds for the lifetime of the pool.
 
-    Records arrive one of two ways: ``shards`` (pickled through the
-    initializer -- the default, no disk involved) or ``store_path`` (a
-    columnar shard store the worker memory-maps on first use -- the
-    initializer ships a path string, and record bytes reach the worker
-    via shared page cache instead of pickling).  ``scores`` may be
-    ``None`` for columnar range tasks: workers then derive the oracle
-    scores for their own slice (:func:`oracle_scores`), so population-scale
-    benches ship no score map at all.
+    An :class:`ExperimentPool` worker holds ``shards`` (pickled through
+    the initializer, no disk involved); a
+    :func:`run_store_columnar_parallel` worker holds ``store_path`` and
+    memory-maps the store on first use, so record bytes reach it via the
+    shared page cache instead of pickling.  ``scores`` may be ``None``
+    for store ranges: workers then derive the oracle scores for their own
+    slice (:func:`oracle_scores`), so population-scale runs ship no score
+    map at all.
     """
 
     shards: dict[int, list[NotificationRecord]] | None
@@ -130,12 +138,6 @@ class _WorkerState:
         if self.store is None:
             self.store = TraceShardStore(self.store_path)
         return self.store
-
-    def records_for(self, user_id: int) -> list[NotificationRecord]:
-        if self.shards is not None:
-            return self.shards[user_id]
-        # The scalar runner walks records more than once: build them once.
-        return list(self.ensure_store().records_for_user(user_id))
 
 
 _WORKER: _WorkerState | None = None
@@ -170,21 +172,14 @@ def _run_cell_batch(
             "worker not initialized; _run_cell_batch must run inside an "
             "ExperimentPool worker"
         )
-    annotations = UtilityAnnotations(scores=state.scores)
-    ladder = build_audio_ladder(config.presentation_spec)
-    return [
-        run_user(
-            user_id,
-            state.records_for(user_id),
-            spec,
-            config,
-            annotations,
-            state.duration_seconds,
-            ladder=ladder,
-            digest_deliveries=digest_deliveries,
-        )
-        for user_id in user_ids
-    ]
+    return run_users(
+        [(user_id, state.shards[user_id]) for user_id in user_ids],
+        spec,
+        config,
+        UtilityAnnotations(scores=state.scores),
+        state.duration_seconds,
+        digest_deliveries=digest_deliveries,
+    )
 
 
 def _columnar_outcomes_for_range(
@@ -230,25 +225,81 @@ def _run_columnar_range(
     start: int,
     stop: int,
     digest_deliveries: bool,
-) -> tuple[int, list[UserRunOutcome]]:
+) -> list[UserRunOutcome]:
     """Pool task: run one store-position range on the worker's shard store."""
     state = _WORKER
     if state is None:
         raise RuntimeError(
-            "worker not initialized; _run_columnar_range must run inside an "
-            "ExperimentPool worker"
+            "worker not initialized; _run_columnar_range must run inside a "
+            "run_store_columnar_parallel worker"
         )
-    if state.store_path is None:
-        raise RuntimeError(
-            "columnar range tasks need a shard store; initialize the pool "
-            "with shard_store_dir"
-        )
-    return start, _columnar_outcomes_for_range(
+    return _columnar_outcomes_for_range(
         state, spec, config, start, stop, digest_deliveries
     )
 
 
 # -- parent side ---------------------------------------------------------------
+
+
+class _WorkerPool:
+    """Worker processes that survive one worker death per run.
+
+    A worker killed by the OS (OOM, SIGKILL, segfault in a C extension)
+    poisons the whole ``ProcessPoolExecutor``: every outstanding future
+    raises ``BrokenProcessPool`` and the executor refuses new work.  The
+    initializer payload still lives in the parent, so recovery is a new
+    executor plus re-initialization -- no re-sharding, and the payload
+    never leaves this process except through a pool initializer.
+    """
+
+    def __init__(self, max_workers: int, initargs: tuple) -> None:
+        self.max_workers = max_workers
+        self._initargs = initargs
+        self.restarts = 0
+        self._executor = self._start()
+
+    def _start(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            initializer=_init_worker,
+            initargs=self._initargs,
+        )
+
+    def shutdown(self) -> None:
+        self._executor.shutdown()
+
+    def run(self, function, tasks: Sequence[tuple], fold) -> None:
+        """Run ``function(*task)`` for every task; ``fold(task, result)`` each.
+
+        Results fold in completion order, so ``fold`` must be
+        order-correcting.  Tasks are idempotent replays of resident
+        inputs: when a worker dies the executor is rebuilt -- once per
+        run -- and the failed task plus everything still outstanding is
+        resubmitted, folding identically.  A second break in the same run
+        propagates: the workload itself is crashing workers, not a
+        transient kill.
+        """
+        pending = {self._executor.submit(function, *task): task for task in tasks}
+        restarted = False
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                task = pending.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    if restarted:
+                        raise
+                    restarted = True
+                    self._executor.shutdown(wait=False, cancel_futures=True)
+                    self._executor = self._start()
+                    self.restarts += 1
+                    pending = {
+                        self._executor.submit(function, *retry): retry
+                        for retry in (task, *pending.values())
+                    }
+                    break
+                fold(task, result)
 
 
 def _contiguous_ranges(
@@ -306,7 +357,8 @@ def run_store_columnar_parallel(
     concatenated in canonical store order regardless of completion order,
     so the returned list -- including per-user delivery digests -- is
     bit-identical to ``workers=1``, which runs the same range code
-    in-process.
+    in-process.  A killed worker costs one executor restart
+    (:meth:`_WorkerPool.run`); a second break raises ``BrokenProcessPool``.
 
     ``annotations=None`` ships no score map at all; each worker derives
     :func:`oracle_scores` for its own slice.
@@ -338,23 +390,20 @@ def run_store_columnar_parallel(
         finally:
             if state.store is not None:
                 state.store.close()
-    ranges = _contiguous_ranges(counts, workers * ranges_per_worker)
+    tasks = [
+        (spec, config, start, stop, digest_deliveries)
+        for start, stop in _contiguous_ranges(counts, workers * ranges_per_worker)
+    ]
     parts: dict[int, list[UserRunOutcome]] = {}
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(None, store_path, scores, duration_seconds),
-    ) as executor:
-        futures = [
-            executor.submit(
-                _run_columnar_range, spec, config, start, stop,
-                digest_deliveries,
-            )
-            for start, stop in ranges
-        ]
-        for future in futures:
-            start, outcomes = future.result()
-            parts[start] = outcomes
+
+    def fold(task, outcomes) -> None:
+        parts[task[2]] = outcomes
+
+    pool = _WorkerPool(workers, (None, store_path, scores, duration_seconds))
+    try:
+        pool.run(_run_columnar_range, tasks, fold)
+    finally:
+        pool.shutdown()
     merged: list[UserRunOutcome] = []
     for start in sorted(parts):
         merged.extend(parts[start])
@@ -448,7 +497,6 @@ class ExperimentPool:
         max_workers: int | None = None,
         n_batches: int | None = None,
         base_config: ExperimentConfig | None = None,
-        shard_store_dir: "str | os.PathLike | None" = None,
     ) -> None:
         base_config = base_config or ExperimentConfig()
         if annotations is None:
@@ -473,30 +521,9 @@ class ExperimentPool:
             n_batches = self.max_workers * 4
         self.batches = balanced_batches(counts, n_batches)
         self.duration_seconds = workload.config.duration_hours * 3600.0
-        self.shard_store_dir = None
-        #: Record counts in store-position order (== sim_users order);
-        #: run_cell_columnar balances its ranges on this.
-        self._store_counts = [counts[u] for u in self.sim_users]
-        if shard_store_dir is not None:
-            # Write the columnar store once; workers memory-map it and
-            # the initializer ships a path instead of pickled records.
-            self.shard_store_dir = str(shard_store_dir)
-            write_user_shards(self.shard_store_dir, shards, self.sim_users)
-            shards = None
-        # Kept so a crashed pool can be rebuilt mid-sweep without the
-        # parent re-sharding; the payload never leaves this process
-        # except through a pool initializer.
-        self._initargs = (
-            shards,
-            self.shard_store_dir,
-            annotations.scores,
-            self.duration_seconds,
-        )
-        self.worker_restarts = 0
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_init_worker,
-            initargs=self._initargs,
+        self._workers = _WorkerPool(
+            self.max_workers,
+            (shards, None, annotations.scores, self.duration_seconds),
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -508,24 +535,12 @@ class ExperimentPool:
         self.shutdown()
 
     def shutdown(self) -> None:
-        self._executor.shutdown()
+        self._workers.shutdown()
 
-    def _rebuild_executor(self) -> None:
-        """Replace a broken pool with a fresh one from the resident payload.
-
-        A worker killed by the OS (OOM, SIGKILL, segfault in a C
-        extension) poisons the whole ``ProcessPoolExecutor``: every
-        outstanding future raises ``BrokenProcessPool`` and the executor
-        refuses new work.  The shards and scores still live in the
-        parent, so recovery is just a new pool + re-initialization.
-        """
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_init_worker,
-            initargs=self._initargs,
-        )
-        self.worker_restarts += 1
+    @property
+    def worker_restarts(self) -> int:
+        """Executor rebuilds after a worker death, over the pool's lifetime."""
+        return self._workers.restarts
 
     # -- introspection ---------------------------------------------------------
 
@@ -585,103 +600,17 @@ class ExperimentPool:
             )
 
         tasks = [
-            ((spec.label, config.weekly_budget_mb), spec, config, batch)
+            (spec, config, batch, digest_deliveries)
             for spec, config in cells
             for batch in self.batches
         ]
 
-        def submit(task):
-            _, spec, config, batch = task
-            return self._executor.submit(
-                _run_cell_batch, spec, config, batch, digest_deliveries
-            )
+        def fold(task, outcomes) -> None:
+            spec, config = task[:2]
+            states[(spec.label, config.weekly_budget_mb)].add_batch(outcomes)
 
-        pending = {submit(task): task for task in tasks}
-        restarts_this_run = 0
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool:
-                    # A worker died mid-batch, poisoning every in-flight
-                    # future.  Rebuild the pool once per run and resubmit
-                    # the failed batch plus everything still outstanding
-                    # (batches are idempotent replays of resident shards,
-                    # so a retry folds identically).  A second break in
-                    # the same run propagates: the workload itself is
-                    # crashing workers, not a transient kill.
-                    if restarts_this_run >= 1:
-                        raise
-                    restarts_this_run += 1
-                    retry = [task, *pending.values()]
-                    self._rebuild_executor()
-                    pending = {submit(t): t for t in retry}
-                    break
-                states[task[0]].add_batch(outcomes)
+        self._workers.run(_run_cell_batch, tasks, fold)
         return {key: state.result() for key, state in states.items()}
-
-    def run_cell_columnar(
-        self,
-        spec: MethodSpec,
-        config: ExperimentConfig,
-        keep_per_user: bool = True,
-        digest_deliveries: bool = False,
-    ) -> ExperimentResult:
-        """Run one cell as per-shard columnar engines over the store.
-
-        Requires the pool to have been built with ``shard_store_dir``:
-        each worker runs one :class:`~repro.runtime.columnar.ColumnarEngine`
-        per contiguous store-position range, reading records zero-copy
-        from the memory-mapped shard store.  Outcomes fold through the
-        same order-correcting :class:`_CellState` as :meth:`run_cell`, so
-        aggregates and per-user delivery digests are bit-identical to the
-        scalar batch path and to a single-process columnar run.
-        """
-        if self.shard_store_dir is None:
-            raise ValueError(
-                "run_cell_columnar needs a shard store; build the pool "
-                "with shard_store_dir"
-            )
-        if not supports(config):
-            raise ValueError(
-                "columnar execution supports the paper-default pipeline "
-                "only (no fault injection, no multi-feed cadences); use "
-                "run_cell for this config"
-            )
-        state = _CellState(spec, config, self.sim_users, keep_per_user)
-        ranges = _contiguous_ranges(
-            self._store_counts, self.max_workers * 4
-        )
-
-        def submit(task_range):
-            start, stop = task_range
-            return self._executor.submit(
-                _run_columnar_range, spec, config, start, stop,
-                digest_deliveries,
-            )
-
-        pending = {submit(r): r for r in ranges}
-        restarts_this_run = 0
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task_range = pending.pop(future)
-                try:
-                    _, outcomes = future.result()
-                except BrokenProcessPool:
-                    # Same one-restart recovery as run_cells: ranges are
-                    # idempotent replays of the on-disk store.
-                    if restarts_this_run >= 1:
-                        raise
-                    restarts_this_run += 1
-                    retry = [task_range, *pending.values()]
-                    self._rebuild_executor()
-                    pending = {submit(r): r for r in retry}
-                    break
-                state.add_batch(outcomes)
-        return state.result()
 
 
 def run_experiment_parallel(
@@ -728,9 +657,20 @@ def sweep_budgets_parallel(
 
     Drop-in parallel equivalent of
     :func:`repro.experiments.runner.sweep_budgets`: same arguments, same
-    result mapping, bit-identical aggregates.
+    result mapping, bit-identical aggregates.  ``n_batches=None`` sizes
+    the per-cell split from the grid: ``ceil(4 * workers / n_cells)``.
     """
     base_config = base_config or ExperimentConfig()
+    cells = [
+        (spec, base_config.with_budget(budget))
+        for budget in budgets_mb
+        for spec in specs
+    ]
+    if n_batches is None:
+        # A cell is the columnar engine's unit of work: split cells only
+        # as far as keeping every worker busy (4 tasks each) needs.
+        workers = max_workers or available_cores()
+        n_batches = math.ceil(4 * workers / max(1, len(cells)))
     with ExperimentPool(
         workload,
         annotations=annotations,
@@ -739,9 +679,4 @@ def sweep_budgets_parallel(
         n_batches=n_batches,
         base_config=base_config,
     ) as pool:
-        cells = [
-            (spec, base_config.with_budget(budget))
-            for budget in budgets_mb
-            for spec in specs
-        ]
         return pool.run_cells(cells, keep_per_user=keep_per_user)

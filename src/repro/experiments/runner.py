@@ -246,12 +246,12 @@ def _build_scheduler(
     config: ExperimentConfig,
     device: MobileDevice,
     utility_model: CombinedUtilityModel,
+    channels=None,
 ) -> RoundLoop:
     """One user's round loop, its policy resolved through the registry.
 
-    The runner never imports concrete policy classes: ``spec`` carries a
-    registry key plus parameters, so any registered policy -- including
-    downstream plugins -- runs through the same harness.
+    The runner never imports concrete policy classes: ``spec`` carries
+    the registry key (one of the paper's three methods) plus parameters.
     """
     data_budget = DataBudget(theta_bytes=config.theta_bytes_per_round)
     energy_budget = EnergyBudget(kappa_joules=config.kappa_joules_per_round)
@@ -264,6 +264,7 @@ def _build_scheduler(
         utility_model,
         delivery_engine=engine,
         policy=policy,
+        channels=channels,
     )
 
 
@@ -297,12 +298,19 @@ def run_user(
     duration_seconds: float,
     ladder=None,
     digest_deliveries: bool = False,
+    *,
+    channels=None,
 ) -> UserRunOutcome:
     """Replay one user's notification stream under one policy.
 
-    ``ladder`` is the presentation ladder of ``config.presentation_spec``;
-    it is identical for every user of a cell, so cell-level callers build
-    it once and pass it in (``None`` rebuilds it, for standalone use).
+    The scalar reference: one :class:`~repro.runtime.loop.RoundLoop` on
+    the event simulator, and the only runner for fault injection and
+    multi-feed cadences.  ``ladder`` is the presentation ladder of
+    ``config.presentation_spec``; it is identical for every user of a
+    cell, so cell-level callers build it once and pass it in (``None``
+    rebuilds it, for standalone use).  ``channels`` (a
+    :class:`~repro.core.channels.ChannelSet`) configures multi-channel
+    delivery, as on ``run_users_columnar``.
     """
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
@@ -313,7 +321,9 @@ def run_user(
         items.append(item)
 
     device = _build_device(user_id, config, duration_seconds)
-    scheduler = _build_scheduler(spec, config, device, config.utility_model())
+    scheduler = _build_scheduler(
+        spec, config, device, config.utility_model(), channels
+    )
     front = scheduler
     if config.feed_cadences is not None:
         from repro.core.multifeed import MultiFeedScheduler
@@ -357,6 +367,45 @@ def run_user(
     )
 
 
+def run_users(
+    user_records: Sequence[tuple[int, Sequence[NotificationRecord]]],
+    spec: MethodSpec,
+    config: ExperimentConfig,
+    annotations: UtilityAnnotations,
+    duration_seconds: float,
+    ladder=None,
+    digest_deliveries: bool = False,
+) -> list[UserRunOutcome]:
+    """Replay a batch of users under one policy; the engine is chosen here.
+
+    A config the columnar engine models
+    (:func:`repro.experiments.columnar.supports`) runs as one cohort on
+    :class:`~repro.runtime.columnar.ColumnarEngine`; fault injection and
+    multi-feed cadences replay user by user through :func:`run_user`.
+    The two are bit-identical where both apply, so the choice is
+    invisible in the outcomes.  Every experiment entry point --
+    :func:`run_experiment`, :func:`sweep_budgets`, the pool's task --
+    comes through this function.
+    """
+    # Function-level import: repro.experiments.columnar imports this module.
+    from repro.experiments.columnar import run_users_columnar, supports
+
+    if ladder is None:
+        ladder = build_audio_ladder(config.presentation_spec)
+    if supports(config):
+        return run_users_columnar(
+            user_records, spec, config, annotations, duration_seconds, ladder,
+            digest_deliveries,
+        )
+    return [
+        run_user(
+            user_id, records, spec, config, annotations, duration_seconds,
+            ladder, digest_deliveries,
+        )
+        for user_id, records in user_records
+    ]
+
+
 def run_experiment(
     workload: Workload,
     spec: MethodSpec,
@@ -372,21 +421,10 @@ def run_experiment(
     duration_seconds = workload.config.duration_hours * 3600.0
     users = list(user_ids) if user_ids is not None else workload.user_ids()
     by_user = shard_by_user(workload.records, users)
-    ladder = build_audio_ladder(config.presentation_spec)
-
-    outcomes = []
-    for user_id in users:
-        records = by_user[user_id]
-        if not records:
-            continue
-        outcomes.append(
-            run_user(
-                user_id, records, spec, config, annotations, duration_seconds,
-                ladder=ladder,
-            )
-        )
-    if not outcomes:
+    user_records = [(u, by_user[u]) for u in users if by_user[u]]
+    if not user_records:
         raise ValueError("no users with notifications to simulate")
+    outcomes = run_users(user_records, spec, config, annotations, duration_seconds)
     return ExperimentResult(
         spec=spec,
         config=config,

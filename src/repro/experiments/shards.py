@@ -23,13 +23,11 @@ Two primitives:
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Mapping, Sequence
 
-from repro.trace.io import write_shard_store
 from repro.trace.records import NotificationRecord
 
-__all__ = ["balanced_batches", "shard_by_user", "write_user_shards"]
+__all__ = ["balanced_batches", "shard_by_user"]
 
 
 def shard_by_user(
@@ -76,20 +74,3 @@ def balanced_batches(
         batches[index].append(user)
         heapq.heappush(heap, (load + costs[user], index))
     return batches
-
-
-def write_user_shards(
-    path: "str | os.PathLike",
-    by_user: Mapping[int, Sequence[NotificationRecord]],
-    user_order: Sequence[int],
-) -> int:
-    """Persist per-user shards as a columnar store, once per sweep.
-
-    Partitions are written in ``user_order`` (the canonical fold order),
-    preserving each shard's record order, so workers that memory-map the
-    store (:class:`repro.trace.io.TraceShardStore`) replay exactly the
-    lists :func:`shard_by_user` produced.  Returns the record count.
-    """
-    return write_shard_store(
-        path, ((user_id, by_user[user_id]) for user_id in user_order)
-    )

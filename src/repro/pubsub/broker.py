@@ -164,10 +164,6 @@ class SinkCircuit:
         return False
 
 
-#: Backwards-compatible private alias (pre-service name).
-_SinkCircuit = SinkCircuit
-
-
 class Broker:
     """Topic-based pub/sub broker with pluggable delivery mode.
 

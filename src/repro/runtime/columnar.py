@@ -24,12 +24,11 @@ connectivity group, never a loop over users:
   group's queued rows and runs one segmented Algorithm 1
   (:func:`repro.runtime.kernels.greedy_select`, one segment per user)
   behind the Eq. 7 kernels; delivery debits the budget columns and
-  appends :data:`DELIVERY_DTYPE` rows to one log.  The built-in
-  RichNote / FIFO / UTIL policies select this way; any other
-  :class:`~repro.runtime.policy.SchedulerPolicy` selects per user
-  through a :class:`~repro.runtime.policy.RoundContext` adapter, exactly
-  the snapshot :class:`~repro.runtime.loop.RoundLoop` would hand it, on
-  the same queue array and the same delivery.
+  appends :data:`DELIVERY_DTYPE` rows to one log.  The engine has one
+  column kernel per registered built-in (RichNote / FIFO / UTIL under
+  the stock :class:`~repro.core.utility.CombinedUtilityModel`); any
+  other policy or utility model raises :class:`ColumnarPolicyError` --
+  custom policies are evaluated on :class:`~repro.runtime.loop.RoundLoop`.
 
 Bit-for-bit parity with the scalar path is a hard contract, not an
 aspiration: every float operation pairs the same operands in the same
@@ -40,10 +39,11 @@ to an arithmetic expression as a digest-breaking change.
 
 Scope: the engine models the paper's atomic delivery semantics.  TTL
 expiry, the fault-tolerant delivery engine and service-layer level caps
-stay on the scalar path (orchestration falls back per
-``repro.experiments.columnar.supports``).  One presentation ladder is
-shared across the cohort, mirroring how the experiment layer builds
-items.  Policy lifecycle hooks run once per engine, not once per user:
+stay on :class:`~repro.runtime.loop.RoundLoop` (the experiment layer
+picks the driver in ``repro.experiments.runner.run_users``).  One
+presentation ladder is shared across the cohort, mirroring how the
+experiment layer builds items.  Policy lifecycle hooks run once per
+engine, not once per user:
 ``attach`` is invoked against a budget shim at bind time, and
 ``after_round`` diagnostics are not replayed -- deliveries and metrics,
 the parity surface, are unaffected.
@@ -66,13 +66,12 @@ import numpy as np
 
 from repro.core.budgets import EnergyBudget
 from repro.core.channels import ChannelSet
-from repro.core.content import ContentItem, PresentationLadder
+from repro.core.content import PresentationLadder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.runtime import kernels
 from repro.runtime.policy import (
     FifoPolicy,
     RichNotePolicy,
-    RoundContext,
     SchedulerPolicy,
     UtilPolicy,
 )
@@ -88,29 +87,18 @@ __all__ = [
     "DELIVERY_DTYPE",
     "ColumnarCohort",
     "ColumnarEngine",
+    "ColumnarPolicyError",
     "ColumnarRoundState",
     "ColumnarRunResult",
     "DeviceColumns",
     "build_device_columns",
-    "needs_item_objects",
     "round_times",
 ]
 
 
-def needs_item_objects(
-    policy: "SchedulerPolicy", utility_model: CombinedUtilityModel
-) -> bool:
-    """Whether this policy/model pair runs on the RoundContext adapter path.
+class ColumnarPolicyError(TypeError):
+    """The engine has no column kernel for this policy or utility model."""
 
-    The built-in policies under the stock utility model run on cohort
-    kernels and never touch :class:`~repro.core.content.ContentItem`
-    objects; anything else needs ``cohort.items`` materialized.  Exposed
-    so orchestration layers can decide without importing concrete policy
-    classes.
-    """
-    if type(utility_model) is not CombinedUtilityModel:
-        return True
-    return type(policy) not in (RichNotePolicy, FifoPolicy, UtilPolicy)
 
 #: Compact per-round connectivity codes used by :class:`DeviceColumns`.
 STATE_CODES: dict[NetworkState, int] = {
@@ -151,10 +139,7 @@ class ColumnarCohort:
     Items of user ``user_ids[u]`` occupy flat positions
     ``offsets[u]:offsets[u + 1]``, stable-sorted by ``created_at`` within
     the user (the order the event heap would ingest them).  One
-    presentation ladder is shared cohort-wide.  ``items`` is optional and
-    only needed by the generic-policy adapter path; the built-in fast
-    paths never materialize :class:`~repro.core.content.ContentItem`
-    objects.
+    presentation ladder is shared cohort-wide.
     """
 
     user_ids: list[int]
@@ -163,7 +148,6 @@ class ColumnarCohort:
     created_at: np.ndarray
     contents: np.ndarray
     ladder: PresentationLadder
-    items: list[ContentItem] | None = None
     #: ``item_ids`` as an array, for gathers by flat index.
     item_id_column: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -189,8 +173,6 @@ class ColumnarCohort:
                 raise ValueError(
                     f"{name} has {len(column)} entries, offsets imply {n_items}"
                 )
-        if self.items is not None and len(self.items) != n_items:
-            raise ValueError("items, when given, must align with the columns")
         # Item ids break Algorithm 1's gradient ties, so they must be
         # unique within a user.  Equal ids stay in flat (= user) order
         # under a stable sort, which puts a user's duplicates side by side.
@@ -398,11 +380,9 @@ class ColumnarEngine:
     Mirrors :class:`repro.runtime.loop.RoundLoop`'s phase sequence --
     ingest, replenish, select, deliver -- but each phase touches columns
     instead of one user's objects.  Selection dispatches on the bound
-    policy: the three built-ins select a whole connectivity group per
-    call; anything else runs per user through a
-    :class:`~repro.runtime.policy.RoundContext` (requires
-    ``cohort.items``).  Every path reads the same queue array and ends in
-    the same :meth:`_deliver`.
+    policy: each of the three built-ins selects a whole connectivity
+    group per call, reads the same queue array and ends in the same
+    :meth:`_deliver`.
 
     Parameters mirror what the experiment layer derives from its config:
     ``theta_bytes`` / ``kappa_joules`` parameterize the budgets (data
@@ -465,8 +445,7 @@ class ColumnarEngine:
             [ladder.utility(level) for level in range(n_levels)],
             dtype=np.float64,
         )
-        self._ladder_total = ladder.total_size()
-        self._ladder_total_f = float(self._ladder_total)
+        self._ladder_total_f = float(ladder.total_size())
 
         # Per-state precomputation: round capacity, the selection-time
         # energy estimator with its shared per-level row, and the radio
@@ -481,7 +460,7 @@ class ColumnarEngine:
         self._radio = {
             STATE_CODES[state]: energy_model.profile(state) for state in states
         }
-        self._estimate = {
+        estimates = {
             STATE_CODES[state]: partial(
                 energy_model.estimate_for_selection,
                 state,
@@ -491,7 +470,7 @@ class ColumnarEngine:
         }
         self._energies_row = {
             code: _estimate_row(estimate, self._level_sizes.tolist())
-            for code, estimate in self._estimate.items()
+            for code, estimate in estimates.items()
         }
 
         # Per-channel precomputation (multichannel only): each channel's
@@ -516,7 +495,7 @@ class ColumnarEngine:
             ]
             self._ch_energies_rows = {
                 code: [_estimate_row(estimate, wire) for wire in wire_rows]
-                for code, estimate in self._estimate.items()
+                for code, estimate in estimates.items()
             }
             self._ch_wire_table = _padded_table(wire_rows, np.int64)
             self._ch_billed_table = _padded_table(self._ch_billed_sizes, np.int64)
@@ -555,19 +534,22 @@ class ColumnarEngine:
 
     def _bind_policy(self) -> None:
         policy = self.policy
+        if (
+            type(policy) not in (RichNotePolicy, FifoPolicy, UtilPolicy)
+            or type(self.utility_model) is not CombinedUtilityModel
+        ):
+            raise ColumnarPolicyError(
+                f"no column kernel for {type(policy).__name__} under "
+                f"{type(self.utility_model).__name__}: the engine runs the "
+                "registered richnote / fifo / util policies under the stock "
+                "CombinedUtilityModel; evaluate anything else on "
+                "repro.runtime.loop.RoundLoop"
+            )
         attach = getattr(policy, "attach", None)
         if attach is not None:
             # Just enough of a RoundLoop for ``attach`` to validate against.
             attach(SimpleNamespace(energy_budget=EnergyBudget(self._kappa)))
-        if needs_item_objects(policy, self.utility_model):
-            self._select = self._select_compat
-            if self.cohort.items is None:
-                raise ValueError(
-                    "a custom policy or utility model needs cohort.items "
-                    "(materialized ContentItems) for the RoundContext "
-                    "adapter path"
-                )
-        elif type(policy) is RichNotePolicy:
+        if type(policy) is RichNotePolicy:
             self._select = (
                 self._select_richnote_channels
                 if self._multichannel
@@ -601,16 +583,6 @@ class ColumnarEngine:
             self._run_round(k, self.times[k])
         self._next_round = stop
         return self.result()
-
-    @property
-    def selection_path(self) -> str:
-        """``'batched'`` when selection runs on cohort kernels, else ``'adapter'``.
-
-        The adapter (``needs_item_objects``) path snapshots one
-        :class:`~repro.runtime.policy.RoundContext` per user per round;
-        tests read this to prove a scenario stayed on the batched path.
-        """
-        return "adapter" if self._select == self._select_compat else "batched"
 
     def result(self) -> ColumnarRunResult:
         """Outcome columns over the rounds executed so far.
@@ -847,78 +819,6 @@ class ColumnarEngine:
             utility[rows],
             np.zeros(rows.size, dtype=np.int64) if self._multichannel else None,
         )
-
-    def _select_compat(self, now: float, group: _Group) -> None:
-        """Generic policies: one RoundLoop-shaped context per user.
-
-        The snapshot matches :meth:`repro.runtime.loop.RoundLoop.make_context`
-        field for field, so any :class:`~repro.runtime.policy.SchedulerPolicy`
-        selects exactly as it would inside the scalar loop.  Policies must
-        be stateless across rounds (one shared instance serves the whole
-        cohort).  A user's selections go out over channels as soon as one
-        of them names a channel (bare pairs then ride the primary);
-        otherwise they are priced on the cohort ladder.
-        """
-        state = self.state
-        items_all = self.cohort.items
-        item_ids = self.cohort.item_ids
-        model = self.utility_model
-        channels = self.channels
-        channel_index = {name: ci for ci, name in enumerate(self.channel_names)}
-
-        def _utility_key(sel) -> float:
-            # Mirrors RoundLoop.select_phase: triples rank by the chosen
-            # channel's utility, bare pairs by the model's.
-            if len(sel) == 3:
-                return sel[2].utility(model, sel[0], sel[1], now)
-            return model.utility(sel[0], sel[1], now)
-
-        plain: list[tuple[int, int, float]] = []
-        routed: list[tuple[int, int, float, int]] = []
-        queues = np.split(group.flat, np.cumsum(group.counts)[:-1])
-        budgets = self._budgets(group).tolist()
-        for u, queue, budget in zip(group.members.tolist(), queues, budgets):
-            queue = queue.tolist()
-            context = RoundContext(
-                now=now,
-                effective_budget=budget,
-                items=[items_all[i] for i in queue],
-                backlog_bytes=float(len(queue) * self._ladder_total),
-                energy_available_joules=float(state.energy_available[u]),
-                utility_model=model,
-                estimate_energy=self._estimate[group.code],
-                channels=channels,
-            )
-            selected = list(self.policy.select(context).selections)
-            selected.sort(key=_utility_key, reverse=True)
-            index_of = {item_ids[i]: i for i in queue}
-            if any(len(sel) == 3 for sel in selected):
-                for item, level, *named in selected:
-                    channel = named[0] if named else channels.primary
-                    routed.append(
-                        (
-                            index_of[item.item_id],
-                            level,
-                            channel.utility(model, item, level, now),
-                            channel_index[channel.name],
-                        )
-                    )
-            else:
-                plain.extend(
-                    (index_of[item.item_id], level, model.utility(item, level, now))
-                    for item, level in selected
-                )
-        for chosen in (plain, routed):
-            if chosen:
-                index, level, utility, *channel = zip(*chosen)
-                self._deliver(
-                    now,
-                    group.code,
-                    np.asarray(index, dtype=np.int64),
-                    np.asarray(level, dtype=np.int64),
-                    np.asarray(utility, dtype=np.float64),
-                    *(np.asarray(column, dtype=np.int64) for column in channel),
-                )
 
     # -- delivery --------------------------------------------------------------
 

@@ -21,9 +21,9 @@ is a fixed sequence of phases (:attr:`RoundLoop.phase_names`):
 
 Each phase is a ``<name>_phase(state)`` method, so subclasses can
 override or extend individual phases without re-implementing the loop.
-Policies plug in via :meth:`RoundLoop.bind_policy`; legacy subclasses
-may instead override :meth:`RoundLoop._select` directly (the seam the
-pre-runtime ``RoundBasedScheduler`` exposed, kept working on purpose).
+The selection rule is a :class:`~repro.runtime.policy.SchedulerPolicy`
+bound via :meth:`RoundLoop.bind_policy` (docs/EXTENDING.md section 7) --
+the only policy extension point.
 """
 
 from __future__ import annotations
@@ -205,14 +205,11 @@ class RoundLoop:
     def _select(
         self, now: float, effective_budget: int
     ) -> list[tuple[ContentItem, int]]:
-        """Choose (item, level > 0) pairs within ``effective_budget`` bytes.
-
-        Delegates to the bound policy; legacy subclasses override this
-        directly instead of registering a policy.
-        """
+        """Choose (item, level > 0) pairs within ``effective_budget`` bytes
+        by asking the bound policy."""
         if self.policy is None:
             raise NotImplementedError(
-                "bind a SchedulerPolicy (bind_policy) or override _select"
+                "bind a SchedulerPolicy first (policy= or bind_policy)"
             )
         decision = self.policy.select(self.make_context(now, effective_budget))
         return list(decision.selections)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.baselines import FifoScheduler, UtilScheduler
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import CellularOnlyNetwork
@@ -14,14 +14,14 @@ LADDER = build_audio_ladder()
 ROUND = 3600.0
 
 
-def make_scheduler(cls, fixed_level=3, theta=1_000_000.0):
+def make_scheduler(name, fixed_level=3, theta=1_000_000.0):
     battery = BatteryTrace([BatterySample(0.0, 1.0, True)])
     device = MobileDevice(user_id=1, network=CellularOnlyNetwork(), battery=battery)
-    return cls(
+    return RoundLoop(
         device=device,
         data_budget=DataBudget(theta_bytes=theta),
         energy_budget=EnergyBudget(kappa_joules=3000.0),
-        fixed_level=fixed_level,
+        policy=registry.create(name, fixed_level=fixed_level),
     )
 
 
@@ -39,10 +39,10 @@ def make_item(item_id, utility=0.5, created_at=0.0):
 class TestFixedLevel:
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError):
-            make_scheduler(FifoScheduler, fixed_level=0)
+            make_scheduler("fifo", fixed_level=0)
 
     def test_always_delivers_at_fixed_level(self):
-        scheduler = make_scheduler(UtilScheduler, fixed_level=3)
+        scheduler = make_scheduler("util", fixed_level=3)
         for item_id in range(3):
             scheduler.enqueue(make_item(item_id))
         result = scheduler.run_round(ROUND, ROUND)
@@ -50,7 +50,7 @@ class TestFixedLevel:
         assert all(d.level == 3 for d in result.deliveries)
 
     def test_fixed_level_clamped_to_ladder(self):
-        scheduler = make_scheduler(FifoScheduler, fixed_level=99)
+        scheduler = make_scheduler("fifo", fixed_level=99)
         scheduler.enqueue(make_item(1))
         result = scheduler.run_round(ROUND, ROUND)
         assert result.deliveries[0].level == LADDER.max_level
@@ -60,7 +60,7 @@ class TestFifoOrdering:
     def test_delivers_oldest_first(self):
         # Budget affords exactly one 10 s presentation per round.
         scheduler = make_scheduler(
-            FifoScheduler, fixed_level=3, theta=float(LADDER.size(3))
+            "fifo", fixed_level=3, theta=float(LADDER.size(3))
         )
         scheduler.enqueue(make_item(1, utility=0.1, created_at=10.0))
         scheduler.enqueue(make_item(2, utility=0.9, created_at=5.0))
@@ -69,7 +69,7 @@ class TestFifoOrdering:
 
     def test_backlog_drains_in_arrival_order(self):
         scheduler = make_scheduler(
-            FifoScheduler, fixed_level=3, theta=float(LADDER.size(3))
+            "fifo", fixed_level=3, theta=float(LADDER.size(3))
         )
         for item_id, created in ((1, 30.0), (2, 10.0), (3, 20.0)):
             scheduler.enqueue(make_item(item_id, created_at=created))
@@ -83,7 +83,7 @@ class TestFifoOrdering:
 class TestUtilOrdering:
     def test_delivers_highest_utility_first(self):
         scheduler = make_scheduler(
-            UtilScheduler, fixed_level=3, theta=float(LADDER.size(3))
+            "util", fixed_level=3, theta=float(LADDER.size(3))
         )
         scheduler.enqueue(make_item(1, utility=0.1))
         scheduler.enqueue(make_item(2, utility=0.9))
@@ -95,7 +95,7 @@ class TestUtilOrdering:
         assert delivered == [2, 3, 1]
 
     def test_skips_unaffordable_items_but_keeps_them_queued(self):
-        scheduler = make_scheduler(UtilScheduler, fixed_level=3, theta=100.0)
+        scheduler = make_scheduler("util", fixed_level=3, theta=100.0)
         scheduler.enqueue(make_item(1))
         result = scheduler.run_round(ROUND, ROUND)
         assert result.deliveries == []
@@ -103,7 +103,7 @@ class TestUtilOrdering:
 
     def test_budget_rollover_eventually_delivers(self):
         need = LADDER.size(3)
-        scheduler = make_scheduler(UtilScheduler, fixed_level=3, theta=need / 4)
+        scheduler = make_scheduler("util", fixed_level=3, theta=need / 4)
         scheduler.enqueue(make_item(1))
         delivered = 0
         for round_index in range(1, 6):

@@ -23,7 +23,6 @@ from repro.core.utility import CombinedUtilityModel
 from repro.experiments.columnar import (
     build_cohort,
     run_cohort,
-    run_experiment_columnar,
     run_users_columnar,
     supports,
 )
@@ -33,7 +32,7 @@ from repro.experiments.config import (
     MethodSpec,
     NetworkMode,
 )
-from repro.experiments.adapters import record_to_item
+from repro.experiments.metrics import aggregate
 from repro.experiments.pool import _columnar_outcomes_for_range, _WorkerState
 from repro.experiments.runner import (
     UtilityAnnotations,
@@ -45,11 +44,11 @@ from repro.runtime import registry
 from repro.runtime.columnar import (
     ColumnarCohort,
     ColumnarEngine,
+    ColumnarPolicyError,
     build_device_columns,
-    needs_item_objects,
     round_times,
 )
-from repro.runtime.policy import FifoPolicy, RichNotePolicy, UtilPolicy
+from repro.runtime.policy import FifoPolicy
 from repro.sim.engine import Simulator
 from repro.trace.generator import TraceConfig, build_workload, iter_users
 from repro.pubsub.topics import TopicKind
@@ -79,6 +78,14 @@ def world(request):
     pairs = [(u, by_user[u]) for u in users if by_user[u]]
     duration = workload.config.duration_hours * 3600.0
     return workload, pairs, annotations, duration, seed
+
+
+def _run_user_fold(pairs, spec, config, annotations, duration):
+    """The scalar reference: one ``run_user`` per user, metrics in order."""
+    return [
+        run_user(user_id, records, spec, config, annotations, duration).metrics
+        for user_id, records in pairs
+    ]
 
 
 class TestScalarParity:
@@ -119,105 +126,65 @@ class TestScalarParity:
             assert outcome.final_queue_length == twin.final_queue_length
 
     def test_run_experiment_columnar_matches_scalar_aggregate(self, world):
-        workload, _, annotations, _, seed = world
+        """``run_experiment`` (columnar since ISSUE 18) == a ``run_user`` fold."""
+        workload, pairs, annotations, duration, seed = world
         config = ExperimentConfig(weekly_budget_mb=5.0, seed=seed)
-        users = workload.top_users(5)
         spec = MethodSpec(Method.RICHNOTE)
-        scalar = run_experiment(workload, spec, config, annotations, users)
-        columnar = run_experiment_columnar(
-            workload, spec, config, annotations, users
+        scalar = _run_user_fold(pairs, spec, config, annotations, duration)
+        columnar = run_experiment(
+            workload, spec, config, annotations, [u for u, _ in pairs]
         )
-        assert columnar.aggregate.row() == scalar.aggregate.row()
-        assert columnar.aggregate == scalar.aggregate
+        assert columnar.aggregate.row() == aggregate(scalar).row()
+        assert columnar.aggregate == aggregate(scalar)
+        assert [o.metrics for o in columnar.per_user] == scalar
 
 
-class TestCompatPath:
-    """Generic policies run through the RoundContext adapter, unchanged."""
+class TestEngineBinding:
+    """One column kernel per registered built-in under the stock model;
+    anything else is a typed error naming ``RoundLoop``, not a slow path."""
 
-    def _engines(self, world, materialize):
-        _, pairs, annotations, duration, seed = world
-        config = ExperimentConfig(weekly_budget_mb=5.0, seed=seed)
-        ladder = build_audio_ladder(config.presentation_spec)
-        columns = build_cohort(
-            pairs, annotations, ladder, materialize_items=materialize
+    @staticmethod
+    def _engine(policy, model=None):
+        cohort = ColumnarCohort(
+            user_ids=[1], offsets=[0, 1], item_ids=[10], created_at=[0.0],
+            contents=[0.5], ladder=build_audio_ladder(),
         )
-        return columns, config, duration
-
-    def _run(self, columns, config, duration, policy, model):
-        from repro.experiments.runner import _device_stream_seed
-
-        times = round_times(config.round_seconds, duration)
         device = build_device_columns(
-            [_device_stream_seed(config.seed, u) for u in columns.user_ids],
-            times,
-            config.round_seconds,
-            duration,
-            config.kappa_joules_per_round,
+            [1], round_times(3600.0, 7200.0), 3600.0, 7200.0, 3000.0
         )
-        engine = ColumnarEngine(
-            columns.cohort,
-            device,
-            policy,
-            model,
-            theta_bytes=config.theta_bytes_per_round,
-            kappa_joules=config.kappa_joules_per_round,
-            round_seconds=config.round_seconds,
-            duration_seconds=duration,
-            expected_batch=config.expected_batch,
-        )
-        return engine.run()
-
-    @pytest.mark.parametrize("name", ["richnote", "fifo", "util"])
-    def test_adapter_path_equals_kernel_path(self, world, name):
-        """A no-op CombinedUtilityModel subclass forces the adapter path;
-
-        its deliveries must be bit-identical to the kernel fast path for
-        the same policy -- the adapter is a second implementation of the
-        same round, and this pins them together.
-        """
-
-        class SameModel(CombinedUtilityModel):
-            pass
-
-        params = {} if name == "richnote" else {"fixed_level": 2}
-        columns, config, duration = self._engines(world, materialize=True)
-        fast = self._run(
-            columns, config, duration,
-            registry.create(name, **params), CombinedUtilityModel(),
-        )
-        compat = self._run(
-            columns, config, duration,
-            registry.create(name, **params), SameModel(),
-        )
-        assert fast.deliveries == compat.deliveries
-        assert np.array_equal(
-            fast.mean_backlog_bytes, compat.mean_backlog_bytes
+        return ColumnarEngine(
+            cohort, device, policy, model, theta_bytes=1e6, kappa_joules=3000.0,
+            round_seconds=3600.0, duration_seconds=7200.0,
         )
 
-    def test_adapter_without_items_rejected(self, world):
-        class SameModel(CombinedUtilityModel):
-            pass
-
-        columns, config, duration = self._engines(world, materialize=False)
-        with pytest.raises(ValueError, match="cohort.items"):
-            self._run(
-                columns, config, duration,
-                registry.create("fifo", fixed_level=2), SameModel(),
-            )
-
-    def test_needs_item_objects_dispatch(self):
+    def test_only_builtins_under_the_stock_model_bind(self):
         class SameModel(CombinedUtilityModel):
             pass
 
         class SubFifo(FifoPolicy):
             pass
 
-        stock = CombinedUtilityModel()
-        assert not needs_item_objects(RichNotePolicy(), stock)
-        assert not needs_item_objects(FifoPolicy(fixed_level=2), stock)
-        assert not needs_item_objects(UtilPolicy(fixed_level=2), stock)
-        assert needs_item_objects(SubFifo(fixed_level=2), stock)
-        assert needs_item_objects(FifoPolicy(fixed_level=2), SameModel())
+        for name, params in (
+            ("richnote", {}), ("fifo", {"fixed_level": 2}), ("util", {"fixed_level": 2}),
+        ):
+            engine = self._engine(registry.create(name, **params))
+            assert len(engine.run().delivered) == 1
+        with pytest.raises(ColumnarPolicyError, match="SubFifo.*RoundLoop"):
+            self._engine(SubFifo(fixed_level=2))
+        with pytest.raises(ColumnarPolicyError, match="SameModel.*RoundLoop"):
+            self._engine(registry.create("fifo", fixed_level=2), SameModel())
+        assert issubclass(ColumnarPolicyError, TypeError)
+
+    def test_unregistered_policy_rejected_and_never_called(self):
+        class EverythingAtOne:
+            def attach(self, loop):
+                raise AssertionError("rejected before any hook runs")
+
+            def select(self, ctx):
+                raise AssertionError("the engine has no per-user select")
+
+        with pytest.raises(ColumnarPolicyError, match="EverythingAtOne.*RoundLoop"):
+            self._engine(EverythingAtOne())
 
 
 class TestRoundGrid:
@@ -309,14 +276,15 @@ class TestEngineEdges:
         columns = build_cohort(pairs, annotations, ladder)
         with pytest.raises(ValueError, match="paper-default"):
             run_cohort(columns, MethodSpec(Method.RICHNOTE), config, duration)
-        users = [u for u, _ in pairs]
-        scalar = run_experiment(
-            workload, MethodSpec(Method.RICHNOTE), config, annotations, users
+        scalar = _run_user_fold(
+            pairs, MethodSpec(Method.RICHNOTE), config, annotations, duration
         )
-        fallback = run_experiment_columnar(
-            workload, MethodSpec(Method.RICHNOTE), config, annotations, users
+        fallback = run_experiment(
+            workload, MethodSpec(Method.RICHNOTE), config, annotations,
+            [u for u, _ in pairs],
         )
-        assert fallback.aggregate == scalar.aggregate
+        assert fallback.aggregate == aggregate(scalar)
+        assert fallback.failures.attempts > 0
 
     def test_cohort_validation(self):
         ladder = build_audio_ladder()
@@ -567,10 +535,10 @@ class TestRecordsView:
         ]
 
 
-def _reference_cohort(user_records, scores, ladder):
+def _reference_cohort(user_records, scores):
     """``build_cohort`` as the per-record loop it was (kept as the oracle)."""
     user_ids, ordered_records, offsets = [], [], [0]
-    item_ids, created, contents, items = [], [], [], []
+    item_ids, created, contents = [], [], []
     for user_id, records in user_records:
         ordered = sorted(records, key=lambda record: record.timestamp)
         user_ids.append(user_id)
@@ -579,11 +547,8 @@ def _reference_cohort(user_records, scores, ladder):
             item_ids.append(record.notification_id)
             created.append(record.timestamp)
             contents.append(scores[record.notification_id])
-            item = record_to_item(record, ladder)
-            item.content_utility = scores[record.notification_id]
-            items.append(item)
         offsets.append(len(item_ids))
-    return user_ids, ordered_records, offsets, item_ids, created, contents, items
+    return user_ids, ordered_records, offsets, item_ids, created, contents
 
 
 class TestBuildCohortFromColumns:
@@ -597,14 +562,14 @@ class TestBuildCohortFromColumns:
             for r in records
         }
         annotations = UtilityAnnotations(scores=scores)
-        user_ids, ordered, offsets, item_ids, created, contents, items = (
-            _reference_cohort(pairs, scores, ladder)
+        user_ids, ordered, offsets, item_ids, created, contents = (
+            _reference_cohort(pairs, scores)
         )
         with tempfile.TemporaryDirectory() as directory:
             views = _views_of(pairs, directory)
         mixed = [views[i] if i % 2 else pairs[i] for i in range(len(pairs))]
         for source in (pairs, views, mixed):
-            columns = build_cohort(source, annotations, ladder, materialize_items=True)
+            columns = build_cohort(source, annotations, ladder)
             cohort = columns.cohort
             assert columns.user_ids == cohort.user_ids == user_ids
             assert cohort.offsets.tolist() == offsets
@@ -617,8 +582,6 @@ class TestBuildCohortFromColumns:
             assert [
                 None if np.isnan(t) else t for t in columns.click_time.tolist()
             ] == [r.click_time for r in ordered]
-            assert [item.item_id for item in cohort.items] == item_ids
-            assert cohort.items == items
 
     def test_zero_users(self):
         columns = build_cohort([], UtilityAnnotations(scores={}), build_audio_ladder())
@@ -658,8 +621,7 @@ class TestNoObjectsOnTheCohortPath:
         assert all(o.delivery_digest for o in outcomes)
         # The counters are live: the scalar edge of the same store builds
         # records (once per user, not once per pass) and deliveries.
-        records = state.records_for(pairs[0][0])
-        assert isinstance(records, list)
+        records = list(state.ensure_store().records_for_user(pairs[0][0]))
         assert built[NotificationRecord] == len(pairs[0][1])
         twin = run_user(
             pairs[0][0], records, MethodSpec(Method.RICHNOTE),

@@ -2,11 +2,10 @@
 
 Two oracles, both per user and both heap-based: the kernel property
 replays every segment through :func:`kernels.greedy_select_heap`; the
-engine matrix replays every configuration through the RoundContext
-adapter, which runs the real policy objects (and so the heap) once per
-user per round, and -- where the scalar runner supports the
-configuration -- through ``run_user``.  Nothing here re-derives expected
-selections by hand.
+engine matrix replays every configuration -- multichannel included --
+through ``run_user``, the scalar ``RoundLoop`` that runs the real policy
+objects (and so the heap) once per user per round.  Nothing here
+re-derives expected selections by hand.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.channels import ChannelSet, builtin_channel
 from repro.core.presentations import build_audio_ladder
-from repro.core.utility import CombinedUtilityModel
 from repro.experiments.columnar import build_cohort, fold_outcomes, make_engine
 from repro.experiments.config import (
     ExperimentConfig,
@@ -28,6 +26,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import UtilityAnnotations, run_user
 from repro.runtime import kernels
+from repro.runtime.loop import RoundLoop
 from repro.trace.generator import TraceConfig, iter_users
 
 # -- the kernel against the heap ------------------------------------------------
@@ -144,10 +143,6 @@ class TestSegmentedGreedy:
 # -- the engine against the per-user paths --------------------------------------
 
 
-class _AdapterModel(CombinedUtilityModel):
-    """Stock behaviour under a new type: forces the RoundContext adapter."""
-
-
 @pytest.fixture(scope="module")
 def streams():
     trace = TraceConfig(seed=23)
@@ -187,22 +182,21 @@ MATRIX = [
 ]
 
 
-def _build(streams, name, kwargs, overrides, channel_names, adapter):
+def _channels(channel_names):
+    if not channel_names:
+        return None
+    return ChannelSet([builtin_channel(name) for name in channel_names])
+
+
+def _build(streams, name, kwargs, overrides, channel_names):
     pairs, annotations, duration = streams
     config = ExperimentConfig(seed=23, **overrides)
     spec = MethodSpec(Method(name), kwargs.get("fixed_level"))
     columns = build_cohort(
-        pairs, annotations, build_audio_ladder(config.presentation_spec),
-        materialize_items=adapter,
+        pairs, annotations, build_audio_ladder(config.presentation_spec)
     )
-    stock = config.utility_model()
     engine = make_engine(
-        columns, spec, config, duration,
-        channels=(
-            ChannelSet([builtin_channel(n) for n in channel_names])
-            if channel_names else None
-        ),
-        utility_model=_AdapterModel(aging=stock.aging) if adapter else stock,
+        columns, spec, config, duration, channels=_channels(channel_names)
     )
     return columns, config, spec, engine
 
@@ -222,35 +216,48 @@ class TestEngineParity:
         [case[1:] for case in MATRIX], ids=[case[0] for case in MATRIX],
     )
     def test_batched_equals_adapter_scalar_and_single_stepped(
-        self, streams, name, kwargs, overrides, channel_names
+        self, streams, monkeypatch, name, kwargs, overrides, channel_names
     ):
         args = (streams, name, kwargs, overrides, channel_names)
-        columns, config, spec, engine = _build(*args, adapter=False)
-        assert engine.selection_path == "batched"
+        columns, config, spec, engine = _build(*args)
         result = engine.run()
         batched = _folded(columns, result)
         assert sum(m.delivered_notifications for _, m, *_ in batched) > 0
 
-        adapter_columns, _, _, adapter = _build(*args, adapter=True)
-        assert adapter.selection_path == "adapter"
-        adapter_result = adapter.run()
-        assert _folded(adapter_columns, adapter_result) == batched
-        assert adapter_result.channel_codes == result.channel_codes
-
-        _, _, _, stepper = _build(*args, adapter=False)
+        _, _, _, stepper = _build(*args)
         for _ in stepper.times:
             stepped = stepper.run(limit_rounds=1)
         assert _folded(columns, stepped) == batched
         assert stepped.deliveries == result.deliveries
 
-        if channel_names is None:
-            pairs, annotations, duration = streams
-            for (user_id, records), (digest, metrics, *_) in zip(pairs, batched):
-                twin = run_user(
-                    user_id, records, spec, config, annotations, duration,
-                    digest_deliveries=True,
-                )
-                assert (twin.delivery_digest, twin.metrics) == (digest, metrics)
+        # The scalar runner, channels included; its deliveries' carrying
+        # channels are read off the rounds it runs.
+        carried: list[str] = []
+        run_round = RoundLoop.run_round
+
+        def recording(loop, now, round_seconds):
+            outcome = run_round(loop, now, round_seconds)
+            carried.extend(d.channel for d in outcome.deliveries)
+            return outcome
+
+        monkeypatch.setattr(RoundLoop, "run_round", recording)
+        pairs, annotations, duration = streams
+        for index, ((user_id, records), (digest, metrics, *queue)) in enumerate(
+            zip(pairs, batched)
+        ):
+            carried.clear()
+            twin = run_user(
+                user_id, records, spec, config, annotations, duration,
+                digest_deliveries=True, channels=_channels(channel_names),
+            )
+            assert (twin.delivery_digest, twin.metrics) == (digest, metrics)
+            assert [
+                twin.mean_backlog_bytes, twin.max_queue_length,
+                twin.final_queue_length,
+            ] == queue
+            assert carried == [
+                result.channel_names[code] for code in result.channel_codes[index]
+            ]
 
 
 class TestKernelCallsPerRun:
@@ -279,18 +286,19 @@ class TestKernelCallsPerRun:
 
         monkeypatch.setattr(kernels, "greedy_select", count("segmented", segmented))
         monkeypatch.setattr(kernels, "greedy_select_heap", count("heap", heap))
-        columns, _, _, engine = _build(
-            streams, "richnote", {}, overrides, channel_names, adapter=False
+        columns, config, spec, engine = _build(
+            streams, "richnote", {}, overrides, channel_names
         )
         result = engine.run()
         assert len(result.delivered) > 0
         assert 0 < calls["segmented"] <= result.rounds * groups
         assert calls["heap"] == 0
-        # The counter is live: the adapter path selects through the heap.
-        _, _, _, adapter = _build(
-            streams, "richnote", {}, overrides, channel_names, adapter=True
+        # The counter is live: the scalar runner selects through the heap.
+        pairs, annotations, duration = streams
+        run_user(
+            *pairs[0], spec, config, annotations, duration,
+            channels=_channels(channel_names),
         )
-        adapter.run(limit_rounds=30)
         assert calls["heap"] > 0
 
 
@@ -298,7 +306,7 @@ class TestResultIsASnapshot:
     def test_a_kept_result_survives_later_rounds(self, streams):
         offline = {"network_mode": NetworkMode.MARKOV}  # OFF rounds queue up
         columns, _, _, engine = _build(
-            streams, "richnote", {}, offline, None, adapter=False
+            streams, "richnote", {}, offline, None
         )
         engine.run(limit_rounds=40)
         early = engine.run(limit_rounds=0)
@@ -324,7 +332,7 @@ class TestResultIsASnapshot:
         assert np.array_equal(late.delivered[: len(early.delivered)], early.delivered)
 
     def test_per_user_views_behave_like_lists(self, streams):
-        _, _, _, engine = _build(streams, "richnote", {}, {}, None, adapter=False)
+        _, _, _, engine = _build(streams, "richnote", {}, {}, None)
         result = engine.run()
         deliveries = result.deliveries
         assert len(deliveries) == len(result.channel_codes) == engine.cohort.n_users

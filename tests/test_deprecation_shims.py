@@ -1,98 +1,25 @@
-"""The pre-runtime import paths keep working, but warn.
-
-``repro.core.scheduler`` and ``repro.core.baselines`` are compatibility
-shims over the layered runtime: the concrete scheduler classes construct a
-:class:`repro.runtime.loop.RoundLoop` and bind the matching registry
-policy.  Constructing one emits a :class:`DeprecationWarning` naming the
-replacement; the extension seams (:class:`RoundBasedScheduler`,
-:class:`FixedLevelScheduler`) stay warning-free because downstream code
-subclasses them.
-"""
+"""Finished deprecation cycles: the old import paths are gone, not shimmed."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
-
-from repro.core.budgets import DataBudget, EnergyBudget
-from repro.core.content import ContentItem, ContentKind
-from repro.core.presentations import build_audio_ladder
-from repro.runtime.loop import RoundLoop
-from repro.runtime.policy import FifoPolicy, RichNotePolicy, UtilPolicy
-from repro.sim.battery import BatterySample, BatteryTrace
-from repro.sim.device import MobileDevice
-from repro.sim.network import CellularOnlyNetwork
-
-LADDER = build_audio_ladder()
-
-
-def make_kwargs(user_id=1):
-    battery = BatteryTrace([BatterySample(time=0.0, level=1.0, charging=True)])
-    return dict(
-        device=MobileDevice(
-            user_id=user_id, network=CellularOnlyNetwork(), battery=battery
-        ),
-        data_budget=DataBudget(theta_bytes=1_000_000.0),
-        energy_budget=EnergyBudget(kappa_joules=3000.0),
-    )
-
-
-class TestOldPathsStillResolve:
-    def test_types_reexported_from_core_scheduler(self):
-        from repro.core.scheduler import Delivery, DroppedItem, RoundResult
-        from repro.runtime import types
-
-        assert Delivery is types.Delivery
-        assert DroppedItem is types.DroppedItem
-        assert RoundResult is types.RoundResult
-
-    def test_package_root_exports_unchanged(self):
-        import repro
-
-        assert repro.RichNoteScheduler is not None
-        assert repro.FifoScheduler is not None
-        assert repro.UtilScheduler is not None
-
-    def test_shim_schedulers_are_round_loops_with_bound_policies(self):
-        from repro.core.baselines import FifoScheduler, UtilScheduler
-        from repro.core.scheduler import RichNoteScheduler
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            richnote = RichNoteScheduler(**make_kwargs())
-            fifo = FifoScheduler(fixed_level=2, **make_kwargs())
-            util = UtilScheduler(fixed_level=3, **make_kwargs())
-        assert isinstance(richnote, RoundLoop)
-        assert isinstance(richnote.policy, RichNotePolicy)
-        assert isinstance(fifo.policy, FifoPolicy)
-        assert fifo.fixed_level == 2
-        assert isinstance(util.policy, UtilPolicy)
-        assert util.fixed_level == 3
 
 
 class TestDeprecationWarnings:
-    @pytest.mark.parametrize("name", ["RichNoteScheduler"])
-    def test_richnote_shim_warns_and_names_replacement(self, name):
-        from repro.core import scheduler
-
-        with pytest.warns(DeprecationWarning, match="repro.runtime.RoundLoop"):
-            getattr(scheduler, name)(**make_kwargs())
-
-    @pytest.mark.parametrize("name", ["FifoScheduler", "UtilScheduler"])
-    def test_baseline_shims_warn_and_name_replacement(self, name):
-        from repro.core import baselines
-
-        with pytest.warns(DeprecationWarning, match="registry.create"):
-            getattr(baselines, name)(fixed_level=2, **make_kwargs())
-
     def test_experiments_parallel_shim_is_gone(self):
         """The ``experiments.parallel`` shim finished its deprecation
         cycle (introduced in ISSUE 8, removed in ISSUE 9); the canonical
         import is :func:`repro.experiments.pool.run_experiment_parallel`.
+        The ``core.scheduler`` / ``core.baselines`` scheduler classes
+        followed in ISSUE 18: build a :class:`repro.runtime.RoundLoop`
+        with ``policy=registry.create(name, ...)``.
         """
         with pytest.raises(ModuleNotFoundError):
             import repro.experiments.parallel  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.scheduler  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.baselines  # noqa: F401
 
         from repro.experiments import run_experiment_parallel
         from repro.experiments.pool import (
@@ -100,60 +27,3 @@ class TestDeprecationWarnings:
         )
 
         assert run_experiment_parallel is canonical
-
-    def test_extension_seams_do_not_warn(self):
-        from repro.core.baselines import FixedLevelScheduler
-        from repro.core.scheduler import RoundBasedScheduler
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            RoundBasedScheduler(**make_kwargs())
-
-            class EverythingAtOne(FixedLevelScheduler):
-                def _ordered_queue(self, now):
-                    return list(self._selectable(now))
-
-            EverythingAtOne(fixed_level=1, **make_kwargs())
-
-
-class TestShimBehaviour:
-    def test_shim_delivers_like_a_bound_loop(self):
-        from repro.core.scheduler import RichNoteScheduler
-        from repro.runtime import registry
-
-        item = dict(
-            item_id=1,
-            user_id=1,
-            kind=ContentKind.FRIEND_FEED,
-            created_at=0.0,
-            ladder=LADDER,
-            content_utility=0.9,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = RichNoteScheduler(**make_kwargs())
-        loop = RoundLoop(
-            **make_kwargs(), policy=registry.create("richnote")
-        )
-        shim.enqueue(ContentItem(**item))
-        loop.enqueue(ContentItem(**item))
-        shim_result = shim.run_round(3600.0, 3600.0)
-        loop_result = loop.run_round(3600.0, 3600.0)
-        assert [
-            (d.item.item_id, d.level, d.size_bytes, d.utility)
-            for d in shim_result.deliveries
-        ] == [
-            (d.item.item_id, d.level, d.size_bytes, d.utility)
-            for d in loop_result.deliveries
-        ]
-
-    def test_shim_exposes_controller_and_history(self):
-        from repro.core.scheduler import RichNoteScheduler
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = RichNoteScheduler(**make_kwargs())
-        assert shim.controller is shim.policy.controller
-        shim.run_round(3600.0, 3600.0)
-        assert len(shim.lyapunov_history) == 1
-        assert shim.lyapunov_value() == pytest.approx(shim.lyapunov_history[-1])

@@ -93,7 +93,7 @@ class TestSchedulerDriftBounded:
         from repro.core.budgets import DataBudget, EnergyBudget
         from repro.core.content import ContentItem, ContentKind
         from repro.core.presentations import build_audio_ladder
-        from repro.core.scheduler import RichNoteScheduler
+        from repro.runtime import RoundLoop, registry
         from repro.sim.battery import BatterySample, BatteryTrace
         from repro.sim.device import MobileDevice
         from repro.sim.network import CellularOnlyNetwork
@@ -105,15 +105,16 @@ class TestSchedulerDriftBounded:
             network=CellularOnlyNetwork(),
             battery=BatteryTrace([BatterySample(0.0, 1.0, True)]),
         )
-        scheduler = RichNoteScheduler(
+        scheduler = RoundLoop(
             device=device,
             data_budget=DataBudget(theta_bytes=100_000.0),
             energy_budget=EnergyBudget(kappa_joules=config.kappa_joules),
+            policy=registry.create("richnote"),
         )
         rng = random.Random(2)
         max_arrivals_per_round = 4
         drifts = []
-        previous_l = scheduler.lyapunov_value()
+        previous_l = scheduler.policy.lyapunov_value(scheduler)
         for round_index in range(1, 60):
             now = round_index * 3600.0
             for offset in range(rng.randint(0, max_arrivals_per_round)):
@@ -128,7 +129,7 @@ class TestSchedulerDriftBounded:
                     )
                 )
             scheduler.run_round(now, 3600.0)
-            current_l = scheduler.lyapunov_value()
+            current_l = scheduler.policy.lyapunov_value(scheduler)
             drifts.append(current_l - previous_l)
             previous_l = current_l
         # beta: worst case admits max_arrivals * s(i) bytes with nothing
@@ -139,5 +140,5 @@ class TestSchedulerDriftBounded:
         # The drift can exceed beta only via the -Q(a-b) cross term when the
         # queue is large; stability keeps Q small, so check against beta
         # plus the small realized queue pressure.
-        q_cap = max(scheduler.lyapunov_history) ** 0.5 * (2**0.5)
+        q_cap = max(scheduler.policy.lyapunov_history) ** 0.5 * (2**0.5)
         assert max(drifts) <= beta + q_cap * nu_max + 1e-9

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.content import ContentKind
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import Delivery
+from repro.runtime.types import Delivery
 from repro.experiments.adapters import record_to_item
 from repro.experiments.config import (
     HOURS_PER_WEEK,

@@ -23,12 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import UtilScheduler
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind, Presentation, PresentationLadder
 from repro.core.delivery import DeliveryEngine, RetryPolicy
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import RichNoteScheduler
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.faults import (
@@ -56,10 +55,11 @@ def make_scheduler(network_states, battery_level=0.8, charging=False, theta=500_
             [BatterySample(0.0, battery_level, charging=charging)]
         ),
     )
-    return RichNoteScheduler(
+    return RoundLoop(
         device=device,
         data_budget=DataBudget(theta_bytes=theta),
         energy_budget=EnergyBudget(kappa_joules=3000.0),
+        policy=registry.create("richnote"),
     )
 
 
@@ -80,13 +80,13 @@ def make_util_scheduler(
         network=TraceConnectivity(list(network_states)),
         battery=BatteryTrace([BatterySample(0.0, 0.9, charging=True)]),
     )
-    return UtilScheduler(
+    return RoundLoop(
         device=device,
         data_budget=DataBudget(theta_bytes=theta),
         energy_budget=EnergyBudget(kappa_joules=3000.0),
-        fixed_level=fixed_level,
         ttl_seconds=ttl_seconds,
         delivery_engine=engine,
+        policy=registry.create("util", fixed_level=fixed_level),
     )
 
 
@@ -348,11 +348,12 @@ class TestNoFaultParity:
             network=TraceConnectivity([NetworkState.CELL]),
             battery=BatteryTrace([BatterySample(0.0, 0.8, charging=False)]),
         )
-        scheduler = RichNoteScheduler(
+        scheduler = RoundLoop(
             device=device,
             data_budget=DataBudget(theta_bytes=700_000.0),
             energy_budget=EnergyBudget(kappa_joules=3000.0),
             delivery_engine=engine,
+            policy=registry.create("richnote"),
         )
         outcomes = []
         for round_index in range(1, 8):

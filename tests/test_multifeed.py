@@ -6,7 +6,7 @@ from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.multifeed import FeedCadences, MultiFeedScheduler
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import RichNoteScheduler
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import CellularOnlyNetwork
@@ -21,10 +21,11 @@ def make_inner(theta=10_000_000.0):
         network=CellularOnlyNetwork(),
         battery=BatteryTrace([BatterySample(0.0, 1.0, True)]),
     )
-    return RichNoteScheduler(
+    return RoundLoop(
         device=device,
         data_budget=DataBudget(theta_bytes=theta),
         energy_budget=EnergyBudget(kappa_joules=3000.0),
+        policy=registry.create("richnote"),
     )
 
 

@@ -13,16 +13,21 @@ import pickle
 import pytest
 
 import repro.experiments.pool as pool_module
+from repro.core.content import ContentKind
+from repro.core.multifeed import FeedCadences
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec
 from repro.experiments.metrics import MetricsAccumulator, aggregate
 from repro.experiments.pool import ExperimentPool, sweep_budgets_parallel
 from repro.experiments.runner import (
     UtilityAnnotations,
     run_experiment,
+    run_user,
     sweep_budgets,
 )
 from repro.experiments.shards import balanced_batches, shard_by_user
 from repro.experiments.workloads import eval_workload
+from repro.runtime.loop import RoundLoop
+from repro.sim.faults import FaultConfig
 
 ALL_SPECS = [
     MethodSpec(Method.RICHNOTE),
@@ -51,6 +56,18 @@ def _crash_once_batch(spec, config, user_ids, digest_deliveries):
     except FileExistsError:
         return _real_run_cell_batch(spec, config, user_ids, digest_deliveries)
     os._exit(1)
+
+
+#: ``RoundLoop.run_round`` calls counted across processes (TestEngineDispatch):
+#: one appended byte per call, through a path forked workers inherit.
+_ROUND_LOG = {"path": ""}
+_real_run_round = RoundLoop.run_round
+
+
+def _logged_run_round(loop, now, round_seconds):
+    with open(_ROUND_LOG["path"], "a") as log:
+        log.write(".")
+    return _real_run_round(loop, now, round_seconds)
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +116,6 @@ class TestPoolParity:
             assert mine.mean_backlog_bytes == twin.mean_backlog_bytes
             assert mine.max_queue_length == twin.max_queue_length
         # ... and every delivery *sequence* digests identically.
-        from repro.experiments.runner import run_user
-
         by_user = shard_by_user(workload.records, users)
         duration = workload.config.duration_hours * 3600.0
         for outcome in parallel.per_user:
@@ -168,38 +183,71 @@ class TestPoolBoundary:
         assert pickle.loads(pickle.dumps(config)) == config
 
 
-class TestShardStorePool:
-    """Workers memory-map a columnar shard store instead of unpickling
-    records (ISSUE 8): same results, path-sized init payload."""
+HOURLY_FEEDS = FeedCadences(
+    base_period=3600.0,
+    periods={
+        ContentKind.FRIEND_FEED: 3600.0,
+        ContentKind.ALBUM_RELEASE: 6 * 3600.0,
+        ContentKind.PLAYLIST_UPDATE: 6 * 3600.0,
+    },
+)
 
-    def test_mmap_pool_matches_sequential_exactly(
-        self, workload, annotations, users, tmp_path
+
+class TestEngineDispatch:
+    """``runner.run_users`` is where the engine is chosen, for every entry
+    point: the columnar engine (no ``RoundLoop`` round at all) on a config
+    it supports, the scalar loop under faults or feed cadences -- and the
+    outcomes are a plain ``run_user`` fold either way."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the round counter patches a forked class attribute",
+    )
+    @pytest.mark.parametrize(
+        "overrides,scalar",
+        [
+            ({}, False),
+            ({"faults": FaultConfig(p_disconnect=0.2)}, True),
+            ({"feed_cadences": HOURLY_FEEDS}, True),
+        ],
+        ids=["default", "faults", "feed-cadences"],
+    )
+    def test_entry_points_pick_the_engine(
+        self, workload, annotations, users, tmp_path, monkeypatch,
+        overrides, scalar,
     ):
-        config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
         spec = MethodSpec(Method.RICHNOTE)
-        store_dir = tmp_path / "shards"
-        with ExperimentPool(
-            workload,
-            annotations=annotations,
-            user_ids=users,
-            max_workers=2,
-            shard_store_dir=store_dir,
-        ) as mapped:
-            assert mapped.shard_store_dir == str(store_dir)
-            # The initializer ships a path, not pickled shards.
-            shards_arg = mapped._initargs[0]
-            assert shards_arg is None
-            result = mapped.run_cell(spec, config, digest_deliveries=True)
-        assert store_dir.is_dir() and any(store_dir.iterdir())
-
-        sequential = run_experiment(workload, spec, config, annotations, users)
-        assert result.aggregate == sequential.aggregate
-        assert [o.metrics.user_id for o in result.per_user] == [
-            o.metrics.user_id for o in sequential.per_user
+        config = ExperimentConfig(weekly_budget_mb=5.0, seed=7, **overrides)
+        by_user = shard_by_user(workload.records, users)
+        duration = workload.config.duration_hours * 3600.0
+        reference = [
+            run_user(
+                user_id, by_user[user_id], spec, config, annotations, duration
+            )
+            for user_id in users
         ]
-        for mine, twin in zip(result.per_user, sequential.per_user):
-            assert mine.metrics == twin.metrics
-            assert mine.max_queue_length == twin.max_queue_length
+        log = tmp_path / "rounds"
+        _ROUND_LOG["path"] = str(log)
+        monkeypatch.setattr(RoundLoop, "run_round", _logged_run_round)
+
+        def run_pool_cell():
+            with ExperimentPool(
+                workload, annotations=annotations, user_ids=users, max_workers=2
+            ) as fresh:
+                return fresh.run_cell(spec, config)
+
+        for run in (
+            lambda: run_experiment(workload, spec, config, annotations, users),
+            lambda: sweep_budgets(
+                workload, [spec], (5.0,), config, annotations, users
+            )[(spec.label, 5.0)],
+            run_pool_cell,
+        ):
+            log.write_text("")
+            result = run()
+            assert (log.stat().st_size > 0) == scalar
+            assert result.per_user == reference
+            assert result.aggregate == aggregate([o.metrics for o in reference])
 
 
 class TestPoolRecovery:

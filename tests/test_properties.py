@@ -17,11 +17,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import FifoScheduler, UtilScheduler
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import RichNoteScheduler
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import SporadicCellularNetwork
@@ -41,11 +40,10 @@ def build_scheduler(policy: str, theta: float, network_seed: int):
     )
     data = DataBudget(theta_bytes=theta)
     energy = EnergyBudget(kappa_joules=3000.0)
-    if policy == "richnote":
-        return RichNoteScheduler(device, data, energy)
-    if policy == "fifo":
-        return FifoScheduler(device, data, energy, fixed_level=3)
-    return UtilScheduler(device, data, energy, fixed_level=2)
+    params = {"richnote": {}, "fifo": {"fixed_level": 3}, "util": {"fixed_level": 2}}
+    return RoundLoop(
+        device, data, energy, policy=registry.create(policy, **params[policy])
+    )
 
 
 @st.composite

@@ -76,7 +76,7 @@ class TestLyapunovDiagnostics:
         from repro.core.budgets import DataBudget, EnergyBudget
         from repro.core.content import ContentItem, ContentKind
         from repro.core.presentations import build_audio_ladder
-        from repro.core.scheduler import RichNoteScheduler
+        from repro.runtime import RoundLoop, registry
         from repro.sim.battery import BatterySample, BatteryTrace
         from repro.sim.device import MobileDevice
         from repro.sim.network import CellularOnlyNetwork
@@ -87,10 +87,11 @@ class TestLyapunovDiagnostics:
             network=CellularOnlyNetwork(),
             battery=BatteryTrace([BatterySample(0.0, 1.0, True)]),
         )
-        scheduler = RichNoteScheduler(
+        scheduler = RoundLoop(
             device=device,
             data_budget=DataBudget(theta_bytes=50_000.0),
             energy_budget=EnergyBudget(kappa_joules=3000.0),
+            policy=registry.create("richnote"),
         )
         for round_index in range(1, 50):
             now = round_index * 3600.0
@@ -106,7 +107,7 @@ class TestLyapunovDiagnostics:
                     )
                 )
             scheduler.run_round(now, 3600.0)
-        history = scheduler.lyapunov_history
+        history = scheduler.policy.lyapunov_history
         assert len(history) == 49
         # Stability: the tail is no worse than the warm-up peak.
         assert max(history[10:]) <= max(history[:10]) + 1e-9

@@ -6,7 +6,7 @@ from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.lyapunov import LyapunovConfig
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import RichNoteScheduler
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import CellularOnlyNetwork
@@ -35,11 +35,13 @@ def make_item(item_id, utility=0.5, user_id=1, created_at=0.0, clicked=False):
 
 
 def make_richnote(user_id=1, theta=1_000_000.0, kappa=3000.0, v=1000.0):
-    return RichNoteScheduler(
+    return RoundLoop(
         device=make_device(user_id),
         data_budget=DataBudget(theta_bytes=theta),
         energy_budget=EnergyBudget(kappa_joules=kappa),
-        lyapunov=LyapunovConfig(v=v, kappa_joules=kappa),
+        policy=registry.create(
+            "richnote", lyapunov=LyapunovConfig(v=v, kappa_joules=kappa)
+        ),
     )
 
 
@@ -113,10 +115,11 @@ class TestRichNoteSelection:
 
         battery = BatteryTrace([BatterySample(0.0, 1.0, True)])
         device = MobileDevice(user_id=1, network=OffNetwork(), battery=battery)
-        scheduler = RichNoteScheduler(
+        scheduler = RoundLoop(
             device=device,
             data_budget=DataBudget(theta_bytes=1000.0),
             energy_budget=EnergyBudget(kappa_joules=3000.0),
+            policy=registry.create("richnote"),
         )
         scheduler.enqueue(make_item(1))
         result = scheduler.run_round(ROUND, ROUND)
@@ -142,11 +145,13 @@ class TestRichNoteSelection:
 
     def test_kappa_mismatch_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
-            RichNoteScheduler(
+            RoundLoop(
                 device=make_device(),
                 data_budget=DataBudget(theta_bytes=0.0),
                 energy_budget=EnergyBudget(kappa_joules=3000.0),
-                lyapunov=LyapunovConfig(kappa_joules=999.0),
+                policy=registry.create(
+                    "richnote", lyapunov=LyapunovConfig(kappa_joules=999.0)
+                ),
             )
 
     def test_delivery_queue_ordered_by_utility(self):

@@ -3,10 +3,11 @@
 Three contracts under test:
 
 * **Shard-parallel determinism** -- splitting a shard store across
-  worker processes (:func:`run_store_columnar_parallel`,
-  :meth:`ExperimentPool.run_cell_columnar`) must produce per-user
-  outcomes bit-identical to the in-process columnar run and to the
-  scalar pool path, regardless of how positions are partitioned.
+  worker processes (:func:`run_store_columnar_parallel`) or a resident
+  workload across pool batches (:meth:`ExperimentPool.run_cell`) must
+  produce per-user outcomes bit-identical to the in-process columnar run
+  and to the scalar ``run_user``, regardless of how users are
+  partitioned -- and survive one killed worker per run.
 * **Concurrent store readers** -- N processes memory-mapping the same
   :class:`TraceShardStore` observe byte-identical columns and records.
 * **Batched multichannel kernels + resume** -- the stacked
@@ -18,8 +19,11 @@ Three contracts under test:
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -32,7 +36,9 @@ from repro.experiments.columnar import (
     make_engine,
     run_users_columnar,
 )
+import repro.experiments.pool as pool_module
 from repro.experiments.config import ExperimentConfig, Method, MethodSpec
+from repro.experiments.metrics import aggregate
 from repro.experiments.pool import (
     ExperimentPool,
     _contiguous_ranges,
@@ -40,7 +46,7 @@ from repro.experiments.pool import (
     oracle_scores,
     run_store_columnar_parallel,
 )
-from repro.experiments.runner import UtilityAnnotations
+from repro.experiments.runner import UtilityAnnotations, run_user
 from repro.experiments.workloads import workload_spec
 from repro.runtime.kernels import (
     hull_levels,
@@ -52,6 +58,28 @@ from repro.trace.generator import TraceConfig, build_workload, iter_users
 from repro.trace.io import SHARD_COLUMNS, TraceShardStore, write_shard_store
 
 SPEC = MethodSpec(Method.RICHNOTE)
+
+#: Crash injection for TestStoreWorkerDeath (the technique of
+#: tests/test_pool.py::TestPoolRecovery): module-level so fork-started
+#: workers resolve the stand-ins by qualified name and inherit the path.
+_CRASH_SENTINEL = {"path": ""}
+_real_run_columnar_range = pool_module._run_columnar_range
+
+
+def _crash_once_range(spec, config, start, stop, digest_deliveries):
+    """The first worker to claim the sentinel hard-exits mid-range."""
+    try:
+        with open(_CRASH_SENTINEL["path"], "x"):
+            pass
+    except FileExistsError:
+        return _real_run_columnar_range(
+            spec, config, start, stop, digest_deliveries
+        )
+    os._exit(1)
+
+
+def _crash_always_range(spec, config, start, stop, digest_deliveries):
+    os._exit(1)
 
 
 def _stream_pairs(n_users, seed=41, min_pairs=None):
@@ -219,51 +247,58 @@ class TestStoreColumnarParallel:
             run_store_columnar_parallel(path, SPEC, config, duration)
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="crash injection patches a forked module global",
+)
+class TestStoreWorkerDeath:
+    def test_crash_once_restarts_and_folds_identically(
+        self, store, tmp_path, monkeypatch
+    ):
+        path, _, duration = store
+        config = ExperimentConfig(seed=41)
+        whole = run_store_columnar_parallel(
+            path, SPEC, config, duration, workers=1, digest_deliveries=True
+        )
+        _CRASH_SENTINEL["path"] = str(tmp_path / "crashed-once")
+        monkeypatch.setattr(pool_module, "_run_columnar_range", _crash_once_range)
+        survived = run_store_columnar_parallel(
+            path, SPEC, config, duration, workers=2, digest_deliveries=True
+        )
+        assert os.path.exists(_CRASH_SENTINEL["path"])
+        assert survived == whole
+        assert all(o.delivery_digest for o in survived)
+
+    def test_second_break_propagates(self, store, monkeypatch):
+        path, _, duration = store
+        monkeypatch.setattr(pool_module, "_run_columnar_range", _crash_always_range)
+        with pytest.raises(BrokenProcessPool):
+            run_store_columnar_parallel(
+                path, SPEC, ExperimentConfig(seed=41), duration, workers=2
+            )
+
+
 class TestRunCellColumnar:
-    @pytest.fixture(scope="class")
-    def pool_world(self, tmp_path_factory):
+    def test_matches_scalar_cell(self):
+        """A pool cell (columnar batches on two workers) == a ``run_user`` fold."""
         workload = build_workload(workload_spec("small", seed=11))
-        store_dir = tmp_path_factory.mktemp("pool") / "store"
-        pool = ExperimentPool(
-            workload,
-            user_ids=workload.top_users(8),
-            max_workers=2,
-            shard_store_dir=store_dir,
-        )
-        yield pool
-        pool.shutdown()
-
-    def test_matches_scalar_cell(self, pool_world):
-        """Columnar store-range execution == the scalar batch path."""
+        users = workload.top_users(8)
         config = ExperimentConfig(seed=11, weekly_budget_mb=5.0)
-        scalar = pool_world.run_cell(SPEC, config, digest_deliveries=True)
-        columnar = pool_world.run_cell_columnar(
-            SPEC, config, digest_deliveries=True
-        )
-        assert columnar.aggregate == scalar.aggregate
-        assert [o.delivery_digest for o in columnar.per_user] == [
-            o.delivery_digest for o in scalar.per_user
-        ]
-        assert [o.metrics for o in columnar.per_user] == [
-            o.metrics for o in scalar.per_user
-        ]
-
-    def test_requires_store(self):
-        workload = build_workload(workload_spec("small", seed=11))
+        annotations = UtilityAnnotations.train(workload, seed=11)
+        duration = workload.config.duration_hours * 3600.0
         with ExperimentPool(
-            workload, user_ids=workload.top_users(3), max_workers=1
+            workload, annotations=annotations, user_ids=users, max_workers=2
         ) as pool:
-            with pytest.raises(ValueError, match="shard store"):
-                pool.run_cell_columnar(SPEC, ExperimentConfig(seed=11))
-
-    def test_rejects_unsupported_config(self, pool_world):
-        from repro.sim.faults import FaultConfig
-
-        config = ExperimentConfig(
-            seed=11, faults=FaultConfig(p_disconnect=0.2)
-        )
-        with pytest.raises(ValueError, match="paper-default"):
-            pool_world.run_cell_columnar(SPEC, config)
+            columnar = pool.run_cell(SPEC, config, digest_deliveries=True)
+        scalar = [
+            run_user(
+                user_id, workload.records_for_user(user_id), SPEC, config,
+                annotations, duration, digest_deliveries=True,
+            )
+            for user_id in users
+        ]
+        assert columnar.per_user == scalar
+        assert columnar.aggregate == aggregate([o.metrics for o in scalar])
 
 
 # -- batched multichannel kernels ----------------------------------------------
@@ -379,7 +414,6 @@ class TestDirtyCacheResume:
         kernels and still delivers."""
         _, pairs, duration = store
         _, engine = _starved_multichannel_engine(pairs, duration)
-        assert engine.selection_path == "batched"
         assert len(engine.run().delivered) > 0
 
     def test_single_stepping_invalidates_and_stays_bit_identical(self, store):

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core.baselines import FifoScheduler
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
-from repro.core.scheduler import RichNoteScheduler
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import CellularOnlyNetwork, NetworkState, TraceConnectivity
@@ -15,19 +14,19 @@ LADDER = build_audio_ladder()
 ROUND = 3600.0
 
 
-def make_scheduler(cls=RichNoteScheduler, ttl=None, theta=1_000_000.0, network=None,
-                   **kwargs):
+def make_scheduler(policy="richnote", ttl=None, theta=1_000_000.0, network=None,
+                   **policy_params):
     device = MobileDevice(
         user_id=1,
         network=network or CellularOnlyNetwork(),
         battery=BatteryTrace([BatterySample(0.0, 1.0, True)]),
     )
-    return cls(
+    return RoundLoop(
         device=device,
         data_budget=DataBudget(theta_bytes=theta),
         energy_budget=EnergyBudget(kappa_joules=3000.0),
         ttl_seconds=ttl,
-        **kwargs,
+        policy=registry.create(policy, **policy_params),
     )
 
 
@@ -92,7 +91,7 @@ class TestTtl:
         assert dropped >= 1  # the round-1 item expired during the outage
 
     def test_baselines_support_ttl(self):
-        scheduler = make_scheduler(cls=FifoScheduler, ttl=ROUND / 2, theta=0.0,
+        scheduler = make_scheduler(policy="fifo", ttl=ROUND / 2, theta=0.0,
                                    fixed_level=3)
         scheduler.enqueue(make_item(1, created_at=0.0))
         result = scheduler.run_round(ROUND, ROUND)
