@@ -85,6 +85,13 @@ def _parse_method(text: str) -> MethodSpec:
         raise argparse.ArgumentTypeError(str(error)) from error
 
 
+def _parse_probability(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not a probability in [0, 1]")
+    return value
+
+
 def _load_workload(path: str) -> Workload:
     return Workload.from_records(read_trace(path))
 
@@ -448,14 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--sink-fail",
-        type=float,
+        type=_parse_probability,
         default=0.10,
         dest="sink_fail",
         help="probability an egress delivery attempt fails",
     )
     serve.add_argument(
         "--outage",
-        type=float,
+        type=_parse_probability,
         default=0.10,
         help="per-round probability a connected device is forced offline",
     )

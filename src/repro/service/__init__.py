@@ -20,7 +20,8 @@ package runs them *continuously*, the deployment shape of Section II:
   percentiles;
 * :mod:`repro.service.chaos` -- flash-crowd load and flaky sinks for
   chaos runs;
-* :mod:`repro.service.clock` -- real monotonic vs simulated time;
+* :mod:`repro.service.clock` -- real monotonic vs simulated time, each
+  with ``now``, ``sleep`` and the ``timeout`` deadline scope;
 * :mod:`repro.service.harness` -- the self-contained demo harness
   behind ``richnote serve``.
 
@@ -32,6 +33,7 @@ wall-clock duration math.
 from repro.service.clock import (
     Clock,
     ClockStalled,
+    DeadlineScope,
     MonotonicClock,
     SimulatedClock,
 )
@@ -63,6 +65,7 @@ __all__ = [
     "BoundedUserQueue",
     "Clock",
     "ClockStalled",
+    "DeadlineScope",
     "DegradationConfig",
     "DegradationController",
     "GuardedSink",

@@ -8,9 +8,13 @@ RL205).  :class:`MonotonicClock` wraps ``time.monotonic`` for live runs.
 Tests and chaos scenarios need the opposite of real time:
 :class:`SimulatedClock` keeps a heap of sleepers and fires the earliest
 one each time the event loop goes quiescent, so a 10-minute flash crowd
-replays in milliseconds and every interleaving is reproducible.  Timeout
-races (:mod:`repro.service.sinks`) are built on ``Clock.sleep`` rather
-than ``asyncio.wait_for`` precisely so they stay on virtual time.
+replays in milliseconds and every interleaving is reproducible.
+
+Deadlines are a scope, not a race: ``with clock.timeout(seconds) as scope:``
+cancels the task running the block at its current await when the *service
+clock* reaches the deadline (:class:`DeadlineScope`).  Arming is one heap
+entry on the simulated clock, one ``loop.call_later`` on the live one -- no
+task.  ``asyncio.wait_for`` would read the event loop's real clock instead.
 """
 
 from __future__ import annotations
@@ -23,12 +27,53 @@ import time
 from typing import Awaitable, Callable, Protocol
 
 
+def _checked(seconds: float) -> float:
+    if seconds != seconds:  # NaN breaks the heap order, then becomes ``now``
+        raise ValueError("a duration must not be NaN")
+    return seconds
+
+
+class DeadlineScope:
+    """The ``with`` target of :meth:`Clock.timeout`.  ``arm(expire)``
+    schedules ``expire`` on the owning clock and returns a timer with a
+    ``cancel()``.  Past the deadline the timer wins: the block ends in
+    ``TimeoutError`` (``expired`` tells it from one the block raised itself)
+    whatever it did with the cancellation, unless someone else cancelled
+    the task as well -- that propagates."""
+
+    def __init__(self, seconds: float, arm: Callable) -> None:
+        _checked(seconds)
+        self._task = asyncio.current_task()  # RuntimeError outside a loop
+        if self._task is None:
+            raise RuntimeError("clock.timeout() needs a running task to cancel")
+        self._arm = arm
+        self.expired = False
+
+    def __enter__(self) -> "DeadlineScope":
+        self._timer = self._arm(self._expire)
+        return self
+
+    def _expire(self, timer: asyncio.Future | None = None) -> None:
+        if timer is None or not timer.cancelled():  # a disarmed heap entry
+            self.expired = True
+            self._task.cancel()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._timer.cancel()
+        if self.expired:
+            uncancel = getattr(self._task, "uncancel", None)  # Python >= 3.11
+            if not (uncancel and uncancel() and exc_type is asyncio.CancelledError):
+                raise TimeoutError("deadline reached on the service clock") from exc
+
+
 class Clock(Protocol):
-    """Minimal time source: a monotonic ``now`` and an awaitable sleep."""
+    """Minimal time source: a monotonic ``now``, an awaitable sleep, a deadline scope."""
 
     def now(self) -> float: ...  # pragma: no cover - protocol
 
     async def sleep(self, seconds: float) -> None: ...  # pragma: no cover
+
+    def timeout(self, seconds: float) -> DeadlineScope: ...  # pragma: no cover
 
 
 class MonotonicClock:
@@ -42,7 +87,11 @@ class MonotonicClock:
         return time.monotonic()
 
     async def sleep(self, seconds: float) -> None:
-        await asyncio.sleep(max(0.0, seconds))
+        await asyncio.sleep(max(0.0, _checked(seconds)))
+
+    def timeout(self, seconds: float) -> DeadlineScope:
+        call_later = asyncio.get_running_loop().call_later
+        return DeadlineScope(seconds, lambda expire: call_later(max(0.0, seconds), expire))
 
 
 class ClockStalled(RuntimeError):
@@ -96,19 +145,30 @@ class SimulatedClock:
         """Sleepers currently parked (diagnostics)."""
         return sum(1 for _, _, f in self._sleepers if not f.done())
 
-    async def sleep(self, seconds: float) -> None:
-        if seconds <= 0:
-            await asyncio.sleep(0)
-            return
+    def _park(self, seconds: float) -> asyncio.Future:
         future = asyncio.get_running_loop().create_future()
         heapq.heappush(
             self._sleepers, (self._now + seconds, next(self._seq), future)
         )
-        await future
+        return future
+
+    async def sleep(self, seconds: float) -> None:
+        if _checked(seconds) <= 0:
+            await asyncio.sleep(0)
+            return
+        await self._park(seconds)
+
+    def timeout(self, seconds: float) -> DeadlineScope:
+        def arm(expire: Callable) -> asyncio.Future:
+            timer = self._park(max(0.0, seconds))
+            timer.add_done_callback(expire)
+            return timer
+
+        return DeadlineScope(seconds, arm)
 
     def _fire_next(self) -> bool:
         """Wake the earliest live sleeper; False when none is left.
-        Cancelled ones (timers of won timeout races) are dropped as they
+        Cancelled ones (disarmed deadline scopes) are dropped as they
         reach the heap top, so at most one timeout horizon of them is held."""
         sleepers = self._sleepers
         while sleepers:

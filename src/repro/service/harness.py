@@ -78,6 +78,9 @@ class DemoConfig:
             raise ValueError("rounds must be >= 1")
         if self.chaos not in ("none", "flash-crowd"):
             raise ValueError(f"unknown chaos scenario {self.chaos!r}")
+        for name in ("sink_fail", "sink_stall", "p_outage"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability in [0, 1]")
 
     def service_config(self) -> ServiceConfig:
         if self.service is not None:
@@ -180,11 +183,13 @@ def run_demo(config: DemoConfig | None = None) -> DemoRun:
         config=config.service_config(),
         clock=clock,
     )
+    chaotic = config.chaos != "none"
     flaky = FlakySink(
         clock=clock,
         rng=random.Random(_stream_seed(config.seed, 0, _SALT_SINK)),
-        p_fail=config.sink_fail if config.chaos != "none" else 0.0,
-        p_stall=config.sink_stall if config.chaos != "none" else 0.0,
+        p_fail=config.sink_fail if chaotic else 0.0,
+        # Stalls get what failures leave: sink_fail=1.0 is "always down".
+        p_stall=min(config.sink_stall, 1.0 - config.sink_fail) if chaotic else 0.0,
         stall_seconds=config.sink_stall_seconds,
     )
     service.add_sink(flaky, name="push")

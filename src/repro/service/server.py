@@ -114,7 +114,7 @@ class NotificationService:
         self._inflight: dict[int, float] = {}  # richlint: guarded-by(event-loop)
         #: Items in the round loops; only :meth:`_fire_round` moves them.
         self._loop_backlog = 0
-        #: In-flight egress batches; settled before :meth:`run` returns.
+        #: In-flight egress, a task per delivery; settled before ``run`` returns.
         self._delivery_tasks: list[asyncio.Task] = []
         self._stop_requested = False
         self._started = False
@@ -306,7 +306,7 @@ class NotificationService:
             self._delivery_tasks.clear()
 
     def _fire_round(self, user_id: int, now: float) -> None:
-        """Run one user's round; egress continues as a background task."""
+        """Run one user's round; egress continues as a background task per delivery."""
         loop = self.loop_for(user_id)
         backlog_before = loop.pending_items
         for event in self.frontier.drain(user_id):
@@ -317,30 +317,29 @@ class NotificationService:
         self.stats.rounds_run += 1
         for dropped in result.dropped:
             self._settle_dead_letter(dropped.item.item_id, f"loop:{dropped.reason}")
-        if result.deliveries:
-            self._delivery_tasks.append(
-                asyncio.ensure_future(self._push_batch(result.deliveries))
-            )
+        for delivery in result.deliveries:
+            self._delivery_tasks.append(asyncio.ensure_future(self._push(delivery)))
 
     def _reap_delivery_tasks(self) -> None:
-        still_running = [t for t in self._delivery_tasks if not t.done()]
+        still_running = []
         for task in self._delivery_tasks:
             if task.done():
                 task.result()  # surface egress exceptions instead of dropping
+            else:
+                still_running.append(task)
         self._delivery_tasks = still_running
-
-    async def _push_batch(self, deliveries: Sequence[Delivery]) -> None:
-        await asyncio.gather(*(self._push(d) for d in deliveries))
 
     async def _push(self, delivery: Delivery) -> None:
         """Fan one delivery out to every sink; settle its accounting."""
-        if self.sinks:
-            outcomes = await asyncio.gather(
-                *(sink.deliver(delivery) for sink in self.sinks)
-            )
-            confirmed = any(outcomes)
-        else:
+        sinks = self.sinks
+        if not sinks:
             confirmed = True  # sink-less service: selection is delivery
+        elif len(sinks) == 1:
+            confirmed = await sinks[0].deliver(delivery)  # in this task
+        else:
+            confirmed = any(
+                await asyncio.gather(*(sink.deliver(delivery) for sink in sinks))
+            )
         item_id = delivery.item.item_id
         if confirmed:
             ingested_at = self._inflight.pop(item_id, None)

@@ -3,9 +3,11 @@
 :class:`GuardedSink` adapts any delivery callable -- sync or async -- to
 the service's egress contract:
 
-* every attempt races a **per-delivery timeout** measured on the service
-  clock (never ``asyncio.wait_for``: that reads the event loop's real
-  clock, which would hang forever on simulated time);
+* every attempt runs in the delivery's own task under a **per-delivery
+  timeout**, a deadline scope on the service clock (``Clock.timeout``;
+  never ``asyncio.wait_for``: that reads the event loop's real clock,
+  which would hang forever on simulated time) -- no task per attempt,
+  and a sink that answers synchronously arms nothing;
 * failures retry within a bounded **retry budget**, spaced by full-jitter
   exponential backoff (the same idiom as
   :class:`repro.core.delivery.RetryPolicy`) drawn from an explicit seeded
@@ -20,7 +22,6 @@ the service's egress contract:
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import inspect
 import random
 from dataclasses import dataclass, field
@@ -105,39 +106,21 @@ class GuardedSink:
     def breaker_state(self) -> BreakerState:
         return self.circuit.state
 
-    async def _attempt(self, delivery: Delivery) -> None:
-        result = self._sink(delivery)
-        if inspect.isawaitable(result):
-            await result
-
     async def _attempt_with_timeout(self, delivery: Delivery) -> None:
-        """Race the sink call against the service clock's timeout."""
-        attempt_task = asyncio.ensure_future(self._attempt(delivery))
-        timer_task = asyncio.ensure_future(
-            self._clock.sleep(self.policy.timeout_seconds)
-        )
-        try:
-            done, _ = await asyncio.wait(
-                {attempt_task, timer_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        except asyncio.CancelledError:
-            attempt_task.cancel()
-            timer_task.cancel()
-            raise
-        if attempt_task in done and not timer_task.done():
-            timer_task.cancel()
-            attempt_task.result()  # re-raise the sink's exception, if any
+        """One sink call, under the service clock's deadline if it awaits."""
+        result = self._sink(delivery)
+        if not inspect.isawaitable(result):
             return
-        # The timer fired: a timeout even if the attempt has finished as
-        # well by now (the deadline had already passed).
-        attempt_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError, Exception):
-            await attempt_task
-        raise SinkTimeout(
-            f"{self.name}: delivery of item {delivery.item.item_id} exceeded "
-            f"{self.policy.timeout_seconds:g}s"
-        )
+        try:
+            with self._clock.timeout(self.policy.timeout_seconds) as scope:
+                await result
+        except TimeoutError:
+            if not scope.expired:
+                raise  # the sink's own TimeoutError: an ordinary failure
+            raise SinkTimeout(
+                f"{self.name}: delivery of item {delivery.item.item_id} "
+                f"exceeded {self.policy.timeout_seconds:g}s"
+            ) from None
 
     async def deliver(self, delivery: Delivery) -> bool:
         """Deliver with retries; True on success, False when given up.
@@ -155,6 +138,11 @@ class GuardedSink:
                 self.stats.breaker_skips += 1
                 return False
             self.stats.attempts += 1
+            # Deliveries of one round are concurrent requests: the breaker
+            # admits every one of them before the first outcome is recorded
+            # (the concurrency the half-open latch exists for).  One bare
+            # yield keeps that: all run up to here, then call their sinks.
+            await asyncio.sleep(0)
             try:
                 await self._attempt_with_timeout(delivery)
             except asyncio.CancelledError:

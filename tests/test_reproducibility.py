@@ -144,3 +144,33 @@ class TestHostClock:
                     continue
                 offenders += [f"{path}:{node.lineno} time.{name}" for name in names]
         assert offenders == []
+
+    def test_service_deadlines_go_through_the_clock(self):
+        """``asyncio.wait_for`` / ``asyncio.timeout`` / ``wait(timeout=)`` /
+        ``loop.call_later`` / ``loop.call_at`` read the event loop's real
+        clock: on simulated time they hang or lie.  ``Clock.timeout`` (in
+        ``service/clock.py``) is the one place a loop timer is armed."""
+        banned = {"wait_for", "timeout", "timeout_at"}
+        service = Path(__file__).resolve().parent.parent / "src" / "repro" / "service"
+        offenders = []
+        for path in sorted(service.rglob("*.py")):
+            if path.name == "clock.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module == "asyncio":
+                    names = [a.name for a in node.names if a.name in banned]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    name, owner = node.func.attr, node.func.value
+                    on_asyncio = isinstance(owner, ast.Name) and owner.id == "asyncio"
+                    timed_wait = name == "wait" and any(
+                        keyword.arg == "timeout" for keyword in node.keywords
+                    )
+                    hit = (
+                        name in ("call_later", "call_at")
+                        or on_asyncio and (name in banned or timed_wait)
+                    )
+                    names = [name] if hit else []
+                else:
+                    continue
+                offenders += [f"{path}:{node.lineno} {name}" for name in names]
+        assert offenders == []

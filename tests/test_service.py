@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.service import (
     DegradationController,
     GuardedSink,
     IngestFrontier,
+    MonotonicClock,
     NotificationService,
     PressureLevel,
     QueuedEvent,
@@ -41,7 +43,7 @@ from repro.service import (
     TieredRateLimiter,
     TokenBucket,
 )
-from repro.service.chaos import FlashCrowdConfig
+from repro.service.chaos import FlashCrowdConfig, SinkFault
 from repro.service.harness import DemoConfig, run_demo
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
@@ -259,6 +261,108 @@ class TestSimulatedClock:
         with pytest.raises(ClockStalled):
             clock.run(stuck())
         assert clock.now() == 0.0
+
+    def test_a_nan_duration_is_rejected_before_it_reaches_the_heap(self):
+        """NaN passes ``seconds <= 0``, breaks the heap order and, once
+        fired, becomes ``now``: virtual time then runs backwards."""
+        clock = SimulatedClock()
+
+        async def scenario():
+            with pytest.raises(ValueError, match="NaN"):
+                await clock.sleep(float("nan"))
+            with pytest.raises(ValueError, match="NaN"):
+                clock.timeout(float("nan"))
+            await clock.sleep(1.0)
+            return len(clock._sleepers)
+
+        assert drive(clock, scenario()) == 0
+        assert clock.now() == 1.0
+
+        async def live():
+            with pytest.raises(ValueError, match="NaN"):
+                await MonotonicClock().sleep(float("nan"))
+            with pytest.raises(ValueError, match="NaN"):
+                MonotonicClock().timeout(float("nan"))
+
+        asyncio.run(live())
+
+    @pytest.mark.parametrize("clock_type", [SimulatedClock, MonotonicClock])
+    def test_a_deadline_needs_a_running_task_to_cancel(self, clock_type):
+        with pytest.raises(RuntimeError):
+            clock_type().timeout(1.0)
+
+
+class TestDeadlineScope:
+    """``with clock.timeout(seconds) as scope:`` (``TestGuardedSink`` has
+    the sink-level cases, the live clock among them)."""
+
+    def test_fires_at_the_deadline_exactly(self):
+        clock = SimulatedClock(start=3.0)
+
+        async def scenario():
+            with pytest.raises(TimeoutError):
+                with clock.timeout(5.0) as scope:
+                    await clock.sleep(60.0)
+            # Python >= 3.11 counts cancel requests: ours must be taken back.
+            cancelling = getattr(asyncio.current_task(), "cancelling", lambda: 0)()
+            return scope.expired, clock.now(), cancelling
+
+        assert drive(clock, scenario()) == (True, 8.0, 0)
+
+    def test_a_block_that_finishes_first_leaves_no_live_sleeper(self):
+        clock = SimulatedClock()
+
+        async def scenario():
+            with clock.timeout(5.0) as scope:
+                await clock.sleep(1.0)
+            parked = clock.pending_sleepers
+            await clock.sleep(30.0)  # well past the disarmed deadline
+            return scope.expired, parked
+
+        assert drive(clock, scenario()) == (False, 0)
+        assert clock.now() == 31.0
+
+    def test_an_outside_cancel_propagates(self):
+        clock = SimulatedClock()
+        seen = []
+
+        async def guarded_block():
+            try:
+                with clock.timeout(5.0) as scope:
+                    seen.append(scope)
+                    await clock.sleep(60.0)
+            except BaseException as error:
+                seen.append(type(error))
+                raise
+
+        async def scenario():
+            task = asyncio.ensure_future(guarded_block())
+            await clock.sleep(1.0)
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            return task.cancelled()
+
+        assert drive(clock, scenario())
+        assert seen[1] is asyncio.CancelledError
+        assert not seen[0].expired
+        assert clock.pending_sleepers == 0
+
+    def test_equal_deadlines_fire_in_arming_order(self):
+        clock = SimulatedClock()
+        order = []
+
+        async def block(label):
+            try:
+                with clock.timeout(4.0):
+                    await clock.sleep(60.0)
+            except TimeoutError:
+                order.append((label, clock.now()))
+
+        async def scenario():
+            await asyncio.gather(*(block(label) for label in range(8)))
+
+        drive(clock, scenario())
+        assert order == [(label, 4.0) for label in range(8)]
 
 
 class TestTokenBucket:
@@ -622,6 +726,78 @@ class TestGuardedSink:
         assert guarded.breaker_state is BreakerState.CLOSED
 
 
+    def test_the_sinks_own_timeout_error_is_an_ordinary_failure(self):
+        clock = SimulatedClock()
+
+        async def refuses(_delivery):
+            await clock.sleep(1.0)
+            raise TimeoutError("upstream gateway timed out")
+
+        guarded = self._guarded(refuses, clock, policy=SinkPolicy(max_attempts=1))
+        assert drive(clock, guarded.deliver(delivery())) is False
+        assert guarded.stats.failures == 1
+        assert guarded.stats.timeouts == 0
+
+    def test_a_sink_that_swallows_its_cancellation_still_timed_out(self):
+        clock = SimulatedClock()
+
+        async def stubborn(_delivery):
+            try:
+                await clock.sleep(120.0)
+            except asyncio.CancelledError:
+                pass  # "the timer wins" whatever the sink does with it
+
+        policy = SinkPolicy(timeout_seconds=5.0, max_attempts=1)
+        guarded = self._guarded(stubborn, clock, policy=policy)
+        assert drive(clock, guarded.deliver(delivery())) is False
+        assert guarded.stats.timeouts == 1
+        assert clock.now() == 5.0
+
+    def test_a_sync_sink_arms_nothing(self):
+        clock = SimulatedClock()
+        guarded = self._guarded(lambda _delivery: None, clock)
+
+        async def scenario():
+            for i in range(50):
+                assert await guarded.deliver(delivery(i))
+            return len(clock._sleepers)
+
+        assert drive(clock, scenario()) == 0
+
+    def test_guarded_sink_on_the_live_clock(self):
+        """A stalled sink is cut off by ``loop.call_later`` deadlines in
+        real time; nothing is left armed for the healthy one after it."""
+        clock = MonotonicClock()
+        policy = SinkPolicy(
+            timeout_seconds=0.05,
+            max_attempts=2,
+            base_backoff_seconds=0.0,
+            max_backoff_seconds=0.0,
+        )
+        seen = []
+
+        async def stalled(_delivery):
+            await asyncio.sleep(5)
+
+        async def healthy(d):
+            await asyncio.sleep(0)
+            seen.append(d)
+
+        async def scenario():
+            stuck = self._guarded(stalled, clock, policy=policy)
+            fine = self._guarded(healthy, clock, policy=policy)
+            started = time.monotonic()
+            assert await stuck.deliver(delivery(0)) is False
+            assert await fine.deliver(delivery(1)) is True
+            await asyncio.sleep(0.1)  # a leaked deadline would cancel us here
+            return stuck.stats, fine.stats, time.monotonic() - started
+
+        stuck, fine, elapsed = asyncio.run(scenario())
+        assert (stuck.attempts, stuck.timeouts, stuck.exhausted) == (2, 2, 1)
+        assert (fine.delivered, fine.timeouts, len(seen)) == (1, 0, 1)
+        assert 0.1 <= elapsed < 1.0
+
+
 class TestRoundLoopHooks:
     def test_level_cap_limits_selected_presentation_levels(self):
         capped = make_loop()
@@ -773,6 +949,46 @@ class TestServiceRuns:
         assert service.stats.delivered + service.accounting()["pending"] == 3
 
 
+    def test_two_sinks_fan_out_and_one_dead_sink_loses_nothing(self):
+        """The other side of ``_push``'s one-sink / gather choice."""
+        clock = SimulatedClock()
+        service = NotificationService(
+            loop_factory=make_loop,
+            user_ids=[1, 2, 3],
+            config=ServiceConfig(round_seconds=60.0, queue_bound=16, seed=3),
+            clock=clock,
+        )
+        received = []
+
+        async def healthy(d):
+            await clock.sleep(0.5)
+            received.append(d.item.item_id)
+
+        def dead(_delivery):
+            raise SinkFault("gateway down")
+
+        good = service.add_sink(healthy, name="inapp")
+        bad = service.add_sink(dead, name="push")
+
+        async def scenario():
+            run_task = asyncio.ensure_future(service.run(rounds=4))
+            for i in range(36):
+                await clock.sleep(5.0)
+                await service.ingest(item(i, user_id=1 + i % 3, created_at=clock.now()))
+            await run_task
+
+        drive(clock, scenario())
+        accounting = service.accounting()
+        assert accounting["error"] == 0
+        assert "sink_exhausted" not in accounting["dead_letter_reasons"]
+        assert sorted(received) == list(range(36)) and accounting["delivered"] == 36
+        assert good.stats.attempts > 0 and bad.stats.attempts > 0
+        assert bad.stats.delivered == 0 and bad.stats.breaker_skips > 0
+        assert bad.breaker_state is not BreakerState.CLOSED
+        assert good.breaker_state is BreakerState.CLOSED
+        assert good.stats.breaker_transitions == 0
+
+
 @pytest.mark.chaos
 class TestFlashCrowdChaos:
     """The tentpole acceptance gate, on the deterministic clock."""
@@ -908,6 +1124,53 @@ class TestFlashCrowdChaos:
         assert service.conservation_error() == 0
         assert service.stats.shed_queue_full == 0
 
+
+    def test_an_always_failing_sink_is_a_valid_demo(self, capsys):
+        """``--sink-fail 1.0`` used to die in ``FlakySink.__init__``: the
+        default stall share no longer fitted beside it."""
+        from repro.cli import main
+
+        assert main(["serve", "--sink-fail", "1.0", "--users", "4", "--rounds", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "delivered=0 " in out and "conservation error: 0" in out
+        service = run_demo(DemoConfig(users=4, rounds=2, seed=97, sink_fail=1.0)).service
+        push = service.sinks[0]
+        assert push.stats.delivered == 0 and push.stats.breaker_skips > 0
+        assert push.breaker_state is not BreakerState.CLOSED
+        with pytest.raises(SystemExit) as usage:
+            main(["serve", "--sink-fail", "2"])
+        assert usage.value.code == 2
+        assert "not a probability" in capsys.readouterr().err
+        for field in ("sink_fail", "sink_stall", "p_outage"):
+            with pytest.raises(ValueError, match=field):
+                DemoConfig(**{field: 1.5})
+
+
+class TestEgressCost:
+    """Egress overhead is a count: one task per delivery, none per attempt."""
+
+    def test_a_session_creates_one_task_per_delivery(self, monkeypatch):
+        from asyncio.base_events import BaseEventLoop
+
+        created = []
+        create_task = BaseEventLoop.create_task
+
+        def counting(self, coro, **kwargs):
+            created.append(coro)
+            return create_task(self, coro, **kwargs)
+
+        monkeypatch.setattr(BaseEventLoop, "create_task", counting)
+        counts = []
+        for _ in range(2):
+            del created[:]
+            service = run_demo(DemoConfig(users=16, rounds=6, seed=97)).service
+            reasons = service.stats.dead_letter_reasons
+            handed_to_egress = service.stats.delivered + reasons.get("sink_exhausted", 0)
+            sink = service.sinks[0].stats
+            assert sink.attempts > handed_to_egress > 0  # retries happened
+            assert len(created) <= handed_to_egress + 2  # + scheduler + session
+            counts.append(len(created))
+        assert counts[0] == counts[1]
 
 class TestDeliveryTaskRetention:
     """Regression pin for richlint RL703 (fire-and-forget tasks).
