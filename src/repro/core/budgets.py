@@ -36,9 +36,9 @@ class DataBudget:
     cap_bytes: float | None = None
     _available: float = field(init=False)
     #: Per-channel ledger: net bytes drawn through each delivery channel
-    #: (debits minus refunds), populated when channel-aware callers
-    #: attribute their debits/credits.  Single-channel legacy callers
-    #: leave it empty; the budget arithmetic itself is channel-blind.
+    #: (debits minus refunds), keyed by the ``channel=`` its callers pass.
+    #: The round loop attributes every debit -- ``"push"`` alone on the
+    #: paper's configuration; the budget arithmetic is channel-blind.
     per_channel_bytes: dict[str, float] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:

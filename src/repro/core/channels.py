@@ -9,17 +9,17 @@ the transport re-renders content, its own *presentation ladder*.
 
 :class:`Channel` packages those three axes.  A channel with no ladder
 override and an identity cost curve (:attr:`Channel.is_passthrough`)
-behaves exactly like the paper's push channel; a :class:`ChannelSet`
-containing only such a channel is the *single-push* configuration, and
-every selection/delivery path in the runtime reduces bit-identically to
-the legacy single-channel behaviour in that case (asserted by the golden
-digests in ``tests/test_runtime.py``).
+*is* the paper's push channel: its wire sizes are the item's own ladder,
+its billed bytes the wire bytes, its utility the model's.  The scalar
+runtime therefore has no single-channel code path -- a loop configured
+with no channels runs the one-channel :func:`default_channel_set`, and
+every selection is an ``(item, level, channel)`` triple (the golden
+digests in ``tests/test_runtime.py`` pin the push behaviour).
 
-With several channels configured, selection becomes a joint
-(channel x level) multiple-choice knapsack: each item's choice set is the
-union of every channel's ladder, priced in *billed* bytes against the
-data budget while energy is priced on *wire* bytes
-(see :func:`repro.runtime.kernels.merge_channel_rows`).
+Selection is a joint (channel x level) multiple-choice knapsack: each
+item's choice set is the union of every channel's ladder, priced in
+*billed* bytes against the data budget while energy is priced on *wire*
+bytes (see :func:`repro.runtime.kernels.merge_channel_rows_batched`).
 
 Built-in channels are registered by name (``push`` / ``inapp`` /
 ``email`` / ``messenger``); custom channels plug in via
@@ -136,8 +136,7 @@ class Channel:
         """Does this channel behave exactly like the paper's push channel?
 
         A passthrough channel presents the item's native ladder and bills
-        wire bytes one-for-one, so scheduling over it is indistinguishable
-        from the legacy single-channel path.
+        wire bytes one-for-one.
         """
         return self.ladder is None and self.cost.is_identity
 
@@ -158,8 +157,7 @@ class Channel:
     def utility(self, model, item: ContentItem, level: int, now=None) -> float:
         """Eq. 1 on this channel: decayed ``U_c(i)`` x this ladder's ``U_p``.
 
-        With no ladder override this defers to ``model.utility`` and is
-        bit-identical to the single-channel path.
+        With no ladder override this defers to ``model.utility``.
         """
         if self.ladder is None:
             return model.utility(item, level, now)
@@ -202,9 +200,11 @@ class ChannelSet:
 
     @property
     def is_single_passthrough(self) -> bool:
-        """One passthrough channel: the legacy single-push configuration.
+        """One passthrough channel: the paper's single-push configuration.
 
-        Runtime paths use this to take the bit-identical legacy branch.
+        Its choice rows are the items' own ladders, which Algorithm 1
+        takes as they are; any other set is merged across channels and
+        reduced to its convex hull first.
         """
         return len(self._channels) == 1 and self._channels[0].is_passthrough
 

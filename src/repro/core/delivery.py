@@ -20,11 +20,16 @@ on failure the engine
   :class:`~repro.runtime.types.DroppedItem`) once attempts are exhausted
   or a retry could not land before the item's TTL.
 
+Every selection is an ``(item, level, channel)`` triple: the attempt
+moves the channel's *wire* bytes over the air and is charged its *billed*
+bytes (the same number on the paper's push channel).
+
 Byte conservation invariant (checked by the chaos suite): over any run,
 
 ``debited == delivered + refunded + wasted``
 
-where *wasted* is exactly the mid-flight bytes of failed attempts.
+in billed bytes, where *wasted* is exactly the mid-flight bytes of failed
+attempts.
 
 Determinism: backoff jitter and fault draws both flow through explicit
 ``random.Random`` streams supplied at construction; the engine never reads
@@ -38,7 +43,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.markers import conserves
 from repro.core.budgets import DataBudget, EnergyBudget
-from repro.core.channels import Channel
 from repro.core.content import ContentItem
 from repro.runtime.types import Delivery, DroppedItem, RoundResult
 from repro.core.utility import CombinedUtilityModel
@@ -99,9 +103,9 @@ class ChannelDeliveryStats:
 class DeliveryStats:
     """Cumulative engine counters (mirrored per-round into RoundResult).
 
-    Byte counters are in *billed* (data-budget) bytes; on the legacy
-    single-push path billed and wire bytes coincide.  ``per_channel``
-    breaks attempts/retries/dead-letters down by delivery channel.
+    Byte counters are in *billed* (data-budget) bytes; on the push
+    channel billed and wire bytes coincide.  ``per_channel`` breaks
+    attempts/retries/dead-letters down by delivery channel.
     """
 
     attempts: int = 0
@@ -183,18 +187,14 @@ class DeliveryEngine:
         return None if state is None else state.level_cap
 
     def apply_level_caps(self, selected: list) -> list:
-        """Clamp selected levels to each item's degradation cap.
-
-        Accepts ``(item, level)`` pairs or ``(item, level, channel)``
-        triples; the channel element passes through untouched.
-        """
+        """Clamp the levels of ``(item, level, channel)`` selections to
+        each item's degradation cap; the channel passes through."""
         capped: list = []
-        for sel in selected:
-            item, level = sel[0], sel[1]
+        for item, level, channel in selected:
             cap = self.level_cap(item)
             if cap is not None and level > cap:
                 level = cap
-            capped.append((item, level, *sel[2:]))
+            capped.append((item, level, channel))
         return capped
 
     # -- the delivery step ---------------------------------------------------
@@ -214,8 +214,7 @@ class DeliveryEngine:
         """Attempt each selected presentation; returns item ids to drop
         from the scheduling queue (delivered or dead-lettered).
 
-        ``selected`` entries are ``(item, level)`` pairs (legacy push
-        path) or ``(item, level, channel)`` triples; with a channel the
+        ``selected`` entries are ``(item, level, channel)`` triples: the
         attempt rides that channel's ladder (*wire* bytes over the air,
         priced for energy) while the data budget is charged the
         channel's *billed* bytes, and every counter is also attributed
@@ -231,22 +230,14 @@ class DeliveryEngine:
         removed: set[int] = set()
         if not selected:
             return removed
-        channels: list[Channel | None] = [
-            sel[2] if len(sel) == 3 else None for sel in selected
-        ]
-        pairs = [(sel[0], sel[1]) for sel in selected]
         sizes = [
-            item.ladder.size(level) if channel is None
-            else channel.wire_size(item, level)
-            for (item, level), channel in zip(pairs, channels)
+            channel.wire_size(item, level) for item, level, channel in selected
         ]
         batch_energy = device.download_batch(sizes)
         total_size = sum(sizes)
-        for (item, level), channel, size in zip(pairs, channels, sizes):
-            billed = (
-                size if channel is None else channel.cost.billed_bytes(size)
-            )
-            channel_name = "push" if channel is None else channel.name
+        for (item, level, channel), size in zip(selected, sizes):
+            billed = channel.cost.billed_bytes(size)
+            channel_name = channel.name
             channel_stats = self.stats.channel(channel_name)
             share = batch_energy * (size / total_size) if total_size else 0.0
             bytes_drained = data_budget.debit(billed, channel=channel_name)
@@ -287,11 +278,7 @@ class DeliveryEngine:
                         level=level,
                         size_bytes=size,
                         energy_joules=share,
-                        utility=(
-                            utility_model.utility(item, level, now)
-                            if channel is None
-                            else channel.utility(utility_model, item, level, now)
-                        ),
+                        utility=channel.utility(utility_model, item, level, now),
                         channel=channel_name,
                     )
                 )

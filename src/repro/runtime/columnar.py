@@ -559,7 +559,7 @@ class ColumnarEngine:
         else:
             self._select = self._select_fixed
             # Multichannel baselines route everything over the primary
-            # channel, mirroring FixedLevelPolicy.fill_channel.
+            # channel, mirroring FixedLevelPolicy.fill.
             primary_ladder = (
                 self.channels.primary.ladder if self._multichannel else None
             ) or self.cohort.ladder
@@ -791,7 +791,7 @@ class ColumnarEngine:
         created-at) order for FIFO, realized utility descending for UTIL.
         Multichannel runs route everything over the primary channel --
         billed bytes fill the budget, wire bytes price delivery -- just
-        like ``FixedLevelPolicy.fill_channel`` on the scalar path.
+        like ``FixedLevelPolicy.fill`` on the scalar path.
         """
         code, flat, _, counts = group
         level = self._fixed_level

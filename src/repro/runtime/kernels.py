@@ -8,27 +8,33 @@ per-round hot path allocates matrices instead of one object per
 * :func:`combined_utility_matrix` -- ``U(i, j) = U_c(i) x U_p(i, j)``
   (Eq. 1) as an outer product of a content-utility column and a
   presentation-utility row (or per-item rows);
-* :func:`lyapunov_adjusted_matrix` -- the drift-plus-penalty adjustment
-  ``U_a(i, j) = Q s(i) + (P - kappa) rho(i, j) + V U(i, j)`` (Eq. 7),
-  with the same operation order and unit scaling as
+* :func:`lyapunov_adjusted_rows` -- the drift-plus-penalty adjustment
+  ``U_a(i, j) = Q s(i) + (P - kappa) rho(i, j) + V U(i, j)`` (Eq. 7) for
+  one user's queue or a whole cohort's, with the same operation order and
+  unit scaling as the equation's scalar reference
   :meth:`repro.core.lyapunov.LyapunovController.adjusted_utility`, so the
-  two paths agree bit for bit;
+  two agree bit for bit;
+* :func:`merge_channel_rows_batched` / :func:`hull_levels_batched` -- a
+  ladder group's per-channel rows fused into one (channel x level) choice
+  row per item and reduced to its convex hull;
 * :func:`greedy_select` -- Algorithm 1's utility-size-gradient greedy for
   a whole group of users in one segmented pass (the columnar engine's
-  selector); :func:`greedy_select_heap` / :func:`greedy_select_hull` --
-  the same algorithm for one user as the paper's heap (the scalar round
-  loop's selector and the segmented kernel's parity oracle), optionally
-  behind the LP-domination (convex hull) preprocessing of
-  :func:`hull_levels`;
+  selector); :func:`greedy_select_heap` -- the same algorithm for one
+  user as the paper's heap (the scalar round loop's selector and the
+  segmented kernel's parity oracle); :func:`greedy_select_hull` -- the
+  heap behind the LP-domination (convex hull) preprocessing of
+  :func:`hull_levels`, :mod:`repro.core.mckp`'s selector for arbitrary
+  profit rows;
 * :func:`feature_matrix` -- Section V-A's classifier feature layout for a
   whole record batch in one array pass (the scoring hot path of
   :meth:`repro.experiments.runner.UtilityAnnotations.train`).
 
 Layering contract (enforced by richlint RL601): this module imports
 nothing from the policy or orchestration layers -- only the standard
-library and numpy.  Bit-for-bit parity with the legacy object path is
-asserted by ``benchmarks/test_bench_kernels.py``; keep any float
-arithmetic in the exact order written here.
+library and numpy.  Bit-for-bit parity with the per-object reference
+(``adjusted_profile`` + :func:`repro.core.mckp.select_presentations`) is
+asserted by ``tests/test_runtime.py``; keep any float arithmetic in the
+exact order written here.
 """
 
 from __future__ import annotations
@@ -50,8 +56,6 @@ __all__ = [
     "hull_levels",
     "ingest_round_index",
     "hull_levels_batched",
-    "lyapunov_adjusted_matrix",
-    "merge_channel_rows",
     "merge_channel_rows_batched",
     "lyapunov_adjusted_rows",
     "replenish_data_column",
@@ -135,13 +139,13 @@ def combined_utility_matrix(
     return content_column[:, None] * ladder
 
 
-def lyapunov_adjusted_matrix(
+def lyapunov_adjusted_rows(
     utilities: np.ndarray,
-    energies_joules: Sequence[float] | np.ndarray,
-    backlog_bytes: Sequence[float] | np.ndarray,
+    energies_row: Sequence[float] | np.ndarray,
+    item_backlog_bytes: float,
+    q_bytes_column: float | Sequence[float] | np.ndarray,
+    p_joules_column: float | Sequence[float] | np.ndarray,
     *,
-    q_bytes: float,
-    p_joules: float,
     kappa_joules: float,
     v: float,
     size_scale: float,
@@ -150,67 +154,32 @@ def lyapunov_adjusted_matrix(
     """Eq. 7 over a whole queue: ``U_a = Q s + (P - kappa) rho + V U``.
 
     ``utilities`` is the ``(n_items, n_levels)`` matrix of combined
-    utilities; ``energies_joules`` is one shared per-level row (1-D) or a
-    per-item matrix (2-D); ``backlog_bytes`` is the per-item ``s(i)``
-    column (each item's total backlog contribution).  Column 0 -- the
-    "not sent" level -- is forced to exactly 0.0, matching
-    :meth:`~repro.core.lyapunov.LyapunovController.adjusted_profile`.
+    utilities.  Row ``i`` is one queued item; ``q_bytes_column[i]`` /
+    ``p_joules_column[i]`` carry its user's round-frozen ``Q(t)`` /
+    ``P(t)`` -- one scalar each for a single user's queue (the round
+    loop), one entry per row for a cohort (broadcast per item by the
+    caller).  ``energies_row`` is the shared per-level energy estimate of
+    the round's network state and ``item_backlog_bytes`` the shared
+    per-item backlog contribution ``s(i)`` (one presentation ladder per
+    call).  Column 0 -- the "not sent" level -- is forced to exactly 0.0.
 
-    The order of float operations replicates ``adjusted_utility``:
-    ``(Q*ss)*(s_i*ss) + ((P-kappa)*es)*(rho*es) + V*U``, evaluated left
-    to right, so results match the scalar path bit for bit.
-    """
-    utility_matrix = np.asarray(utilities, dtype=np.float64)
-    energies = np.asarray(energies_joules, dtype=np.float64)
-    backlog = np.asarray(backlog_bytes, dtype=np.float64)
-    queue_column = (q_bytes * size_scale) * (backlog * size_scale)
-    energy_terms = ((p_joules - kappa_joules) * energy_scale) * (
-        energies * energy_scale
-    )
-    if energy_terms.ndim == 1:
-        energy_terms = energy_terms[None, :]
-    adjusted = queue_column[:, None] + energy_terms + v * utility_matrix
-    adjusted[:, 0] = 0.0
-    return adjusted
-
-
-def lyapunov_adjusted_rows(
-    utilities: np.ndarray,
-    energies_row: Sequence[float] | np.ndarray,
-    item_backlog_bytes: float,
-    q_bytes_column: Sequence[float] | np.ndarray,
-    p_joules_column: Sequence[float] | np.ndarray,
-    *,
-    kappa_joules: float,
-    v: float,
-    size_scale: float,
-    energy_scale: float,
-) -> np.ndarray:
-    """Eq. 7 across a whole *cohort*: many users' queues in one matrix.
-
-    The multi-user twin of :func:`lyapunov_adjusted_matrix`.  Row ``i``
-    is one queued item of some user; ``q_bytes_column[i]`` /
-    ``p_joules_column[i]`` carry that user's round-frozen ``Q(t)`` /
-    ``P(t)`` (broadcast per item by the caller).  ``energies_row`` is the
-    shared per-level energy estimate of the round's network state and
-    ``item_backlog_bytes`` the shared per-item backlog contribution
-    ``s(i)`` (one presentation ladder across the cohort).
-
-    Every float operation pairs the same operands in the same order as
-    the single-user kernel -- ``(Q*ss)*(s_i*ss) + ((P-kappa)*es)*(rho*es)
-    + V*U`` -- so slicing one user's rows out of the result is
-    bit-identical to calling :func:`lyapunov_adjusted_matrix` for that
-    user alone.
+    The order of float operations replicates
+    :meth:`repro.core.lyapunov.LyapunovController.adjusted_utility`, the
+    equation's scalar reference: ``(Q*ss)*(s_i*ss) + ((P-kappa)*es)*(rho*es)
+    + V*U``, evaluated left to right, so every row matches
+    :meth:`~repro.core.lyapunov.LyapunovController.adjusted_profile` bit
+    for bit and slicing one user's rows out of a cohort call equals
+    calling the kernel for that user alone.
     """
     utility_matrix = np.asarray(utilities, dtype=np.float64)
     energies = np.asarray(energies_row, dtype=np.float64)
     q_column = np.asarray(q_bytes_column, dtype=np.float64)
     p_column = np.asarray(p_joules_column, dtype=np.float64)
     queue_column = (q_column * size_scale) * (item_backlog_bytes * size_scale)
-    energy_terms = ((p_column - kappa_joules) * energy_scale)[:, None] * (
+    energy_terms = ((p_column - kappa_joules) * energy_scale)[..., None] * (
         energies * energy_scale
-    )[None, :]
-    adjusted = queue_column[:, None] + energy_terms + v * utility_matrix
+    )
+    adjusted = queue_column[..., None] + energy_terms + v * utility_matrix
     adjusted[:, 0] = 0.0
     return adjusted
 
@@ -259,76 +228,36 @@ def ingest_round_index(
     return np.searchsorted(times, created, side="left")
 
 
-def merge_channel_rows(
-    sizes_rows: Sequence[Sequence[int]],
-    profits_rows: Sequence[Sequence[float]],
-) -> tuple[list[int], list[float], list[tuple[int, int]]]:
-    """Fuse one item's per-channel ladders into a single MCKP choice row.
-
-    ``sizes_rows[c]`` / ``profits_rows[c]`` describe channel ``c``'s
-    ladder for the item: entry ``j`` is the (billed) size and adjusted
-    profit of presenting at level ``j`` on that channel, with entry 0 the
-    shared "not sent" choice (size 0).  The merged row is the union of
-    all (channel, level > 0) choices sorted by strictly increasing size,
-    which is exactly the precondition of :func:`greedy_select_hull` --
-    the hull pass then prunes dominated cross-channel choices, so
-    Algorithm 1 picks channel and level *jointly*.
-
-    Equal-size ties keep the highest-profit choice (then the lowest
-    channel index, then the lowest level -- deterministic).  A non-null
-    choice whose billed size is 0 cannot be represented (index 0 is
-    reserved for "not sent") and is dropped.
-
-    Returns ``(sizes, profits, backmap)`` where ``backmap[j]`` is the
-    ``(channel_index, level)`` behind merged choice ``j`` and
-    ``backmap[0] == (0, 0)`` is the not-sent sentinel.
-    """
-    choices: list[tuple[int, float, int, int]] = []
-    for channel_index, (sizes, profits) in enumerate(
-        zip(sizes_rows, profits_rows)
-    ):
-        for level in range(1, len(sizes)):
-            choices.append(
-                (int(sizes[level]), float(profits[level]), channel_index, level)
-            )
-    choices.sort(key=lambda entry: (entry[0], -entry[1], entry[2], entry[3]))
-    merged_sizes: list[int] = [0]
-    merged_profits: list[float] = [0.0]
-    backmap: list[tuple[int, int]] = [(0, 0)]
-    for size, profit, channel_index, level in choices:
-        if size <= merged_sizes[-1]:
-            continue
-        merged_sizes.append(size)
-        merged_profits.append(profit)
-        backmap.append((channel_index, level))
-    return merged_sizes, merged_profits, backmap
-
-
 def merge_channel_rows_batched(
     sizes_rows: Sequence[Sequence[int]],
     profits_stack: Sequence[np.ndarray],
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`merge_channel_rows` for a whole cohort group in one call.
+    """Fuse a group's per-channel ladders into one MCKP choice row per item.
 
-    When every item in a group shares the same per-channel billed-size
-    rows (one presentation ladder across the group, as in the columnar
-    engine), the *merged size axis* is identical for all items -- only
-    the winning (channel, level) behind each merged size can differ,
-    decided by each item's own profits.  ``profits_stack[c]`` is channel
-    ``c``'s ``(n_items, n_levels_c)`` adjusted-profit matrix (column 0
-    the shared "not sent" choice).
+    ``sizes_rows[c]`` is channel ``c``'s (billed) size row -- entry ``j``
+    the size of presenting at level ``j`` on that channel, entry 0 the
+    shared "not sent" choice (size 0) -- and ``profits_stack[c]`` its
+    ``(n_items, n_levels_c)`` adjusted-profit matrix.  Every item of the
+    group shares the size rows (one presentation ladder across the
+    group), so the *merged size axis* -- the union of all
+    (channel, level > 0) choices sorted by strictly increasing size, the
+    precondition of :func:`hull_levels_batched` -- is identical for all
+    items; only the winning (channel, level) behind each merged size can
+    differ, decided by each item's own profits.
+
+    Equal-size ties keep the highest-profit choice, then the lowest
+    channel index, then the lowest level: ``np.argmax`` (first occurrence
+    of the maximum) over tie members pre-sorted by (channel, level).  A
+    non-null choice whose billed size is 0 cannot be represented (index 0
+    is reserved for "not sent") and is dropped.
 
     Returns ``(merged_sizes, profits, channels, levels)``: the shared
     strictly-increasing size row (leading 0), and three ``(n_items, k)``
     arrays whose column ``j`` carries each item's winning profit and its
     (channel, level) backmap for merged choice ``j`` (column 0 is the
-    not-sent sentinel: profit 0.0, channel 0, level 0).
-
-    Row ``i`` of the output equals ``merge_channel_rows`` applied to item
-    ``i`` alone: within an equal-size group the per-item sort keeps the
-    highest profit, then the lowest channel index, then the lowest level
-    -- reproduced here by ``np.argmax`` (first occurrence of the maximum)
-    over group members pre-sorted by (channel, level).
+    not-sent sentinel: profit 0.0, channel 0, level 0).  The hull pass
+    then prunes dominated cross-channel choices, so Algorithm 1 picks
+    channel and level *jointly*.
     """
     candidates: list[tuple[int, int, int]] = []
     for channel_index, sizes in enumerate(sizes_rows):
@@ -339,8 +268,6 @@ def merge_channel_rows_batched(
     groups: list[tuple[int, list[tuple[int, int]]]] = []
     for size, channel_index, level in candidates:
         if size <= 0:
-            # A billed size of 0 cannot be represented (index 0 is the
-            # not-sent sentinel); merge_channel_rows drops it too.
             continue
         if groups and groups[-1][0] == size:
             groups[-1][1].append((channel_index, level))
@@ -454,8 +381,7 @@ def greedy_select_heap(
     Row ``i`` describes item ``keys[i]``: ``sizes_rows[i][j]`` /
     ``profits_rows[i][j]`` are the size and (possibly Lyapunov-adjusted)
     profit of level ``j``.  Level 0 must have size 0; sizes must strictly
-    increase; keys must be unique (they are the heap tie-break, exactly
-    as in the legacy object path).
+    increase; keys must be unique (they are the heap tie-break).
 
     Returns ``(levels, total_size, total_profit)`` with ``levels[i]`` the
     chosen level of item ``i`` in input order.

@@ -10,14 +10,18 @@ is a fixed sequence of phases (:attr:`RoundLoop.phase_names`):
     budgets top up -- ``B(t) += theta`` and ``P(t) += e(t)`` while
     ``P(t) <= kappa`` (the device's battery state determines ``e(t)``);
 ``select``
-    connectivity is sampled for the round; a subset of scheduling-queue
-    items is selected at presentation levels by the bound
-    :class:`~repro.runtime.policy.SchedulerPolicy` and sorted into the
-    delivery queue by descending utility;
+    connectivity is sampled for the round; the bound
+    :class:`~repro.runtime.policy.SchedulerPolicy` picks a subset of
+    scheduling-queue items, each at a presentation level on a delivery
+    channel, sorted into the delivery queue by descending utility;
 ``deliver``
     the delivery queue drains to the device; delivered items are debited
     from both budgets and all of their presentations leave the
     scheduling queue.
+
+Every selection names its channel: the paper's single push channel is
+the one-channel :class:`~repro.core.channels.ChannelSet`, not a separate
+code path.
 
 Each phase is a ``<name>_phase(state)`` method, so subclasses can
 override or extend individual phases without re-implementing the loop.
@@ -36,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (delivery imports us)
 
 from repro.analysis.markers import conserves
 from repro.core.budgets import DataBudget, EnergyBudget
-from repro.core.channels import Channel, ChannelSet
+from repro.core.channels import ChannelSet, default_channel_set
 from repro.core.content import ContentItem
 from repro.core.utility import CombinedUtilityModel
 from repro.runtime.policy import RoundContext, SchedulerPolicy
@@ -48,9 +52,7 @@ from repro.sim.device import MobileDevice
 class RoundState:
     """Mutable scratch state threaded through one round's phases.
 
-    ``selected`` holds ``(item, level)`` pairs on the legacy path or
-    ``(item, level, channel)`` triples when multiple channels are
-    configured.
+    ``selected`` holds ``(item, level, channel)`` triples.
     """
 
     now: float
@@ -109,11 +111,9 @@ class RoundLoop:
         #: items still deliver as metadata-only).  ``None`` -- the default,
         #: and the paper's behaviour -- leaves selections untouched.
         self.level_cap: int | None = None
-        #: Configured delivery channels.  ``None`` (the default) and a
-        #: single passthrough channel both take the legacy single-push
-        #: code paths bit for bit; anything else enables joint
-        #: (channel x level) selection and per-channel delivery routing.
-        self.channels = channels
+        #: Configured delivery channels; ``None`` (the default) is the
+        #: paper's configuration, the push channel alone.
+        self.channels = channels or default_channel_set()
         #: Duck-typed shared-capacity pool (``grant(user_id, requested)``
         #: / ``consume(user_id, used)`` -- see
         #: :class:`repro.pubsub.capacity.SharedCellCapacity`).  Couples
@@ -202,17 +202,23 @@ class RoundLoop:
             channels=self.channels,
         )
 
-    def _select(
-        self, now: float, effective_budget: int
-    ) -> list[tuple[ContentItem, int]]:
-        """Choose (item, level > 0) pairs within ``effective_budget`` bytes
-        by asking the bound policy."""
+    def _select(self, now: float, effective_budget: int) -> list:
+        """This round's ``(item, level > 0, channel)`` triples within
+        ``effective_budget`` bytes, as chosen by the bound policy.
+
+        The one place a selection gains its channel: a custom policy's
+        ``(item, level)`` pairs are completed with the primary.
+        """
         if self.policy is None:
             raise NotImplementedError(
                 "bind a SchedulerPolicy first (policy= or bind_policy)"
             )
         decision = self.policy.select(self.make_context(now, effective_budget))
-        return list(decision.selections)
+        primary = self.channels.primary
+        return [
+            sel if len(sel) == 3 else (*sel, primary)
+            for sel in decision.selections
+        ]
 
     # -- the round loop (Algorithm 2) -----------------------------------------
 
@@ -289,37 +295,43 @@ class RoundLoop:
             # first, keeping at least the metadata presentation (level 1).
             cap = max(1, self.level_cap)
             selected = [
-                (sel[0], min(sel[1], cap), *sel[2:]) for sel in selected
+                (item, min(level, cap), channel)
+                for item, level, channel in selected
             ]
         if self.delivery_engine is not None:
             # Previously failed items may be capped at a degraded level.
             selected = self.delivery_engine.apply_level_caps(selected)
 
-        # Delivery queue drains in descending utility order (Alg. 2, step 1);
-        # multi-channel selections rank by the chosen channel's utility.
-        def _utility_key(sel) -> float:
-            if len(sel) == 3:
-                return sel[2].utility(self.utility_model, sel[0], sel[1], now)
-            return self.utility_model.utility(sel[0], sel[1], now)
-
-        selected.sort(key=_utility_key, reverse=True)
+        # Delivery queue drains in descending utility order (Alg. 2, step 1),
+        # each selection ranked by its chosen channel's utility.
+        model = self.utility_model
+        selected.sort(
+            key=lambda sel: sel[2].utility(model, sel[0], sel[1], now),
+            reverse=True,
+        )
         state.selected = selected
 
     def deliver_phase(self, state: RoundState) -> None:
         self._deliver(state.now, state.selected, state.result)
 
-    @conserves("every debit is recorded as a delivery (atomic path: no refunds)")
+    @conserves("billed debit per delivery; wire bytes drawn from the cell pool")
     def _deliver(
         self,
         now: float,
         selected: list,
         result: RoundResult,
     ) -> None:
-        """Drain the delivery queue: debit budgets, record deliveries."""
+        """Drain the delivery queue: debit budgets, record deliveries.
+
+        Energy and the device transfer are priced on *wire* bytes (what
+        crosses the air on the channel's ladder); the data budget is
+        debited the channel's *billed* bytes.  Without a delivery engine
+        the drain is atomic: every debit is a delivery, nothing refunds.
+        """
         if not selected:
             return
+        first_new = len(result.deliveries)
         if self.delivery_engine is not None:
-            first_new = len(result.deliveries)
             removed = self.delivery_engine.deliver_batch(
                 now=now,
                 selected=selected,
@@ -331,104 +343,49 @@ class RoundLoop:
                 ttl_seconds=self.ttl_seconds,
             )
             self.total_dropped += result.dead_letters
-            if removed:
-                self._scheduling = [
-                    item
-                    for item in self._scheduling
-                    if item.item_id not in removed
-                ]
-            self._consume_shared(result.deliveries[first_new:])
-            return
-        if any(len(sel) == 3 for sel in selected):
-            self._deliver_channels(now, selected, result)
-            return
-        sizes = [item.ladder.size(level) for item, level in selected]
-        batch_energy = self.device.download_batch(sizes)
-        total_size = sum(sizes)
-        delivered_ids = set()
-        first_new = len(result.deliveries)
-        for (item, level), size in zip(selected, sizes):
-            # Realized energy attribution: proportional share of the batch.
-            share = batch_energy * (size / total_size) if total_size else 0.0
-            self.data_budget.debit(size)
-            self.energy_budget.debit(share)
-            result.deliveries.append(
-                Delivery(
-                    time=now,
-                    user_id=self.device.user_id,
-                    item=item,
-                    level=level,
-                    size_bytes=size,
-                    energy_joules=share,
-                    utility=self.utility_model.utility(item, level, now),
+        else:
+            wire_sizes = [
+                channel.wire_size(item, level) for item, level, channel in selected
+            ]
+            batch_energy = self.device.download_batch(wire_sizes)
+            total_wire = sum(wire_sizes)
+            removed = set()
+            for (item, level, channel), wire in zip(selected, wire_sizes):
+                # Realized energy attribution: proportional share of the batch.
+                share = batch_energy * (wire / total_wire) if total_wire else 0.0
+                self.data_budget.debit(
+                    channel.cost.billed_bytes(wire), channel=channel.name
                 )
-            )
-            delivered_ids.add(item.item_id)
-        # Step 3: drop all presentations of delivered items from the queue.
-        self._scheduling = [
-            item for item in self._scheduling if item.item_id not in delivered_ids
-        ]
-        self._consume_shared(result.deliveries[first_new:])
-
-    @conserves("billed debit per delivery; wire bytes drawn from the cell pool")
-    def _deliver_channels(
-        self,
-        now: float,
-        selected: list,
-        result: RoundResult,
-    ) -> None:
-        """Atomic delivery of ``(item, level, channel)`` triples.
-
-        Energy and the device transfer are priced on *wire* bytes (what
-        crosses the air on the channel's ladder); the data budget is
-        debited the channel's *billed* bytes.
-        """
-        triples: list[tuple[ContentItem, int, Channel]] = [
-            sel if len(sel) == 3 else (sel[0], sel[1], self.channels.primary)
-            for sel in selected
-        ]
-        wire_sizes = [
-            channel.wire_size(item, level) for item, level, channel in triples
-        ]
-        batch_energy = self.device.download_batch(wire_sizes)
-        total_wire = sum(wire_sizes)
-        delivered_ids = set()
-        first_new = len(result.deliveries)
-        for (item, level, channel), wire in zip(triples, wire_sizes):
-            share = batch_energy * (wire / total_wire) if total_wire else 0.0
-            self.data_budget.debit(
-                channel.cost.billed_bytes(wire), channel=channel.name
-            )
-            self.energy_budget.debit(share)
-            result.deliveries.append(
-                Delivery(
-                    time=now,
-                    user_id=self.device.user_id,
-                    item=item,
-                    level=level,
-                    size_bytes=wire,
-                    energy_joules=share,
-                    utility=channel.utility(self.utility_model, item, level, now),
-                    channel=channel.name,
+                self.energy_budget.debit(share)
+                result.deliveries.append(
+                    Delivery(
+                        time=now,
+                        user_id=self.device.user_id,
+                        item=item,
+                        level=level,
+                        size_bytes=wire,
+                        energy_joules=share,
+                        utility=channel.utility(self.utility_model, item, level, now),
+                        channel=channel.name,
+                    )
                 )
-            )
-            delivered_ids.add(item.item_id)
-        self._scheduling = [
-            item for item in self._scheduling if item.item_id not in delivered_ids
-        ]
+                removed.add(item.item_id)
+        # Step 3: drop all presentations of delivered (or dead-lettered)
+        # items from the queue.
+        if removed:
+            self._scheduling = [
+                item for item in self._scheduling if item.item_id not in removed
+            ]
         self._consume_shared(result.deliveries[first_new:])
 
     def _consume_shared(self, deliveries: list) -> None:
         """Draw this round's delivered cell-coupled wire bytes from the pool."""
         if self.shared_capacity is None or not deliveries:
             return
-        if self.channels is None:
-            cell_bytes = sum(d.size_bytes for d in deliveries)
-        else:
-            cell_bytes = sum(
-                d.size_bytes
-                for d in deliveries
-                if self.channels.get_or_primary(d.channel).cell_coupled
-            )
+        cell_bytes = sum(
+            d.size_bytes
+            for d in deliveries
+            if self.channels.get_or_primary(d.channel).cell_coupled
+        )
         if cell_bytes:
             self.shared_capacity.consume(self.device.user_id, cell_bytes)

@@ -1,35 +1,40 @@
-"""Scheduling policies: what to deliver this round, and at which level.
+"""Scheduling policies: what to deliver this round, where, at which level.
 
 The middle runtime layer.  A policy sees one :class:`RoundContext` -- the
 frozen facts of a round (eligible items, effective byte budget, queue and
-energy state) -- and returns a :class:`RoundDecision` with the chosen
-``(item, level)`` pairs.  The surrounding machinery (queues, budgets,
-delivery, TTL) lives in :class:`repro.runtime.loop.RoundLoop`; the math
-lives in :mod:`repro.runtime.kernels`.
+energy state, the configured channels) -- and returns a
+:class:`RoundDecision` with the chosen ``(item, level, channel)`` triples.
+The surrounding machinery (queues, budgets, delivery, TTL) lives in
+:class:`repro.runtime.loop.RoundLoop`; the math lives in
+:mod:`repro.runtime.kernels`.
 
 Built-in policies, registered by name in :mod:`repro.runtime.registry`:
 
 ``richnote``
-    The paper's Lyapunov-adjusted MCKP selection (Eq. 7 + Algorithm 1),
-    computed over array kernels: one utility matrix and one adjusted
-    matrix per ladder group instead of one ``MckpItem`` per queue entry.
-    Bit-identical to the legacy object path (asserted by
-    ``benchmarks/test_bench_kernels.py``).
+    The paper's Lyapunov-adjusted MCKP selection (Eq. 7 + Algorithm 1)
+    over each item's (channel x level) choice set, computed over array
+    kernels: one utility matrix and one adjusted matrix per (ladder
+    group, channel).  The paper's push channel is the one-channel set.
+    Bit-identical to Eq. 7's scalar reference
+    (:meth:`~repro.core.lyapunov.LyapunovController.adjusted_profile`)
+    feeding :func:`repro.core.mckp.select_presentations` (asserted by
+    ``tests/test_runtime.py``).
 ``fifo`` / ``util``
-    Section V-C's baselines: fixed presentation level, greedy fill in
-    arrival order / descending utility order.
+    Section V-C's baselines: fixed presentation level on the primary
+    channel, greedy fill in arrival order / descending utility order.
 
-Custom policies need only ``select``; ``attach(loop)`` and
-``after_round(loop, result)`` are optional lifecycle hooks discovered by
-duck typing (see docs/EXTENDING.md section 7).
+Custom policies need only ``select``, and may return plain
+``(item, level)`` pairs (the loop routes them over the primary channel);
+``attach(loop)`` and ``after_round(loop, result)`` are optional lifecycle
+hooks discovered by duck typing (see docs/EXTENDING.md section 7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, Union, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from repro.core.channels import Channel, ChannelSet
+from repro.core.channels import Channel, ChannelSet, default_channel_set
 from repro.core.content import ContentItem
 from repro.core.lyapunov import (
     LyapunovConfig,
@@ -39,18 +44,6 @@ from repro.core.lyapunov import (
 from repro.core.utility import CombinedUtilityModel
 from repro.runtime import kernels
 from repro.runtime.registry import register
-
-#: One selected delivery: ``(item, level)`` on the legacy single-channel
-#: path, or ``(item, level, channel)`` when a multi-channel
-#: :class:`~repro.core.channels.ChannelSet` is configured.
-Selection = Union[
-    "tuple[ContentItem, int]", "tuple[ContentItem, int, Channel]"
-]
-
-
-def _multi_channel(channels: ChannelSet | None) -> bool:
-    """True when selection must pick a channel jointly with the level."""
-    return channels is not None and not channels.is_single_passthrough
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,9 +55,8 @@ class RoundContext:
     / ``energy_available_joules`` are the ``Q(t)`` / ``P(t)`` snapshots
     frozen for the round, and ``estimate_energy`` prices a download of a
     given size under the round's (fixed) network state.  ``channels`` is
-    the configured :class:`~repro.core.channels.ChannelSet`; ``None`` (or
-    a single passthrough channel) selects the legacy single-push path and
-    policies then return plain ``(item, level)`` pairs.
+    the configured :class:`~repro.core.channels.ChannelSet`; ``None``
+    means the paper's configuration, the push channel alone.
     """
 
     now: float
@@ -76,14 +68,18 @@ class RoundContext:
     estimate_energy: Callable[[int], float]
     channels: ChannelSet | None = None
 
+    def __post_init__(self) -> None:
+        if self.channels is None:
+            object.__setattr__(self, "channels", default_channel_set())
+
 
 @dataclass(frozen=True, slots=True)
 class RoundDecision:
-    """A policy's answer: ``(item, level > 0)`` pairs within budget.
+    """A policy's answer: ``(item, level > 0, channel)`` triples in budget.
 
-    With multiple channels configured, selections are
-    ``(item, level, channel)`` triples and ``total_size`` counts *billed*
-    bytes (what the data budget is charged) rather than wire bytes.
+    A custom policy may leave the channel out; the loop completes such
+    pairs with the primary channel.  ``total_size`` counts *billed* bytes
+    (what the data budget is charged), the wire bytes on the push channel.
     """
 
     selections: list
@@ -157,144 +153,39 @@ class RichNotePolicy:
     # -- selection ------------------------------------------------------------
 
     def select(self, ctx: RoundContext) -> RoundDecision:
-        state = LyapunovState(
-            q_bytes=ctx.backlog_bytes,
-            p_joules=ctx.energy_available_joules,
-        )
-        items = list(ctx.items)
-        if _multi_channel(ctx.channels):
-            return self._select_channels(ctx, items, state)
-        if type(ctx.utility_model) is CombinedUtilityModel:
-            sizes_rows, profits_rows = self._array_profiles(ctx, items, state)
-        else:
-            # Custom utility models keep the scalar per-item path.
-            sizes_rows, profits_rows = self._object_profiles(ctx, items, state)
+        """Eq. 7 + Algorithm 1 over each item's (channel x level) choices.
 
-        levels, total_size, total_profit = kernels.greedy_select_heap(
-            [item.item_id for item in items],
-            sizes_rows,
-            profits_rows,
-            ctx.effective_budget,
-        )
-        return RoundDecision(
-            selections=[
-                (items[index], level)
-                for index, level in enumerate(levels)
-                if level > 0
-            ],
-            total_size=total_size,
-            total_profit=total_profit,
-        )
+        Items are grouped by native ladder; per (group, channel) that
+        channel's ladder is priced with one Eq. 1 utility matrix and one
+        Eq. 7 matrix: presentation utilities and *wire*-size energies are
+        the channel's, while ``s(i)`` stays the item's native ladder
+        (Eq. 4: queue backlog is independent of the route chosen).
+        Energy estimates are memoized by size -- the device's network
+        state is fixed within a round, so equal sizes price equally.
 
-    def _select_channels(
-        self,
-        ctx: RoundContext,
-        items: list[ContentItem],
-        state: LyapunovState,
-    ) -> RoundDecision:
-        """Joint (channel x level) MCKP over the configured channel set.
-
-        Each item's choice set is the union of every channel's ladder:
-        per channel the Eq. 7 adjustment is computed on that channel's
-        presentation utilities and *wire*-size energies, then the rows
-        are fused by :func:`repro.runtime.kernels.merge_channel_rows`
-        into one strictly-increasing row priced in *billed* bytes.
-        Cross-channel gradients are not monotone, so Algorithm 1 always
-        runs behind the hull (LP-domination) preprocessing here.
+        The paper's single push channel hands those rows to Algorithm 1
+        as they are.  Any other set fuses a group's per-channel rows into
+        one strictly-increasing row priced in *billed* bytes (a ladder
+        group shares its billed-size rows) and reduces it to its convex
+        hull first: cross-channel gradients are not monotone.
         """
-        channels = list(ctx.channels)
+        items = ctx.items
+        channels = tuple(ctx.channels)
+        fuse = not ctx.channels.is_single_passthrough
         model = ctx.utility_model
         now = ctx.now
-        energy_cache: dict[int, float] = {}
-
-        def priced_energy(wire_size: int) -> float:
-            energy = energy_cache.get(wire_size)
-            if energy is None:
-                energy = ctx.estimate_energy(wire_size)
-                energy_cache[wire_size] = energy
-            return energy
-
-        sizes_rows: list[list[int]] = []
-        profits_rows: list[list[float]] = []
-        backmaps: list[list[tuple[int, int]]] = []
-        for item in items:
-            # Q(t)'s per-item contribution stays the item's native ladder
-            # (Eq. 4: queue backlog is independent of the route chosen).
-            item_backlog = float(item.ladder.total_size())
-            billed_rows: list[list[int]] = []
-            adjusted_rows: list[list[float]] = []
-            for channel in channels:
-                ladder = channel.ladder_for(item)
-                n_levels = ladder.max_level + 1
-                wire_sizes = [ladder.size(level) for level in range(n_levels)]
-                utilities = [
-                    channel.utility(model, item, level, now)
-                    for level in range(n_levels)
-                ]
-                energies = [0.0] + [
-                    priced_energy(size) for size in wire_sizes[1:]
-                ]
-                billed_rows.append(
-                    [0]
-                    + [
-                        channel.cost.billed_bytes(size)
-                        for size in wire_sizes[1:]
-                    ]
-                )
-                adjusted_rows.append(
-                    self.controller.adjusted_profile(
-                        state, item_backlog, energies, utilities
-                    )
-                )
-            merged_sizes, merged_profits, backmap = kernels.merge_channel_rows(
-                billed_rows, adjusted_rows
-            )
-            sizes_rows.append(merged_sizes)
-            profits_rows.append(merged_profits)
-            backmaps.append(backmap)
-
-        choices, total_size, total_profit = kernels.greedy_select_hull(
-            [item.item_id for item in items],
-            sizes_rows,
-            profits_rows,
-            ctx.effective_budget,
-        )
-        selections = []
-        for index, choice in enumerate(choices):
-            if choice == 0:
-                continue
-            channel_index, level = backmaps[index][choice]
-            selections.append((items[index], level, channels[channel_index]))
-        return RoundDecision(
-            selections=selections,
-            total_size=total_size,
-            total_profit=total_profit,
-        )
-
-    def _array_profiles(
-        self,
-        ctx: RoundContext,
-        items: list[ContentItem],
-        state: LyapunovState,
-    ) -> tuple[list[list[int]], list[list[float]]]:
-        """Adjusted-profit rows via matrix kernels, one group per ladder.
-
-        The decayed content column, the per-level presentation row and the
-        Eq. 7 adjustment are each the same float operations as the scalar
-        path (see :mod:`repro.runtime.kernels`), so the resulting rows --
-        and therefore the greedy's selections -- are bit-identical.
-        Energy estimates are memoized by size: the device's network state
-        is fixed within a round, so equal sizes price equally.
-        """
-        now = ctx.now
-        aging = ctx.utility_model.aging
-        if aging is None:
-            contents = [item.content_utility for item in items]
-        else:
+        # A custom utility model changes only how the utility matrix is
+        # filled: cell by cell through the channel instead of Eq. 1's
+        # outer product over one decayed content column.
+        stock = type(model) is CombinedUtilityModel
+        if stock and model.aging is not None:
+            decay = model.aging.decay
             contents = [
-                aging.decay(item.content_utility, max(0.0, now - item.created_at))
+                decay(item.content_utility, max(0.0, now - item.created_at))
                 for item in items
             ]
+        elif stock:
+            contents = [item.content_utility for item in items]
 
         groups: dict[int, tuple] = {}
         for index, item in enumerate(items):
@@ -306,78 +197,98 @@ class RichNotePolicy:
 
         cfg = self.controller.config
         energy_cache: dict[int, float] = {}
-        sizes_rows: list[list[int]] = [None] * len(items)  # type: ignore[list-item]
-        profits_rows: list[list[float]] = [None] * len(items)  # type: ignore[list-item]
+        sizes_rows: list = [None] * len(items)
+        profits_rows: list = [None] * len(items)
+        #: Fused sets only: the (channel index, level) behind each column
+        #: of an item's reduced row.
+        routes: list = [None] * len(items)
         for ladder, indices in groups.values():
-            n_levels = ladder.max_level + 1
-            level_sizes = [ladder.size(level) for level in range(n_levels)]
-            presentation_row = [ladder.utility(level) for level in range(n_levels)]
-            energies = [0.0]
-            for size in level_sizes[1:]:
-                energy = energy_cache.get(size)
-                if energy is None:
-                    energy = ctx.estimate_energy(size)
-                    energy_cache[size] = energy
-                energies.append(energy)
             item_backlog = float(ladder.total_size())
+            wire_rows: list[list[int]] = []
+            adjusted: list = []
+            for channel in channels:
+                channel_ladder = ladder if channel.ladder is None else channel.ladder
+                wire_sizes = [step.size_bytes for step in channel_ladder]
+                energies = [0.0]
+                for size in wire_sizes[1:]:
+                    energy = energy_cache.get(size)
+                    if energy is None:
+                        energy = energy_cache[size] = ctx.estimate_energy(size)
+                    energies.append(energy)
+                if stock:
+                    utilities = kernels.combined_utility_matrix(
+                        [contents[index] for index in indices],
+                        [step.utility for step in channel_ladder],
+                    )
+                else:
+                    utilities = [
+                        [
+                            channel.utility(model, items[index], level, now)
+                            for level in range(len(wire_sizes))
+                        ]
+                        for index in indices
+                    ]
+                wire_rows.append(wire_sizes)
+                adjusted.append(
+                    kernels.lyapunov_adjusted_rows(
+                        utilities,
+                        energies,
+                        item_backlog,
+                        ctx.backlog_bytes,
+                        ctx.energy_available_joules,
+                        kappa_joules=cfg.kappa_joules,
+                        v=cfg.v,
+                        size_scale=cfg.size_scale,
+                        energy_scale=cfg.energy_scale,
+                    )
+                )
+            if not fuse:
+                # The push channel bills its wire bytes one for one.
+                for index, row in zip(indices, adjusted[0].tolist()):
+                    sizes_rows[index] = wire_rows[0]
+                    profits_rows[index] = row
+                continue
+            sizes, profits, via, at = kernels.merge_channel_rows_batched(
+                [
+                    [channel.cost.billed_bytes(size) for size in wire_sizes]
+                    for channel, wire_sizes in zip(channels, wire_rows)
+                ],
+                adjusted,
+            )
+            hull, lengths = kernels.hull_levels_batched(sizes, profits)
+            for row, index in enumerate(indices):
+                kept = hull[row, : lengths[row]].tolist()
+                sizes_rows[index] = [sizes[column] for column in kept]
+                profits_rows[index] = profits[row, kept].tolist()
+                routes[index] = list(
+                    zip(via[row, kept].tolist(), at[row, kept].tolist())
+                )
 
-            utilities = kernels.combined_utility_matrix(
-                [contents[index] for index in indices], presentation_row
-            )
-            adjusted = kernels.lyapunov_adjusted_matrix(
-                utilities,
-                energies,
-                [item_backlog] * len(indices),
-                q_bytes=state.q_bytes,
-                p_joules=state.p_joules,
-                kappa_joules=cfg.kappa_joules,
-                v=cfg.v,
-                size_scale=cfg.size_scale,
-                energy_scale=cfg.energy_scale,
-            )
-            for index, row in zip(indices, adjusted.tolist()):
-                sizes_rows[index] = level_sizes
-                profits_rows[index] = row
-        return sizes_rows, profits_rows
-
-    def _object_profiles(
-        self,
-        ctx: RoundContext,
-        items: list[ContentItem],
-        state: LyapunovState,
-    ) -> tuple[list[list[int]], list[list[float]]]:
-        """Scalar per-item fallback for user-supplied utility models."""
-        model = ctx.utility_model
-        sizes_rows: list[list[int]] = []
-        profits_rows: list[list[float]] = []
-        for item in items:
-            ladder = item.ladder
-            n_levels = ladder.max_level + 1
-            if hasattr(model, "utilities_for_ladder"):
-                utilities = model.utilities_for_ladder(item, ctx.now)
-            else:
-                utilities = [
-                    model.utility(item, level, ctx.now)
-                    for level in range(n_levels)
-                ]
-            energies = [
-                ctx.estimate_energy(ladder.size(level)) if level > 0 else 0.0
-                for level in range(n_levels)
-            ]
-            profits = self.controller.adjusted_profile(
-                state, float(ladder.total_size()), energies, utilities
-            )
-            sizes_rows.append([ladder.size(level) for level in range(n_levels)])
-            profits_rows.append(profits)
-        return sizes_rows, profits_rows
+        picked, total_size, total_profit = kernels.greedy_select_heap(
+            [item.item_id for item in items],
+            sizes_rows,
+            profits_rows,
+            ctx.effective_budget,
+        )
+        selections = []
+        for index, pick in enumerate(picked):
+            if pick > 0:
+                channel_index, level = routes[index][pick] if fuse else (0, pick)
+                selections.append((items[index], level, channels[channel_index]))
+        return RoundDecision(
+            selections=selections,
+            total_size=total_size,
+            total_profit=total_profit,
+        )
 
 
 class FixedLevelPolicy:
     """Common base for the baselines: deliver at ``fixed_level`` in order.
 
     Subclasses define :meth:`order_items`; :meth:`fill` greedily takes
-    items in that order, always at the (ladder-clamped) fixed level,
-    while the remaining round budget affords them.  An item whose fixed
+    items in that order over the primary channel, always at the
+    (ladder-clamped) fixed level, while the remaining round budget
+    affords them.  An item whose fixed
     presentation does not fit is *skipped for this round but stays
     queued* (head-of-line items larger than the leftover budget simply
     wait for rollover, which is what a fixed-level pipeline does in
@@ -403,27 +314,11 @@ class FixedLevelPolicy:
         raise NotImplementedError
 
     def fill(
-        self, ordered: list[ContentItem], effective_budget: int
-    ) -> list[tuple[ContentItem, int]]:
-        remaining = effective_budget
-        chosen: list[tuple[ContentItem, int]] = []
-        for item in ordered:
-            level = self.level_for(item)
-            size = item.ladder.size(level)
-            if size <= remaining:
-                chosen.append((item, level))
-                remaining -= size
-        return chosen
-
-    def fill_channel(
-        self,
-        ordered: list[ContentItem],
-        effective_budget: int,
-        channel: Channel,
-    ) -> list:
+        self, ordered: list[ContentItem], effective_budget: int, channel: Channel
+    ) -> list[tuple[ContentItem, int, Channel]]:
         """Greedy fixed-level fill routed over one channel (billed bytes)."""
         remaining = effective_budget
-        chosen: list = []
+        chosen: list[tuple[ContentItem, int, Channel]] = []
         for item in ordered:
             level = min(self.fixed_level, channel.max_level(item))
             size = channel.billed_size(item, level)
@@ -433,16 +328,14 @@ class FixedLevelPolicy:
         return chosen
 
     def select(self, ctx: RoundContext) -> RoundDecision:
+        # Baselines have no channel optimization: everything rides the
+        # primary channel, mirroring a fixed-level push pipeline.
         ordered = self.order_items(list(ctx.items), ctx.now, ctx.utility_model)
-        if _multi_channel(ctx.channels):
-            # Baselines have no channel optimization: everything rides the
-            # primary channel, mirroring a fixed-level push pipeline.
-            return RoundDecision(
-                selections=self.fill_channel(
-                    ordered, ctx.effective_budget, ctx.channels.primary
-                )
+        return RoundDecision(
+            selections=self.fill(
+                ordered, ctx.effective_budget, ctx.channels.primary
             )
-        return RoundDecision(selections=self.fill(ordered, ctx.effective_budget))
+        )
 
 
 @register("fifo")

@@ -57,7 +57,7 @@ class DroppedItem:
     item: ContentItem
     reason: str
     attempts: int = 0
-    #: Transport of the last failed attempt ("push" on the legacy path).
+    #: Transport of the last failed attempt.
     channel: str = "push"
 
 

@@ -31,8 +31,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.core.breaker import BreakerState, CircuitBreakerConfig
 from repro.core.content import ContentItem
-from repro.pubsub.broker import BreakerState, CircuitBreakerConfig
 from repro.runtime.loop import RoundLoop
 from repro.runtime.types import Delivery
 from repro.service.clock import Clock, MonotonicClock

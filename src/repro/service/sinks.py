@@ -12,8 +12,8 @@ the service's egress contract:
   exponential backoff (the same idiom as
   :class:`repro.core.delivery.RetryPolicy`) drawn from an explicit seeded
   RNG;
-* the whole thing sits behind the broker's
-  :class:`~repro.pubsub.broker.SinkCircuit` breaker.  Because attempts
+* the whole thing sits behind the
+  :class:`~repro.core.breaker.SinkCircuit` breaker the broker also uses.  Because attempts
   here are *in flight across awaits*, the breaker's half-open
   single-probe latch matters: concurrent deliveries against a half-open
   sink get refused instead of stampeding it.
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Union
 
-from repro.pubsub.broker import BreakerState, CircuitBreakerConfig, SinkCircuit
+from repro.core.breaker import BreakerState, CircuitBreakerConfig, SinkCircuit
 from repro.runtime.types import Delivery
 from repro.service.clock import Clock
 

@@ -4,15 +4,10 @@ import random
 
 import pytest
 
+from repro.core.breaker import BreakerState, CircuitBreakerConfig
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
-from repro.pubsub.broker import (
-    Broker,
-    BreakerState,
-    CircuitBreakerConfig,
-    DeliveryMode,
-    Notification,
-)
+from repro.pubsub.broker import Broker, DeliveryMode, Notification
 from repro.runtime.types import Delivery
 from repro.service import GuardedSink, SimulatedClock, SinkPolicy
 from repro.pubsub.capacity import (

@@ -1,9 +1,9 @@
 """Multi-channel delivery (ISSUE 9): the Channel abstraction end to end.
 
 Unit layers first (cost curves, latency, registry, ChannelSet), then the
-kernel seam (merge_channel_rows), then the runtime contracts: the
-single-passthrough configuration must reduce *bit-identically* to the
-legacy push-only path, multichannel rounds price energy on wire bytes
+kernel seam (merge_channel_rows_batched), then the runtime contracts:
+``channels=None`` *is* the single-passthrough configuration (the paper's
+push-only behaviour), multichannel rounds price energy on wire bytes
 while debiting billed bytes per channel, shared cell pools couple users
 by service order, correlated cell outages dark whole towers, and the
 service layer routes, spills and rate-limits per channel.
@@ -12,8 +12,12 @@ service layer routes, spills and rate-limits per channel.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.channels import (
@@ -34,10 +38,11 @@ from repro.core.content import (
 )
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
-from repro.pubsub.broker import BreakerState, CircuitBreakerConfig
+from repro.core.breaker import BreakerState, CircuitBreakerConfig
 from repro.pubsub.capacity import CellTopology, SharedCellCapacity
 from repro.runtime import kernels, registry
 from repro.runtime.loop import RoundLoop
+from repro.runtime.policy import RoundDecision
 from repro.runtime.types import Delivery
 from repro.service import (
     DegradationConfig,
@@ -216,9 +221,18 @@ class TestChannelSet:
             default_channel_set().get("inapp")
 
 
+def merge_one(sizes_rows, profits_rows):
+    """``merge_channel_rows_batched`` over a one-item stack, as lists."""
+    sizes, profits, channels, levels = kernels.merge_channel_rows_batched(
+        sizes_rows, [np.asarray([row], dtype=np.float64) for row in profits_rows]
+    )
+    backmap = list(zip(channels[0].tolist(), levels[0].tolist()))
+    return sizes, profits[0].tolist(), backmap
+
+
 class TestMergeChannelRows:
     def test_merged_row_strictly_increasing_with_backmap(self):
-        sizes, profits, backmap = kernels.merge_channel_rows(
+        sizes, profits, backmap = merge_one(
             [[0, 200, 1_000], [0, 556]],
             [[0.0, 0.1, 0.9], [0.0, 0.4]],
         )
@@ -228,25 +242,53 @@ class TestMergeChannelRows:
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
     def test_equal_size_tie_keeps_highest_profit(self):
-        sizes, profits, backmap = kernels.merge_channel_rows(
+        sizes, profits, backmap = merge_one(
             [[0, 500], [0, 500]],
             [[0.0, 0.2], [0.0, 0.7]],
         )
         assert sizes == [0, 500]
         assert profits == [0.0, 0.7]
         assert backmap == [(0, 0), (1, 1)]
+        # Equal profit too: the lowest channel, then the lowest level.
+        _, _, backmap = merge_one(
+            [[0, 500], [0, 400, 500]],
+            [[0.0, 0.7], [0.0, 0.1, 0.7]],
+        )
+        assert backmap == [(0, 0), (1, 1), (0, 1)]
 
     def test_zero_size_choice_is_dropped(self):
-        sizes, profits, backmap = kernels.merge_channel_rows(
+        sizes, profits, backmap = merge_one(
             [[0, 0, 300]],
             [[0.0, 0.5, 0.8]],
         )
         assert sizes == [0, 300]
         assert backmap == [(0, 0), (0, 2)]
 
+    @given(
+        gains=st.lists(st.integers(1, 10**6), min_size=1, max_size=7),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merging_a_single_channel_is_the_identity(self, gains, data):
+        """No billed size is 0, so nothing drops and nothing ties: the
+        push channel's rows pass through the merge untouched."""
+        sizes = [0, *accumulate(gains)]
+        profit = st.floats(-1e6, 1e6, allow_nan=False)
+        row = st.lists(profit, min_size=len(gains), max_size=len(gains))
+        profits = np.asarray(
+            [[0.0, *r] for r in data.draw(st.lists(row, min_size=1, max_size=5))]
+        )
+        merged_sizes, merged, channels, levels = (
+            kernels.merge_channel_rows_batched([sizes], [profits])
+        )
+        assert merged_sizes == sizes
+        assert merged.tolist() == profits.tolist()
+        assert not channels.any()
+        assert levels.tolist() == [list(range(len(sizes)))] * len(profits)
+
 
 class TestSinglePushParity:
-    """The tentpole contract: one passthrough channel == the legacy path."""
+    """``channels=None`` is the one-passthrough-channel set, not a path."""
 
     def _run(self, channels):
         loop = make_loop(channels=channels)
@@ -275,16 +317,14 @@ class TestSinglePushParity:
         ]
         assert all(d.channel == "push" for d in single)
 
-    def test_single_passthrough_skips_per_channel_ledger(self):
-        loop, deliveries = self._run(channels=default_channel_set())
-        assert deliveries
-        # Identity pricing: total drain equals the wire bytes delivered.
-        drained = sum(
-            loop.data_budget.per_channel_bytes.values()
-        ) or sum(d.size_bytes for d in deliveries)
-        assert drained == pytest.approx(
-            sum(d.size_bytes for d in deliveries)
-        )
+    def test_single_passthrough_attributes_its_debits_to_push(self):
+        for channels in (None, default_channel_set()):
+            loop, deliveries = self._run(channels=channels)
+            assert deliveries
+            # Identity pricing: the drain is the wire bytes delivered.
+            assert loop.data_budget.per_channel_bytes == {
+                "push": pytest.approx(sum(d.size_bytes for d in deliveries))
+            }
 
 
 class TestMultichannelLoop:
@@ -331,6 +371,28 @@ class TestMultichannelLoop:
             loop.enqueue(item(item_id))
         result = loop.run_round(now=900.0, round_seconds=900.0)
         assert all(d.channel == "push" for d in result.deliveries)
+
+
+    def test_pair_returning_policy_rides_the_primary_channel(self):
+        """The one place a selection gains its channel: ``(item, level)``
+        pairs from a custom policy are completed with the primary."""
+
+        class MetadataOnly:
+            def select(self, ctx):
+                return RoundDecision([(queued, 1) for queued in ctx.items])
+
+        inapp = builtin_channel("inapp")
+        loop = make_loop(channels=ChannelSet([inapp, builtin_channel("push")]))
+        loop.bind_policy(MetadataOnly())
+        for item_id in range(3):
+            loop.enqueue(item(item_id))
+        result = loop.run_round(now=900.0, round_seconds=900.0)
+        assert [(d.channel, d.size_bytes) for d in result.deliveries] == [
+            ("inapp", inapp.ladder.size(1))
+        ] * 3
+        assert loop.data_budget.per_channel_bytes == {
+            "inapp": 3 * inapp.cost.billed_bytes(inapp.ladder.size(1))
+        }
 
 
 class TestSharedCapacityCoupling:

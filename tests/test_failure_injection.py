@@ -387,8 +387,12 @@ class TestNoFaultParity:
 class TestFaultDeterminism:
     """Same seed => identical RoundResult streams (reproducibility fix)."""
 
+    @classmethod
+    def _stream(cls, seed):
+        return cls._run(seed)[1]
+
     @staticmethod
-    def _stream(seed):
+    def _run(seed):
         config = FaultConfig(
             p_disconnect=0.25, p_timeout=0.1, p_corrupt=0.05, p_reject=0.05
         )
@@ -430,7 +434,19 @@ class TestFaultDeterminism:
                     result.energy_budget_after,
                 )
             )
-        return stream
+        return scheduler, stream
+
+    def test_default_loop_attributes_every_debit_to_push(self, seed):
+        """``channels=None`` is the push set: the budget's per-channel
+        ledger (debits minus refunds) is what was delivered or wasted."""
+        scheduler, _ = self._run(seed)
+        stats = scheduler.delivery_engine.stats
+        ledger = scheduler.data_budget.per_channel_bytes
+        assert list(ledger) == ["push"]
+        assert stats.bytes_delivered > 0 and stats.bytes_wasted > 0
+        assert sum(ledger.values()) == pytest.approx(
+            stats.bytes_delivered + stats.bytes_wasted
+        )
 
     def test_same_seed_same_stream(self, seed):
         assert self._stream(seed) == self._stream(seed)
@@ -623,7 +639,7 @@ class TestSinkCircuitBreaker:
         assert broker.pending_count == 0
 
     def test_breaker_open_half_open_closed(self):
-        from repro.pubsub.broker import BreakerState, CircuitBreakerConfig
+        from repro.core.breaker import BreakerState, CircuitBreakerConfig
 
         breaker = CircuitBreakerConfig(failure_threshold=2, cooldown_skips=2)
         broker, publish = self._broker(breaker=breaker)
@@ -656,7 +672,7 @@ class TestSinkCircuitBreaker:
         assert broker.breaker_states() == [BreakerState.CLOSED]
 
     def test_half_open_probe_failure_reopens(self):
-        from repro.pubsub.broker import BreakerState, CircuitBreakerConfig
+        from repro.core.breaker import BreakerState, CircuitBreakerConfig
 
         breaker = CircuitBreakerConfig(failure_threshold=1, cooldown_skips=1)
         broker, publish = self._broker(breaker=breaker)
@@ -676,7 +692,7 @@ class TestSinkCircuitBreaker:
     def test_half_open_admits_exactly_one_probe(self):
         """Regression: a half-open breaker must latch while its probe is
         in flight, or concurrent async deliveries all pass at once."""
-        from repro.pubsub.broker import (
+        from repro.core.breaker import (
             BreakerState,
             CircuitBreakerConfig,
             SinkCircuit,
@@ -698,7 +714,7 @@ class TestSinkCircuitBreaker:
         assert circuit.allow() == (True, False)
 
     def test_half_open_probe_failure_clears_latch_and_reopens(self):
-        from repro.pubsub.broker import (
+        from repro.core.breaker import (
             BreakerState,
             CircuitBreakerConfig,
             SinkCircuit,

@@ -10,14 +10,17 @@ runtime split, on the seeded small workload.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from repro.core.budgets import DataBudget, EnergyBudget
+from repro.core.channels import ChannelSet, builtin_channel
 from repro.core.content import ContentItem, ContentKind
 from repro.core.lyapunov import LyapunovConfig, LyapunovController, LyapunovState
 from repro.core.mckp import MckpInstance, MckpItem, select_presentations
+from repro.core.media import build_image_ladder
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.runtime import kernels, registry
@@ -90,22 +93,43 @@ class TestKernels:
     def test_lyapunov_matrix_bit_identical_to_scalar_controller(self):
         config = LyapunovConfig(v=1000.0, kappa_joules=3000.0)
         controller = LyapunovController(config)
-        state = LyapunovState(q_bytes=1_234_567.0, p_joules=2_500.0)
+        states = [
+            LyapunovState(q_bytes=1_234_567.0, p_joules=2_500.0),
+            LyapunovState(q_bytes=98_765.0, p_joules=3_700.5),
+        ]
         utilities = [[0.0, 0.2, 0.5, 0.9], [0.0, 0.05, 0.1, 0.4]]
         energies = [0.0, 1.5, 4.0, 9.5]
         backlog = 321_000.0
-        matrix = kernels.lyapunov_adjusted_matrix(
-            np.asarray(utilities),
-            energies,
-            [backlog, backlog],
-            q_bytes=state.q_bytes,
-            p_joules=state.p_joules,
-            kappa_joules=config.kappa_joules,
-            v=config.v,
-            size_scale=config.size_scale,
-            energy_scale=config.energy_scale,
-        )
-        for row, utility_row in zip(matrix.tolist(), utilities):
+
+        def rows(q_bytes, p_joules):
+            return kernels.lyapunov_adjusted_rows(
+                np.asarray(utilities),
+                energies,
+                backlog,
+                q_bytes,
+                p_joules,
+                kappa_joules=config.kappa_joules,
+                v=config.v,
+                size_scale=config.size_scale,
+                energy_scale=config.energy_scale,
+            ).tolist()
+
+        # One user's queue: scalar Q(t) / P(t) shared by every row.
+        for row, utility_row in zip(
+            rows(states[0].q_bytes, states[0].p_joules), utilities
+        ):
+            assert row == controller.adjusted_profile(
+                states[0], backlog, energies, utility_row
+            )
+        # A cohort: each row carries its own user's Q(t) / P(t).
+        for row, state, utility_row in zip(
+            rows(
+                [state.q_bytes for state in states],
+                [state.p_joules for state in states],
+            ),
+            states,
+            utilities,
+        ):
             assert row == controller.adjusted_profile(
                 state, backlog, energies, utility_row
             )
@@ -278,38 +302,121 @@ class TestRoundLoopComposition:
 
 
 class TestScalarArrayParity:
-    """The array fast path and the per-object path agree exactly."""
+    """Eq. 1's outer product (stock model) and the cell-by-cell fill (any
+    other model) feed one select body and agree exactly."""
 
-    def _decision(self, use_subclass_model: bool) -> RoundDecision:
+    def _decision(self, channels, use_subclass_model: bool) -> RoundDecision:
+        model_type = CombinedUtilityModel
         if use_subclass_model:
 
             class SubclassModel(CombinedUtilityModel):
-                """Defeats the exact-type fast-path guard; same numbers."""
+                """Defeats the exact-type outer-product guard; same numbers."""
 
-        model = (
-            SubclassModel() if use_subclass_model else CombinedUtilityModel()
-        )
+            model_type = SubclassModel
         loop = RoundLoop(
             device=make_device(),
-            data_budget=DataBudget(theta_bytes=200_000.0),
+            # No allowance: the warm-up round ingests and delivers nothing.
+            data_budget=DataBudget(theta_bytes=0.0),
             energy_budget=EnergyBudget(kappa_joules=3000.0),
-            utility_model=model,
+            utility_model=model_type(aging=ExponentialAging(tau_seconds=7200.0)),
             policy=registry.create("richnote"),
+            channels=channels,
         )
-        for item_id, utility in enumerate([0.9, 0.4, 0.7, 0.05], start=1):
-            loop.enqueue(make_item(item_id, utility=utility))
-        loop.run_round(ROUND, ROUND)  # ingest; budget replenished once
+        image_ladder = build_image_ladder()
+        for item_id, utility in enumerate([0.9, 0.4, 0.7, 0.05, 0.6], start=1):
+            item = make_item(item_id, utility=utility, created_at=item_id * 300.0)
+            if item_id % 2 == 0:  # a second ladder group
+                item.ladder = image_ladder
+            loop.enqueue(item)
+        loop.run_round(ROUND, ROUND)
         context = loop.make_context(now=2 * ROUND, effective_budget=150_000)
+        assert len(context.items) == 5
         return loop.policy.select(context)
 
-    def test_array_and_object_paths_pick_identical_levels(self):
-        fast = self._decision(use_subclass_model=False)
-        slow = self._decision(use_subclass_model=True)
+    @pytest.mark.parametrize(
+        "names", [("push",), ("push", "inapp", "email")], ids="-".join
+    )
+    def test_stock_and_subclass_models_pick_identical_triples(self, names):
+        channels = ChannelSet([builtin_channel(name) for name in names])
+        fast = self._decision(channels, use_subclass_model=False)
+        slow = self._decision(channels, use_subclass_model=True)
+        assert fast.selections and fast.total_size > 0
+        assert {channel.name for _, _, channel in fast.selections} <= set(names)
         assert [
-            (item.item_id, level) for item, level in fast.selections
-        ] == [(item.item_id, level) for item, level in slow.selections]
+            (item.item_id, level, channel.name)
+            for item, level, channel in fast.selections
+        ] == [
+            (item.item_id, level, channel.name)
+            for item, level, channel in slow.selections
+        ]
         assert fast.total_size == slow.total_size
         assert fast.total_profit == slow.total_profit
+
+
+class TestPerObjectParity:
+    """``RichNotePolicy.select`` against Eq. 7's scalar reference: one
+    ``adjusted_profile`` loop and one ``MckpItem`` per queue item, then
+    the object-based Algorithm 1 -- the only caller ``adjusted_profile``
+    has left, so this is what keeps the kernels honest."""
+
+    NOW = 3600.0
+
+    def _context(self, n_items: int) -> RoundContext:
+        rng = random.Random(7)
+        items = [
+            make_item(
+                item_id,
+                utility=rng.random(),
+                created_at=rng.uniform(0.0, self.NOW),
+            )
+            for item_id in range(n_items)
+        ]
+        return RoundContext(
+            now=self.NOW,
+            effective_budget=2_000_000,
+            items=items,
+            backlog_bytes=float(sum(item.ladder.total_size() for item in items)),
+            energy_available_joules=2_500.0,
+            utility_model=CombinedUtilityModel(aging=ExponentialAging(7200.0)),
+            estimate_energy=lambda size_bytes: 0.35 + size_bytes * 2.5e-6,
+        )
+
+    @staticmethod
+    def per_object_select(ctx: RoundContext) -> list[tuple[int, int]]:
+        controller = LyapunovController()
+        state = LyapunovState(
+            q_bytes=ctx.backlog_bytes, p_joules=ctx.energy_available_joules
+        )
+        mckp_items = []
+        for item in ctx.items:
+            ladder = item.ladder
+            levels = range(ladder.max_level + 1)
+            profits = controller.adjusted_profile(
+                state,
+                float(ladder.total_size()),
+                [0.0] + [ctx.estimate_energy(ladder.size(lv)) for lv in levels[1:]],
+                ctx.utility_model.utilities_for_ladder(item, ctx.now),
+            )
+            mckp_items.append(
+                MckpItem(
+                    key=item.item_id,
+                    sizes=tuple(ladder.size(lv) for lv in levels),
+                    profits=tuple(profits),
+                )
+            )
+        solution = select_presentations(
+            MckpInstance(items=tuple(mckp_items), budget=ctx.effective_budget)
+        )
+        return [(key, lv) for key, lv in solution.levels.items() if lv > 0]
+
+    def test_kernel_selections_bit_identical_to_per_object_reference(self):
+        ctx = self._context(200)
+        decision = RichNotePolicy().select(ctx)
+        assert decision.selections
+        assert all(channel.name == "push" for _, _, channel in decision.selections)
+        assert [
+            (item.item_id, level) for item, level, _ in decision.selections
+        ] == self.per_object_select(ctx)
 
 
 # -- golden parity against the pre-refactor monolith ---------------------------

@@ -19,7 +19,7 @@ from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel
-from repro.pubsub.broker import BreakerState, CircuitBreakerConfig
+from repro.core.breaker import BreakerState, CircuitBreakerConfig
 from repro.runtime import registry
 from repro.runtime.loop import RoundLoop
 from repro.runtime.types import Delivery

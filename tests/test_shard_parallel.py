@@ -51,7 +51,6 @@ from repro.experiments.workloads import workload_spec
 from repro.runtime.kernels import (
     hull_levels,
     hull_levels_batched,
-    merge_channel_rows,
     merge_channel_rows_batched,
 )
 from repro.trace.generator import TraceConfig, build_workload, iter_users
@@ -302,6 +301,37 @@ class TestRunCellColumnar:
 
 
 # -- batched multichannel kernels ----------------------------------------------
+
+
+def merge_channel_rows(sizes_rows, profits_rows):
+    """One item's per-channel ladders fused into a single choice row.
+
+    The per-item sort-and-scan the batched kernel replaced in ``src/``,
+    kept here as its oracle: all (channel, level > 0) choices sorted by
+    (size, profit descending, channel, level); the first of each size
+    wins; a billed size of 0 is dropped (index 0 is "not sent").
+    Returns ``(sizes, profits, backmap)`` with ``backmap[j]`` the
+    ``(channel_index, level)`` behind merged choice ``j``.
+    """
+    choices = []
+    for channel_index, (sizes, profits) in enumerate(
+        zip(sizes_rows, profits_rows)
+    ):
+        for level in range(1, len(sizes)):
+            choices.append(
+                (int(sizes[level]), float(profits[level]), channel_index, level)
+            )
+    choices.sort(key=lambda entry: (entry[0], -entry[1], entry[2], entry[3]))
+    merged_sizes = [0]
+    merged_profits = [0.0]
+    backmap = [(0, 0)]
+    for size, profit, channel_index, level in choices:
+        if size <= merged_sizes[-1]:
+            continue
+        merged_sizes.append(size)
+        merged_profits.append(profit)
+        backmap.append((channel_index, level))
+    return merged_sizes, merged_profits, backmap
 
 
 def _random_ladders(rng):
