@@ -25,7 +25,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.experiments.config import ExperimentConfig, MethodSpec
+from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
 from repro.experiments.figures import figure3_and_4, paper_method_specs
 from repro.experiments.reporting import render_series_table
 from repro.experiments.runner import UtilityAnnotations, run_experiment
@@ -199,8 +199,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     fig5a = figure5a_fixed_levels(workload, budgets, config, annotations, users)
     save_series_csv(fig5a, out / "fig5a_fixed_levels.csv")
     tables.append(render_series_table(fig5a, precision=1))
-    mix = figure5b_presentation_mix(workload, budgets, config, annotations, users)
-    tables.append(render_level_mix(mix))
+    for mode in (NetworkMode.CELL_ONLY, NetworkMode.MARKOV):  # Fig. 5(b), Fig. 5(c)
+        mix = figure5b_presentation_mix(workload, budgets, config, annotations, users, mode)
+        tables.append(render_level_mix(mix))
     categories = figure5d_user_categories(workload, config, annotations, users)
     tables.append(render_user_categories(categories))
     sensitivity = v_sensitivity(workload, config=config, annotations=annotations,

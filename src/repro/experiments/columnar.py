@@ -9,9 +9,10 @@ per-user :class:`~repro.experiments.runner.UserRunOutcome` objects the
 scalar :func:`~repro.experiments.runner.run_user` produces -- bit for
 bit, including delivery digests.  The path is columnar end to end: it
 reads four columns per user (:func:`repro.trace.io.record_columns`),
-never a record object, and the fold hands the engine's delivery columns
-to the column kernels the scalar path's ``compute_user_metrics`` /
-``delivery_digest`` adapt to, so the arithmetic cannot drift between them.
+never a record object; device columns are one recurrence across users;
+and the fold hands the engine's delivery columns to the kernels the scalar
+path adapts to (metrics user by user, digests for the cohort in one call),
+so the arithmetic cannot drift between them.
 
 Scope mirrors the engine's: the paper-default pipeline.  :func:`supports`
 says whether a config is inside it; the one caller that acts on the
@@ -24,7 +25,6 @@ this path does handle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.experiments.runner import (
     UserRunOutcome,
     UtilityAnnotations,
     _device_stream_seed,
-    delivery_digest_from_columns,
+    delivery_digests,
 )
 from repro.runtime import registry
 from repro.runtime.columnar import (
@@ -176,46 +176,42 @@ def fold_outcomes(
 
     Takes the engine's delivery rows regrouped per user, gathers the
     delivered items' fields by flat index once for the whole cohort and
-    hands each user's slices to the column kernels the scalar
-    metric/digest functions adapt -- no per-delivery object is built.
+    hands the columns to the kernels the scalar metric/digest functions
+    adapt (metrics one user's slices at a time) -- no per-delivery object.
     """
     cohort = columns.cohort
-    bounds = cohort.offsets.tolist()
-    clicked = columns.clicked.tolist()
     rows, starts = result.user_sorted
     flat = rows["index"]
-    delivery_columns = [
+    times, levels, sizes, energies, utilities = delivery_columns = [
         rows[name] for name in ("time", "level", "size", "energy", "utility")
     ]
+    digests = [None] * len(columns.user_ids)
+    if digest_deliveries:
+        digests = delivery_digests(
+            starts, columns.user_ids, times, cohort.item_id_column[flat],
+            levels, sizes, energies, utilities,
+        )
+    bounds = cohort.offsets.tolist()
+    clicked = columns.clicked.tolist()
     item_columns = [
         cohort.created_at[flat], columns.clicked[flat], columns.click_time[flat]
     ]
-    item_ids = cohort.item_id_column[flat]
     outcomes: list[UserRunOutcome] = []
     for index, user_id in enumerate(columns.user_ids):
         # One user's slices at a time: the Python scalars are transient.
         mine = slice(starts[index], starts[index + 1])
-        times, levels, sizes, energies, utilities = (
-            column[mine].tolist() for column in delivery_columns
-        )
         metrics = user_metrics_from_columns(
             user_id, clicked[bounds[index] : bounds[index + 1]],
-            times, levels, sizes, energies, utilities,
+            *(column[mine].tolist() for column in delivery_columns),
             *(column[mine].tolist() for column in item_columns),
         )
-        digest = None
-        if digest_deliveries:
-            digest = delivery_digest_from_columns(
-                times, repeat(user_id), item_ids[mine].tolist(),
-                levels, sizes, energies, utilities,
-            )
         outcomes.append(
             UserRunOutcome(
                 metrics=metrics,
                 mean_backlog_bytes=float(result.mean_backlog_bytes[index]),
                 max_queue_length=int(result.max_queue_length[index]),
                 final_queue_length=int(result.final_queue_length[index]),
-                delivery_digest=digest,
+                delivery_digest=digests[index],
             )
         )
     return outcomes

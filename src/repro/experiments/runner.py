@@ -10,6 +10,9 @@ Content utility is annotated up front: a Random Forest is trained on the
 workload's attended (clicked-vs-hovered) records and every notification is
 scored once -- the score map is then shared by all (method, budget) cells
 of a sweep, exactly as a deployed model would be.
+
+Delivery digests, the parity surface between engines, have one
+implementation: :func:`delivery_digests`, over a cohort's columns.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -202,30 +206,60 @@ def _device_stream_seed(seed: int, user_id: int) -> int:
     return _stream_seed(seed, user_id, 29)
 
 
-def delivery_digest_from_columns(
-    times: Iterable[float], user_ids: Iterable[int], item_ids: Iterable[int],
-    levels: Iterable[int], sizes: Iterable[float],
-    energies: Iterable[float], utilities: Iterable[float],
-) -> str:
-    """SHA-256 over a delivery sequence given as seven parallel columns.
+class _FloatTexts(dict):
+    """``texts[bits]``: ``repr`` of the float with that ``int64`` bit pattern."""
 
-    Hashes the ``repr`` of each ``(time, user, item, level, size, energy,
-    realized utility)`` row in delivery order -- the exact fields the
-    runtime-extraction golden tests pin.  Two engines that produce the
-    same digest for every user produced bit-identical delivery streams.
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(np.int64(bits).view(np.float64).item())
+        return text
+
+
+def delivery_digests(
+    offsets: Sequence[int], user_ids: Sequence[int],
+    times: np.ndarray, item_ids: np.ndarray, levels: np.ndarray,
+    sizes: np.ndarray, energies: np.ndarray, utilities: np.ndarray,
+) -> list[str]:
+    """One SHA-256 per user over delivery rows given as cohort columns.
+
+    Segment ``s`` -- rows ``offsets[s]:offsets[s + 1]``, all delivered to
+    ``user_ids[s]`` -- hashes the bytes of ``"".join(map(repr, rows))`` over
+    its ``(time, user, item, level, size, energy, realized utility)`` tuples
+    in delivery order: the exact fields the runtime-extraction golden tests
+    pin.  Two engines that produce the same digest for every user produced
+    bit-identical delivery streams.  The only digest implementation: the
+    scalar path reaches it through :func:`delivery_digest`.
+
+    A float's ``repr`` is the expensive part of a row and ``times`` /
+    ``energies`` (``float64``) repeat a few values, so each distinct *bit
+    pattern* of the two is rendered once per call; keyed by the ``int64``
+    view, ``0.0`` / ``-0.0`` and NaN payloads cannot share an entry.  Other
+    fields are rendered per row from what ``tolist()`` yields, per segment.
     """
-    rows = zip(times, user_ids, item_ids, levels, sizes, energies, utilities)
-    return hashlib.sha256("".join(map(repr, rows)).encode()).hexdigest()
+    time_bits = np.asarray(times, dtype=np.float64).view(np.int64)
+    energy_bits = np.asarray(energies, dtype=np.float64).view(np.int64)
+    columns = (time_bits, item_ids, levels, sizes, energy_bits, utilities)
+    float_text = _FloatTexts().__getitem__
+    digests: list[str] = []
+    for segment, user_id in enumerate(user_ids):
+        mine = slice(offsets[segment], offsets[segment + 1])
+        t_bits, items, lvls, szs, e_bits, utils = (c[mine].tolist() for c in columns)
+        row = f"(%s, {user_id!r}, %r, %r, %r, %s, %r)".__mod__
+        fields = zip(map(float_text, t_bits), items, lvls, szs, map(float_text, e_bits), utils)
+        digests.append(hashlib.sha256("".join(map(row, fields)).encode()).hexdigest())
+    return digests
 
 
 def delivery_digest(deliveries: Sequence[Delivery]) -> str:
-    """:func:`delivery_digest_from_columns` of ``Delivery`` objects."""
-    return delivery_digest_from_columns(
-        [d.time for d in deliveries], [d.user_id for d in deliveries],
-        [d.item.item_id for d in deliveries], [d.level for d in deliveries],
-        [d.size_bytes for d in deliveries],
-        [d.energy_joules for d in deliveries], [d.utility for d in deliveries],
-    )
+    """:func:`delivery_digests` of one user's ``Delivery`` objects (non-float
+    fields as object columns: each is rendered from the object it holds)."""
+    def column(field: str, dtype: type = object) -> np.ndarray:
+        return np.array(list(map(attrgetter(field), deliveries)), dtype=dtype)
+
+    return delivery_digests(
+        [0, len(deliveries)], [deliveries[0].user_id if deliveries else None],
+        column("time", float), column("item.item_id"), column("level"),
+        column("size_bytes"), column("energy_joules", float), column("utility"),
+    )[0]
 
 
 def _build_delivery_engine(

@@ -18,7 +18,9 @@ connectivity group, never a loop over users:
   a user's queue is the run inside their ``cohort.offsets`` bounds;
 * :class:`DeviceColumns` -- per-round connectivity states and battery
   replenishment ``e(t)`` for every user, precomputed from the *same*
-  seeded :mod:`repro.sim` models the scalar path steps round by round;
+  seeded :mod:`repro.sim` models the scalar path steps round by round:
+  :func:`build_device_columns` runs each model as one recurrence across
+  a block of users, every user's RNG lane drawn in its scalar order;
 * :class:`ColumnarEngine` -- the phase loop.  Ingest merges the round's
   slice of a precomputed argsort into the queue; selection stacks a
   group's queued rows and runs one segmented Algorithm 1
@@ -59,6 +61,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -92,6 +95,7 @@ __all__ = [
     "ColumnarRunResult",
     "DeviceColumns",
     "build_device_columns",
+    "markov_state_columns",
     "round_times",
 ]
 
@@ -203,13 +207,46 @@ class DeviceColumns:
     ``e_t[k, u]`` is user ``u``'s battery-aware energy replenishment at
     round ``k``; ``states[k, u]`` their connectivity code
     (:data:`STATE_CODES`), or ``None`` when the whole cohort is pinned to
-    CELL (the paper's main cellular-only setup).  ``seeds[u]`` is the
-    device RNG lane the columns were drawn from.
+    CELL (the paper's main cellular-only setup).
     """
 
     e_t: np.ndarray
     states: np.ndarray | None
-    seeds: np.ndarray
+
+
+#: Users per pass of :func:`build_device_columns`: bounds its (round x user)
+#: temporaries and live ``random.Random`` lanes (2.5 kB each) at any population.
+_LANE_BLOCK = 128
+
+
+def markov_state_columns(
+    model: MarkovNetworkModel, lanes: Sequence[random.Random], n_rounds: int
+) -> np.ndarray:
+    """``n_rounds`` steps of ``model``'s chain per RNG lane, as codes.
+
+    ``out[k, u]`` is the :data:`STATE_CODES` code call ``k + 1`` of
+    :meth:`~repro.sim.network.MarkovNetworkModel.step` returns with
+    ``lanes[u]`` as the ``rng``; each lane is left where those calls leave
+    it.  ``step`` draws once per call whatever the state, so draws are taken
+    per lane in bulk and a round is one vector transition: the target's
+    position in its row is how many cumulative bounds, the last excluded
+    (``step``'s float-shortfall guard), the draw reaches.
+    """
+    width = max(len(row) for row in model.transitions.values())
+    bounds = np.full((len(STATE_CODES), width - 1), np.inf)
+    targets = np.zeros((len(STATE_CODES), width), dtype=np.intp)
+    for source, row in model.transitions.items():
+        code = STATE_CODES[source]
+        targets[code, : len(row)] = [STATE_CODES[target] for target in row]
+        bounds[code, : len(row) - 1] = list(accumulate(row.values(), initial=0.0))[1:-1]
+    draws = [[lane.random() for _ in range(n_rounds)] for lane in lanes]
+    draws = np.array(draws, dtype=np.float64).reshape(len(lanes), n_rounds)
+    out = np.empty((n_rounds, len(lanes)), dtype=np.int8)
+    state = np.full(len(lanes), STATE_CODES[model.initial_state], dtype=np.intp)
+    for k in range(n_rounds):
+        reached = (draws[:, k, None] >= bounds[state]).sum(axis=1)
+        out[k] = state = targets[state, reached]
+    return out
 
 
 def build_device_columns(
@@ -222,39 +259,36 @@ def build_device_columns(
 ) -> DeviceColumns:
     """Precompute battery + connectivity columns from per-user RNG lanes.
 
-    Runs the *actual* :class:`~repro.sim.battery.DiurnalBatteryModel` and
-    :class:`~repro.sim.network.MarkovNetworkModel` once per user -- same
-    seeds, same draw order as the scalar device construction -- then
-    evaluates them at every round time.  Round ``k``'s replenishment
-    lookup lands on battery sample ``k + 1`` by construction: samples
-    accumulate ``0.0 + round_seconds + ...`` while round times accumulate
-    ``round_seconds + ...``, bit-identical sequences offset by one.  That
-    lets the battery column come straight from
-    :meth:`~repro.sim.battery.DiurnalBatteryModel.replenishment_column`
-    -- the same recurrence with the same draw order as a materialized
-    :class:`~repro.sim.battery.BatteryTrace`, minus the per-sample
-    objects and per-call bisect (clamping to the last sample exactly as
-    the bisect would for round times past the trace).
+    User ``u`` draws connectivity from ``random.Random(seeds[u])`` and the
+    battery from ``random.Random(seeds[u] + 1)``, as the scalar device
+    construction does.  Each model runs as one recurrence across a block of
+    lanes (:meth:`~repro.sim.battery.DiurnalBatteryModel.replenishment_columns`,
+    :func:`markov_state_columns`): per lane the same draws in the same order,
+    no per-user model or trace object.  ``times`` is read for its length
+    only: round ``k`` reads battery sample ``k + 1`` (:func:`round_times`).
     """
+    if round_seconds <= 0:
+        raise ValueError("sample period must be positive")
+    if duration_seconds <= 0:
+        raise ValueError("duration must be positive")
+    if kappa_joules < 0:
+        raise ValueError("kappa must be >= 0")
     n_rounds = len(times)
     n_users = len(seeds)
-    e_t = np.zeros((n_rounds, n_users), dtype=np.float64)
-    states = (
-        np.zeros((n_rounds, n_users), dtype=np.int8) if markov else None
-    )
-    for column, seed in enumerate(seeds):
+    battery = DiurnalBatteryModel()
+    e_t = np.empty((n_rounds, n_users), dtype=np.float64)
+    states = np.empty((n_rounds, n_users), dtype=np.int8) if markov else None
+    for start in range(0, n_users, _LANE_BLOCK):
+        block = slice(start, start + _LANE_BLOCK)
+        e_t[:, block] = battery.replenishment_columns(
+            [random.Random(seed + 1) for seed in seeds[block]],
+            n_rounds, round_seconds, duration_seconds, kappa_joules,
+        )
         if markov:
-            network = MarkovNetworkModel(rng=random.Random(seed))
-            for k in range(n_rounds):
-                states[k, column] = STATE_CODES[network.step()]
-        if n_rounds:
-            model = DiurnalBatteryModel(rng=random.Random(seed + 1))
-            e_t[:, column] = model.replenishment_column(
-                n_rounds, round_seconds, duration_seconds, kappa_joules
+            states[:, block] = markov_state_columns(
+                MarkovNetworkModel(), [random.Random(seed) for seed in seeds[block]], n_rounds
             )
-    return DeviceColumns(
-        e_t=e_t, states=states, seeds=np.asarray(seeds, dtype=np.int64)
-    )
+    return DeviceColumns(e_t=e_t, states=states)
 
 
 #: One realized delivery per row, in the order the engine delivered them

@@ -15,13 +15,20 @@ The scheduler consumes the trace through two views:
   battery grants the full per-round allowance ``kappa``; a depleted battery
   grants proportionally less, modelling a user unwilling to spend scarce
   charge on notification downloads.
+
+Cohort runs materialize no trace: ``replenishment_columns`` runs the
+recurrence of ``generate`` (its bit-for-bit scalar reference) for many RNG
+lanes at once and returns ``e(t)`` per round.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -106,31 +113,26 @@ class DiurnalBatteryModel:
             t += sample_period_seconds
         return BatteryTrace(samples)
 
-    def _is_night(self, hour: float) -> bool:
+    def _is_night(self, hour: float | np.ndarray) -> bool | np.ndarray:
+        """Night test for one hour of day or, element-wise, an array."""
         if self.night_start_hour <= self.night_end_hour:
-            return self.night_start_hour <= hour < self.night_end_hour
-        return hour >= self.night_start_hour or hour < self.night_end_hour
+            return (self.night_start_hour <= hour) & (hour < self.night_end_hour)
+        return (hour >= self.night_start_hour) | (hour < self.night_end_hour)
 
-    def replenishment_column(
-        self,
-        n_rounds: int,
-        round_seconds: float,
-        duration_seconds: float,
-        kappa_joules: float,
-        initial_level: float = 1.0,
-    ) -> list[float]:
-        """``e(t)`` for every round of a fresh trace, in one pass.
+    def replenishment_columns(
+        self, lanes: Sequence[random.Random], n_rounds: int,
+        round_seconds: float, duration_seconds: float, kappa_joules: float,
+    ) -> np.ndarray:
+        """``e(t)`` of a fresh trace per RNG lane: rounds down, lanes across.
 
-        Bit-identical to ``generate(duration_seconds + round_seconds,
-        sample_period_seconds=round_seconds)`` followed by
-        :meth:`BatteryTrace.sample_replenishment` on sample ``k + 1`` for
-        round ``k`` (clamped to the last sample) -- the exact lookup the
-        round grid induces, see
-        :func:`repro.runtime.columnar.build_device_columns`.  The fast
-        path exists because materializing a :class:`BatteryTrace` per
-        user dominates cohort setup at population scale: this method
-        runs the same recurrence with the same RNG draw order and the
-        same float arithmetic, but keeps plain scalars throughout.
+        Column ``u`` is bit-identical to ``generate(duration_seconds +
+        round_seconds, round_seconds)`` with ``lanes[u]`` as the ``rng`` (the
+        model's own is not read) followed by :meth:`BatteryTrace.
+        sample_replenishment` on sample ``k + 1`` for round ``k``, clamped to
+        the last -- the lookup the round grid induces -- and leaves each lane
+        where ``generate`` would.  One recurrence over samples, vectors across
+        lanes; operands pair as in ``generate`` and a lane draws its top-up
+        coin at exactly the samples it would there (DESIGN.md section 13).
         """
         if n_rounds < 0:
             raise ValueError("n_rounds must be >= 0")
@@ -138,44 +140,49 @@ class DiurnalBatteryModel:
             raise ValueError("sample period must be positive")
         if duration_seconds <= 0:
             raise ValueError("duration must be positive")
-        if not 0.0 <= initial_level <= 1.0:
-            raise ValueError("initial level must be in [0, 1]")
         if kappa_joules < 0:
             raise ValueError("kappa must be >= 0")
 
-        scale = 1.0 + self.jitter * (2.0 * self.rng.random() - 1.0)
-        drain = self.drain_per_hour * scale
-        phase = self.rng.uniform(-1.0, 1.0) * self.jitter * 2.0  # hours
-        rng_random = self.rng.random
-        charge_per_hour = self.charge_per_hour
-        is_night = self._is_night
-        duration = duration_seconds + round_seconds
-        hours = round_seconds / 3600.0
+        draws = [(lane.random(), lane.uniform(-1.0, 1.0)) for lane in lanes]
+        scale_draw, phase_draw = np.array(draws, dtype=np.float64).reshape(-1, 2).T
+        drain = self.drain_per_hour * (1.0 + self.jitter * (2.0 * scale_draw - 1.0))
+        phase = phase_draw * self.jitter * 2.0  # hours
 
-        refills: list[float] = []
-        level = initial_level
+        sample_times: list[float] = []
         t = 0.0
-        while t <= duration:
-            hour = ((t / 3600.0) + phase) % 24.0
-            charging = is_night(hour) or (
-                level < 0.15 and rng_random() < 0.5
-            )
-            if charging:
-                refills.append(kappa_joules)
-            elif level < 0.05:
-                refills.append(0.0)
-            else:
-                refills.append(kappa_joules * max(0.2, level))
-            if charging:
-                level = min(1.0, level + charge_per_hour * hours)
-            else:
-                activity = 0.5 + 0.5 * math.sin(math.pi * (hour - 7.0) / 12.0)
-                level = max(0.0, level - drain * hours * max(0.2, activity))
+        while t <= duration_seconds + round_seconds:
+            sample_times.append(t)
             t += round_seconds
-        last = len(refills) - 1
-        return [
-            refills[k + 1 if k + 1 <= last else last] for k in range(n_rounds)
-        ]
+        hour = ((np.array(sample_times)[:, None] / 3600.0) + phase) % 24.0
+        charging = self._is_night(hour)  # top-ups are added as they are drawn
+        hours = round_seconds / 3600.0
+        angle = math.pi * (hour - 7.0) / 12.0
+        # math.sin per element: np.sin is not guaranteed the same bits.
+        sines = np.fromiter(map(math.sin, angle.ravel().tolist()), np.float64, angle.size)
+        activity = 0.5 + 0.5 * sines.reshape(angle.shape)
+        charge_step = self.charge_per_hour * hours
+        # Signed: level - x is the same IEEE operation as level + (-x).
+        step = np.where(charging, charge_step, -(drain * hours * np.maximum(0.2, activity)))
+
+        # levels[k] is sample k's level; row k + 1 is written from row k.
+        levels = np.empty((len(sample_times) + 1, len(lanes)), dtype=np.float64)
+        levels[0] = 1.0
+        for k, level in enumerate(levels[:-1]):
+            if level.min(initial=1.0) < 0.15:
+                for u in np.flatnonzero((level < 0.15) & ~charging[k]).tolist():
+                    if lanes[u].random() < 0.5:
+                        charging[k, u] = True
+                        step[k, u] = charge_step
+            following = levels[k + 1]
+            np.add(level, step[k], out=following)
+            np.maximum(0.0, following, out=following)
+            np.minimum(1.0, following, out=following)
+
+        # Round k reads sample k + 1, the last sample once past the trace.
+        read = np.minimum(np.arange(1, n_rounds + 1), len(sample_times) - 1)
+        read_level = levels[read]
+        refill = np.where(read_level < 0.05, 0.0, kappa_joules * np.maximum(0.2, read_level))
+        return np.where(charging[read], kappa_joules, refill)
 
 
 class BatteryTrace:
@@ -246,12 +253,8 @@ class BatteryTrace:
     def sample_replenishment(
         sample: BatterySample, kappa_joules: float
     ) -> float:
-        """The :meth:`replenishment` rule for an already-located sample.
-
-        Exposed so batch evaluators (the columnar device columns) that
-        know which sample each round reads can skip the per-call bisect
-        while computing the exact same refill.
-        """
+        """The :meth:`replenishment` rule for an already-located sample
+        (with ``generate``, the reference the column form is tested against)."""
         if kappa_joules < 0:
             raise ValueError("kappa must be >= 0")
         if sample.charging:

@@ -117,8 +117,40 @@ class TestDiurnalModel:
             DiurnalBatteryModel().generate(100.0, sample_period_seconds=0.0)
 
 
+def reference_refills(lane, n_rounds, round_seconds, duration, kappa, **model):
+    """One lane the scalar way: materialize the trace, read sample k + 1."""
+    trace = DiurnalBatteryModel(rng=lane, **model).generate(
+        duration + round_seconds, sample_period_seconds=round_seconds
+    )
+    samples = list(trace)
+    last = len(samples) - 1
+    return [
+        trace.sample_replenishment(samples[min(k + 1, last)], kappa)
+        for k in range(n_rounds)
+    ]
+
+
+def assert_columns_match_reference(
+    seeds, n_rounds, round_seconds, duration, kappa, **model
+):
+    """Exact refills per lane, and every lane left where generate() leaves it."""
+    reference_lanes = [random.Random(seed) for seed in seeds]
+    lanes = [random.Random(seed) for seed in seeds]
+    columns = DiurnalBatteryModel(**model).replenishment_columns(
+        lanes, n_rounds, round_seconds, duration, kappa
+    )
+    assert columns.shape == (n_rounds, len(seeds))
+    for u, reference_lane in enumerate(reference_lanes):
+        expected = reference_refills(
+            reference_lane, n_rounds, round_seconds, duration, kappa, **model
+        )
+        assert columns[:, u].tolist() == expected  # exact: same floats
+        assert lanes[u].random() == reference_lane.random()
+    return columns
+
+
 class TestReplenishmentColumn:
-    """The columnar fast path replays generate() bit for bit."""
+    """The column recurrence replays generate() bit for bit, lane by lane."""
 
     @pytest.mark.parametrize("seed", [1, 7, 97])
     @pytest.mark.parametrize(
@@ -127,54 +159,53 @@ class TestReplenishmentColumn:
             (3600.0, 168 * 3600.0),  # the paper's weekly grid
             (600.0, DAY),            # sub-hourly rounds
             (3600.0, 1800.0),        # duration shorter than one round
+            (900.0, DAY),
+            (7200.0, 3 * DAY),
         ],
     )
     def test_matches_materialized_trace_exactly(
         self, seed, round_seconds, duration
     ):
-        kappa = 30.0
         # Ask for more rounds than the trace holds so the past-the-end
         # clamp (last sample repeats) is exercised too.
         n_rounds = int(duration // round_seconds) + 5
-        reference = DiurnalBatteryModel(rng=random.Random(seed)).generate(
-            duration + round_seconds, sample_period_seconds=round_seconds
-        )
-        samples = list(reference)
-        last = len(samples) - 1
-        expected = [
-            reference.sample_replenishment(
-                samples[k + 1 if k + 1 <= last else last], kappa
-            )
-            for k in range(n_rounds)
-        ]
-        column = DiurnalBatteryModel(
-            rng=random.Random(seed)
-        ).replenishment_column(n_rounds, round_seconds, duration, kappa)
-        assert column == expected  # exact: same floats, not approx
+        # 0.3 and 0.6 drain below 15 % (the conditional top-up draw) and
+        # below 5 % (refill 0), which the default never does; the second
+        # night window does not wrap midnight.
+        for drain in (0.05, 0.3, 0.6):
+            for night_start, night_end in ((23.0, 7.0), (1.0, 6.0)):
+                for n_lanes in (0, 1, 7):
+                    assert_columns_match_reference(
+                        [seed + 1000 * lane for lane in range(n_lanes)],
+                        n_rounds, round_seconds, duration, 30.0,
+                        drain_per_hour=drain,
+                        night_start_hour=night_start,
+                        night_end_hour=night_end,
+                    )
 
     def test_consumes_the_same_rng_draws(self):
-        """Interleaving-sensitive: the fast path must leave the RNG in the
-        identical state the materializing path does."""
-        rng_a, rng_b = random.Random(11), random.Random(11)
-        DiurnalBatteryModel(rng=rng_a).generate(
-            DAY + 3600.0, sample_period_seconds=3600.0
-        )
-        DiurnalBatteryModel(rng=rng_b).replenishment_column(
-            24, 3600.0, DAY, 30.0
-        )
-        assert rng_a.random() == rng_b.random()
+        """Interleaving-sensitive: a lane draws its top-up coin only while
+        it is below 15 % outside night, so 300 lanes that run low at
+        different samples must each be left in the state generate()
+        leaves them in -- and the run must really reach both low-battery
+        branches."""
+        kappa = 30.0
+        for drain in (0.3, 0.6):
+            columns = assert_columns_match_reference(
+                range(11, 311), 24 * 7, 3600.0, 7 * DAY, kappa,
+                drain_per_hour=drain,
+            )
+            assert (columns == 0.0).any()
+            assert ((columns > 0.0) & (columns < kappa)).any()
 
     def test_validation(self):
-        model = DiurnalBatteryModel(rng=random.Random(1))
+        model = DiurnalBatteryModel()
+        lanes = [random.Random(1)]
         with pytest.raises(ValueError):
-            model.replenishment_column(-1, 3600.0, DAY, 30.0)
+            model.replenishment_columns(lanes, -1, 3600.0, DAY, 30.0)
         with pytest.raises(ValueError):
-            model.replenishment_column(10, 0.0, DAY, 30.0)
+            model.replenishment_columns(lanes, 10, 0.0, DAY, 30.0)
         with pytest.raises(ValueError):
-            model.replenishment_column(10, 3600.0, -1.0, 30.0)
+            model.replenishment_columns(lanes, 10, 3600.0, -1.0, 30.0)
         with pytest.raises(ValueError):
-            model.replenishment_column(10, 3600.0, DAY, -1.0)
-        with pytest.raises(ValueError):
-            model.replenishment_column(
-                10, 3600.0, DAY, 30.0, initial_level=1.5
-            )
+            model.replenishment_columns(lanes, 10, 3600.0, DAY, -1.0)

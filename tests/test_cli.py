@@ -151,7 +151,8 @@ class TestFiguresCommand:
         assert "tables.txt" in names
         text = (out / "tables.txt").read_text()
         assert "fig3a_delivery_ratio" in text
-        assert "presentation mix" in text
+        assert "fig5b presentation mix" in text
+        assert "fig5c presentation mix" in text  # the Markov-network mix
         # CSVs round-trip through the loader.
         from repro.experiments.reporting import load_series_csv
 

@@ -11,6 +11,7 @@ re-derives expected values by hand.
 
 from __future__ import annotations
 
+import random
 import tempfile
 
 import numpy as np
@@ -36,20 +37,25 @@ from repro.experiments.metrics import aggregate
 from repro.experiments.pool import _columnar_outcomes_for_range, _WorkerState
 from repro.experiments.runner import (
     UtilityAnnotations,
+    _device_stream_seed,
     run_experiment,
     run_user,
 )
 from repro.experiments.workloads import workload_spec
 from repro.runtime import registry
 from repro.runtime.columnar import (
+    STATE_CODES,
     ColumnarCohort,
     ColumnarEngine,
     ColumnarPolicyError,
     build_device_columns,
+    markov_state_columns,
     round_times,
 )
 from repro.runtime.policy import FifoPolicy
+from repro.sim.battery import BatterySample, DiurnalBatteryModel
 from repro.sim.engine import Simulator
+from repro.sim.network import DEFAULT_TRANSITIONS, MarkovNetworkModel, NetworkState
 from repro.trace.generator import TraceConfig, build_workload, iter_users
 from repro.pubsub.topics import TopicKind
 from repro.runtime.types import Delivery
@@ -209,6 +215,128 @@ class TestRoundGrid:
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError, match="period"):
             round_times(0.0, 100.0)
+
+
+def reference_states(transitions, lane, n_rounds):
+    """One lane the scalar way: ``step()`` per round."""
+    model = MarkovNetworkModel(transitions=transitions, rng=lane)
+    return [STATE_CODES[model.step()] for _ in range(n_rounds)]
+
+
+#: Rows that sum to ``1 - 5e-10`` (inside the validator's 1e-9): a draw in
+#: the shortfall reaches no cumulative, and ``step()`` falls back to the
+#: row's last state.  Row order differs per row on purpose.
+SHORTFALL_TRANSITIONS = {
+    NetworkState.WIFI: {
+        NetworkState.OFF: 0.3, NetworkState.WIFI: 0.3, NetworkState.CELL: 0.4 - 5e-10,
+    },
+    NetworkState.CELL: {NetworkState.CELL: 0.6, NetworkState.OFF: 0.4 - 5e-10},
+    NetworkState.OFF: {
+        NetworkState.WIFI: 0.2, NetworkState.CELL: 0.2, NetworkState.OFF: 0.6 - 5e-10,
+    },
+}
+
+
+class _ShortfallLane(random.Random):
+    """A lane whose every fifth draw lands in the rows' 5e-10 shortfall."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        draw = super().random()
+        return 1.0 - 1e-10 if self.draws % 5 == 0 else draw
+
+
+class TestDeviceColumns:
+    """Device columns are one recurrence across users; the per-user models
+    are the oracle, lane by lane and draw by draw."""
+
+    @pytest.mark.parametrize(
+        "transitions,lane_type",
+        [
+            (DEFAULT_TRANSITIONS, random.Random),
+            (SHORTFALL_TRANSITIONS, random.Random),
+            (SHORTFALL_TRANSITIONS, _ShortfallLane),
+        ],
+        ids=["paper-matrix", "shortfall-matrix", "shortfall-draws"],
+    )
+    @pytest.mark.parametrize("n_lanes,n_rounds", [(0, 5), (1, 0), (7, 40), (300, 168)])
+    def test_chain_columns_match_step_per_lane(
+        self, transitions, lane_type, n_lanes, n_rounds
+    ):
+        reference_lanes = [lane_type(3 + 11 * u) for u in range(n_lanes)]
+        lanes = [lane_type(3 + 11 * u) for u in range(n_lanes)]
+        model = MarkovNetworkModel(transitions=transitions)
+        states = markov_state_columns(model, lanes, n_rounds)
+        assert states.shape == (n_rounds, n_lanes)
+        for u, reference_lane in enumerate(reference_lanes):
+            expected = reference_states(transitions, reference_lane, n_rounds)
+            assert states[:, u].tolist() == expected
+            # Left in the same RNG state: same number of draws taken.
+            assert lanes[u].random() == reference_lane.random()
+
+    def test_shortfall_draws_reach_no_cumulative(self):
+        """Precondition of the "shortfall-draws" case: the guard must fire."""
+        for row in SHORTFALL_TRANSITIONS.values():
+            cumulative = 0.0
+            for probability in row.values():
+                cumulative += probability
+            assert cumulative <= 1.0 - 1e-10
+
+    def test_columns_match_per_user_models_across_blocks(self):
+        """300 users cross the lane-block boundary twice; each column equals
+        the scalar device construction of ``runner._build_device``."""
+        round_seconds, duration, kappa = 3600.0, 48 * 3600.0, 30.0
+        times = round_times(round_seconds, duration)
+        seeds = [_device_stream_seed(97, user) for user in range(300)]
+        device = build_device_columns(
+            seeds, times, round_seconds, duration, kappa, markov=True
+        )
+        assert device.e_t.shape == device.states.shape == (len(times), 300)
+        for u, seed in enumerate(seeds):
+            assert device.states[:, u].tolist() == reference_states(
+                DEFAULT_TRANSITIONS, random.Random(seed), len(times)
+            )
+            battery = DiurnalBatteryModel(rng=random.Random(seed + 1)).generate(
+                duration + round_seconds, sample_period_seconds=round_seconds
+            )
+            assert device.e_t[:, u].tolist() == [
+                battery.replenishment(t, kappa) for t in times
+            ]
+
+    def test_no_per_user_object_path_is_left(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-user model object on the column path")
+
+        monkeypatch.setattr(DiurnalBatteryModel, "generate", forbidden)
+        monkeypatch.setattr(BatterySample, "__init__", forbidden)
+        monkeypatch.setattr(MarkovNetworkModel, "step", forbidden)
+        times = round_times(3600.0, 24 * 3600.0)
+        device = build_device_columns(
+            list(range(50)), times, 3600.0, 24 * 3600.0, 30.0, markov=True
+        )
+        assert device.e_t.shape == device.states.shape == (len(times), 50)
+
+    def test_cell_only_cohort_has_no_state_column(self):
+        device = build_device_columns([1, 2], [3600.0], 3600.0, 3600.0, 30.0)
+        assert device.states is None and device.e_t.shape == (1, 2)
+
+    def test_arguments_validated_before_any_lane(self):
+        """An empty cohort is no excuse: the checks do not live per user."""
+        for bad in (
+            dict(round_seconds=0.0), dict(duration_seconds=0.0),
+            dict(kappa_joules=-1.0),
+        ):
+            arguments = dict(
+                round_seconds=3600.0, duration_seconds=7200.0, kappa_joules=30.0
+            )
+            arguments.update(bad)
+            for seeds in ([], [1, 2]):
+                with pytest.raises(ValueError):
+                    build_device_columns(seeds, [3600.0, 7200.0], **arguments)
 
 
 class TestEngineEdges:

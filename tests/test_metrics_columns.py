@@ -1,19 +1,21 @@
 """Column-form metric/digest kernels == the object-form loops they replaced.
 
 ``compute_user_metrics`` and ``delivery_digest`` are adapters over
-``user_metrics_from_columns`` / ``delivery_digest_from_columns`` now, so
-comparing the two forms with each other would prove nothing.  The
-references below are the pre-column per-object loops, kept verbatim as
-the oracle: every generated case must match them bit for bit (dataclass
-equality on floats is exact), including ``level_histogram`` key order.
+``user_metrics_from_columns`` / ``delivery_digests`` now, so comparing
+the two forms with each other would prove nothing.  The references below
+are the pre-column per-object loops, kept verbatim as the oracle: every
+generated case must match them bit for bit (dataclass equality on floats
+is exact), including ``level_histogram`` key order.  The cohort-level
+digest kernel is also held to the definition of its bytes,
+``"".join(map(repr, rows))`` per segment, on hostile columns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from itertools import repeat
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from repro.experiments.metrics import (
     compute_user_metrics,
     user_metrics_from_columns,
 )
-from repro.experiments.runner import delivery_digest, delivery_digest_from_columns
+from repro.experiments.runner import delivery_digest, delivery_digests
 from repro.pubsub.topics import TopicKind
 from repro.runtime.types import Delivery
 from repro.trace.records import NotificationRecord
@@ -175,12 +177,68 @@ def test_digest_forms_match_the_object_loop(case):
     expected = reference_digest(deliveries)
     assert delivery_digest(deliveries) == expected
     times, item_ids, levels, sizes, energies, utilities, *_ = as_columns(deliveries)
-    assert (
-        delivery_digest_from_columns(
-            times, repeat(7), item_ids, levels, sizes, energies, utilities
+    assert delivery_digests(
+        [0, len(deliveries)], [7],
+        np.array(times, dtype=np.float64), np.array(item_ids, dtype=np.int64),
+        np.array(levels, dtype=np.int64), np.array(sizes, dtype=object),
+        np.array(energies, dtype=np.float64), np.array(utilities, dtype=np.float64),
+    ) == [expected]
+
+
+#: Floats whose ``repr`` is easy to get wrong: specials, both zeros,
+#: subnormals, and both sides of repr's switches to exponent notation.
+AWKWARD_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         9999999999999998.0, 1e16, 1.0000000000000002e16, 0.0001, 9.999e-5,
+         1e-5, 0.1 + 0.2, 3600.0]
+    ),
+)
+INT64S = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@st.composite
+def float_column(draw, n_rows):
+    """Low-cardinality (repeats of up to three values, ``0.0`` and ``-0.0``
+    forced in together) or all drawn independently."""
+    if draw(st.booleans()):
+        pool = [0.0, -0.0] + draw(st.lists(AWKWARD_FLOATS, max_size=3))
+        return draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    return draw(st.lists(AWKWARD_FLOATS, min_size=n_rows, max_size=n_rows))
+
+
+@st.composite
+def segmented_columns(draw):
+    """Cohort columns cut into zero or more segments, some of them empty."""
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=5))
+    n_rows = sum(lengths)
+    user_ids = draw(st.lists(INT64S, min_size=len(lengths), max_size=len(lengths)))
+    floats = [draw(float_column(n_rows)) for _ in range(3)]
+    ints = [
+        draw(st.lists(INT64S, min_size=n_rows, max_size=n_rows)) for _ in range(3)
+    ]
+    return lengths, user_ids, floats, ints
+
+
+@settings(max_examples=300, deadline=None)
+@given(segmented_columns())
+def test_cohort_digests_are_sha256_of_the_joined_row_reprs(case):
+    lengths, user_ids, (times, energies, utilities), (item_ids, levels, sizes) = case
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    expected = []
+    for user_id, lo, hi in zip(user_ids, offsets[:-1], offsets[1:]):
+        rows = zip(
+            times[lo:hi], [user_id] * (hi - lo), item_ids[lo:hi], levels[lo:hi],
+            sizes[lo:hi], energies[lo:hi], utilities[lo:hi],
         )
-        == expected
-    )
+        expected.append(hashlib.sha256("".join(map(repr, rows)).encode()).hexdigest())
+    assert delivery_digests(
+        offsets, user_ids,
+        np.array(times, dtype=np.float64), np.array(item_ids, dtype=np.int64),
+        np.array(levels, dtype=np.int64), np.array(sizes, dtype=np.int64),
+        np.array(energies, dtype=np.float64), np.array(utilities, dtype=np.float64),
+    ) == expected
 
 
 def test_no_deliveries_and_no_records():
@@ -189,10 +247,11 @@ def test_no_deliveries_and_no_records():
     assert empty.mean_queuing_delay_s == 0.0
     assert empty.level_histogram == {}
     assert delivery_digest([]) == hashlib.sha256().hexdigest()
-    assert (
-        delivery_digest_from_columns((), repeat(3), (), (), (), (), ())
-        == hashlib.sha256().hexdigest()
-    )
+    no_rows = np.array([], dtype=np.float64)
+    assert delivery_digests([0, 0], [3], *[no_rows] * 6) == [
+        hashlib.sha256().hexdigest()
+    ]
+    assert delivery_digests([0], [], *[no_rows] * 6) == []
 
 
 def test_histogram_keys_keep_first_delivery_order():

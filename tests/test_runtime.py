@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -580,13 +581,29 @@ class TestGoldenParity:
         duration = workload.config.duration_hours * 3600.0
 
         captured = []
-        original = columnar.delivery_digest_from_columns
+        original = columnar.delivery_digests
 
-        def spy(*columns):
-            captured.extend(zip(*columns))
-            return original(*columns)
+        def spy(offsets, user_ids, times, item_ids, levels, sizes, energies,
+                utilities):
+            # The one digest kernel the fold calls: cohort columns cut
+            # into one segment per user.  tolist() turns numpy scalars
+            # into the Python ones whose repr the golden hashes.
+            for segment, user_id in enumerate(user_ids):
+                mine = slice(offsets[segment], offsets[segment + 1])
+                captured.extend(
+                    zip(
+                        times[mine].tolist(), repeat(user_id),
+                        item_ids[mine].tolist(), levels[mine].tolist(),
+                        sizes[mine].tolist(), energies[mine].tolist(),
+                        utilities[mine].tolist(),
+                    )
+                )
+            return original(
+                offsets, user_ids, times, item_ids, levels, sizes, energies,
+                utilities,
+            )
 
-        monkeypatch.setattr(columnar, "delivery_digest_from_columns", spy)
+        monkeypatch.setattr(columnar, "delivery_digests", spy)
 
         for spec in specs:
             captured.clear()
