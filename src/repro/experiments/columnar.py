@@ -140,8 +140,9 @@ def make_engine(
 
     Exposed separately so benches and the shard-parallel path can time
     cohort construction apart from the round loop (and resume runs via
-    ``engine.run(limit_rounds=...)``).  ``channels`` configures
-    multi-channel delivery.
+    ``engine.run(limit_rounds=...)``).  ``channels`` is the delivery
+    :class:`~repro.core.channels.ChannelSet`; ``None`` is the paper's
+    push channel alone.
     """
     policy = registry.create(spec.policy_name, **spec.policy_params(config))
     times = round_times(config.round_seconds, duration_seconds)

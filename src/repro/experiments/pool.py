@@ -343,7 +343,6 @@ def run_store_columnar_parallel(
     workers: int | None = None,
     annotations: UtilityAnnotations | None = None,
     digest_deliveries: bool = False,
-    ranges_per_worker: int = 4,
 ) -> list[UserRunOutcome]:
     """Shard-parallel columnar execution straight off a trace shard store.
 
@@ -390,9 +389,11 @@ def run_store_columnar_parallel(
         finally:
             if state.store is not None:
                 state.store.close()
+    # Four ranges per worker, the pool's oversubscription everywhere: room
+    # to smooth stragglers without ranges degenerating to single users.
     tasks = [
         (spec, config, start, stop, digest_deliveries)
-        for start, stop in _contiguous_ranges(counts, workers * ranges_per_worker)
+        for start, stop in _contiguous_ranges(counts, workers * 4)
     ]
     parts: dict[int, list[UserRunOutcome]] = {}
 
@@ -650,15 +651,14 @@ def sweep_budgets_parallel(
     user_ids: Sequence[int] | None = None,
     *,
     max_workers: int | None = None,
-    n_batches: int | None = None,
     keep_per_user: bool = True,
 ) -> dict[tuple[str, float], ExperimentResult]:
     """The Figures 3-5 grid on a shared pool, all cells in flight at once.
 
     Drop-in parallel equivalent of
     :func:`repro.experiments.runner.sweep_budgets`: same arguments, same
-    result mapping, bit-identical aggregates.  ``n_batches=None`` sizes
-    the per-cell split from the grid: ``ceil(4 * workers / n_cells)``.
+    result mapping, bit-identical aggregates.  The per-cell split is sized
+    from the grid: ``ceil(4 * workers / n_cells)`` batches.
     """
     base_config = base_config or ExperimentConfig()
     cells = [
@@ -666,17 +666,15 @@ def sweep_budgets_parallel(
         for budget in budgets_mb
         for spec in specs
     ]
-    if n_batches is None:
-        # A cell is the columnar engine's unit of work: split cells only
-        # as far as keeping every worker busy (4 tasks each) needs.
-        workers = max_workers or available_cores()
-        n_batches = math.ceil(4 * workers / max(1, len(cells)))
+    # A cell is the columnar engine's unit of work: split cells only as
+    # far as keeping every worker busy (4 tasks each) needs.
+    workers = max_workers or available_cores()
     with ExperimentPool(
         workload,
         annotations=annotations,
         user_ids=user_ids,
         max_workers=max_workers,
-        n_batches=n_batches,
+        n_batches=math.ceil(4 * workers / max(1, len(cells))),
         base_config=base_config,
     ) as pool:
         return pool.run_cells(cells, keep_per_user=keep_per_user)

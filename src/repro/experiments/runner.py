@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Sequence
 
@@ -348,11 +348,14 @@ def run_user(
     """
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
-    items = []
-    for record in records:
-        item = record_to_item(record, ladder)
-        item.content_utility = annotations.scores[record.notification_id]
-        items.append(item)
+    # ``replace`` re-runs the constructor, so a score outside [0, 1] raises.
+    items = [
+        replace(
+            record_to_item(record, ladder),
+            content_utility=annotations.scores[record.notification_id],
+        )
+        for record in records
+    ]
 
     device = _build_device(user_id, config, duration_seconds)
     scheduler = _build_scheduler(

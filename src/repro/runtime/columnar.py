@@ -23,14 +23,19 @@ connectivity group, never a loop over users:
   a block of users, every user's RNG lane drawn in its scalar order;
 * :class:`ColumnarEngine` -- the phase loop.  Ingest merges the round's
   slice of a precomputed argsort into the queue; selection stacks a
-  group's queued rows and runs one segmented Algorithm 1
+  group's queued rows, prices every configured channel's ladder with the
+  Eq. 7 kernels and runs one segmented Algorithm 1
   (:func:`repro.runtime.kernels.greedy_select`, one segment per user)
-  behind the Eq. 7 kernels; delivery debits the budget columns and
-  appends :data:`DELIVERY_DTYPE` rows to one log.  The engine has one
-  column kernel per registered built-in (RichNote / FIFO / UTIL under
-  the stock :class:`~repro.core.utility.CombinedUtilityModel`); any
-  other policy or utility model raises :class:`ColumnarPolicyError` --
-  custom policies are evaluated on :class:`~repro.runtime.loop.RoundLoop`.
+  over each item's (channel x level) choice row; delivery debits the
+  budget columns and appends :data:`DELIVERY_DTYPE` rows, each naming its
+  carrying channel, to one log.  As in the scalar runtime there is no
+  single-channel path: an engine built with no channels runs the
+  one-channel :func:`~repro.core.channels.default_channel_set`.  The
+  engine has one column kernel per registered built-in (RichNote / FIFO
+  / UTIL under the stock
+  :class:`~repro.core.utility.CombinedUtilityModel`); any other policy
+  or utility model raises :class:`ColumnarPolicyError` -- custom
+  policies are evaluated on :class:`~repro.runtime.loop.RoundLoop`.
 
 Bit-for-bit parity with the scalar path is a hard contract, not an
 aspiration: every float operation pairs the same operands in the same
@@ -43,8 +48,8 @@ Scope: the engine models the paper's atomic delivery semantics.  TTL
 expiry, the fault-tolerant delivery engine and service-layer level caps
 stay on :class:`~repro.runtime.loop.RoundLoop` (the experiment layer
 picks the driver in ``repro.experiments.runner.run_users``).  One
-presentation ladder is shared across the cohort, mirroring how the
-experiment layer builds items.  Policy lifecycle hooks run once per
+native presentation ladder is shared across the cohort, mirroring how
+the experiment layer builds items.  Policy lifecycle hooks run once per
 engine, not once per user:
 ``attach`` is invoked against a budget shim at bind time, and
 ``after_round`` diagnostics are not replayed -- deliveries and metrics,
@@ -68,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.budgets import EnergyBudget
-from repro.core.channels import ChannelSet
+from repro.core.channels import ChannelSet, default_channel_set
 from repro.core.content import PresentationLadder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.runtime import kernels
@@ -177,6 +182,21 @@ class ColumnarCohort:
                 raise ValueError(
                     f"{name} has {len(column)} entries, offsets imply {n_items}"
                 )
+        # Eq. 1 needs U_c in [0, 1] (what ``ContentItem`` enforces on the
+        # scalar path) and a NaN timestamp would never be ingested.
+        hostile = ~(
+            (self.contents >= 0.0)
+            & (self.contents <= 1.0)
+            & np.isfinite(self.created_at)
+        )
+        if hostile.any():
+            at = int(np.flatnonzero(hostile)[0])
+            owner = int(np.searchsorted(self.offsets, at, side="right")) - 1
+            raise ValueError(
+                f"user {self.user_ids[owner]} item {self.item_ids[at]}: content "
+                f"utility must be in [0, 1] and created_at finite, got "
+                f"{self.contents[at]} at {self.created_at[at]}"
+            )
         # Item ids break Algorithm 1's gradient ties, so they must be
         # unique within a user.  Equal ids stay in flat (= user) order
         # under a stable sort, which puts a user's duplicates side by side.
@@ -363,7 +383,7 @@ class ColumnarRunResult:
     max_queue_length: np.ndarray
     final_queue_length: np.ndarray
     rounds: int
-    channel_names: tuple[str, ...] = ("push",)
+    channel_names: tuple[str, ...]
 
     @cached_property
     def mean_backlog_bytes(self) -> np.ndarray:
@@ -389,7 +409,7 @@ class ColumnarRunResult:
     @property
     def channel_codes(self) -> Sequence[list[int]]:
         """Parallel to :attr:`deliveries`: the carrying channel's index in
-        ``channel_names`` (all zeros on the single-channel path)."""
+        ``channel_names``."""
         rows, offsets = self.user_sorted
         return _PerUser([rows["channel"]], offsets)
 
@@ -422,9 +442,11 @@ class ColumnarEngine:
     ``theta_bytes`` / ``kappa_joules`` parameterize the budgets (data
     starts empty, energy starts at ``kappa``, as in
     :mod:`repro.core.budgets`), ``device`` carries the precomputed
-    per-round connectivity/battery columns, and ``expected_batch``
-    prices selection-time energy estimates.  Realized batch energy is
-    priced from the energy model's radio profiles.
+    per-round connectivity/battery columns, ``expected_batch`` prices
+    selection-time energy estimates and ``channels`` is the delivery
+    :class:`~repro.core.channels.ChannelSet` (``None``: the paper's push
+    channel alone).  Realized batch energy is priced from the stock
+    :class:`~repro.sim.energy.TransferEnergyModel`'s radio profiles.
     """
 
     # Constants the benchmark harness still reads; removed with its metric in the next benchmark PR.
@@ -443,19 +465,13 @@ class ColumnarEngine:
         round_seconds: float,
         duration_seconds: float,
         expected_batch: int = 10,
-        energy_model: TransferEnergyModel | None = None,
         channels: ChannelSet | None = None,
     ) -> None:
         self.cohort = cohort
         self.device = device
         self.policy = policy
-        self.channels = channels
-        self._multichannel = (
-            channels is not None and not channels.is_single_passthrough
-        )
-        self.channel_names = (
-            tuple(channels.names) if self._multichannel else ("push",)
-        )
+        self.channels = channels or default_channel_set()
+        self.channel_names = tuple(self.channels.names)
         self.utility_model = utility_model or CombinedUtilityModel()
         self.times = round_times(round_seconds, duration_seconds)
         n_rounds = len(self.times)
@@ -468,24 +484,13 @@ class ColumnarEngine:
         self._theta = theta_bytes
         self._kappa = kappa_joules
         self._aging = self.utility_model.aging
-        energy_model = energy_model or TransferEnergyModel()
-
-        ladder = cohort.ladder
-        n_levels = ladder.max_level + 1
-        self._level_sizes = np.asarray(
-            [ladder.size(level) for level in range(n_levels)], dtype=np.int64
-        )
-        self._presentation_row = np.asarray(
-            [ladder.utility(level) for level in range(n_levels)],
-            dtype=np.float64,
-        )
-        self._ladder_total_f = float(ladder.total_size())
+        self._ladder_total_f = float(cohort.ladder.total_size())
 
         # Per-state precomputation: round capacity, the selection-time
-        # energy estimator with its shared per-level row, and the radio
-        # profile that prices a delivered batch -- the device's network
-        # state is fixed within a round, so these are pure functions of
-        # the state.
+        # energy estimator and the radio profile that prices a delivered
+        # batch -- the device's network state is fixed within a round, so
+        # these are pure functions of the state.
+        energy_model = TransferEnergyModel()
         states = (NetworkState.CELL, NetworkState.WIFI)
         self._capacity = {
             STATE_CODES[state]: DEFAULT_BANDWIDTH_BPS[state] * round_seconds
@@ -502,38 +507,30 @@ class ColumnarEngine:
             )
             for state in states
         }
-        self._energies_row = {
-            code: _estimate_row(estimate, self._level_sizes.tolist())
+
+        # Per-channel precomputation: each channel's ladder (the cohort's
+        # own on a channel that does not re-render) projected to a billed
+        # size row, a presentation row and per-state energy rows priced on
+        # *wire* bytes, plus dense (channel, level) lookup tables (ragged
+        # rows zero-padded; a selection never indexes past its own
+        # channel's ladder).
+        ladders = [channel.ladder or cohort.ladder for channel in self.channels]
+        wire_rows = [[step.size_bytes for step in ladder] for ladder in ladders]
+        self._billed_rows = [
+            [channel.cost.billed_bytes(size) for size in wire]
+            for channel, wire in zip(self.channels, wire_rows)
+        ]
+        self._pres_rows = [
+            np.asarray([step.utility for step in ladder], dtype=np.float64)
+            for ladder in ladders
+        ]
+        self._energies_rows = {
+            code: [_estimate_row(estimate, wire) for wire in wire_rows]
             for code, estimate in estimates.items()
         }
-
-        # Per-channel precomputation (multichannel only): each channel's
-        # ladder projected to billed size rows, presentation rows and
-        # per-state energy rows, plus dense (channel, level) lookup tables
-        # (ragged rows zero-padded; a selection never indexes past its own
-        # channel's ladder).  The single-channel path never reads these,
-        # so building them cannot perturb parity.
-        if self._multichannel:
-            ladders = [channel.ladder or ladder for channel in self.channels]
-            wire_rows = [
-                [ch_ladder.size(level) for level in range(ch_ladder.max_level + 1)]
-                for ch_ladder in ladders
-            ]
-            self._ch_billed_sizes = [
-                [channel.cost.billed_bytes(size) for size in wire]
-                for channel, wire in zip(self.channels, wire_rows)
-            ]
-            self._ch_pres_rows = [
-                [ch_ladder.utility(level) for level in range(ch_ladder.max_level + 1)]
-                for ch_ladder in ladders
-            ]
-            self._ch_energies_rows = {
-                code: [_estimate_row(estimate, wire) for wire in wire_rows]
-                for code, estimate in estimates.items()
-            }
-            self._ch_wire_table = _padded_table(wire_rows, np.int64)
-            self._ch_billed_table = _padded_table(self._ch_billed_sizes, np.int64)
-            self._ch_pres_table = _padded_table(self._ch_pres_rows, np.float64)
+        self._wire_table = _padded_table(wire_rows, np.int64)
+        self._billed_table = _padded_table(self._billed_rows, np.int64)
+        self._pres_table = _padded_table(self._pres_rows, np.float64)
 
         users = cohort.n_users
         self._user_of = np.repeat(
@@ -584,20 +581,15 @@ class ColumnarEngine:
             # Just enough of a RoundLoop for ``attach`` to validate against.
             attach(SimpleNamespace(energy_budget=EnergyBudget(self._kappa)))
         if type(policy) is RichNotePolicy:
-            self._select = (
-                self._select_richnote_channels
-                if self._multichannel
-                else self._select_richnote
-            )
+            self._select = self._select_richnote
             self._lyapunov = policy.controller.config
         else:
             self._select = self._select_fixed
-            # Multichannel baselines route everything over the primary
-            # channel, mirroring FixedLevelPolicy.fill.
-            primary_ladder = (
-                self.channels.primary.ladder if self._multichannel else None
-            ) or self.cohort.ladder
-            self._fixed_level = min(policy.fixed_level, primary_ladder.max_level)
+            # Baselines route everything over the primary channel at its
+            # ladder-clamped fixed level, mirroring FixedLevelPolicy.fill.
+            self._fixed_level = min(
+                policy.fixed_level, len(self._billed_rows[0]) - 1
+            )
 
     # -- the round loop --------------------------------------------------------
 
@@ -694,11 +686,10 @@ class ColumnarEngine:
 
     # -- selection -------------------------------------------------------------
 
-    def _adjusted_rows(
-        self, group: _Group, decayed: np.ndarray, ladders
-    ) -> list[np.ndarray]:
+    def _adjusted_rows(self, group: _Group, decayed: np.ndarray) -> list[np.ndarray]:
         """Eq. 1 then Eq. 7 for every queued row of a group: one profit
-        matrix per ``(presentation row, energy-estimate row)`` ladder."""
+        matrix per channel, over that channel's presentation row and its
+        energy-estimate row under the group's network state."""
         cfg = self._lyapunov
         # q = len(queue) * ladder_total: exact int -> float64 conversion,
         # identical bits to the scalar path's float(len * total).
@@ -718,7 +709,9 @@ class ColumnarEngine:
                 size_scale=cfg.size_scale,
                 energy_scale=cfg.energy_scale,
             )
-            for presentation_row, energies_row in ladders
+            for presentation_row, energies_row in zip(
+                self._pres_rows, self._energies_rows[group.code]
+            )
         ]
 
     def _greedy(self, group: _Group, sizes, profits, lengths) -> np.ndarray:
@@ -738,83 +731,44 @@ class ColumnarEngine:
         return np.lexsort((-utility, self._user_of[flat]))
 
     def _select_richnote(self, now: float, group: _Group) -> None:
-        """Eq. 7 + Algorithm 1 over every queued item of the group at once."""
-        decayed = self._decay_column_at(group.flat, now)
-        (profits,) = self._adjusted_rows(
-            group, decayed, [(self._presentation_row, self._energies_row[group.code])]
-        )
-        picked = self._greedy(group, self._level_sizes, profits, None)
-        rows = np.flatnonzero(picked)
-        level = picked[rows]
-        utility = decayed[rows] * self._presentation_row[level]
-        order = self._by_utility(group.flat[rows], utility)
-        self._deliver(
-            now, group.code, group.flat[rows][order], level[order], utility[order]
-        )
+        """Eq. 7 + Algorithm 1 over every queued item of the group at once:
+        the joint (channel x level) MCKP, one choice row per item.
 
-    def _select_richnote_channels(self, now: float, group: _Group) -> None:
-        """Joint (channel x level) MCKP over every queued item of the group.
-
-        The group's rows come merged across channels and reduced to their
-        convex hulls (:meth:`_merge_group`), which is exactly the
-        filtering ``greedy_select_hull`` would apply per item, so the
-        plain segmented greedy picks identical choices.
+        The paper's single push channel hands its rows to Algorithm 1 as
+        they are (column ``j`` is level ``j``).  Any other set, as in
+        ``RichNotePolicy.select``, first fuses the batch's per-channel rows
+        (``merge_channel_rows_batched``: shared billed-size rows make the
+        merged size axis common to every item) and reduces them to their
+        convex hulls (``hull_levels_batched``).  The hull would prune the
+        Eq. 7 dips the raw-ladder greedy keeps, so push never takes it.
         """
-        flat = group.flat
-        sizes, profits, lengths, channels, levels, utilities = self._merge_group(now, group)
+        decayed = self._decay_column_at(group.flat, now)
+        adjusted = self._adjusted_rows(group, decayed)
+        fuse = not self.channels.is_single_passthrough
+        if fuse:
+            merged_sizes, merged_profits, via, at = kernels.merge_channel_rows_batched(
+                self._billed_rows, adjusted
+            )
+            hull, lengths = kernels.hull_levels_batched(merged_sizes, merged_profits)
+            sizes = np.asarray(merged_sizes, dtype=np.int64)[hull]
+            profits = np.take_along_axis(merged_profits, hull, axis=1)
+        else:
+            # One channel: its row of the billed table carries no padding.
+            sizes, (profits,), lengths = self._billed_table[0], adjusted, None
         picked = self._greedy(group, sizes, profits, lengths)
         rows = np.flatnonzero(picked)
-        at = (rows, picked[rows])
-        order = self._by_utility(flat[rows], utilities[at])
+        level = picked[rows]
+        channel = np.zeros(rows.size, dtype=np.int64)
+        if fuse:
+            merged = hull[rows, level]
+            channel, level = via[rows, merged], at[rows, merged]
+        # Realized utility: decayed * U_p on the carrying channel's ladder
+        # (same operands, same single multiply as the scalar recompute).
+        utility = decayed[rows] * self._pres_table[channel, level]
+        order = self._by_utility(group.flat[rows], utility)
         self._deliver(
-            now,
-            group.code,
-            flat[rows][order],
-            levels[at][order],
-            utilities[at][order],
-            channels[at][order],
-        )
-
-    def _merge_group(self, now: float, group: _Group) -> tuple[np.ndarray, ...]:
-        """Merged + hull-reduced joint choice rows for a batch of users.
-
-        One Eq. 7 adjusted-profit matrix per channel; the per-channel rows
-        of the whole batch then fuse at once (``merge_channel_rows_batched``
-        -- the shared billed-size rows make the merged size axis common to
-        every item) and reduce to their convex hulls
-        (``hull_levels_batched``).  Bit-identical to merging and
-        hull-filtering each item with the scalar kernels.
-
-        Returns ``(sizes, profits, lengths, channels, levels, utilities)``
-        with one row per entry of ``group.flat``: column ``j > 0`` below
-        ``lengths[i]`` is one surviving joint (channel, level) choice of
-        item ``i`` (column 0 = not sent) with its billed size, adjusted
-        profit and realized utility.
-        """
-        decayed = self._decay_column_at(group.flat, now)
-        merged_sizes, merged_profits, merged_chans, merged_lvls = (
-            kernels.merge_channel_rows_batched(
-                self._ch_billed_sizes,
-                self._adjusted_rows(
-                    group,
-                    decayed,
-                    zip(self._ch_pres_rows, self._ch_energies_rows[group.code]),
-                ),
-            )
-        )
-        hull, lengths = kernels.hull_levels_batched(merged_sizes, merged_profits)
-        channels = np.take_along_axis(merged_chans, hull, axis=1)
-        levels = np.take_along_axis(merged_lvls, hull, axis=1)
-        return (
-            np.asarray(merged_sizes, dtype=np.int64)[hull],
-            np.take_along_axis(merged_profits, hull, axis=1),
-            lengths,
-            channels,
-            levels,
-            # Realized utility per surviving choice: decayed * U_p on the
-            # winning channel's ladder (same operands, same single multiply
-            # as the scalar recompute -- bit-identical).
-            decayed[:, None] * self._ch_pres_table[channels, levels],
+            now, group.code, group.flat[rows][order], level[order], utility[order],
+            channel[order],
         )
 
     def _select_fixed(self, now: float, group: _Group) -> None:
@@ -823,19 +777,14 @@ class ColumnarEngine:
         Every item costs the same, so the fill takes the first
         ``budget // size`` items of each user's ordering: queue (=
         created-at) order for FIFO, realized utility descending for UTIL.
-        Multichannel runs route everything over the primary channel --
-        billed bytes fill the budget, wire bytes price delivery -- just
-        like ``FixedLevelPolicy.fill`` on the scalar path.
+        Everything rides the primary channel -- billed bytes fill the
+        budget, wire bytes price delivery -- just like
+        ``FixedLevelPolicy.fill`` on the scalar path.
         """
         code, flat, _, counts = group
         level = self._fixed_level
-        if self._multichannel:
-            size = self._ch_billed_sizes[0][level]
-            level_utility = self._ch_pres_rows[0][level]
-        else:
-            size = int(self._level_sizes[level])
-            level_utility = float(self._presentation_row[level])
-        utility = self._decay_column_at(flat, now) * level_utility
+        size = self._billed_rows[0][level]
+        utility = self._decay_column_at(flat, now) * self._pres_rows[0][level]
         by_utility = self._by_utility(flat, utility)
         ordering = (
             by_utility if type(self.policy) is UtilPolicy else np.arange(flat.size)
@@ -851,7 +800,7 @@ class ColumnarEngine:
             flat[rows],
             np.full(rows.size, level, dtype=np.int64),
             utility[rows],
-            np.zeros(rows.size, dtype=np.int64) if self._multichannel else None,
+            np.zeros(rows.size, dtype=np.int64),
         )
 
     # -- delivery --------------------------------------------------------------
@@ -863,7 +812,7 @@ class ColumnarEngine:
         index: np.ndarray,
         level: np.ndarray,
         utility: np.ndarray,
-        channel: np.ndarray | None = None,
+        channel: np.ndarray,
     ) -> None:
         """Drain a group's delivery queues: debit columns, log rows.
 
@@ -871,19 +820,14 @@ class ColumnarEngine:
         Replicates :meth:`repro.runtime.loop.RoundLoop._deliver`'s atomic
         path per user: one shared batch energy, proportional per-item
         shares, zero-floored budget debits, queue removal by delivered
-        item.  With ``channel`` given, wire bytes price the batch energy
-        and enter the log (the scalar ``Delivery.size_bytes``) while
-        *billed* bytes drain the data column; without, both are the cohort
-        ladder's sizes and the channel code is 0.
+        item.  Wire bytes on the carrying ``channel`` price the batch
+        energy and enter the log (the scalar ``Delivery.size_bytes``)
+        while *billed* bytes drain the data column.
         """
         if not index.size:
             return
-        if channel is None:
-            wire = billed = self._level_sizes[level]
-            channel = 0
-        else:
-            wire = self._ch_wire_table[channel, level]
-            billed = self._ch_billed_table[channel, level]
+        wire = self._wire_table[channel, level]
+        billed = self._billed_table[channel, level]
         users = self._user_of[index]
         starts = np.flatnonzero(np.diff(users, prepend=-1))
         batch_sizes = np.diff(starts, append=users.size)
@@ -919,9 +863,9 @@ class ColumnarEngine:
         state.queue = np.delete(state.queue, np.searchsorted(state.queue, index))
 
 
-def _estimate_row(estimate, sizes: Sequence[int]) -> list[float]:
+def _estimate_row(estimate, sizes: Sequence[int]) -> np.ndarray:
     """Selection-time energy estimate per ladder level (level 0 is free)."""
-    return [0.0] + [estimate(size) for size in sizes[1:]]
+    return np.asarray([0.0] + [estimate(size) for size in sizes[1:]], dtype=np.float64)
 
 
 def _padded_table(rows: Sequence[Sequence[float]], dtype) -> np.ndarray:

@@ -63,6 +63,7 @@ from repro.sim.faults import (
     CellOutageSchedule,
 )
 from repro.sim.network import CellularOnlyNetwork
+from tests.test_columnar_segmented import _build, _streams, channel_set, no_channels
 
 LADDER = build_audio_ladder()
 
@@ -639,55 +640,11 @@ class TestPerChannelRateLimit:
 
 
 class TestColumnarChannelCodes:
-    def _engine(self, channels):
-        from repro.experiments.columnar import build_cohort
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import (
-            UtilityAnnotations,
-            _device_stream_seed,
-        )
-        from repro.runtime.columnar import (
-            ColumnarEngine,
-            build_device_columns,
-            round_times,
-        )
-        from repro.trace.generator import TraceConfig, iter_users
-
-        trace = TraceConfig(seed=31, duration_hours=24.0)
-        pairs = [(u, r) for u, r in iter_users(12, trace) if r]
-        annotations = UtilityAnnotations(
-            scores={
-                r.notification_id: (0.9 if r.clicked else 0.1)
-                for _, rs in pairs
-                for r in rs
-            }
-        )
-        config = ExperimentConfig(seed=31)
-        duration = trace.duration_hours * 3600.0
-        columns = build_cohort(
-            pairs, annotations, build_audio_ladder(config.presentation_spec)
-        )
-        times = round_times(config.round_seconds, duration)
-        device = build_device_columns(
-            [_device_stream_seed(config.seed, u) for u in columns.user_ids],
-            times,
-            config.round_seconds,
-            duration,
-            config.kappa_joules_per_round,
-        )
-        return ColumnarEngine(
-            columns.cohort,
-            device,
-            registry.create("richnote"),
-            theta_bytes=config.theta_bytes_per_round,
-            kappa_joules=config.kappa_joules_per_round,
-            round_seconds=config.round_seconds,
-            duration_seconds=duration,
-            channels=channels,
-        )
+    def _engine(self, make_channels):
+        return _build(_streams(), "richnote", {}, {}, make_channels)[-1]
 
     def test_legacy_path_emits_all_push_codes(self):
-        result = self._engine(channels=None).run()
+        result = self._engine(no_channels).run()
         assert result.channel_names == ("push",)
         assert result.channel_codes is not None
         for codes, deliveries in zip(
@@ -697,10 +654,7 @@ class TestColumnarChannelCodes:
             assert all(code == 0 for code in codes)
 
     def test_multichannel_codes_index_the_channel_names(self):
-        channels = ChannelSet(
-            [builtin_channel("push"), builtin_channel("inapp")]
-        )
-        result = self._engine(channels=channels).run()
+        result = self._engine(channel_set("push", "inapp")).run()
         assert result.channel_names == ("push", "inapp")
         flat = [
             code for codes in result.channel_codes for code in codes

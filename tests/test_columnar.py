@@ -463,6 +463,28 @@ class TestEngineEdges:
             ladder=ladder,
         )
         assert shared.n_items == 4
+        # Values, not only shapes: at the parent this cohort ran to the end,
+        # never scheduling the NaN item and delivering the 7.0 one.
+        hostile = dict(
+            user_ids=[7, 8],
+            offsets=np.asarray([0, 2, 5]),
+            item_ids=[10, 11, 12, 13, 14],
+            ladder=ladder,
+        )
+        times = np.arange(5.0)
+        for contents, created_at, named in [
+            ([0.5, np.nan, 0.9, -3.0, 7.0], times, "user 7 item 11"),
+            ([0.5, 0.0, 0.9, -3.0, 7.0], times, "user 8 item 13"),
+            ([0.5, 0.0, 0.9, 1.0, 7.0], times, "user 8 item 14"),
+            (np.full(5, 0.5), [0.0, 1.0, np.inf, 3.0, 4.0], "user 8 item 12"),
+            (np.full(5, 0.5), [np.nan, 1.0, 2.0, 3.0, 4.0], "user 7 item 10"),
+        ]:
+            with pytest.raises(ValueError, match=named):
+                ColumnarCohort(contents=contents, created_at=created_at, **hostile)
+        bounds = ColumnarCohort(  # 0.0 and 1.0 are utilities
+            contents=[0.0, 1.0, 0.5, 0.0, 1.0], created_at=times, **hostile
+        )
+        assert bounds.n_items == 5
 
 
 class TestStreamedUsers:

@@ -10,12 +10,19 @@ re-derives expected selections by hand.
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.channels import ChannelSet, builtin_channel
+from repro.core.channels import (
+    Channel,
+    ChannelCostCurve,
+    ChannelSet,
+    builtin_channel,
+)
 from repro.core.presentations import build_audio_ladder
 from repro.experiments.columnar import build_cohort, fold_outcomes, make_engine
 from repro.experiments.config import (
@@ -143,8 +150,8 @@ class TestSegmentedGreedy:
 # -- the engine against the per-user paths --------------------------------------
 
 
-@pytest.fixture(scope="module")
-def streams():
+@cache
+def _streams():
     trace = TraceConfig(seed=23)
     pairs = [(u, r) for u, r in iter_users(14, trace) if r]
     scores = {
@@ -154,21 +161,51 @@ def streams():
     return pairs, UtilityAnnotations(scores=scores), trace.duration_hours * 3600.0
 
 
-THREE_CHANNELS = ("push", "inapp", "email")
+@pytest.fixture(scope="module")
+def streams():
+    return _streams()
 
-#: (id, policy name, extra policy kwargs, config overrides, channel names)
+
+def no_channels():
+    """The default of both runners: the paper's push channel alone."""
+    return None
+
+
+#: One factory per channel shape; a set is 1-3 of them, the first primary.
+CHANNEL_SHAPES = {
+    **{
+        name: partial(builtin_channel, name)
+        for name in ("push", "inapp", "email", "messenger")
+    },
+    # A passthrough channel that is not called "push".
+    "sms": partial(Channel, name="sms"),
+    # The items' native ladder behind a non-identity cost curve: cheaper per
+    # byte than push, dearer at the low levels where the envelope dominates.
+    "bulk": partial(
+        Channel, name="bulk", cost=ChannelCostCurve(per_byte=0.8, overhead_bytes=512)
+    ),
+}
+
+
+def channel_set(*shapes):
+    return lambda: ChannelSet([CHANNEL_SHAPES[shape]() for shape in shapes])
+
+
+three_channels = channel_set("push", "inapp", "email")
+
+#: (id, policy name, extra policy kwargs, config overrides, ChannelSet factory)
 MATRIX = [
-    ("richnote-cell", "richnote", {}, {}, None),
-    ("richnote-starved", "richnote", {}, {"weekly_budget_mb": 0.05}, None),
-    ("richnote-markov", "richnote", {}, {"network_mode": NetworkMode.MARKOV}, None),
-    ("richnote-no-aging", "richnote", {}, {"aging_tau_seconds": None}, None),
-    ("fifo-cell", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 1.0}, None),
-    ("fifo-markov", "fifo", {"fixed_level": 3}, {"network_mode": NetworkMode.MARKOV}, None),
-    ("util-cell", "util", {"fixed_level": 3}, {"weekly_budget_mb": 1.0}, None),
-    ("util-markov", "util", {"fixed_level": 2}, {"network_mode": NetworkMode.MARKOV}, None),
+    ("richnote-cell", "richnote", {}, {}, no_channels),
+    ("richnote-starved", "richnote", {}, {"weekly_budget_mb": 0.05}, no_channels),
+    ("richnote-markov", "richnote", {}, {"network_mode": NetworkMode.MARKOV}, no_channels),
+    ("richnote-no-aging", "richnote", {}, {"aging_tau_seconds": None}, no_channels),
+    ("fifo-cell", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 1.0}, no_channels),
+    ("fifo-markov", "fifo", {"fixed_level": 3}, {"network_mode": NetworkMode.MARKOV}, no_channels),
+    ("util-cell", "util", {"fixed_level": 3}, {"weekly_budget_mb": 1.0}, no_channels),
+    ("util-markov", "util", {"fixed_level": 2}, {"network_mode": NetworkMode.MARKOV}, no_channels),
     (
         "channels-aging", "richnote", {},
-        {"network_mode": NetworkMode.MARKOV, "weekly_budget_mb": 2.0}, THREE_CHANNELS,
+        {"network_mode": NetworkMode.MARKOV, "weekly_budget_mb": 2.0}, three_channels,
     ),
     (  # starved and aging-free: the same queued rows merge again every round
         "channels-no-aging", "richnote", {},
@@ -176,28 +213,41 @@ MATRIX = [
             "aging_tau_seconds": None, "weekly_budget_mb": 0.01,
             "network_mode": NetworkMode.MARKOV,
         },
-        THREE_CHANNELS,
+        three_channels,
     ),
-    ("channels-fifo", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 2.0}, THREE_CHANNELS),
+    ("channels-fifo", "fifo", {"fixed_level": 2}, {"weekly_budget_mb": 2.0}, three_channels),
+    # The channel axis.  A renamed passthrough selects exactly like push and
+    # must carry its own name (the parent engine reported "push").
+    ("renamed-passthrough", "richnote", {}, {"weekly_budget_mb": 2.0}, channel_set("sms")),
+    ("email-alone", "richnote", {}, {"weekly_budget_mb": 0.5}, channel_set("email")),
+    (
+        "inapp-primary", "fifo", {"fixed_level": 3}, {"weekly_budget_mb": 1.0},
+        channel_set("inapp", "push"),
+    ),
+    (
+        "native-cost-curve", "richnote", {},
+        {"network_mode": NetworkMode.MARKOV, "weekly_budget_mb": 2.0},
+        channel_set("push", "bulk"),
+    ),
+    (
+        "four-builtins", "richnote", {}, {"weekly_budget_mb": 2.0},
+        channel_set("push", "inapp", "email", "messenger"),
+    ),
+    (
+        "channels-util", "util", {"fixed_level": 2},
+        {"network_mode": NetworkMode.MARKOV, "weekly_budget_mb": 2.0}, three_channels,
+    ),
 ]
 
 
-def _channels(channel_names):
-    if not channel_names:
-        return None
-    return ChannelSet([builtin_channel(name) for name in channel_names])
-
-
-def _build(streams, name, kwargs, overrides, channel_names):
+def _build(streams, name, kwargs, overrides, make_channels):
     pairs, annotations, duration = streams
     config = ExperimentConfig(seed=23, **overrides)
     spec = MethodSpec(Method(name), kwargs.get("fixed_level"))
     columns = build_cohort(
         pairs, annotations, build_audio_ladder(config.presentation_spec)
     )
-    engine = make_engine(
-        columns, spec, config, duration, channels=_channels(channel_names)
-    )
+    engine = make_engine(columns, spec, config, duration, channels=make_channels())
     return columns, config, spec, engine
 
 
@@ -210,45 +260,29 @@ def _folded(columns, result):
     ]
 
 
-class TestEngineParity:
-    @pytest.mark.parametrize(
-        "name,kwargs,overrides,channel_names",
-        [case[1:] for case in MATRIX], ids=[case[0] for case in MATRIX],
-    )
-    def test_batched_equals_adapter_scalar_and_single_stepped(
-        self, streams, monkeypatch, name, kwargs, overrides, channel_names
-    ):
-        args = (streams, name, kwargs, overrides, channel_names)
-        columns, config, spec, engine = _build(*args)
-        result = engine.run()
-        batched = _folded(columns, result)
-        assert sum(m.delivered_notifications for _, m, *_ in batched) > 0
+def _assert_equals_scalar(streams, batched, result, spec, config, make_channels):
+    """Engine == ``run_user(channels=)`` per user: digest, metrics, queue
+    stats and the carrying channel of every delivery, read off the rounds
+    the scalar runner runs.  A run that delivers nothing proves nothing."""
+    assert sum(m.delivered_notifications for _, m, *_ in batched) > 0
+    carried: list[str] = []
+    run_round = RoundLoop.run_round
 
-        _, _, _, stepper = _build(*args)
-        for _ in stepper.times:
-            stepped = stepper.run(limit_rounds=1)
-        assert _folded(columns, stepped) == batched
-        assert stepped.deliveries == result.deliveries
+    def recording(loop, now, round_seconds):
+        outcome = run_round(loop, now, round_seconds)
+        carried.extend(d.channel for d in outcome.deliveries)
+        return outcome
 
-        # The scalar runner, channels included; its deliveries' carrying
-        # channels are read off the rounds it runs.
-        carried: list[str] = []
-        run_round = RoundLoop.run_round
-
-        def recording(loop, now, round_seconds):
-            outcome = run_round(loop, now, round_seconds)
-            carried.extend(d.channel for d in outcome.deliveries)
-            return outcome
-
-        monkeypatch.setattr(RoundLoop, "run_round", recording)
-        pairs, annotations, duration = streams
+    pairs, annotations, duration = streams
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoundLoop, "run_round", recording)
         for index, ((user_id, records), (digest, metrics, *queue)) in enumerate(
             zip(pairs, batched)
         ):
             carried.clear()
             twin = run_user(
                 user_id, records, spec, config, annotations, duration,
-                digest_deliveries=True, channels=_channels(channel_names),
+                digest_deliveries=True, channels=make_channels(),
             )
             assert (twin.delivery_digest, twin.metrics) == (digest, metrics)
             assert [
@@ -260,18 +294,67 @@ class TestEngineParity:
             ]
 
 
+class TestEngineParity:
+    @pytest.mark.parametrize(
+        "name,kwargs,overrides,make_channels",
+        [case[1:] for case in MATRIX], ids=[case[0] for case in MATRIX],
+    )
+    def test_batched_equals_adapter_scalar_and_single_stepped(
+        self, streams, name, kwargs, overrides, make_channels
+    ):
+        args = (streams, name, kwargs, overrides, make_channels)
+        columns, config, spec, engine = _build(*args)
+        result = engine.run()
+        batched = _folded(columns, result)
+
+        _, _, _, stepper = _build(*args)
+        for _ in stepper.times:
+            stepped = stepper.run(limit_rounds=1)
+        assert _folded(columns, stepped) == batched
+        assert stepped.deliveries == result.deliveries
+
+        _assert_equals_scalar(streams, batched, result, spec, config, make_channels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.sampled_from(sorted(CHANNEL_SHAPES)), min_size=1, max_size=3, unique=True
+        ),
+        policy=st.sampled_from(
+            [("richnote", {}), ("fifo", {"fixed_level": 2}), ("util", {"fixed_level": 3})]
+        ),
+        overrides=st.fixed_dictionaries(
+            {
+                "network_mode": st.sampled_from(list(NetworkMode)),
+                "aging_tau_seconds": st.sampled_from([None, 28_800.0]),
+                "weekly_budget_mb": st.sampled_from([0.5, 5.0]),
+            }
+        ),
+    )
+    def test_any_channel_set_equals_the_scalar_runner(
+        self, streams, shapes, policy, overrides
+    ):
+        make_channels = channel_set(*shapes)
+        columns, config, spec, engine = _build(streams, *policy, overrides, make_channels)
+        result = engine.run()
+        assert result.channel_names == tuple(shapes)
+        _assert_equals_scalar(
+            streams, _folded(columns, result), result, spec, config, make_channels
+        )
+
+
 class TestKernelCallsPerRun:
     @pytest.mark.parametrize(
-        "overrides,channel_names,groups",
+        "overrides,make_channels,groups",
         [
-            ({}, None, 1),
-            ({"network_mode": NetworkMode.MARKOV}, None, 2),
-            ({"network_mode": NetworkMode.MARKOV}, THREE_CHANNELS, 2),
+            ({}, no_channels, 1),
+            ({"network_mode": NetworkMode.MARKOV}, no_channels, 2),
+            ({"network_mode": NetworkMode.MARKOV}, three_channels, 2),
         ],
         ids=["cell", "markov", "markov-channels"],
     )
     def test_one_segmented_call_per_round_and_group_and_no_heap(
-        self, streams, monkeypatch, overrides, channel_names, groups
+        self, streams, monkeypatch, overrides, make_channels, groups
     ):
         """The batched RichNote paths never reach the per-user heap."""
         calls = {"segmented": 0, "heap": 0}
@@ -287,7 +370,7 @@ class TestKernelCallsPerRun:
         monkeypatch.setattr(kernels, "greedy_select", count("segmented", segmented))
         monkeypatch.setattr(kernels, "greedy_select_heap", count("heap", heap))
         columns, config, spec, engine = _build(
-            streams, "richnote", {}, overrides, channel_names
+            streams, "richnote", {}, overrides, make_channels
         )
         result = engine.run()
         assert len(result.delivered) > 0
@@ -297,7 +380,7 @@ class TestKernelCallsPerRun:
         pairs, annotations, duration = streams
         run_user(
             *pairs[0], spec, config, annotations, duration,
-            channels=_channels(channel_names),
+            channels=make_channels(),
         )
         assert calls["heap"] > 0
 
@@ -306,7 +389,7 @@ class TestResultIsASnapshot:
     def test_a_kept_result_survives_later_rounds(self, streams):
         offline = {"network_mode": NetworkMode.MARKOV}  # OFF rounds queue up
         columns, _, _, engine = _build(
-            streams, "richnote", {}, offline, None
+            streams, "richnote", {}, offline, no_channels
         )
         engine.run(limit_rounds=40)
         early = engine.run(limit_rounds=0)
@@ -332,7 +415,7 @@ class TestResultIsASnapshot:
         assert np.array_equal(late.delivered[: len(early.delivered)], early.delivered)
 
     def test_per_user_views_behave_like_lists(self, streams):
-        _, _, _, engine = _build(streams, "richnote", {}, {}, None)
+        _, _, _, engine = _build(streams, "richnote", {}, {}, no_channels)
         result = engine.run()
         deliveries = result.deliveries
         assert len(deliveries) == len(result.channel_codes) == engine.cohort.n_users

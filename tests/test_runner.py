@@ -91,6 +91,22 @@ class TestRunUser:
         allowance = config.weekly_budget_mb * 1e6 * weeks + config.theta_bytes_per_round
         assert outcome.metrics.delivered_bytes <= allowance
 
+    @pytest.mark.parametrize("score", [float("nan"), -3.0, 7.0])
+    def test_score_outside_unit_interval_rejected(
+        self, workload, annotations, config, score
+    ):
+        """At the parent the score was assigned past ``ContentItem``'s check:
+        the 7.0 item was delivered at utility > 1, the NaN one never sent."""
+        user_id = workload.top_users(1)[0]
+        records = workload.records_for_user(user_id)
+        scores = {**annotations.scores, records[1].notification_id: score}
+        with pytest.raises(ValueError, match=r"content utility must be in \[0, 1\]"):
+            run_user(
+                user_id, records, MethodSpec(Method.RICHNOTE), config,
+                UtilityAnnotations(scores=scores),
+                workload.config.duration_hours * 3600.0,
+            )
+
 
 class TestRunExperiment:
     def test_all_methods_produce_results(self, workload, annotations, config):
