@@ -12,11 +12,12 @@ reads four columns per user (:func:`repro.trace.io.record_columns`),
 never a record object; device columns are one recurrence across users;
 and the fold hands the engine's delivery columns to the kernels the scalar
 path adapts to (metrics user by user, digests for the cohort in one call),
-so the arithmetic cannot drift between them.
+so the arithmetic cannot drift between them.  A budget sweep is one such
+pass (:func:`sweep_cohort`): the budget is a per-row ``theta`` column.
 
 Scope mirrors the engine's: the paper-default pipeline.  :func:`supports`
 says whether a config is inside it; the one caller that acts on the
-answer is :func:`repro.experiments.runner.run_users`, which sends every
+answer is :func:`repro.experiments.runner.sweep_users`, which sends every
 experiment entry point here and the rest (fault injection, multi-feed
 cadences) to the scalar ``run_user`` -- the parity oracle for everything
 this path does handle.
@@ -24,7 +25,7 @@ this path does handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +55,10 @@ __all__ = [
     "concat_record_columns",
     "fold_outcomes",
     "make_engine",
-    "run_cohort",
     "run_users_columnar",
+    "stack_budgets",
     "supports",
+    "sweep_cohort",
 ]
 
 
@@ -65,7 +67,7 @@ def supports(config: ExperimentConfig) -> bool:
 
     The engine models the paper-default atomic pipeline; fault injection
     and multi-feed cadences stay on the scalar runner.  The engine is
-    *chosen* in one place (:func:`repro.experiments.runner.run_users`);
+    *chosen* in one place (:func:`repro.experiments.runner.sweep_users`);
     the entry points that only take columnar input raise on ``False``.
     """
     return config.faults is None and config.feed_cadences is None
@@ -76,13 +78,16 @@ class CohortColumns:
     """A built cohort plus the label columns needed to fold results back.
 
     ``clicked`` / ``click_time`` (``NaN`` = never clicked) align with the
-    cohort's flat item columns.
+    cohort's flat item columns.  Under ``budgets_mb`` the users are stacked
+    once per weekly budget (:func:`stack_budgets`): row ``b * n + u`` is
+    user ``u`` of ``n`` at ``budgets_mb[b]``.
     """
 
     cohort: ColumnarCohort
     user_ids: list[int]
     clicked: np.ndarray
     click_time: np.ndarray
+    budgets_mb: tuple[float, ...] | None = None
 
 
 def concat_record_columns(
@@ -128,6 +133,21 @@ def build_cohort(
     )
 
 
+def stack_budgets(columns: CohortColumns, budgets_mb: Sequence[float]) -> CohortColumns:
+    """``columns`` with its users stacked once per weekly budget: tiles what
+    :func:`build_cohort` built, and a single budget copies nothing."""
+    copies = len(budgets_mb)
+    if copies == 1:
+        return replace(columns, budgets_mb=tuple(budgets_mb))
+    return CohortColumns(
+        cohort=columns.cohort.tiled(copies),
+        user_ids=columns.user_ids * copies,
+        clicked=np.tile(columns.clicked, copies),
+        click_time=np.tile(columns.click_time, copies),
+        budgets_mb=tuple(budgets_mb),
+    )
+
+
 def make_engine(
     columns: CohortColumns,
     spec: MethodSpec,
@@ -136,30 +156,37 @@ def make_engine(
     *,
     channels=None,
 ) -> ColumnarEngine:
-    """Build the :class:`ColumnarEngine` one cell's ``run_cohort`` would run.
+    """Build the :class:`ColumnarEngine` one ``sweep_cohort`` pass runs.
 
     Exposed separately so benches and the shard-parallel path can time
     cohort construction apart from the round loop (and resume runs via
     ``engine.run(limit_rounds=...)``).  ``channels`` is the delivery
     :class:`~repro.core.channels.ChannelSet`; ``None`` is the paper's
-    push channel alone.
+    push channel alone.  On budget-stacked ``columns`` the copies of a
+    user share device columns (drawn once, then tiled) and differ in their
+    ``theta`` row; otherwise every row gets ``config``'s budget.
     """
     policy = registry.create(spec.policy_name, **spec.policy_params(config))
     times = round_times(config.round_seconds, duration_seconds)
+    budgets = columns.budgets_mb or (config.weekly_budget_mb,)
+    users = len(columns.user_ids) // len(budgets)
     device = build_device_columns(
-        [_device_stream_seed(config.seed, u) for u in columns.user_ids],
+        [_device_stream_seed(config.seed, u) for u in columns.user_ids[:users]],
         times,
         config.round_seconds,
         duration_seconds,
         config.kappa_joules_per_round,
         markov=config.network_mode is NetworkMode.MARKOV,
     )
+    if len(budgets) > 1:
+        device = device.tiled(len(budgets))
+    thetas = [config.with_budget(b).theta_bytes_per_round for b in budgets]
     return ColumnarEngine(
         columns.cohort,
         device,
         policy,
         config.utility_model(),
-        theta_bytes=config.theta_bytes_per_round,
+        theta_bytes=np.repeat(thetas, users),
         kappa_joules=config.kappa_joules_per_round,
         round_seconds=config.round_seconds,
         duration_seconds=duration_seconds,
@@ -218,20 +245,23 @@ def fold_outcomes(
     return outcomes
 
 
-def run_cohort(
+def sweep_cohort(
     columns: CohortColumns,
     spec: MethodSpec,
     config: ExperimentConfig,
+    budgets_mb: Sequence[float],
     duration_seconds: float,
     digest_deliveries: bool = False,
     *,
     channels=None,
-) -> list[UserRunOutcome]:
-    """Run one (method, config) cell over a built cohort.
+) -> list[list[UserRunOutcome]]:
+    """Run one method over a built cohort at every weekly budget in one
+    engine pass: a (user, budget) pair is as independent as two users are.
 
-    Returns one :class:`UserRunOutcome` per cohort user, in cohort order,
-    bit-identical to calling :func:`repro.experiments.runner.run_user`
-    per user.
+    ``result[b]`` holds one :class:`UserRunOutcome` per cohort user, in
+    cohort order, bit-identical to :func:`repro.experiments.runner.run_user`
+    per user under ``config.with_budget(budgets_mb[b])``.  The pass holds
+    users x budgets rows; a caller bounds that by splitting the users.
     """
     if not supports(config):
         raise ValueError(
@@ -239,8 +269,13 @@ def run_cohort(
             "(no fault injection, no multi-feed cadences); use the scalar "
             "runner for this config"
         )
-    engine = make_engine(columns, spec, config, duration_seconds, channels=channels)
-    return fold_outcomes(columns, engine.run(), digest_deliveries)
+    if not budgets_mb:
+        return []
+    stacked = stack_budgets(columns, budgets_mb)
+    engine = make_engine(stacked, spec, config, duration_seconds, channels=channels)
+    outcomes = fold_outcomes(stacked, engine.run(), digest_deliveries)
+    users = len(columns.user_ids)
+    return [outcomes[b * users : (b + 1) * users] for b in range(len(budgets_mb))]
 
 
 def run_users_columnar(
@@ -254,14 +289,17 @@ def run_users_columnar(
     *,
     channels=None,
 ) -> list[UserRunOutcome]:
-    """Columnar equivalent of per-user ``run_user`` over a user batch."""
+    """Columnar equivalent of per-user ``run_user`` over a user batch: the
+    one-budget :func:`sweep_cohort`."""
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
-    return run_cohort(
+    (outcomes,) = sweep_cohort(
         build_cohort(user_records, annotations, ladder),
         spec,
         config,
+        (config.weekly_budget_mb,),
         duration_seconds,
-        digest_deliveries=digest_deliveries,
+        digest_deliveries,
         channels=channels,
     )
+    return outcomes

@@ -168,14 +168,11 @@ def figure5b_presentation_mix(
     )
     if annotations is None:
         annotations = UtilityAnnotations.train(workload, seed=base_config.seed)
-    for budget in budgets_mb:
-        result = run_experiment(
-            workload,
-            MethodSpec(Method.RICHNOTE),
-            base_config.with_budget(budget),
-            annotations,
-            user_ids,
-        )
+    grid = sweep_budgets(
+        workload, [MethodSpec(Method.RICHNOTE)], budgets_mb, base_config,
+        annotations, user_ids,
+    )
+    for (_, budget), result in grid.items():
         series.mix[budget] = dict(result.aggregate.level_mix)
     return series
 

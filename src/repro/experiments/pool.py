@@ -8,12 +8,13 @@ worker pool (:class:`_WorkerPool`: submit, wait, one restart per run):
 * :class:`ExperimentPool` / :func:`sweep_budgets_parallel` -- a workload
   held in memory.  The per-user record shards and the content-utility
   score map cross the process boundary exactly once, through the worker
-  initializer; afterwards each (policy, budget) cell submits only
-  ``(MethodSpec, ExperimentConfig, user-batch ids)`` -- kilobytes per
-  task.  The pool has **one task**, :func:`_run_cell_batch`, which hands
-  its user batch to :func:`repro.experiments.runner.run_users` -- the
-  same dispatch the sequential runner uses, so a batch runs as one
-  columnar cohort (or, for fault / multi-feed configs, user by user).
+  initializer; afterwards a task ships only ``(MethodSpec,
+  ExperimentConfig, budgets, user-batch ids)`` -- kilobytes.  The pool
+  has **one task**, :func:`_run_budget_batch`, which hands its user
+  batch and budgets to :func:`repro.experiments.runner.sweep_users` --
+  the same dispatch the sequential runner uses, so a batch runs every
+  budget as one pass over one columnar cohort (or, for fault /
+  multi-feed configs, budget by budget and user by user).
 * :func:`run_store_columnar_parallel` -- a population on disk.  The
   initializer ships a shard-store *path*, tasks ship position ranges and
   workers read the memory-mapped columns through the shared page cache.
@@ -22,12 +23,17 @@ What makes it a system rather than a ``map``:
 
 * **Cost-balanced batching** -- users are partitioned into worker batches
   by notification count (:func:`repro.experiments.shards.balanced_batches`).
-  A cell, not a user, is the columnar engine's unit of work, so
-  :func:`sweep_budgets_parallel` splits a cell only as far as keeping
-  every worker busy needs: ``ceil(4 * workers / n_cells)`` batches.
+  An engine pass, nearly flat in its row count, is the unit of work and
+  a policy's whole budget column is one pass, so
+  :func:`sweep_budgets_parallel` splits the users only as far as keeping
+  every worker busy needs: ``ceil(4 * workers / n_groups)`` batches, one
+  group per policy.  A task holds users-in-batch x budgets rows, so the
+  user split bounds its memory exactly as it bounds a one-budget batch.
 * **Whole-grid scheduling** -- all cells of a Figures 3-5 grid go onto
-  the shared pool at once; workers drain a single global queue of
-  (cell, batch) tasks instead of cell-by-cell barriers.
+  the shared pool at once, grouped by everything but the budget; workers
+  drain a single global queue of (group, batch) tasks instead of
+  cell-by-cell barriers, and every cell folds through its own
+  :class:`_CellState`.
 * **Streamed aggregation** -- batch results fold into a
   :class:`~repro.experiments.metrics.MetricsAccumulator` as they arrive
   and are discarded (unless ``keep_per_user=True``), so the parent holds
@@ -65,7 +71,8 @@ from repro.experiments.runner import (
     ExperimentResult,
     UserRunOutcome,
     UtilityAnnotations,
-    run_users,
+    distinct_budgets,
+    sweep_users,
 )
 from repro.experiments.shards import balanced_batches, shard_by_user
 from repro.trace.generator import Workload
@@ -159,23 +166,26 @@ def _init_worker(
     )
 
 
-def _run_cell_batch(
+def _run_budget_batch(
     spec: MethodSpec,
     config: ExperimentConfig,
+    budgets_mb: Sequence[float],
     user_ids: Sequence[int],
     digest_deliveries: bool,
-) -> list[UserRunOutcome]:
-    """Replay one user batch of one cell against the worker-resident shards."""
+) -> list[list[UserRunOutcome]]:
+    """Replay one user batch against the worker-resident shards under
+    ``config`` at every budget: one outcome list per budget."""
     state = _WORKER
     if state is None:
         raise RuntimeError(
-            "worker not initialized; _run_cell_batch must run inside an "
+            "worker not initialized; _run_budget_batch must run inside an "
             "ExperimentPool worker"
         )
-    return run_users(
+    return sweep_users(
         [(user_id, state.shards[user_id]) for user_id in user_ids],
         spec,
         config,
+        budgets_mb,
         UtilityAnnotations(scores=state.scores),
         state.duration_seconds,
         digest_deliveries=digest_deliveries,
@@ -485,7 +495,7 @@ class ExperimentPool:
     batches and spins up the process pool -- shipping shards + scores to
     each worker exactly once via the pool initializer.  Every subsequent
     :meth:`run_cell` / :meth:`run_cells` call submits only
-    ``(spec, config, batch ids)`` tasks.
+    ``(spec, config, budgets, batch ids)`` tasks.
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
@@ -552,14 +562,15 @@ class ExperimentPool:
         batch_index: int = 0,
         digest_deliveries: bool = False,
     ) -> bytes:
-        """The exact pickled argument payload one (cell, batch) task ships.
+        """The exact pickled argument payload one cell's batch task ships.
 
         Exposed so benchmarks can assert the post-init process-boundary
-        cost: a registry key, a config and a tuple of user ids -- never
-        the notification records.
+        cost: a registry key, a config, its budgets and a tuple of user
+        ids -- never the notification records.
         """
+        batch = tuple(self.batches[batch_index])
         return pickle.dumps(
-            (spec, config, tuple(self.batches[batch_index]), digest_deliveries),
+            (spec, config, (config.weekly_budget_mb,), batch, digest_deliveries),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
@@ -588,29 +599,43 @@ class ExperimentPool:
     ) -> dict[tuple[str, float], ExperimentResult]:
         """Run many cells concurrently; all batches share one task queue.
 
-        Returns ``{(label, weekly_budget_mb): ExperimentResult}`` like
+        Cells that differ in nothing but the weekly budget form one group
+        and travel together: a task is (group, user batch) and replays the
+        batch at every budget of the group in one pass, each cell still
+        folding through its own :class:`_CellState`.  Returns
+        ``{(label, weekly_budget_mb): ExperimentResult}`` like
         :func:`repro.experiments.runner.sweep_budgets`.
         """
         states: dict[tuple[str, float], _CellState] = {}
+        #: (spec, first config, budgets); configs may be unhashable.
+        groups: list[tuple[MethodSpec, ExperimentConfig, list[float]]] = []
         for spec, config in cells:
-            key = (spec.label, config.weekly_budget_mb)
+            budget = config.weekly_budget_mb
+            key = (spec.label, budget)
             if key in states:
                 raise ValueError(f"duplicate cell {key!r} in one submission")
             states[key] = _CellState(
                 spec, config, self.sim_users, keep_per_user
             )
+            for member, first, budgets in groups:
+                if member == spec and config.with_budget(first.weekly_budget_mb) == first:
+                    budgets.append(budget)
+                    break
+            else:
+                groups.append((spec, config, [budget]))
 
         tasks = [
-            (spec, config, batch, digest_deliveries)
-            for spec, config in cells
+            (spec, config, tuple(budgets), batch, digest_deliveries)
+            for spec, config, budgets in groups
             for batch in self.batches
         ]
 
-        def fold(task, outcomes) -> None:
-            spec, config = task[:2]
-            states[(spec.label, config.weekly_budget_mb)].add_batch(outcomes)
+        def fold(task, per_budget) -> None:
+            spec, _, budgets = task[:3]
+            for budget, outcomes in zip(budgets, per_budget):
+                states[(spec.label, budget)].add_batch(outcomes)
 
-        self._workers.run(_run_cell_batch, tasks, fold)
+        self._workers.run(_run_budget_batch, tasks, fold)
         return {key: state.result() for key, state in states.items()}
 
 
@@ -657,24 +682,27 @@ def sweep_budgets_parallel(
 
     Drop-in parallel equivalent of
     :func:`repro.experiments.runner.sweep_budgets`: same arguments, same
-    result mapping, bit-identical aggregates.  The per-cell split is sized
-    from the grid: ``ceil(4 * workers / n_cells)`` batches.
+    result mapping, bit-identical aggregates.  Each policy's budgets are
+    one group (:meth:`ExperimentPool.run_cells`), and the user split is
+    sized from the groups: ``ceil(4 * workers / n_groups)`` batches.
     """
+    budgets = distinct_budgets(budgets_mb)
     base_config = base_config or ExperimentConfig()
     cells = [
         (spec, base_config.with_budget(budget))
-        for budget in budgets_mb
+        for budget in budgets
         for spec in specs
     ]
-    # A cell is the columnar engine's unit of work: split cells only as
-    # far as keeping every worker busy (4 tasks each) needs.
+    # A policy's whole budget column is one engine pass, nearly flat in
+    # its row count: split the users only as far as keeping every worker
+    # busy (4 tasks each) needs.
     workers = max_workers or available_cores()
     with ExperimentPool(
         workload,
         annotations=annotations,
         user_ids=user_ids,
         max_workers=max_workers,
-        n_batches=math.ceil(4 * workers / max(1, len(cells))),
+        n_batches=math.ceil(4 * workers / max(1, len(specs))),
         base_config=base_config,
     ) as pool:
         return pool.run_cells(cells, keep_per_user=keep_per_user)

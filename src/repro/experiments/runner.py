@@ -404,43 +404,57 @@ def run_user(
     )
 
 
-def run_users(
+def sweep_users(
     user_records: Sequence[tuple[int, Sequence[NotificationRecord]]],
     spec: MethodSpec,
     config: ExperimentConfig,
+    budgets_mb: Sequence[float],
     annotations: UtilityAnnotations,
     duration_seconds: float,
     ladder=None,
     digest_deliveries: bool = False,
-) -> list[UserRunOutcome]:
-    """Replay a batch of users under one policy; the engine is chosen here.
+) -> list[list[UserRunOutcome]]:
+    """Replay a batch of users under one policy at every weekly budget
+    (``result[b]``: the batch under ``config.with_budget(budgets_mb[b])``);
+    the engine is chosen here.
 
     A config the columnar engine models
-    (:func:`repro.experiments.columnar.supports`) runs as one cohort on
-    :class:`~repro.runtime.columnar.ColumnarEngine`; fault injection and
-    multi-feed cadences replay user by user through :func:`run_user`.
-    The two are bit-identical where both apply, so the choice is
-    invisible in the outcomes.  Every experiment entry point --
-    :func:`run_experiment`, :func:`sweep_budgets`, the pool's task --
-    comes through this function.
+    (:func:`repro.experiments.columnar.supports`) runs every budget as one
+    pass over one cohort on :class:`~repro.runtime.columnar.ColumnarEngine`;
+    fault injection and multi-feed cadences replay budget by budget, user
+    by user, through :func:`run_user`.  The two are bit-identical where both
+    apply, so the choice is invisible in the outcomes.  Every experiment
+    entry point -- :func:`run_experiment`, :func:`sweep_budgets`, the pool's
+    task -- comes through this function.
     """
     # Function-level import: repro.experiments.columnar imports this module.
-    from repro.experiments.columnar import run_users_columnar, supports
+    from repro.experiments.columnar import build_cohort, supports, sweep_cohort
 
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
     if supports(config):
-        return run_users_columnar(
-            user_records, spec, config, annotations, duration_seconds, ladder,
-            digest_deliveries,
+        return sweep_cohort(
+            build_cohort(user_records, annotations, ladder), spec, config,
+            budgets_mb, duration_seconds, digest_deliveries,
         )
     return [
-        run_user(
-            user_id, records, spec, config, annotations, duration_seconds,
-            ladder, digest_deliveries,
-        )
-        for user_id, records in user_records
+        [
+            run_user(
+                user_id, records, spec, config.with_budget(budget), annotations,
+                duration_seconds, ladder, digest_deliveries,
+            )
+            for user_id, records in user_records
+        ]
+        for budget in budgets_mb
     ]
+
+
+def distinct_budgets(budgets_mb: Sequence[float]) -> tuple[float, ...]:
+    """The budgets of one sweep; a repeat would run a cell twice and keep one."""
+    budgets = tuple(budgets_mb)
+    if len(set(budgets)) != len(budgets):
+        raise ValueError(f"duplicate budget in sweep: {budgets}")
+    return budgets
 
 
 def run_experiment(
@@ -450,24 +464,12 @@ def run_experiment(
     annotations: UtilityAnnotations | None = None,
     user_ids: Sequence[int] | None = None,
 ) -> ExperimentResult:
-    """Run one policy over (a subset of) the workload's users."""
-    if annotations is None:
-        annotations = UtilityAnnotations.train(
-            workload, seed=config.seed, oracle=config.use_oracle_utility
-        )
-    duration_seconds = workload.config.duration_hours * 3600.0
-    users = list(user_ids) if user_ids is not None else workload.user_ids()
-    by_user = shard_by_user(workload.records, users)
-    user_records = [(u, by_user[u]) for u in users if by_user[u]]
-    if not user_records:
-        raise ValueError("no users with notifications to simulate")
-    outcomes = run_users(user_records, spec, config, annotations, duration_seconds)
-    return ExperimentResult(
-        spec=spec,
-        config=config,
-        aggregate=aggregate([o.metrics for o in outcomes]),
-        per_user=outcomes,
-    )
+    """Run one policy over (a subset of) the workload's users: the
+    one-cell :func:`sweep_budgets`."""
+    (result,) = sweep_budgets(
+        workload, [spec], (config.weekly_budget_mb,), config, annotations, user_ids
+    ).values()
+    return result
 
 
 def sweep_budgets(
@@ -478,17 +480,31 @@ def sweep_budgets(
     annotations: UtilityAnnotations | None = None,
     user_ids: Sequence[int] | None = None,
 ) -> dict[tuple[str, float], ExperimentResult]:
-    """The Figures 3-5 grid: every policy at every weekly budget."""
+    """The Figures 3-5 grid: every policy at every weekly budget, one
+    :func:`sweep_users` pass per policy."""
+    budgets = distinct_budgets(budgets_mb)
     base_config = base_config or ExperimentConfig()
     if annotations is None:
         annotations = UtilityAnnotations.train(
             workload, seed=base_config.seed, oracle=base_config.use_oracle_utility
         )
+    duration_seconds = workload.config.duration_hours * 3600.0
+    users = list(user_ids) if user_ids is not None else workload.user_ids()
+    by_user = shard_by_user(workload.records, users)
+    user_records = [(u, by_user[u]) for u in users if by_user[u]]
+    if not user_records:
+        raise ValueError("no users with notifications to simulate")
+    grids = [
+        sweep_users(user_records, spec, base_config, budgets, annotations, duration_seconds)
+        for spec in specs
+    ]
     results: dict[tuple[str, float], ExperimentResult] = {}
-    for budget in budgets_mb:
-        config = base_config.with_budget(budget)
-        for spec in specs:
-            results[(spec.label, budget)] = run_experiment(
-                workload, spec, config, annotations, user_ids
+    for at, budget in enumerate(budgets):
+        for spec, grid in zip(specs, grids):
+            results[(spec.label, budget)] = ExperimentResult(
+                spec=spec,
+                config=base_config.with_budget(budget),
+                aggregate=aggregate([o.metrics for o in grid[at]]),
+                per_user=grid[at],
             )
     return results

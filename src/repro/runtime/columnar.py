@@ -47,7 +47,7 @@ to an arithmetic expression as a digest-breaking change.
 Scope: the engine models the paper's atomic delivery semantics.  TTL
 expiry, the fault-tolerant delivery engine and service-layer level caps
 stay on :class:`~repro.runtime.loop.RoundLoop` (the experiment layer
-picks the driver in ``repro.experiments.runner.run_users``).  One
+picks the driver in ``repro.experiments.runner.sweep_users``).  One
 native presentation ladder is shared across the cohort, mirroring how
 the experiment layer builds items.  Policy lifecycle hooks run once per
 engine, not once per user:
@@ -219,6 +219,20 @@ class ColumnarCohort:
     def n_items(self) -> int:
         return int(self.offsets[-1])
 
+    def tiled(self, copies: int) -> "ColumnarCohort":
+        """The population ``copies`` times end to end (row ``c * n_users + u``
+        copies user ``u``): independent users to the engine, so one pass can
+        carry a per-row setting, such as a budget, per copy."""
+        counts = np.tile(np.diff(self.offsets), copies)
+        return ColumnarCohort(
+            user_ids=self.user_ids * copies,
+            offsets=np.concatenate(([0], np.cumsum(counts))),
+            item_ids=self.item_ids * copies,
+            created_at=np.tile(self.created_at, copies),
+            contents=np.tile(self.contents, copies),
+            ladder=self.ladder,
+        )
+
 
 @dataclass
 class DeviceColumns:
@@ -232,6 +246,11 @@ class DeviceColumns:
 
     e_t: np.ndarray
     states: np.ndarray | None
+
+    def tiled(self, copies: int) -> "DeviceColumns":
+        """The user axis ``copies`` times over, as :meth:`ColumnarCohort.tiled`."""
+        states = None if self.states is None else np.tile(self.states, (1, copies))
+        return DeviceColumns(e_t=np.tile(self.e_t, (1, copies)), states=states)
 
 
 #: Users per pass of :func:`build_device_columns`: bounds its (round x user)
@@ -441,7 +460,10 @@ class ColumnarEngine:
     Parameters mirror what the experiment layer derives from its config:
     ``theta_bytes`` / ``kappa_joules`` parameterize the budgets (data
     starts empty, energy starts at ``kappa``, as in
-    :mod:`repro.core.budgets`), ``device`` carries the precomputed
+    :mod:`repro.core.budgets`); ``theta_bytes`` is one allowance or a
+    column of one per user row, so a budget sweep is one pass over a cohort
+    tiled per budget (:meth:`ColumnarCohort.tiled`; users x budgets rows
+    of memory).  ``device`` carries the precomputed
     per-round connectivity/battery columns, ``expected_batch`` prices
     selection-time energy estimates and ``channels`` is the delivery
     :class:`~repro.core.channels.ChannelSet` (``None``: the paper's push
@@ -481,7 +503,7 @@ class ColumnarEngine:
                 f"{(n_rounds, cohort.n_users)}; build them from the same "
                 "round grid"
             )
-        self._theta = theta_bytes
+        self._theta = _checked_theta(theta_bytes, cohort.user_ids)
         self._kappa = kappa_joules
         self._aging = self.utility_model.aging
         self._ladder_total_f = float(cohort.ladder.total_size())
@@ -861,6 +883,23 @@ class ColumnarEngine:
             rows[name] = column
         self._n_delivered = end
         state.queue = np.delete(state.queue, np.searchsorted(state.queue, index))
+
+
+def _checked_theta(theta_bytes, user_ids: Sequence[int]) -> np.ndarray:
+    """``theta_bytes`` as float64 (0-d, or one entry per user row), held to
+    what :class:`repro.core.budgets.DataBudget` accepts: finite and >= 0."""
+    theta = np.asarray(theta_bytes, dtype=np.float64)
+    if theta.ndim and theta.shape != (len(user_ids),):
+        raise ValueError(
+            f"theta_bytes column shaped {theta.shape}, expected one entry for "
+            f"each of the cohort's {len(user_ids)} user rows"
+        )
+    hostile = np.flatnonzero(~(np.isfinite(theta) & (theta >= 0.0)))
+    if hostile.size:
+        row = int(hostile[0])
+        where = f" at row {row} (user {user_ids[row]})" if theta.ndim else ""
+        raise ValueError(f"theta_bytes must be finite and >= 0, got {theta.flat[row]}{where}")
+    return theta
 
 
 def _estimate_row(estimate, sizes: Sequence[int]) -> np.ndarray:

@@ -184,12 +184,16 @@ def lyapunov_adjusted_rows(
     return adjusted
 
 
-def replenish_data_column(available_bytes: np.ndarray, theta_bytes: float) -> None:
+def replenish_data_column(
+    available_bytes: np.ndarray, theta_bytes: "float | np.ndarray"
+) -> None:
     """Algorithm 2, step 2 for every user at once: ``B(t) += theta``.
 
     In-place over the cohort's byte-budget column; one float add per
     user, identical to :meth:`repro.core.budgets.DataBudget.replenish`
-    (no rollover cap -- the paper's unbounded rollover).
+    (no rollover cap -- the paper's unbounded rollover).  ``theta_bytes``
+    is one allowance for everyone or a column of one per user: the same
+    elementwise add either way.
     """
     available_bytes += theta_bytes
 

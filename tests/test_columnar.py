@@ -23,9 +23,9 @@ from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel
 from repro.experiments.columnar import (
     build_cohort,
-    run_cohort,
     run_users_columnar,
     supports,
+    sweep_cohort,
 )
 from repro.experiments.config import (
     ExperimentConfig,
@@ -389,7 +389,53 @@ class TestEngineEdges:
         with pytest.raises(ValueError, match="limit_rounds"):
             make_engine().run(limit_rounds=-1)
 
-    def test_unsupported_config_falls_back_and_run_cohort_rejects(
+    @pytest.mark.parametrize(
+        "theta,named",
+        [
+            # At the parent -5.0 ran silently and nan ran to an empty result
+            # behind a RuntimeWarning; the scalar DataBudget raises on both.
+            (-5.0, "finite and >= 0, got -5.0$"),
+            (float("nan"), "finite and >= 0, got nan$"),
+            (float("inf"), "finite and >= 0, got inf$"),
+            ("negative-row", r"got -1.0 at row 1 \(user \d+\)"),
+            ("nan-row", r"got nan at row 2 \(user \d+\)"),
+            ("short", "expected one entry for each of the cohort's"),
+            ("matrix", "expected one entry for each of the cohort's"),
+        ],
+    )
+    def test_hostile_theta_is_rejected_naming_the_row(self, world, theta, named):
+        from repro.experiments.runner import _device_stream_seed
+
+        _, pairs, annotations, duration, seed = world
+        config = ExperimentConfig(weekly_budget_mb=5.0, seed=seed)
+        columns = build_cohort(
+            pairs, annotations, build_audio_ladder(config.presentation_spec)
+        )
+        users = len(columns.user_ids)
+        column = np.full(users, config.theta_bytes_per_round)
+        if theta == "negative-row":
+            column[1] = -1.0
+        elif theta == "nan-row":
+            column[2:] = np.nan
+        elif theta == "short":
+            column = column[:-1]
+        elif theta == "matrix":
+            column = column[None, :]
+        device = build_device_columns(
+            [_device_stream_seed(seed, u) for u in columns.user_ids],
+            round_times(config.round_seconds, duration), config.round_seconds,
+            duration, config.kappa_joules_per_round,
+        )
+        with pytest.raises(ValueError, match=named):
+            ColumnarEngine(
+                columns.cohort, device, registry.create("fifo", fixed_level=2),
+                theta_bytes=column if isinstance(theta, str) else theta,
+                kappa_joules=config.kappa_joules_per_round,
+                round_seconds=config.round_seconds,
+                duration_seconds=duration,
+            )
+
+    def test_unsupported_config_falls_back_and_sweep_cohort_rejects(
         self, world
     ):
         from repro.sim.faults import FaultConfig
@@ -403,7 +449,9 @@ class TestEngineEdges:
         ladder = build_audio_ladder(config.presentation_spec)
         columns = build_cohort(pairs, annotations, ladder)
         with pytest.raises(ValueError, match="paper-default"):
-            run_cohort(columns, MethodSpec(Method.RICHNOTE), config, duration)
+            sweep_cohort(
+                columns, MethodSpec(Method.RICHNOTE), config, (5.0,), duration
+            )
         scalar = _run_user_fold(
             pairs, MethodSpec(Method.RICHNOTE), config, annotations, duration
         )

@@ -14,7 +14,7 @@ from functools import cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.channels import (
@@ -24,7 +24,13 @@ from repro.core.channels import (
     builtin_channel,
 )
 from repro.core.presentations import build_audio_ladder
-from repro.experiments.columnar import build_cohort, fold_outcomes, make_engine
+from repro.experiments.columnar import (
+    build_cohort,
+    fold_outcomes,
+    make_engine,
+    run_users_columnar,
+    sweep_cohort,
+)
 from repro.experiments.config import (
     ExperimentConfig,
     Method,
@@ -341,6 +347,53 @@ class TestEngineParity:
         _assert_equals_scalar(
             streams, _folded(columns, result), result, spec, config, make_channels
         )
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        budgets=st.lists(st.floats(0.05, 200.0), min_size=1, max_size=5, unique=True),
+        policy=st.sampled_from(
+            [("richnote", None), ("fifo", 2), ("util", 3)]
+        ),
+        overrides=st.fixed_dictionaries(
+            {
+                "network_mode": st.sampled_from(list(NetworkMode)),
+                "aging_tau_seconds": st.sampled_from([None, 28_800.0]),
+            }
+        ),
+        make_channels=st.sampled_from([no_channels, three_channels]),
+        sampled=st.integers(0, 10**6),
+    )
+    def test_any_budget_column_equals_the_per_budget_runs(
+        self, streams, budgets, policy, overrides, make_channels, sampled
+    ):
+        """One pass over the users stacked per budget == a pass per budget on
+        every user == the scalar runner on a sampled user, outcome for
+        outcome (metrics, digest, backlog and queue numbers)."""
+        pairs, annotations, duration = streams
+        base = ExperimentConfig(seed=23, **overrides)
+        spec = MethodSpec(Method(policy[0]), policy[1])
+        columns = build_cohort(
+            pairs, annotations, build_audio_ladder(base.presentation_spec)
+        )
+        stacked = sweep_cohort(
+            columns, spec, base, budgets, duration, digest_deliveries=True,
+            channels=make_channels(),
+        )
+        # A draw that delivers nothing at any budget proves nothing.
+        assume(any(o.metrics.delivered_notifications for row in stacked for o in row))
+        assert len(stacked) == len(budgets)
+        user_id, records = pairs[sampled % len(pairs)]
+        for budget, outcomes in zip(budgets, stacked):
+            config = base.with_budget(budget)
+            assert outcomes == run_users_columnar(
+                pairs, spec, config, annotations, duration,
+                digest_deliveries=True, channels=make_channels(),
+            )
+            assert outcomes[sampled % len(pairs)] == run_user(
+                user_id, records, spec, config, annotations, duration,
+                digest_deliveries=True, channels=make_channels(),
+            )
 
 
 class TestKernelCallsPerRun:

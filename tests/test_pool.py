@@ -9,13 +9,22 @@ shards and score map crossing the process boundary (once, at init).
 import multiprocessing
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.pool as pool_module
 from repro.core.content import ContentKind
 from repro.core.multifeed import FeedCadences
-from repro.experiments.config import ExperimentConfig, Method, MethodSpec
+from repro.experiments.config import (
+    PAPER_BUDGET_SWEEP_MB,
+    ExperimentConfig,
+    Method,
+    MethodSpec,
+    NetworkMode,
+)
+from repro.experiments.figures import paper_method_specs
 from repro.experiments.metrics import MetricsAccumulator, aggregate
 from repro.experiments.pool import ExperimentPool, sweep_budgets_parallel
 from repro.experiments.runner import (
@@ -40,10 +49,10 @@ ALL_SPECS = [
 #: qualified name; the sentinel dict is populated by the test before the
 #: pool forks, so children inherit the path.
 _CRASH_SENTINEL = {"path": ""}
-_real_run_cell_batch = pool_module._run_cell_batch
+_real_run_budget_batch = pool_module._run_budget_batch
 
 
-def _crash_once_batch(spec, config, user_ids, digest_deliveries):
+def _crash_once_batch(spec, config, budgets_mb, user_ids, digest_deliveries):
     """Worker-side stand-in: the first worker to claim the sentinel dies.
 
     ``open(..., "x")`` is atomic, so exactly one process across the
@@ -54,7 +63,14 @@ def _crash_once_batch(spec, config, user_ids, digest_deliveries):
         with open(_CRASH_SENTINEL["path"], "x"):
             pass
     except FileExistsError:
-        return _real_run_cell_batch(spec, config, user_ids, digest_deliveries)
+        return _real_run_budget_batch(
+            spec, config, budgets_mb, user_ids, digest_deliveries
+        )
+    os._exit(1)
+
+
+def _crash_always_batch(spec, config, budgets_mb, user_ids, digest_deliveries):
+    """Worker-side stand-in: every claim of a task kills its worker."""
     os._exit(1)
 
 
@@ -140,6 +156,21 @@ class TestPoolParity:
         for key in sequential:
             assert parallel[key].aggregate == sequential[key].aggregate
 
+    @pytest.mark.parametrize("entry", [sweep_budgets, sweep_budgets_parallel])
+    def test_duplicate_budgets_rejected_before_any_work(
+        self, workload, annotations, users, entry, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the budgets were checked")
+
+        monkeypatch.setattr(pool_module, "ExperimentPool", no_work)
+        monkeypatch.setattr("repro.experiments.runner.sweep_users", no_work)
+        with pytest.raises(ValueError, match="duplicate budget"):
+            entry(
+                workload, ALL_SPECS, (10.0, 2.0, 10.0), ExperimentConfig(seed=7),
+                annotations, users,
+            )
+
     def test_streaming_mode_keeps_summary_not_outcomes(
         self, workload, annotations, users, pool
     ):
@@ -152,6 +183,73 @@ class TestPoolParity:
         assert streamed.summary is not None
         assert streamed.mean_backlog_bytes == kept.mean_backlog_bytes
         assert streamed.failures.attempts == kept.failures.attempts
+
+
+class TestBudgetGroups:
+    """A task is (policy group, user batch) carrying every budget of the
+    group; only the budget is ever stacked."""
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The task list of every ``_WorkerPool.run`` call, as submitted."""
+        calls = []
+        real_run = pool_module._WorkerPool.run
+
+        def recording_run(self, function, tasks, fold):
+            calls.append(tasks)
+            return real_run(self, function, tasks, fold)
+
+        monkeypatch.setattr(pool_module._WorkerPool, "run", recording_run)
+        return calls
+
+    def test_paper_grid_submits_one_task_per_group_batch(
+        self, workload, annotations, users, submitted
+    ):
+        specs = paper_method_specs()
+        grid = sweep_budgets_parallel(
+            workload, specs, PAPER_BUDGET_SWEEP_MB, ExperimentConfig(seed=7),
+            annotations, users, max_workers=2, keep_per_user=False,
+        )
+        assert len(grid) == len(specs) * len(PAPER_BUDGET_SWEEP_MB) == 35
+        (tasks,) = submitted
+        # n_groups x n_batches = 5 x ceil(4 * 2 / 5), never one per cell.
+        assert len(tasks) == 10
+        assert {task[2] for task in tasks} == {PAPER_BUDGET_SWEEP_MB}
+        for spec in specs:
+            batches = [task[3] for task in tasks if task[0] == spec]
+            assert sorted(u for batch in batches for u in batch) == sorted(users)
+
+    def test_mixed_submission_merges_on_the_budget_alone(
+        self, workload, annotations, users, pool, submitted
+    ):
+        richnote, util = MethodSpec(Method.RICHNOTE), MethodSpec(Method.UTIL, 3)
+        base = ExperimentConfig(seed=7)
+        markov = replace(base, network_mode=NetworkMode.MARKOV)
+        cells = [
+            (richnote, base.with_budget(2.0)),
+            (richnote, markov.with_budget(5.0)),
+            (util, base.with_budget(2.0)),
+            (richnote, base.with_v(10.0).with_budget(10.0)),
+            (richnote, base.with_budget(20.0)),
+            (richnote, markov.with_budget(50.0)),
+        ]
+        grid = pool.run_cells(cells)
+        (tasks,) = submitted
+        per_group = {(t[0].label, t[1].network_mode, t[1].lyapunov_v, t[2]) for t in tasks}
+        assert per_group == {
+            ("RichNote", NetworkMode.CELL_ONLY, 1000.0, (2.0, 20.0)),
+            ("RichNote", NetworkMode.MARKOV, 1000.0, (5.0, 50.0)),
+            ("UTIL-L3", NetworkMode.CELL_ONLY, 1000.0, (2.0,)),
+            ("RichNote", NetworkMode.CELL_ONLY, 10.0, (10.0,)),
+        }
+        assert len(tasks) == 4 * len(pool.batches)
+        assert list(grid) == [(spec.label, c.weekly_budget_mb) for spec, c in cells]
+        for spec, config in cells:
+            result = grid[(spec.label, config.weekly_budget_mb)]
+            sequential = run_experiment(workload, spec, config, annotations, users)
+            assert result.config == config
+            assert result.aggregate == sequential.aggregate
+            assert result.per_user == sequential.per_user
 
 
 class TestPoolBoundary:
@@ -194,7 +292,7 @@ HOURLY_FEEDS = FeedCadences(
 
 
 class TestEngineDispatch:
-    """``runner.run_users`` is where the engine is chosen, for every entry
+    """``runner.sweep_users`` is where the engine is chosen, for every entry
     point: the columnar engine (no ``RoundLoop`` round at all) on a config
     it supports, the scalar loop under faults or feed cadences -- and the
     outcomes are a plain ``run_user`` fold either way."""
@@ -262,24 +360,50 @@ class TestPoolRecovery:
         self, workload, annotations, users, tmp_path, monkeypatch
     ):
         _CRASH_SENTINEL["path"] = str(tmp_path / "crashed-once")
-        monkeypatch.setattr(pool_module, "_run_cell_batch", _crash_once_batch)
+        monkeypatch.setattr(pool_module, "_run_budget_batch", _crash_once_batch)
         spec = MethodSpec(Method.RICHNOTE)
-        config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
+        config = ExperimentConfig(seed=7)
+        budgets = (2.0, 5.0)
         with ExperimentPool(
             workload,
             annotations=annotations,
             user_ids=users,
             max_workers=2,
         ) as fresh:
-            result = fresh.run_cell(spec, config)
+            grid = fresh.run_cells(
+                [(spec, config.with_budget(budget)) for budget in budgets]
+            )
             assert fresh.worker_restarts == 1
         # The retried batches replay the same resident shards with the
-        # same seeds: aggregates stay bit-identical to sequential.
-        sequential = run_experiment(workload, spec, config, annotations, users)
-        assert result.aggregate == sequential.aggregate
-        assert [o.metrics.user_id for o in result.per_user] == [
-            o.metrics.user_id for o in sequential.per_user
-        ]
+        # same seeds: every budget of the retried pass stays bit-identical
+        # to sequential.
+        for budget in budgets:
+            result = grid[(spec.label, budget)]
+            sequential = run_experiment(
+                workload, spec, config.with_budget(budget), annotations, users
+            )
+            assert result.aggregate == sequential.aggregate
+            assert [o.metrics.user_id for o in result.per_user] == [
+                o.metrics.user_id for o in sequential.per_user
+            ]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="crash injection patches a forked module global",
+    )
+    def test_second_break_propagates(
+        self, workload, annotations, users, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_run_budget_batch", _crash_always_batch)
+        with ExperimentPool(
+            workload, annotations=annotations, user_ids=users, max_workers=2
+        ) as fresh:
+            with pytest.raises(BrokenProcessPool):
+                fresh.run_cell(
+                    MethodSpec(Method.RICHNOTE),
+                    ExperimentConfig(weekly_budget_mb=5.0, seed=7),
+                )
+            assert fresh.worker_restarts == 1
 
     def test_clean_run_reports_zero_restarts(self, pool):
         assert pool.worker_restarts == 0

@@ -159,12 +159,36 @@ class TestSweep:
             workload, specs, budgets,
             ExperimentConfig(seed=1), annotations, users,
         )
-        assert set(grid) == {
+        # Budget-major, like the loop of cells it replaced.
+        assert list(grid) == [
             ("RichNote", 2.0),
-            ("RichNote", 20.0),
             ("UTIL-L2", 2.0),
+            ("RichNote", 20.0),
             ("UTIL-L2", 20.0),
-        }
+        ]
+
+    @pytest.mark.parametrize("mode", list(NetworkMode), ids=lambda m: m.name)
+    def test_one_pass_per_policy_equals_a_run_per_cell(
+        self, workload, annotations, mode
+    ):
+        specs = [
+            MethodSpec(Method.RICHNOTE),
+            MethodSpec(Method.FIFO, 2),
+            MethodSpec(Method.UTIL, 3),
+        ]
+        base = ExperimentConfig(seed=1, network_mode=mode)
+        users = workload.top_users(4)
+        budgets = (20.0, 1.0, 100.0, 5.0)
+        grid = sweep_budgets(workload, specs, budgets, base, annotations, users)
+        for spec in specs:
+            for budget in budgets:
+                cell = grid[(spec.label, budget)]
+                alone = run_experiment(
+                    workload, spec, base.with_budget(budget), annotations, users
+                )
+                assert cell.config == alone.config
+                assert cell.per_user == alone.per_user
+                assert cell.aggregate == alone.aggregate
 
     def test_more_budget_never_hurts_baseline_delivery(self, workload, annotations):
         specs = [MethodSpec(Method.UTIL, 3)]
