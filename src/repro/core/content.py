@@ -81,7 +81,7 @@ class PresentationLadder:
     check.
     """
 
-    __slots__ = ("_levels",)
+    __slots__ = ("_levels", "_total_size")
 
     def __init__(self, presentations: Sequence[Presentation]):
         ladder = sorted(presentations, key=lambda p: p.level)
@@ -109,6 +109,7 @@ class PresentationLadder:
                     f"level {lo.level} utility {lo.utility}"
                 )
         self._levels: tuple[Presentation, ...] = tuple(ladder)
+        self._total_size = sum(p.size_bytes for p in ladder)
 
     @property
     def max_level(self) -> int:
@@ -141,7 +142,7 @@ class PresentationLadder:
         item from the scheduling queue upon delivery, so the backlog
         contribution of an item is the sum over its presentations.
         """
-        return sum(p.size_bytes for p in self._levels)
+        return self._total_size
 
     def is_concave(self) -> bool:
         """Whether marginal utility per level is non-increasing.

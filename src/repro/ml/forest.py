@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, check_features, check_training_set
 
 
 class RandomForestClassifier:
@@ -61,12 +61,7 @@ class RandomForestClassifier:
         self._n_features = 0
 
     def fit(self, x, y) -> "RandomForestClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-D matrix")
-        if len(x) != len(y):
-            raise ValueError("x and y must align")
+        x, y, n_candidates = check_training_set(x, y, self.max_features)
         self._n_features = x.shape[1]
         n = len(x)
         rng = np.random.default_rng(self.random_state)
@@ -87,7 +82,7 @@ class RandomForestClassifier:
                 max_features=self.max_features,
                 random_state=seed,
             )
-            tree.fit(x[sample], y[sample])
+            tree._fit_checked(x[sample], y[sample], n_candidates)
             self._trees.append(tree)
             self._oob_indices.append(oob)
         self._train_x = x
@@ -101,10 +96,10 @@ class RandomForestClassifier:
     def predict_proba(self, x) -> np.ndarray:
         """Mean of per-tree class probabilities, shape ``(n, 2)``."""
         self._check_fitted()
-        x = np.asarray(x, dtype=float)
+        x = check_features(x, self._n_features)
         total = np.zeros((len(x), 2))
         for tree in self._trees:
-            total += tree.predict_proba(x)
+            total += tree._proba_checked(x)
         return total / len(self._trees)
 
     def predict(self, x) -> np.ndarray:
@@ -126,7 +121,7 @@ class RandomForestClassifier:
         for tree, oob in zip(self._trees, self._oob_indices):
             if oob.size == 0:
                 continue
-            votes[oob] += tree.predict_proba(self._train_x[oob])[:, 1]
+            votes[oob] += tree._proba_checked(self._train_x[oob])[:, 1]
             counts[oob] += 1
         seen = counts > 0
         if not seen.any():
@@ -143,15 +138,14 @@ class RandomForestClassifier:
         """
         self._check_fitted()
         importances = np.zeros(self._n_features)
-
-        def walk(node) -> None:
-            if node.is_leaf:
-                return
-            importances[node.feature] += node.samples
-            walk(node.left)
-            walk(node.right)
-
         for tree in self._trees:
-            walk(tree._check_fitted())
+            nodes = tree._check_fitted()
+            internal = nodes.feature >= 0
+            # Sums of integer counts are exact in float64, in any order.
+            importances += np.bincount(
+                nodes.feature[internal],
+                weights=nodes.samples[internal],
+                minlength=self._n_features,
+            )
         total = importances.sum()
         return importances / total if total > 0 else importances

@@ -1,4 +1,4 @@
-"""CART decision trees (binary splits, Gini impurity).
+"""CART decision trees (binary splits, Gini impurity) as array code.
 
 The paper trains a Random Forest [7] in Weka; this is the from-scratch
 substrate it rests on.  Numeric features only (the feature extractor
@@ -6,98 +6,159 @@ one-hot-encodes categoricals), binary classification with class-probability
 leaves so the forest can expose calibrated-ish ``predict_proba`` scores --
 the quantity RichNote turns into content utility ``U_c``.
 
-The implementation vectorizes split search with numpy: for each candidate
-feature the samples are sorted once and all thresholds are evaluated with
-prefix sums, giving ``O(f * n log n)`` per node for ``f`` candidate
-features.
+A fitted tree *is* a flat :class:`NodeTable` in depth-first pre-order
+(node 0 is the root, an internal node's left child is the next row).
+Split search evaluates every candidate feature of a node in one pass over
+``(k, n)`` arrays; prediction moves the whole batch down one level per
+numpy step.  Every tree and every score is bit-identical to the recursive
+per-feature / per-row reference kept in ``tests/reference_forest.py``,
+which rests on three things this module must keep:
+
+1. **RNG draws.**  ``rng.choice`` is called exactly once per node that
+   attempts a split, nodes are visited in depth-first pre-order, and the
+   forest's bootstrap and per-tree seeds are untouched.  Growing the tree
+   breadth-first or level by level would reorder those draws and is
+   therefore not an option.
+2. **Impurities are functions of integer counts.**  The ``2 p (1 - p)``
+   and weighted-impurity float expressions are evaluated elementwise on
+   the same (left count, left positives) pairs, so evaluating a threshold
+   between equal values and masking it to ``inf`` afterwards, instead of
+   filtering it out first, changes no value.
+3. **Ties.**  The first threshold within a feature wins, then the first
+   feature in candidate order: a row-major ``argmin`` over the
+   ``(k, thresholds)`` block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry class-1 probability."""
+class NodeTable(NamedTuple):
+    """A fitted tree: one row per node, depth-first pre-order.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    probability: float = 0.0  # P(class == 1) at this node
-    samples: int = 0
+    Leaves have ``feature == -1`` and ``left == right == -1``; every node
+    carries its training ``samples`` and class-1 ``probability``.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray  # intp; -1 at leaves
+    threshold: np.ndarray  # float; rows with x[feature] <= threshold go left
+    left: np.ndarray  # intp row of the left child (always own row + 1)
+    right: np.ndarray  # intp row of the right child
+    probability: np.ndarray  # float; P(class == 1) at this node
+    samples: np.ndarray  # intp
+
+    def depth(self) -> int:
+        """Levels below the root: one frontier step per level."""
+        frontier = np.zeros(1, dtype=np.intp)
+        depth = -1
+        while frontier.size:
+            depth += 1
+            internal = frontier[self.feature[frontier] >= 0]
+            frontier = np.concatenate([self.left[internal], self.right[internal]])
+        return depth
+
+    def leaf_of(self, x: np.ndarray) -> np.ndarray:
+        """Row of the leaf each record of ``x`` lands in (level-wise descent)."""
+        node = np.zeros(len(x), dtype=np.intp)
+        flat = x.ravel()
+        width = x.shape[1]
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            goes_left = flat[active * width + self.feature[at]] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            node[active] = at
+            active = active[self.feature[at] >= 0]
+        return node
 
 
-def _gini(positive: float, total: float) -> float:
-    """Gini impurity of a node with ``positive`` of ``total`` class-1."""
-    if total <= 0:
-        return 0.0
-    p = positive / total
-    return 2.0 * p * (1.0 - p)
+def check_features(x, n_features: int | None = None) -> np.ndarray:
+    """``x`` as a finite float matrix, or a ``ValueError`` naming the cell."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x must be a 2-D matrix")
+    if n_features is not None and x.shape[1] != n_features:
+        raise ValueError(f"expected matrix with {n_features} features, got {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, column = (int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"x[{row}, {column}] is {x[row, column]}; features must be finite")
+    return x
+
+
+def check_training_set(x, y, max_features) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Validated ``(x, y, features per split)``, before any node is grown.
+
+    Finite features, aligned exact 0/1 labels, ``max_features`` resolved
+    against the feature count (``None`` = all, without an RNG draw).
+    """
+    x = check_features(x)
+    labels = np.asarray(y, dtype=float)
+    if labels.ndim != 1 or len(labels) != len(x):
+        raise ValueError("y must be a vector aligned with x")
+    bad = np.flatnonzero(~np.isin(labels, (0, 1)))  # 0.5, 2, nan: nothing is truncated
+    if bad.size:
+        raise ValueError(f"y[{bad[0]}] is {labels[bad[0]]}; labels must be binary 0/1")
+    if x.size == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    n_features = x.shape[1]
+    if max_features == "sqrt":
+        max_features = max(1, int(np.ceil(np.sqrt(n_features))))
+    elif max_features is not None and not (
+        isinstance(max_features, (int, np.integer)) and 1 <= max_features <= n_features
+    ):
+        raise ValueError(
+            f"max_features must be None, 'sqrt' or an int in [1, {n_features}], "
+            f"got {max_features!r}"
+        )
+    return x, labels.astype(int), max_features
 
 
 def _best_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int,
+    xt: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_samples_leaf: int
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, weighted-impurity) over candidate features.
 
-    Returns ``None`` when no valid split exists (pure node or too few
-    samples on one side for every threshold).
+    ``xt`` is the node's samples feature-major, shape ``(f, n)``.  Returns
+    ``None`` when no valid split exists (pure node or too few samples on
+    one side for every threshold).
     """
     n = len(y)
-    total_pos = float(y.sum())
-    parent = _gini(total_pos, n)
-    best: tuple[int, float, float] | None = None
-    best_score = parent - 1e-12  # require strict improvement
+    # Split i separates sorted positions i and i + 1; only lo <= i < hi
+    # leaves min_samples_leaf samples on both sides.
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    if hi <= lo:
+        return None
+    values = xt.take(feature_indices, axis=0)  # (k, n): one candidate per row
+    order = values.argsort(axis=1, kind="stable")
+    left_pos = y.take(order).cumsum(axis=1, dtype=float)  # exact: integer counts
+    order += np.arange(0, values.size, n)[:, None]
+    sorted_values = values.take(order)
 
-    for feature in feature_indices:
-        values = x[:, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_y = y[order]
-        # Candidate split positions: between distinct consecutive values.
-        distinct = np.nonzero(np.diff(sorted_values) > 0)[0]
-        if distinct.size == 0:
-            continue
-        left_counts = distinct + 1  # samples on the left of each candidate
-        pos_prefix = np.cumsum(sorted_y)
-        left_pos = pos_prefix[distinct].astype(float)
-        right_counts = n - left_counts
-        right_pos = total_pos - left_pos
+    total_pos = float(left_pos[0, -1])
+    p = total_pos / n
+    parent = 2.0 * p * (1.0 - p)
+    lc = np.arange(lo + 1.0, hi + 1.0)
+    rc = n - lc
+    lp = left_pos[:, lo:hi]
+    pl = lp / lc
+    pr = (total_pos - lp) / rc
+    weighted = (lc * (2.0 * pl * (1.0 - pl)) + rc * (2.0 * pr * (1.0 - pr))) / n
+    distinct = sorted_values[:, lo + 1 : hi + 1] > sorted_values[:, lo:hi]
+    weighted = np.where(distinct, weighted, np.inf)
 
-        valid = (left_counts >= min_samples_leaf) & (
-            right_counts >= min_samples_leaf
-        )
-        if not valid.any():
-            continue
-        lc = left_counts[valid].astype(float)
-        rc = right_counts[valid].astype(float)
-        lp = left_pos[valid]
-        rp = right_pos[valid]
-        left_gini = 2.0 * (lp / lc) * (1.0 - lp / lc)
-        right_gini = 2.0 * (rp / rc) * (1.0 - rp / rc)
-        weighted = (lc * left_gini + rc * right_gini) / n
-        idx = int(np.argmin(weighted))
-        score = float(weighted[idx])
-        if score < best_score:
-            positions = distinct[valid]
-            split_at = int(positions[idx])
-            threshold = 0.5 * (
-                float(sorted_values[split_at]) + float(sorted_values[split_at + 1])
-            )
-            best_score = score
-            best = (int(feature), threshold, score)
-    return best
+    row, split_at = divmod(int(weighted.argmin()), hi - lo)
+    score = float(weighted[row, split_at])
+    if not score < parent - 1e-12:  # require strict improvement
+        return None
+    split_at += lo
+    threshold = 0.5 * (
+        float(sorted_values[row, split_at]) + float(sorted_values[row, split_at + 1])
+    )
+    return int(feature_indices[row]), threshold, score
 
 
 class DecisionTreeClassifier:
@@ -137,85 +198,69 @@ class DecisionTreeClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._root: _Node | None = None
+        self._nodes: NodeTable | None = None
         self._n_features = 0
 
     # -- fitting --------------------------------------------------------------
 
     def fit(self, x, y) -> "DecisionTreeClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-D matrix")
-        if y.ndim != 1 or len(y) != len(x):
-            raise ValueError("y must be a vector aligned with x")
-        if not set(np.unique(y)) <= {0, 1}:
-            raise ValueError("labels must be binary 0/1")
-        if len(x) == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        return self._fit_checked(*check_training_set(x, y, self.max_features))
+
+    def _fit_checked(
+        self, x: np.ndarray, y: np.ndarray, n_candidates: int | None
+    ) -> "DecisionTreeClassifier":
+        """Grow on inputs the caller validated (the forest checks once)."""
         self._n_features = x.shape[1]
         rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(x, y, depth=0, rng=rng)
+        rows: list[list] = []
+        self._grow(np.ascontiguousarray(x.T), y, 0, rng, n_candidates, rows)
+        table = np.ascontiguousarray(np.array(rows, dtype=float).T)  # rows, counts: exact
+        feature, left, right, samples = table[[0, 2, 3, 5]].astype(np.intp)
+        self._nodes = NodeTable(feature, table[1], left, right, table[4], samples)
         return self
 
-    def _candidate_features(self, rng: np.random.Generator) -> np.ndarray:
-        if self.max_features is None:
-            return np.arange(self._n_features)
-        if self.max_features == "sqrt":
-            k = max(1, int(np.ceil(np.sqrt(self._n_features))))
-        else:
-            k = int(self.max_features)
-            if not 1 <= k <= self._n_features:
-                raise ValueError(
-                    f"max_features must be in [1, {self._n_features}], got {k}"
-                )
-        return rng.choice(self._n_features, size=k, replace=False)
-
-    def _grow(
-        self, x: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> _Node:
-        node = _Node(probability=float(y.mean()), samples=len(y))
+    def _grow(self, xt, y, depth, rng, n_candidates, rows) -> None:
+        """Append this subtree's rows in pre-order (recursion fixes RNG order)."""
+        probability = np.count_nonzero(y) / len(y)  # labels are exact 0/1
+        row = [-1, 0.0, -1, -1, probability, len(y)]  # a leaf, in NodeTable order
+        rows.append(row)
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or len(y) < self.min_samples_split
-            or node.probability in (0.0, 1.0)
+            or probability in (0.0, 1.0)
         ):
-            return node
-        split = _best_split(
-            x, y, self._candidate_features(rng), self.min_samples_leaf
-        )
+            return
+        if n_candidates is None:
+            candidates = np.arange(self._n_features)
+        else:
+            candidates = rng.choice(self._n_features, size=n_candidates, replace=False)
+        split = _best_split(xt, y, candidates, self.min_samples_leaf)
         if split is None:
-            return node
+            return
         feature, threshold, _ = split
-        mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, rng)
-        return node
+        mask = xt[feature] <= threshold
+        row[:3] = feature, threshold, len(rows)
+        self._grow(xt.compress(mask, axis=1), y.compress(mask), depth + 1, rng, n_candidates, rows)
+        row[3] = len(rows)
+        np.logical_not(mask, out=mask)
+        self._grow(xt.compress(mask, axis=1), y.compress(mask), depth + 1, rng, n_candidates, rows)
 
     # -- prediction -----------------------------------------------------------
 
-    def _check_fitted(self) -> _Node:
-        if self._root is None:
+    def _check_fitted(self) -> NodeTable:
+        if self._nodes is None:
             raise RuntimeError("tree is not fitted; call fit() first")
-        return self._root
+        return self._nodes
 
     def predict_proba(self, x) -> np.ndarray:
         """Class probabilities, shape ``(n, 2)``; column 1 = P(clicked)."""
-        root = self._check_fitted()
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self._n_features:
-            raise ValueError(
-                f"expected matrix with {self._n_features} features, got {x.shape}"
-            )
-        p1 = np.empty(len(x))
-        for row_index in range(len(x)):
-            node = root
-            row = x[row_index]
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            p1[row_index] = node.probability
+        self._check_fitted()
+        return self._proba_checked(check_features(x, self._n_features))
+
+    def _proba_checked(self, x: np.ndarray) -> np.ndarray:
+        """``predict_proba`` for rows the caller validated (the forest checks once)."""
+        nodes = self._check_fitted()
+        p1 = nodes.probability[nodes.leaf_of(x)]
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, x) -> np.ndarray:
@@ -224,18 +269,7 @@ class DecisionTreeClassifier:
 
     def depth(self) -> int:
         """Realized depth of the fitted tree."""
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._check_fitted())
+        return self._check_fitted().depth()
 
     def node_count(self) -> int:
-        def count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + count(node.left) + count(node.right)
-
-        return count(self._check_fitted())
+        return len(self._check_fitted().feature)

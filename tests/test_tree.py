@@ -39,6 +39,37 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             tree.predict([[1.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features_naming_the_cell(self, bad):
+        x, y = separable_data(n=20)
+        x[7, 2] = bad
+        x[11, 0] = bad  # later in row-major order: not the one reported
+        with pytest.raises(ValueError, match=r"x\[7, 2\]"):
+            DecisionTreeClassifier().fit(x, y)
+        tree = DecisionTreeClassifier().fit(*separable_data(n=20))
+        with pytest.raises(ValueError, match=r"x\[7, 2\]"):
+            tree.predict_proba(x)
+
+    @pytest.mark.parametrize("labels", [[0, 0.5, 1, 1], [0, 1.5, 1, 0], [0, np.nan, 1, 1]])
+    def test_rejects_non_integral_labels(self, labels):
+        """0.5 / 1.5 used to be truncated to 0 / 1 by ``astype(int)``."""
+        with pytest.raises(ValueError, match=r"y\[1\]"):
+            DecisionTreeClassifier().fit([[1.0], [2.0], [3.0], [4.0]], labels)
+
+    def test_accepts_bool_and_integral_float_labels(self):
+        x = [[1.0], [2.0], [3.0], [4.0]]
+        as_int = DecisionTreeClassifier().fit(x, [0, 0, 1, 1]).predict_proba(x)
+        for labels in ([False, False, True, True], [0.0, 0.0, 1.0, 1.0]):
+            got = DecisionTreeClassifier().fit(x, labels).predict_proba(x)
+            assert np.array_equal(got, as_int)
+
+    @pytest.mark.parametrize("max_features", ["log2", 0, 4, 1.5, -1])
+    def test_max_features_checked_before_growing(self, max_features):
+        x, y = separable_data(n=20)
+        tree = DecisionTreeClassifier(max_depth=0, max_features=max_features)
+        with pytest.raises(ValueError, match="max_features"):
+            tree.fit(x, y)  # max_depth=0 never reaches a split: fit itself checks
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             DecisionTreeClassifier(max_depth=-1)
@@ -74,13 +105,10 @@ class TestLearning:
     def test_min_samples_leaf_respected(self):
         x, y = separable_data(n=100)
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(x, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf:
-                return [node.samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(tree._check_fitted())) >= 20
+        nodes = tree._check_fitted()
+        leaf_sizes = nodes.samples[nodes.feature < 0]
+        assert len(leaf_sizes) >= 2 and leaf_sizes.min() >= 20
+        assert leaf_sizes.sum() == len(y)
 
     def test_probabilities_sum_to_one(self):
         x, y = separable_data()
