@@ -40,7 +40,8 @@ What makes it a system rather than a ``map``:
   at most the out-of-order frontier, never a 10k-user outcome list.
 * **Worker death** -- a killed worker breaks the whole executor; the pool
   rebuilds it once per run from the resident initializer payload and
-  resubmits what was outstanding.  A second break propagates.
+  resubmits what was outstanding.  A second break raises
+  :class:`WorkerPoolBroken`, naming the task that surfaced it.
 
 Determinism: every user's simulation is seeded independently of
 scheduling order (see ``_stream_seed`` in the runner), per-user outcomes
@@ -81,6 +82,7 @@ from repro.trace.records import NotificationRecord
 
 __all__ = [
     "ExperimentPool",
+    "WorkerPoolBroken",
     "available_cores",
     "oracle_scores",
     "run_experiment_parallel",
@@ -251,6 +253,10 @@ def _run_columnar_range(
 # -- parent side ---------------------------------------------------------------
 
 
+class WorkerPoolBroken(BrokenProcessPool):
+    """Workers died twice in one pool run; the message names the task."""
+
+
 class _WorkerPool:
     """Worker processes that survive one worker death per run.
 
@@ -278,7 +284,7 @@ class _WorkerPool:
     def shutdown(self) -> None:
         self._executor.shutdown()
 
-    def run(self, function, tasks: Sequence[tuple], fold) -> None:
+    def run(self, function, tasks: Sequence[tuple], fold, describe) -> None:
         """Run ``function(*task)`` for every task; ``fold(task, result)`` each.
 
         Results fold in completion order, so ``fold`` must be
@@ -286,8 +292,9 @@ class _WorkerPool:
         inputs: when a worker dies the executor is rebuilt -- once per
         run -- and the failed task plus everything still outstanding is
         resubmitted, folding identically.  A second break in the same run
-        propagates: the workload itself is crashing workers, not a
-        transient kill.
+        raises :class:`WorkerPoolBroken` naming ``describe(task)`` of the
+        task that surfaced it: the workload itself is crashing workers,
+        not a transient kill.
         """
         pending = {self._executor.submit(function, *task): task for task in tasks}
         restarted = False
@@ -297,9 +304,13 @@ class _WorkerPool:
                 task = pending.pop(future)
                 try:
                     result = future.result()
-                except BrokenProcessPool:
+                except BrokenProcessPool as error:
                     if restarted:
-                        raise
+                        raise WorkerPoolBroken(
+                            f"a worker died again after the run's one restart; the "
+                            f"break surfaced on {describe(task)}, with {len(pending) + 1} "
+                            f"of {len(tasks)} tasks unfinished"
+                        ) from error
                     restarted = True
                     self._executor.shutdown(wait=False, cancel_futures=True)
                     self._executor = self._start()
@@ -367,7 +378,7 @@ def run_store_columnar_parallel(
     so the returned list -- including per-user delivery digests -- is
     bit-identical to ``workers=1``, which runs the same range code
     in-process.  A killed worker costs one executor restart
-    (:meth:`_WorkerPool.run`); a second break raises ``BrokenProcessPool``.
+    (:meth:`_WorkerPool.run`); a second break raises :class:`WorkerPoolBroken`.
 
     ``annotations=None`` ships no score map at all; each worker derives
     :func:`oracle_scores` for its own slice.
@@ -412,7 +423,7 @@ def run_store_columnar_parallel(
 
     pool = _WorkerPool(workers, (None, store_path, scores, duration_seconds))
     try:
-        pool.run(_run_columnar_range, tasks, fold)
+        pool.run(_run_columnar_range, tasks, fold, lambda t: f"store positions [{t[2]}, {t[3]})")
     finally:
         pool.shutdown()
     merged: list[UserRunOutcome] = []
@@ -635,7 +646,11 @@ class ExperimentPool:
             for budget, outcomes in zip(budgets, per_budget):
                 states[(spec.label, budget)].add_batch(outcomes)
 
-        self._workers.run(_run_budget_batch, tasks, fold)
+        def describe(task) -> str:
+            spec, _, budgets, batch = task[:4]
+            return f"policy {spec.label} at budgets {list(budgets)} MB, users {list(batch)}"
+
+        self._workers.run(_run_budget_batch, tasks, fold, describe)
         return {key: state.result() for key, state in states.items()}
 
 

@@ -794,11 +794,20 @@ class ColumnarEngine:
         )
 
     def _select_fixed(self, now: float, group: _Group) -> None:
-        """FIFO/UTIL baselines: order, greedy-fill at the fixed level.
+        """FIFO/UTIL baselines: greedy-fill at the fixed level, scoring only
+        the rows the round can deliver.
 
-        Every item costs the same, so the fill takes the first
-        ``budget // size`` items of each user's ordering: queue (=
+        Every item costs the same, so a member takes the first ``take =
+        min(budget // size, count)`` items of their ordering: queue (=
         created-at) order for FIFO, realized utility descending for UTIL.
+        FIFO therefore decays and sorts each member's first ``take`` queue
+        rows, UTIL the whole queues of members with ``take > 0``, and a
+        round nobody can afford scores nothing.  That is bit-identical to
+        scoring the whole backlog: (1) decay and the ``* U_p`` multiply are
+        elementwise, so a subset gets the same bits; (2) ``_by_utility``'s
+        lexsort is stable and keyed per user, so on whole users (UTIL) or
+        on rows that are all taken (FIFO) it gives the order the full sort
+        gave; (3) a member with ``take == 0`` delivers nothing either way.
         Everything rides the primary channel -- billed bytes fill the
         budget, wire bytes price delivery -- just like
         ``FixedLevelPolicy.fill`` on the scalar path.
@@ -806,23 +815,21 @@ class ColumnarEngine:
         code, flat, _, counts = group
         level = self._fixed_level
         size = self._billed_rows[0][level]
-        utility = self._decay_column_at(flat, now) * self._pres_rows[0][level]
-        by_utility = self._by_utility(flat, utility)
-        ordering = (
-            by_utility if type(self.policy) is UtilPolicy else np.arange(flat.size)
-        )
-        affordable = self._budgets(group) // size if size else counts
-        rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        taken = np.zeros(flat.size, dtype=bool)
-        taken[ordering[rank < np.repeat(affordable, counts)]] = True
-        rows = by_utility[taken[by_utility]]
+        take = np.minimum(self._budgets(group) // size, counts) if size else counts
+        if not take.any():
+            return
+        scored = take if type(self.policy) is FifoPolicy else counts * (take > 0)
+        rows = flat[_runs(np.cumsum(counts) - counts, scored)]
+        utility = self._decay_column_at(rows, now) * self._pres_rows[0][level]
+        order = self._by_utility(rows, utility)
+        kept = order[_runs(np.cumsum(scored) - scored, take)]
         self._deliver(
             now,
             code,
-            flat[rows],
-            np.full(rows.size, level, dtype=np.int64),
-            utility[rows],
-            np.zeros(rows.size, dtype=np.int64),
+            rows[kept],
+            np.full(kept.size, level, dtype=np.int64),
+            utility[kept],
+            np.zeros(kept.size, dtype=np.int64),
         )
 
     # -- delivery --------------------------------------------------------------
@@ -900,6 +907,12 @@ def _checked_theta(theta_bytes, user_ids: Sequence[int]) -> np.ndarray:
         where = f" at row {row} (user {user_ids[row]})" if theta.ndim else ""
         raise ValueError(f"theta_bytes must be finite and >= 0, got {theta.flat[row]}{where}")
     return theta
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] .. starts[i] + lengths[i] - 1``, run after run."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _estimate_row(estimate, sizes: Sequence[int]) -> np.ndarray:

@@ -9,6 +9,7 @@ shards and score map crossing the process boundary (once, at init).
 import multiprocessing
 import os
 import pickle
+import re
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -26,7 +27,11 @@ from repro.experiments.config import (
 )
 from repro.experiments.figures import paper_method_specs
 from repro.experiments.metrics import MetricsAccumulator, aggregate
-from repro.experiments.pool import ExperimentPool, sweep_budgets_parallel
+from repro.experiments.pool import (
+    ExperimentPool,
+    WorkerPoolBroken,
+    sweep_budgets_parallel,
+)
 from repro.experiments.runner import (
     UtilityAnnotations,
     run_experiment,
@@ -195,9 +200,9 @@ class TestBudgetGroups:
         calls = []
         real_run = pool_module._WorkerPool.run
 
-        def recording_run(self, function, tasks, fold):
+        def recording_run(self, function, tasks, *rest):
             calls.append(tasks)
-            return real_run(self, function, tasks, fold)
+            return real_run(self, function, tasks, *rest)
 
         monkeypatch.setattr(pool_module._WorkerPool, "run", recording_run)
         return calls
@@ -398,12 +403,20 @@ class TestPoolRecovery:
         with ExperimentPool(
             workload, annotations=annotations, user_ids=users, max_workers=2
         ) as fresh:
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(WorkerPoolBroken) as broken:
                 fresh.run_cell(
                     MethodSpec(Method.RICHNOTE),
                     ExperimentConfig(weekly_budget_mb=5.0, seed=7),
                 )
             assert fresh.worker_restarts == 1
+        # Typed, yet still what existing ``except BrokenProcessPool`` catches;
+        # the message names the batch whose future surfaced the break.
+        assert isinstance(broken.value, BrokenProcessPool)
+        assert isinstance(broken.value.__cause__, BrokenProcessPool)
+        message = str(broken.value)
+        assert "policy RichNote at budgets [5.0] MB, users [" in message
+        assert any(f"users {list(batch)}," in message for batch in fresh.batches)
+        assert re.search(rf"with [1-9]\d* of {len(fresh.batches)} tasks unfinished", message)
 
     def test_clean_run_reports_zero_restarts(self, pool):
         assert pool.worker_restarts == 0

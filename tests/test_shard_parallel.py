@@ -22,6 +22,7 @@ import hashlib
 import multiprocessing
 import os
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -41,6 +42,7 @@ from repro.experiments.config import ExperimentConfig, Method, MethodSpec
 from repro.experiments.metrics import aggregate
 from repro.experiments.pool import (
     ExperimentPool,
+    WorkerPoolBroken,
     _contiguous_ranges,
     available_cores,
     oracle_scores,
@@ -271,10 +273,22 @@ class TestStoreWorkerDeath:
     def test_second_break_propagates(self, store, monkeypatch):
         path, _, duration = store
         monkeypatch.setattr(pool_module, "_run_columnar_range", _crash_always_range)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerPoolBroken) as broken:
             run_store_columnar_parallel(
                 path, SPEC, ExperimentConfig(seed=41), duration, workers=2
             )
+        # Typed, yet still what existing ``except BrokenProcessPool`` catches;
+        # the message names the store range whose future surfaced the break.
+        assert isinstance(broken.value, BrokenProcessPool)
+        with TraceShardStore(path) as shard_store:
+            ranges = _contiguous_ranges(np.diff(shard_store.offsets), 2 * 4)
+        named = re.search(
+            r"store positions \[(\d+), (\d+)\), with ([1-9]\d*) of (\d+) tasks unfinished",
+            str(broken.value),
+        )
+        assert named is not None
+        assert (int(named[1]), int(named[2])) in ranges
+        assert int(named[3]) <= int(named[4]) == len(ranges)
 
 
 class TestRunCellColumnar:
