@@ -69,7 +69,7 @@ def test_bench_rollover(benchmark, workload, annotations, bench_users):
     from repro.experiments.adapters import record_to_item
     from repro.experiments.runner import _build_device
     from repro.core.utility import CombinedUtilityModel, ExponentialAging
-    from repro.sim.engine import Simulator
+    from repro.runtime.columnar import round_arrivals
 
     config = ExperimentConfig(weekly_budget_mb=5.0)
     theta = config.theta_bytes_per_round
@@ -94,25 +94,22 @@ def test_bench_rollover(benchmark, workload, annotations, bench_users):
                 device, budget, energy, utility_model,
                 policy=registry.create(policy, **params),
             )
-            simulator = Simulator()
+            items = []
             for record in records:
                 item = record_to_item(record, ladder)
                 item.content_utility = annotations.scores[record.notification_id]
-                simulator.schedule_at(
-                    item.created_at, lambda sim, it=item: scheduler.enqueue(it)
-                )
-
-            def tick(sim, s=scheduler):
-                nonlocal delivered, total_utility
-                result = s.run_round(sim.now, config.round_seconds)
+                items.append(item)
+            items.sort(key=lambda item: item.created_at)
+            arrived = 0
+            for now, end in round_arrivals(
+                [item.created_at for item in items], config.round_seconds, duration
+            ):
+                for item in items[arrived:end]:
+                    scheduler.enqueue(item)
+                arrived = end
+                result = scheduler.run_round(now, config.round_seconds)
                 delivered += len(result.deliveries)
                 total_utility += result.delivered_utility
-
-            simulator.schedule_periodic(
-                config.round_seconds, tick,
-                start=config.round_seconds, until=duration + 1.0,
-            )
-            simulator.run(until=duration + 2.0)
         return delivered, total_utility
 
     def run():

@@ -108,7 +108,7 @@ def build_cohort(
     """Flatten many users' streams into one set of columns.
 
     Within each user, records are stable-sorted by timestamp -- the order
-    the event heap ingests them on the scalar path.
+    the scalar replay enqueues them.
     """
     user_ids = [user_id for user_id, _ in user_records]
     counts, item_ids, created, clicked, click_time = concat_record_columns(user_records)

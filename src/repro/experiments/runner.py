@@ -2,7 +2,7 @@
 
 For each user, the runner replays all notifications intended for them "as a
 stream of content items arriving at our scheduling and delivery system",
-drives the round-based scheduler through the discrete-event simulator, and
+drives the round-based scheduler on the shared round clock, and
 joins the realized deliveries with the trace's ground-truth clicks to
 produce the Section V-C metrics.
 
@@ -40,6 +40,7 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.shards import shard_by_user
 from repro.runtime import registry
+from repro.runtime.columnar import round_arrivals
 from repro.runtime.loop import RoundLoop
 from repro.runtime.types import Delivery
 from repro.sim.faults import RandomFaultPolicy
@@ -49,7 +50,6 @@ from repro.ml.forest import RandomForestClassifier
 from repro.sim.battery import DiurnalBatteryModel
 from repro.sim.device import MobileDevice
 from repro.sim.energy import TransferEnergyModel
-from repro.sim.engine import Simulator
 from repro.sim.network import CellularOnlyNetwork, MarkovNetworkModel
 from repro.trace.generator import Workload
 from repro.trace.records import NotificationRecord
@@ -338,7 +338,8 @@ def run_user(
     """Replay one user's notification stream under one policy.
 
     The scalar reference: one :class:`~repro.runtime.loop.RoundLoop` on
-    the event simulator, and the only runner for fault injection and
+    the round clock of :func:`~repro.runtime.columnar.round_arrivals`
+    (items stable-sorted by ``created_at``), and the only runner for fault injection and
     multi-feed cadences.  ``ladder`` is the presentation ladder of
     ``config.presentation_spec``; it is identical for every user of a
     cell, so cell-level callers build it once and pass it in (``None``
@@ -349,13 +350,13 @@ def run_user(
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
     # ``replace`` re-runs the constructor, so a score outside [0, 1] raises.
-    items = [
+    items = sorted((
         replace(
             record_to_item(record, ladder),
             content_utility=annotations.scores[record.notification_id],
         )
         for record in records
-    ]
+    ), key=attrgetter("created_at"))
 
     device = _build_device(user_id, config, duration_seconds)
     scheduler = _build_scheduler(
@@ -372,24 +373,18 @@ def run_user(
     queue_samples: list[int] = []
     failures = FailureStats()
 
-    simulator = Simulator()
-    for item in items:
-        simulator.schedule_at(item.created_at, lambda sim, it=item: front.enqueue(it))
-
-    def round_tick(sim: Simulator) -> None:
-        result = front.run_round(sim.now, config.round_seconds)
+    arrived = 0
+    for now, end in round_arrivals(
+        [item.created_at for item in items], config.round_seconds, duration_seconds
+    ):
+        for item in items[arrived:end]:
+            front.enqueue(item)
+        arrived = end
+        result = front.run_round(now, config.round_seconds)
         deliveries.extend(result.deliveries)
         backlog_samples.append(result.backlog_bytes_after)
         queue_samples.append(result.queue_length_after)
         failures.observe(result)
-
-    simulator.schedule_periodic(
-        config.round_seconds,
-        round_tick,
-        start=config.round_seconds,
-        until=duration_seconds + 1.0,
-    )
-    simulator.run(until=duration_seconds + 2.0)
 
     metrics = compute_user_metrics(user_id, records, deliveries)
     return UserRunOutcome(

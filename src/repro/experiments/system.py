@@ -2,9 +2,9 @@
 
 The figure benchmarks replay pre-labelled per-user traces (as the paper's
 evaluation does).  This module runs the *deployed* composition instead,
-end to end inside one discrete-event simulation:
+end to end on one round clock (:func:`repro.runtime.columnar.round_arrivals`):
 
-1. publications fire as timed events and enter the topic broker
+1. publications enter the topic broker in time order
    (optionally behind the broker-side capacity selector of
    :mod:`repro.pubsub.capacity` -- the real-time overload control RichNote
    is positioned against);
@@ -24,6 +24,7 @@ This is the integration a downstream adopter would deploy; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import LearnedContentUtility
@@ -36,9 +37,9 @@ from repro.ml.dataset import FeatureExtractor, build_training_set
 from repro.pubsub.broker import Broker, DeliveryMode
 from repro.pubsub.capacity import CapacityConfig, CapacityLimitedBroker
 from repro.runtime import registry
+from repro.runtime.columnar import round_arrivals
 from repro.runtime.loop import RoundLoop
 from repro.runtime.types import Delivery
-from repro.sim.engine import Simulator
 from repro.trace.entities import Catalog
 from repro.trace.generator import TraceConfig, TraceGenerator, Workload
 from repro.trace.interactions import InteractionSimulator
@@ -80,7 +81,7 @@ class SystemReport:
 
 
 class SystemSimulation:
-    """Composes generator, broker, classifier and schedulers in one DES."""
+    """Composes generator, broker, classifier and schedulers on one clock."""
 
     def __init__(
         self,
@@ -161,30 +162,19 @@ class SystemSimulation:
         deliveries: list[Delivery] = []
         dropped = 0
 
-        def ingest(notification) -> None:
-            nonlocal dropped
-            record = labeller.label(notification)
-            records.append(record)
-            item = record_to_item(record, ladder)
-            self._scorer.annotate([item])
-            schedulers[record.recipient_id].enqueue(item)
-
-        simulator = Simulator()
         publications = self._generator.generate_publications()
-        for publication in publications:
-            simulator.schedule_at(
-                publication.timestamp,
-                lambda sim, p=publication: (
-                    capacity_broker.publish(p)
-                    if capacity_broker
-                    else inner_broker.publish(p)
-                ),
-            )
-
+        arrivals = sorted(publications, key=attrgetter("timestamp"))
+        publish = (
+            inner_broker.publish if capacity_broker is None else capacity_broker.publish
+        )
         round_seconds = self.config.experiment.round_seconds
-
-        def round_tick(sim: Simulator) -> None:
-            nonlocal dropped
+        published = 0
+        for now, end in round_arrivals(
+            [p.timestamp for p in arrivals], round_seconds, duration
+        ):
+            for publication in arrivals[published:end]:
+                publish(publication)
+            published = end
             if capacity_broker is not None:
                 selection = capacity_broker.flush_round()
                 dropped += len(selection.dropped)
@@ -192,15 +182,20 @@ class SystemSimulation:
             else:
                 released = inner_broker.flush()
             for notification in released:
-                ingest(notification)
+                record = labeller.label(notification)
+                records.append(record)
+                item = record_to_item(record, ladder)
+                self._scorer.annotate([item])
+                schedulers[record.recipient_id].enqueue(item)
             for scheduler in schedulers.values():
-                result = scheduler.run_round(sim.now, round_seconds)
+                result = scheduler.run_round(now, round_seconds)
                 deliveries.extend(result.deliveries)
-
-        simulator.schedule_periodic(
-            round_seconds, round_tick, start=round_seconds, until=duration + 1.0
-        )
-        simulator.run(until=duration + 2.0)
+        # Publications after the last round still reach the broker up to
+        # the run's horizon, ``duration + 2 s``: they are matched (and
+        # counted in the report) but no round is left to flush them.
+        for publication in arrivals[published:]:
+            if publication.timestamp < duration + 2.0:
+                publish(publication)
 
         by_user: dict[int, list[NotificationRecord]] = {u: [] for u in user_ids}
         for record in records:

@@ -1,8 +1,8 @@
 """Columnar multi-user round execution: struct-of-arrays, one cohort at a time.
 
-The scalar stack (:mod:`repro.runtime.loop` driven per user through
-:class:`repro.sim.engine.Simulator`) walks one Python object graph per
-user per round.  That is the right shape for extensibility -- policies,
+The scalar stack (:mod:`repro.runtime.loop` driven per user on the round
+clock of :func:`round_arrivals`) walks one Python object graph per user
+per round.  That is the right shape for extensibility -- policies,
 fault engines and observers all hook the loop -- but it caps simulations
 at a few hundred users.  This module expresses the *paper-default* round
 semantics (no TTL, no fault engine, no level caps) as columns over a
@@ -101,6 +101,7 @@ __all__ = [
     "DeviceColumns",
     "build_device_columns",
     "markov_state_columns",
+    "round_arrivals",
     "round_times",
 ]
 
@@ -119,15 +120,13 @@ _OFF_CODE = STATE_CODES[NetworkState.OFF]
 
 
 def round_times(round_seconds: float, duration_seconds: float) -> list[float]:
-    """The exact round-tick times the event-driven runner produces.
+    """The round clock: the time of every round tick, on both engines.
 
-    Replicates :meth:`repro.sim.engine.Simulator.schedule_periodic` with
-    ``start=round_seconds``, ``until=duration + 1.0`` under a
-    ``run(until=duration + 2.0)`` horizon -- including the float
-    *accumulation* (``t += period``), which is not the same sequence as
-    ``k * period`` once rounding error compounds.  Battery traces sample
-    with the same accumulation, so round ``k`` reads battery sample
-    ``k + 1`` exactly as the scalar path does.
+    The first tick is at ``round_seconds``; ticks follow while the next
+    one falls before ``duration + 1.0``, by float *accumulation*
+    (``t += period``), which is not the same sequence as ``k * period``
+    once rounding error compounds.  Battery traces sample with the same
+    accumulation, so round ``k`` reads battery sample ``k + 1``.
     """
     if round_seconds <= 0:
         raise ValueError(f"period must be positive, got {round_seconds}")
@@ -141,13 +140,31 @@ def round_times(round_seconds: float, duration_seconds: float) -> list[float]:
     return times
 
 
+def round_arrivals(
+    arrival_times: Sequence[float], round_seconds: float, duration_seconds: float
+) -> list[tuple[float, int]]:
+    """The round clock over one time-sorted arrival stream, for scalar replay.
+
+    One ``(time, end)`` per round of :func:`round_times`: arrivals from the
+    previous round's ``end`` up to this ``end`` join the round
+    (:func:`repro.runtime.kernels.ingest_round_index`), so a caller hands
+    them in and then runs the round.  ``arrival_times`` must be sorted,
+    ties in stream order (a stable sort); arrivals past the last ``end``
+    come after the last round.
+    """
+    times = round_times(round_seconds, duration_seconds)
+    rounds = kernels.ingest_round_index(arrival_times, times)
+    ends = np.searchsorted(rounds, np.arange(len(times)), side="right")
+    return list(zip(times, ends.tolist()))
+
+
 @dataclass
 class ColumnarCohort:
     """A population's notification streams as flat, user-partitioned columns.
 
     Items of user ``user_ids[u]`` occupy flat positions
     ``offsets[u]:offsets[u + 1]``, stable-sorted by ``created_at`` within
-    the user (the order the event heap would ingest them).  One
+    the user (the order the scalar replay enqueues them).  One
     presentation ladder is shared cohort-wide.
     """
 

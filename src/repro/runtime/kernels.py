@@ -220,12 +220,13 @@ def ingest_round_index(
 ) -> np.ndarray:
     """The round at which each item becomes schedulable, for a whole cohort.
 
-    In the event-driven path an item's ``enqueue`` fires before the round
-    tick sharing its timestamp (FIFO tie-break on the simulator heap), so
+    An item arriving at a round tick's own timestamp joins that round, so
     an item joins the scheduling queue at the first round whose time is
     ``>= created_at``.  Returns that round index per item;
     ``len(round_times)`` marks items created after the last round (they
-    stay in the incoming queue forever, exactly like the scalar path).
+    never join).  Both engines ingest by this rule: the columnar engine
+    directly, the scalar replay through
+    :func:`repro.runtime.columnar.round_arrivals`.
     """
     times = np.asarray(round_times, dtype=np.float64)
     created = np.asarray(created_at, dtype=np.float64)

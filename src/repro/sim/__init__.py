@@ -1,6 +1,5 @@
-"""Discrete-event simulation, connectivity, battery and energy models."""
+"""Connectivity, battery, energy and fault models of the simulated device."""
 
-from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import (
     CellularOnlyNetwork,
     MarkovNetworkModel,

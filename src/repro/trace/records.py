@@ -9,6 +9,7 @@ to one user, with its features and interaction labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 from repro.pubsub.topics import TopicKind
@@ -43,8 +44,10 @@ class NotificationRecord:
     click_time: float | None
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be >= 0")
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp}")
+        if self.click_time is not None and not math.isfinite(self.click_time):
+            raise ValueError(f"click time must be finite, got {self.click_time}")
         if not 0.0 <= self.tie_strength <= 1.0:
             raise ValueError("tie strength must be in [0, 1]")
         if self.clicked and not self.hovered:

@@ -54,7 +54,6 @@ from repro.runtime.columnar import (
 )
 from repro.runtime.policy import FifoPolicy
 from repro.sim.battery import BatterySample, DiurnalBatteryModel
-from repro.sim.engine import Simulator
 from repro.sim.network import DEFAULT_TRANSITIONS, MarkovNetworkModel, NetworkState
 from repro.trace.generator import TraceConfig, build_workload, iter_users
 from repro.pubsub.topics import TopicKind
@@ -194,23 +193,29 @@ class TestEngineBinding:
 
 
 class TestRoundGrid:
-    """round_times replicates the event-driven simulator's tick sequence."""
+    """round_times is the round clock: first tick at one period, ticks while
+    ``t + period < duration + 1`` by accumulating ``t += period``."""
 
-    @pytest.mark.parametrize(
-        "period,duration",
-        [(3600.0, 168 * 3600.0), (3600.0, 1800.0), (0.1, 10.0), (7.0, 7.0)],
-    )
+    # (period, duration) -> (tick count, first tick, last tick): the schedule
+    # every simulator of this repository runs its rounds on, pinned.
+    SCHEDULES = {
+        (3600.0, 168 * 3600.0): (168, 3600.0, 604800.0),
+        (3600.0, 1800.0): (0, None, None),
+        (0.1, 10.0): (110, 0.1, 10.999999999999977),
+        (7.0, 7.0): (1, 7.0, 7.0),
+    }
+
+    @pytest.mark.parametrize("period,duration", list(SCHEDULES))
     def test_matches_simulator_schedule(self, period, duration):
-        simulator = Simulator()
-        ticks: list[float] = []
-        simulator.schedule_periodic(
-            start=period,
-            period=period,
-            callback=lambda sim: ticks.append(sim.now),
-            until=duration + 1.0,
-        )
-        simulator.run(until=duration + 2.0)
-        assert round_times(period, duration) == ticks
+        count, first, last = self.SCHEDULES[period, duration]
+        times = round_times(period, duration)
+        assert len(times) == count
+        if count:
+            assert (times[0], times[-1]) == (first, last)
+
+    def test_accumulates_rather_than_multiplies(self):
+        times = round_times(0.1, 10.0)
+        assert times != [(k + 1) * 0.1 for k in range(len(times))]
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError, match="period"):

@@ -44,6 +44,16 @@ class TestRecordInvariants:
         with pytest.raises(ValueError):
             record(click_time=999.0)
 
+    def test_timestamp_must_be_finite_and_non_negative(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timestamp must be finite"):
+                record(timestamp=bad, clicked=False, click_time=None)
+
+    def test_click_time_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="click time must be finite"):
+                record(click_time=bad)
+
     def test_attended_property(self):
         assert record().attended
         assert not record(hovered=False, clicked=False, click_time=None).attended
@@ -105,6 +115,24 @@ class TestTraceIo:
         )
         with pytest.raises(ValueError, match=":2:"):
             list(iter_trace(path))
+
+    def test_nan_timestamp_rejected_with_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [record(clicked=False, click_time=None)])
+        text = path.read_text().replace('"timestamp": 1000.0', '"timestamp": NaN')
+        assert "NaN" in text
+        path.write_text(text)
+        with pytest.raises(ValueError, match=":2: .*timestamp must be finite"):
+            read_trace(path)
+
+    def test_infinite_click_time_rejected_with_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [record()])
+        text = path.read_text().replace('"click_time": 1600.0', '"click_time": Infinity')
+        assert "Infinity" in text
+        path.write_text(text)
+        with pytest.raises(ValueError, match=":2: .*click time must be finite"):
+            read_trace(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         r = record(clicked=False, click_time=None)

@@ -10,6 +10,7 @@ from repro.experiments.runner import (
     sweep_budgets,
 )
 from repro.experiments.workloads import eval_workload
+from repro.runtime.columnar import round_times
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,49 @@ class TestRunUser:
         weeks = duration / (7 * 86400.0)
         allowance = config.weekly_budget_mb * 1e6 * weeks + config.theta_bytes_per_round
         assert outcome.metrics.delivered_bytes <= allowance
+
+    def test_record_order_does_not_change_the_replay(
+        self, workload, annotations, config
+    ):
+        """Items are sorted by arrival before the round clock walks them."""
+        user_id = workload.top_users(1)[0]
+        records = workload.records_for_user(user_id)
+        assert len({r.timestamp for r in records}) == len(records)
+        duration = workload.config.duration_hours * 3600.0
+        spec = MethodSpec(Method.RICHNOTE)
+        forward, backward = (
+            run_user(
+                user_id, ordered, spec, config, annotations, duration,
+                digest_deliveries=True,
+            )
+            for ordered in (records, list(reversed(records)))
+        )
+        assert forward == backward
+
+    def test_no_round_before_the_first_tick(self, workload, annotations, config):
+        user_id = workload.top_users(1)[0]
+        records = workload.records_for_user(user_id)
+        outcome = run_user(
+            user_id, records, MethodSpec(Method.RICHNOTE), config, annotations,
+            config.round_seconds / 2,
+        )
+        assert outcome.metrics.delivered_notifications == 0
+        assert (outcome.mean_backlog_bytes, outcome.max_queue_length) == (0.0, 0)
+
+    def test_arrivals_after_the_last_tick_are_never_delivered(
+        self, workload, annotations, config
+    ):
+        user_id = workload.top_users(1)[0]
+        records = workload.records_for_user(user_id)
+        duration = workload.config.duration_hours * 3600.0 / 2
+        last = round_times(config.round_seconds, duration)[-1]
+        in_time = sum(r.timestamp <= last for r in records)
+        assert 0 < in_time < len(records)
+        outcome = run_user(
+            user_id, records, MethodSpec(Method.RICHNOTE), config, annotations,
+            duration,
+        )
+        assert 0 < outcome.metrics.delivered_notifications <= in_time
 
     @pytest.mark.parametrize("score", [float("nan"), -3.0, 7.0])
     def test_score_outside_unit_interval_rejected(

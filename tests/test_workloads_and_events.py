@@ -1,16 +1,8 @@
-"""Tests for evaluation-workload presets and simulation event records."""
+"""Tests for evaluation-workload presets."""
 
 import pytest
 
-from repro.core.content import ContentItem, ContentKind
-from repro.core.presentations import build_audio_ladder
 from repro.experiments.workloads import eval_workload, workload_spec
-from repro.sim.events import (
-    DeliveryCompleted,
-    DeliveryDropped,
-    NotificationArrival,
-    RoundTick,
-)
 
 
 class TestWorkloadPresets:
@@ -41,34 +33,3 @@ class TestWorkloadPresets:
         assert len(a.records) != len(b.records) or (
             a.records[0].to_dict() != b.records[0].to_dict()
         )
-
-
-class TestEventRecords:
-    def test_arrival_record(self):
-        item = ContentItem(
-            item_id=1,
-            user_id=2,
-            kind=ContentKind.FRIEND_FEED,
-            created_at=5.0,
-            ladder=build_audio_ladder(),
-        )
-        event = NotificationArrival(time=5.0, item=item)
-        assert event.item.user_id == 2
-
-    def test_round_tick_and_delivery_records(self):
-        tick = RoundTick(time=3600.0, round_index=1)
-        done = DeliveryCompleted(
-            time=3600.0, user_id=2, item_id=1, level=3,
-            size_bytes=200_200, energy_joules=5.0, utility=0.4,
-        )
-        dropped = DeliveryDropped(
-            time=3600.0, user_id=2, item_id=9, reason="expired"
-        )
-        assert tick.round_index == 1
-        assert done.level == 3
-        assert dropped.reason == "expired"
-
-    def test_records_are_frozen(self):
-        tick = RoundTick(time=0.0, round_index=0)
-        with pytest.raises(AttributeError):
-            tick.round_index = 5
