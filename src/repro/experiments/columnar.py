@@ -12,8 +12,10 @@ reads four columns per user (:func:`repro.trace.io.record_columns`),
 never a record object; device columns are one recurrence across users;
 and the fold hands the engine's delivery columns to the kernels the scalar
 path adapts to (metrics user by user, digests for the cohort in one call),
-so the arithmetic cannot drift between them.  A budget sweep is one such
-pass (:func:`sweep_cohort`): the budget is a per-row ``theta`` column.
+so the arithmetic cannot drift between them.  A sweep is one such pass per
+RichNote spec plus one for every FIFO/UTIL spec (:func:`sweep_cohort`): the
+budget is a per-row ``theta`` column and a baseline's fixed level and
+scoring rule are per-row policy columns.
 
 Scope mirrors the engine's: the paper-default pipeline.  :func:`supports`
 says whether a config is inside it; the one caller that acts on the
@@ -25,7 +27,7 @@ this path does handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from repro.core.presentations import build_audio_ladder
 from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
 from repro.experiments.metrics import user_metrics_from_columns
 from repro.experiments.runner import (
+    Cell,
     UserRunOutcome,
     UtilityAnnotations,
     _device_stream_seed,
@@ -55,8 +58,8 @@ __all__ = [
     "concat_record_columns",
     "fold_outcomes",
     "make_engine",
+    "make_pass_engine",
     "run_users_columnar",
-    "stack_budgets",
     "supports",
     "sweep_cohort",
 ]
@@ -78,16 +81,26 @@ class CohortColumns:
     """A built cohort plus the label columns needed to fold results back.
 
     ``clicked`` / ``click_time`` (``NaN`` = never clicked) align with the
-    cohort's flat item columns.  Under ``budgets_mb`` the users are stacked
-    once per weekly budget (:func:`stack_budgets`): row ``b * n + u`` is
-    user ``u`` of ``n`` at ``budgets_mb[b]``.
+    cohort's flat item columns.
     """
 
     cohort: ColumnarCohort
     user_ids: list[int]
     clicked: np.ndarray
     click_time: np.ndarray
-    budgets_mb: tuple[float, ...] | None = None
+
+    def tiled(self, copies: int) -> "CohortColumns":
+        """The users ``copies`` times end to end, row ``c * n + u`` a copy of
+        user ``u`` of ``n`` (:meth:`ColumnarCohort.tiled`); one copy is
+        ``self``, so a one-cell pass copies nothing."""
+        if copies == 1:
+            return self
+        return CohortColumns(
+            cohort=self.cohort.tiled(copies),
+            user_ids=self.user_ids * copies,
+            clicked=np.tile(self.clicked, copies),
+            click_time=np.tile(self.click_time, copies),
+        )
 
 
 def concat_record_columns(
@@ -133,21 +146,6 @@ def build_cohort(
     )
 
 
-def stack_budgets(columns: CohortColumns, budgets_mb: Sequence[float]) -> CohortColumns:
-    """``columns`` with its users stacked once per weekly budget: tiles what
-    :func:`build_cohort` built, and a single budget copies nothing."""
-    copies = len(budgets_mb)
-    if copies == 1:
-        return replace(columns, budgets_mb=tuple(budgets_mb))
-    return CohortColumns(
-        cohort=columns.cohort.tiled(copies),
-        user_ids=columns.user_ids * copies,
-        clicked=np.tile(columns.clicked, copies),
-        click_time=np.tile(columns.click_time, copies),
-        budgets_mb=tuple(budgets_mb),
-    )
-
-
 def make_engine(
     columns: CohortColumns,
     spec: MethodSpec,
@@ -156,20 +154,48 @@ def make_engine(
     *,
     channels=None,
 ) -> ColumnarEngine:
-    """Build the :class:`ColumnarEngine` one ``sweep_cohort`` pass runs.
+    """The one-cell :func:`make_pass_engine`: every row of ``columns`` runs
+    ``spec`` at ``config``'s budget.
 
     Exposed separately so benches and the shard-parallel path can time
     cohort construction apart from the round loop (and resume runs via
     ``engine.run(limit_rounds=...)``).  ``channels`` is the delivery
     :class:`~repro.core.channels.ChannelSet`; ``None`` is the paper's
-    push channel alone.  On budget-stacked ``columns`` the copies of a
-    user share device columns (drawn once, then tiled) and differ in their
-    ``theta`` row; otherwise every row gets ``config``'s budget.
+    push channel alone.
     """
-    policy = registry.create(spec.policy_name, **spec.policy_params(config))
+    return make_pass_engine(
+        columns, [(spec, config.weekly_budget_mb)], config, duration_seconds,
+        channels=channels,
+    )
+
+
+def make_pass_engine(
+    columns: CohortColumns,
+    cells: Sequence[Cell],
+    config: ExperimentConfig,
+    duration_seconds: float,
+    *,
+    channels=None,
+) -> ColumnarEngine:
+    """Build the :class:`ColumnarEngine` one :func:`sweep_cohort` pass runs.
+
+    ``columns`` holds the users once per cell (:meth:`CohortColumns.tiled`
+    by ``len(cells)``): row ``c * n + u`` is user ``u`` under ``cells[c] =
+    (spec, weekly budget)``, every other knob from ``config``.  The copies of a user share
+    device columns (drawn once, then tiled) and differ in their ``theta``
+    row and, when the cells name several specs, their policy row -- which
+    the engine allows for FIFO/UTIL only (:func:`~repro.experiments.runner.spec_passes`).
+    """
+    users = len(columns.user_ids) // len(cells)
+    policies = {
+        spec: registry.create(spec.policy_name, **spec.policy_params(config))
+        for spec in dict.fromkeys(spec for spec, _ in cells)
+    }
+    if len(policies) == 1:
+        (policy,) = policies.values()
+    else:
+        policy = [policies[spec] for spec, _ in cells for _ in range(users)]
     times = round_times(config.round_seconds, duration_seconds)
-    budgets = columns.budgets_mb or (config.weekly_budget_mb,)
-    users = len(columns.user_ids) // len(budgets)
     device = build_device_columns(
         [_device_stream_seed(config.seed, u) for u in columns.user_ids[:users]],
         times,
@@ -178,9 +204,9 @@ def make_engine(
         config.kappa_joules_per_round,
         markov=config.network_mode is NetworkMode.MARKOV,
     )
-    if len(budgets) > 1:
-        device = device.tiled(len(budgets))
-    thetas = [config.with_budget(b).theta_bytes_per_round for b in budgets]
+    if len(cells) > 1:
+        device = device.tiled(len(cells))
+    thetas = [config.with_budget(budget).theta_bytes_per_round for _, budget in cells]
     return ColumnarEngine(
         columns.cohort,
         device,
@@ -247,21 +273,23 @@ def fold_outcomes(
 
 def sweep_cohort(
     columns: CohortColumns,
-    spec: MethodSpec,
+    cells: Sequence[Cell],
     config: ExperimentConfig,
-    budgets_mb: Sequence[float],
     duration_seconds: float,
     digest_deliveries: bool = False,
     *,
     channels=None,
 ) -> list[list[UserRunOutcome]]:
-    """Run one method over a built cohort at every weekly budget in one
-    engine pass: a (user, budget) pair is as independent as two users are.
+    """Run one engine pass over a built cohort: every user in every cell
+    ``(spec, weekly budget)``, a (user, cell) pair as independent as two
+    users are.
 
-    ``result[b]`` holds one :class:`UserRunOutcome` per cohort user, in
+    ``result[c]`` holds one :class:`UserRunOutcome` per cohort user, in
     cohort order, bit-identical to :func:`repro.experiments.runner.run_user`
-    per user under ``config.with_budget(budgets_mb[b])``.  The pass holds
-    users x budgets rows; a caller bounds that by splitting the users.
+    per user under ``cells[c]``'s spec and ``config.with_budget(budget)``.
+    Several specs share a pass only if all are FIFO/UTIL
+    (:func:`~repro.experiments.runner.spec_passes`).  The pass holds
+    users x cells rows; a caller bounds that by splitting the users.
     """
     if not supports(config):
         raise ValueError(
@@ -269,13 +297,13 @@ def sweep_cohort(
             "(no fault injection, no multi-feed cadences); use the scalar "
             "runner for this config"
         )
-    if not budgets_mb:
+    if not cells:
         return []
-    stacked = stack_budgets(columns, budgets_mb)
-    engine = make_engine(stacked, spec, config, duration_seconds, channels=channels)
+    stacked = columns.tiled(len(cells))
+    engine = make_pass_engine(stacked, cells, config, duration_seconds, channels=channels)
     outcomes = fold_outcomes(stacked, engine.run(), digest_deliveries)
     users = len(columns.user_ids)
-    return [outcomes[b * users : (b + 1) * users] for b in range(len(budgets_mb))]
+    return [outcomes[c * users : (c + 1) * users] for c in range(len(cells))]
 
 
 def run_users_columnar(
@@ -290,14 +318,13 @@ def run_users_columnar(
     channels=None,
 ) -> list[UserRunOutcome]:
     """Columnar equivalent of per-user ``run_user`` over a user batch: the
-    one-budget :func:`sweep_cohort`."""
+    one-cell :func:`sweep_cohort`."""
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
     (outcomes,) = sweep_cohort(
         build_cohort(user_records, annotations, ladder),
-        spec,
+        [(spec, config.weekly_budget_mb)],
         config,
-        (config.weekly_budget_mb,),
         duration_seconds,
         digest_deliveries,
         channels=channels,

@@ -8,13 +8,14 @@ worker pool (:class:`_WorkerPool`: submit, wait, one restart per run):
 * :class:`ExperimentPool` / :func:`sweep_budgets_parallel` -- a workload
   held in memory.  The per-user record shards and the content-utility
   score map cross the process boundary exactly once, through the worker
-  initializer; afterwards a task ships only ``(MethodSpec,
-  ExperimentConfig, budgets, user-batch ids)`` -- kilobytes.  The pool
-  has **one task**, :func:`_run_budget_batch`, which hands its user
-  batch and budgets to :func:`repro.experiments.runner.sweep_users` --
-  the same dispatch the sequential runner uses, so a batch runs every
-  budget as one pass over one columnar cohort (or, for fault /
-  multi-feed configs, budget by budget and user by user).
+  initializer; afterwards a task ships only ``(cells, ExperimentConfig,
+  user-batch ids)`` with a cell a ``(MethodSpec, budget)`` pair --
+  kilobytes.  The pool has **one task**, :func:`_run_pass_batch`, which
+  hands its user batch and cells to
+  :func:`repro.experiments.runner.sweep_users` -- the same dispatch the
+  sequential runner uses, so a batch runs its cells as one pass over one
+  columnar cohort (or, for fault / multi-feed configs, cell by cell and
+  user by user).
 * :func:`run_store_columnar_parallel` -- a population on disk.  The
   initializer ships a shard-store *path*, tasks ship position ranges and
   workers read the memory-mapped columns through the shared page cache.
@@ -23,16 +24,18 @@ What makes it a system rather than a ``map``:
 
 * **Cost-balanced batching** -- users are partitioned into worker batches
   by notification count (:func:`repro.experiments.shards.balanced_batches`).
-  An engine pass, nearly flat in its row count, is the unit of work and
-  a policy's whole budget column is one pass, so
-  :func:`sweep_budgets_parallel` splits the users only as far as keeping
-  every worker busy needs: ``ceil(4 * workers / n_groups)`` batches, one
-  group per policy.  A task holds users-in-batch x budgets rows, so the
-  user split bounds its memory exactly as it bounds a one-budget batch.
+  An engine pass, nearly flat in its row count, is the unit of work:
+  each RichNote spec's budget column is one pass and every FIFO/UTIL
+  cell shares another (:func:`repro.experiments.runner.spec_passes`), so
+  :func:`sweep_budgets_parallel` splits the users only when there are
+  fewer passes than workers: ``ceil(workers / n_passes)`` batches (the
+  paper grid on two workers: one batch, two tasks).  A task holds
+  users-in-batch x cells rows, so the user split bounds its memory
+  exactly as it bounds a one-cell batch.
 * **Whole-grid scheduling** -- all cells of a Figures 3-5 grid go onto
-  the shared pool at once, grouped by everything but the budget; workers
-  drain a single global queue of (group, batch) tasks instead of
-  cell-by-cell barriers, and every cell folds through its own
+  the shared pool at once, grouped by everything but the budget and then
+  into passes; workers drain a single global queue of (pass, batch) tasks
+  instead of cell-by-cell barriers, and every cell folds through its own
   :class:`_CellState`.
 * **Streamed aggregation** -- batch results fold into a
   :class:`~repro.experiments.metrics.MetricsAccumulator` as they arrive
@@ -68,11 +71,14 @@ from repro.experiments.columnar import concat_record_columns, run_users_columnar
 from repro.experiments.config import ExperimentConfig, MethodSpec
 from repro.experiments.metrics import FailureStats, MetricsAccumulator
 from repro.experiments.runner import (
+    Cell,
     CellSummary,
     ExperimentResult,
     UserRunOutcome,
     UtilityAnnotations,
     distinct_budgets,
+    distinct_specs,
+    spec_passes,
     sweep_users,
 )
 from repro.experiments.shards import balanced_batches, shard_by_user
@@ -168,26 +174,34 @@ def _init_worker(
     )
 
 
-def _run_budget_batch(
-    spec: MethodSpec,
+def _pass_task(
+    cells: Sequence[Cell],
     config: ExperimentConfig,
-    budgets_mb: Sequence[float],
+    user_ids: Sequence[int],
+    digest_deliveries: bool,
+) -> tuple:
+    """The arguments of one :func:`_run_pass_batch` task, as shipped."""
+    return (tuple(cells), config, tuple(user_ids), digest_deliveries)
+
+
+def _run_pass_batch(
+    cells: Sequence[Cell],
+    config: ExperimentConfig,
     user_ids: Sequence[int],
     digest_deliveries: bool,
 ) -> list[list[UserRunOutcome]]:
-    """Replay one user batch against the worker-resident shards under
-    ``config`` at every budget: one outcome list per budget."""
+    """Replay one user batch against the worker-resident shards in every
+    cell of one pass: one outcome list per cell."""
     state = _WORKER
     if state is None:
         raise RuntimeError(
-            "worker not initialized; _run_budget_batch must run inside an "
+            "worker not initialized; _run_pass_batch must run inside an "
             "ExperimentPool worker"
         )
     return sweep_users(
         [(user_id, state.shards[user_id]) for user_id in user_ids],
-        spec,
+        cells,
         config,
-        budgets_mb,
         UtilityAnnotations(scores=state.scores),
         state.duration_seconds,
         digest_deliveries=digest_deliveries,
@@ -506,7 +520,7 @@ class ExperimentPool:
     batches and spins up the process pool -- shipping shards + scores to
     each worker exactly once via the pool initializer.  Every subsequent
     :meth:`run_cell` / :meth:`run_cells` call submits only
-    ``(spec, config, budgets, batch ids)`` tasks.
+    ``(cells, config, batch ids)`` tasks.
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
@@ -573,17 +587,18 @@ class ExperimentPool:
         batch_index: int = 0,
         digest_deliveries: bool = False,
     ) -> bytes:
-        """The exact pickled argument payload one cell's batch task ships.
+        """The exact pickled argument payload of one cell's task on batch
+        ``batch_index`` (what :meth:`run_cell` submits for that batch).
 
         Exposed so benchmarks can assert the post-init process-boundary
-        cost: a registry key, a config, its budgets and a tuple of user
-        ids -- never the notification records.
+        cost: registry keys, a config, budgets and a tuple of user ids --
+        never the notification records.
         """
-        batch = tuple(self.batches[batch_index])
-        return pickle.dumps(
-            (spec, config, (config.weekly_budget_mb,), batch, digest_deliveries),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        task = _pass_task(
+            [(spec, config.weekly_budget_mb)], config, self.batches[batch_index],
+            digest_deliveries,
         )
+        return pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
 
     # -- execution -------------------------------------------------------------
 
@@ -610,16 +625,17 @@ class ExperimentPool:
     ) -> dict[tuple[str, float], ExperimentResult]:
         """Run many cells concurrently; all batches share one task queue.
 
-        Cells that differ in nothing but the weekly budget form one group
-        and travel together: a task is (group, user batch) and replays the
-        batch at every budget of the group in one pass, each cell still
-        folding through its own :class:`_CellState`.  Returns
-        ``{(label, weekly_budget_mb): ExperimentResult}`` like
-        :func:`repro.experiments.runner.sweep_budgets`.
+        Cells whose configs differ in nothing but the weekly budget are
+        split into engine passes by :func:`~repro.experiments.runner.spec_passes`
+        (each RichNote spec alone, every FIFO/UTIL spec together).  A task
+        is (pass, user batch) and replays the batch in every cell of the
+        pass at once, each cell still folding through its own
+        :class:`_CellState`.  Returns ``{(label, weekly_budget_mb):
+        ExperimentResult}`` like :func:`repro.experiments.runner.sweep_budgets`.
         """
         states: dict[tuple[str, float], _CellState] = {}
-        #: (spec, first config, budgets); configs may be unhashable.
-        groups: list[tuple[MethodSpec, ExperimentConfig, list[float]]] = []
+        #: (first config, its cells); configs may be unhashable.
+        groups: list[tuple[ExperimentConfig, list[Cell]]] = []
         for spec, config in cells:
             budget = config.weekly_budget_mb
             key = (spec.label, budget)
@@ -628,29 +644,33 @@ class ExperimentPool:
             states[key] = _CellState(
                 spec, config, self.sim_users, keep_per_user
             )
-            for member, first, budgets in groups:
-                if member == spec and config.with_budget(first.weekly_budget_mb) == first:
-                    budgets.append(budget)
+            for first, members in groups:
+                if config.with_budget(first.weekly_budget_mb) == first:
+                    members.append((spec, budget))
                     break
             else:
-                groups.append((spec, config, [budget]))
+                groups.append((config, [(spec, budget)]))
 
         tasks = [
-            (spec, config, tuple(budgets), batch, digest_deliveries)
-            for spec, config, budgets in groups
+            _pass_task(
+                [cell for cell in members if cell[0] in specs], config, batch,
+                digest_deliveries,
+            )
+            for config, members in groups
+            for specs in spec_passes(list(dict.fromkeys(spec for spec, _ in members)))
             for batch in self.batches
         ]
 
-        def fold(task, per_budget) -> None:
-            spec, _, budgets = task[:3]
-            for budget, outcomes in zip(budgets, per_budget):
+        def fold(task, per_cell) -> None:
+            for (spec, budget), outcomes in zip(task[0], per_cell):
                 states[(spec.label, budget)].add_batch(outcomes)
 
         def describe(task) -> str:
-            spec, _, budgets, batch = task[:4]
-            return f"policy {spec.label} at budgets {list(budgets)} MB, users {list(batch)}"
+            cells, _, batch = task[:3]
+            named = ", ".join(f"{spec.label} at {budget} MB" for spec, budget in cells)
+            return f"cells [{named}], users {list(batch)}"
 
-        self._workers.run(_run_budget_batch, tasks, fold, describe)
+        self._workers.run(_run_pass_batch, tasks, fold, describe)
         return {key: state.result() for key, state in states.items()}
 
 
@@ -697,10 +717,12 @@ def sweep_budgets_parallel(
 
     Drop-in parallel equivalent of
     :func:`repro.experiments.runner.sweep_budgets`: same arguments, same
-    result mapping, bit-identical aggregates.  Each policy's budgets are
-    one group (:meth:`ExperimentPool.run_cells`), and the user split is
-    sized from the groups: ``ceil(4 * workers / n_groups)`` batches.
+    result mapping, bit-identical aggregates.  The grid runs as the same
+    engine passes (:meth:`ExperimentPool.run_cells`), and the users are
+    split only when there are fewer passes than workers:
+    ``ceil(workers / n_passes)`` batches.
     """
+    specs = distinct_specs(specs)
     budgets = distinct_budgets(budgets_mb)
     base_config = base_config or ExperimentConfig()
     cells = [
@@ -708,16 +730,15 @@ def sweep_budgets_parallel(
         for budget in budgets
         for spec in specs
     ]
-    # A policy's whole budget column is one engine pass, nearly flat in
-    # its row count: split the users only as far as keeping every worker
-    # busy (4 tasks each) needs.
+    # An engine pass costs nearly the same at any row count: split the
+    # users only as far as giving every worker a task needs.
     workers = max_workers or available_cores()
     with ExperimentPool(
         workload,
         annotations=annotations,
         user_ids=user_ids,
         max_workers=max_workers,
-        n_batches=math.ceil(4 * workers / max(1, len(specs))),
+        n_batches=math.ceil(workers / max(1, len(spec_passes(specs)))),
         base_config=base_config,
     ) as pool:
         return pool.run_cells(cells, keep_per_user=keep_per_user)

@@ -55,6 +55,10 @@ from repro.trace.generator import Workload
 from repro.trace.records import NotificationRecord
 
 
+#: One (spec, weekly budget in MB) cell of a sweep grid.
+Cell = tuple[MethodSpec, float]
+
+
 def _forest_factory(seed: int):
     """The content-utility classifier configuration (speed-tuned RF)."""
     return RandomForestClassifier(
@@ -401,26 +405,26 @@ def run_user(
 
 def sweep_users(
     user_records: Sequence[tuple[int, Sequence[NotificationRecord]]],
-    spec: MethodSpec,
+    cells: Sequence[Cell],
     config: ExperimentConfig,
-    budgets_mb: Sequence[float],
     annotations: UtilityAnnotations,
     duration_seconds: float,
     ladder=None,
     digest_deliveries: bool = False,
 ) -> list[list[UserRunOutcome]]:
-    """Replay a batch of users under one policy at every weekly budget
-    (``result[b]``: the batch under ``config.with_budget(budgets_mb[b])``);
+    """Replay a batch of users in every cell of one pass (``result[c]``: the
+    batch under ``cells[c]``'s spec and ``config.with_budget(budget)``);
     the engine is chosen here.
 
     A config the columnar engine models
-    (:func:`repro.experiments.columnar.supports`) runs every budget as one
-    pass over one cohort on :class:`~repro.runtime.columnar.ColumnarEngine`;
-    fault injection and multi-feed cadences replay budget by budget, user
-    by user, through :func:`run_user`.  The two are bit-identical where both
-    apply, so the choice is invisible in the outcomes.  Every experiment
-    entry point -- :func:`run_experiment`, :func:`sweep_budgets`, the pool's
-    task -- comes through this function.
+    (:func:`repro.experiments.columnar.supports`) runs every cell as one
+    pass over one cohort on :class:`~repro.runtime.columnar.ColumnarEngine`,
+    so the cells' specs must share a pass (:func:`spec_passes`); fault
+    injection and multi-feed cadences replay cell by cell, user by user,
+    through :func:`run_user`.  The two are bit-identical where both apply,
+    so the choice is invisible in the outcomes.  Every experiment entry
+    point -- :func:`run_experiment`, :func:`sweep_budgets`, the pool's task
+    -- comes through this function.
     """
     # Function-level import: repro.experiments.columnar imports this module.
     from repro.experiments.columnar import build_cohort, supports, sweep_cohort
@@ -429,8 +433,8 @@ def sweep_users(
         ladder = build_audio_ladder(config.presentation_spec)
     if supports(config):
         return sweep_cohort(
-            build_cohort(user_records, annotations, ladder), spec, config,
-            budgets_mb, duration_seconds, digest_deliveries,
+            build_cohort(user_records, annotations, ladder), cells, config,
+            duration_seconds, digest_deliveries,
         )
     return [
         [
@@ -440,7 +444,7 @@ def sweep_users(
             )
             for user_id, records in user_records
         ]
-        for budget in budgets_mb
+        for spec, budget in cells
     ]
 
 
@@ -450,6 +454,26 @@ def distinct_budgets(budgets_mb: Sequence[float]) -> tuple[float, ...]:
     if len(set(budgets)) != len(budgets):
         raise ValueError(f"duplicate budget in sweep: {budgets}")
     return budgets
+
+
+def distinct_specs(specs: Sequence[MethodSpec]) -> tuple[MethodSpec, ...]:
+    """The specs of one sweep; a repeated label would run its cells twice
+    (stacked twice into one pass) and keep one."""
+    specs = tuple(specs)
+    labels = [spec.label for spec in specs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"duplicate spec {label!r} in sweep")
+    return specs
+
+
+def spec_passes(specs: Sequence[MethodSpec]) -> list[tuple[MethodSpec, ...]]:
+    """The engine passes a sweep's specs run in: each RichNote spec alone
+    (its Eq. 7 controller is one per engine), every FIFO/UTIL spec together
+    (a fixed level and a scoring rule are per-row columns)."""
+    fixed = tuple(spec for spec in specs if spec.fixed_level is not None)
+    alone = [(spec,) for spec in specs if spec.fixed_level is None]
+    return alone + [fixed] if fixed else alone
 
 
 def run_experiment(
@@ -476,7 +500,8 @@ def sweep_budgets(
     user_ids: Sequence[int] | None = None,
 ) -> dict[tuple[str, float], ExperimentResult]:
     """The Figures 3-5 grid: every policy at every weekly budget, one
-    :func:`sweep_users` pass per policy."""
+    :func:`sweep_users` pass per :func:`spec_passes` group."""
+    specs = distinct_specs(specs)
     budgets = distinct_budgets(budgets_mb)
     base_config = base_config or ExperimentConfig()
     if annotations is None:
@@ -489,17 +514,20 @@ def sweep_budgets(
     user_records = [(u, by_user[u]) for u in users if by_user[u]]
     if not user_records:
         raise ValueError("no users with notifications to simulate")
-    grids = [
-        sweep_users(user_records, spec, base_config, budgets, annotations, duration_seconds)
-        for spec in specs
-    ]
+    outcomes: dict[tuple[str, float], list[UserRunOutcome]] = {}
+    for group in spec_passes(specs):
+        cells = [(spec, budget) for spec in group for budget in budgets]
+        grid = sweep_users(user_records, cells, base_config, annotations, duration_seconds)
+        for (spec, budget), per_user in zip(cells, grid):
+            outcomes[(spec.label, budget)] = per_user
     results: dict[tuple[str, float], ExperimentResult] = {}
-    for at, budget in enumerate(budgets):
-        for spec, grid in zip(specs, grids):
+    for budget in budgets:
+        for spec in specs:
+            per_user = outcomes[(spec.label, budget)]
             results[(spec.label, budget)] = ExperimentResult(
                 spec=spec,
                 config=base_config.with_budget(budget),
-                aggregate=aggregate([o.metrics for o in grid[at]]),
-                per_user=grid[at],
+                aggregate=aggregate([o.metrics for o in per_user]),
+                per_user=per_user,
             )
     return results

@@ -480,7 +480,10 @@ class ColumnarEngine:
     :mod:`repro.core.budgets`); ``theta_bytes`` is one allowance or a
     column of one per user row, so a budget sweep is one pass over a cohort
     tiled per budget (:meth:`ColumnarCohort.tiled`; users x budgets rows
-    of memory).  ``device`` carries the precomputed
+    of memory).  ``policy`` is likewise one policy or one per user row; per
+    row they must all be FIFO/UTIL, so every fixed-level cell of a sweep
+    can share a pass (RichNote's Eq. 7 state is one controller per
+    engine).  ``device`` carries the precomputed
     per-round connectivity/battery columns, ``expected_batch`` prices
     selection-time energy estimates and ``channels`` is the delivery
     :class:`~repro.core.channels.ChannelSet` (``None``: the paper's push
@@ -496,7 +499,7 @@ class ColumnarEngine:
         self,
         cohort: ColumnarCohort,
         device: DeviceColumns,
-        policy: SchedulerPolicy,
+        policy: SchedulerPolicy | Sequence[SchedulerPolicy],
         utility_model: CombinedUtilityModel | None = None,
         *,
         theta_bytes: float,
@@ -603,32 +606,49 @@ class ColumnarEngine:
         self._bind_policy()
 
     def _bind_policy(self) -> None:
-        policy = self.policy
-        if (
-            type(policy) not in (RichNotePolicy, FifoPolicy, UtilPolicy)
-            or type(self.utility_model) is not CombinedUtilityModel
-        ):
-            raise ColumnarPolicyError(
-                f"no column kernel for {type(policy).__name__} under "
-                f"{type(self.utility_model).__name__}: the engine runs the "
-                "registered richnote / fifo / util policies under the stock "
-                "CombinedUtilityModel; evaluate anything else on "
-                "repro.runtime.loop.RoundLoop"
+        per_row = isinstance(self.policy, Sequence)
+        policies = list(self.policy) if per_row else [self.policy]
+        users = self.cohort.n_users
+        if per_row and len(policies) != users:
+            raise ValueError(
+                f"{len(policies)} per-row policies, expected one for each of "
+                f"the cohort's {users} user rows"
             )
-        attach = getattr(policy, "attach", None)
-        if attach is not None:
-            # Just enough of a RoundLoop for ``attach`` to validate against.
-            attach(SimpleNamespace(energy_budget=EnergyBudget(self._kappa)))
-        if type(policy) is RichNotePolicy:
+        kernels_for = (FifoPolicy, UtilPolicy) if per_row else (
+            RichNotePolicy, FifoPolicy, UtilPolicy
+        )
+        for policy in policies:
+            if (
+                type(policy) not in kernels_for
+                or type(self.utility_model) is not CombinedUtilityModel
+            ):
+                raise ColumnarPolicyError(
+                    f"no column kernel for {type(policy).__name__} "
+                    f"{'per row ' if per_row else ''}under "
+                    f"{type(self.utility_model).__name__}: the engine runs the "
+                    "registered richnote / fifo / util policies (per-row "
+                    "policies fifo / util only) under the stock "
+                    "CombinedUtilityModel; evaluate anything else on "
+                    "repro.runtime.loop.RoundLoop"
+                )
+            attach = getattr(policy, "attach", None)
+            if attach is not None:
+                # Just enough of a RoundLoop for ``attach`` to validate against.
+                attach(SimpleNamespace(energy_budget=EnergyBudget(self._kappa)))
+        if type(self.policy) is RichNotePolicy:
             self._select = self._select_richnote
-            self._lyapunov = policy.controller.config
+            self._lyapunov = self.policy.controller.config
         else:
             self._select = self._select_fixed
             # Baselines route everything over the primary channel at its
-            # ladder-clamped fixed level, mirroring FixedLevelPolicy.fill.
-            self._fixed_level = min(
-                policy.fixed_level, len(self._billed_rows[0]) - 1
-            )
+            # ladder-clamped fixed level, mirroring FixedLevelPolicy.fill;
+            # UTIL ranks a member's whole queue, FIFO takes it in order.
+            # One policy is the one-block case: its entries broadcast.
+            top = len(self._billed_rows[0]) - 1
+            level = [min(policy.fixed_level, top) for policy in policies]
+            ranks = [type(policy) is UtilPolicy for policy in policies]
+            self._level = np.broadcast_to(np.asarray(level, dtype=np.int64), (users,))
+            self._ranks_queue = np.broadcast_to(np.asarray(ranks, dtype=bool), (users,))
 
     # -- the round loop --------------------------------------------------------
 
@@ -811,40 +831,42 @@ class ColumnarEngine:
         )
 
     def _select_fixed(self, now: float, group: _Group) -> None:
-        """FIFO/UTIL baselines: greedy-fill at the fixed level, scoring only
-        the rows the round can deliver.
+        """FIFO/UTIL baselines: greedy-fill at each member's fixed level,
+        scoring only the rows the round can deliver.
 
-        Every item costs the same, so a member takes the first ``take =
-        min(budget // size, count)`` items of their ordering: queue (=
-        created-at) order for FIFO, realized utility descending for UTIL.
-        FIFO therefore decays and sorts each member's first ``take`` queue
-        rows, UTIL the whole queues of members with ``take > 0``, and a
-        round nobody can afford scores nothing.  That is bit-identical to
-        scoring the whole backlog: (1) decay and the ``* U_p`` multiply are
-        elementwise, so a subset gets the same bits; (2) ``_by_utility``'s
-        lexsort is stable and keyed per user, so on whole users (UTIL) or
-        on rows that are all taken (FIFO) it gives the order the full sort
-        gave; (3) a member with ``take == 0`` delivers nothing either way.
-        Everything rides the primary channel -- billed bytes fill the
-        budget, wire bytes price delivery -- just like
-        ``FixedLevelPolicy.fill`` on the scalar path.
+        A member's items all cost the same -- the billed ``size`` of their
+        row's level -- so they take the first ``take = min(budget // size,
+        count)`` items of their ordering: queue (= created-at) order for
+        FIFO, realized utility descending for UTIL.  FIFO rows therefore
+        decay and sort their first ``take`` queue rows, UTIL rows their
+        whole queue when ``take > 0``, and a round nobody can afford scores
+        nothing.  That is bit-identical to scoring the whole backlog: (1)
+        decay and the ``* U_p`` multiply are elementwise, so a subset gets
+        the same bits; (2) ``_by_utility``'s lexsort is stable and keyed per
+        user, so on whole users (UTIL) or on rows that are all taken (FIFO)
+        it gives the order the full sort gave; (3) a member with ``take ==
+        0`` delivers nothing either way.  Everything rides the primary
+        channel -- billed bytes fill the budget, wire bytes price delivery
+        -- just like ``FixedLevelPolicy.fill`` on the scalar path.
         """
-        code, flat, _, counts = group
-        level = self._fixed_level
-        size = self._billed_rows[0][level]
-        take = np.minimum(self._budgets(group) // size, counts) if size else counts
+        code, flat, members, counts = group
+        level = self._level[members]
+        size = self._billed_table[0, level]
+        affordable = np.where(size > 0, self._budgets(group) // np.maximum(size, 1), counts)
+        take = np.minimum(affordable, counts)
         if not take.any():
             return
-        scored = take if type(self.policy) is FifoPolicy else counts * (take > 0)
+        scored = np.where(self._ranks_queue[members], counts * (take > 0), take)
         rows = flat[_runs(np.cumsum(counts) - counts, scored)]
-        utility = self._decay_column_at(rows, now) * self._pres_rows[0][level]
+        presentation = np.repeat(self._pres_table[0, level], scored)
+        utility = self._decay_column_at(rows, now) * presentation
         order = self._by_utility(rows, utility)
         kept = order[_runs(np.cumsum(scored) - scored, take)]
         self._deliver(
             now,
             code,
             rows[kept],
-            np.full(kept.size, level, dtype=np.int64),
+            np.repeat(level, take),
             utility[kept],
             np.zeros(kept.size, dtype=np.int64),
         )

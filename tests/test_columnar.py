@@ -455,7 +455,7 @@ class TestEngineEdges:
         columns = build_cohort(pairs, annotations, ladder)
         with pytest.raises(ValueError, match="paper-default"):
             sweep_cohort(
-                columns, MethodSpec(Method.RICHNOTE), config, (5.0,), duration
+                columns, [(MethodSpec(Method.RICHNOTE), 5.0)], config, duration
             )
         scalar = _run_user_fold(
             pairs, MethodSpec(Method.RICHNOTE), config, annotations, duration

@@ -377,8 +377,8 @@ class TestEngineParity:
             pairs, annotations, build_audio_ladder(base.presentation_spec)
         )
         stacked = sweep_cohort(
-            columns, spec, base, budgets, duration, digest_deliveries=True,
-            channels=make_channels(),
+            columns, [(spec, budget) for budget in budgets], base, duration,
+            digest_deliveries=True, channels=make_channels(),
         )
         # A draw that delivers nothing at any budget proves nothing.
         assume(any(o.metrics.delivered_notifications for row in stacked for o in row))

@@ -30,7 +30,7 @@ from repro.experiments.columnar import (
     build_cohort,
     fold_outcomes,
     make_engine,
-    stack_budgets,
+    make_pass_engine,
 )
 from repro.experiments.config import (
     ExperimentConfig,
@@ -46,7 +46,12 @@ from repro.trace.generator import TraceConfig, iter_users
 
 
 class WholeBacklogEngine(ColumnarEngine):
-    """The engine with the selection that scores every queued row."""
+    """The engine with the selection that scores every queued row (one
+    policy per engine: the level it reads is that policy's, clamped)."""
+
+    @property
+    def _fixed_level(self):
+        return min(self.policy.fixed_level, len(self._billed_rows[0]) - 1)
 
     def _select_fixed(self, now, group):
         code, flat, _, counts = group
@@ -105,7 +110,7 @@ AGINGS = {
 def _columns(streams, budgets):
     pairs, annotations, _ = streams
     ladder = build_audio_ladder(ExperimentConfig().presentation_spec)
-    return stack_budgets(build_cohort(pairs, annotations, ladder), budgets)
+    return build_cohort(pairs, annotations, ladder).tiled(len(budgets))
 
 
 class TestFixedSelectionDifferential:
@@ -129,15 +134,16 @@ class TestFixedSelectionDifferential:
         spec = MethodSpec(method, level)
         config = ExperimentConfig(seed=31, network_mode=network_mode)
         columns = _columns(streams, budgets)
+        cells = [(spec, budget) for budget in budgets]
         model = CombinedUtilityModel(aging=AGINGS[aging])
         with pytest.MonkeyPatch.context() as patch:
             # One utility model for both engines and ``run_user``.
             patch.setattr(ExperimentConfig, "utility_model", lambda self: model)
-            engine = make_engine(columns, spec, config, duration)
+            engine = make_pass_engine(columns, cells, config, duration)
             engine.run(limit_rounds=split)
             result = engine.run()
             patch.setattr(experiments_columnar, "ColumnarEngine", WholeBacklogEngine)
-            oracle = make_engine(columns, spec, config, duration)
+            oracle = make_pass_engine(columns, cells, config, duration)
             assert type(oracle) is WholeBacklogEngine
             expected = oracle.run()
             # A draw that delivers nothing proves nothing.

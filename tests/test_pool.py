@@ -54,10 +54,10 @@ ALL_SPECS = [
 #: qualified name; the sentinel dict is populated by the test before the
 #: pool forks, so children inherit the path.
 _CRASH_SENTINEL = {"path": ""}
-_real_run_budget_batch = pool_module._run_budget_batch
+_real_run_pass_batch = pool_module._run_pass_batch
 
 
-def _crash_once_batch(spec, config, budgets_mb, user_ids, digest_deliveries):
+def _crash_once_batch(cells, config, user_ids, digest_deliveries):
     """Worker-side stand-in: the first worker to claim the sentinel dies.
 
     ``open(..., "x")`` is atomic, so exactly one process across the
@@ -68,13 +68,11 @@ def _crash_once_batch(spec, config, budgets_mb, user_ids, digest_deliveries):
         with open(_CRASH_SENTINEL["path"], "x"):
             pass
     except FileExistsError:
-        return _real_run_budget_batch(
-            spec, config, budgets_mb, user_ids, digest_deliveries
-        )
+        return _real_run_pass_batch(cells, config, user_ids, digest_deliveries)
     os._exit(1)
 
 
-def _crash_always_batch(spec, config, budgets_mb, user_ids, digest_deliveries):
+def _crash_always_batch(cells, config, user_ids, digest_deliveries):
     """Worker-side stand-in: every claim of a task kills its worker."""
     os._exit(1)
 
@@ -176,6 +174,23 @@ class TestPoolParity:
                 annotations, users,
             )
 
+    @pytest.mark.parametrize("entry", [sweep_budgets, sweep_budgets_parallel])
+    def test_duplicate_specs_rejected_before_any_work(
+        self, workload, users, entry, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the specs were checked")
+
+        monkeypatch.setattr(pool_module, "ExperimentPool", no_work)
+        monkeypatch.setattr("repro.experiments.runner.sweep_users", no_work)
+        monkeypatch.setattr(UtilityAnnotations, "train", no_work)
+        fifo = MethodSpec(Method.FIFO, 2)
+        with pytest.raises(ValueError, match="duplicate spec 'FIFO-L2'"):
+            entry(
+                workload, [fifo, MethodSpec(Method.UTIL, 3), fifo], (5.0,),
+                ExperimentConfig(seed=7), None, users,
+            )
+
     def test_streaming_mode_keeps_summary_not_outcomes(
         self, workload, annotations, users, pool
     ):
@@ -191,8 +206,9 @@ class TestPoolParity:
 
 
 class TestBudgetGroups:
-    """A task is (policy group, user batch) carrying every budget of the
-    group; only the budget is ever stacked."""
+    """A task is (engine pass, user batch): cells whose configs differ only
+    in the budget, each RichNote spec alone and every FIFO/UTIL spec
+    together."""
 
     @pytest.fixture
     def submitted(self, monkeypatch):
@@ -217,17 +233,25 @@ class TestBudgetGroups:
         )
         assert len(grid) == len(specs) * len(PAPER_BUDGET_SWEEP_MB) == 35
         (tasks,) = submitted
-        # n_groups x n_batches = 5 x ceil(4 * 2 / 5), never one per cell.
-        assert len(tasks) == 10
-        assert {task[2] for task in tasks} == {PAPER_BUDGET_SWEEP_MB}
-        for spec in specs:
-            batches = [task[3] for task in tasks if task[0] == spec]
-            assert sorted(u for batch in batches for u in batch) == sorted(users)
+        # Two passes on two workers: one batch each, never one task per
+        # cell or per policy.
+        assert len(tasks) == 2
+        assert [{spec.method for spec, _ in task[0]} for task in tasks] == [
+            {Method.RICHNOTE}, {Method.FIFO, Method.UTIL},
+        ]
+        submitted_cells = [cell for task in tasks for cell in task[0]]
+        assert len(submitted_cells) == 35
+        assert set(submitted_cells) == {
+            (spec, budget) for spec in specs for budget in PAPER_BUDGET_SWEEP_MB
+        }
+        for task in tasks:
+            assert sorted(task[2]) == sorted(users)
 
     def test_mixed_submission_merges_on_the_budget_alone(
         self, workload, annotations, users, pool, submitted
     ):
         richnote, util = MethodSpec(Method.RICHNOTE), MethodSpec(Method.UTIL, 3)
+        fifo = MethodSpec(Method.FIFO, 2)
         base = ExperimentConfig(seed=7)
         markov = replace(base, network_mode=NetworkMode.MARKOV)
         cells = [
@@ -236,16 +260,21 @@ class TestBudgetGroups:
             (util, base.with_budget(2.0)),
             (richnote, base.with_v(10.0).with_budget(10.0)),
             (richnote, base.with_budget(20.0)),
+            (fifo, base.with_budget(5.0)),
             (richnote, markov.with_budget(50.0)),
         ]
         grid = pool.run_cells(cells)
         (tasks,) = submitted
-        per_group = {(t[0].label, t[1].network_mode, t[1].lyapunov_v, t[2]) for t in tasks}
-        assert per_group == {
-            ("RichNote", NetworkMode.CELL_ONLY, 1000.0, (2.0, 20.0)),
-            ("RichNote", NetworkMode.MARKOV, 1000.0, (5.0, 50.0)),
-            ("UTIL-L3", NetworkMode.CELL_ONLY, 1000.0, (2.0,)),
-            ("RichNote", NetworkMode.CELL_ONLY, 10.0, (10.0,)),
+        per_pass = {
+            (tuple((spec.label, budget) for spec, budget in t[0]),
+             t[1].network_mode, t[1].lyapunov_v)
+            for t in tasks
+        }
+        assert per_pass == {
+            ((("RichNote", 2.0), ("RichNote", 20.0)), NetworkMode.CELL_ONLY, 1000.0),
+            ((("RichNote", 5.0), ("RichNote", 50.0)), NetworkMode.MARKOV, 1000.0),
+            ((("UTIL-L3", 2.0), ("FIFO-L2", 5.0)), NetworkMode.CELL_ONLY, 1000.0),
+            ((("RichNote", 10.0),), NetworkMode.CELL_ONLY, 10.0),
         }
         assert len(tasks) == 4 * len(pool.batches)
         assert list(grid) == [(spec.label, c.weekly_budget_mb) for spec, c in cells]
@@ -255,6 +284,17 @@ class TestBudgetGroups:
             assert result.config == config
             assert result.aggregate == sequential.aggregate
             assert result.per_user == sequential.per_user
+
+    def test_cell_payload_is_the_submitted_task(self, pool, submitted):
+        spec = MethodSpec(Method.UTIL, 3)
+        config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
+        pool.run_cell(spec, config)
+        (tasks,) = submitted
+        assert len(tasks) == len(pool.batches)
+        for index, task in enumerate(tasks):
+            assert pool.cell_payload(spec, config, batch_index=index) == pickle.dumps(
+                task, protocol=pickle.HIGHEST_PROTOCOL
+            )
 
 
 class TestPoolBoundary:
@@ -365,7 +405,7 @@ class TestPoolRecovery:
         self, workload, annotations, users, tmp_path, monkeypatch
     ):
         _CRASH_SENTINEL["path"] = str(tmp_path / "crashed-once")
-        monkeypatch.setattr(pool_module, "_run_budget_batch", _crash_once_batch)
+        monkeypatch.setattr(pool_module, "_run_pass_batch", _crash_once_batch)
         spec = MethodSpec(Method.RICHNOTE)
         config = ExperimentConfig(seed=7)
         budgets = (2.0, 5.0)
@@ -399,7 +439,7 @@ class TestPoolRecovery:
     def test_second_break_propagates(
         self, workload, annotations, users, monkeypatch
     ):
-        monkeypatch.setattr(pool_module, "_run_budget_batch", _crash_always_batch)
+        monkeypatch.setattr(pool_module, "_run_pass_batch", _crash_always_batch)
         with ExperimentPool(
             workload, annotations=annotations, user_ids=users, max_workers=2
         ) as fresh:
@@ -414,7 +454,7 @@ class TestPoolRecovery:
         assert isinstance(broken.value, BrokenProcessPool)
         assert isinstance(broken.value.__cause__, BrokenProcessPool)
         message = str(broken.value)
-        assert "policy RichNote at budgets [5.0] MB, users [" in message
+        assert "cells [RichNote at 5.0 MB], users [" in message
         assert any(f"users {list(batch)}," in message for batch in fresh.batches)
         assert re.search(rf"with [1-9]\d* of {len(fresh.batches)} tasks unfinished", message)
 
