@@ -10,9 +10,9 @@ scalar :func:`~repro.experiments.runner.run_user` produces -- bit for
 bit, including delivery digests.  The path is columnar end to end: it
 reads four columns per user (:func:`repro.trace.io.record_columns`),
 never a record object; device columns are one recurrence across users;
-and the fold hands the engine's delivery columns to the kernels the scalar
-path adapts to (metrics user by user, digests for the cohort in one call),
-so the arithmetic cannot drift between them.  A sweep is one such pass per
+and the fold hands the engine's delivery columns, a block of whole users
+at a time, to the metric and digest kernels the scalar path adapts to, so
+the arithmetic cannot drift between them.  A sweep is one such pass per
 RichNote spec plus one for every FIFO/UTIL spec (:func:`sweep_cohort`): the
 budget is a per-row ``theta`` column and a baseline's fixed level and
 scoring rule are per-row policy columns.
@@ -221,6 +221,22 @@ def make_pass_engine(
     )
 
 
+#: Deliveries per :func:`fold_outcomes` block.  A kernel call's transient
+#: arrays are a few times the block's rows, so the fold's memory is flat in
+#: the cohort's deliveries; the per-call overhead is amortized well below it.
+FOLD_ROWS = 1 << 14
+
+
+def _user_blocks(starts: list[int], rows: int):
+    """``(first, last)`` runs of whole users covering ``starts`` (per-user
+    row offsets), each closed once it holds at least ``rows`` rows."""
+    first = 0
+    for last in range(1, len(starts)):
+        if starts[last] - starts[first] >= rows or last == len(starts) - 1:
+            yield first, last
+            first = last
+
+
 def fold_outcomes(
     columns: CohortColumns,
     result,
@@ -228,47 +244,61 @@ def fold_outcomes(
 ) -> list[UserRunOutcome]:
     """Fold engine outcome columns back into per-user ``UserRunOutcome``s.
 
-    Takes the engine's delivery rows regrouped per user, gathers the
-    delivered items' fields by flat index once for the whole cohort and
-    hands the columns to the kernels the scalar metric/digest functions
-    adapt (metrics one user's slices at a time) -- no per-delivery object.
+    Takes the engine's delivery rows regrouped per user and hands them, a
+    block of whole users at a time (:data:`FOLD_ROWS` deliveries or one
+    larger user), to the kernels the scalar metric/digest functions adapt,
+    with the delivered items' fields gathered by flat index -- no
+    per-delivery object, and the fold's transient arrays bounded by the
+    block, not the cohort.  ``result`` must come from an engine over
+    ``columns`` (``ValueError`` otherwise).
     """
     cohort = columns.cohort
+    users = len(columns.user_ids)
+    if len(result.backlog_sum_bytes) != users:
+        raise ValueError(
+            f"result holds {len(result.backlog_sum_bytes)} users, the cohort "
+            f"columns {users}: fold a result with the columns its engine ran"
+        )
     rows, starts = result.user_sorted
-    flat = rows["index"]
-    times, levels, sizes, energies, utilities = delivery_columns = [
-        rows[name] for name in ("time", "level", "size", "energy", "utility")
-    ]
-    digests = [None] * len(columns.user_ids)
-    if digest_deliveries:
-        digests = delivery_digests(
-            starts, columns.user_ids, times, cohort.item_id_column[flat],
-            levels, sizes, energies, utilities,
+    starts = starts.tolist()
+    records = cohort.offsets.tolist()
+    metrics, digests = [], []
+    for first, last in _user_blocks(starts, FOLD_ROWS):
+        block = rows[starts[first] : starts[last]]
+        flat = block["index"]
+        offsets = np.subtract(starts[first : last + 1], starts[first])
+        user_ids = columns.user_ids[first:last]
+        times, levels, sizes, energies, utilities = (
+            block[name] for name in ("time", "level", "size", "energy", "utility")
         )
-    bounds = cohort.offsets.tolist()
-    clicked = columns.clicked.tolist()
-    item_columns = [
-        cohort.created_at[flat], columns.clicked[flat], columns.click_time[flat]
-    ]
-    outcomes: list[UserRunOutcome] = []
-    for index, user_id in enumerate(columns.user_ids):
-        # One user's slices at a time: the Python scalars are transient.
-        mine = slice(starts[index], starts[index + 1])
-        metrics = user_metrics_from_columns(
-            user_id, clicked[bounds[index] : bounds[index + 1]],
-            *(column[mine].tolist() for column in delivery_columns),
-            *(column[mine].tolist() for column in item_columns),
-        )
-        outcomes.append(
-            UserRunOutcome(
-                metrics=metrics,
-                mean_backlog_bytes=float(result.mean_backlog_bytes[index]),
-                max_queue_length=int(result.max_queue_length[index]),
-                final_queue_length=int(result.final_queue_length[index]),
-                delivery_digest=digests[index],
+        if digest_deliveries:
+            digests += delivery_digests(
+                offsets, user_ids, times, cohort.item_id_column[flat],
+                levels, sizes, energies, utilities,
             )
+        metrics += user_metrics_from_columns(
+            user_ids,
+            np.subtract(records[first : last + 1], records[first]),
+            columns.clicked[records[first] : records[last]],
+            offsets, times, levels, sizes, energies, utilities,
+            cohort.created_at[flat], columns.clicked[flat], columns.click_time[flat],
         )
-    return outcomes
+    return [
+        UserRunOutcome(
+            metrics=user_metrics,
+            mean_backlog_bytes=backlog,
+            max_queue_length=max_queue,
+            final_queue_length=final_queue,
+            delivery_digest=digest,
+        )
+        for user_metrics, backlog, max_queue, final_queue, digest in zip(
+            metrics,
+            result.mean_backlog_bytes.tolist(),
+            result.max_queue_length.tolist(),
+            result.final_queue_length.tolist(),
+            digests or [None] * users,
+        )
+    ]
 
 
 def sweep_cohort(

@@ -22,7 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import add, gt
 from typing import Sequence
+
+import numpy as np
 
 from repro.runtime.types import Delivery, RoundResult
 from repro.trace.records import NotificationRecord
@@ -147,42 +152,91 @@ class UserMetrics:
         return self.total_utility / self.delivered_notifications
 
 
-def user_metrics_from_columns(
-    user_id: int, record_clicked: Sequence[bool],
-    times: Sequence[float], levels: Sequence[int], sizes: Sequence[float],
-    energies: Sequence[float], utilities: Sequence[float],
-    created_at: Sequence[float], clicked: Sequence[bool], click_times: Sequence[float],
-) -> UserMetrics:
-    """The Section V-C join over columns: the one place it is computed.
+def segment_bounds(offsets: Sequence[int], segments: int, *columns) -> list[int]:
+    """``offsets`` as Python ints, checked to cut every column into exactly
+    ``segments`` whole segments: ``segments + 1`` entries from 0, never
+    decreasing, ending at every column's length.  A kernel that read past or
+    short of a column would hash or fold the wrong rows without a word."""
+    bounds = np.asarray(offsets, dtype=np.int64).tolist()
+    if len(bounds) != segments + 1:
+        raise ValueError(
+            f"{len(bounds)} offsets for {segments} segments; want {segments + 1}"
+        )
+    if bounds[0] != 0 or any(map(gt, bounds, bounds[1:])):
+        raise ValueError(f"offsets must start at 0 and never decrease, got {bounds[:8]}")
+    lengths = {len(column) for column in columns}
+    if lengths - {bounds[-1]}:
+        raise ValueError(
+            f"offsets end at row {bounds[-1]}, columns hold {sorted(lengths)} rows"
+        )
+    return bounds
 
-    ``record_clicked`` has one entry per notification of the user's trace,
-    every other column one per realized delivery, in delivery order (the
-    last three are the delivered item's fields; ``None`` or ``NaN`` is no
-    click time).  Sums are sequential left folds: the same values in the
-    same order give the same bits, whoever calls.
+
+def user_metrics_from_columns(
+    user_ids: Sequence[int],
+    record_offsets: Sequence[int], record_clicked: Sequence[bool],
+    offsets: Sequence[int],
+    times: np.ndarray, levels: np.ndarray, sizes: np.ndarray,
+    energies: np.ndarray, utilities: np.ndarray,
+    created_at: np.ndarray, clicked: np.ndarray, click_times: np.ndarray,
+) -> list[UserMetrics]:
+    """The Section V-C join over cohort columns: the one place it is computed.
+
+    User ``user_ids[u]`` owns notifications ``record_offsets[u]:[u + 1]`` of
+    ``record_clicked`` (one entry per notification of the trace) and
+    deliveries ``offsets[u]:[u + 1]`` of every other column, in delivery
+    order; the last three are the delivered item's fields (``NaN`` is no
+    click time).  Levels, sizes, energies and utilities are counted and
+    summed as the values ``tolist()`` yields, so an object column keeps its
+    Python types.
+
+    The per-delivery terms are elementwise arrays over all the rows: the
+    delay clamp ``where(d > 0.0, d, 0.0)`` (``max(0.0, d)`` exactly, NaN
+    and ``-0.0`` included) and the clicked / in-time-click masks.  Each
+    user then reduces their slices with C-level built-ins, no Python loop
+    per delivery: counts are ``sum``s of masks, the level histogram is a
+    ``Counter`` (keys in first-delivery order), and float totals are left
+    folds in delivery order, so the same values give the same bits whoever
+    calls -- the built-in ``sum``, and for the clicked utility the ``+``
+    fold from ``0.0`` over the clicked rows that defines it.
     """
-    delivered = len(times)
-    delays = [max(0.0, time - created) for time, created in zip(times, created_at)]
-    in_time_clicks = 0
-    clicked_utility = 0.0
-    for hit, utility, time, click_time in zip(clicked, utilities, times, click_times):
-        if hit:
-            clicked_utility += utility
-            if click_time is not None and time <= click_time:  # NaN: False
-                in_time_clicks += 1
-    return UserMetrics(
-        user_id=user_id,
-        total_notifications=len(record_clicked),
-        delivered_notifications=delivered,
-        delivered_bytes=float(sum(sizes)),
-        clicked_total=sum(map(bool, record_clicked)),
-        clicked_delivered_in_time=in_time_clicks,
-        total_utility=sum(utilities),
-        clicked_utility=clicked_utility,
-        energy_joules=sum(energies),
-        mean_queuing_delay_s=(sum(delays) / delivered) if delivered else 0.0,
-        level_histogram=dict(Counter(levels)),  # keys in first-delivery order
+    n_users = len(user_ids)
+    record_bounds = segment_bounds(record_offsets, n_users, record_clicked)
+    bounds = segment_bounds(
+        offsets, n_users, times, levels, sizes, energies, utilities,
+        created_at, clicked, click_times,
     )
+    levels, sizes, energies, utilities = map(np.asarray, (levels, sizes, energies, utilities))
+    times = np.asarray(times, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN delay, clamped to 0.0
+        delays = times - np.asarray(created_at, dtype=np.float64)
+    delays = np.where(delays > 0.0, delays, 0.0)
+    hit = np.asarray(clicked, dtype=bool)
+    in_time = hit & (times <= np.asarray(click_times, dtype=np.float64))  # NaN: False
+    record_hits = np.asarray(record_clicked, dtype=bool)
+    metrics = []
+    for u, user_id in enumerate(user_ids):
+        lo, hi = bounds[u], bounds[u + 1]
+        delivered = hi - lo
+        utility = utilities[lo:hi].tolist()
+        metrics.append(
+            UserMetrics(
+                user_id=user_id,
+                total_notifications=record_bounds[u + 1] - record_bounds[u],
+                delivered_notifications=delivered,
+                delivered_bytes=float(sum(sizes[lo:hi].tolist())),
+                clicked_total=sum(record_hits[record_bounds[u] : record_bounds[u + 1]].tolist()),
+                clicked_delivered_in_time=sum(in_time[lo:hi].tolist()),
+                total_utility=sum(utility),
+                clicked_utility=reduce(add, compress(utility, hit[lo:hi].tolist()), 0.0),
+                energy_joules=sum(energies[lo:hi].tolist()),
+                mean_queuing_delay_s=(
+                    sum(delays[lo:hi].tolist()) / delivered if delivered else 0.0
+                ),
+                level_histogram=dict(Counter(levels[lo:hi].tolist())),
+            )
+        )
+    return metrics
 
 
 def compute_user_metrics(
@@ -190,16 +244,25 @@ def compute_user_metrics(
     records: Sequence[NotificationRecord],
     deliveries: Sequence[Delivery],
 ) -> UserMetrics:
-    """Join a user's trace with their realized deliveries."""
+    """Join a user's trace with their realized deliveries: the one-user
+    :func:`user_metrics_from_columns` (the summed fields as object columns,
+    so each is summed as the object it holds; a ``None`` click time reads
+    as NaN)."""
     items = [d.item for d in deliveries]
-    return user_metrics_from_columns(
-        user_id, [r.clicked for r in records],
-        [d.time for d in deliveries], [d.level for d in deliveries],
-        [d.size_bytes for d in deliveries],
-        [d.energy_joules for d in deliveries], [d.utility for d in deliveries],
+    sizes, energies, utilities = (
+        np.array(values, dtype=object)
+        for values in (
+            [d.size_bytes for d in deliveries], [d.energy_joules for d in deliveries],
+            [d.utility for d in deliveries],
+        )
+    )
+    (metrics,) = user_metrics_from_columns(
+        [user_id], [0, len(records)], [r.clicked for r in records], [0, len(deliveries)],
+        [d.time for d in deliveries], [d.level for d in deliveries], sizes, energies, utilities,
         [item.created_at for item in items], [item.clicked for item in items],
         [item.click_time for item in items],
     )
+    return metrics
 
 
 @dataclass(frozen=True)

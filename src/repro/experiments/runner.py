@@ -37,6 +37,7 @@ from repro.experiments.metrics import (
     UserMetrics,
     aggregate,
     compute_user_metrics,
+    segment_bounds,
 )
 from repro.experiments.shards import shard_by_user
 from repro.runtime import registry
@@ -210,12 +211,21 @@ def _device_stream_seed(seed: int, user_id: int) -> int:
     return _stream_seed(seed, user_id, 29)
 
 
-class _FloatTexts(dict):
-    """``texts[bits]``: ``repr`` of the float with that ``int64`` bit pattern."""
+def _row_texts(column: np.ndarray, template: str):
+    """``texts(lo, hi)``: ``template % value`` for rows ``lo:hi`` of ``column``.
 
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = repr(np.int64(bits).view(np.float64).item())
-        return text
+    A numeric column renders each distinct *bit pattern* once per call (its
+    same-width integer view, so ``0.0`` / ``-0.0`` and NaN payloads never
+    share a text) and rows gather their text by code; an object column
+    renders each row from the object it holds.
+    """
+    if column.dtype == object:
+        return lambda lo, hi: [template % (value,) for value in column[lo:hi].tolist()]
+    keys, codes = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    texts = np.array(
+        [template % (value,) for value in keys.view(column.dtype).tolist()], dtype=object
+    )
+    return lambda lo, hi: texts[codes[lo:hi]].tolist()
 
 
 def delivery_digests(
@@ -231,38 +241,60 @@ def delivery_digests(
     in delivery order: the exact fields the runtime-extraction golden tests
     pin.  Two engines that produce the same digest for every user produced
     bit-identical delivery streams.  The only digest implementation: the
-    scalar path reaches it through :func:`delivery_digest`.
+    scalar path reaches it through :func:`delivery_digest`.  ``offsets``
+    must cut every column into exactly ``len(user_ids)`` whole segments
+    (``ValueError`` otherwise).
 
-    A float's ``repr`` is the expensive part of a row and ``times`` /
-    ``energies`` (``float64``) repeat a few values, so each distinct *bit
-    pattern* of the two is rendered once per call; keyed by the ``int64``
-    view, ``0.0`` / ``-0.0`` and NaN payloads cannot share an entry.  Other
-    fields are rendered per row from what ``tolist()`` yields, per segment.
+    A segment's text is built column by column: eight pieces per row, the
+    row's ``repr`` with its separators folded into the pieces.  A float's
+    ``repr`` is the expensive part, and ``times`` / ``energies`` (round grid,
+    batch-energy shares) as well as ``levels`` / ``sizes`` repeat a few
+    values, so those four come from :func:`_row_texts` tables; only the item
+    id and the realized utility are rendered per row.  What outlives a
+    segment is the tables and their per-row codes, never a string per row.
     """
-    time_bits = np.asarray(times, dtype=np.float64).view(np.int64)
-    energy_bits = np.asarray(energies, dtype=np.float64).view(np.int64)
-    columns = (time_bits, item_ids, levels, sizes, energy_bits, utilities)
-    float_text = _FloatTexts().__getitem__
+    bounds = segment_bounds(
+        offsets, len(user_ids), times, item_ids, levels, sizes, energies, utilities
+    )
+    item_ids, utilities = np.asarray(item_ids), np.asarray(utilities)
+    time_texts, level_texts, size_texts, energy_texts = (
+        _row_texts(column, template)
+        for column, template in (
+            (np.asarray(times, dtype=np.float64), "(%r, "),
+            (np.asarray(levels), ", %r, "),
+            (np.asarray(sizes), "%r, "),
+            (np.asarray(energies, dtype=np.float64), "%r, "),
+        )
+    )
     digests: list[str] = []
     for segment, user_id in enumerate(user_ids):
-        mine = slice(offsets[segment], offsets[segment + 1])
-        t_bits, items, lvls, szs, e_bits, utils = (c[mine].tolist() for c in columns)
-        row = f"(%s, {user_id!r}, %r, %r, %r, %s, %r)".__mod__
-        fields = zip(map(float_text, t_bits), items, lvls, szs, map(float_text, e_bits), utils)
-        digests.append(hashlib.sha256("".join(map(row, fields)).encode()).hexdigest())
+        lo, hi = bounds[segment], bounds[segment + 1]
+        pieces = [")"] * (8 * (hi - lo))  # piece 7 of a row closes its tuple
+        pieces[0::8] = time_texts(lo, hi)
+        pieces[1::8] = [f"{user_id!r}, "] * (hi - lo)
+        pieces[2::8] = map(repr, item_ids[lo:hi].tolist())
+        pieces[3::8] = level_texts(lo, hi)
+        pieces[4::8] = size_texts(lo, hi)
+        pieces[5::8] = energy_texts(lo, hi)
+        pieces[6::8] = map(repr, utilities[lo:hi].tolist())
+        digests.append(hashlib.sha256("".join(pieces).encode()).hexdigest())
     return digests
 
 
 def delivery_digest(deliveries: Sequence[Delivery]) -> str:
     """:func:`delivery_digests` of one user's ``Delivery`` objects (non-float
     fields as object columns: each is rendered from the object it holds)."""
-    def column(field: str, dtype: type = object) -> np.ndarray:
-        return np.array(list(map(attrgetter(field), deliveries)), dtype=dtype)
-
+    item_ids, levels, sizes, utilities = (
+        np.array(values, dtype=object)
+        for values in (
+            [d.item.item_id for d in deliveries], [d.level for d in deliveries],
+            [d.size_bytes for d in deliveries], [d.utility for d in deliveries],
+        )
+    )
     return delivery_digests(
         [0, len(deliveries)], [deliveries[0].user_id if deliveries else None],
-        column("time", float), column("item.item_id"), column("level"),
-        column("size_bytes"), column("energy_joules", float), column("utility"),
+        [d.time for d in deliveries], item_ids, levels, sizes,
+        [d.energy_joules for d in deliveries], utilities,
     )[0]
 
 

@@ -7,26 +7,41 @@ are the pre-column per-object loops, kept verbatim as the oracle: every
 generated case must match them bit for bit (dataclass equality on floats
 is exact), including ``level_histogram`` key order.  The cohort-level
 digest kernel is also held to the definition of its bytes,
-``"".join(map(repr, rows))`` per segment, on hostile columns.
+``"".join(map(repr, rows))`` per segment, on hostile columns; offsets
+that do not cut the columns into whole segments are refused; and the
+folded outcomes of three small-preset runs are pinned to the bits they
+had before the fold became array code.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.channels import ChannelSet, builtin_channel
 from repro.core.presentations import build_audio_ladder
+from repro.experiments import columnar
 from repro.experiments.adapters import record_to_item
+from repro.experiments.columnar import build_cohort, fold_outcomes, make_engine, sweep_cohort
+from repro.experiments.config import ExperimentConfig, Method, MethodSpec, NetworkMode
 from repro.experiments.metrics import (
     UserMetrics,
     compute_user_metrics,
     user_metrics_from_columns,
 )
-from repro.experiments.runner import delivery_digest, delivery_digests
+from repro.experiments.runner import (
+    UtilityAnnotations,
+    delivery_digest,
+    delivery_digests,
+)
+from repro.experiments.shards import shard_by_user
+from repro.experiments.workloads import eval_workload
 from repro.pubsub.topics import TopicKind
 from repro.runtime.types import Delivery
 from repro.trace.records import NotificationRecord
@@ -160,11 +175,12 @@ def test_metric_forms_match_the_object_loop(case):
     assert repr(adapted) == repr(expected)
 
     times, _, levels, sizes, energies, utilities, created, clicked, click_times = (
-        as_columns(deliveries)
+        np.array(column, dtype=object) for column in as_columns(deliveries)
     )
-    from_columns = user_metrics_from_columns(
-        7, [int(r.clicked) for r in records],
-        times, levels, sizes, energies, utilities, created, clicked, click_times,
+    (from_columns,) = user_metrics_from_columns(
+        [7], [0, len(records)], [int(r.clicked) for r in records], [0, len(deliveries)],
+        times.astype(float), levels, sizes, energies, utilities, created.astype(float),
+        clicked, click_times.astype(float),
     )
     assert from_columns == expected
     assert list(from_columns.level_histogram) == list(expected.level_histogram)
@@ -242,12 +258,12 @@ def test_cohort_digests_are_sha256_of_the_joined_row_reprs(case):
 
 
 def test_no_deliveries_and_no_records():
-    empty = user_metrics_from_columns(3, [], (), (), (), (), (), (), (), ())
+    no_rows = np.array([], dtype=np.float64)
+    (empty,) = user_metrics_from_columns([3], [0, 0], [], [0, 0], *[no_rows] * 8)
     assert empty == reference_metrics(3, [], [])
     assert empty.mean_queuing_delay_s == 0.0
     assert empty.level_histogram == {}
     assert delivery_digest([]) == hashlib.sha256().hexdigest()
-    no_rows = np.array([], dtype=np.float64)
     assert delivery_digests([0, 0], [3], *[no_rows] * 6) == [
         hashlib.sha256().hexdigest()
     ]
@@ -255,9 +271,142 @@ def test_no_deliveries_and_no_records():
 
 
 def test_histogram_keys_keep_first_delivery_order():
-    metrics = user_metrics_from_columns(
-        1, [0, 0, 0],
-        (10.0, 20.0, 30.0), (3, 1, 3), (5, 5, 5), (0.1, 0.1, 0.1),
-        (0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (0, 0, 0), (math.nan,) * 3,
+    first, second = user_metrics_from_columns(
+        [1, 2], [0, 3, 3], [0, 0, 0], [0, 3, 5],
+        *map(np.array, (
+            (10.0, 20.0, 30.0, 40.0, 50.0), (3, 1, 3, 2, 1), (5, 5, 5, 5, 5),
+            (0.1,) * 5, (0.5,) * 5, (0.0,) * 5, (0,) * 5, (math.nan,) * 5,
+        )),
     )
-    assert list(metrics.level_histogram.items()) == [(3, 2), (1, 1)]
+    assert list(first.level_histogram.items()) == [(3, 2), (1, 1)]
+    assert list(second.level_histogram.items()) == [(2, 1), (1, 1)]
+
+
+#: Two delivery rows, every digest column.
+TWO_ROWS = [np.array([1.0, 2.0]), np.array([5, 6]), np.array([1, 2]),
+            np.array([10, 20]), np.array([0.5, 0.5]), np.array([0.25, 0.75])]
+
+
+class TestSegmentValidation:
+    """Offsets must cut every column into exactly one whole segment per
+    user; anything else once hashed or folded the wrong rows silently."""
+
+    @pytest.mark.parametrize(
+        "offsets, user_ids",
+        [
+            ([0, 1, 2], [7]),      # one user, two segments: row 1 was never hashed
+            ([0, 1], [7, 8]),      # two users, one segment
+            ([0, 1], [7]),         # ends short of the columns: row 1 ignored
+            ([0, 3], [7]),         # ends past them
+            ([1, 2], [7]),         # does not start at row 0
+            ([0, 2, 1, 2], [7, 8, 9]),  # decreasing
+            ([], []),
+        ],
+    )
+    def test_digests_refuse_offsets_that_do_not_cut_the_columns(self, offsets, user_ids):
+        with pytest.raises(ValueError, match="offsets"):
+            delivery_digests(offsets, user_ids, *TWO_ROWS)
+
+    def test_digests_refuse_columns_of_different_lengths(self):
+        short = [*TWO_ROWS[:-1], np.array([0.25])]
+        with pytest.raises(ValueError, match=r"\[1, 2\] rows"):
+            delivery_digests([0, 2], [7], *short)
+
+    @pytest.mark.parametrize(
+        "record_offsets, offsets",
+        [([0, 1], [0, 2]), ([0, 3], [0, 1]), ([0, 1, 1], [0, 2]), ([0, 3], [1, 2])],
+    )
+    def test_metrics_refuse_offsets_that_do_not_cut_the_columns(self, record_offsets, offsets):
+        times, levels, sizes, energies, utilities = TWO_ROWS[0], *TWO_ROWS[2:]
+        with pytest.raises(ValueError, match="offsets"):
+            user_metrics_from_columns(
+                [7], record_offsets, [True, False, True], offsets,
+                times, levels, sizes, energies, utilities,
+                times, np.array([True, False]), times,
+            )
+
+    @pytest.mark.parametrize("copies", [(1, 2), (2, 1)])
+    def test_fold_refuses_a_result_of_another_cohort(self, copies):
+        columns, duration = small_cohort()
+        ran, folded = (columns.tiled(c) for c in copies)
+        config = ExperimentConfig()
+        result = make_engine(ran, MethodSpec(Method.RICHNOTE), config, duration).run()
+        ran_users, folded_users = len(ran.user_ids), len(folded.user_ids)
+        with pytest.raises(ValueError, match=rf"{ran_users} users.* {folded_users}\b"):
+            fold_outcomes(folded, result)
+
+
+@cache
+def small_cohort():
+    """The ``small`` preset's users with a trained forest's scores."""
+    workload = eval_workload("small")
+    annotations = UtilityAnnotations.train(workload)
+    by_user = shard_by_user(workload.records, workload.user_ids())
+    pairs = [(u, by_user[u]) for u in workload.user_ids() if by_user[u]]
+    ladder = build_audio_ladder(ExperimentConfig().presentation_spec)
+    return build_cohort(pairs, annotations, ladder), workload.config.duration_hours * 3600.0
+
+
+#: run -> (cells, config, channels, SHA-256 of its folded outcomes).
+PINNED_RUNS = {
+    "richnote-cell-only": (
+        [(MethodSpec(Method.RICHNOTE), 5.0)], ExperimentConfig(), None,
+        "b437ce93da178044278674f69af85acab66040f1148e4c4e9d7b0dcb2caac3b6",
+    ),
+    "richnote-markov-push-inapp-email": (
+        [(MethodSpec(Method.RICHNOTE), 5.0)],
+        ExperimentConfig(network_mode=NetworkMode.MARKOV),
+        ("push", "inapp", "email"),
+        "6b18f97cb4f630fc840d2da97e985bddf8e3f63357f3922b040c05e46d4e32fd",
+    ),
+    "fifo-util-stacked-two-budgets": (
+        [
+            (MethodSpec(method, fixed_level=level), budget)
+            for method in (Method.FIFO, Method.UTIL)
+            for level in (2, 3)
+            for budget in (2.0, 20.0)
+        ],
+        ExperimentConfig(), None,
+        "60d5a4b89fd9efa677e02d3c694de2a58e3d3890d99fcea378a18ba87f475a13",
+    ),
+}
+
+
+def folded_outcomes(run: str):
+    cells, config, channels, _ = PINNED_RUNS[run]
+    columns, duration = small_cohort()
+    if channels is not None:
+        channels = ChannelSet([builtin_channel(name) for name in channels])
+    grid = sweep_cohort(
+        columns, cells, config, duration, digest_deliveries=True, channels=channels
+    )
+    return [outcome for outcomes in grid for outcome in outcomes]
+
+
+def outcome_bits(outcomes) -> str:
+    """SHA-256 over every outcome's metrics ``repr`` and digest, in order."""
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(repr(outcome.metrics).encode())
+        digest.update(outcome.delivery_digest.encode())
+    return digest.hexdigest()
+
+
+class TestPinnedBits:
+    """Every folded ``UserRunOutcome`` of three small-preset runs, hashed:
+    recorded from the per-delivery fold that ``tests/reference_fold.py``
+    keeps, so the array fold must reproduce every metric bit, histogram key
+    order and digest of it."""
+
+    @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+    def test_folded_outcomes_keep_their_bits(self, run):
+        outcomes = folded_outcomes(run)
+        assert sum(o.metrics.delivered_notifications for o in outcomes) > 1000
+        assert outcome_bits(outcomes) == PINNED_RUNS[run][-1]
+
+    @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+    @pytest.mark.parametrize("fold_rows", [1, 50, 700])
+    def test_any_fold_block_gives_the_same_bits(self, run, fold_rows, monkeypatch):
+        """Blocks of one user, of a few, and cut mid-cell: the same outcomes."""
+        monkeypatch.setattr(columnar, "FOLD_ROWS", fold_rows)
+        assert outcome_bits(folded_outcomes(run)) == PINNED_RUNS[run][-1]
