@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint analyze analyze-sarif bench bench-repo artifacts examples clean
+.PHONY: install test chaos lint analyze analyze-sarif bench-repo artifacts examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -55,9 +55,6 @@ analyze-sarif:
 		--warn-only --exclude 'tests/fixtures/*' \
 		--sarif-out richlint.sarif
 	@echo "wrote richlint.sarif"
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # The repo benchmark (BENCHMARK.json): every workload's end-to-end
 # metrics in reference seconds, outputs checked against the goldens.

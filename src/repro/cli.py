@@ -22,6 +22,7 @@ runs the Figure 2 presentation-utility pipeline end to end.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -92,6 +93,52 @@ def _parse_probability(text: str) -> float:
     return value
 
 
+def _parse_budget(text: str) -> float:
+    """One weekly data budget in MB: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"bad budget {text!r}: need a finite number of MB > 0"
+        )
+    return value
+
+
+def _parse_budgets(text: str) -> tuple[float, ...]:
+    """``1,5,20``: distinct weekly budgets in MB, in the order given."""
+    budgets: list[float] = []
+    for entry in text.split(","):
+        budget = _parse_budget(entry)
+        if budget in budgets:
+            raise argparse.ArgumentTypeError(f"duplicate budget {entry!r} in {text!r}")
+        budgets.append(budget)
+    return tuple(budgets)
+
+
+def _parse_count(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"bad user count {text!r}: need an integer >= {minimum}"
+        )
+    return value
+
+
+def _parse_top_users(text: str) -> int:
+    """``--users N`` of a trace command: the top N users, 0 for all."""
+    return _parse_count(text, 0)
+
+
+def _parse_served_users(text: str) -> int:
+    """``serve --users N``: at least one simulated user."""
+    return _parse_count(text, 1)
+
+
 def _load_workload(path: str) -> Workload:
     return Workload.from_records(read_trace(path))
 
@@ -139,7 +186,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     workload = _load_workload(args.trace)
-    budgets = tuple(float(b) for b in args.budgets.split(","))
     specs = (
         [_parse_method(m) for m in args.methods.split(",")]
         if args.methods
@@ -153,11 +199,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from repro.experiments.pool import sweep_budgets_parallel
 
         grid = sweep_budgets_parallel(
-            workload, specs, budgets, config, annotations, users,
+            workload, specs, args.budgets, config, annotations, users,
             max_workers=args.workers, keep_per_user=False,
         )
     figs = figure3_and_4(
-        workload, budgets, config, annotations, users, specs, grid=grid,
+        workload, args.budgets, config, annotations, users, specs, grid=grid,
     )
     for name in sorted(figs):
         print(render_series_table(figs[name]))
@@ -184,23 +230,22 @@ def cmd_figures(args: argparse.Namespace) -> int:
     )
 
     workload = _load_workload(args.trace)
-    budgets = tuple(float(b) for b in args.budgets.split(","))
     users = workload.top_users(args.users) if args.users else None
     annotations = UtilityAnnotations.train(workload, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(seed=args.seed, faults=args.faults)
 
-    figs = figure3_and_4(workload, budgets, config, annotations, users)
+    figs = figure3_and_4(workload, args.budgets, config, annotations, users)
     tables: list[str] = []
     for name in sorted(figs):
         save_series_csv(figs[name], out / f"{name}.csv")
         tables.append(render_series_table(figs[name]))
-    fig5a = figure5a_fixed_levels(workload, budgets, config, annotations, users)
+    fig5a = figure5a_fixed_levels(workload, args.budgets, config, annotations, users)
     save_series_csv(fig5a, out / "fig5a_fixed_levels.csv")
     tables.append(render_series_table(fig5a, precision=1))
     for mode in (NetworkMode.CELL_ONLY, NetworkMode.MARKOV):  # Fig. 5(b), Fig. 5(c)
-        mix = figure5b_presentation_mix(workload, budgets, config, annotations, users, mode)
+        mix = figure5b_presentation_mix(workload, args.budgets, config, annotations, users, mode)
         tables.append(render_level_mix(mix))
     categories = figure5d_user_categories(workload, config, annotations, users)
     tables.append(render_user_categories(categories))
@@ -367,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", required=True)
     run.add_argument("--method", default="richnote",
                      help="richnote | fifo:<level> | util:<level>")
-    run.add_argument("--budget", type=float, default=10.0,
+    run.add_argument("--budget", type=_parse_budget, default=10.0,
                      help="weekly data budget in MB")
-    run.add_argument("--users", type=int, default=0,
+    run.add_argument("--users", type=_parse_top_users, default=0,
                      help="restrict to the top N users (0 = all)")
     run.add_argument("--faults", type=_parse_faults, default=None,
                      help="chaos: fault probabilities, e.g. 0.2 or "
@@ -380,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="the Figures 3-4 grid over budgets and methods"
     )
     sweep.add_argument("--trace", required=True)
-    sweep.add_argument("--budgets", default="1,2,5,10,20,50,100")
+    sweep.add_argument("--budgets", type=_parse_budgets, default="1,2,5,10,20,50,100")
     sweep.add_argument("--methods", default="",
                        help="comma list, e.g. richnote,util:3 (default: paper's five)")
-    sweep.add_argument("--users", type=int, default=0)
+    sweep.add_argument("--users", type=_parse_top_users, default=0)
     sweep.add_argument("--faults", type=_parse_faults, default=None,
                        help="chaos: fault probabilities, e.g. 0.2 or "
                             "disconnect=0.2,timeout=0.05")
@@ -397,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument("--trace", required=True)
     figures.add_argument("--out", required=True)
-    figures.add_argument("--budgets", default="1,2,5,10,20,50,100")
-    figures.add_argument("--users", type=int, default=0)
+    figures.add_argument("--budgets", type=_parse_budgets, default="1,2,5,10,20,50,100")
+    figures.add_argument("--users", type=_parse_top_users, default=0)
     figures.add_argument("--faults", type=_parse_faults, default=None,
                          help="chaos: re-render every figure under a fault "
                               "schedule, e.g. disconnect=0.2")
@@ -442,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the live notification service (bounded chaos session)",
     )
-    serve.add_argument("--users", type=int, default=16)
+    serve.add_argument("--users", type=_parse_served_users, default=16)
     serve.add_argument("--rounds", type=int, default=6)
     serve.add_argument(
         "--round-seconds", type=float, default=60.0, dest="round_seconds"

@@ -30,6 +30,7 @@ uniformly good across V, larger V favouring utility over backlog).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: bytes -> megabytes
@@ -60,6 +61,10 @@ class LyapunovConfig:
     energy_scale: float = DEFAULT_ENERGY_SCALE
 
     def __post_init__(self) -> None:
+        for name in ("v", "kappa_joules", "size_scale", "energy_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.v < 0:
             raise ValueError("V must be >= 0")
         if self.kappa_joules <= 0:

@@ -15,6 +15,7 @@ Defaults reproduce the paper's settings:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -125,7 +126,7 @@ class ExperimentConfig:
     #: Recency decay of content utility (the "aging factor" of Sec. III-A).
     #: Social-feed notifications lose value fast; an 8 h mean lifetime makes
     #: a day-late delivery worth ~5% of a prompt one.  Set to None to
-    #: disable (ablation -- see benchmarks/test_bench_ablations.py).
+    #: disable (ablation -- see tests/claims/test_ablations.py).
     aging_tau_seconds: float | None = 8 * 3600.0
     #: Optional per-feed round cadences (Section II).  When set, the
     #: scheduler ticks at the cadences' base period (which must equal
@@ -141,6 +142,12 @@ class ExperimentConfig:
     seed: int = 97
 
     def __post_init__(self) -> None:
+        for name in (
+            "weekly_budget_mb", "round_seconds", "kappa_joules_per_round", "lyapunov_v"
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.weekly_budget_mb <= 0:
             raise ValueError("weekly budget must be positive")
         if self.round_seconds <= 0:
@@ -149,6 +156,11 @@ class ExperimentConfig:
             raise ValueError("kappa must be positive")
         if self.lyapunov_v < 0:
             raise ValueError("V must be >= 0")
+        tau = self.aging_tau_seconds
+        if tau is not None and not (math.isfinite(tau) and tau > 0):
+            raise ValueError(
+                f"aging_tau_seconds must be None or finite and > 0, got {tau!r}"
+            )
         if self.feed_cadences is not None and (
             abs(self.feed_cadences.base_period - self.round_seconds) > 1e-9
         ):
@@ -166,7 +178,9 @@ class ExperimentConfig:
     def utility_model(self) -> CombinedUtilityModel:
         """The Eq. 1 utility model these knobs describe (aging per Sec. III-A)."""
         tau = self.aging_tau_seconds
-        return CombinedUtilityModel(aging=ExponentialAging(tau) if tau else None)
+        return CombinedUtilityModel(
+            aging=None if tau is None else ExponentialAging(tau)
+        )
 
     def with_budget(self, weekly_budget_mb: float) -> "ExperimentConfig":
         """A copy at a different budget (sweep helper)."""

@@ -140,6 +140,8 @@ class Workload:
 
     def top_users(self, k: int) -> list[int]:
         """The k users with the most notifications (the paper's 'top 10k')."""
+        if k < 0:
+            raise ValueError(f"top_users needs k >= 0, got {k}")
         counts: dict[int, int] = {}
         for record in self.records:
             counts[record.recipient_id] = counts.get(record.recipient_id, 0) + 1

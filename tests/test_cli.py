@@ -37,6 +37,39 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate-trace"])
 
+    def test_budget_lists_parse_to_floats(self):
+        for command in (["sweep"], ["figures", "--out", "unused"]):
+            args = build_parser().parse_args(
+                [*command, "--trace", "t.jsonl", "--budgets", "2, 20,0.5"]
+            )
+            assert args.budgets == (2.0, 20.0, 0.5)
+        default = build_parser().parse_args(["sweep", "--trace", "t.jsonl"])
+        assert default.budgets == (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["sweep", "--budgets", "1,,2"], "''"),
+            (["sweep", "--budgets", "2,2"], "duplicate budget '2'"),
+            (["sweep", "--budgets", "-1"], "'-1'"),
+            (["sweep", "--budgets", "1,nan"], "'nan'"),
+            (["figures", "--out", "unused", "--budgets", "5,inf"], "'inf'"),
+            (["run", "--budget", "0"], "'0'"),
+            (["run", "--budget", "nan"], "'nan'"),
+            (["run", "--users", "-3"], "'-3'"),
+            (["figures", "--out", "unused", "--users", "-1"], "'-1'"),
+            (["serve", "--users", "0"], "'0'"),
+        ],
+    )
+    def test_hostile_values_are_usage_errors_naming_the_entry(self, argv, bad, capsys):
+        """Rejected while parsing: the (missing) trace is never opened."""
+        if argv[0] != "serve":
+            argv = [*argv, "--trace", "no-such-trace.jsonl"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert bad in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
@@ -123,6 +156,12 @@ class TestWorkloadFromRecords:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Workload.from_records([])
+
+    def test_top_users_rejects_negative_k(self, trace_path):
+        workload = Workload.from_records(read_trace(trace_path))
+        assert workload.top_users(0) == []
+        with pytest.raises(ValueError, match="k >= 0"):
+            workload.top_users(-3)
 
     def test_duration_inferred_and_sorted(self, trace_path):
         records = read_trace(trace_path)

@@ -75,6 +75,22 @@ class TestExperimentConfig:
             ExperimentConfig(round_seconds=0)
         with pytest.raises(ValueError):
             ExperimentConfig(lyapunov_v=-1)
+        nan, inf = float("nan"), float("inf")
+        for field, value in (
+            ("lyapunov_v", nan),
+            ("lyapunov_v", inf),
+            ("kappa_joules_per_round", inf),
+            ("round_seconds", nan),
+            ("weekly_budget_mb", nan),
+            ("weekly_budget_mb", inf),
+            ("aging_tau_seconds", nan),
+            ("aging_tau_seconds", inf),
+            ("aging_tau_seconds", 0.0),
+            ("aging_tau_seconds", -1.0),
+        ):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(**{field: value})
+        assert ExperimentConfig(aging_tau_seconds=None).utility_model().aging is None
 
     def test_paper_defaults(self):
         config = ExperimentConfig()

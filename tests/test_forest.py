@@ -83,6 +83,7 @@ class TestLearning:
             .fit(x, y)
             .predict_proba(x)
         )
+        assert proba.shape == (len(x), 2)
         assert np.allclose(proba.sum(axis=1), 1.0)
         assert (proba >= 0).all() and (proba <= 1).all()
 

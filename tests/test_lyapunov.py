@@ -20,6 +20,10 @@ class TestLyapunovConfig:
             LyapunovConfig(kappa_joules=0)
         with pytest.raises(ValueError):
             LyapunovConfig(size_scale=0)
+        for field in ("v", "kappa_joules", "size_scale", "energy_scale"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=field):
+                    LyapunovConfig(**{field: value})
 
 
 class TestLyapunovState:

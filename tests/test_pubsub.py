@@ -144,6 +144,21 @@ class TestBroker:
         assert out == []
         assert broker.stats.dropped_no_subscribers == 1
 
+    def test_fan_out_reaches_every_subscriber_once(self):
+        """Each publication fans out to exactly its topic's subscribers."""
+        store = SubscriptionStore()
+        n_topics, fanout = 10, 4
+        for topic_id in range(n_topics):
+            for user in range(fanout):
+                store.subscribe(topic_id * fanout + user, Topic(TopicKind.FRIEND, topic_id))
+        broker = Broker(store, default_mode=DeliveryMode.ROUND)
+        total = sum(
+            len(broker.publish(pub(Topic(TopicKind.FRIEND, i % n_topics), publisher=999)))
+            for i in range(25)
+        )
+        assert total == 25 * fanout
+        assert len(broker.flush()) == total
+
     def test_stats_per_kind(self):
         store = SubscriptionStore()
         topic = Topic(TopicKind.PLAYLIST, 2)
