@@ -21,7 +21,7 @@ The runtime refactor split scheduling into three one-way layers::
   ``repro.service``.  The live service composes the runtime (ISSUE 9's
   multi-channel refactor routes channels *through* the loop's
   duck-typed hooks precisely so this arrow stays one-way).
-* the per-channel cost/latency tables in ``repro.core._channel_costs``
+* the per-channel cost tables in ``repro.core._channel_costs``
   are private to :mod:`repro.core.channels`: every other module must go
   through a :class:`~repro.core.channels.Channel` so a table edit can
   never bypass the billed-bytes accounting.

@@ -93,15 +93,15 @@ def _parse_probability(text: str) -> float:
     return value
 
 
-def _parse_budget(text: str) -> float:
-    """One weekly data budget in MB: a finite number > 0."""
+def _parse_positive(text: str) -> float:
+    """A finite number > 0: a budget in MB, a round length, a pool size."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"bad budget {text!r}: need a finite number of MB > 0"
+            f"bad value {text!r}: need a finite number > 0"
         )
     return value
 
@@ -110,7 +110,7 @@ def _parse_budgets(text: str) -> tuple[float, ...]:
     """``1,5,20``: distinct weekly budgets in MB, in the order given."""
     budgets: list[float] = []
     for entry in text.split(","):
-        budget = _parse_budget(entry)
+        budget = _parse_positive(entry)
         if budget in budgets:
             raise argparse.ArgumentTypeError(f"duplicate budget {entry!r} in {text!r}")
         budgets.append(budget)
@@ -124,7 +124,7 @@ def _parse_count(text: str, minimum: int) -> int:
         value = minimum - 1
     if value < minimum:
         raise argparse.ArgumentTypeError(
-            f"bad user count {text!r}: need an integer >= {minimum}"
+            f"bad count {text!r}: need an integer >= {minimum}"
         )
     return value
 
@@ -134,8 +134,8 @@ def _parse_top_users(text: str) -> int:
     return _parse_count(text, 0)
 
 
-def _parse_served_users(text: str) -> int:
-    """``serve --users N``: at least one simulated user."""
+def _parse_positive_count(text: str) -> int:
+    """At least one: ``serve`` users, rounds, queue bound; bench sizes."""
     return _parse_count(text, 1)
 
 
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", required=True)
     run.add_argument("--method", default="richnote",
                      help="richnote | fifo:<level> | util:<level>")
-    run.add_argument("--budget", type=_parse_budget, default=10.0,
+    run.add_argument("--budget", type=_parse_positive, default=10.0,
                      help="weekly data budget in MB")
     run.add_argument("--users", type=_parse_top_users, default=0,
                      help="restrict to the top N users (0 = all)")
@@ -461,18 +461,20 @@ def build_parser() -> argparse.ArgumentParser:
              "coupling users",
     )
     bench_channels.add_argument(
-        "--rounds", type=int, default=40, help="rounds to simulate"
+        "--rounds", type=_parse_positive_count, default=40,
+        help="rounds to simulate",
     )
     bench_channels.add_argument(
-        "--crowd-users", type=int, default=12, dest="crowd_users",
-        help="flash-crowd cohort size on the shared cell",
+        "--crowd-users", type=_parse_positive_count, default=12,
+        dest="crowd_users", help="flash-crowd cohort size on the shared cell",
     )
     bench_channels.add_argument(
-        "--bystanders", type=int, default=4,
+        "--bystanders", type=_parse_positive_count, default=4,
         help="bystanders per cell (shared + control)",
     )
     bench_channels.add_argument(
-        "--pool-bytes", type=float, default=4_000_000.0, dest="pool_bytes",
+        "--pool-bytes", type=_parse_positive, default=4_000_000.0,
+        dest="pool_bytes",
         help="per-round shared byte pool of each cell",
     )
     bench_channels.set_defaults(handler=cmd_bench_channels)
@@ -487,13 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the live notification service (bounded chaos session)",
     )
-    serve.add_argument("--users", type=_parse_served_users, default=16)
-    serve.add_argument("--rounds", type=int, default=6)
+    serve.add_argument("--users", type=_parse_positive_count, default=16)
+    serve.add_argument("--rounds", type=_parse_positive_count, default=6)
     serve.add_argument(
-        "--round-seconds", type=float, default=60.0, dest="round_seconds"
+        "--round-seconds", type=_parse_positive, default=60.0,
+        dest="round_seconds",
     )
     serve.add_argument(
-        "--queue-bound", type=int, default=16, dest="queue_bound"
+        "--queue-bound", type=_parse_positive_count, default=16,
+        dest="queue_bound",
     )
     serve.add_argument("--policy", default="richnote")
     serve.add_argument(

@@ -1,8 +1,9 @@
-"""Per-channel cost/latency tables (private to :mod:`repro.core.channels`).
+"""Per-channel cost tables (private to :mod:`repro.core.channels`).
 
 These constants parameterize the built-in delivery channels: how billed
 bytes relate to wire bytes, the fixed protocol overhead of an envelope,
-and the latency envelope of each transport.  "A Mechanism for Optimizing
+which transports ride the cellular link, and the presentation ladder of
+each transport that re-renders content.  "A Mechanism for Optimizing
 Media Recommender Systems" (PAPERS.md) motivates treating per-channel
 cost curves as first-class inputs to the utility/cost trade-off; the
 numbers here are illustrative operating points, not measurements.
@@ -29,15 +30,6 @@ COST_CURVES: dict[str, tuple[float, int]] = {
     "email": (0.25, 2048),
     # Messenger-style channels are metered like push plus webhook framing.
     "messenger": (1.0, 512),
-}
-
-#: name -> (base latency seconds, throughput bytes/second or None for
-#: instantaneous-after-base).  Used by Channel.latency_seconds.
-LATENCY_MODELS: dict[str, tuple[float, float | None]] = {
-    "push": (0.5, 131_072.0),
-    "inapp": (5.0, 262_144.0),
-    "email": (30.0, 1_048_576.0),
-    "messenger": (1.0, 131_072.0),
 }
 
 #: Channels whose bytes ride the user's cellular link and therefore draw

@@ -1,13 +1,13 @@
-"""Delivery channels: cost curve, latency model and presentation ladder.
+"""Delivery channels: cost curve and presentation ladder.
 
 The paper evaluates a single push channel whose billed bytes equal the
 wire bytes of the chosen presentation.  Real notification stacks deliver
 over several transports at once -- push, an in-app inbox, email digests,
 messenger-style webhooks -- and each has its own *cost curve* (billed
-bytes per wire byte plus envelope overhead), *latency model* and, when
-the transport re-renders content, its own *presentation ladder*.
+bytes per wire byte plus envelope overhead) and, when the transport
+re-renders content, its own *presentation ladder*.
 
-:class:`Channel` packages those three axes.  A channel with no ladder
+:class:`Channel` packages those axes.  A channel with no ladder
 override and an identity cost curve (:attr:`Channel.is_passthrough`)
 *is* the paper's push channel: its wire sizes are the item's own ladder,
 its billed bytes the wire bytes, its utility the model's.  The scalar
@@ -39,7 +39,6 @@ from repro.core.content import ContentItem, Presentation, PresentationLadder
 __all__ = [
     "Channel",
     "ChannelCostCurve",
-    "ChannelLatency",
     "ChannelSet",
     "builtin_channel",
     "default_channel_set",
@@ -86,30 +85,6 @@ class ChannelCostCurve:
         return int(round(self.per_byte * wire_bytes)) + self.overhead_bytes
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelLatency:
-    """Expected delivery latency: fixed base plus size-proportional term."""
-
-    base_seconds: float = 0.0
-    bytes_per_second: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.base_seconds < 0:
-            raise ValueError(f"base_seconds must be >= 0, got {self.base_seconds}")
-        if self.bytes_per_second is not None and self.bytes_per_second <= 0:
-            raise ValueError(
-                f"bytes_per_second must be > 0 when set, "
-                f"got {self.bytes_per_second}"
-            )
-
-    def latency_seconds(self, wire_bytes: int) -> float:
-        if wire_bytes < 0:
-            raise ValueError(f"wire_bytes must be >= 0, got {wire_bytes}")
-        if self.bytes_per_second is None:
-            return self.base_seconds
-        return self.base_seconds + wire_bytes / self.bytes_per_second
-
-
 @dataclass(frozen=True)
 class Channel:
     """One delivery transport.
@@ -123,7 +98,6 @@ class Channel:
 
     name: str
     cost: ChannelCostCurve = field(default_factory=ChannelCostCurve)
-    latency: ChannelLatency = field(default_factory=ChannelLatency)
     ladder: PresentationLadder | None = None
     cell_coupled: bool = True
 
@@ -244,16 +218,12 @@ def _ladder_from_shape(shape: tuple[tuple[int, float], ...]) -> PresentationLadd
 
 def _builtin_factory(name: str) -> Callable[[], Channel]:
     per_byte, overhead = _channel_costs.COST_CURVES[name]
-    base_seconds, throughput = _channel_costs.LATENCY_MODELS[name]
     shape = _channel_costs.LADDER_SHAPES.get(name)
 
     def factory() -> Channel:
         return Channel(
             name=name,
             cost=ChannelCostCurve(per_byte=per_byte, overhead_bytes=overhead),
-            latency=ChannelLatency(
-                base_seconds=base_seconds, bytes_per_second=throughput
-            ),
             ladder=_ladder_from_shape(shape) if shape is not None else None,
             cell_coupled=name in _channel_costs.CELL_COUPLED,
         )

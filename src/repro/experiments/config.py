@@ -193,14 +193,6 @@ class ExperimentConfig:
 
         return replace(self, lyapunov_v=v)
 
-    def with_faults(
-        self, faults: FaultConfig | None, retry: RetryPolicy | None = None
-    ) -> "ExperimentConfig":
-        """A copy under a different fault schedule (chaos helper)."""
-        from dataclasses import replace
-
-        return replace(self, faults=faults, retry=retry or self.retry)
-
 
 #: The paper's budget sweep for Figures 3-4 (MB per week).
 PAPER_BUDGET_SWEEP_MB = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)

@@ -38,6 +38,7 @@ one-way: the runtime never imports pubsub.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.pubsub.broker import Broker, Notification
@@ -179,13 +180,15 @@ class SharedCellCapacity:
         bytes_per_round: float | dict[int, float],
     ) -> None:
         if isinstance(bytes_per_round, dict):
-            if any(v < 0 for v in bytes_per_round.values()):
-                raise ValueError("cell pool sizes must be >= 0")
+            if not all(0 <= v < math.inf for v in bytes_per_round.values()):
+                raise ValueError("cell pool sizes must be finite and >= 0")
             self._pool_of = dict(bytes_per_round)
             self._default_pool = 0.0
         else:
-            if bytes_per_round < 0:
-                raise ValueError("bytes_per_round must be >= 0")
+            if not 0 <= bytes_per_round < math.inf:
+                raise ValueError(
+                    f"bytes_per_round must be finite and >= 0, got {bytes_per_round}"
+                )
             self._pool_of = {}
             self._default_pool = float(bytes_per_round)
         self.topology = topology

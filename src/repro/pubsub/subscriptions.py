@@ -57,9 +57,6 @@ class SubscriptionStore:
             topic for topic in self._by_user.get(user_id, ()) if topic.kind is kind
         )
 
-    def is_subscribed(self, user_id: int, topic: Topic) -> bool:
-        return user_id in self._by_topic.get(topic, set())
-
     def bulk_subscribe(self, user_id: int, topics: Iterable[Topic]) -> int:
         """Subscribe to many topics; returns how many were new."""
         return sum(1 for topic in topics if self.subscribe(user_id, topic))
@@ -67,10 +64,3 @@ class SubscriptionStore:
     @property
     def total_subscriptions(self) -> int:
         return self._subscription_count
-
-    @property
-    def total_topics(self) -> int:
-        return len(self._by_topic)
-
-    def all_topics(self) -> frozenset[Topic]:
-        return frozenset(self._by_topic)

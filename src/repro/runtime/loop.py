@@ -33,7 +33,7 @@ the only policy extension point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (delivery imports us)
     from repro.core.delivery import DeliveryEngine
@@ -169,9 +169,6 @@ class RoundLoop:
         sizes, since delivery drops every presentation of the item.
         """
         return float(sum(item.ladder.total_size() for item in self._scheduling))
-
-    def scheduling_queue(self) -> Sequence[ContentItem]:
-        return tuple(self._scheduling)
 
     def _selectable(self, now: float) -> list[ContentItem]:
         """Scheduling-queue items eligible for selection this round.

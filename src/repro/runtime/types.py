@@ -93,7 +93,3 @@ class RoundResult:
     @property
     def delivered_utility(self) -> float:
         return sum(d.utility for d in self.deliveries)
-
-    @property
-    def delivered_energy(self) -> float:
-        return sum(d.energy_joules for d in self.deliveries)

@@ -145,96 +145,3 @@ class DegradationController:
     @property
     def sheds_ingest(self) -> bool:
         return self.level >= PressureLevel.SHED
-
-
-class ChannelDegradationLadder:
-    """One :class:`DegradationController` per channel, with spill routing.
-
-    Multi-channel delivery changes what "degrade" means: before a
-    pressured channel starts deferring or shedding, its traffic can
-    *spill sideways* to a cheaper channel that still has headroom --
-    push at ``REDUCE_RICH`` hands rich content to in-app before anybody
-    reaches ``SHED``.  ``spill`` maps a channel to its relief channel
-    (e.g. ``{"push": "inapp", "inapp": "email"}``); :meth:`route`
-    follows those edges while the current channel is at or above
-    ``REDUCE_RICH`` *and* the target is strictly less pressured, so
-    spilling never moves traffic onto an equally-overloaded channel and
-    cycles terminate.
-    """
-
-    def __init__(
-        self,
-        channels: list[str] | tuple[str, ...],
-        config: DegradationConfig | None = None,
-        spill: dict[str, str] | None = None,
-    ) -> None:
-        if not channels:
-            raise ValueError("need at least one channel")
-        self.controllers = {
-            name: DegradationController(config) for name in channels
-        }
-        self.spill = dict(spill or {})
-        for source, target in self.spill.items():
-            if source not in self.controllers or target not in self.controllers:
-                raise ValueError(
-                    f"spill edge {source!r} -> {target!r} references an "
-                    "unknown channel"
-                )
-
-    def controller(self, channel: str) -> DegradationController:
-        return self.controllers[channel]
-
-    def update(
-        self,
-        channel: str,
-        now: float,
-        occupancy: float,
-        breaker_open_fraction: float = 0.0,
-    ) -> PressureLevel:
-        """Fold one pressure sample into ``channel``'s controller."""
-        return self.controllers[channel].update(
-            now, occupancy, breaker_open_fraction
-        )
-
-    def level(self, channel: str) -> PressureLevel:
-        return self.controllers[channel].level
-
-    def level_cap(self, channel: str) -> int | None:
-        return self.controllers[channel].level_cap()
-
-    def route(self, channel: str) -> str:
-        """Where ``channel``'s new traffic should go right now.
-
-        Follows spill edges while the current channel is pressured
-        (``REDUCE_RICH`` or worse) and the spill target is strictly less
-        pressured; returns the final channel name.  With every channel
-        calm (or every target just as pressured) the input is returned
-        unchanged.
-        """
-        current = channel
-        visited = {current}
-        while True:
-            level = self.controllers[current].level
-            target = self.spill.get(current)
-            if (
-                level >= PressureLevel.REDUCE_RICH
-                and target is not None
-                and target not in visited
-                and self.controllers[target].level < level
-            ):
-                visited.add(target)
-                current = target
-                continue
-            return current
-
-    def defers_ingest(self, channel: str) -> bool:
-        """Does traffic for ``channel`` defer *after* spill routing?"""
-        return self.controllers[self.route(channel)].defers_ingest
-
-    def sheds_ingest(self, channel: str) -> bool:
-        """Does traffic for ``channel`` shed *after* spill routing?
-
-        This is the ladder's whole point: push at ``SHED`` with a calm
-        in-app spill target does **not** shed -- the traffic re-routes.
-        """
-        return self.controllers[self.route(channel)].sheds_ingest

@@ -1,11 +1,10 @@
-"""Tiered token-bucket rate limiting: global / per-user / per-topic / per-channel.
+"""Tiered token-bucket rate limiting: global / per-user / per-topic.
 
-Fan-out is bounded at several granularities before an event may touch a
+Fan-out is bounded at three granularities before an event may touch a
 queue: one global bucket protects the service, per-user buckets stop a
-single hot recipient from starving the rest, per-topic buckets keep
+single hot recipient from starving the rest, and per-topic buckets keep
 one noisy content kind (e.g. a viral album release) from crowding out
-friend-feed notifications, and per-channel buckets bound each egress
-transport (push gateways throttle independently of e-mail relays).
+friend-feed notifications.
 
 Admission is all-or-nothing: every applicable bucket is *peeked* first
 and tokens are consumed only when all tiers agree, so a denial at the
@@ -74,27 +73,13 @@ class RateLimitConfig:
     per_user_burst: float = 8.0
     per_topic_rate: float | None = None
     per_topic_burst: float = 32.0
-    #: Per delivery-channel tier (push/inapp/email/...), bounding each
-    #: egress transport independently; ``None`` disables it.
-    per_channel_rate: float | None = None
-    per_channel_burst: float = 32.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "global_rate",
-            "per_user_rate",
-            "per_topic_rate",
-            "per_channel_rate",
-        ):
+        for name in ("global_rate", "per_user_rate", "per_topic_rate"):
             rate = getattr(self, name)
             if rate is not None and rate <= 0:
                 raise ValueError(f"{name} must be > 0 when set, got {rate}")
-        for name in (
-            "global_burst",
-            "per_user_burst",
-            "per_topic_burst",
-            "per_channel_burst",
-        ):
+        for name in ("global_burst", "per_user_burst", "per_topic_burst"):
             burst = getattr(self, name)
             if burst < 1:
                 raise ValueError(f"{name} must be >= 1, got {burst}")
@@ -103,12 +88,7 @@ class RateLimitConfig:
     def enabled(self) -> bool:
         return any(
             rate is not None
-            for rate in (
-                self.global_rate,
-                self.per_user_rate,
-                self.per_topic_rate,
-                self.per_channel_rate,
-            )
+            for rate in (self.global_rate, self.per_user_rate, self.per_topic_rate)
         )
 
 
@@ -132,14 +112,8 @@ class TieredRateLimiter:
         )
         self._per_user: dict[int, TokenBucket] = {}
         self._per_topic: dict[ContentKind, TokenBucket] = {}
-        self._per_channel: dict[str, TokenBucket] = {}
         #: Denials by tier name, for health snapshots.
-        self.denials: dict[str, int] = {
-            "global": 0,
-            "user": 0,
-            "topic": 0,
-            "channel": 0,
-        }
+        self.denials: dict[str, int] = {"global": 0, "user": 0, "topic": 0}
 
     def _user_bucket(self, user_id: int, now: float) -> TokenBucket | None:
         if self.config.per_user_rate is None:
@@ -163,29 +137,8 @@ class TieredRateLimiter:
             self._per_topic[kind] = bucket
         return bucket
 
-    def _channel_bucket(self, channel: str, now: float) -> TokenBucket | None:
-        if self.config.per_channel_rate is None:
-            return None
-        bucket = self._per_channel.get(channel)
-        if bucket is None:
-            bucket = TokenBucket(
-                self.config.per_channel_rate, self.config.per_channel_burst, now
-            )
-            self._per_channel[channel] = bucket
-        return bucket
-
-    def allow(
-        self,
-        now: float,
-        user_id: int,
-        kind: ContentKind,
-        channel: str | None = None,
-    ) -> RateDecision:
-        """Check all tiers; consume one token from each only if all pass.
-
-        ``channel`` engages the per-channel tier when the config enables
-        it; callers that do not route per channel simply omit it.
-        """
+    def allow(self, now: float, user_id: int, kind: ContentKind) -> RateDecision:
+        """Check all tiers; consume one token from each only if all pass."""
         tiers: list[tuple[str, TokenBucket]] = []
         if self._global is not None:
             tiers.append(("global", self._global))
@@ -195,10 +148,6 @@ class TieredRateLimiter:
         topic_bucket = self._topic_bucket(kind, now)
         if topic_bucket is not None:
             tiers.append(("topic", topic_bucket))
-        if channel is not None:
-            channel_bucket = self._channel_bucket(channel, now)
-            if channel_bucket is not None:
-                tiers.append(("channel", channel_bucket))
 
         for tier, bucket in tiers:
             if not bucket.peek(now):

@@ -27,6 +27,7 @@ the pressure controller.  All state mutation happens on the event loop
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -65,8 +66,10 @@ class ServiceConfig:
     breaker: CircuitBreakerConfig = field(default_factory=CircuitBreakerConfig)
 
     def __post_init__(self) -> None:
-        if self.round_seconds <= 0:
-            raise ValueError("round_seconds must be positive")
+        if not (math.isfinite(self.round_seconds) and self.round_seconds > 0):
+            raise ValueError(
+                f"round_seconds must be finite and positive, got {self.round_seconds}"
+            )
         if self.queue_bound < 1:
             raise ValueError("queue_bound must be >= 1")
         if self.deferred_bound < 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Union
 
 from repro.core.breaker import BreakerState, CircuitBreakerConfig, SinkCircuit
@@ -165,118 +165,4 @@ class GuardedSink:
                     self.stats.breaker_transitions += 1
                 return True
         self.stats.exhausted += 1
-        return False
-
-
-@dataclass
-class RouterStats:
-    """Cumulative routing counters of one :class:`ChannelSinkRouter`."""
-
-    #: Deliveries handed to each channel's sink (by channel name).
-    routed: dict = field(default_factory=dict)
-    #: Spill hops taken, keyed ``"<from>-><to>"``.
-    spilled: dict = field(default_factory=dict)
-    #: Deliveries whose channel had no sink and no spill route.
-    unroutable: int = 0
-
-
-#: Breaker-state severity for the router's aggregate health view.
-_BREAKER_SEVERITY = {
-    BreakerState.CLOSED: 0,
-    BreakerState.HALF_OPEN: 1,
-    BreakerState.OPEN: 2,
-}
-
-
-class ChannelSinkRouter:
-    """One :class:`GuardedSink` per channel, with spill-over routing.
-
-    Each channel gets its own guarded sink -- independent timeout/retry
-    budgets and, crucially, an *independent circuit breaker*: a dead push
-    gateway opens only the push breaker while in-app and email keep
-    flowing.  ``spill`` maps a channel to the channel that should absorb
-    its traffic when delivery fails or its breaker is open (e.g.
-    ``{"push": "inapp"}``); spill chains are followed until a channel
-    delivers, a cycle closes, or the chain dead-ends.
-
-    The router quacks like a :class:`GuardedSink` (``deliver`` /
-    ``stats`` / ``breaker_state``), so it can be appended to
-    ``NotificationService.sinks`` directly: ``breaker_state`` reports the
-    *most severe* state among the per-channel breakers, which keeps the
-    service's pressure computation conservative.
-    """
-
-    def __init__(
-        self,
-        spill: dict[str, str] | None = None,
-        name: str = "channels",
-    ) -> None:
-        self.name = name
-        self.spill = dict(spill or {})
-        self._sinks: dict[str, GuardedSink] = {}
-        self.router_stats = RouterStats()
-
-    def register(self, channel_name: str, sink: GuardedSink) -> GuardedSink:
-        """Attach ``sink`` as the egress for ``channel_name``."""
-        if channel_name in self._sinks:
-            raise ValueError(f"channel {channel_name!r} already has a sink")
-        self._sinks[channel_name] = sink
-        return sink
-
-    def sink_for(self, channel_name: str) -> GuardedSink | None:
-        return self._sinks.get(channel_name)
-
-    @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(self._sinks)
-
-    @property
-    def breaker_state(self) -> BreakerState:
-        """The most severe breaker state among the per-channel sinks."""
-        worst = BreakerState.CLOSED
-        for sink in self._sinks.values():
-            if _BREAKER_SEVERITY[sink.breaker_state] > _BREAKER_SEVERITY[worst]:
-                worst = sink.breaker_state
-        return worst
-
-    @property
-    def stats(self) -> SinkStats:
-        """Aggregate egress counters summed across the per-channel sinks."""
-        total = SinkStats()
-        for sink in self._sinks.values():
-            for counter, value in vars(sink.stats).items():
-                setattr(total, counter, getattr(total, counter) + value)
-        return total
-
-    def per_channel_stats(self) -> dict[str, SinkStats]:
-        return {name: sink.stats for name, sink in self._sinks.items()}
-
-    async def deliver(self, delivery: Delivery) -> bool:
-        """Route one delivery to its channel's sink, spilling on failure.
-
-        The starting channel is ``delivery.channel`` ("push" on legacy
-        records).  A channel whose guarded delivery fails -- breaker
-        open, retries exhausted, timeout -- hands the delivery to its
-        spill target; each hop is counted in :attr:`router_stats`.
-        """
-        current: str | None = getattr(delivery, "channel", "push") or "push"
-        visited: set[str] = set()
-        while current is not None and current not in visited:
-            visited.add(current)
-            sink = self._sinks.get(current)
-            if sink is not None:
-                self.router_stats.routed[current] = (
-                    self.router_stats.routed.get(current, 0) + 1
-                )
-                if await sink.deliver(delivery):
-                    return True
-            target = self.spill.get(current)
-            if target is not None and target not in visited:
-                key = f"{current}->{target}"
-                self.router_stats.spilled[key] = (
-                    self.router_stats.spilled.get(key, 0) + 1
-                )
-            current = target
-        if not visited & self._sinks.keys():
-            self.router_stats.unroutable += 1
         return False

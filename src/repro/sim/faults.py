@@ -200,29 +200,6 @@ class ScriptedFaultPolicy:
 
 
 @dataclass(frozen=True)
-class CellOutage:
-    """One correlated outage window: a whole cell dark for some rounds.
-
-    Rounds are 0-based indices of the connectivity model's ``step()``
-    sequence (the first round of a run is round 0), so the schedule is
-    deterministic and independent of wall/simulated time.
-    """
-
-    cell: int
-    first_round: int
-    rounds: int
-
-    def __post_init__(self) -> None:
-        if self.first_round < 0:
-            raise ValueError("first_round must be >= 0")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-
-    def active(self, round_index: int) -> bool:
-        return self.first_round <= round_index < self.first_round + self.rounds
-
-
-@dataclass(frozen=True)
 class FlashCrowd:
     """A flash-crowd window on one cell: heavy arrivals for some rounds.
 
@@ -249,62 +226,6 @@ class FlashCrowd:
 
     def active(self, round_index: int) -> bool:
         return self.first_round <= round_index < self.first_round + self.rounds
-
-
-class CellOutageSchedule:
-    """A shared, deterministic schedule of :class:`CellOutage` windows."""
-
-    def __init__(self, outages: list[CellOutage]) -> None:
-        self.outages = tuple(outages)
-
-    def down(self, cell: int, round_index: int) -> bool:
-        return any(
-            outage.cell == cell and outage.active(round_index)
-            for outage in self.outages
-        )
-
-
-class CellCorrelatedConnectivity:
-    """Wrap a connectivity model with a *shared* per-cell outage schedule.
-
-    Unlike :class:`FlakyConnectivity` (independent per-user coin flips),
-    every user whose wrapper points at the same schedule and cell goes
-    dark together -- the correlated tower-outage failure mode.  The
-    wrapper counts its own ``step()`` calls, so all users must be stepped
-    once per round (which the round loop guarantees).
-    """
-
-    def __init__(self, base, cell: int, schedule: CellOutageSchedule) -> None:
-        self.base = base
-        self.cell = cell
-        self.schedule = schedule
-        self._round = -1
-        self._forced_off = schedule.down(cell, 0)
-
-    @property
-    def state(self) -> NetworkState:
-        return NetworkState.OFF if self._forced_off else self.base.state
-
-    @property
-    def connected(self) -> bool:
-        return (not self._forced_off) and self.base.connected
-
-    @property
-    def bandwidth(self) -> float:
-        return 0.0 if self._forced_off else self.base.bandwidth
-
-    def step(self) -> NetworkState:
-        self.base.step()
-        self._round += 1
-        self._forced_off = self.schedule.down(self.cell, self._round)
-        return self.state
-
-    def capacity_per_round(self, round_seconds: float) -> float:
-        if round_seconds < 0:
-            raise ValueError("round duration must be >= 0")
-        if self._forced_off:
-            return 0.0
-        return self.base.capacity_per_round(round_seconds)
 
 
 class FlakyConnectivity:

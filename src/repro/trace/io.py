@@ -331,6 +331,7 @@ class TraceShardStore:
         self._kinds = [TopicKind(value) for value in manifest["kinds"]]
         self.user_ids = np.load(self.path / "user_ids.npy")
         self.offsets = np.load(self.path / "offsets.npy")
+        self._check_index()
         n_records = int(self.offsets[-1])
         self._maps: dict[str, np.ndarray] | None = {}
         for name, dtype_str in manifest["columns"].items():
@@ -349,7 +350,45 @@ class TraceShardStore:
                 # __getitem__ (5x cheaper per slice, 16 slices per view).
                 mapped = np.memmap(column_path, dtype=dtype, mode="r")
                 self._maps[name] = np.asarray(mapped)
+        kind = self._maps["kind"]
+        if kind.size and (kind.min() < 0 or kind.max() >= len(self._kinds)):
+            raise ValueError(
+                f"{self.path / 'kind.bin'}: kind codes span "
+                f"{kind.min()}..{kind.max()}, the manifest lists "
+                f"{len(self._kinds)} kinds"
+            )
         self._position_of: dict[int, int] | None = None
+
+    def _check_index(self) -> None:
+        """Raise ``ValueError`` naming the first broken index invariant.
+
+        A store whose index disagrees with itself would otherwise open
+        and silently re-partition users, or fail with a bare ``KeyError``
+        at the first iteration.
+        """
+        manifest, offsets, user_ids = self.manifest, self.offsets, self.user_ids
+        if set(manifest["columns"]) != set(SHARD_COLUMNS):
+            broken = (
+                f"manifest columns {sorted(manifest['columns'])} are not "
+                f"SHARD_COLUMNS {sorted(SHARD_COLUMNS)}"
+            )
+        elif not len(offsets) == len(user_ids) + 1 == manifest["n_users"] + 1:
+            broken = (
+                f"{len(offsets)} offsets and {len(user_ids)} user ids for "
+                f"{manifest['n_users']} users (need n_users + 1 offsets)"
+            )
+        elif offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            broken = "offsets must start at 0 and never decrease"
+        elif offsets[-1] != manifest["n_records"]:
+            broken = (
+                f"offsets end at {offsets[-1]}, the manifest says "
+                f"{manifest['n_records']} records"
+            )
+        elif len(np.unique(user_ids)) != len(user_ids):
+            broken = "user ids are not unique"
+        else:
+            return
+        raise ValueError(f"{self.path}: {broken}")
 
     @property
     def n_users(self) -> int:

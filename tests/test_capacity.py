@@ -13,6 +13,8 @@ from repro.service import GuardedSink, SimulatedClock, SinkPolicy
 from repro.pubsub.capacity import (
     CapacityConfig,
     CapacityLimitedBroker,
+    CellTopology,
+    SharedCellCapacity,
     select_satisfied_subscribers,
 )
 from repro.pubsub.subscriptions import SubscriptionStore
@@ -56,6 +58,16 @@ class TestConfig:
         )
         assert config.user_capacity(7) == 1
         assert config.user_capacity(8) == 5
+
+
+class TestSharedCellPoolValidation:
+    @pytest.mark.parametrize("pool", [float("nan"), float("inf")])
+    def test_non_finite_pools_are_refused(self, pool):
+        topology = CellTopology(cell_of={1: 0})
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SharedCellCapacity(topology, bytes_per_round=pool)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SharedCellCapacity(topology, bytes_per_round={0: 1_000.0, 1: pool})
 
 
 class TestGreedySelection:

@@ -1,17 +1,15 @@
-"""Multi-channel delivery (ISSUE 9): the Channel abstraction end to end.
+"""Multi-channel delivery: the Channel abstraction end to end.
 
-Unit layers first (cost curves, latency, registry, ChannelSet), then the
-kernel seam (merge_channel_rows_batched), then the runtime contracts:
+Unit layers first (cost curves, registry, ChannelSet), then the kernel
+seam (merge_channel_rows_batched), then the runtime contracts:
 ``channels=None`` *is* the single-passthrough configuration (the paper's
 push-only behaviour), multichannel rounds price energy on wire bytes
 while debiting billed bytes per channel, shared cell pools couple users
-by service order, correlated cell outages dark whole towers, and the
-service layer routes, spills and rate-limits per channel.
+by service order, and the columnar engine codes each delivery's channel.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import accumulate
 
 import numpy as np
@@ -23,7 +21,6 @@ from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.channels import (
     Channel,
     ChannelCostCurve,
-    ChannelLatency,
     ChannelSet,
     builtin_channel,
     default_channel_set,
@@ -38,30 +35,12 @@ from repro.core.content import (
 )
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
-from repro.core.breaker import BreakerState, CircuitBreakerConfig
 from repro.pubsub.capacity import CellTopology, SharedCellCapacity
 from repro.runtime import kernels, registry
 from repro.runtime.loop import RoundLoop
 from repro.runtime.policy import RoundDecision
-from repro.runtime.types import Delivery
-from repro.service import (
-    DegradationConfig,
-    GuardedSink,
-    PressureLevel,
-    RateLimitConfig,
-    SimulatedClock,
-    SinkPolicy,
-    TieredRateLimiter,
-)
-from repro.service.degrade import ChannelDegradationLadder
-from repro.service.sinks import ChannelSinkRouter
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
-from repro.sim.faults import (
-    CellCorrelatedConnectivity,
-    CellOutage,
-    CellOutageSchedule,
-)
 from repro.sim.network import CellularOnlyNetwork
 from tests.test_columnar_segmented import _build, _streams, channel_set, no_channels
 
@@ -121,19 +100,6 @@ class TestCostCurve:
             ChannelCostCurve(overhead_bytes=-1)
         with pytest.raises(ValueError):
             ChannelCostCurve().billed_bytes(-1)
-
-
-class TestLatency:
-    def test_base_plus_throughput(self):
-        latency = ChannelLatency(base_seconds=2.0, bytes_per_second=1_000.0)
-        assert latency.latency_seconds(3_000) == pytest.approx(5.0)
-        assert ChannelLatency(base_seconds=0.5).latency_seconds(10**6) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelLatency(base_seconds=-1.0)
-        with pytest.raises(ValueError):
-            ChannelLatency(bytes_per_second=0.0)
 
 
 class TestChannel:
@@ -435,208 +401,6 @@ class TestSharedCapacityCoupling:
         pool = SharedCellCapacity(topology, bytes_per_round=1_000.0)
         pool.consume(1, 1_000.0)
         assert pool.grant(2, 600.0) == 600.0
-
-
-class TestCellOutage:
-    def test_whole_cell_goes_dark_together(self):
-        schedule = CellOutageSchedule(
-            [CellOutage(cell=0, first_round=1, rounds=1)]
-        )
-        connected = {}
-        for user_id in (1, 2):
-            loop = RoundLoop(
-                MobileDevice(
-                    user_id=user_id,
-                    network=CellCorrelatedConnectivity(
-                        CellularOnlyNetwork(), cell=0, schedule=schedule
-                    ),
-                    battery=BatteryTrace(
-                        [BatterySample(0.0, 0.9, charging=True)]
-                    ),
-                ),
-                DataBudget(theta_bytes=500_000.0),
-                EnergyBudget(kappa_joules=3_000.0),
-                CombinedUtilityModel(),
-                policy=registry.create("richnote"),
-            )
-            loop.enqueue(item(1, user_id=user_id))
-            connected[user_id] = [
-                loop.run_round(now=k * 900.0, round_seconds=900.0).connected
-                for k in range(1, 4)
-            ]
-        assert connected[1] == [True, False, True]
-        assert connected[2] == [True, False, True]
-
-    def test_other_cells_unaffected(self):
-        schedule = CellOutageSchedule(
-            [CellOutage(cell=0, first_round=0, rounds=10)]
-        )
-        network = CellCorrelatedConnectivity(
-            CellularOnlyNetwork(), cell=1, schedule=schedule
-        )
-        network.step()
-        assert network.connected
-
-
-def _delivery(item_id=0, channel="push"):
-    return Delivery(
-        time=0.0,
-        user_id=1,
-        item=item(item_id),
-        level=1,
-        size_bytes=1_000,
-        energy_joules=1.0,
-        utility=0.5,
-        channel=channel,
-    )
-
-
-def _drive(clock, awaitable):
-    return clock.run(awaitable)
-
-
-class TestChannelSinkRouter:
-    def _router(self, clock, behaviours, spill=None):
-        router = ChannelSinkRouter(spill=spill)
-        for name, sink in behaviours.items():
-            router.register(
-                name,
-                GuardedSink(
-                    sink,
-                    clock=clock,
-                    rng=random.Random(3),
-                    policy=SinkPolicy(max_attempts=1),
-                    breaker=CircuitBreakerConfig(failure_threshold=1),
-                    name=name,
-                ),
-            )
-        return router
-
-    def test_routes_by_delivery_channel(self):
-        clock = SimulatedClock()
-        seen = {"push": [], "inapp": []}
-        router = self._router(
-            clock,
-            {
-                "push": lambda d: seen["push"].append(d),
-                "inapp": lambda d: seen["inapp"].append(d),
-            },
-        )
-        assert _drive(clock, router.deliver(_delivery(1, "inapp")))
-        assert _drive(clock, router.deliver(_delivery(2, "push")))
-        assert [d.item.item_id for d in seen["inapp"]] == [1]
-        assert [d.item.item_id for d in seen["push"]] == [2]
-        assert router.router_stats.routed == {"push": 1, "inapp": 1}
-
-    def test_failed_channel_spills_to_relief_channel(self):
-        clock = SimulatedClock()
-        landed = []
-
-        def down(_delivery):
-            raise RuntimeError("push gateway down")
-
-        router = self._router(
-            clock,
-            {"push": down, "inapp": landed.append},
-            spill={"push": "inapp"},
-        )
-        assert _drive(clock, router.deliver(_delivery(7, "push")))
-        assert len(landed) == 1
-        assert router.router_stats.spilled == {"push->inapp": 1}
-
-    def test_unroutable_and_duplicate_registration(self):
-        clock = SimulatedClock()
-        router = self._router(clock, {"push": lambda d: None})
-        assert not _drive(clock, router.deliver(_delivery(1, "email")))
-        assert router.router_stats.unroutable == 1
-        with pytest.raises(ValueError, match="already"):
-            router.register(
-                "push",
-                GuardedSink(
-                    lambda d: None, clock=clock, rng=random.Random(3)
-                ),
-            )
-
-    def test_breaker_state_is_most_severe(self):
-        clock = SimulatedClock()
-
-        def down(_delivery):
-            raise RuntimeError("down")
-
-        router = self._router(
-            clock, {"push": down, "inapp": lambda d: None}
-        )
-        assert router.breaker_state is BreakerState.CLOSED
-        _drive(clock, router.deliver(_delivery(1, "push")))
-        assert router.sink_for("push").breaker_state is BreakerState.OPEN
-        assert router.breaker_state is BreakerState.OPEN
-        # Aggregate stats sum the members.
-        assert router.stats.failures == 1
-
-
-class TestChannelDegradationLadder:
-    CONFIG = DegradationConfig()
-
-    def _ladder(self):
-        return ChannelDegradationLadder(
-            ["push", "inapp"], config=self.CONFIG, spill={"push": "inapp"}
-        )
-
-    def test_pressured_push_spills_to_calm_inapp(self):
-        ladder = self._ladder()
-        ladder.update("push", now=0.0, occupancy=0.95)
-        ladder.update("inapp", now=0.0, occupancy=0.1)
-        assert ladder.level("push") is PressureLevel.SHED
-        assert ladder.route("push") == "inapp"
-        # Shedding is decided post-routing: the relief channel is calm.
-        assert not ladder.sheds_ingest("push")
-
-    def test_no_spill_onto_equally_pressured_channel(self):
-        ladder = self._ladder()
-        ladder.update("push", now=0.0, occupancy=0.95)
-        ladder.update("inapp", now=0.0, occupancy=0.95)
-        assert ladder.route("push") == "push"
-        assert ladder.sheds_ingest("push")
-
-    def test_calm_channel_does_not_route_away(self):
-        ladder = self._ladder()
-        ladder.update("push", now=0.0, occupancy=0.1)
-        ladder.update("inapp", now=0.0, occupancy=0.0)
-        assert ladder.route("push") == "push"
-
-    def test_spill_edges_validated(self):
-        with pytest.raises(ValueError):
-            ChannelDegradationLadder(
-                ["push"], spill={"push": "carrier-pigeon"}
-            )
-        with pytest.raises(ValueError):
-            ChannelDegradationLadder([])
-
-
-class TestPerChannelRateLimit:
-    def test_channel_tier_engages_only_when_configured(self):
-        limiter = TieredRateLimiter(
-            RateLimitConfig(per_channel_rate=1.0, per_channel_burst=1.0)
-        )
-        assert limiter.allow(
-            0.0, user_id=1, kind="friend", channel="push"
-        ).allowed
-        denied = limiter.allow(0.0, user_id=2, kind="friend", channel="push")
-        assert not denied.allowed
-        assert denied.tier == "channel"
-        # A different channel has its own bucket.
-        assert limiter.allow(
-            0.0, user_id=3, kind="friend", channel="inapp"
-        ).allowed
-        assert limiter.denials["channel"] == 1
-
-    def test_no_channel_argument_bypasses_the_tier(self):
-        limiter = TieredRateLimiter(
-            RateLimitConfig(per_channel_rate=1.0, per_channel_burst=1.0)
-        )
-        for user_id in range(5):
-            assert limiter.allow(0.0, user_id=user_id, kind="friend").allowed
-        assert limiter.denials["channel"] == 0
 
 
 class TestColumnarChannelCodes:

@@ -59,11 +59,20 @@ class TestParser:
             (["run", "--users", "-3"], "'-3'"),
             (["figures", "--out", "unused", "--users", "-1"], "'-1'"),
             (["serve", "--users", "0"], "'0'"),
+            (["serve", "--rounds", "0"], "'0'"),
+            (["serve", "--round-seconds", "-5"], "'-5'"),
+            (["serve", "--round-seconds", "nan"], "'nan'"),
+            (["serve", "--queue-bound", "0"], "'0'"),
+            (["bench-channels", "--rounds", "0"], "'0'"),
+            (["bench-channels", "--crowd-users", "0"], "'0'"),
+            (["bench-channels", "--bystanders", "0"], "'0'"),
+            (["bench-channels", "--pool-bytes", "-1"], "'-1'"),
+            (["bench-channels", "--pool-bytes", "nan"], "'nan'"),
         ],
     )
     def test_hostile_values_are_usage_errors_naming_the_entry(self, argv, bad, capsys):
         """Rejected while parsing: the (missing) trace is never opened."""
-        if argv[0] != "serve":
+        if argv[0] not in ("serve", "bench-channels"):
             argv = [*argv, "--trace", "no-such-trace.jsonl"]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

@@ -11,6 +11,7 @@ re-derives expected values by hand.
 
 from __future__ import annotations
 
+import json
 import random
 import tempfile
 
@@ -589,8 +590,82 @@ class TestStreamedUsers:
             assert outcome.delivery_digest == twin.delivery_digest
 
 
+def _rewrite_npy(name, edit):
+    def mutate(store):
+        np.save(store / name, edit(np.load(store / name)))
+
+    return mutate
+
+
+def _rewrite_manifest(edit):
+    def mutate(store):
+        path = store / "index.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    return mutate
+
+
+def _poke_last_kind(code):
+    def mutate(store):
+        kind = np.fromfile(store / "kind.bin", dtype=np.int8)
+        kind[-1] = code
+        kind.tofile(store / "kind.bin")
+
+    return mutate
+
+
+#: case -> (edit of a sealed 4-user store, what the refusal must name).
+#: Unchecked, each store would open silently or fail later, bare.
+HOSTILE_STORES = {
+    "swapped-offsets": (
+        _rewrite_npy("offsets.npy", lambda offsets: offsets[[0, 2, 1, 3, 4]]),
+        "never decrease",
+    ),
+    "offsets-not-from-0": (
+        _rewrite_npy("offsets.npy", lambda offsets: np.r_[1, offsets[1:]]),
+        "start at 0",
+    ),
+    "offsets-short-of-n_records": (
+        _rewrite_manifest(lambda m: m.update(n_records=m["n_records"] + 1)),
+        "the manifest says",
+    ),
+    "user-ids-one-short": (
+        _rewrite_npy("user_ids.npy", lambda ids: ids[:-1]),
+        "3 user ids for 4 users",
+    ),
+    "manifest-n_users": (
+        _rewrite_manifest(lambda m: m.update(n_users=5)),
+        "for 5 users",
+    ),
+    "duplicate-user-ids": (
+        _rewrite_npy("user_ids.npy", lambda ids: ids[[0, 0, 2, 3]]),
+        "not unique",
+    ),
+    "column-dropped-from-manifest": (
+        _rewrite_manifest(lambda m: m["columns"].pop("tie_strength")),
+        "SHARD_COLUMNS",
+    ),
+    "kind-code-past-the-kinds": (_poke_last_kind(len(TopicKind)), "kind codes"),
+    "negative-kind-code": (_poke_last_kind(-1), "kind codes"),
+}
+
+
 class TestShardStore:
     """The packed columnar trace format round-trips records exactly."""
+
+    @pytest.mark.parametrize("case", list(HOSTILE_STORES))
+    def test_broken_index_is_refused_on_open(self, tmp_path, case):
+        mutate, names = HOSTILE_STORES[case]
+        store = tmp_path / "store"
+        pairs = list(iter_users(4, TraceConfig(seed=13)))
+        assert all(records for _, records in pairs)
+        write_shard_store(store, pairs)
+        mutate(store)
+        with pytest.raises(ValueError, match=names) as refused:
+            TraceShardStore(store)
+        assert str(store) in str(refused.value)
 
     def test_roundtrip_exact(self, tmp_path):
         config = TraceConfig(seed=13)

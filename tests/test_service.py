@@ -413,12 +413,7 @@ class TestTieredRateLimiter:
         denied = limiter.allow(0.0, 1, ContentKind.FRIEND_FEED)
         assert not denied.allowed
         assert denied.tier == "user"
-        assert limiter.denials == {
-            "global": 0,
-            "user": 1,
-            "topic": 0,
-            "channel": 0,
-        }
+        assert limiter.denials == {"global": 0, "user": 1, "topic": 0}
         # Another user has their own bucket.
         assert limiter.allow(0.0, 2, ContentKind.FRIEND_FEED).allowed
 
@@ -897,6 +892,11 @@ class TestServiceAdmission:
             ServiceConfig(round_seconds=0.0)
         with pytest.raises(ValueError, match="queue_bound"):
             ServiceConfig(queue_bound=0)
+
+    @pytest.mark.parametrize("round_seconds", [float("nan"), float("inf")])
+    def test_non_finite_round_seconds_are_refused(self, round_seconds):
+        with pytest.raises(ValueError, match="round_seconds"):
+            ServiceConfig(round_seconds=round_seconds)
 
 
 class TestServiceRuns:
