@@ -6,8 +6,8 @@ per round.  That is the right shape for extensibility -- policies,
 fault engines and observers all hook the loop -- but it caps simulations
 at a few hundred users.  This module expresses the *paper-default* round
 semantics (no TTL, no fault engine, no level caps) as columns over a
-whole cohort; a round phase is a handful of array operations over one
-connectivity group, never a loop over users:
+whole cohort; a round phase is a handful of array operations over every
+connected user at once, never a loop over users:
 
 * :class:`ColumnarRoundState` -- the Algorithm 2 state as parallel numpy
   arrays (byte budgets ``B(t)``, energy budgets ``P(t)``, backlog
@@ -22,9 +22,10 @@ connectivity group, never a loop over users:
   :func:`build_device_columns` runs each model as one recurrence across
   a block of users, every user's RNG lane drawn in its scalar order;
 * :class:`ColumnarEngine` -- the phase loop.  Ingest merges the round's
-  slice of a precomputed argsort into the queue; selection stacks a
-  group's queued rows, prices every configured channel's ladder with the
-  Eq. 7 kernels and runs one segmented Algorithm 1
+  slice of a precomputed argsort into the queue; selection stacks the
+  queued rows of every connected user, prices every configured channel's
+  ladder with the Eq. 7 kernels (each row under its user's network state)
+  and runs one segmented Algorithm 1
   (:func:`repro.runtime.kernels.greedy_select`, one segment per user)
   over each item's (channel x level) choice row; delivery debits the
   budget columns and appends :data:`DELIVERY_DTYPE` rows, each naming its
@@ -62,6 +63,7 @@ modules, never :mod:`repro.experiments` or the CLI.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -111,6 +113,7 @@ class ColumnarPolicyError(TypeError):
 
 
 #: Compact per-round connectivity codes used by :class:`DeviceColumns`.
+#: OFF is the last: the engine's per-state tables cover the codes below it.
 STATE_CODES: dict[NetworkState, int] = {
     NetworkState.CELL: 0,
     NetworkState.WIFI: 1,
@@ -128,6 +131,12 @@ def round_times(round_seconds: float, duration_seconds: float) -> list[float]:
     once rounding error compounds.  Battery traces sample with the same
     accumulation, so round ``k`` reads battery sample ``k + 1``.
     """
+    for name, value in (
+        ("round_seconds", round_seconds), ("duration_seconds", duration_seconds)
+    ):
+        # NaN would give zero rounds and inf a clock that never stops.
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if round_seconds <= 0:
         raise ValueError(f"period must be positive, got {round_seconds}")
     times: list[float] = []
@@ -258,11 +267,41 @@ class DeviceColumns:
     ``e_t[k, u]`` is user ``u``'s battery-aware energy replenishment at
     round ``k``; ``states[k, u]`` their connectivity code
     (:data:`STATE_CODES`), or ``None`` when the whole cohort is pinned to
-    CELL (the paper's main cellular-only setup).
+    CELL (the paper's main cellular-only setup).  The engine indexes its
+    per-state tables by code, so a code outside :data:`STATE_CODES` is
+    refused here rather than read as some other state.
     """
 
     e_t: np.ndarray
     states: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.e_t) != 2:
+            raise ValueError(
+                f"e_t must be a (round, user) matrix, got shape {np.shape(self.e_t)}"
+            )
+        states = self.states
+        if states is None:
+            return
+        if not (
+            isinstance(states, np.ndarray) and np.issubdtype(states.dtype, np.integer)
+        ):
+            raise ValueError(
+                "states must be an integer array of STATE_CODES codes, got "
+                f"{getattr(states, 'dtype', type(states).__name__)}"
+            )
+        if states.shape != np.shape(self.e_t):
+            raise ValueError(
+                f"states shaped {states.shape}, expected e_t's {np.shape(self.e_t)}: "
+                "one code per (round, user)"
+            )
+        bad = np.isin(states, list(STATE_CODES.values()), invert=True)
+        if bad.any():
+            k, u = np.argwhere(bad)[0].tolist()
+            raise ValueError(
+                f"states[{k}, {u}] (round {k}, user row {u}) is {states[k, u]}, "
+                f"not a connectivity code in {sorted(STATE_CODES.values())}"
+            )
 
     def tiled(self, copies: int) -> "DeviceColumns":
         """The user axis ``copies`` times over, as :meth:`ColumnarCohort.tiled`."""
@@ -348,8 +387,8 @@ def build_device_columns(
 
 
 #: One realized delivery per row, in the order the engine delivered them
-#: (round by round; within a round by connectivity group, user, and
-#: realized utility descending).  ``index`` is the item's flat cohort
+#: (round by round; within a round by user, then realized utility
+#: descending).  ``index`` is the item's flat cohort
 #: position, ``size`` the wire bytes, ``energy`` the item's share of its
 #: batch energy and ``channel`` indexes ``ColumnarRunResult.channel_names``.
 DELIVERY_DTYPE = np.dtype(
@@ -451,17 +490,19 @@ class ColumnarRunResult:
 
 
 class _Group(NamedTuple):
-    """One connectivity group of one round.
+    """The rows one round selects over: every queued row of a connected user.
 
-    ``flat`` are the group's queued rows (ascending flat item indices, so
-    each member's rows are contiguous and members come in order),
-    ``counts`` the members' queue lengths.
+    ``flat`` are the queued rows (ascending flat item indices, so each
+    member's rows are contiguous and members come in order), ``counts``
+    the members' queue lengths and ``codes`` the round's connectivity
+    code of every user row of the cohort (index it by user), which picks
+    each row's link capacity, energy estimates and radio profile.
     """
 
-    code: int
     flat: np.ndarray
     members: np.ndarray
     counts: np.ndarray
+    codes: np.ndarray
 
 
 class ColumnarEngine:
@@ -470,8 +511,8 @@ class ColumnarEngine:
     Mirrors :class:`repro.runtime.loop.RoundLoop`'s phase sequence --
     ingest, replenish, select, deliver -- but each phase touches columns
     instead of one user's objects.  Selection dispatches on the bound
-    policy: each of the three built-ins selects a whole connectivity
-    group per call, reads the same queue array and ends in the same
+    policy: each of the three built-ins selects every connected user in
+    one call per round, reads the same queue array and ends in the same
     :meth:`_deliver`.
 
     Parameters mirror what the experiment layer derives from its config:
@@ -528,33 +569,34 @@ class ColumnarEngine:
         self._aging = self.utility_model.aging
         self._ladder_total_f = float(cohort.ladder.total_size())
 
-        # Per-state precomputation: round capacity, the selection-time
-        # energy estimator and the radio profile that prices a delivered
-        # batch -- the device's network state is fixed within a round, so
-        # these are pure functions of the state.
+        # Per-state precomputation, as tables indexed by connectivity code
+        # (OFF, the last code, never selects): round capacity, the
+        # selection-time energy estimator and the radio profile that prices
+        # a delivered batch -- the device's network state is fixed within a
+        # round, so these are pure functions of the state.
         energy_model = TransferEnergyModel()
-        states = (NetworkState.CELL, NetworkState.WIFI)
-        self._capacity = {
-            STATE_CODES[state]: DEFAULT_BANDWIDTH_BPS[state] * round_seconds
-            for state in states
-        }
-        self._radio = {
-            STATE_CODES[state]: energy_model.profile(state) for state in states
-        }
-        estimates = {
-            STATE_CODES[state]: partial(
+        by_code = {code: state for state, code in STATE_CODES.items()}
+        states = [by_code[code] for code in range(_OFF_CODE)]
+        self._capacity = np.asarray(
+            [DEFAULT_BANDWIDTH_BPS[state] * round_seconds for state in states]
+        )
+        radios = [energy_model.profile(state) for state in states]
+        self._per_kb_joules = np.asarray([radio.per_kb_joules for radio in radios])
+        self._overhead_joules = np.asarray([radio.overhead_joules for radio in radios])
+        estimates = [
+            partial(
                 energy_model.estimate_for_selection,
                 state,
                 expected_batch=expected_batch,
             )
             for state in states
-        }
+        ]
 
         # Per-channel precomputation: each channel's ladder (the cohort's
         # own on a channel that does not re-render) projected to a billed
-        # size row, a presentation row and per-state energy rows priced on
-        # *wire* bytes, plus dense (channel, level) lookup tables (ragged
-        # rows zero-padded; a selection never indexes past its own
+        # size row, a presentation row and a (state, level) energy table
+        # priced on *wire* bytes, plus dense (channel, level) lookup tables
+        # (ragged rows zero-padded; a selection never indexes past its own
         # channel's ladder).
         ladders = [channel.ladder or cohort.ladder for channel in self.channels]
         wire_rows = [[step.size_bytes for step in ladder] for ladder in ladders]
@@ -566,10 +608,10 @@ class ColumnarEngine:
             np.asarray([step.utility for step in ladder], dtype=np.float64)
             for ladder in ladders
         ]
-        self._energies_rows = {
-            code: [_estimate_row(estimate, wire) for wire in wire_rows]
-            for code, estimate in estimates.items()
-        }
+        self._energies_tables = [
+            np.stack([_estimate_row(estimate, wire) for estimate in estimates])
+            for wire in wire_rows
+        ]
         self._wire_table = _padded_table(wire_rows, np.int64)
         self._billed_table = _padded_table(self._billed_rows, np.int64)
         self._pres_table = _padded_table(self._pres_rows, np.float64)
@@ -708,22 +750,23 @@ class ColumnarEngine:
         self._max_queue = np.maximum(self._max_queue, state.pending)
 
     def _select_and_deliver(self, k: int, now: float) -> None:
-        """Connectivity-gated selection, one call per network-state group."""
+        """Connectivity-gated selection: one call over every queued row of
+        a connected user, whatever their network state."""
         queue = self.state.queue
         row_user = self._user_of[queue]
         counts = np.bincount(row_user, minlength=self.cohort.n_users)
         codes = self._all_cell if self.device.states is None else self.device.states[k]
-        row_codes = codes[row_user]
-        for code in range(_OFF_CODE):
-            flat = queue[row_codes == code]
-            if flat.size:
-                members = np.flatnonzero((counts > 0) & (codes == code))
-                self._select(now, _Group(code, flat, members, counts[members]))
+        connected = codes != _OFF_CODE
+        flat = queue[connected[row_user]]
+        if flat.size:
+            members = np.flatnonzero((counts > 0) & connected)
+            self._select(now, _Group(flat, members, counts[members], codes))
 
     def _budgets(self, group: _Group) -> np.ndarray:
         """Whole-byte round budgets: ``int(min(B(t), link capacity))``."""
         return np.minimum(
-            self.state.data_available[group.members], self._capacity[group.code]
+            self.state.data_available[group.members],
+            self._capacity[group.codes[group.members]],
         ).astype(np.int64)
 
     def _decay_column_at(self, flat: np.ndarray, now: float) -> np.ndarray:
@@ -747,8 +790,8 @@ class ColumnarEngine:
 
     def _adjusted_rows(self, group: _Group, decayed: np.ndarray) -> list[np.ndarray]:
         """Eq. 1 then Eq. 7 for every queued row of a group: one profit
-        matrix per channel, over that channel's presentation row and its
-        energy-estimate row under the group's network state."""
+        matrix per channel, over that channel's presentation row and, per
+        row, its energy-estimate row under the row's network state."""
         cfg = self._lyapunov
         # q = len(queue) * ladder_total: exact int -> float64 conversion,
         # identical bits to the scalar path's float(len * total).
@@ -756,10 +799,11 @@ class ColumnarEngine:
         p_column = np.repeat(
             self.state.energy_available[group.members], group.counts
         )
+        row_codes = np.repeat(group.codes[group.members], group.counts)
         return [
             kernels.lyapunov_adjusted_rows(
                 kernels.combined_utility_matrix(decayed, presentation_row),
-                energies_row,
+                np.take(energies_table, row_codes, axis=0),
                 self._ladder_total_f,
                 q_column,
                 p_column,
@@ -768,8 +812,8 @@ class ColumnarEngine:
                 size_scale=cfg.size_scale,
                 energy_scale=cfg.energy_scale,
             )
-            for presentation_row, energies_row in zip(
-                self._pres_rows, self._energies_rows[group.code]
+            for presentation_row, energies_table in zip(
+                self._pres_rows, self._energies_tables
             )
         ]
 
@@ -826,7 +870,7 @@ class ColumnarEngine:
         utility = decayed[rows] * self._pres_table[channel, level]
         order = self._by_utility(group.flat[rows], utility)
         self._deliver(
-            now, group.code, group.flat[rows][order], level[order], utility[order],
+            now, group.codes, group.flat[rows][order], level[order], utility[order],
             channel[order],
         )
 
@@ -849,7 +893,7 @@ class ColumnarEngine:
         channel -- billed bytes fill the budget, wire bytes price delivery
         -- just like ``FixedLevelPolicy.fill`` on the scalar path.
         """
-        code, flat, members, counts = group
+        flat, members, counts, codes = group
         level = self._level[members]
         size = self._billed_table[0, level]
         affordable = np.where(size > 0, self._budgets(group) // np.maximum(size, 1), counts)
@@ -864,7 +908,7 @@ class ColumnarEngine:
         kept = order[_runs(np.cumsum(scored) - scored, take)]
         self._deliver(
             now,
-            code,
+            codes,
             rows[kept],
             np.repeat(level, take),
             utility[kept],
@@ -876,7 +920,7 @@ class ColumnarEngine:
     def _deliver(
         self,
         now: float,
-        code: int,
+        codes: np.ndarray,
         index: np.ndarray,
         level: np.ndarray,
         utility: np.ndarray,
@@ -886,11 +930,12 @@ class ColumnarEngine:
 
         Rows arrive in delivery order, each user's contiguous.
         Replicates :meth:`repro.runtime.loop.RoundLoop._deliver`'s atomic
-        path per user: one shared batch energy, proportional per-item
-        shares, zero-floored budget debits, queue removal by delivered
-        item.  Wire bytes on the carrying ``channel`` price the batch
-        energy and enter the log (the scalar ``Delivery.size_bytes``)
-        while *billed* bytes drain the data column.
+        path per user: one shared batch energy, priced with the radio
+        profile of the user's connectivity code (``codes``, indexed by
+        user), proportional per-item shares, zero-floored budget debits,
+        queue removal by delivered item.  Wire bytes on the carrying
+        ``channel`` price the batch energy and enter the log (the scalar
+        ``Delivery.size_bytes``) while *billed* bytes drain the data column.
         """
         if not index.size:
             return
@@ -899,13 +944,17 @@ class ColumnarEngine:
         users = self._user_of[index]
         starts = np.flatnonzero(np.diff(users, prepend=-1))
         batch_sizes = np.diff(starts, append=users.size)
-        totals = np.repeat(np.add.reduceat(wire, starts), batch_sizes)
-        radio = self._radio[code]
+        batch_totals = np.add.reduceat(wire, starts)
+        code = codes[users[starts]]
+        batch_energy = (
+            self._per_kb_joules[code] * (batch_totals / 1024.0)
+            + self._overhead_joules[code]
+        )
+        totals = np.repeat(batch_totals, batch_sizes)
         with np.errstate(divide="ignore", invalid="ignore"):  # empty batches
             share = np.where(
                 totals > 0,
-                (radio.per_kb_joules * (totals / 1024.0) + radio.overhead_joules)
-                * (wire / totals),
+                np.repeat(batch_energy, batch_sizes) * (wire / totals),
                 0.0,
             )
         # Debits are sequential ``max(0, x - s)`` float steps per user, so

@@ -158,10 +158,11 @@ def lyapunov_adjusted_rows(
     ``p_joules_column[i]`` carry its user's round-frozen ``Q(t)`` /
     ``P(t)`` -- one scalar each for a single user's queue (the round
     loop), one entry per row for a cohort (broadcast per item by the
-    caller).  ``energies_row`` is the shared per-level energy estimate of
-    the round's network state and ``item_backlog_bytes`` the shared
-    per-item backlog contribution ``s(i)`` (one presentation ladder per
-    call).  Column 0 -- the "not sent" level -- is forced to exactly 0.0.
+    caller).  ``energies_row`` is the per-level energy estimate of the
+    round's network state: one shared row, or one row per item when a
+    cohort's users are in different states.  ``item_backlog_bytes`` is
+    the shared per-item backlog contribution ``s(i)`` (one presentation
+    ladder per call).  Column 0 -- the "not sent" level -- is forced to exactly 0.0.
 
     The order of float operations replicates
     :meth:`repro.core.lyapunov.LyapunovController.adjusted_utility`, the

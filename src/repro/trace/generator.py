@@ -84,6 +84,8 @@ class TraceConfig:
     seed: int = 23
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.duration_hours):
+            raise ValueError(f"duration_hours must be finite, got {self.duration_hours}")
         if self.duration_hours <= 0:
             raise ValueError("duration must be positive")
         if self.listen_rate_scale < 0:

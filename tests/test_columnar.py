@@ -49,6 +49,7 @@ from repro.runtime.columnar import (
     ColumnarCohort,
     ColumnarEngine,
     ColumnarPolicyError,
+    DeviceColumns,
     build_device_columns,
     markov_state_columns,
     round_times,
@@ -221,6 +222,105 @@ class TestRoundGrid:
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError, match="period"):
             round_times(0.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "period,duration,named",
+        [
+            (float("nan"), 100.0, "round_seconds"),
+            (float("inf"), 100.0, "round_seconds"),
+            (3600.0, float("nan"), "duration_seconds"),
+            (3600.0, float("inf"), "duration_seconds"),
+        ],
+    )
+    def test_non_finite_clock_is_refused_naming_the_field(self, period, duration, named):
+        """Unchecked, NaN gives zero rounds and an infinite duration a clock
+        that never stops, growing its tick list until the process dies."""
+        with pytest.raises(ValueError, match=f"{named} must be finite, got"):
+            round_times(period, duration)
+
+
+class TestZeroRoundRun:
+    """A trace shorter than one round is a documented degraded result, not
+    an error: no round runs, so neither engine delivers anything, and both
+    report the same (empty) outcome."""
+
+    @pytest.mark.parametrize("mode", [NetworkMode.CELL_ONLY, NetworkMode.MARKOV])
+    def test_both_engines_deliver_nothing_alike(self, mode):
+        trace = TraceConfig(duration_hours=0.5, seed=31, listen_rate_scale=4.0)
+        pairs = [(u, r) for u, r in iter_users(60, trace) if r]
+        duration = trace.duration_hours * 3600.0
+        config = ExperimentConfig(seed=31, network_mode=mode)
+        assert pairs and round_times(config.round_seconds, duration) == []
+        annotations = UtilityAnnotations(
+            scores={r.notification_id: 0.5 for _, rs in pairs for r in rs}
+        )
+        for spec in SPECS:
+            outcomes = run_users_columnar(
+                pairs, spec, config, annotations, duration, digest_deliveries=True
+            )
+            for (user_id, records), outcome in zip(pairs, outcomes):
+                twin = run_user(
+                    user_id, records, spec, config, annotations, duration,
+                    digest_deliveries=True,
+                )
+                assert outcome.metrics.delivered_notifications == 0
+                assert outcome == twin
+
+
+def _wifi_codes(at=None, code=None, dtype=np.int8):
+    """3 rounds x 2 users all on WIFI, but for one entry."""
+    states = np.full((3, 2), STATE_CODES[NetworkState.WIFI], dtype=dtype)
+    if at is not None:
+        states[at] = code
+    return states
+
+
+class TestDeviceColumnsValidation:
+    """The engine indexes per-state tables by connectivity code, so bad
+    columns are refused at construction, naming the shape or the first bad
+    (round, user): unchecked, a short ``states`` runs silently, a narrow
+    one ends in a bare ``IndexError`` mid-run and a code of -1 reads the
+    WIFI row."""
+
+    E_T = np.zeros((3, 2))
+
+    @pytest.mark.parametrize(
+        "e_t,states,named",
+        [
+            (np.zeros(3), None, r"e_t must be a \(round, user\) matrix, got shape \(3,\)"),
+            (E_T, np.zeros((2, 2), np.int8), r"states shaped \(2, 2\), expected e_t's \(3, 2\)"),
+            (E_T, np.zeros((3, 1), np.int8), r"states shaped \(3, 1\), expected e_t's \(3, 2\)"),
+            (E_T, _wifi_codes((1, 0), -1), r"states\[1, 0\] \(round 1, user row 0\) is -1"),
+            (E_T, _wifi_codes((2, 1), 7), r"states\[2, 1\] \(round 2, user row 1\) is 7"),
+            (E_T, _wifi_codes(dtype=np.float64), "integer array .* got float64"),
+        ],
+        ids=["e_t-1d", "states-short", "states-narrow", "code-minus-1", "code-7", "float"],
+    )
+    def test_bad_columns_are_refused(self, e_t, states, named):
+        with pytest.raises(ValueError, match=named):
+            DeviceColumns(e_t=e_t, states=states)
+
+    def test_every_state_code_is_accepted_and_runs(self):
+        cell, wifi, off = (
+            STATE_CODES[state]
+            for state in (NetworkState.CELL, NetworkState.WIFI, NetworkState.OFF)
+        )
+        states = np.asarray([[off, cell], [wifi, off], [cell, wifi]], dtype=np.int64)
+        device = DeviceColumns(e_t=np.full((3, 2), 1.0), states=states)
+        cohort = ColumnarCohort(
+            user_ids=[1, 2], offsets=[0, 2, 4], item_ids=[10, 11, 12, 13],
+            created_at=[0.0, 0.0, 0.0, 0.0], contents=[0.5, 0.6, 0.7, 0.8],
+            ladder=build_audio_ladder(),
+        )
+        engine = ColumnarEngine(
+            cohort, device, registry.create("fifo", fixed_level=1),
+            theta_bytes=1e7, kappa_joules=30.0, round_seconds=3600.0,
+            duration_seconds=3 * 3600.0,
+        )
+        delivered = engine.run().delivered
+        # Each user's queue drains in their first connected round.
+        assert delivered["user"].tolist() == [1, 1, 0, 0]
+        assert delivered["time"].tolist() == [3600.0, 3600.0, 7200.0, 7200.0]
 
 
 def reference_states(transitions, lane, n_rounds):

@@ -398,20 +398,21 @@ class TestEngineParity:
 
 class TestKernelCallsPerRun:
     @pytest.mark.parametrize(
-        "overrides,make_channels,groups",
+        "overrides,make_channels",
         [
-            ({}, no_channels, 1),
-            ({"network_mode": NetworkMode.MARKOV}, no_channels, 2),
-            ({"network_mode": NetworkMode.MARKOV}, three_channels, 2),
+            ({}, no_channels),
+            ({"network_mode": NetworkMode.MARKOV}, no_channels),
+            ({"network_mode": NetworkMode.MARKOV}, three_channels),
         ],
         ids=["cell", "markov", "markov-channels"],
     )
-    def test_one_segmented_call_per_round_and_group_and_no_heap(
-        self, streams, monkeypatch, overrides, make_channels, groups
+    def test_one_selection_pass_per_round_and_no_heap(
+        self, streams, monkeypatch, overrides, make_channels
     ):
-        """The batched RichNote paths never reach the per-user heap."""
-        calls = {"segmented": 0, "heap": 0}
-        segmented, heap = kernels.greedy_select, kernels.greedy_select_heap
+        """Users on CELL and on WIFI share one call of each selection kernel
+        per round, and the batched RichNote paths never reach the per-user
+        heap."""
+        calls = dict.fromkeys(("segmented", "heap", "merge", "hull"), 0)
 
         def count(name, fn):
             def counted(*args, **kwargs):
@@ -420,15 +421,40 @@ class TestKernelCallsPerRun:
 
             return counted
 
-        monkeypatch.setattr(kernels, "greedy_select", count("segmented", segmented))
-        monkeypatch.setattr(kernels, "greedy_select_heap", count("heap", heap))
+        for name, attribute in (
+            ("segmented", "greedy_select"), ("heap", "greedy_select_heap"),
+            ("merge", "merge_channel_rows_batched"), ("hull", "hull_levels_batched"),
+        ):
+            monkeypatch.setattr(
+                kernels, attribute, count(name, getattr(kernels, attribute))
+            )
         columns, config, spec, engine = _build(
             streams, "richnote", {}, overrides, make_channels
         )
-        result = engine.run()
-        assert len(result.delivered) > 0
-        assert 0 < calls["segmented"] <= result.rounds * groups
+        # States among each selection's members: 2 is a round mixing CELL
+        # and WIFI users, the case one pass per state would call twice.
+        states_selected = []
+        select = engine._select
+
+        def recording(now, group):
+            states_selected.append(np.unique(group.codes[group.members]).size)
+            select(now, group)
+
+        engine._select = recording
+        fused = make_channels is three_channels
+        for _ in engine.times:
+            before = dict(calls)
+            result = engine.run(limit_rounds=1)
+            made = {name: calls[name] - before[name] for name in calls}
+            assert made["segmented"] <= 1
+            assert made["merge"] == made["hull"] == (made["segmented"] if fused else 0)
+        assert len(result.delivered) > 0 and calls["segmented"] > 0
         assert calls["heap"] == 0
+        mixed = states_selected.count(2)
+        if overrides:
+            assert mixed >= 20, states_selected
+        else:
+            assert mixed == 0
         # The counter is live: the scalar runner selects through the heap.
         pairs, annotations, duration = streams
         run_user(

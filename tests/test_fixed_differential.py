@@ -54,7 +54,7 @@ class WholeBacklogEngine(ColumnarEngine):
         return min(self.policy.fixed_level, len(self._billed_rows[0]) - 1)
 
     def _select_fixed(self, now, group):
-        code, flat, _, counts = group
+        flat, _, counts, codes = group
         level = self._fixed_level
         size = self._billed_rows[0][level]
         utility = self._decay_column_at(flat, now) * self._pres_rows[0][level]
@@ -69,7 +69,7 @@ class WholeBacklogEngine(ColumnarEngine):
         rows = by_utility[taken[by_utility]]
         self._deliver(
             now,
-            code,
+            codes,
             flat[rows],
             np.full(rows.size, level, dtype=np.int64),
             utility[rows],

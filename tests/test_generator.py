@@ -138,3 +138,10 @@ class TestWorkload:
             TraceConfig(duration_hours=0)
         with pytest.raises(ValueError):
             TraceConfig(favorite_pick_probability=1.5)
+
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_trace_duration_must_be_finite(self, hours):
+        """NaN passes a positivity check and gives a trace with no round;
+        inf gives a round clock that never stops."""
+        with pytest.raises(ValueError, match="duration_hours must be finite"):
+            TraceConfig(duration_hours=hours)
