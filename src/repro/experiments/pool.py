@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -304,37 +305,41 @@ class _WorkerPool:
         Results fold in completion order, so ``fold`` must be
         order-correcting.  Tasks are idempotent replays of resident
         inputs: when a worker dies the executor is rebuilt -- once per
-        run -- and the failed task plus everything still outstanding is
-        resubmitted, folding identically.  A second break in the same run
-        raises :class:`WorkerPoolBroken` naming ``describe(task)`` of the
-        task that surfaced it: the workload itself is crashing workers,
-        not a transient kill.
+        run -- and every unfinished task is resubmitted, folding
+        identically.  The break may surface on a future or on
+        ``submit`` itself (the executor refuses new work once it knows a
+        worker died); both count.  A second break in the same run raises
+        :class:`WorkerPoolBroken` naming ``describe(task)`` of the task
+        that surfaced it: the workload itself is crashing workers, not a
+        transient kill.
         """
-        pending = {self._executor.submit(function, *task): task for task in tasks}
+        queue = deque(tasks)
+        pending: dict = {}
         restarted = False
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                try:
+        while queue or pending:
+            try:
+                while queue:
+                    surfaced = queue[0]
+                    future = self._executor.submit(function, *surfaced)
+                    pending[future] = queue.popleft()
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    surfaced = pending[future]
                     result = future.result()
-                except BrokenProcessPool as error:
-                    if restarted:
-                        raise WorkerPoolBroken(
-                            f"a worker died again after the run's one restart; the "
-                            f"break surfaced on {describe(task)}, with {len(pending) + 1} "
-                            f"of {len(tasks)} tasks unfinished"
-                        ) from error
-                    restarted = True
-                    self._executor.shutdown(wait=False, cancel_futures=True)
-                    self._executor = self._start()
-                    self.restarts += 1
-                    pending = {
-                        self._executor.submit(function, *retry): retry
-                        for retry in (task, *pending.values())
-                    }
-                    break
-                fold(task, result)
+                    fold(pending.pop(future), result)
+            except BrokenProcessPool as error:
+                if restarted:
+                    raise WorkerPoolBroken(
+                        f"a worker died again after the run's one restart; the "
+                        f"break surfaced on {describe(surfaced)}, with "
+                        f"{len(queue) + len(pending)} of {len(tasks)} tasks unfinished"
+                    ) from error
+                restarted = True
+                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = self._start()
+                self.restarts += 1
+                queue.extendleft(reversed(pending.values()))
+                pending = {}
 
 
 def _contiguous_ranges(

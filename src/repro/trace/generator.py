@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.pubsub.broker import Broker, DeliveryMode, Notification
 from repro.pubsub.subscriptions import SubscriptionStore
@@ -31,7 +34,8 @@ from repro.pubsub.topics import Publication, Topic, TopicKind
 from repro.trace.entities import Catalog, CatalogConfig, generate_catalog
 from repro.trace.interactions import InteractionSimulator
 from repro.trace.interest import LatentInterestModel
-from repro.trace.records import NotificationRecord
+from repro.trace.io import RecordsView
+from repro.trace.records import NotificationRecord, check_record_columns
 from repro.trace.socialgraph import (
     SocialGraph,
     SocialGraphConfig,
@@ -41,8 +45,8 @@ from repro.trace.socialgraph import (
 
 def poisson_sample(rng: random.Random, lam: float) -> int:
     """Knuth's Poisson sampler (adequate for the small per-step rates here)."""
-    if lam < 0:
-        raise ValueError("rate must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {lam}")
     if lam == 0:
         return 0
     if lam > 30:
@@ -88,8 +92,14 @@ class TraceConfig:
             raise ValueError(f"duration_hours must be finite, got {self.duration_hours}")
         if self.duration_hours <= 0:
             raise ValueError("duration must be positive")
-        if self.listen_rate_scale < 0:
-            raise ValueError("rate scale must be >= 0")
+        for name in (
+            "listen_rate_scale",
+            "album_release_rate_per_artist_per_hour",
+            "playlist_update_rate_per_playlist_per_hour",
+        ):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
         if not 0.0 <= self.favorite_pick_probability <= 1.0:
             raise ValueError("favorite pick probability must be in [0, 1]")
 
@@ -339,12 +349,29 @@ def _user_stream_seed(seed: int, user_id: int) -> int:
     return (seed * 1_000_003 + user_id * 7_919 + 101) & 0x7FFFFFFF
 
 
+#: :func:`diurnal_factor` of each whole hour of the day (a function of
+#: ``hour % 24`` alone).
+_DIURNAL = tuple(diurnal_factor(hour) for hour in range(24))
+
+#: Kind codes as :class:`~repro.trace.io.RecordsView` decodes them.
+_KINDS = list(TopicKind)
+_FRIEND = _KINDS.index(TopicKind.FRIEND)
+_ARTIST = _KINDS.index(TopicKind.ARTIST)
+_PLAYLIST = _KINDS.index(TopicKind.PLAYLIST)
+
+#: ``(n, n.bit_length())`` of each ``randrange(n)`` a row draws: sender,
+#: track, album, artist, then the three popularities (``1 + randrange(100)``).
+_RANGES = tuple(
+    (n, n.bit_length()) for n in (1_000_000, 50_000, 10_000, 2_000, 100, 100, 100)
+)
+
+
 def iter_users(
     n_users: int,
     config: TraceConfig | None = None,
     mean_rate_per_hour: float = 0.25,
     first_user_id: int = 0,
-):
+) -> Iterator[tuple[int, RecordsView]]:
     """Lazily generate one user's labelled notification stream at a time.
 
     The full pipeline (:func:`build_workload`) routes every publication
@@ -355,7 +382,7 @@ def iter_users(
     independent* seeded streams: each user's records derive from their
     own :func:`_user_stream_seed` lane, so user ``k``'s stream is
     identical whether you generate 10 users or a million, and peak memory
-    is one user's records.
+    is one user's columns.
 
     Arrivals are Poisson per hour, diurnally modulated
     (:func:`diurnal_factor`) and scaled by a per-user activity level --
@@ -364,65 +391,114 @@ def iter_users(
     shape as the interaction simulator.  Notification ids are globally
     unique (``user_id * 1_000_000 + index``).
 
-    Yields ``(user_id, records)`` with records timestamp-sorted.
+    Yields ``(user_id, records)`` with records timestamp-sorted (ties in
+    draw order).  ``records`` is a :class:`~repro.trace.io.RecordsView`
+    over freshly drawn :data:`~repro.trace.io.SHARD_COLUMNS` arrays -- the
+    type :meth:`TraceShardStore.records_at` returns -- so
+    :class:`~repro.trace.io.ShardStoreWriter` writes it without building
+    a record.  Bad arguments raise ``ValueError`` at the call.
     """
     if n_users < 0:
         raise ValueError("n_users must be >= 0")
+    if not (math.isfinite(mean_rate_per_hour) and mean_rate_per_hour >= 0):
+        raise ValueError(
+            f"mean_rate_per_hour must be finite and >= 0, got {mean_rate_per_hour}"
+        )
     config = config or TraceConfig()
-    hours = int(math.ceil(config.duration_hours))
-    for user_id in range(first_user_id, first_user_id + n_users):
-        rng = random.Random(_user_stream_seed(config.seed, user_id))
-        activity = 0.2 + 1.6 * rng.random()
-        records: list[NotificationRecord] = []
-        for hour in range(hours):
-            hour_start = hour * 3600.0
-            lam = (
-                activity
-                * diurnal_factor(hour % 24)
-                * config.listen_rate_scale
-                * mean_rate_per_hour
+    return (
+        (user_id, _user_records(user_id, config, mean_rate_per_hour))
+        for user_id in range(first_user_id, first_user_id + n_users)
+    )
+
+
+def _user_records(
+    user_id: int, config: TraceConfig, mean_rate_per_hour: float
+) -> RecordsView:
+    """One user's stream, drawn straight into shard-store columns.
+
+    Makes the draws of a record-at-a-time generator in its order, with
+    CPython's own arithmetic: ``randrange(n)`` is ``_randbelow``'s
+    rejection loop on ``getrandbits(n.bit_length())``, ``randrange(1,
+    101)`` is ``1 + randrange(100)``, ``uniform(a, b)`` is ``a + (b -
+    a) * random()``, and an hour's count is :func:`poisson_sample`'s
+    Knuth loop (its own call for a rate of 0 or above 30).  A stable
+    argsort orders the rows by timestamp (the horizon clamp of a
+    non-integer ``duration_hours`` makes ties), and
+    :func:`check_record_columns` holds them to the record invariants.
+    """
+    rng = random.Random(_user_stream_seed(config.seed, user_id))
+    random_, getrandbits = rng.random, rng.getrandbits
+    activity = 0.2 + 1.6 * random_()
+    lams = [
+        activity * factor * config.listen_rate_scale * mean_rate_per_hour
+        for factor in _DIURNAL
+    ]
+    thresholds = [math.exp(-lam) for lam in lams]
+    horizon = config.duration_hours * 3600.0
+    # Per row: 7 ids / popularities, 3 floats, 4 one-byte codes.
+    ints: list[int] = []
+    floats: list[float] = []
+    codes: list[int] = []
+    for hour in range(int(math.ceil(config.duration_hours))):
+        hour_start = hour * 3600.0
+        lam = lams[hour % 24]
+        if 0.0 < lam <= 30.0:
+            count, product, threshold = 0, random_(), thresholds[hour % 24]
+            while product > threshold:
+                count += 1
+                product *= random_()
+        else:
+            count = poisson_sample(rng, lam)
+        for _ in range(count):
+            timestamp = hour_start + 3600.0 * random_()
+            if timestamp > horizon:
+                timestamp = horizon
+            draw = random_()
+            kind = _FRIEND if draw < 0.7 else _ARTIST if draw < 0.9 else _PLAYLIST
+            hovered = random_() < 0.35
+            clicked = hovered and random_() < 0.45
+            for n, bits in _RANGES:
+                value = getrandbits(bits)
+                while value >= n:
+                    value = getrandbits(bits)
+                ints.append(value)
+            tie_strength = random_()
+            codes += (kind, hovered, clicked, random_() < 0.4)
+            floats += (
+                timestamp,
+                tie_strength,
+                timestamp + (30.0 + 7170.0 * random_()) if clicked else math.nan,
             )
-            for _ in range(poisson_sample(rng, lam)):
-                timestamp = min(
-                    hour_start + rng.uniform(0.0, 3600.0),
-                    config.duration_hours * 3600.0,
-                )
-                draw = rng.random()
-                if draw < 0.7:
-                    kind = TopicKind.FRIEND
-                elif draw < 0.9:
-                    kind = TopicKind.ARTIST
-                else:
-                    kind = TopicKind.PLAYLIST
-                hovered = rng.random() < 0.35
-                clicked = hovered and rng.random() < 0.45
-                records.append(
-                    NotificationRecord(
-                        notification_id=user_id * 1_000_000 + len(records),
-                        recipient_id=user_id,
-                        sender_id=rng.randrange(1_000_000),
-                        kind=kind,
-                        track_id=rng.randrange(50_000),
-                        album_id=rng.randrange(10_000),
-                        artist_id=rng.randrange(2_000),
-                        track_popularity=rng.randrange(1, 101),
-                        album_popularity=rng.randrange(1, 101),
-                        artist_popularity=rng.randrange(1, 101),
-                        tie_strength=rng.random(),
-                        is_friend=kind is TopicKind.FRIEND,
-                        favorite_genre=rng.random() < 0.4,
-                        timestamp=timestamp,
-                        hovered=hovered,
-                        clicked=clicked,
-                        click_time=(
-                            timestamp + rng.uniform(30.0, 7200.0)
-                            if clicked
-                            else None
-                        ),
-                    )
-                )
-        records.sort(key=lambda record: record.timestamp)
-        yield user_id, records
+    order = np.argsort(floats[::3], kind="stable")
+    reals = _sorted_columns(floats, np.float64, 3, order)
+    ids = _sorted_columns(ints, np.int64, 7, order)
+    flags = _sorted_columns(codes, np.uint8, 4, order)
+    kind = flags[0].astype(np.int8)
+    columns = {
+        "notification_id": user_id * 1_000_000 + order.astype(np.int64),
+        "sender_id": ids[0],
+        "kind": kind,
+        "track_id": ids[1],
+        "album_id": ids[2],
+        "artist_id": ids[3],
+        "track_popularity": 1 + ids[4].astype(np.int32),
+        "album_popularity": 1 + ids[5].astype(np.int32),
+        "artist_popularity": 1 + ids[6].astype(np.int32),
+        "tie_strength": reals[1],
+        "is_friend": (kind == _FRIEND).view(np.uint8),
+        "favorite_genre": flags[3],
+        "timestamp": reals[0],
+        "hovered": flags[1],
+        "clicked": flags[2],
+        "click_time": reals[2],
+    }
+    check_record_columns(user_id, columns)
+    return RecordsView(user_id, columns, _KINDS)
+
+
+def _sorted_columns(values: list, dtype, width: int, order: np.ndarray) -> np.ndarray:
+    """Row-major draws, ``width`` per row, as contiguous columns in ``order``."""
+    return np.array(values, dtype=dtype).reshape(-1, width)[order].T.copy()
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ Two on-disk shapes, for two access patterns:
   then memory-mapped read-only, so a population-scale trace costs each
   experiment worker address space instead of heap and deserialization
   time.  This is the format the experiment pool ships to workers: a
-  path, not pickled record lists.
+  path, not pickled record lists.  Records cross into and out of it
+  through one column-backed type, :class:`RecordsView`, and one seam,
+  :func:`shard_columns`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import gzip
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
@@ -132,7 +134,11 @@ class ShardStoreWriter:
     Appends one user's records at a time to flat binary column files --
     no buffering of the whole trace, no need to know counts up front --
     then seals the directory with the index arrays and manifest on
-    :meth:`close`.  Use as a context manager:
+    :meth:`close`.  Records reach the files through :func:`shard_columns`:
+    a :class:`RecordsView` (what :func:`repro.trace.generator.iter_users`
+    yields and :meth:`TraceShardStore.records_at` returns) is written
+    from its arrays as they are, any other sequence field by field.  Use
+    as a context manager:
 
     >>> with ShardStoreWriter(tmp_path / "shards") as writer:  # doctest: +SKIP
     ...     for user_id, records in iter_users(10_000):
@@ -142,31 +148,50 @@ class ShardStoreWriter:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._kinds = [kind.value for kind in TopicKind]
-        self._kind_codes = {value: i for i, value in enumerate(self._kinds)}
         self._handles = {
             name: (self.path / f"{name}.bin").open("wb")
             for name in SHARD_COLUMNS
         }
         self._user_ids: list[int] = []
+        self._appended: set[int] = set()
         self._offsets: list[int] = [0]
         self._closed = False
 
     def append(
         self, user_id: int, records: Sequence[NotificationRecord]
     ) -> None:
-        """Append one user's partition (records in their replay order)."""
+        """Append one user's partition (records in their replay order).
+
+        ``recipient_id`` is implied by the partition, so records addressed
+        to another user (a view of another user) and a user id appended
+        before raise ``ValueError`` naming the user, as does a view whose
+        columns are not :data:`SHARD_COLUMNS` dtypes of one length.
+        Nothing is written for a refused partition.
+        """
         if self._closed:
             raise ValueError("shard store writer is closed")
-        # Field by field; numpy stores a ``None`` click time as ``NaN``.
-        columns = {name: [getattr(r, name) for r in records] for name in SHARD_COLUMNS}
-        columns["kind"] = [self._kind_codes[kind.value] for kind in columns["kind"]]
-        for name, dtype in SHARD_COLUMNS.items():
-            np.asarray(columns[name], dtype=np.dtype(dtype)).tofile(
-                self._handles[name]
+        if user_id in self._appended:
+            raise ValueError(f"user {user_id} was already appended")
+        if isinstance(records, RecordsView):
+            strays = [records.user_id] if records.user_id != user_id else []
+        else:
+            strays = [r.recipient_id for r in records if r.recipient_id != user_id]
+        if strays:
+            raise ValueError(
+                f"user {user_id}: records addressed to user {strays[0]}"
             )
+        columns = shard_columns(records, SHARD_COLUMNS)
+        for name, column in zip(SHARD_COLUMNS, columns):
+            if column.dtype != SHARD_COLUMNS[name] or len(column) != len(columns[0]):
+                raise ValueError(
+                    f"user {user_id}: column {name} is {len(column)} x {column.dtype}, "
+                    f"the store takes {len(columns[0])} x {SHARD_COLUMNS[name]}"
+                )
+        for name, column in zip(SHARD_COLUMNS, columns):
+            self._handles[name].write(np.ascontiguousarray(column))
+        self._appended.add(user_id)
         self._user_ids.append(user_id)
-        self._offsets.append(self._offsets[-1] + len(records))
+        self._offsets.append(self._offsets[-1] + len(columns[0]))
 
     def close(self) -> None:
         """Seal the store: flush columns, write index arrays + manifest."""
@@ -188,7 +213,7 @@ class ShardStoreWriter:
             "n_users": len(self._user_ids),
             "n_records": self._offsets[-1],
             "columns": dict(SHARD_COLUMNS),
-            "kinds": self._kinds,
+            "kinds": [kind.value for kind in _KINDS],
         }
         (self.path / "index.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -216,21 +241,24 @@ def write_shard_store(
 
 
 class RecordsView(Sequence):
-    """One user's records as a lazy sequence over shard-store column slices.
+    """One user's records as a lazy sequence over shard-store columns.
 
-    ``column(name)`` is the zero-copy slice of a :data:`SHARD_COLUMNS`
-    column; :class:`NotificationRecord` objects exist only while someone
+    The columns are :data:`SHARD_COLUMNS` arrays: zero-copy slices of a
+    mapped store (:meth:`TraceShardStore.records_at`) or the arrays
+    :func:`repro.trace.generator.iter_users` drew, and ``kinds`` decodes
+    the ``kind`` codes.  ``column(name)`` is the array itself;
+    :class:`NotificationRecord` objects exist only while someone
     iterates or indexes (each pass rebuilds them -- callers that walk the
     records more than once should ``list(view)`` first).  Compares equal
     to any sequence of equal records and prints as the list of them.
     """
 
-    __slots__ = ("user_id", "_columns", "_kinds")
+    __slots__ = ("user_id", "_columns", "kinds")
 
     def __init__(self, user_id: int, columns: dict[str, np.ndarray], kinds) -> None:
         self.user_id = user_id
         self._columns = columns
-        self._kinds = kinds
+        self.kinds = kinds
 
     def column(self, name: str) -> np.ndarray:
         return self._columns[name]
@@ -241,14 +269,14 @@ class RecordsView(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             columns = {name: c[index] for name, c in self._columns.items()}
-            return RecordsView(self.user_id, columns, self._kinds)
+            return RecordsView(self.user_id, columns, self.kinds)
         start = range(len(self))[index]  # normalizes, raises IndexError
         return next(iter(self[start : start + 1]))
 
     def __iter__(self) -> Iterator[NotificationRecord]:
         data = {name: column.tolist() for name, column in self._columns.items()}
         data["recipient_id"] = repeat(self.user_id)
-        data["kind"] = [self._kinds[code] for code in data["kind"]]
+        data["kind"] = [self.kinds[code] for code in data["kind"]]
         for name in ("is_friend", "favorite_genre", "hovered", "clicked"):
             data[name] = map(bool, data[name])
         data["click_time"] = [
@@ -267,24 +295,50 @@ class RecordsView(Sequence):
 
 _RECORD_FIELDS = tuple(field.name for field in fields(NotificationRecord))
 
+#: The kinds a written store's ``kind`` codes index (its manifest's list).
+_KINDS = list(TopicKind)
+
 #: The columns the columnar cohort path reads (all it needs of a record).
 COHORT_COLUMNS = ("notification_id", "timestamp", "clicked", "click_time")
 
 
-def record_columns(records: Sequence[NotificationRecord]) -> tuple[np.ndarray, ...]:
-    """One user's :data:`COHORT_COLUMNS`, in shard-store dtypes.
+def shard_columns(
+    records: Sequence[NotificationRecord], names: Collection[str]
+) -> tuple[np.ndarray, ...]:
+    """One user's columns ``names``, in :data:`SHARD_COLUMNS` dtypes.
 
-    The seam between records and the columnar path: a
-    :class:`RecordsView` serves its mapped slices as they are, any other
-    record sequence is read field by field (numpy turns a ``None``
-    ``click_time`` into ``NaN``, the store's own encoding).
+    The one seam from records to columns.  A :class:`RecordsView` serves
+    its arrays as they are (``kind`` codes remapped to :class:`TopicKind`
+    order if the view's ``kinds`` list another); any other record
+    sequence is read field by field (numpy turns a ``None``
+    ``click_time`` into ``NaN``, the store's own encoding, and a kind
+    becomes its index in :class:`TopicKind`).
     """
     if isinstance(records, RecordsView):
-        return tuple(records.column(name) for name in COHORT_COLUMNS)
+        columns = tuple(records.column(name) for name in names)
+        if "kind" not in names or records.kinds == _KINDS:
+            return columns
+        recode = np.asarray(
+            [_KINDS.index(kind) for kind in records.kinds], dtype=SHARD_COLUMNS["kind"]
+        )
+        return tuple(
+            recode[column] if name == "kind" else column
+            for name, column in zip(names, columns)
+        )
     return tuple(
-        np.asarray([getattr(r, name) for r in records], dtype=SHARD_COLUMNS[name])
-        for name in COHORT_COLUMNS
+        np.asarray(
+            [_KINDS.index(r.kind) for r in records]
+            if name == "kind"
+            else [getattr(r, name) for r in records],
+            dtype=SHARD_COLUMNS[name],
+        )
+        for name in names
     )
+
+
+def record_columns(records: Sequence[NotificationRecord]) -> tuple[np.ndarray, ...]:
+    """One user's :data:`COHORT_COLUMNS`, through :func:`shard_columns`."""
+    return shard_columns(records, COHORT_COLUMNS)
 
 
 class TraceShardStore:

@@ -10,7 +10,10 @@ to one user, with its features and interaction labels.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict
+
+import numpy as np
 
 from repro.pubsub.topics import TopicKind
 
@@ -84,3 +87,28 @@ class NotificationRecord:
         payload = dict(data)
         payload["kind"] = TopicKind(payload["kind"])
         return cls(**payload)
+
+
+def check_record_columns(user_id: int, columns: Mapping[str, np.ndarray]) -> None:
+    """:meth:`NotificationRecord.__post_init__`'s invariants on one user's columns.
+
+    ``columns`` are shard-store columns (``click_time`` ``NaN`` stands for
+    ``None``); the first broken invariant raises ``ValueError`` naming the
+    user and the row.
+    """
+    timestamp, click_time = columns["timestamp"], columns["click_time"]
+    tie_strength = columns["tie_strength"]
+    hovered = columns["hovered"].astype(bool)
+    clicked = columns["clicked"].astype(bool)
+    no_click = np.isnan(click_time)
+    for broken, message in (
+        (~(np.isfinite(timestamp) & (timestamp >= 0)), "timestamp must be finite and >= 0"),
+        (~no_click & ~np.isfinite(click_time), "click time must be finite"),
+        (~((tie_strength >= 0.0) & (tie_strength <= 1.0)), "tie strength must be in [0, 1]"),
+        (clicked & ~hovered, "a click implies mouse attention (hovered)"),
+        (clicked & no_click, "clicked records need a click time"),
+        (click_time < timestamp, "click cannot precede the notification"),
+    ):
+        if broken.any():
+            row = int(np.argmax(broken))
+            raise ValueError(f"user {user_id}, row {row}: {message}")

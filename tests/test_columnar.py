@@ -60,7 +60,13 @@ from repro.sim.network import DEFAULT_TRANSITIONS, MarkovNetworkModel, NetworkSt
 from repro.trace.generator import TraceConfig, build_workload, iter_users
 from repro.pubsub.topics import TopicKind
 from repro.runtime.types import Delivery
-from repro.trace.io import SHARD_COLUMNS, TraceShardStore, write_shard_store
+from repro.trace.io import (
+    SHARD_COLUMNS,
+    RecordsView,
+    ShardStoreWriter,
+    TraceShardStore,
+    write_shard_store,
+)
 from repro.trace.records import NotificationRecord
 
 SPECS = (
@@ -781,6 +787,61 @@ class TestShardStore:
                 assert store.records_for_user(user_id) == records
             streamed = list(store.iter_users())
             assert streamed == [(u, r) for u, r in pairs]
+
+    @pytest.mark.parametrize("as_list", [True, False], ids=["list", "view"])
+    def test_records_of_another_user_are_refused(self, tmp_path, as_list):
+        """``recipient_id`` is not stored: user 1's records under id 99
+        used to read back as user 99's."""
+        (_, first), (user_id, records) = list(iter_users(2, TraceConfig(seed=13)))
+        assert records and user_id == 1
+        records = list(records) if as_list else records
+        with ShardStoreWriter(tmp_path / "store") as writer:
+            writer.append(0, first)
+            with pytest.raises(ValueError, match="user 99: records addressed to user 1"):
+                writer.append(99, records)
+        # The refused partition left nothing behind.
+        with TraceShardStore(tmp_path / "store") as store:
+            assert store.user_ids.tolist() == [0]
+            assert store.records_at(0) == first
+
+    def test_duplicate_user_is_refused_on_append(self, tmp_path):
+        """Used to be written, and refused only when the store was opened."""
+        (user_id, records), = list(iter_users(1, TraceConfig(seed=13)))
+        with ShardStoreWriter(tmp_path / "store") as writer:
+            writer.append(user_id, records)
+            with pytest.raises(ValueError, match=f"user {user_id} was already appended"):
+                writer.append(user_id, list(records))
+        with TraceShardStore(tmp_path / "store") as store:
+            assert store.n_records == len(records)
+
+    def test_view_columns_must_be_shard_dtypes_of_one_length(self, tmp_path):
+        (user_id, view), = list(iter_users(1, TraceConfig(seed=13)))
+        columns = {name: view.column(name) for name in SHARD_COLUMNS}
+        for name, column in (
+            ("timestamp", columns["timestamp"].astype(np.float32)),
+            ("track_popularity", columns["track_popularity"].astype(np.int64)),
+            ("hovered", columns["hovered"][:-1]),
+        ):
+            bad = RecordsView(user_id, {**columns, name: column}, view.kinds)
+            with ShardStoreWriter(tmp_path / name) as writer:
+                with pytest.raises(ValueError, match=f"user {user_id}: column {name}"):
+                    writer.append(user_id, bad)
+
+    def test_view_kind_codes_are_remapped_to_the_writers_kinds(self, tmp_path):
+        (user_id, view), = list(iter_users(1, TraceConfig(seed=13)))
+        kinds = list(reversed(view.kinds))
+        codes = view.column("kind")
+        recoded = np.asarray([kinds.index(view.kinds[c]) for c in codes], dtype=codes.dtype)
+        foreign = RecordsView(
+            user_id,
+            {name: view.column(name) for name in SHARD_COLUMNS} | {"kind": recoded},
+            kinds,
+        )
+        assert foreign == view
+        write_shard_store(tmp_path / "store", [(user_id, foreign)])
+        with TraceShardStore(tmp_path / "store") as store:
+            assert store.records_at(0) == view
+            assert store.column("kind").tolist() == codes.tolist()
 
     def test_rejects_foreign_directory(self, tmp_path):
         with pytest.raises((FileNotFoundError, ValueError)):

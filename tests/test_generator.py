@@ -10,6 +10,7 @@ from repro.trace.generator import (
     WorkloadSpec,
     build_workload,
     diurnal_factor,
+    iter_users,
     poisson_sample,
 )
 from repro.trace.socialgraph import SocialGraphConfig, generate_social_graph
@@ -138,6 +139,22 @@ class TestWorkload:
             TraceConfig(duration_hours=0)
         with pytest.raises(ValueError):
             TraceConfig(favorite_pick_probability=1.5)
+        # Hostile rates: each used to pass, and then gave a trace with no
+        # records (NaN) or an OverflowError deep in the sampler (inf).
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="rate must be finite"):
+            poisson_sample(random.Random(0), nan)
+        for field, rate in (
+            ("listen_rate_scale", nan),
+            ("listen_rate_scale", inf),
+            ("album_release_rate_per_artist_per_hour", -0.5),
+            ("playlist_update_rate_per_playlist_per_hour", nan),
+        ):
+            with pytest.raises(ValueError, match=field):
+                TraceConfig(**{field: rate})
+        for rate in (nan, inf, -1.0):
+            with pytest.raises(ValueError, match="mean_rate_per_hour"):
+                list(iter_users(2, mean_rate_per_hour=rate))
 
     @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
     def test_trace_duration_must_be_finite(self, hours):

@@ -1,10 +1,12 @@
 """Tests for trace records and JSONL serialization."""
 
+import re
+
 import pytest
 
 from repro.pubsub.topics import TopicKind
-from repro.trace.io import iter_trace, read_trace, write_trace
-from repro.trace.records import NotificationRecord
+from repro.trace.io import SHARD_COLUMNS, iter_trace, read_trace, shard_columns, write_trace
+from repro.trace.records import NotificationRecord, check_record_columns
 
 
 def record(**overrides):
@@ -53,6 +55,29 @@ class TestRecordInvariants:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="click time must be finite"):
                 record(click_time=bad)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("timestamp", float("nan"), "timestamp must be finite and >= 0"),
+            ("timestamp", -1.0, "timestamp must be finite and >= 0"),
+            ("click_time", float("inf"), "click time must be finite"),
+            ("tie_strength", 1.5, "tie strength must be in [0, 1]"),
+            ("tie_strength", float("nan"), "tie strength must be in [0, 1]"),
+            ("hovered", 0, "a click implies mouse attention"),
+            ("click_time", float("nan"), "clicked records need a click time"),
+            ("click_time", 999.0, "click cannot precede the notification"),
+        ],
+    )
+    def test_column_check_names_user_and_row(self, name, value, message):
+        """The invariants above, checked on one user's shard columns."""
+        records = [record(notification_id=i) for i in range(3)]
+        columns = dict(zip(SHARD_COLUMNS, shard_columns(records, SHARD_COLUMNS)))
+        check_record_columns(2, columns)
+        columns[name] = columns[name].copy()
+        columns[name][1] = value
+        with pytest.raises(ValueError, match=re.escape(f"user 2, row 1: {message}")):
+            check_record_columns(2, columns)
 
     def test_attended_property(self):
         assert record().attended

@@ -83,6 +83,23 @@ def _crash_always_range(spec, config, start, stop, digest_deliveries):
     os._exit(1)
 
 
+def _refuse_submits(monkeypatch, refused):
+    """``ProcessPoolExecutor.submit`` raises ``BrokenProcessPool`` on the
+    ``refused`` call numbers (from 1, across executors), as it does once
+    it has seen a worker die; it returns ``calls``, the numbers made."""
+    real_submit = ProcessPoolExecutor.submit
+    calls = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        calls.append(len(calls) + 1)
+        if calls[-1] in refused:
+            raise BrokenProcessPool("refused a submit")
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    return calls
+
+
 def _stream_pairs(n_users, seed=41, min_pairs=None):
     pairs = [(u, r) for u, r in iter_users(n_users, TraceConfig(seed=seed)) if r]
     if min_pairs is not None:
@@ -289,6 +306,32 @@ class TestStoreWorkerDeath:
         assert named is not None
         assert (int(named[1]), int(named[2])) in ranges
         assert int(named[3]) <= int(named[4]) == len(ranges)
+
+
+    def test_refused_submit_restarts_and_folds_identically(self, store, monkeypatch):
+        """A break can surface on ``submit`` rather than on a future; it
+        costs the run's one restart like any other (it used to escape raw)."""
+        path, _, duration = store
+        config = ExperimentConfig(seed=41)
+        whole = run_store_columnar_parallel(
+            path, SPEC, config, duration, workers=1, digest_deliveries=True
+        )
+        calls = _refuse_submits(monkeypatch, {3})
+        survived = run_store_columnar_parallel(
+            path, SPEC, config, duration, workers=2, digest_deliveries=True
+        )
+        assert survived == whole
+        # 8 ranges: 2 accepted, the 3rd refused, then all 8 again.
+        assert len(calls) == 3 + 8
+
+    def test_second_refused_submit_raises_typed(self, store, monkeypatch):
+        path, _, duration = store
+        calls = _refuse_submits(monkeypatch, {3, 5})
+        with pytest.raises(WorkerPoolBroken, match=r"store positions \[\d+, \d+\), with 8 of 8 tasks unfinished"):
+            run_store_columnar_parallel(
+                path, SPEC, ExperimentConfig(seed=41), duration, workers=2
+            )
+        assert len(calls) == 5
 
 
 class TestRunCellColumnar:
