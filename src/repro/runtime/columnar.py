@@ -11,19 +11,21 @@ connected user at once, never a loop over users:
 
 * :class:`ColumnarRoundState` -- the Algorithm 2 state as parallel numpy
   arrays (byte budgets ``B(t)``, energy budgets ``P(t)``, backlog
-  ``Q(t)``, pending counts) plus *one* scheduling queue for the whole
-  cohort: the sorted array of queued flat item indices.  Items are
-  user-partitioned and created-at sorted and the ingest round is
-  monotone in created-at, so ascending flat index *is* queue order and
-  a user's queue is the run inside their ``cohort.offsets`` bounds;
+  ``Q(t)``, exact pending counters) plus *one* scheduling queue for the
+  whole cohort: the sorted array of queued *order keys*.  An item's key
+  is fixed when the engine is built: keys are user-partitioned like flat
+  indices (user ``u`` owns ``cohort.offsets[u]:cohort.offsets[u + 1]``)
+  and ascend in that user's selection order -- created-at order, or for
+  a UTIL row the static aging key -- so a user's queue is one contiguous
+  run, found from the pending counters alone;
 * :class:`DeviceColumns` -- per-round connectivity states and battery
   replenishment ``e(t)`` for every user, precomputed from the *same*
   seeded :mod:`repro.sim` models the scalar path steps round by round:
   :func:`build_device_columns` runs each model as one recurrence across
   a block of users, every user's RNG lane drawn in its scalar order;
 * :class:`ColumnarEngine` -- the phase loop.  Ingest merges the round's
-  slice of a precomputed argsort into the queue; selection stacks the
-  queued rows of every connected user, prices every configured channel's
+  slice of a precomputed argsort into the queue; RichNote selection stacks
+  the queued rows of every connected user, prices every configured channel's
   ladder with the Eq. 7 kernels (each row under its user's network state)
   and runs one segmented Algorithm 1
   (:func:`repro.runtime.kernels.greedy_select`, one segment per user)
@@ -397,18 +399,28 @@ DELIVERY_DTYPE = np.dtype(
 )
 
 
+#: How close (absolute) a UTIL entry's static aging key must come to the
+#: last taken entry's for the round to score it too (ColumnarEngine._band).
+_KEY_BAND = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
+#: ``log`` of the smallest normal float64, with some headroom.
+_LOG_NORMAL_FLOOR = math.log(float(np.finfo(np.float64).tiny)) + 2.0
+
+
 @dataclass
 class ColumnarRoundState:
     """Algorithm 2's mutable state as parallel columns over the cohort.
 
     ``queue`` is the whole cohort's scheduling queue as one sorted array
-    of flat item indices: user ``u``'s queue, in queue order, is the run
-    of entries inside ``cohort.offsets[u]:cohort.offsets[u + 1]``.
-    Ingest merges into it and delivery deletes from it; both rebind the
-    attribute, the array itself is never written in place.  The dense
-    arrays carry everything with a fixed per-user width.  ``q_bytes`` and
-    ``pending`` are refreshed to end-of-round snapshots after each round
-    (the values the scalar ``RoundResult`` records).
+    of order keys (:class:`ColumnarEngine`): user ``u``'s queue, in their
+    selection order, is the run ``queue[start:start + pending[u]]`` with
+    ``start = cumsum(pending)[u] - pending[u]``.  ``pending`` is an exact
+    counter: ingest adds each round's arrivals per user, delivery
+    subtracts each user's deliveries, so no round re-derives it from the
+    queue.  Both rebind ``queue`` and ``pending``; those arrays are never
+    written in place.  The dense arrays carry everything with a fixed
+    per-user width.  After a round ``q_bytes`` and ``pending`` hold its
+    end-of-round snapshot (the values the scalar ``RoundResult`` records).
     """
 
     data_available: np.ndarray
@@ -490,7 +502,8 @@ class ColumnarRunResult:
 
 
 class _Group(NamedTuple):
-    """The rows one round selects over: every queued row of a connected user.
+    """The rows a RichNote round selects over: every queued row of a
+    connected user.
 
     ``flat`` are the queued rows (ascending flat item indices, so each
     member's rows are contiguous and members come in order), ``counts``
@@ -621,15 +634,6 @@ class ColumnarEngine:
             np.arange(users, dtype=np.int64), np.diff(cohort.offsets)
         )
         self._all_cell = np.full(users, STATE_CODES[NetworkState.CELL], np.int8)
-        # Ingest schedule: a stable argsort by ingest round keeps each
-        # round's items in flat (= queue) order; items created after the
-        # last round sort past the final offset and never join.
-        rounds = kernels.ingest_round_index(cohort.created_at, self.times)
-        self._ingest_order = np.argsort(rounds, kind="stable")
-        self._ingest_offsets = np.searchsorted(
-            rounds[self._ingest_order], np.arange(n_rounds + 1)
-        )
-
         self.state = ColumnarRoundState(
             data_available=np.zeros(users, dtype=np.float64),
             energy_available=np.full(users, float(kappa_joules)),
@@ -646,6 +650,21 @@ class ColumnarEngine:
         self._next_round = 0
 
         self._bind_policy()
+        # Order keys (ColumnarRoundState): ``_flat_of[key]`` is the key's
+        # flat item, ``None`` where every key is its own flat index.
+        self._flat_of, self._rank_value = self._order_keys()
+        # Ingest schedule: a stable argsort by ingest round keeps each
+        # round's items in key (= queue) order; items created after the
+        # last round sort past the final offset and never join.
+        rounds = kernels.ingest_round_index(cohort.created_at, self.times)
+        if self._flat_of is not None:
+            rounds = rounds[self._flat_of]
+        # Narrow ints take numpy's radix sort.
+        rounds = rounds.astype(np.min_scalar_type(n_rounds))
+        self._ingest_order = np.argsort(rounds, kind="stable")
+        self._ingest_offsets = np.searchsorted(
+            rounds[self._ingest_order], np.arange(n_rounds + 1)
+        )
 
     def _bind_policy(self) -> None:
         per_row = isinstance(self.policy, Sequence)
@@ -692,6 +711,75 @@ class ColumnarEngine:
             self._level = np.broadcast_to(np.asarray(level, dtype=np.int64), (users,))
             self._ranks_queue = np.broadcast_to(np.asarray(ranks, dtype=bool), (users,))
 
+    def _order_keys(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(flat_of, rank_value)`` when some row is UTIL's, else ``(None,
+        None)``: every key is its own flat index, and no array is built.
+
+        A UTIL row orders its items by the static aging key ``log U_c +
+        created_at / tau`` (``log U_c`` without aging), descending, ties in
+        flat order.  Under exponential aging every queued item of a user
+        decays by the same factor from one round to the next, and a row has
+        one fixed level, so this is the order of the realized utilities:
+        fixed at arrival instead of re-sorted every round.  Rounded products
+        can still tie or swap where the keys are within float error, which
+        :meth:`_band` covers.  ``rank_value[key]`` is minus the static key
+        (so it ascends along each user's keys).  FIFO rows keep flat order.
+        So do UTIL rows without a trustworthy static key
+        (:meth:`_has_static_key`); :meth:`_band` then hands them their
+        whole run, scored as the scalar loop scores it.
+        """
+        if type(self.policy) is RichNotePolicy:
+            return None, None
+        # A row's items are all UTIL's or none: these are whole user ranges.
+        ranked = np.flatnonzero(self._ranks_queue[self._user_of])
+        if not ranked.size or not self._has_static_key(ranked):
+            return None, None
+        with np.errstate(divide="ignore"):  # U_c = 0 ranks last, at +inf
+            key = np.log(self.cohort.contents[ranked])
+        if self._aging is not None:
+            key = key + self.cohort.created_at[ranked] / self._aging.tau_seconds
+        order = np.lexsort((-key, self._user_of[ranked]))
+        flat_of = np.arange(self.cohort.n_items)
+        flat_of[ranked] = ranked[order]
+        rank_value = np.zeros(self.cohort.n_items)
+        rank_value[ranked] = -key[order]
+        return flat_of, rank_value
+
+    def _has_static_key(self, ranked: np.ndarray) -> bool:
+        """Whether the static key orders the UTIL rows' items like their
+        realized utilities up to :data:`_KEY_BAND`.
+
+        It needs aging that is off or exponential, every realized utility
+        of a positive ``U_c`` to stay a normal float (the error bound is
+        relative; a subnormal product has none), and the float error of
+        keys and of decayed products -- a few ulps of ``created / tau``,
+        ``log U_c`` and the age -- far below the band.  On the paper's
+        settings (tau 8 h, a trace of weeks) that error is ~1e-13.
+        """
+        aging = self._aging
+        if aging is not None and type(aging) is not ExponentialAging:
+            return False
+        contents = self.cohort.contents[ranked]
+        positive = contents[contents > 0.0]
+        if not positive.size or not self.times:
+            return True  # only exact zeros: they tie, in flat order either way
+        tau = math.inf if aging is None else aging.tau_seconds
+        created = self.cohort.created_at[ranked]
+        end = self.times[-1]
+        presentation = float(self._pres_table[0, self._level[self._ranks_queue]].min())
+        log_content = math.log(float(positive.min()))
+        scale = max(abs(end), float(np.abs(created).max()))
+        key_error = (
+            8 * _EPS * (abs(log_content) + scale / tau + 1.0)
+            + 2 * float(np.spacing(scale)) / tau
+        )
+        return (
+            presentation > 0.0
+            and log_content - (end - float(created.min())) / tau + math.log(presentation)
+            > _LOG_NORMAL_FLOOR
+            and key_error < _KEY_BAND / 8
+        )
+
     # -- the round loop --------------------------------------------------------
 
     def run(self, limit_rounds: int | None = None) -> ColumnarRunResult:
@@ -736,37 +824,31 @@ class ColumnarEngine:
             state.queue = np.insert(
                 state.queue, np.searchsorted(state.queue, joining), joining
             )
+            state.pending = state.pending + np.bincount(
+                self._user_of[joining], minlength=self.cohort.n_users
+            )
         kernels.replenish_data_column(state.data_available, self._theta)
         kernels.replenish_energy_column(
             state.energy_available, self.device.e_t[k], self._kappa
         )
         if state.queue.size:
             self._select_and_deliver(k, now)
-        state.pending = np.bincount(
-            self._user_of[state.queue], minlength=self.cohort.n_users
-        )
         state.q_bytes = state.pending * self._ladder_total_f
         self._backlog_sum = self._backlog_sum + state.q_bytes
         self._max_queue = np.maximum(self._max_queue, state.pending)
 
     def _select_and_deliver(self, k: int, now: float) -> None:
-        """Connectivity-gated selection: one call over every queued row of
-        a connected user, whatever their network state."""
-        queue = self.state.queue
-        row_user = self._user_of[queue]
-        counts = np.bincount(row_user, minlength=self.cohort.n_users)
+        """Connectivity-gated selection: one call over every connected user
+        with a queue, whatever their network state."""
         codes = self._all_cell if self.device.states is None else self.device.states[k]
-        connected = codes != _OFF_CODE
-        flat = queue[connected[row_user]]
-        if flat.size:
-            members = np.flatnonzero((counts > 0) & connected)
-            self._select(now, _Group(flat, members, counts[members], codes))
+        members = np.flatnonzero((self.state.pending > 0) & (codes != _OFF_CODE))
+        if members.size:
+            self._select(now, members, codes)
 
-    def _budgets(self, group: _Group) -> np.ndarray:
+    def _budgets(self, members: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Whole-byte round budgets: ``int(min(B(t), link capacity))``."""
         return np.minimum(
-            self.state.data_available[group.members],
-            self._capacity[group.codes[group.members]],
+            self.state.data_available[members], self._capacity[codes[members]]
         ).astype(np.int64)
 
     def _decay_column_at(self, flat: np.ndarray, now: float) -> np.ndarray:
@@ -825,17 +907,22 @@ class ColumnarEngine:
             lengths,
             self.cohort.item_id_column[group.flat],
             np.concatenate(([0], np.cumsum(group.counts))),
-            self._budgets(group),
+            self._budgets(group.members, group.codes),
         )
 
     def _by_utility(self, flat: np.ndarray, utility: np.ndarray) -> np.ndarray:
-        """Delivery order: per user, realized utility descending; ties keep
-        queue order (the scalar loop's stable ``sort(reverse=True)``)."""
-        return np.lexsort((-utility, self._user_of[flat]))
+        """Delivery order: per user, realized utility descending, ties to the
+        earlier item (the scalar loop's stable ``sort(reverse=True)`` over a
+        created-at queue).  Rows come in key order, which is flat order
+        unless UTIL rows carry static keys: then ties need the flat index."""
+        keys = (-utility, self._user_of[flat])
+        if self._flat_of is not None:
+            keys = (flat, *keys)
+        return np.lexsort(keys)
 
-    def _select_richnote(self, now: float, group: _Group) -> None:
-        """Eq. 7 + Algorithm 1 over every queued item of the group at once:
-        the joint (channel x level) MCKP, one choice row per item.
+    def _select_richnote(self, now: float, members: np.ndarray, codes: np.ndarray) -> None:
+        """Eq. 7 + Algorithm 1 over every queued item of the members at
+        once: the joint (channel x level) MCKP, one choice row per item.
 
         The paper's single push channel hands its rows to Algorithm 1 as
         they are (column ``j`` is level ``j``).  Any other set, as in
@@ -845,6 +932,14 @@ class ColumnarEngine:
         convex hulls (``hull_levels_batched``).  The hull would prune the
         Eq. 7 dips the raw-ladder greedy keeps, so push never takes it.
         """
+        # RichNote keys are flat indices: the members' runs are their rows.
+        queue, pending = self.state.queue, self.state.pending
+        counts = pending[members]
+        if counts.sum() < queue.size:  # some queued users are offline
+            member = np.zeros(pending.size, dtype=bool)
+            member[members] = True
+            queue = queue[np.repeat(member, pending)]
+        group = _Group(queue, members, counts, codes)
         decayed = self._decay_column_at(group.flat, now)
         adjusted = self._adjusted_rows(group, decayed)
         fuse = not self.channels.is_single_passthrough
@@ -874,46 +969,88 @@ class ColumnarEngine:
             channel[order],
         )
 
-    def _select_fixed(self, now: float, group: _Group) -> None:
+    def _select_fixed(self, now: float, members: np.ndarray, codes: np.ndarray) -> None:
         """FIFO/UTIL baselines: greedy-fill at each member's fixed level,
-        scoring only the rows the round can deliver.
+        scoring the head of each member's run and nothing past it.
 
         A member's items all cost the same -- the billed ``size`` of their
         row's level -- so they take the first ``take = min(budget // size,
         count)`` items of their ordering: queue (= created-at) order for
-        FIFO, realized utility descending for UTIL.  FIFO rows therefore
-        decay and sort their first ``take`` queue rows, UTIL rows their
-        whole queue when ``take > 0``, and a round nobody can afford scores
-        nothing.  That is bit-identical to scoring the whole backlog: (1)
-        decay and the ``* U_p`` multiply are elementwise, so a subset gets
-        the same bits; (2) ``_by_utility``'s lexsort is stable and keyed per
-        user, so on whole users (UTIL) or on rows that are all taken (FIFO)
-        it gives the order the full sort gave; (3) a member with ``take ==
-        0`` delivers nothing either way.  Everything rides the primary
-        channel -- billed bytes fill the budget, wire bytes price delivery
-        -- just like ``FixedLevelPolicy.fill`` on the scalar path.
+        FIFO, realized utility descending for UTIL.  Keys put both orders in
+        the queue, so a member's run starts with what they take.  FIFO
+        rows decay their first ``take`` entries; UTIL rows those plus
+        :meth:`_band`'s; a round nobody can afford scores nothing.  That
+        is bit-identical to scoring the whole backlog: (1) decay and the
+        ``* U_p`` multiply are elementwise, so a subset gets the same bits;
+        (2) every row past the band realizes strictly less utility than
+        each of the first ``take``, so it is not taken, and
+        :meth:`_by_utility` orders the scored rows exactly; (3) a member
+        with ``take == 0`` delivers nothing either way.  Everything rides
+        the primary channel -- billed bytes fill the budget, wire bytes
+        price delivery -- just like ``FixedLevelPolicy.fill`` on the scalar
+        path.
         """
-        flat, members, counts, codes = group
+        pending = self.state.pending
+        counts = pending[members]
         level = self._level[members]
         size = self._billed_table[0, level]
-        affordable = np.where(size > 0, self._budgets(group) // np.maximum(size, 1), counts)
-        take = np.minimum(affordable, counts)
+        budgets = self._budgets(members, codes)
+        take = np.minimum(np.where(size > 0, budgets // np.maximum(size, 1), counts), counts)
         if not take.any():
             return
-        scored = np.where(self._ranks_queue[members], counts * (take > 0), take)
-        rows = flat[_runs(np.cumsum(counts) - counts, scored)]
+        starts = (np.cumsum(pending) - pending)[members]  # each member's run
+        scored = take + self._band(members, starts, take, counts)
+        keys = self.state.queue[_runs(starts, scored)]
+        flat = keys if self._flat_of is None else self._flat_of[keys]
         presentation = np.repeat(self._pres_table[0, level], scored)
-        utility = self._decay_column_at(rows, now) * presentation
-        order = self._by_utility(rows, utility)
+        utility = self._decay_column_at(flat, now) * presentation
+        order = self._by_utility(flat, utility)
         kept = order[_runs(np.cumsum(scored) - scored, take)]
         self._deliver(
             now,
             codes,
-            rows[kept],
+            keys[kept],
             np.repeat(level, take),
             utility[kept],
             np.zeros(kept.size, dtype=np.int64),
         )
+
+    def _band(
+        self, members: np.ndarray, starts: np.ndarray, take: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Per member, the entries past their first ``take`` that UTIL must
+        also score: those whose static key is within :data:`_KEY_BAND` of
+        the ``take``-th entry's, or the whole rest of the run when the row
+        has no static key.  FIFO rows and members taking nothing get none.
+
+        The band is orders of magnitude wider than the float error of a key
+        or of a decayed product (:meth:`_has_static_key`), so any entry past
+        it realizes strictly less utility than each of the first ``take``.
+        An entry with ``U_c = 0`` past a zero ``take``-th one needs no band:
+        all realize exactly 0 and tie in flat order, the keys' order.  Most
+        members' next entry is already past the band; the rest binary-search
+        their run.
+        """
+        ranked = self._ranks_queue[members] & (take > 0)
+        if self._rank_value is None:
+            return np.where(ranked, counts - take, 0)
+        band = np.zeros_like(take)
+        open_ = np.flatnonzero(ranked & (take < counts))
+        if not open_.size:
+            return band
+        queue, value = self.state.queue, self._rank_value
+        last = starts[open_] + take[open_] - 1
+        ceiling = value[queue[last]] + _KEY_BAND
+        near = (value[queue[last + 1]] <= ceiling) & (ceiling < math.inf)
+        offsets = self.cohort.offsets
+        for i, top in zip(open_[near].tolist(), ceiling[near].tolist()):
+            # A user's keys ascend in rank value: the band ends at the first
+            # key past ``top``, and so does their run of queued keys.
+            lo, hi = offsets[members[i]], offsets[members[i] + 1]
+            end = lo + np.searchsorted(value[lo:hi], top, side="right")
+            rest = queue[starts[i] + take[i] : starts[i] + counts[i]]
+            band[i] = np.searchsorted(rest, end)
+        return band
 
     # -- delivery --------------------------------------------------------------
 
@@ -921,27 +1058,27 @@ class ColumnarEngine:
         self,
         now: float,
         codes: np.ndarray,
-        index: np.ndarray,
+        keys: np.ndarray,
         level: np.ndarray,
         utility: np.ndarray,
         channel: np.ndarray,
     ) -> None:
-        """Drain a group's delivery queues: debit columns, log rows.
+        """Drain a round's delivery queues: debit columns, log rows.
 
-        Rows arrive in delivery order, each user's contiguous.
-        Replicates :meth:`repro.runtime.loop.RoundLoop._deliver`'s atomic
-        path per user: one shared batch energy, priced with the radio
-        profile of the user's connectivity code (``codes``, indexed by
-        user), proportional per-item shares, zero-floored budget debits,
+        Rows arrive as order keys in delivery order, each user's
+        contiguous.  Replicates :meth:`repro.runtime.loop.RoundLoop._deliver`'s
+        atomic path per user: one shared batch energy, priced with the
+        radio profile of the user's connectivity code (``codes``, indexed
+        by user), proportional per-item shares, zero-floored budget debits,
         queue removal by delivered item.  Wire bytes on the carrying
         ``channel`` price the batch energy and enter the log (the scalar
         ``Delivery.size_bytes``) while *billed* bytes drain the data column.
         """
-        if not index.size:
+        if not keys.size:
             return
         wire = self._wire_table[channel, level]
         billed = self._billed_table[channel, level]
-        users = self._user_of[index]
+        users = self._user_of[keys]
         starts = np.flatnonzero(np.diff(users, prepend=-1))
         batch_sizes = np.diff(starts, append=users.size)
         batch_totals = np.add.reduceat(wire, starts)
@@ -969,6 +1106,7 @@ class ColumnarEngine:
             state.energy_available[who] = np.maximum(
                 0.0, state.energy_available[who] - share[at]
             )
+        index = keys if self._flat_of is None else self._flat_of[keys]
         end = self._n_delivered + users.size
         rows = self._delivered[self._n_delivered : end]
         for name, column in zip(
@@ -977,7 +1115,16 @@ class ColumnarEngine:
         ):
             rows[name] = column
         self._n_delivered = end
-        state.queue = np.delete(state.queue, np.searchsorted(state.queue, index))
+        self._dequeue(keys, users[starts], batch_sizes)
+
+    def _dequeue(self, keys: np.ndarray, users: np.ndarray, counts: np.ndarray) -> None:
+        """Take delivered ``keys`` off the queue, ``counts[i]`` of them
+        (distinct) user ``users[i]``'s."""
+        state = self.state
+        state.queue = np.delete(state.queue, np.searchsorted(state.queue, keys))
+        pending = state.pending.copy()
+        pending[users] -= counts
+        state.pending = pending
 
 
 def _checked_theta(theta_bytes, user_ids: Sequence[int]) -> np.ndarray:

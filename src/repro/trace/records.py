@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,7 +78,8 @@ class NotificationRecord:
         return hour >= 22.0 or hour < 6.0
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        # Every field is a scalar: no ``asdict`` deep copy is needed.
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["kind"] = self.kind.value
         return data
 
@@ -89,26 +90,51 @@ class NotificationRecord:
         return cls(**payload)
 
 
-def check_record_columns(user_id: int, columns: Mapping[str, np.ndarray]) -> None:
-    """:meth:`NotificationRecord.__post_init__`'s invariants on one user's columns.
+_FIELD_NAMES = tuple(field.name for field in fields(NotificationRecord))
 
-    ``columns`` are shard-store columns (``click_time`` ``NaN`` stands for
-    ``None``); the first broken invariant raises ``ValueError`` naming the
-    user and the row.
+
+#: The shard-store columns :func:`first_broken_record` reads.
+CHECKED_COLUMNS = ("timestamp", "click_time", "tie_strength", "hovered", "clicked")
+
+
+def first_broken_record(columns: Mapping[str, np.ndarray]) -> tuple[int, str, str] | None:
+    """:meth:`NotificationRecord.__post_init__`'s invariants over shard-store
+    columns (``click_time`` ``NaN`` stands for ``None``), vectorised.
+
+    Returns ``(row, column, message)`` for the first row that breaks an
+    invariant -- the first one it breaks, in ``__post_init__``'s order,
+    as building the records in row order would raise -- with ``column``
+    the column that breaks it, or ``None`` when every row holds.  The
+    first row of a concatenation is thus the first of its first broken
+    part: a caller may check a long column block by block.
     """
     timestamp, click_time = columns["timestamp"], columns["click_time"]
     tie_strength = columns["tie_strength"]
     hovered = columns["hovered"].astype(bool)
     clicked = columns["clicked"].astype(bool)
     no_click = np.isnan(click_time)
-    for broken, message in (
-        (~(np.isfinite(timestamp) & (timestamp >= 0)), "timestamp must be finite and >= 0"),
-        (~no_click & ~np.isfinite(click_time), "click time must be finite"),
-        (~((tie_strength >= 0.0) & (tie_strength <= 1.0)), "tie strength must be in [0, 1]"),
-        (clicked & ~hovered, "a click implies mouse attention (hovered)"),
-        (clicked & no_click, "clicked records need a click time"),
-        (click_time < timestamp, "click cannot precede the notification"),
+    found = None
+    for column, broken, message in (
+        ("timestamp", ~(np.isfinite(timestamp) & (timestamp >= 0)),
+         "timestamp must be finite and >= 0"),
+        ("click_time", ~no_click & ~np.isfinite(click_time), "click time must be finite"),
+        ("tie_strength", ~((tie_strength >= 0.0) & (tie_strength <= 1.0)),
+         "tie strength must be in [0, 1]"),
+        ("hovered", clicked & ~hovered, "a click implies mouse attention (hovered)"),
+        ("click_time", clicked & no_click, "clicked records need a click time"),
+        ("click_time", click_time < timestamp, "click cannot precede the notification"),
     ):
         if broken.any():
             row = int(np.argmax(broken))
-            raise ValueError(f"user {user_id}, row {row}: {message}")
+            if found is None or row < found[0]:
+                found = (row, column, message)
+    return found
+
+
+def check_record_columns(user_id: int, columns: Mapping[str, np.ndarray]) -> None:
+    """:func:`first_broken_record` on one user's columns: the first broken
+    invariant raises ``ValueError`` naming the user and the row."""
+    broken = first_broken_record(columns)
+    if broken is not None:
+        row, _, message = broken
+        raise ValueError(f"user {user_id}, row {row}: {message}")

@@ -758,8 +758,43 @@ HOSTILE_STORES = {
 }
 
 
+#: case -> (column poked at a clicked row of a sealed store, value, the
+#: invariant's message).  Unchecked, each store opened and handed the
+#: engine a record ``NotificationRecord`` itself refuses.
+HOSTILE_VALUES = {
+    "nan-timestamp": ("timestamp", float("nan"), "timestamp must be finite and >= 0"),
+    "infinite-click-time": ("click_time", float("inf"), "click time must be finite"),
+    "tie-strength-past-1": ("tie_strength", 1.5, "tie strength must be in [0, 1]"),
+    "click-without-hover": ("hovered", 0, "a click implies mouse attention (hovered)"),
+    "click-without-click-time": (
+        "click_time", float("nan"), "clicked records need a click time"
+    ),
+    "click-before-notification": (
+        "click_time", 0.0, "click cannot precede the notification"
+    ),
+}
+
+
 class TestShardStore:
     """The packed columnar trace format round-trips records exactly."""
+
+    @pytest.mark.parametrize("case", list(HOSTILE_VALUES))
+    def test_broken_record_values_are_refused_on_open(self, tmp_path, case):
+        column, value, message = HOSTILE_VALUES[case]
+        store = tmp_path / "store"
+        pairs = list(iter_users(4, TraceConfig(seed=13)))
+        write_shard_store(store, pairs)
+        user_id, records = pairs[2]
+        row = next(i for i, r in enumerate(records) if r.clicked)
+        assert records[row].timestamp > 0.0
+        dtype = json.loads((store / "index.json").read_text())["columns"][column]
+        path = store / f"{column}.bin"
+        data = np.fromfile(path, dtype=dtype)
+        data[sum(len(r) for _, r in pairs[:2]) + row] = value
+        data.tofile(path)
+        with pytest.raises(ValueError) as refused:
+            TraceShardStore(store)
+        assert str(refused.value) == f"{path}: user {user_id}, row {row}: {message}"
 
     @pytest.mark.parametrize("case", list(HOSTILE_STORES))
     def test_broken_index_is_refused_on_open(self, tmp_path, case):

@@ -436,9 +436,9 @@ class TestKernelCallsPerRun:
         states_selected = []
         select = engine._select
 
-        def recording(now, group):
-            states_selected.append(np.unique(group.codes[group.members]).size)
-            select(now, group)
+        def recording(now, members, codes):
+            states_selected.append(np.unique(codes[members]).size)
+            select(now, members, codes)
 
         engine._select = recording
         fused = make_channels is three_channels

@@ -98,6 +98,35 @@ class TestRecordInvariants:
 
 
 class TestTraceIo:
+    def test_lines_are_pinned(self, tmp_path):
+        """``to_dict`` builds the line's dict from the fields directly; the
+        JSONL bytes are those ``dataclasses.asdict`` gave."""
+        records = [
+            record(),
+            record(
+                notification_id=7, kind=TopicKind.ARTIST, tie_strength=0.1,
+                hovered=False, clicked=False, click_time=None,
+            ),
+        ]
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, records)
+        assert path.read_text().splitlines() == [
+            '{"format": "richnote-trace", "version": 1}',
+            '{"album_id": 5, "album_popularity": 65, "artist_id": 6, '
+            '"artist_popularity": 80, "click_time": 1600.0, "clicked": true, '
+            '"favorite_genre": false, "hovered": true, "is_friend": true, '
+            '"kind": "friend", "notification_id": 1, "recipient_id": 2, '
+            '"sender_id": 3, "tie_strength": 0.4, "timestamp": 1000.0, '
+            '"track_id": 4, "track_popularity": 70}',
+            '{"album_id": 5, "album_popularity": 65, "artist_id": 6, '
+            '"artist_popularity": 80, "click_time": null, "clicked": false, '
+            '"favorite_genre": false, "hovered": false, "is_friend": true, '
+            '"kind": "artist", "notification_id": 7, "recipient_id": 2, '
+            '"sender_id": 3, "tie_strength": 0.1, "timestamp": 1000.0, '
+            '"track_id": 4, "track_popularity": 70}',
+        ]
+        assert read_trace(path) == records
+
     def test_round_trip(self, tmp_path):
         records = [
             record(notification_id=i, clicked=False, click_time=None)

@@ -2,10 +2,11 @@
 
 ``ColumnarEngine`` selects a round's CELL and WIFI users in one pass, each
 row priced by its own user's connectivity code.  The oracle is the round
-that ran one selection pass per network state, kept verbatim below as
-``PerGroupEngine``: scalar-code capacity, energy-estimate rows and radio
-profile per group, CELL first, then WIFI.  Both share everything else
-(ingest, the select bodies, queue bookkeeping), so any difference is the
+that ran one selection pass per network state, kept below as
+``PerGroupEngine`` (on the engine's order-key queue and pending counters):
+scalar-code capacity, energy-estimate rows and radio profile per group,
+CELL first, then WIFI.  Both share everything else (ingest, the select
+bodies, queue bookkeeping), so any difference is the
 per-row pricing's or the one pass's.  Within a round the two logs order
 deliveries differently -- (user, utility) against (state, user, utility)
 -- so rows are compared per user, which is all the fold and the digests
@@ -37,7 +38,6 @@ from repro.runtime.columnar import (
     ColumnarEngine,
     DeviceColumns,
     _estimate_row,
-    _Group,
 )
 from repro.sim.energy import TransferEnergyModel
 from repro.sim.network import DEFAULT_BANDWIDTH_BPS, NetworkState
@@ -80,23 +80,18 @@ class PerGroupEngine(ColumnarEngine):
         }
 
     def _select_and_deliver(self, k, now):
-        queue = self.state.queue
-        row_user = self._user_of[queue]
-        counts = np.bincount(row_user, minlength=self.cohort.n_users)
         codes = self._all_cell if self.device.states is None else self.device.states[k]
-        row_codes = codes[row_user]
         groups = 0
         for code in range(_OFF_CODE):
-            flat = queue[row_codes == code]
-            if flat.size:
+            members = np.flatnonzero((self.state.pending > 0) & (codes == code))
+            if members.size:
                 groups += 1
-                members = np.flatnonzero((counts > 0) & (codes == code))
-                self._select(now, _Group(flat, members, counts[members], code))
+                self._select(now, members, code)
         self.mixed_rounds += groups == _OFF_CODE
 
-    def _budgets(self, group):
+    def _budgets(self, members, code):
         return np.minimum(
-            self.state.data_available[group.members], self._capacity[group.codes]
+            self.state.data_available[members], self._capacity[code]
         ).astype(np.int64)
 
     def _adjusted_rows(self, group, decayed):
@@ -122,12 +117,12 @@ class PerGroupEngine(ColumnarEngine):
             )
         ]
 
-    def _deliver(self, now, code, index, level, utility, channel):
-        if not index.size:
+    def _deliver(self, now, code, keys, level, utility, channel):
+        if not keys.size:
             return
         wire = self._wire_table[channel, level]
         billed = self._billed_table[channel, level]
-        users = self._user_of[index]
+        users = self._user_of[keys]
         starts = np.flatnonzero(np.diff(users, prepend=-1))
         batch_sizes = np.diff(starts, append=users.size)
         totals = np.repeat(np.add.reduceat(wire, starts), batch_sizes)
@@ -149,6 +144,7 @@ class PerGroupEngine(ColumnarEngine):
             state.energy_available[who] = np.maximum(
                 0.0, state.energy_available[who] - share[at]
             )
+        index = keys if self._flat_of is None else self._flat_of[keys]
         end = self._n_delivered + users.size
         rows = self._delivered[self._n_delivered : end]
         for name, column in zip(
@@ -157,7 +153,7 @@ class PerGroupEngine(ColumnarEngine):
         ):
             rows[name] = column
         self._n_delivered = end
-        state.queue = np.delete(state.queue, np.searchsorted(state.queue, index))
+        self._dequeue(keys, users[starts], batch_sizes)
 
 
 @cache
