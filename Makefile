@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint analyze analyze-sarif bench-repo artifacts examples clean
+.PHONY: install test chaos lint bench-repo artifacts examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -27,34 +27,6 @@ lint:
 	else \
 		echo "ruff not installed; skipping lint (set REQUIRE_RUFF=1 to fail instead)"; \
 	fi
-
-# Domain-invariant lint (richlint): unit safety, determinism, float and
-# dataclass hygiene, conservation markers, async safety. Four passes:
-#  1. src/ must be clean against the baseline (--stats keeps the baseline
-#     burn-down visible on every run);
-#  2. dogfood: the analyzer must analyze its own sources clean with NO
-#     baseline escape hatch;
-#  3. tests/ + benchmarks/ enforce the scoped rule families that are
-#     meaningful there (determinism R2, dataclass hygiene R4, async
-#     safety R7) -- fixture files for the analyzer itself excluded;
-#  4. everything else runs warn-only (assertion idioms like exact float
-#     equality are fine in tests).
-analyze:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src/repro --stats
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src/repro/analysis --no-baseline
-	PYTHONPATH=src $(PYTHON) -m repro.analysis tests benchmarks \
-		--select R2,R4,R7 --exclude 'tests/fixtures/*'
-	PYTHONPATH=src $(PYTHON) -m repro.analysis tests benchmarks examples \
-		--warn-only --exclude 'tests/fixtures/*'
-
-# Machine-readable results: one SARIF 2.1.0 log for the whole tree
-# (src enforced elsewhere; this pass is for CI artifact + code scanning,
-# so it never gates).
-analyze-sarif:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src/repro tests benchmarks \
-		--warn-only --exclude 'tests/fixtures/*' \
-		--sarif-out richlint.sarif
-	@echo "wrote richlint.sarif"
 
 # The repo benchmark (BENCHMARK.json): every workload's end-to-end
 # metrics in reference seconds, outputs checked against the goldens.

@@ -11,7 +11,6 @@ Subcommands::
     richnote survey
     richnote serve           --rounds 3 --chaos flash-crowd
     richnote bench-channels  --rounds 40
-    richnote lint            src/repro --warn-only
 
 ``generate-trace`` synthesizes a labelled Spotify-like notification trace
 and writes it as JSONL; the other trace-consuming commands load any such
@@ -129,13 +128,15 @@ def _parse_count(text: str, minimum: int) -> int:
     return value
 
 
-def _parse_top_users(text: str) -> int:
-    """``--users N`` of a trace command: the top N users, 0 for all."""
+def _parse_count_or_zero(text: str) -> int:
+    """Zero allowed: ``--users N`` (top N users, 0 for all), ``--workers N``
+    (0 runs sequentially)."""
     return _parse_count(text, 0)
 
 
 def _parse_positive_count(text: str) -> int:
-    """At least one: ``serve`` users, rounds, queue bound; bench sizes."""
+    """At least one: ``serve`` users, rounds, queue bound; bench sizes;
+    survey respondents."""
     return _parse_count(text, 1)
 
 
@@ -373,18 +374,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if error == 0 else 1
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run richlint, the repo's domain-invariant analyzer.
-
-    Delegates to :mod:`repro.analysis.cli` so ``richnote lint``,
-    ``python -m repro.analysis`` and ``make analyze`` share one
-    implementation (flags, exit codes, baseline handling).
-    """
-    from repro.analysis.cli import main as richlint_main
-
-    return richlint_main(args.richlint_args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="richnote",
@@ -414,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="richnote | fifo:<level> | util:<level>")
     run.add_argument("--budget", type=_parse_positive, default=10.0,
                      help="weekly data budget in MB")
-    run.add_argument("--users", type=_parse_top_users, default=0,
+    run.add_argument("--users", type=_parse_count_or_zero, default=0,
                      help="restrict to the top N users (0 = all)")
     run.add_argument("--faults", type=_parse_faults, default=None,
                      help="chaos: fault probabilities, e.g. 0.2 or "
@@ -428,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budgets", type=_parse_budgets, default="1,2,5,10,20,50,100")
     sweep.add_argument("--methods", default="",
                        help="comma list, e.g. richnote,util:3 (default: paper's five)")
-    sweep.add_argument("--users", type=_parse_top_users, default=0)
+    sweep.add_argument("--users", type=_parse_count_or_zero, default=0)
     sweep.add_argument("--faults", type=_parse_faults, default=None,
                        help="chaos: fault probabilities, e.g. 0.2 or "
                             "disconnect=0.2,timeout=0.05")
-    sweep.add_argument("--workers", type=int, default=0,
+    sweep.add_argument("--workers", type=_parse_count_or_zero, default=0,
                        help="run the grid on a persistent worker pool with "
                             "N processes (0 = sequential)")
     sweep.set_defaults(handler=cmd_sweep)
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--trace", required=True)
     figures.add_argument("--out", required=True)
     figures.add_argument("--budgets", type=_parse_budgets, default="1,2,5,10,20,50,100")
-    figures.add_argument("--users", type=_parse_top_users, default=0)
+    figures.add_argument("--users", type=_parse_count_or_zero, default=0)
     figures.add_argument("--faults", type=_parse_faults, default=None,
                          help="chaos: re-render every figure under a fault "
                               "schedule, e.g. disconnect=0.2")
@@ -482,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey = commands.add_parser(
         "survey", help="the Figure 2 presentation-utility pipeline"
     )
-    survey.add_argument("--respondents", type=int, default=80)
+    survey.add_argument("--respondents", type=_parse_positive_count, default=80)
     survey.set_defaults(handler=cmd_survey)
 
     serve = commands.add_parser(
@@ -518,29 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(handler=cmd_serve)
 
-    lint = commands.add_parser(
-        "lint",
-        help="richlint: AST-based domain-invariant analysis "
-        "(unit safety, determinism, conservation)",
-        add_help=False,  # forward everything, including -h, to richlint
-    )
-    lint.add_argument("richlint_args", nargs=argparse.REMAINDER)
-    lint.set_defaults(handler=cmd_lint)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "lint":
-        # Forwarded verbatim: argparse.REMAINDER drops the ball when the
-        # first forwarded token is an option (bpo-17050), so `richnote
-        # lint --list-rules` must bypass the subparser machinery.
-        from repro.analysis.cli import main as richlint_main
-
-        return richlint_main(arguments[1:])
-    parser = build_parser()
-    args = parser.parse_args(arguments)
+    args = build_parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -8,7 +8,7 @@ Media Recommender Systems" (PAPERS.md) motivates treating per-channel
 cost curves as first-class inputs to the utility/cost trade-off; the
 numbers here are illustrative operating points, not measurements.
 
-Layering contract (enforced by richlint RL601): only
+Layering contract (``tests/test_layering.py``): only
 ``repro.core.channels`` may import this module.  Everything else must go
 through the :class:`~repro.core.channels.Channel` objects, so there is
 exactly one place where raw cost tables turn into behaviour.

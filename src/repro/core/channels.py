@@ -23,9 +23,9 @@ bytes (see :func:`repro.runtime.kernels.merge_channel_rows_batched`).
 
 Built-in channels are registered by name (``push`` / ``inapp`` /
 ``email`` / ``messenger``); custom channels plug in via
-:func:`register_channel` (docs/EXTENDING.md section 12).  The raw cost
+:func:`register_channel` (docs/EXTENDING.md section 10).  The raw cost
 tables live in :mod:`repro.core._channel_costs`, which only this module
-may import (richlint RL601).
+may import (``tests/test_layering.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ChannelCostCurve:
     def is_identity(self) -> bool:
         # Exact on purpose: identity pricing is a configured constant
         # (the push channel's 1.0), never the result of arithmetic.
-        return self.per_byte == 1.0 and self.overhead_bytes == 0  # richlint: ignore[RL301] -- config constant, not computed
+        return self.per_byte == 1.0 and self.overhead_bytes == 0
 
     def billed_bytes(self, wire_bytes: int) -> int:
         """Data-budget cost of sending ``wire_bytes`` over this channel."""
@@ -239,7 +239,7 @@ _REGISTRY: dict[str, Callable[[], Channel]] = {
 def register_channel(
     name: str, factory: Callable[[], Channel], *, replace: bool = False
 ) -> None:
-    """Register a channel factory under ``name`` (EXTENDING.md section 12).
+    """Register a channel factory under ``name`` (EXTENDING.md section 10).
 
     The factory must build a :class:`Channel` whose ``name`` matches the
     registered name.  Built-ins can only be shadowed with ``replace=True``.

@@ -41,7 +41,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.analysis.markers import conserves
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem
 from repro.runtime.types import Delivery, DroppedItem, RoundResult
@@ -199,7 +198,6 @@ class DeliveryEngine:
 
     # -- the delivery step ---------------------------------------------------
 
-    @conserves("bytes_debited == bytes_delivered + bytes_refunded + bytes_wasted")
     def deliver_batch(
         self,
         now: float,

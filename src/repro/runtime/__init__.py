@@ -1,6 +1,7 @@
 """The layered scheduling runtime.
 
-Three enforced layers (richlint RL601 guards the import direction):
+Three enforced layers (``tests/test_layering.py`` guards the import
+direction):
 
 1. **Kernels** (:mod:`repro.runtime.kernels`) -- pure, stateless,
    array-oriented math: combined utility, the Eq. 7 Lyapunov adjustment
@@ -15,7 +16,7 @@ Three enforced layers (richlint RL601 guards the import direction):
    which resolve policies through the registry only.
 
 See DESIGN.md section 9 for the layer contracts and docs/EXTENDING.md
-section 7 for writing a custom policy.
+section 6 for writing a custom policy.
 """
 
 from repro.runtime import registry

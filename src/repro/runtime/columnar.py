@@ -58,7 +58,7 @@ engine, not once per user:
 ``after_round`` diagnostics are not replayed -- deliveries and metrics,
 the parity surface, are unaffected.
 
-Layering (richlint RL601): this module sits in the runtime zone -- it
+Layering (``tests/test_layering.py``): this module sits in the runtime zone -- it
 may use :mod:`repro.core`, :mod:`repro.sim` and its sibling runtime
 modules, never :mod:`repro.experiments` or the CLI.
 """

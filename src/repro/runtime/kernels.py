@@ -29,7 +29,7 @@ per-round hot path allocates matrices instead of one object per
   whole record batch in one array pass (the scoring hot path of
   :meth:`repro.experiments.runner.UtilityAnnotations.train`).
 
-Layering contract (enforced by richlint RL601): this module imports
+Layering contract (``tests/test_layering.py``): this module imports
 nothing from the policy or orchestration layers -- only the standard
 library and numpy.  Bit-for-bit parity with the per-object reference
 (``adjusted_profile`` + :func:`repro.core.mckp.select_presentations`) is

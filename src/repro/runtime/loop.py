@@ -26,7 +26,7 @@ code path.
 Each phase is a ``<name>_phase(state)`` method, so subclasses can
 override or extend individual phases without re-implementing the loop.
 The selection rule is a :class:`~repro.runtime.policy.SchedulerPolicy`
-bound via :meth:`RoundLoop.bind_policy` (docs/EXTENDING.md section 7) --
+bound via :meth:`RoundLoop.bind_policy` (docs/EXTENDING.md section 6) --
 the only policy extension point.
 """
 
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (delivery imports us)
     from repro.core.delivery import DeliveryEngine
 
-from repro.analysis.markers import conserves
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.channels import ChannelSet, default_channel_set
 from repro.core.content import ContentItem
@@ -311,7 +310,6 @@ class RoundLoop:
     def deliver_phase(self, state: RoundState) -> None:
         self._deliver(state.now, state.selected, state.result)
 
-    @conserves("billed debit per delivery; wire bytes drawn from the cell pool")
     def _deliver(
         self,
         now: float,

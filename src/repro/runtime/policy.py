@@ -26,7 +26,7 @@ Built-in policies, registered by name in :mod:`repro.runtime.registry`:
 Custom policies need only ``select``, and may return plain
 ``(item, level)`` pairs (the loop routes them over the primary channel);
 ``attach(loop)`` and ``after_round(loop, result)`` are optional lifecycle
-hooks discovered by duck typing (see docs/EXTENDING.md section 7).
+hooks discovered by duck typing (see docs/EXTENDING.md section 6).
 """
 
 from __future__ import annotations

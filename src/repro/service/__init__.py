@@ -26,8 +26,8 @@ package runs them *continuously*, the deployment shape of Section II:
   behind ``richnote serve``.
 
 Every duration in this package is measured on a monotonic clock
-(``time.monotonic`` or simulated time) -- richlint rule RL205 rejects
-wall-clock duration math.
+(``time.monotonic`` or simulated time) -- no wall-clock read appears
+outside ``service/clock.py`` (``tests/test_reproducibility.py::TestHostClock``).
 """
 
 from repro.service.clock import (

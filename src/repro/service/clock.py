@@ -2,8 +2,9 @@
 
 The service measures *durations* -- round periods, delivery timeouts,
 retry backoffs, end-to-end latency -- so it must never read the wall
-clock: NTP steps and DST jumps would corrupt every interval (richlint
-RL205).  :class:`MonotonicClock` wraps ``time.monotonic`` for live runs.
+clock: NTP steps and DST jumps would corrupt every interval
+(``tests/test_reproducibility.py::TestHostClock``).  :class:`MonotonicClock`
+wraps ``time.monotonic`` for live runs.
 
 Tests and chaos scenarios need the opposite of real time:
 :class:`SimulatedClock` keeps a heap of sleepers and fires the earliest
@@ -80,7 +81,7 @@ class MonotonicClock:
     """Live clock: ``time.monotonic`` + ``asyncio.sleep``.
 
     Monotonic by construction -- immune to NTP/DST wall-clock steps, the
-    only safe base for duration math (richlint RL205).
+    only safe base for duration math.
     """
 
     def now(self) -> float:
@@ -133,7 +134,7 @@ class SimulatedClock:
 
     def __init__(self, start: float = 0.0) -> None:
         # Moved only by the selector, i.e. between event-loop callbacks.
-        self._now = float(start)  # richlint: guarded-by(event-loop)
+        self._now = float(start)
         self._seq = itertools.count()
         self._sleepers: list[tuple[float, int, asyncio.Future]] = []
 

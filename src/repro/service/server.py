@@ -94,8 +94,8 @@ class NotificationService:
         self.clock = clock or MonotonicClock()
         # Counters are bumped by the scheduler task, ingest callers and
         # egress tasks alike; all of them run on the one event loop and
-        # never yield mid-update (RL705 discipline).
-        self.stats = ServiceStats()  # richlint: guarded-by(event-loop)
+        # never yield mid-update.
+        self.stats = ServiceStats()
         self.controller = DegradationController(self.config.degradation)
         self.frontier = IngestFrontier(self.config.queue_bound)
         self.limiter = TieredRateLimiter(self.config.rate, self.clock.now())
@@ -110,11 +110,11 @@ class NotificationService:
         #: Written by ingest (append) and the scheduler (readmission
         #: drain); both run on the event loop without yielding between
         #: read and write.
-        self._deferred: list[QueuedEvent] = []  # richlint: guarded-by(event-loop)
+        self._deferred: list[QueuedEvent] = []
         #: item_id -> ingest time, for end-to-end latency + conservation.
         #: Written at admission and settled by egress tasks; every
         #: mutation is a single un-awaited dict op on the event loop.
-        self._inflight: dict[int, float] = {}  # richlint: guarded-by(event-loop)
+        self._inflight: dict[int, float] = {}
         #: Items in the round loops; only :meth:`_fire_round` moves them.
         self._loop_backlog = 0
         #: In-flight egress, a task per delivery; settled before ``run`` returns.

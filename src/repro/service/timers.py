@@ -8,7 +8,8 @@ while each user still ticks exactly once per period.
 
 The offsets come from one ``random.Random(seed)`` stream consumed in
 registration order -- same seed, same user order, same schedule, every
-run (the determinism contract richlint R2 enforces).
+run (the determinism contract ``tests/test_reproducibility.py::TestSeededRng``
+enforces).
 """
 
 from __future__ import annotations

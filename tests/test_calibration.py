@@ -45,6 +45,17 @@ class TestCalibrationCurve:
         assert len(bins) == 1
         assert bins[0].upper == 1.0
 
+    def test_calibration_last_bin_closed_regardless_of_edge_rounding(self):
+        # The closing bin is keyed on its index, not on `upper == 1.0`: p ==
+        # 1.0 must always be binned, also for bin counts whose edge grid is
+        # inexact.
+        for n_bins in (3, 7, 10, 13):
+            y = np.array([1, 0, 1, 1])
+            p = np.array([1.0, 0.0, 0.5, 1.0])
+            bins = calibration_curve(y, p, n_bins=n_bins)
+            assert sum(b.count for b in bins) == len(p)
+            assert bins[-1].count >= 2  # both p == 1.0 samples landed
+
     def test_observed_rate_correct(self):
         y = [1, 0, 1, 1]
         p = [0.72, 0.74, 0.76, 0.78]

@@ -68,16 +68,28 @@ class TestParser:
             (["bench-channels", "--bystanders", "0"], "'0'"),
             (["bench-channels", "--pool-bytes", "-1"], "'-1'"),
             (["bench-channels", "--pool-bytes", "nan"], "'nan'"),
+            (["sweep", "--workers", "-2"], "'-2'"),
+            (["survey", "--respondents", "0"], "'0'"),
+            (["survey", "--respondents", "-3"], "'-3'"),
+            (["sweep", "--workers", "-1"], "'-1'"),
+            (["sweep", "--workers", "two"], "'two'"),
+            (["survey", "--respondents", "1.5"], "'1.5'"),
         ],
     )
     def test_hostile_values_are_usage_errors_naming_the_entry(self, argv, bad, capsys):
         """Rejected while parsing: the (missing) trace is never opened."""
-        if argv[0] not in ("serve", "bench-channels"):
+        if argv[0] not in ("serve", "bench-channels", "survey"):
             argv = [*argv, "--trace", "no-such-trace.jsonl"]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert bad in capsys.readouterr().err
+
+    def test_lint_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "src/repro"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

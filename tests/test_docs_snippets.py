@@ -14,8 +14,8 @@ def python_blocks() -> list[str]:
 
 
 class TestExtendingDoc:
-    def test_has_twelve_walkthroughs(self):
-        assert len(python_blocks()) == 12
+    def test_has_ten_walkthroughs(self):
+        assert len(python_blocks()) == 10
 
     @pytest.mark.parametrize(
         "index,block",

@@ -43,6 +43,15 @@ class TestQuadraticBound:
         tolerance = 1e-9 * max(1.0, abs(bound), q * q, served * served)
         assert realized <= bound + tolerance
 
+    def test_quadratic_drift_bound_tolerance_documented_case(self):
+        # The falsifying example that exposed the cancellation error of the
+        # property's original tolerance.
+        q, served, arrived = 523645.0, 0.0, 1.778266177799848e-07
+        q_next = max(0.0, q - served + arrived)
+        realized = 0.5 * (q_next**2 - q**2)
+        bound = quadratic_drift_bound(q, served, arrived)
+        assert realized <= bound + 1e-9 * max(1.0, q * q)
+
     def test_bound_tight_when_queue_stays_positive_one_sided(self):
         # With b = 0 and Q > a the bound's slack is exactly a*b = 0 term:
         # realized = a^2/2 - Qa; bound = a^2/2 - Qa.

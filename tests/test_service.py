@@ -1173,7 +1173,7 @@ class TestEgressCost:
         assert counts[0] == counts[1]
 
 class TestDeliveryTaskRetention:
-    """Regression pin for richlint RL703 (fire-and-forget tasks).
+    """Regression pin for fire-and-forget egress tasks.
 
     ``_fire_round`` spawns egress with ``asyncio.ensure_future``; the
     event loop holds only *weak* references to tasks, so if the handle
@@ -1203,17 +1203,3 @@ class TestDeliveryTaskRetention:
         asyncio.run(scenario())
         assert service.stats.delivered > 0
         assert service.conservation_error() == 0
-
-    def test_richlint_finds_no_fire_and_forget_in_service_layer(self):
-        from pathlib import Path
-
-        from repro.analysis import analyze_paths
-
-        repo_root = Path(__file__).parent.parent
-        report = analyze_paths(
-            [repo_root / "src" / "repro" / "service"],
-            root=repo_root,
-            select="RL703",
-        )
-        assert not report.parse_errors
-        assert report.findings == []
