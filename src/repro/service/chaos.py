@@ -180,6 +180,8 @@ class FlakySink:
             raise ValueError(
                 f"p_stall must be in [0, {1.0 - p_fail:g}], got {p_stall}"
             )
+        if not stall_seconds >= 0:  # NaN too
+            raise ValueError(f"stall_seconds must be >= 0, got {stall_seconds}")
         self._clock = clock
         self._rng = rng
         self.p_fail = p_fail

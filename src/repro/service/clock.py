@@ -13,9 +13,9 @@ replays in milliseconds and every interleaving is reproducible.
 
 Deadlines are a scope, not a race: ``with clock.timeout(seconds) as scope:``
 cancels the task running the block at its current await when the *service
-clock* reaches the deadline (:class:`DeadlineScope`).  Arming is one heap
-entry on the simulated clock, one ``loop.call_later`` on the live one -- no
-task.  ``asyncio.wait_for`` would read the event loop's real clock instead.
+clock* reaches the deadline, fixed when the scope is made (:class:`DeadlineScope`).
+Arming is one heap entry on the simulated clock, one ``loop.call_at`` on the
+live one -- no task.  ``asyncio.wait_for`` would read the event loop's real clock.
 """
 
 from __future__ import annotations
@@ -35,22 +35,23 @@ def _checked(seconds: float) -> float:
 
 
 class DeadlineScope:
-    """The ``with`` target of :meth:`Clock.timeout`.  ``arm(expire)``
-    schedules ``expire`` on the owning clock and returns a timer with a
-    ``cancel()``.  Past the deadline the timer wins: the block ends in
-    ``TimeoutError`` (``expired`` tells it from one the block raised itself)
-    whatever it did with the cancellation, unless someone else cancelled
-    the task as well -- that propagates."""
+    """The ``with`` target of :meth:`Clock.timeout`.  On entry ``arm(expire)``
+    schedules ``expire`` at the deadline the clock fixed at creation and
+    returns a timer with a ``cancel()``, and the scope binds the task running
+    the block (not the one that made it).  Past the deadline the timer wins:
+    the block ends in ``TimeoutError`` (``expired`` tells it from one the
+    block raised itself) whatever it did with the cancellation, unless
+    someone else cancelled the task as well -- that propagates."""
 
     def __init__(self, seconds: float, arm: Callable) -> None:
         _checked(seconds)
-        self._task = asyncio.current_task()  # RuntimeError outside a loop
-        if self._task is None:
+        if asyncio.current_task() is None:  # RuntimeError outside a loop
             raise RuntimeError("clock.timeout() needs a running task to cancel")
         self._arm = arm
         self.expired = False
 
     def __enter__(self) -> "DeadlineScope":
+        self._task = asyncio.current_task()
         self._timer = self._arm(self._expire)
         return self
 
@@ -91,8 +92,9 @@ class MonotonicClock:
         await asyncio.sleep(max(0.0, _checked(seconds)))
 
     def timeout(self, seconds: float) -> DeadlineScope:
-        call_later = asyncio.get_running_loop().call_later
-        return DeadlineScope(seconds, lambda expire: call_later(max(0.0, seconds), expire))
+        loop = asyncio.get_running_loop()
+        when = loop.time() + max(0.0, _checked(seconds))
+        return DeadlineScope(seconds, lambda expire: loop.call_at(when, expire))
 
 
 class ClockStalled(RuntimeError):
@@ -146,22 +148,24 @@ class SimulatedClock:
         """Sleepers currently parked (diagnostics)."""
         return sum(1 for _, _, f in self._sleepers if not f.done())
 
-    def _park(self, seconds: float) -> asyncio.Future:
+    def _park(self, wake: float, seq: int) -> asyncio.Future:
         future = asyncio.get_running_loop().create_future()
-        heapq.heappush(
-            self._sleepers, (self._now + seconds, next(self._seq), future)
-        )
+        heapq.heappush(self._sleepers, (wake, seq, future))
         return future
 
     async def sleep(self, seconds: float) -> None:
         if _checked(seconds) <= 0:
             await asyncio.sleep(0)
             return
-        await self._park(seconds)
+        await self._park(self._now + seconds, next(self._seq))
 
     def timeout(self, seconds: float) -> DeadlineScope:
+        # The slot is taken now, not on entry: what the block parks before
+        # entering still wakes after an equal deadline.
+        wake, seq = self._now + max(0.0, _checked(seconds)), next(self._seq)
+
         def arm(expire: Callable) -> asyncio.Future:
-            timer = self._park(max(0.0, seconds))
+            timer = self._park(max(wake, self._now), seq)  # never before now
             timer.add_done_callback(expire)
             return timer
 

@@ -81,6 +81,8 @@ class DemoConfig:
         for name in ("sink_fail", "sink_stall", "p_outage"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability in [0, 1]")
+        if not self.sink_stall_seconds >= 0:  # NaN too
+            raise ValueError(f"sink_stall_seconds must be >= 0, got {self.sink_stall_seconds}")
 
     def service_config(self) -> ServiceConfig:
         if self.service is not None:

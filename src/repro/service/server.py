@@ -18,10 +18,10 @@ One service instance owns, per Section IV's deployment shape:
   down again as pressure clears.
 
 The scheduler is a single asyncio task: it sleeps on the service clock
-until the next round deadline, drains due users' queues into their
-loops, runs the rounds, pushes deliveries through the sinks, and updates
-the pressure controller.  All state mutation happens on the event loop
--- no locks, deterministic under the simulated clock.
+until the next round deadline, updates the pressure controller, drains
+due users' queues into their loops, runs the rounds and hands the
+tick's deliveries to one egress task.  All state mutation happens on the
+event loop -- no locks, deterministic under the simulated clock.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class NotificationService:
         self._inflight: dict[int, float] = {}
         #: Items in the round loops; only :meth:`_fire_round` moves them.
         self._loop_backlog = 0
-        #: In-flight egress, a task per delivery; settled before ``run`` returns.
+        #: In-flight egress: a task per tick, one per sink call that has to
+        #: wait; settled before ``run`` returns.
         self._delivery_tasks: list[asyncio.Task] = []
         self._stop_requested = False
         self._started = False
@@ -295,21 +296,29 @@ class NotificationService:
             if end is not None and deadline > end + 1e-9:
                 break
             await self.clock.sleep(deadline - self.clock.now())
-            now = self.clock.now()
-            self.stats.ticks += 1
-            self._update_pressure(now)
-            self._readmit_deferred()
-            for user_id in self.timers.due(now):
-                self._fire_round(user_id, now)
-            self._reap_delivery_tasks()
+            self._tick(self.clock.now())
         # Round timers never wait on egress; settle what is still in
-        # flight before reporting the run complete.
-        if self._delivery_tasks:
-            await asyncio.gather(*self._delivery_tasks)
-            self._delivery_tasks.clear()
+        # flight (continuations spawn meanwhile) before reporting the run complete.
+        while self._delivery_tasks:
+            tasks, self._delivery_tasks = self._delivery_tasks, []
+            await asyncio.gather(*tasks)
 
-    def _fire_round(self, user_id: int, now: float) -> None:
-        """Run one user's round; egress continues as a background task per delivery."""
+    def _tick(self, now: float) -> None:
+        """Fire every due round; their deliveries leave in one egress task (a
+        deadline needs a running task), whose first step runs once the
+        scheduler has parked again, so egress's heap entries follow its."""
+        self.stats.ticks += 1
+        self._update_pressure(now)
+        self._readmit_deferred()
+        deliveries: list[Delivery] = []
+        for user_id in self.timers.due(now):
+            deliveries += self._fire_round(user_id, now)
+        if deliveries:
+            self._delivery_tasks.append(asyncio.ensure_future(self._egress(deliveries)))
+        self._reap_delivery_tasks()
+
+    def _fire_round(self, user_id: int, now: float) -> list[Delivery]:
+        """Run one user's round; returns its deliveries for the tick's egress."""
         loop = self.loop_for(user_id)
         backlog_before = loop.pending_items
         for event in self.frontier.drain(user_id):
@@ -320,8 +329,7 @@ class NotificationService:
         self.stats.rounds_run += 1
         for dropped in result.dropped:
             self._settle_dead_letter(dropped.item.item_id, f"loop:{dropped.reason}")
-        for delivery in result.deliveries:
-            self._delivery_tasks.append(asyncio.ensure_future(self._push(delivery)))
+        return result.deliveries
 
     def _reap_delivery_tasks(self) -> None:
         still_running = []
@@ -332,17 +340,31 @@ class NotificationService:
                 still_running.append(task)
         self._delivery_tasks = still_running
 
-    async def _push(self, delivery: Delivery) -> None:
-        """Fan one delivery out to every sink; settle its accounting."""
+    async def _egress(self, deliveries: list[Delivery]) -> None:
+        """One tick's egress (DESIGN §11): admit every (delivery, sink) pair,
+        then call each admitted sink in the same order; a call that has to
+        wait continues in a task of its own."""
         sinks = self.sinks
-        if not sinks:
-            confirmed = True  # sink-less service: selection is delivery
-        elif len(sinks) == 1:
-            confirmed = await sinks[0].deliver(delivery)  # in this task
-        else:
-            confirmed = any(
-                await asyncio.gather(*(sink.deliver(delivery) for sink in sinks))
-            )
+        admitted = [[sink.admit() for sink in sinks] for _ in deliveries]
+        for delivery, allowed in zip(deliveries, admitted):
+            outcomes = [sink.start(delivery) if ok else False for sink, ok in zip(sinks, allowed)]
+            waiting = [outcome for outcome in outcomes if not isinstance(outcome, bool)]
+            # [calls waiting, confirmed]; a sink-less service delivers what it selects
+            fanout = [len(waiting), not sinks or True in outcomes]
+            if not waiting:
+                self._settle(delivery, fanout[1])
+            for continuation in waiting:
+                task = asyncio.ensure_future(self._continue(delivery, fanout, continuation))
+                self._delivery_tasks.append(task)
+
+    async def _continue(self, delivery: Delivery, fanout: list, continuation) -> None:
+        """Finish a sink call that had to wait; its delivery settles with the last."""
+        fanout[1] = await continuation or fanout[1]
+        fanout[0] -= 1
+        if not fanout[0]:
+            self._settle(delivery, fanout[1])
+
+    def _settle(self, delivery: Delivery, confirmed: bool) -> None:
         item_id = delivery.item.item_id
         if confirmed:
             ingested_at = self._inflight.pop(item_id, None)

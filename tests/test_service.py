@@ -43,7 +43,7 @@ from repro.service import (
     TieredRateLimiter,
     TokenBucket,
 )
-from repro.service.chaos import FlashCrowdConfig, SinkFault
+from repro.service.chaos import FlakySink, FlashCrowdConfig, SinkFault
 from repro.service.harness import DemoConfig, run_demo
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
@@ -759,6 +759,29 @@ class TestGuardedSink:
 
         assert drive(clock, scenario()) == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout_seconds", float("nan")),
+            ("base_backoff_seconds", float("nan")),
+            ("max_backoff_seconds", float("nan")),
+            ("base_backoff_seconds", float("inf")),
+            ("max_backoff_seconds", float("inf")),
+        ],
+    )
+    def test_a_policy_refuses_nan_and_unbounded_durations_by_name(self, field, value):
+        """A NaN timeout used to fail every attempt inside the clock (the
+        breaker opened, nothing was delivered); a NaN backoff crashed the
+        scheduler at the first retry."""
+        with pytest.raises(ValueError, match=field):
+            SinkPolicy(**{field: value})
+
+    def test_a_nan_stall_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="stall_seconds"):
+            FlakySink(SimulatedClock(), random.Random(1), stall_seconds=float("nan"))
+        with pytest.raises(ValueError, match="sink_stall_seconds"):
+            DemoConfig(sink_stall_seconds=float("nan"))
+
     def test_guarded_sink_on_the_live_clock(self):
         """A stalled sink is cut off by ``loop.call_later`` deadlines in
         real time; nothing is left armed for the healthy one after it."""
@@ -950,7 +973,7 @@ class TestServiceRuns:
 
 
     def test_two_sinks_fan_out_and_one_dead_sink_loses_nothing(self):
-        """The other side of ``_push``'s one-sink / gather choice."""
+        """Every delivery goes to both sinks; one healthy sink is enough."""
         clock = SimulatedClock()
         service = NotificationService(
             loop_factory=make_loop,
@@ -1146,10 +1169,86 @@ class TestFlashCrowdChaos:
                 DemoConfig(**{field: 1.5})
 
 
-class TestEgressCost:
-    """Egress overhead is a count: one task per delivery, none per attempt."""
+class TestEgressPass:
+    """A tick's first attempts run inline in one egress task; a call that
+    suspends continues in a task of its own, under its own deadline."""
 
-    def test_a_session_creates_one_task_per_delivery(self, monkeypatch):
+    def _service(self, clock):
+        return NotificationService(
+            loop_factory=make_loop,
+            user_ids=[1, 2, 3, 4],
+            config=ServiceConfig(round_seconds=60.0, queue_bound=16, seed=3),
+            clock=clock,
+        )
+
+    def test_a_first_attempt_stalled_past_its_deadline_times_out_alone(self):
+        """The deadline cancels the stalled call's continuation -- not the
+        scheduler, not the egress pass -- and nothing else of its tick."""
+        clock = SimulatedClock()
+        service = self._service(clock)
+        cancelled = []
+
+        async def sometimes_stuck(d):
+            if d.item.item_id % 3 == 0:
+                try:
+                    await clock.sleep(120.0)
+                except asyncio.CancelledError:
+                    cancelled.append(d.item.item_id)
+                    raise
+
+        guarded = service.add_sink(
+            sometimes_stuck,
+            policy=SinkPolicy(timeout_seconds=5.0, max_attempts=1),
+            breaker=CircuitBreakerConfig(failure_threshold=1_000),
+        )
+
+        async def scenario():
+            run_task = asyncio.ensure_future(service.run(rounds=3))
+            for i in range(24):
+                await service.ingest(item(i, user_id=1 + i % 4))
+            await run_task
+
+        drive(clock, scenario())
+        stalls = list(range(0, 24, 3))
+        assert service.stats.rounds_run == 4 * 3
+        assert sorted(cancelled) == stalls
+        assert guarded.stats.timeouts == len(stalls)
+        assert service.stats.dead_letter_reasons == {"sink_exhausted": len(stalls)}
+        assert service.stats.delivered == 24 - len(stalls)
+        assert service.conservation_error() == 0
+
+    def test_a_delivery_suspended_in_the_last_tick_settles_before_run_returns(self):
+        clock = SimulatedClock()
+        service = self._service(clock)
+
+        async def slow(_delivery):
+            await clock.sleep(1.0)
+
+        service.add_sink(slow)
+
+        async def scenario():
+            run_task = asyncio.ensure_future(service.run(rounds=2))
+            for i in range(4):
+                await service.ingest(item(i, user_id=1 + i))
+            await clock.sleep(60.0)  # past every user's first tick
+            for i in range(4, 8):
+                await service.ingest(item(i, user_id=1 + i % 4, created_at=clock.now()))
+            await run_task
+            return asyncio.all_tasks()
+
+        assert len(drive(clock, scenario())) == 1  # the session itself
+        assert service._delivery_tasks == []
+        assert service.stats.delivered == 8
+        assert service.conservation_error() == 0
+
+
+class TestEgressCost:
+    """Egress overhead is a count: a task per tick with deliveries and one
+    per delivery whose first attempt has to wait; none per attempt."""
+
+    def test_a_session_creates_a_task_per_egress_tick_and_continuation(
+        self, monkeypatch
+    ):
         from asyncio.base_events import BaseEventLoop
 
         created = []
@@ -1159,30 +1258,54 @@ class TestEgressCost:
             created.append(coro)
             return create_task(self, coro, **kwargs)
 
+        egress_ticks = set()
+        fire_round = NotificationService._fire_round
+
+        def firing(service, user_id, now):
+            deliveries = fire_round(service, user_id, now)
+            if deliveries:
+                egress_ticks.add(now)
+            return deliveries
+
+        waited = []
+        start = GuardedSink.start
+
+        def starting(sink, delivery, attempt=1):
+            outcome = start(sink, delivery, attempt)
+            if attempt == 1 and not isinstance(outcome, bool):
+                waited.append(delivery)
+            return outcome
+
         monkeypatch.setattr(BaseEventLoop, "create_task", counting)
+        monkeypatch.setattr(NotificationService, "_fire_round", firing)
+        monkeypatch.setattr(GuardedSink, "start", starting)
         counts = []
         for _ in range(2):
-            del created[:]
+            for seen in (created, egress_ticks, waited):
+                seen.clear()
             service = run_demo(DemoConfig(users=16, rounds=6, seed=97)).service
             reasons = service.stats.dead_letter_reasons
             handed_to_egress = service.stats.delivered + reasons.get("sink_exhausted", 0)
-            sink = service.sinks[0].stats
-            assert sink.attempts > handed_to_egress > 0  # retries happened
-            assert len(created) <= handed_to_egress + 2  # + scheduler + session
+            assert 0 < len(waited) < handed_to_egress
+            # + scheduler + session
+            assert len(created) == len(egress_ticks) + len(waited) + 2
             counts.append(len(created))
-        assert counts[0] == counts[1]
+        # 344 when every delivery had a task of its own.
+        assert counts == [106, 106]
+
 
 class TestDeliveryTaskRetention:
     """Regression pin for fire-and-forget egress tasks.
 
-    ``_fire_round`` spawns egress with ``asyncio.ensure_future``; the
-    event loop holds only *weak* references to tasks, so if the handle
-    were discarded the egress task could be garbage-collected mid-push
-    and deliveries would silently vanish.  The handle must land in
-    ``_delivery_tasks`` (reaped each tick, gathered at shutdown).
+    The tick spawns its egress task, and the egress pass a continuation
+    task per call that has to wait, with ``asyncio.ensure_future``; the
+    event loop holds only *weak* references to tasks, so if a handle were
+    discarded the task could be garbage-collected mid-push and deliveries
+    would silently vanish.  Every handle must land in ``_delivery_tasks``
+    (reaped each tick, drained at shutdown).
     """
 
-    def test_fire_round_retains_its_egress_task_handle(self):
+    def test_the_tick_and_its_continuations_retain_their_task_handles(self):
         clock = SimulatedClock()
         service = NotificationService(
             loop_factory=make_loop,
@@ -1191,15 +1314,26 @@ class TestDeliveryTaskRetention:
             clock=clock,
         )
 
+        async def slow(_delivery):
+            await clock.sleep(1.0)
+
+        service.add_sink(slow)
+
         async def scenario():
             await service.ingest(item(0, utility=0.9))
-            service._fire_round(1, now=60.0)
-            # The spawn in _fire_round must be retained, not bare.
+            service.timers.register(1, now=0.0)
+            service._tick(60.0)
+            # The tick's spawn must be retained, not bare ...
             assert len(service._delivery_tasks) == 1
+            egress = service._delivery_tasks[0]
+            await egress
+            # ... and so must the continuation of the call that suspended.
+            assert len(service._delivery_tasks) == 2
+            assert service._delivery_tasks[0] is egress
             await asyncio.gather(*service._delivery_tasks)
             service._reap_delivery_tasks()
             assert service._delivery_tasks == []
 
-        asyncio.run(scenario())
+        clock.run(scenario())
         assert service.stats.delivered > 0
         assert service.conservation_error() == 0
