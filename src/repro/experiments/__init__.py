@@ -17,11 +17,7 @@ from repro.experiments.metrics import (
     aggregate,
     compute_user_metrics,
 )
-from repro.experiments.pool import (
-    ExperimentPool,
-    run_experiment_parallel,
-    sweep_budgets_parallel,
-)
+from repro.experiments.pool import ExperimentPool, sweep_budgets_parallel
 from repro.experiments.runner import (
     CellSummary,
     ExperimentResult,
@@ -29,9 +25,9 @@ from repro.experiments.runner import (
     delivery_digest,
     run_experiment,
     run_user,
+    shard_by_user,
     sweep_budgets,
 )
-from repro.experiments.shards import balanced_batches, shard_by_user
 from repro.experiments.system import SystemConfig, SystemReport, SystemSimulation
 from repro.experiments.confidence import (
     MetricSummary,

@@ -39,7 +39,6 @@ from repro.experiments.metrics import (
     compute_user_metrics,
     segment_bounds,
 )
-from repro.experiments.shards import shard_by_user
 from repro.runtime import registry
 from repro.runtime.columnar import round_arrivals
 from repro.runtime.loop import RoundLoop
@@ -58,6 +57,24 @@ from repro.trace.records import NotificationRecord
 
 #: One (spec, weekly budget in MB) cell of a sweep grid.
 Cell = tuple[MethodSpec, float]
+
+
+def shard_by_user(
+    records: Sequence[NotificationRecord], user_ids: Sequence[int]
+) -> dict[int, list[NotificationRecord]]:
+    """Group ``records`` by recipient, restricted to ``user_ids``.
+
+    Every requested user gets an entry (possibly empty); record order
+    within a shard follows the input order, which for a
+    :class:`~repro.trace.generator.Workload` is timestamp order (the
+    order the simulator replays them in).
+    """
+    by_user: dict[int, list[NotificationRecord]] = {u: [] for u in user_ids}
+    for record in records:
+        shard = by_user.get(record.recipient_id)
+        if shard is not None:
+            shard.append(record)
+    return by_user
 
 
 def _forest_factory(seed: int):
@@ -468,6 +485,9 @@ def sweep_users(
             build_cohort(user_records, annotations, ladder), cells, config,
             duration_seconds, digest_deliveries,
         )
+    # A store view rebuilds its records on every walk, and run_user walks
+    # them twice: build each user's records once, for every cell.
+    user_records = [(user_id, list(records)) for user_id, records in user_records]
     return [
         [
             run_user(

@@ -35,7 +35,8 @@ from repro.experiments.config import (
     NetworkMode,
 )
 from repro.experiments.metrics import aggregate
-from repro.experiments.pool import _columnar_outcomes_for_range, _WorkerState
+import repro.experiments.pool as pool_module
+from repro.experiments.pool import _run_range, _WorkerState
 from repro.experiments.runner import (
     UtilityAnnotations,
     _device_stream_seed,
@@ -1082,12 +1083,14 @@ class TestNoObjectsOnTheCohortPath:
 
         counting(NotificationRecord)
         counting(Delivery)
+        # The pool's one task, on a worker state as its initializer builds it.
         state = _WorkerState(
-            shards=None, store_path=str(tmp_path / "store"), scores=None,
+            store_path=str(tmp_path / "store"), scores=None,
             duration_seconds=config.duration_hours * 3600.0,
         )
-        outcomes = _columnar_outcomes_for_range(
-            state, MethodSpec(Method.RICHNOTE), ExperimentConfig(seed=13),
+        monkeypatch.setattr(pool_module, "_WORKER", state)
+        (outcomes,) = _run_range(
+            [(MethodSpec(Method.RICHNOTE), 20.0)], ExperimentConfig(seed=13),
             0, len(pairs), True,
         )
         assert built == {NotificationRecord: 0, Delivery: 0}
@@ -1095,7 +1098,7 @@ class TestNoObjectsOnTheCohortPath:
         assert all(o.delivery_digest for o in outcomes)
         # The counters are live: the scalar edge of the same store builds
         # records (once per user, not once per pass) and deliveries.
-        records = list(state.ensure_store().records_for_user(pairs[0][0]))
+        records = list(state.store.records_for_user(pairs[0][0]))
         assert built[NotificationRecord] == len(pairs[0][1])
         twin = run_user(
             pairs[0][0], records, MethodSpec(Method.RICHNOTE),

@@ -9,7 +9,8 @@ class TestDeprecationWarnings:
     def test_experiments_parallel_shim_is_gone(self):
         """The ``experiments.parallel`` shim finished its deprecation
         cycle (introduced in ISSUE 8, removed in ISSUE 9); the canonical
-        import is :func:`repro.experiments.pool.run_experiment_parallel`.
+        entry points are :func:`repro.experiments.pool.sweep_budgets_parallel`
+        and :class:`repro.experiments.pool.ExperimentPool`.
         The ``core.scheduler`` / ``core.baselines`` scheduler classes
         followed in ISSUE 18: build a :class:`repro.runtime.RoundLoop`
         with ``policy=registry.create(name, ...)``.
@@ -20,10 +21,3 @@ class TestDeprecationWarnings:
             import repro.core.scheduler  # noqa: F401
         with pytest.raises(ModuleNotFoundError):
             import repro.core.baselines  # noqa: F401
-
-        from repro.experiments import run_experiment_parallel
-        from repro.experiments.pool import (
-            run_experiment_parallel as canonical,
-        )
-
-        assert run_experiment_parallel is canonical

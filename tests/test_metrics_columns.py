@@ -39,8 +39,8 @@ from repro.experiments.runner import (
     UtilityAnnotations,
     delivery_digest,
     delivery_digests,
+    shard_by_user,
 )
-from repro.experiments.shards import shard_by_user
 from repro.experiments.workloads import eval_workload
 from repro.pubsub.topics import TopicKind
 from repro.runtime.types import Delivery

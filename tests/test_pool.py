@@ -2,14 +2,16 @@
 
 The contract under test (DESIGN.md §10): the pool is a pure performance
 optimization -- every aggregate, per-user outcome and delivery sequence
-must be bit-identical to the sequential runner, with only the workload
-shards and score map crossing the process boundary (once, at init).
+must be bit-identical to the sequential runner, with only a shard-store
+path and score map crossing the process boundary (once, at init) and the
+temporary store gone when the pool is.
 """
 
 import multiprocessing
 import os
 import pickle
 import re
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -30,15 +32,17 @@ from repro.experiments.metrics import MetricsAccumulator, aggregate
 from repro.experiments.pool import (
     ExperimentPool,
     WorkerPoolBroken,
+    available_cores,
+    run_store_columnar_parallel,
     sweep_budgets_parallel,
 )
 from repro.experiments.runner import (
     UtilityAnnotations,
     run_experiment,
     run_user,
+    shard_by_user,
     sweep_budgets,
 )
-from repro.experiments.shards import balanced_batches, shard_by_user
 from repro.experiments.workloads import eval_workload
 from repro.runtime.loop import RoundLoop
 from repro.sim.faults import FaultConfig
@@ -54,25 +58,25 @@ ALL_SPECS = [
 #: qualified name; the sentinel dict is populated by the test before the
 #: pool forks, so children inherit the path.
 _CRASH_SENTINEL = {"path": ""}
-_real_run_pass_batch = pool_module._run_pass_batch
+_real_run_range = pool_module._run_range
 
 
-def _crash_once_batch(cells, config, user_ids, digest_deliveries):
+def _crash_once_range(cells, config, start, stop, digest_deliveries):
     """Worker-side stand-in: the first worker to claim the sentinel dies.
 
     ``open(..., "x")`` is atomic, so exactly one process across the
-    pool's whole lifetime hard-exits mid-batch; everyone else (including
-    the rebuilt pool's workers) runs the real batch.
+    pool's whole lifetime hard-exits mid-range; everyone else (including
+    the rebuilt pool's workers) runs the real range.
     """
     try:
         with open(_CRASH_SENTINEL["path"], "x"):
             pass
     except FileExistsError:
-        return _real_run_pass_batch(cells, config, user_ids, digest_deliveries)
+        return _real_run_range(cells, config, start, stop, digest_deliveries)
     os._exit(1)
 
 
-def _crash_always_batch(cells, config, user_ids, digest_deliveries):
+def _crash_always_range(cells, config, start, stop, digest_deliveries):
     """Worker-side stand-in: every claim of a task kills its worker."""
     os._exit(1)
 
@@ -206,7 +210,7 @@ class TestPoolParity:
 
 
 class TestBudgetGroups:
-    """A task is (engine pass, user batch): cells whose configs differ only
+    """A task is (engine pass, store range): cells whose configs differ only
     in the budget, each RichNote spec alone and every FIFO/UTIL spec
     together."""
 
@@ -216,9 +220,9 @@ class TestBudgetGroups:
         calls = []
         real_run = pool_module._WorkerPool.run
 
-        def recording_run(self, function, tasks, *rest):
+        def recording_run(self, tasks, *rest):
             calls.append(tasks)
-            return real_run(self, function, tasks, *rest)
+            return real_run(self, tasks, *rest)
 
         monkeypatch.setattr(pool_module._WorkerPool, "run", recording_run)
         return calls
@@ -233,7 +237,7 @@ class TestBudgetGroups:
         )
         assert len(grid) == len(specs) * len(PAPER_BUDGET_SWEEP_MB) == 35
         (tasks,) = submitted
-        # Two passes on two workers: one batch each, never one task per
+        # Two passes on two workers: one range each, never one task per
         # cell or per policy.
         assert len(tasks) == 2
         assert [{spec.method for spec, _ in task[0]} for task in tasks] == [
@@ -245,7 +249,7 @@ class TestBudgetGroups:
             (spec, budget) for spec in specs for budget in PAPER_BUDGET_SWEEP_MB
         }
         for task in tasks:
-            assert sorted(task[2]) == sorted(users)
+            assert task[2:4] == (0, len(users))
 
     def test_mixed_submission_merges_on_the_budget_alone(
         self, workload, annotations, users, pool, submitted
@@ -276,7 +280,9 @@ class TestBudgetGroups:
             ((("UTIL-L3", 2.0), ("FIFO-L2", 5.0)), NetworkMode.CELL_ONLY, 1000.0),
             ((("RichNote", 10.0),), NetworkMode.CELL_ONLY, 10.0),
         }
-        assert len(tasks) == 4 * len(pool.batches)
+        # Four passes on two workers: one whole-store range each.
+        assert len(tasks) == 4
+        assert {task[2:4] for task in tasks} == {(0, len(users))}
         assert list(grid) == [(spec.label, c.weekly_budget_mb) for spec, c in cells]
         for spec, config in cells:
             result = grid[(spec.label, config.weekly_budget_mb)]
@@ -285,12 +291,14 @@ class TestBudgetGroups:
             assert result.aggregate == sequential.aggregate
             assert result.per_user == sequential.per_user
 
-    def test_cell_payload_is_the_submitted_task(self, pool, submitted):
+    def test_cell_payload_is_the_submitted_task(self, users, pool, submitted):
         spec = MethodSpec(Method.UTIL, 3)
         config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
         pool.run_cell(spec, config)
         (tasks,) = submitted
-        assert len(tasks) == len(pool.batches)
+        # One pass on two workers: the pool's two ranges.
+        assert len(tasks) == len(pool.batches) == 2
+        assert pool.batches[0][0] == 0 and pool.batches[-1][1] == len(users)
         for index, task in enumerate(tasks):
             assert pool.cell_payload(spec, config, batch_index=index) == pickle.dumps(
                 task, protocol=pickle.HIGHEST_PROTOCOL
@@ -318,6 +326,17 @@ class TestPoolBoundary:
         spec = MethodSpec(Method.RICHNOTE)
         with pytest.raises(ValueError, match="duplicate cell"):
             pool.run_cells([(spec, config), (spec, config)])
+
+    def test_initializer_payload_excludes_records(self, workload, users, pool):
+        """Not even at start: the initializer ships a store path, the score
+        map of the pool's records and the duration."""
+        payload = pickle.dumps(
+            pool._workers._initargs, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        assert b"NotificationRecord" not in payload
+        assert b"trace.records" not in payload
+        n_records = sum(len(workload.records_for_user(u)) for u in users)
+        assert len(payload) < 24 * n_records + 1_024
 
     def test_method_spec_and_config_pickle_roundtrip(self):
         config = ExperimentConfig(weekly_budget_mb=5.0, seed=7)
@@ -405,7 +424,7 @@ class TestPoolRecovery:
         self, workload, annotations, users, tmp_path, monkeypatch
     ):
         _CRASH_SENTINEL["path"] = str(tmp_path / "crashed-once")
-        monkeypatch.setattr(pool_module, "_run_pass_batch", _crash_once_batch)
+        monkeypatch.setattr(pool_module, "_run_range", _crash_once_range)
         spec = MethodSpec(Method.RICHNOTE)
         config = ExperimentConfig(seed=7)
         budgets = (2.0, 5.0)
@@ -419,9 +438,9 @@ class TestPoolRecovery:
                 [(spec, config.with_budget(budget)) for budget in budgets]
             )
             assert fresh.worker_restarts == 1
-        # The retried batches replay the same resident shards with the
-        # same seeds: every budget of the retried pass stays bit-identical
-        # to sequential.
+        # The retried ranges replay the same store with the same seeds:
+        # every budget of the retried pass stays bit-identical to
+        # sequential.
         for budget in budgets:
             result = grid[(spec.label, budget)]
             sequential = run_experiment(
@@ -439,7 +458,7 @@ class TestPoolRecovery:
     def test_second_break_propagates(
         self, workload, annotations, users, monkeypatch
     ):
-        monkeypatch.setattr(pool_module, "_run_pass_batch", _crash_always_batch)
+        monkeypatch.setattr(pool_module, "_run_range", _crash_always_range)
         with ExperimentPool(
             workload, annotations=annotations, user_ids=users, max_workers=2
         ) as fresh:
@@ -450,51 +469,19 @@ class TestPoolRecovery:
                 )
             assert fresh.worker_restarts == 1
         # Typed, yet still what existing ``except BrokenProcessPool`` catches;
-        # the message names the batch whose future surfaced the break.
+        # the message names the range whose future surfaced the break.
         assert isinstance(broken.value, BrokenProcessPool)
         assert isinstance(broken.value.__cause__, BrokenProcessPool)
         message = str(broken.value)
-        assert "cells [RichNote at 5.0 MB], users [" in message
-        assert any(f"users {list(batch)}," in message for batch in fresh.batches)
+        assert "cells [RichNote at 5.0 MB], store positions [" in message
+        assert any(
+            f"store positions [{start}, {stop}), with" in message
+            for start, stop in fresh.batches
+        )
         assert re.search(rf"with [1-9]\d* of {len(fresh.batches)} tasks unfinished", message)
 
     def test_clean_run_reports_zero_restarts(self, pool):
         assert pool.worker_restarts == 0
-
-
-class TestBalancedBatches:
-    def test_partitions_completely_and_disjointly(self):
-        costs = {user: (user * 37) % 11 + 1 for user in range(100)}
-        batches = balanced_batches(costs, 7)
-        assert len(batches) == 7
-        flat = [user for batch in batches for user in batch]
-        assert sorted(flat) == sorted(costs)
-        assert len(flat) == len(set(flat))
-
-    def test_deterministic(self):
-        costs = {user: (user * 13) % 29 + 1 for user in range(50)}
-        assert balanced_batches(costs, 4) == balanced_batches(costs, 4)
-        # Insertion order of the mapping must not matter.
-        shuffled = dict(sorted(costs.items(), key=lambda kv: -kv[0]))
-        assert balanced_batches(shuffled, 4) == balanced_batches(costs, 4)
-
-    def test_balances_loads(self):
-        costs = {user: 1 for user in range(40)}
-        batches = balanced_batches(costs, 4)
-        assert [len(batch) for batch in batches] == [10, 10, 10, 10]
-        # One giant user does not drag equal-cost peers into its batch.
-        costs[99] = 1000
-        batches = balanced_batches(costs, 4)
-        giant = next(batch for batch in batches if 99 in batch)
-        assert giant == [99]
-
-    def test_more_batches_than_users_collapses(self):
-        assert balanced_batches({1: 5, 2: 3}, 10) == [[1], [2]]
-        assert balanced_batches({}, 3) == []
-
-    def test_invalid_batch_count(self):
-        with pytest.raises(ValueError, match="n_batches"):
-            balanced_batches({1: 1}, 0)
 
 
 class TestShardByUser:
@@ -510,6 +497,116 @@ class TestShardByUser:
     def test_requested_user_without_records_gets_empty_shard(self, workload):
         shards = shard_by_user(workload.records, [10**9])
         assert shards == {10**9: []}
+
+
+#: Every pool entry point with a worker count: (argument name, call).
+WORKER_ENTRIES = {
+    "ExperimentPool": ("max_workers", lambda workload, users, n: ExperimentPool(
+        workload, user_ids=users, max_workers=n,
+    )),
+    "sweep_budgets_parallel": ("max_workers", lambda workload, users, n: (
+        sweep_budgets_parallel(
+            workload, ALL_SPECS, (5.0,), ExperimentConfig(seed=7), None, users,
+            max_workers=n,
+        )
+    )),
+    "run_store_columnar_parallel": ("workers", lambda workload, users, n: (
+        run_store_columnar_parallel(
+            "no-such-store", MethodSpec(Method.RICHNOTE), ExperimentConfig(seed=7),
+            3600.0, workers=n,
+        )
+    )),
+}
+
+
+class TestWorkerCount:
+    """One rule on every entry point: ``None`` is every available core, a
+    count below 1 a ``ValueError`` naming the argument, raised before any
+    training, store read or write, or fork."""
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("entry", sorted(WORKER_ENTRIES))
+    def test_count_below_one_rejected_before_any_work(
+        self, workload, users, monkeypatch, entry, count
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the worker count was checked")
+
+        monkeypatch.setattr(UtilityAnnotations, "train", no_work)
+        for name in ("write_shard_store", "TraceShardStore", "ProcessPoolExecutor"):
+            monkeypatch.setattr(pool_module, name, no_work)
+        argument, call = WORKER_ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{argument} must be >= 1 .*got {count}$"):
+            call(workload, users, count)
+
+    def test_none_is_every_available_core(self, workload, annotations, users):
+        with ExperimentPool(
+            workload, annotations=annotations, user_ids=users
+        ) as fresh:
+            assert fresh.max_workers == available_cores()
+
+
+class TestStoreLifetime:
+    """The pool's temporary shard store never outlives the pool."""
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        """Where the pool's store goes: empty again once the pool is gone."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def _pool(self, workload, annotations, users):
+        return ExperimentPool(
+            workload, annotations=annotations, user_ids=users, max_workers=2
+        )
+
+    def test_gone_after_a_clean_with(self, workload, annotations, users, temp_root):
+        with self._pool(workload, annotations, users) as fresh:
+            (store,) = temp_root.iterdir()
+            assert (store / "index.json").exists()
+            fresh.run_cell(
+                MethodSpec(Method.RICHNOTE),
+                ExperimentConfig(weekly_budget_mb=5.0, seed=7),
+            )
+        assert list(temp_root.iterdir()) == []
+
+    def test_gone_after_an_exception_in_the_with(
+        self, workload, annotations, users, temp_root
+    ):
+        with pytest.raises(RuntimeError, match="inside the pool"):
+            with self._pool(workload, annotations, users):
+                assert len(list(temp_root.iterdir())) == 1
+                raise RuntimeError("inside the pool")
+        assert list(temp_root.iterdir()) == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="crash injection patches a forked module global",
+    )
+    def test_gone_after_worker_pool_broken(
+        self, workload, annotations, users, temp_root, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_run_range", _crash_always_range)
+        with pytest.raises(WorkerPoolBroken):
+            with self._pool(workload, annotations, users) as fresh:
+                fresh.run_cell(
+                    MethodSpec(Method.RICHNOTE),
+                    ExperimentConfig(weekly_budget_mb=5.0, seed=7),
+                )
+        assert list(temp_root.iterdir()) == []
+
+    def test_gone_when_construction_fails_after_the_write(
+        self, workload, annotations, users, temp_root, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            (store,) = temp_root.iterdir()
+            assert (store / "index.json").exists()
+            raise OSError("the executor refused to start")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
+        with pytest.raises(OSError, match="refused to start"):
+            self._pool(workload, annotations, users)
+        assert list(temp_root.iterdir()) == []
 
 
 class TestMetricsAccumulator:

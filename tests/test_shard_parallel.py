@@ -4,7 +4,7 @@ Three contracts under test:
 
 * **Shard-parallel determinism** -- splitting a shard store across
   worker processes (:func:`run_store_columnar_parallel`) or a resident
-  workload across pool batches (:meth:`ExperimentPool.run_cell`) must
+  workload across pool ranges (:meth:`ExperimentPool.run_cell`) must
   produce per-user outcomes bit-identical to the in-process columnar run
   and to the scalar ``run_user``, regardless of how users are
   partitioned -- and survive one killed worker per run.
@@ -64,22 +64,20 @@ SPEC = MethodSpec(Method.RICHNOTE)
 #: tests/test_pool.py::TestPoolRecovery): module-level so fork-started
 #: workers resolve the stand-ins by qualified name and inherit the path.
 _CRASH_SENTINEL = {"path": ""}
-_real_run_columnar_range = pool_module._run_columnar_range
+_real_run_range = pool_module._run_range
 
 
-def _crash_once_range(spec, config, start, stop, digest_deliveries):
+def _crash_once_range(cells, config, start, stop, digest_deliveries):
     """The first worker to claim the sentinel hard-exits mid-range."""
     try:
         with open(_CRASH_SENTINEL["path"], "x"):
             pass
     except FileExistsError:
-        return _real_run_columnar_range(
-            spec, config, start, stop, digest_deliveries
-        )
+        return _real_run_range(cells, config, start, stop, digest_deliveries)
     os._exit(1)
 
 
-def _crash_always_range(spec, config, start, stop, digest_deliveries):
+def _crash_always_range(cells, config, start, stop, digest_deliveries):
     os._exit(1)
 
 
@@ -279,7 +277,7 @@ class TestStoreWorkerDeath:
             path, SPEC, config, duration, workers=1, digest_deliveries=True
         )
         _CRASH_SENTINEL["path"] = str(tmp_path / "crashed-once")
-        monkeypatch.setattr(pool_module, "_run_columnar_range", _crash_once_range)
+        monkeypatch.setattr(pool_module, "_run_range", _crash_once_range)
         survived = run_store_columnar_parallel(
             path, SPEC, config, duration, workers=2, digest_deliveries=True
         )
@@ -289,7 +287,7 @@ class TestStoreWorkerDeath:
 
     def test_second_break_propagates(self, store, monkeypatch):
         path, _, duration = store
-        monkeypatch.setattr(pool_module, "_run_columnar_range", _crash_always_range)
+        monkeypatch.setattr(pool_module, "_run_range", _crash_always_range)
         with pytest.raises(WorkerPoolBroken) as broken:
             run_store_columnar_parallel(
                 path, SPEC, ExperimentConfig(seed=41), duration, workers=2
@@ -298,9 +296,10 @@ class TestStoreWorkerDeath:
         # the message names the store range whose future surfaced the break.
         assert isinstance(broken.value, BrokenProcessPool)
         with TraceShardStore(path) as shard_store:
-            ranges = _contiguous_ranges(np.diff(shard_store.offsets), 2 * 4)
+            ranges = _contiguous_ranges(np.diff(shard_store.offsets), 2)
         named = re.search(
-            r"store positions \[(\d+), (\d+)\), with ([1-9]\d*) of (\d+) tasks unfinished",
+            r"cells \[RichNote at 20\.0 MB\], store positions \[(\d+), (\d+)\), "
+            r"with ([1-9]\d*) of (\d+) tasks unfinished",
             str(broken.value),
         )
         assert named is not None
@@ -316,27 +315,27 @@ class TestStoreWorkerDeath:
         whole = run_store_columnar_parallel(
             path, SPEC, config, duration, workers=1, digest_deliveries=True
         )
-        calls = _refuse_submits(monkeypatch, {3})
+        calls = _refuse_submits(monkeypatch, {2})
         survived = run_store_columnar_parallel(
             path, SPEC, config, duration, workers=2, digest_deliveries=True
         )
         assert survived == whole
-        # 8 ranges: 2 accepted, the 3rd refused, then all 8 again.
-        assert len(calls) == 3 + 8
+        # 2 ranges: 1 accepted, the 2nd refused, then both again.
+        assert len(calls) == 2 + 2
 
     def test_second_refused_submit_raises_typed(self, store, monkeypatch):
         path, _, duration = store
-        calls = _refuse_submits(monkeypatch, {3, 5})
-        with pytest.raises(WorkerPoolBroken, match=r"store positions \[\d+, \d+\), with 8 of 8 tasks unfinished"):
+        calls = _refuse_submits(monkeypatch, {2, 4})
+        with pytest.raises(WorkerPoolBroken, match=r"store positions \[\d+, \d+\), with 2 of 2 tasks unfinished"):
             run_store_columnar_parallel(
                 path, SPEC, ExperimentConfig(seed=41), duration, workers=2
             )
-        assert len(calls) == 5
+        assert len(calls) == 4
 
 
 class TestRunCellColumnar:
     def test_matches_scalar_cell(self):
-        """A pool cell (columnar batches on two workers) == a ``run_user`` fold."""
+        """A pool cell (columnar store ranges on two workers) == a ``run_user`` fold."""
         workload = build_workload(workload_spec("small", seed=11))
         users = workload.top_users(8)
         config = ExperimentConfig(seed=11, weekly_budget_mb=5.0)
