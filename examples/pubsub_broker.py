@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Driving the core API directly: broker -> round loop, no harness.
+"""Driving the core API directly: broker -> round loops, no harness.
 
 Shows the pieces a downstream integrator would wire together:
 
-* a topic-based broker with per-kind delivery modes (friend feeds in
-  real time, album releases round-based -- Section II's hybrid engine);
-* a :class:`SchedulerFleetSink` that turns released notifications into
-  content items and routes them to per-user round loops, with the
-  selection rule resolved *by name* from the policy registry;
-* one user's loop stepped round by round, watching it adapt the
-  presentation level as the data budget tightens and recovers.
+* a topic-based broker that matches publications to subscribers and
+  queues the notifications until the round boundary;
+* one hand-built round loop per recipient, its selection rule created
+  *by name* from the policy registry;
+* at every round, one ``broker.flush()`` whose notifications become
+  content items on their recipient's loop, then the loop's round --
+  watching it adapt the presentation level as the data budget tightens
+  and recovers.
 
 Usage:  python examples/pubsub_broker.py
 """
@@ -18,10 +19,10 @@ from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem, ContentKind
 from repro.core.lyapunov import LyapunovConfig
 from repro.core.presentations import build_audio_ladder
-from repro.pubsub.broker import Broker, DeliveryMode, SchedulerFleetSink
+from repro.pubsub.broker import Broker
 from repro.pubsub.subscriptions import SubscriptionStore
 from repro.pubsub.topics import Publication, Topic, TopicKind
-from repro.runtime import RoundLoop
+from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.network import CellularOnlyNetwork
@@ -34,20 +35,13 @@ INTEREST = {100: 0.9, 200: 0.6, 300: 0.3, 301: 0.15}
 LADDER = build_audio_ladder()
 
 
-def build_broker() -> tuple[Broker, list]:
+def build_broker() -> Broker:
     subscriptions = SubscriptionStore()
     # Alice follows Bob's feed, Carol's feed and artist 7's page.
     subscriptions.subscribe(ALICE, Topic(TopicKind.FRIEND, BOB))
     subscriptions.subscribe(ALICE, Topic(TopicKind.FRIEND, CAROL))
     subscriptions.subscribe(ALICE, Topic(TopicKind.ARTIST, 7))
-    broker = Broker(
-        subscriptions,
-        default_mode=DeliveryMode.ROUND,
-        mode_overrides={TopicKind.FRIEND: DeliveryMode.REALTIME},
-    )
-    inbox: list = []
-    broker.add_sink(inbox.append)
-    return broker, inbox
+    return Broker(subscriptions)
 
 
 def notification_to_item(notification) -> ContentItem:
@@ -63,8 +57,13 @@ def notification_to_item(notification) -> ContentItem:
     )
 
 
-def bare_loop(user_id: int) -> RoundLoop:
-    """Device + budgets for one user; the sink binds the policy."""
+def build_loop(user_id: int) -> RoundLoop:
+    """Device, budgets and a fresh "richnote" policy for one user.
+
+    "richnote" is a registry key, so swapping every user to another
+    policy is one string; each user gets their own instance, so the
+    Lyapunov history is never shared.
+    """
     device = MobileDevice(
         user_id=user_id,
         network=CellularOnlyNetwork(),
@@ -74,24 +73,18 @@ def bare_loop(user_id: int) -> RoundLoop:
         device=device,
         data_budget=DataBudget(theta_bytes=150_000.0),  # ~150 KB per round
         energy_budget=EnergyBudget(kappa_joules=3000.0),
+        policy=registry.create(
+            "richnote", lyapunov=LyapunovConfig(v=1000.0, kappa_joules=3000.0)
+        ),
     )
 
 
 def main() -> None:
-    broker, inbox = build_broker()
+    broker = build_broker()
+    loops: dict[int, RoundLoop] = {}
 
-    # Per-user round loops behind the broker; "richnote" is a registry
-    # key, so swapping the whole fleet to another policy is one string.
-    fleet = SchedulerFleetSink.with_policy(
-        notification_to_item,
-        bare_loop,
-        policy="richnote",
-        lyapunov=LyapunovConfig(v=1000.0, kappa_joules=3000.0),
-    )
-    broker.add_sink(fleet)
-
-    print("Publishing: Bob streams a track (realtime), artist 7 drops an")
-    print("album (round-based), Carol streams two tracks (realtime)...\n")
+    print("Publishing: Bob streams a track, artist 7 drops an album,")
+    print("Carol streams two tracks...\n")
     broker.publish(Publication(Topic(TopicKind.FRIEND, BOB), BOB, 10.0,
                                {"track_id": 100}))
     broker.publish(Publication(Topic(TopicKind.ARTIST, 7), 7, 20.0,
@@ -100,21 +93,23 @@ def main() -> None:
                                {"track_id": 300}))
     broker.publish(Publication(Topic(TopicKind.FRIEND, CAROL), CAROL, 40.0,
                                {"track_id": 301}))
-    print(f"  delivered immediately (realtime friend feeds): {len(inbox)}")
-    print(f"  held for the next round (album release):       "
-          f"{broker.pending_count}")
-    broker.flush()
-    print(f"  after round flush: {len(inbox)} notifications total\n")
+    print(f"  queued at the broker until the round boundary: "
+          f"{broker.pending_count}\n")
 
     print("Round-by-round delivery under a 150 KB/round budget:")
     for round_index in range(1, 4):
-        results = fleet.run_round(round_index * ROUND, ROUND)
-        result = results[ALICE]
+        released = broker.flush()
+        for notification in released:
+            user_id = notification.recipient_id
+            if user_id not in loops:
+                loops[user_id] = build_loop(user_id)
+            loops[user_id].enqueue(notification_to_item(notification))
+        result = loops[ALICE].run_round(round_index * ROUND, ROUND)
         deliveries = ", ".join(
             f"item{d.item.item_id}@L{d.level}({d.size_bytes / 1000:.1f}KB)"
             for d in result.deliveries
         ) or "(nothing)"
-        print(f"  round {round_index}: {deliveries}  "
+        print(f"  round {round_index}: flushed {len(released)}; {deliveries}  "
               f"budget left {result.data_budget_after / 1000:.0f}KB  "
               f"queue {result.queue_length_after}")
     print(

@@ -1,11 +1,9 @@
 """The count-based circuit breaker guarding one notification sink.
 
-One state machine, two drivers: :class:`repro.pubsub.broker.Broker`'s
-synchronous emit path and the live service's
-:class:`repro.service.sinks.GuardedSink`, each calling ``allow`` before a
-delivery and ``record_success`` / ``record_failure`` after it.  The
-module imports nothing from either, so neither layer depends on the
-other for it.
+Its one driver is the live service's
+:class:`repro.service.sinks.GuardedSink`, which calls ``allow`` before a
+delivery attempt and ``record_success`` / ``record_failure`` after it.
+The state machine is plain and synchronous, so it is tested on its own.
 """
 
 from __future__ import annotations
@@ -50,11 +48,10 @@ class SinkCircuit:
     HALF_OPEN admits exactly one probe per window: ``allow()`` marks a
     probe in flight, and until :meth:`record_success` /
     :meth:`record_failure` resolves it every further ``allow()`` is
-    refused.  With the broker's synchronous emit path the probe resolves
-    before the next ``allow()``, but async adapters
-    (:mod:`repro.service.sinks`) hold deliveries in flight across awaits
-    -- without the in-flight latch a thundering herd of concurrent probes
-    would all pass through a half-open breaker at once.
+    refused.  The async sinks of :mod:`repro.service.sinks` hold
+    deliveries in flight across awaits -- without the in-flight latch a
+    thundering herd of concurrent probes would all pass through a
+    half-open breaker at once.
     """
 
     def __init__(self, config: CircuitBreakerConfig) -> None:

@@ -4,13 +4,13 @@ The figure benchmarks replay pre-labelled per-user traces (as the paper's
 evaluation does).  This module runs the *deployed* composition instead,
 end to end on one round clock (:func:`repro.runtime.columnar.round_arrivals`):
 
-1. publications enter the topic broker in time order
-   (optionally behind the broker-side capacity selector of
-   :mod:`repro.pubsub.capacity` -- the real-time overload control RichNote
-   is positioned against);
-2. at every round boundary the broker flushes; matched notifications are
-   labelled with synthetic mouse activity (ground truth for metrics only),
-   scored *online* by a previously trained content-utility classifier
+1. publications enter the topic broker in time order;
+2. at every round boundary the broker flushes (optionally through the
+   broker-side capacity selector of :mod:`repro.pubsub.capacity` -- the
+   real-time overload control RichNote is positioned against); released
+   notifications are labelled with synthetic mouse activity (ground truth
+   for metrics only), scored *online* by a previously trained
+   content-utility classifier
    (:class:`repro.core.utility.LearnedContentUtility` -- train on history,
    serve live), wrapped with their presentation ladder and enqueued to the
    recipient's scheduler;
@@ -34,8 +34,8 @@ from repro.experiments.config import ExperimentConfig, Method, MethodSpec
 from repro.experiments.metrics import UserMetrics, aggregate, compute_user_metrics
 from repro.experiments.runner import _build_device, _forest_factory
 from repro.ml.dataset import FeatureExtractor, build_training_set
-from repro.pubsub.broker import Broker, DeliveryMode
-from repro.pubsub.capacity import CapacityConfig, CapacityLimitedBroker
+from repro.pubsub.broker import Broker
+from repro.pubsub.capacity import CapacityConfig, select_satisfied_subscribers
 from repro.runtime import registry
 from repro.runtime.columnar import round_arrivals
 from repro.runtime.loop import RoundLoop
@@ -137,15 +137,12 @@ class SystemSimulation:
 
     def run(self) -> SystemReport:
         subscriptions = self._generator.build_subscriptions()
-        inner_broker = Broker(subscriptions, default_mode=DeliveryMode.ROUND)
-        capacity_broker = None
+        broker = Broker(subscriptions)
+        capacity_config = None
         if self.config.broker_capacity_per_round is not None:
-            capacity_broker = CapacityLimitedBroker(
-                inner_broker,
-                CapacityConfig(
-                    broker_capacity=self.config.broker_capacity_per_round,
-                    default_user_capacity=self.config.user_inbox_capacity,
-                ),
+            capacity_config = CapacityConfig(
+                broker_capacity=self.config.broker_capacity_per_round,
+                default_user_capacity=self.config.user_inbox_capacity,
             )
 
         labeller = InteractionSimulator(
@@ -164,23 +161,19 @@ class SystemSimulation:
 
         publications = self._generator.generate_publications()
         arrivals = sorted(publications, key=attrgetter("timestamp"))
-        publish = (
-            inner_broker.publish if capacity_broker is None else capacity_broker.publish
-        )
         round_seconds = self.config.experiment.round_seconds
         published = 0
         for now, end in round_arrivals(
             [p.timestamp for p in arrivals], round_seconds, duration
         ):
             for publication in arrivals[published:end]:
-                publish(publication)
+                broker.publish(publication)
             published = end
-            if capacity_broker is not None:
-                selection = capacity_broker.flush_round()
+            released = broker.flush()
+            if capacity_config is not None:
+                selection = select_satisfied_subscribers(released, capacity_config)
                 dropped += len(selection.dropped)
                 released = selection.delivered
-            else:
-                released = inner_broker.flush()
             for notification in released:
                 record = labeller.label(notification)
                 records.append(record)
@@ -195,7 +188,7 @@ class SystemSimulation:
         # counted in the report) but no round is left to flush them.
         for publication in arrivals[published:]:
             if publication.timestamp < duration + 2.0:
-                publish(publication)
+                broker.publish(publication)
 
         by_user: dict[int, list[NotificationRecord]] = {u: [] for u in user_ids}
         for record in records:
@@ -212,7 +205,7 @@ class SystemSimulation:
         }
         return SystemReport(
             publications=len(publications),
-            notifications_matched=inner_broker.stats.notifications,
+            notifications_matched=broker.stats.notifications,
             notifications_dropped_at_broker=dropped,
             records=records,
             per_user=per_user,

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.pubsub.broker import Broker, Notification
+from repro.pubsub.broker import Notification
 
 
 @dataclass(frozen=True)
@@ -254,40 +254,3 @@ class SharedCellCapacity:
         self._cell_stats(cell).consumed_bytes += drawn
         return drawn
 
-
-class CapacityLimitedBroker:
-    """A broker whose round flushes pass through the capacity selector.
-
-    Wraps a :class:`repro.pubsub.broker.Broker` in ROUND/BATCH mode: on
-    :meth:`flush_round`, the pending notifications are filtered by the
-    satisfied-subscriber selector and only the survivors reach the sinks.
-    """
-
-    def __init__(self, broker: Broker, config: CapacityConfig) -> None:
-        if broker._sinks:
-            raise ValueError(
-                "register sinks on the CapacityLimitedBroker, not on the "
-                "wrapped broker -- otherwise dropped notifications would "
-                "still reach consumers on flush"
-            )
-        self.broker = broker
-        self.config = config
-        self.total_dropped = 0
-        self.total_delivered = 0
-        self._sinks = []
-
-    def add_sink(self, sink) -> None:
-        self._sinks.append(sink)
-
-    def publish(self, publication) -> None:
-        self.broker.publish(publication)
-
-    def flush_round(self) -> CapacitySelection:
-        pending = self.broker.flush()
-        selection = select_satisfied_subscribers(pending, self.config)
-        self.total_dropped += len(selection.dropped)
-        self.total_delivered += len(selection.delivered)
-        for notification in selection.delivered:
-            for sink in self._sinks:
-                sink(notification)
-        return selection

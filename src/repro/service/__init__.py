@@ -13,7 +13,8 @@ package runs them *continuously*, the deployment shape of Section II:
 * :mod:`repro.service.timers` -- per-user round timers with deterministic
   phase staggering;
 * :mod:`repro.service.sinks` -- async delivery adapters with per-delivery
-  timeouts, jittered retry budgets and the broker's circuit breakers;
+  timeouts, jittered retry budgets and circuit breakers (the one driver
+  of :class:`repro.core.breaker.SinkCircuit`);
 * :mod:`repro.service.server` -- :class:`NotificationService`, the
   composition of all of the above around ``runtime/loop.py`` round loops;
 * :mod:`repro.service.health` -- conservation accounting and latency

@@ -13,11 +13,13 @@ the service's egress contract:
   exponential backoff (the same idiom as
   :class:`repro.core.delivery.RetryPolicy`) drawn from an explicit seeded
   RNG;
-* the whole thing sits behind the
-  :class:`~repro.core.breaker.SinkCircuit` breaker the broker also uses.  Because attempts
-  here are *in flight across awaits*, the breaker's half-open
-  single-probe latch matters: concurrent deliveries against a half-open
-  sink get refused instead of stampeding it.
+* the whole thing sits behind a
+  :class:`~repro.core.breaker.SinkCircuit` breaker, of which this is the
+  one driver.  Because attempts here are *in flight across awaits*, the
+  breaker's half-open single-probe latch matters: concurrent deliveries
+  against a half-open sink get refused instead of stampeding it.  That
+  is also why the timeout must be finite: a probe that never returns
+  would hold the latch, and the sink would stay shut for the run.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class SinkPolicy:
     max_backoff_seconds: float = 8.0
 
     def __post_init__(self) -> None:
-        if not self.timeout_seconds > 0:  # NaN too
-            raise ValueError(f"timeout_seconds must be positive, got {self.timeout_seconds}")
+        if not 0 < self.timeout_seconds < math.inf:  # NaN too
+            raise ValueError(
+                f"timeout_seconds must be positive and finite, got {self.timeout_seconds}"
+            )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         for name in ("base_backoff_seconds", "max_backoff_seconds"):

@@ -26,14 +26,12 @@ class RoundTimers:
         self,
         period_seconds: float,
         seed: int = 0,
-        stagger: bool = True,
     ) -> None:
         if period_seconds <= 0:
             raise ValueError(
                 f"round period must be positive, got {period_seconds}"
             )
         self.period_seconds = float(period_seconds)
-        self.stagger = stagger
         self._rng = random.Random(seed)
         self._seq = itertools.count()
         self._heap: list[tuple[float, int, int]] = []
@@ -48,13 +46,9 @@ class RoundTimers:
         if user_id in self._registered:
             raise ValueError(f"user {user_id} already has a round timer")
         self._registered.add(user_id)
-        if self.stagger:
-            # Uniform in (0, period]: never fires at registration time
-            # itself, always within the first period.
-            offset = (1.0 - self._rng.random()) * self.period_seconds
-        else:
-            offset = self.period_seconds
-        first = now + offset
+        # Uniform in (0, period]: never fires at registration time
+        # itself, always within the first period.
+        first = now + (1.0 - self._rng.random()) * self.period_seconds
         heapq.heappush(self._heap, (first, next(self._seq), user_id))
         return first
 

@@ -9,8 +9,10 @@ generative pipeline that exercises the identical code path:
    a handful of artists (popularity- and genre-biased) and playlists;
 3. generate publications: friend listens (Poisson per user, diurnally
    modulated), album releases and playlist updates;
-4. fan publications out through the pub/sub broker
-   (:mod:`repro.pubsub.broker`) to produce per-recipient notifications;
+4. publish them to the pub/sub broker (:mod:`repro.pubsub.broker`),
+   which matches each to its topic's subscribers; one
+   :meth:`~repro.pubsub.broker.Broker.flush` releases the per-recipient
+   notifications;
 5. label each notification with synthetic mouse activity from the latent
    interest model (:mod:`repro.trace.interactions`).
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.pubsub.broker import Broker, DeliveryMode, Notification
+from repro.pubsub.broker import Broker
 from repro.pubsub.subscriptions import SubscriptionStore
 from repro.pubsub.topics import Publication, Topic, TopicKind
 from repro.trace.entities import Catalog, CatalogConfig, generate_catalog
@@ -317,19 +319,16 @@ class TraceGenerator:
     def generate(self) -> Workload:
         """Run the full pipeline: subscriptions -> fan-out -> labelling."""
         subscriptions = self.build_subscriptions()
-        broker = Broker(subscriptions, default_mode=DeliveryMode.ROUND)
-        collected: list[Notification] = []
-        broker.add_sink(collected.append)
+        broker = Broker(subscriptions)
         for publication in self.generate_publications():
             broker.publish(publication)
-        broker.flush()
 
         simulator = InteractionSimulator(
             catalog=self.catalog,
             graph=self.graph,
             interest_model=self.interest_model,
         )
-        records = [simulator.label(notification) for notification in collected]
+        records = [simulator.label(notification) for notification in broker.flush()]
         records.sort(key=lambda r: r.timestamp)
         return Workload(
             catalog=self.catalog,

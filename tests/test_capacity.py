@@ -7,12 +7,11 @@ import pytest
 from repro.core.breaker import BreakerState, CircuitBreakerConfig
 from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
-from repro.pubsub.broker import Broker, DeliveryMode, Notification
+from repro.pubsub.broker import Broker, Notification
 from repro.runtime.types import Delivery
 from repro.service import GuardedSink, SimulatedClock, SinkPolicy
 from repro.pubsub.capacity import (
     CapacityConfig,
-    CapacityLimitedBroker,
     CellTopology,
     SharedCellCapacity,
     select_satisfied_subscribers,
@@ -128,36 +127,27 @@ class TestGreedySelection:
         assert selection.satisfied_count == best
 
 
+def artist_broker() -> tuple[Broker, Topic]:
+    """A broker whose one artist topic fans out to users 1, 2 and 3."""
+    store = SubscriptionStore()
+    topic = Topic(TopicKind.ARTIST, 1)
+    for user in (1, 2, 3):
+        store.subscribe(user, topic)
+    return Broker(store), topic
+
+
 class TestCapacityLimitedBroker:
-    def build(self, capacity):
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.ARTIST, 1)
-        for user in (1, 2, 3):
-            store.subscribe(user, topic)
-        inner = Broker(store, default_mode=DeliveryMode.ROUND)
-        wrapper = CapacityLimitedBroker(
-            inner, CapacityConfig(broker_capacity=capacity)
-        )
-        received = []
-        wrapper.add_sink(received.append)
-        return wrapper, topic, received
+    """The selector over a broker's round flush, as the live system runs it."""
 
     def test_flush_respects_capacity(self):
-        wrapper, topic, received = self.build(capacity=2)
-        wrapper.publish(
-            Publication(topic=topic, publisher_id=99, timestamp=1.0)
+        broker, topic = artist_broker()
+        broker.publish(Publication(topic=topic, publisher_id=99, timestamp=1.0))
+        selection = select_satisfied_subscribers(
+            broker.flush(), CapacityConfig(broker_capacity=2)
         )
-        selection = wrapper.flush_round()
-        assert len(received) == 2
-        assert wrapper.total_delivered == 2
-        assert wrapper.total_dropped == 1
+        assert len(selection.delivered) == 2
+        assert len(selection.dropped) == 1
         assert selection.satisfied_count == 2
-
-    def test_rejects_inner_broker_with_sinks(self):
-        inner = Broker()
-        inner.add_sink(lambda n: None)
-        with pytest.raises(ValueError):
-            CapacityLimitedBroker(inner, CapacityConfig(broker_capacity=1))
 
 
 class TestExhaustionAndRefund:
@@ -217,26 +207,20 @@ class TestExhaustionAndRefund:
         assert selection.dropped == []
 
     def test_totals_accumulate_across_rounds_and_drops_never_hit_sinks(self):
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.ARTIST, 1)
-        for user in (1, 2, 3):
-            store.subscribe(user, topic)
-        inner = Broker(store, default_mode=DeliveryMode.ROUND)
-        wrapper = CapacityLimitedBroker(
-            inner, CapacityConfig(broker_capacity=2)
-        )
-        received = []
-        wrapper.add_sink(received.append)
+        broker, topic = artist_broker()
+        config = CapacityConfig(broker_capacity=2)
+        delivered, dropped = [], 0
         for timestamp in (1.0, 2.0):
-            wrapper.publish(
+            broker.publish(
                 Publication(topic=topic, publisher_id=99, timestamp=timestamp)
             )
-            wrapper.flush_round()
-        assert wrapper.total_delivered == 4
-        assert wrapper.total_dropped == 2
-        assert len(received) == 4
+            selection = select_satisfied_subscribers(broker.flush(), config)
+            delivered += selection.delivered
+            dropped += len(selection.dropped)
+        assert len(delivered) == 4
+        assert dropped == 2
         # Dropped notifications were filtered before the sink layer.
-        assert wrapper.total_delivered + wrapper.total_dropped == 6
+        assert len(delivered) + dropped == broker.stats.notifications == 6
 
 
 def _as_delivery(notification: Notification) -> Delivery:
@@ -272,14 +256,7 @@ class TestCapacityAcrossOpenBreaker:
     """
 
     def _stack(self, sink, *, failure_threshold=2, cooldown_skips=100):
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.ARTIST, 1)
-        for user in (1, 2, 3):
-            store.subscribe(user, topic)
-        inner = Broker(store, default_mode=DeliveryMode.ROUND)
-        wrapper = CapacityLimitedBroker(
-            inner, CapacityConfig(broker_capacity=2)
-        )
+        broker, topic = artist_broker()
         clock = SimulatedClock()
         guarded = GuardedSink(
             sink,
@@ -291,33 +268,40 @@ class TestCapacityAcrossOpenBreaker:
                 cooldown_skips=cooldown_skips,
             ),
         )
-        selected: list[Notification] = []
-        wrapper.add_sink(selected.append)
-        return topic, inner, wrapper, clock, guarded, selected
+        return topic, broker, clock, guarded
 
-    def _run_rounds(self, topic, wrapper, clock, guarded, selected, rounds):
+    def _run_rounds(self, topic, broker, clock, guarded, rounds):
+        """Publish, select and deliver ``rounds`` rounds; returns the
+        capacity layer's (delivered, dropped) totals."""
+        config = CapacityConfig(broker_capacity=2)
+
         async def scenario():
+            delivered = dropped = 0
             for timestamp in range(1, rounds + 1):
-                wrapper.publish(
+                broker.publish(
                     Publication(
                         topic=topic,
                         publisher_id=99,
                         timestamp=float(timestamp),
                     )
                 )
-                selected.clear()
-                wrapper.flush_round()
-                for notification in selected:
+                selection = select_satisfied_subscribers(broker.flush(), config)
+                delivered += len(selection.delivered)
+                dropped += len(selection.dropped)
+                for notification in selection.delivered:
                     await guarded.deliver(_as_delivery(notification))
+            return delivered, dropped
 
-        clock.run(scenario())
+        return clock.run(scenario())
 
     def test_open_breaker_rounds_keep_ledger_exact(self):
         def down(_delivery):
             raise RuntimeError("egress down")
 
-        topic, inner, wrapper, clock, guarded, selected = self._stack(down)
-        self._run_rounds(topic, wrapper, clock, guarded, selected, rounds=4)
+        topic, broker, clock, guarded = self._stack(down)
+        total_delivered, total_dropped = self._run_rounds(
+            topic, broker, clock, guarded, rounds=4
+        )
 
         # Two failures trip the breaker; every later selected
         # notification is refused fast without an attempt.
@@ -328,15 +312,15 @@ class TestCapacityAcrossOpenBreaker:
         assert guarded.stats.breaker_skips == 6
 
         # Capacity layer: 3 matched per round, 2 selected, 1 dropped.
-        matched = inner.stats.notifications
+        matched = broker.stats.notifications
         assert matched == 12
-        assert wrapper.total_delivered + wrapper.total_dropped == matched
-        assert inner.pending_count == 0
+        assert total_delivered + total_dropped == matched
+        assert broker.pending_count == 0
 
         # The cross-layer ledger closes exactly: capacity drops plus the
         # guarded sink's three outcomes account for every notification.
         assert matched == (
-            wrapper.total_dropped
+            total_dropped
             + guarded.stats.delivered
             + guarded.stats.exhausted
             + guarded.stats.breaker_skips
@@ -354,10 +338,10 @@ class TestCapacityAcrossOpenBreaker:
             if calls["n"] <= 2:
                 raise RuntimeError("warming up")
 
-        topic, inner, wrapper, clock, guarded, selected = self._stack(
-            flaky, cooldown_skips=2
+        topic, broker, clock, guarded = self._stack(flaky, cooldown_skips=2)
+        total_delivered, total_dropped = self._run_rounds(
+            topic, broker, clock, guarded, rounds=4
         )
-        self._run_rounds(topic, wrapper, clock, guarded, selected, rounds=4)
 
         # Round 1 opens the breaker (2 failures); round 2's deliveries
         # burn the cooldown; round 3's first delivery is the half-open
@@ -367,10 +351,10 @@ class TestCapacityAcrossOpenBreaker:
         assert guarded.stats.exhausted == 2
         assert guarded.stats.breaker_skips == 2
 
-        matched = inner.stats.notifications
+        matched = broker.stats.notifications
         assert matched == 12
         assert matched == (
-            wrapper.total_dropped
+            total_dropped
             + guarded.stats.delivered
             + guarded.stats.exhausted
             + guarded.stats.breaker_skips
@@ -380,19 +364,19 @@ class TestCapacityAcrossOpenBreaker:
         def down(_delivery):
             raise RuntimeError("egress down")
 
-        topic, inner, wrapper, clock, guarded, selected = self._stack(down)
+        topic, broker, clock, guarded = self._stack(down)
+        config = CapacityConfig(broker_capacity=2)
 
         async def scenario():
             ledgers = []
             for timestamp in (1.0, 2.0, 3.0):
-                wrapper.publish(
+                broker.publish(
                     Publication(
                         topic=topic, publisher_id=99, timestamp=timestamp
                     )
                 )
-                pending = inner.pending_count
-                selected.clear()
-                selection = wrapper.flush_round()
+                pending = broker.pending_count
+                selection = select_satisfied_subscribers(broker.flush(), config)
                 ledgers.append(
                     (
                         pending,
@@ -400,7 +384,7 @@ class TestCapacityAcrossOpenBreaker:
                         len(selection.dropped),
                     )
                 )
-                for notification in selected:
+                for notification in selection.delivered:
                     await guarded.deliver(_as_delivery(notification))
             return ledgers
 

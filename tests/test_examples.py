@@ -49,8 +49,8 @@ class TestExamples:
 
     def test_pubsub_broker(self):
         out = run_example("pubsub_broker.py")
-        assert "realtime friend feeds" in out
-        assert "round 1:" in out
+        assert "queued at the broker until the round boundary: 4" in out
+        assert "round 1: flushed 4;" in out
 
     def test_multimedia_feeds(self):
         out = run_example("multimedia_feeds.py")

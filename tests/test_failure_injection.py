@@ -11,7 +11,7 @@ recover -- rather than crash or leak queue state, under:
 * items whose ladder is just {not sent, metadata};
 * flaky transfers: mid-flight disconnects, timeout storms, rejected
   pushes -- with retry/backoff, byte refunds and dead-letter accounting;
-* a sink that raises, behind the broker's per-sink circuit breaker.
+* a failing sink's circuit breaker: open, half-open probe, re-close.
 
 The ``chaos`` marker selects the randomized fault-schedule suite that
 ``make chaos`` runs at three fixed seeds.
@@ -596,98 +596,63 @@ class TestFlakyConnectivityWrapper:
 
 
 class TestSinkCircuitBreaker:
-    """Broker-side fault isolation: flush survives a raising sink."""
+    """The breaker state machine on its own: each attempt is ``allow``,
+    then ``record_failure`` or ``record_success`` when allowed."""
 
     @staticmethod
-    def _broker(breaker=None):
-        from repro.pubsub.broker import Broker, DeliveryMode
-        from repro.pubsub.subscriptions import SubscriptionStore
-        from repro.pubsub.topics import Publication, Topic, TopicKind
-
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.FRIEND, 9)
-        store.subscribe(1, topic)
-        broker = Broker(
-            subscriptions=store,
-            default_mode=DeliveryMode.ROUND,
-            breaker=breaker,
-        )
-
-        def publish(timestamp):
-            return broker.publish(
-                Publication(topic=topic, publisher_id=9, timestamp=timestamp)
-            )
-
-        return broker, publish
-
-    def test_flush_survives_failing_sink(self):
-        broker, publish = self._broker()
-        healthy: list[int] = []
-
-        def bad_sink(notification):
-            raise RuntimeError("push channel down")
-
-        broker.add_sink(bad_sink)
-        broker.add_sink(lambda n: healthy.append(n.notification_id))
-        for timestamp in (1.0, 2.0, 3.0):
-            publish(timestamp)
-        released = broker.flush()
-        assert len(released) == 3
-        # The healthy sink received the whole batch despite the bad one.
-        assert len(healthy) == 3
-        assert broker.stats.sink_errors == 3
-        assert broker.pending_count == 0
+    def _attempt(circuit, ok, counts):
+        allowed, _ = circuit.allow()
+        if not allowed:
+            counts["skipped"] += 1
+        elif ok:
+            circuit.record_success()
+        else:
+            counts["errors"] += 1
+            circuit.record_failure()
 
     def test_breaker_open_half_open_closed(self):
-        from repro.core.breaker import BreakerState, CircuitBreakerConfig
+        from repro.core.breaker import (
+            BreakerState,
+            CircuitBreakerConfig,
+            SinkCircuit,
+        )
 
-        breaker = CircuitBreakerConfig(failure_threshold=2, cooldown_skips=2)
-        broker, publish = self._broker(breaker=breaker)
-        failures_left = [2]
-
-        def recovering_sink(notification):
-            if failures_left[0] > 0:
-                failures_left[0] -= 1
-                raise RuntimeError("transient sink failure")
-
-        broker.add_sink(recovering_sink)
-
-        def flush_one(timestamp):
-            publish(timestamp)
-            broker.flush()
-
-        flush_one(1.0)
-        assert broker.breaker_states() == [BreakerState.CLOSED]
-        flush_one(2.0)  # second consecutive failure -> OPEN
-        assert broker.breaker_states() == [BreakerState.OPEN]
-        assert broker.stats.sink_errors == 2
-        flush_one(3.0)  # skipped (cooldown 1/2)
-        flush_one(4.0)  # skipped (cooldown 2/2)
-        assert broker.stats.sink_skipped == 2
-        assert broker.breaker_states() == [BreakerState.OPEN]
-        flush_one(5.0)  # HALF_OPEN probe; sink recovered -> CLOSED
-        assert broker.breaker_states() == [BreakerState.CLOSED]
-        assert broker.stats.sink_errors == 2  # no new errors
-        flush_one(6.0)
-        assert broker.breaker_states() == [BreakerState.CLOSED]
+        circuit = SinkCircuit(
+            CircuitBreakerConfig(failure_threshold=2, cooldown_skips=2)
+        )
+        counts = {"errors": 0, "skipped": 0}
+        self._attempt(circuit, False, counts)
+        assert circuit.state is BreakerState.CLOSED
+        self._attempt(circuit, False, counts)  # second consecutive failure -> OPEN
+        assert circuit.state is BreakerState.OPEN
+        assert counts["errors"] == 2
+        self._attempt(circuit, True, counts)  # skipped (cooldown 1/2)
+        self._attempt(circuit, True, counts)  # skipped (cooldown 2/2)
+        assert counts["skipped"] == 2
+        assert circuit.state is BreakerState.OPEN
+        self._attempt(circuit, True, counts)  # HALF_OPEN probe succeeds -> CLOSED
+        assert circuit.state is BreakerState.CLOSED
+        assert counts["errors"] == 2  # no new errors
+        self._attempt(circuit, True, counts)
+        assert circuit.state is BreakerState.CLOSED
 
     def test_half_open_probe_failure_reopens(self):
-        from repro.core.breaker import BreakerState, CircuitBreakerConfig
+        from repro.core.breaker import (
+            BreakerState,
+            CircuitBreakerConfig,
+            SinkCircuit,
+        )
 
-        breaker = CircuitBreakerConfig(failure_threshold=1, cooldown_skips=1)
-        broker, publish = self._broker(breaker=breaker)
-
-        def always_bad(notification):
-            raise RuntimeError("permanently down")
-
-        broker.add_sink(always_bad)
-        for timestamp in (1.0, 2.0, 3.0):
-            publish(timestamp)
-            broker.flush()
+        circuit = SinkCircuit(
+            CircuitBreakerConfig(failure_threshold=1, cooldown_skips=1)
+        )
+        counts = {"errors": 0, "skipped": 0}
+        for _ in range(3):
+            self._attempt(circuit, False, counts)
         # fail -> OPEN, skip, probe fails -> OPEN again
-        assert broker.breaker_states() == [BreakerState.OPEN]
-        assert broker.stats.sink_errors == 2
-        assert broker.stats.sink_skipped == 1
+        assert circuit.state is BreakerState.OPEN
+        assert counts["errors"] == 2
+        assert counts["skipped"] == 1
 
     def test_half_open_admits_exactly_one_probe(self):
         """Regression: a half-open breaker must latch while its probe is
@@ -731,25 +696,6 @@ class TestSinkCircuitBreaker:
         assert circuit.allow() == (False, False)  # fresh cooldown window
         # The next window's probe is admitted again (latch was cleared).
         assert circuit.allow() == (True, True)
-
-    def test_realtime_dispatch_isolated_too(self):
-        from repro.pubsub.broker import Broker, DeliveryMode
-        from repro.pubsub.subscriptions import SubscriptionStore
-        from repro.pubsub.topics import Publication, Topic, TopicKind
-
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.FRIEND, 9)
-        store.subscribe(1, topic)
-        broker = Broker(subscriptions=store, default_mode=DeliveryMode.REALTIME)
-        seen: list[int] = []
-        broker.add_sink(lambda n: (_ for _ in ()).throw(RuntimeError("boom")))
-        broker.add_sink(lambda n: seen.append(n.recipient_id))
-        notifications = broker.publish(
-            Publication(topic=topic, publisher_id=9, timestamp=1.0)
-        )
-        assert len(notifications) == 1
-        assert seen == [1]
-        assert broker.stats.sink_errors == 1
 
 
 @pytest.mark.chaos

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pubsub.topics import TopicKind
+from repro.pubsub.topics import Topic, TopicKind
 from repro.trace.entities import CatalogConfig, generate_catalog
 from repro.trace.generator import (
     TraceConfig,
@@ -61,8 +61,11 @@ class TestSubscriptions:
         generator = TraceGenerator(catalog, graph, spec.trace)
         store = generator.build_subscriptions()
         for user_id in list(catalog.users)[:10]:
-            friend_topics = store.topics_of_kind(user_id, TopicKind.FRIEND)
-            assert {t.entity_id for t in friend_topics} == graph.friends(user_id)
+            followed = {
+                other for other in catalog.users
+                if user_id in store.subscribers(Topic(TopicKind.FRIEND, other))
+            }
+            assert followed == graph.friends(user_id)
 
     def test_artist_follow_counts(self):
         spec = small_spec(artist_follows_per_user=4)
@@ -70,7 +73,11 @@ class TestSubscriptions:
         graph = generate_social_graph(spec.graph)
         store = TraceGenerator(catalog, graph, spec.trace).build_subscriptions()
         for user_id in list(catalog.users)[:10]:
-            assert len(store.topics_of_kind(user_id, TopicKind.ARTIST)) == 4
+            followed = [
+                artist_id for artist_id in catalog.artists
+                if user_id in store.subscribers(Topic(TopicKind.ARTIST, artist_id))
+            ]
+            assert len(followed) == 4
 
 
 class TestWorkload:

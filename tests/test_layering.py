@@ -1,11 +1,14 @@
 """Import layering of ``src/repro``, checked on the AST.
 
-The scheduling runtime is three one-way layers::
+The scheduling runtime is three one-way layers over the pub/sub
+substrate::
 
     kernels  ->  policy / registry / loop  ->  orchestration
-    (array math)     (decision rules)          (experiments, pubsub, cli, service)
+    (array math)     (decision rules)          (experiments, cli, service)
 
-Four arrows are held:
+    pubsub  (topics, subscriptions, the broker's match and queue, capacity)
+
+Five arrows are held:
 
 * ``core`` / ``runtime`` / ``trace`` import neither ``repro.experiments``
   nor ``repro.cli``: a lower layer that needs behaviour chosen up top gets
@@ -15,7 +18,9 @@ Four arrows are held:
 * only ``core/channels.py`` imports ``repro.core._channel_costs``, so no
   raw cost table can bypass the billed-bytes accounting of a ``Channel``;
 * ``runtime/kernels.py`` imports none of ``runtime.policy`` /
-  ``.registry`` / ``.loop`` or ``pubsub``: kernels stay pure array math.
+  ``.registry`` / ``.loop`` or ``pubsub``: kernels stay pure array math;
+* ``pubsub`` imports nothing outside ``repro.pubsub``: it matches and
+  queues, and every layer above may use it.
 
 Relative imports are resolved against the importing module's package, so
 ``from . import loop`` in the kernels file counts.
@@ -31,6 +36,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LOWER_ZONES = ("core", "runtime", "trace")
 ORCHESTRATION = ("experiments", "cli", "service")
 POLICY = ("runtime.policy", "runtime.registry", "runtime.loop", "pubsub")
+#: Packages that import nothing of ``repro`` outside themselves.
+SELF_CONTAINED = ("pubsub",)
 
 
 def repro_imports(path: Path, root: Path):
@@ -58,8 +65,9 @@ def layering_violations(root: Path, under: str = "") -> list[str]:
     offenders = []
     for path in [scope] if scope.is_file() else sorted(scope.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
+        zone = rel.split("/")[0]
         banned = [] if rel == "core/channels.py" else ["core._channel_costs"]
-        if rel.split("/")[0] in LOWER_ZONES:
+        if zone in LOWER_ZONES:
             banned += ORCHESTRATION
         if rel == "runtime/kernels.py":
             banned += POLICY
@@ -68,6 +76,8 @@ def layering_violations(root: Path, under: str = "") -> list[str]:
                 layer for layer in banned for name in names
                 if name == layer or name.startswith(layer + ".")
             }
+            if zone in SELF_CONTAINED:
+                hits |= {name.split(".")[0] for name in names} - {zone}
             offenders += [f"{rel}:{line} imports repro.{layer}" for layer in sorted(hits)]
     return offenders
 
@@ -110,6 +120,9 @@ def plant(root: Path, files: dict[str, str]) -> Path:
         ("runtime/kernels.py", "from .registry import lookup\n", "runtime.registry"),
         ("runtime/kernels.py", "from repro.runtime import loop\n", "runtime.loop"),
         ("runtime/kernels.py", "import repro.pubsub.broker\n", "pubsub"),
+        ("pubsub/p.py", "from repro.runtime import policy\n", "runtime"),
+        ("pubsub/broker.py", "from repro.core.breaker import SinkCircuit\n", "core"),
+        ("pubsub/capacity.py", "from ..runtime import registry\n", "runtime"),
     ],
     ids=lambda value: "_".join(value.split()),
 )
@@ -127,7 +140,7 @@ def test_each_crossed_arrow_fires(tmp_path, rel, source, layer):
         ("cli.py", "from repro.experiments import runner\nfrom .service import server\n"),
         ("runtime/loop.py", "from . import kernels, policy\nfrom repro.pubsub import broker\n"),
         ("runtime/kernels.py", "import numpy\nfrom . import columnar\n"),
-        ("pubsub/p.py", "from repro.runtime import policy\n"),
+        ("pubsub/p.py", "from repro.pubsub.topics import Topic\nfrom .broker import Broker\n"),
         ("core/x.py", "from repro.runtime import kernels\nfrom . import channels\n"),
         ("trace/t.py", "import repro.experimental\nimport repro.cli_tools\n"),
     ],

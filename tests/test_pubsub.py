@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.pubsub.broker import Broker, DeliveryMode
-from repro.pubsub.matching import TopicMatcher
+from repro.pubsub.broker import Broker
 from repro.pubsub.subscriptions import SubscriptionStore
 from repro.pubsub.topics import Publication, Topic, TopicKind
 
@@ -35,108 +34,109 @@ class TestSubscriptionStore:
         assert store.subscribe(1, topic)
         assert not store.subscribe(1, topic)  # duplicate
         assert store.subscribers(topic) == {1}
-        assert store.topics_of(1) == {topic}
-        assert store.total_subscriptions == 1
-
-    def test_unsubscribe(self):
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.ARTIST, 5)
-        store.subscribe(1, topic)
-        assert store.unsubscribe(1, topic)
-        assert not store.unsubscribe(1, topic)
-        assert store.subscribers(topic) == frozenset()
-        assert store.total_subscriptions == 0
-
-    def test_topics_of_kind(self):
-        store = SubscriptionStore()
-        store.subscribe(1, Topic(TopicKind.ARTIST, 5))
-        store.subscribe(1, Topic(TopicKind.FRIEND, 2))
-        assert store.topics_of_kind(1, TopicKind.ARTIST) == {
-            Topic(TopicKind.ARTIST, 5)
-        }
-
-    def test_bulk_subscribe_counts_new_only(self):
-        store = SubscriptionStore()
-        topics = [Topic(TopicKind.PLAYLIST, i) for i in range(3)]
-        assert store.bulk_subscribe(1, topics) == 3
-        assert store.bulk_subscribe(1, topics) == 0
+        assert store.subscribers(Topic(TopicKind.ARTIST, 6)) == frozenset()
 
     def test_negative_user_rejected(self):
         with pytest.raises(ValueError):
             SubscriptionStore().subscribe(-1, Topic(TopicKind.FRIEND, 1))
 
+    def test_subscribers_is_a_snapshot(self):
+        store = SubscriptionStore()
+        topic = Topic(TopicKind.FRIEND, 2)
+        store.subscribe(1, topic)
+        before = store.subscribers(topic)
+        store.subscribe(3, topic)
+        assert before == {1}
+        assert store.subscribers(topic) == {1, 3}
+
+    def test_one_user_follows_many_topics_independently(self):
+        store = SubscriptionStore()
+        artist, playlist = Topic(TopicKind.ARTIST, 1), Topic(TopicKind.PLAYLIST, 1)
+        assert store.subscribe(4, artist)
+        assert store.subscribe(4, playlist)  # same user, same entity id, other kind
+        store.subscribe(5, artist)
+        assert store.subscribers(artist) == {4, 5}
+        assert store.subscribers(playlist) == {4}
+
 
 class TestMatching:
+    @staticmethod
+    def recipients(store, publication):
+        return [n.recipient_id for n in Broker(store).publish(publication)]
+
     def test_matches_subscribers(self):
         store = SubscriptionStore()
         topic = Topic(TopicKind.FRIEND, 9)
-        store.subscribe(1, topic)
         store.subscribe(2, topic)
-        matcher = TopicMatcher(store)
-        assert matcher.match(pub(topic, publisher=9)) == {1, 2}
+        store.subscribe(1, topic)
+        assert self.recipients(store, pub(topic, publisher=9)) == [1, 2]
 
     def test_publisher_never_self_notified(self):
         store = SubscriptionStore()
         topic = Topic(TopicKind.PLAYLIST, 4)
         store.subscribe(7, topic)  # owner follows their own playlist
-        matcher = TopicMatcher(store)
-        assert matcher.match(pub(topic, publisher=7)) == frozenset()
+        assert self.recipients(store, pub(topic, publisher=7)) == []
 
-    def test_filters_applied(self):
+    def test_publisher_as_only_subscriber_counts_as_drop(self):
         store = SubscriptionStore()
-        topic = Topic(TopicKind.FRIEND, 9)
-        store.subscribe(1, topic)
-        store.subscribe(2, topic)
-        matcher = TopicMatcher(store)
-        matcher.add_filter(lambda user, publication: user != 2)
-        assert matcher.match(pub(topic, publisher=9)) == {1}
+        topic = Topic(TopicKind.ARTIST, 4)
+        store.subscribe(7, topic)
+        broker = Broker(store)
+        assert broker.publish(pub(topic, publisher=7)) == []
+        assert broker.stats.dropped_no_subscribers == 1
+        assert broker.stats.notifications == 0
+        assert broker.pending_count == 0
 
 
 class TestBroker:
-    def test_round_mode_queues_until_flush(self):
+    def test_queues_until_flush(self):
         store = SubscriptionStore()
         topic = Topic(TopicKind.ARTIST, 1)
         store.subscribe(5, topic)
-        broker = Broker(store, default_mode=DeliveryMode.ROUND)
-        received = []
-        broker.add_sink(received.append)
-        broker.publish(pub(topic))
-        assert received == []
+        broker = Broker(store)
+        made = broker.publish(pub(topic))
         assert broker.pending_count == 1
         released = broker.flush()
-        assert len(released) == 1
-        assert received == released
+        assert released == made
         assert broker.pending_count == 0
+        assert broker.flush() == []
 
-    def test_realtime_mode_emits_immediately(self):
-        store = SubscriptionStore()
-        topic = Topic(TopicKind.FRIEND, 1)
-        store.subscribe(5, topic)
-        broker = Broker(store, default_mode=DeliveryMode.REALTIME)
-        received = []
-        broker.add_sink(received.append)
-        broker.publish(pub(topic))
-        assert len(received) == 1
-        assert broker.pending_count == 0
-
-    def test_per_kind_mode_override(self):
-        """Friend feeds realtime, album releases round-based (Section II)."""
+    def test_flush_releases_in_publish_order_with_running_ids(self):
         store = SubscriptionStore()
         friend_topic = Topic(TopicKind.FRIEND, 1)
         artist_topic = Topic(TopicKind.ARTIST, 1)
-        store.subscribe(5, friend_topic)
-        store.subscribe(5, artist_topic)
-        broker = Broker(
-            store,
-            default_mode=DeliveryMode.ROUND,
-            mode_overrides={TopicKind.FRIEND: DeliveryMode.REALTIME},
-        )
-        received = []
-        broker.add_sink(received.append)
-        broker.publish(pub(friend_topic))
-        broker.publish(pub(artist_topic))
-        assert len(received) == 1
-        assert broker.pending_count == 1
+        for user in (6, 5):
+            store.subscribe(user, friend_topic)
+            store.subscribe(user, artist_topic)
+        broker = Broker(store)
+        broker.publish(pub(friend_topic, timestamp=2.0))
+        broker.publish(pub(artist_topic, timestamp=1.0))
+        first = broker.flush()
+        assert [(n.kind, n.recipient_id) for n in first] == [
+            (TopicKind.FRIEND, 5), (TopicKind.FRIEND, 6),
+            (TopicKind.ARTIST, 5), (TopicKind.ARTIST, 6),
+        ]
+        broker.publish(pub(friend_topic, timestamp=3.0))
+        ids = [n.notification_id for n in first + broker.flush()]
+        assert ids == list(range(6))
+
+    def test_shares_the_store_it_is_given_even_when_empty(self):
+        store = SubscriptionStore()
+        broker = Broker(store)
+        topic = Topic(TopicKind.FRIEND, 3)
+        store.subscribe(8, topic)  # subscribed after the broker was built
+        assert [n.recipient_id for n in broker.publish(pub(topic, publisher=3))] == [8]
+
+    def test_notification_carries_its_publication(self):
+        store = SubscriptionStore()
+        topic = Topic(TopicKind.PLAYLIST, 6)
+        store.subscribe(2, topic)
+        publication = pub(topic, publisher=9, timestamp=4.5, track=11)
+        (notification,) = Broker(store).publish(publication)
+        assert notification.publication is publication
+        assert notification.timestamp == 4.5
+        assert notification.kind is TopicKind.PLAYLIST
+        assert notification.publication.payload == {"track": 11}
 
     def test_no_subscribers_counts_drop(self):
         broker = Broker()
@@ -151,7 +151,7 @@ class TestBroker:
         for topic_id in range(n_topics):
             for user in range(fanout):
                 store.subscribe(topic_id * fanout + user, Topic(TopicKind.FRIEND, topic_id))
-        broker = Broker(store, default_mode=DeliveryMode.ROUND)
+        broker = Broker(store)
         total = sum(
             len(broker.publish(pub(Topic(TopicKind.FRIEND, i % n_topics), publisher=999)))
             for i in range(25)

@@ -763,6 +763,7 @@ class TestGuardedSink:
         "field, value",
         [
             ("timeout_seconds", float("nan")),
+            ("timeout_seconds", float("inf")),
             ("base_backoff_seconds", float("nan")),
             ("max_backoff_seconds", float("nan")),
             ("base_backoff_seconds", float("inf")),
@@ -771,8 +772,10 @@ class TestGuardedSink:
     )
     def test_a_policy_refuses_nan_and_unbounded_durations_by_name(self, field, value):
         """A NaN timeout used to fail every attempt inside the clock (the
-        breaker opened, nothing was delivered); a NaN backoff crashed the
-        scheduler at the first retry."""
+        breaker opened, nothing was delivered); an infinite one let a sink
+        that never returns hold the half-open probe latch, shutting that
+        sink for the rest of the run; a NaN backoff crashed the scheduler
+        at the first retry."""
         with pytest.raises(ValueError, match=field):
             SinkPolicy(**{field: value})
 
