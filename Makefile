@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos lint bench-repo artifacts examples clean
+.PHONY: install test chaos lint census bench-repo artifacts examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -27,6 +27,12 @@ lint:
 	else \
 		echo "ruff not installed; skipping lint (set REQUIRE_RUFF=1 to fail instead)"; \
 	fi
+
+# Reachability census (~2 min): runs every CLI verb, the examples and the
+# repo benchmark with a profile hook in every process, and fails on a src/
+# function none of them enters unless tests/census_allow.txt says why.
+census:
+	PYTHONPATH=src $(PYTHON) tests/census.py
 
 # The repo benchmark (BENCHMARK.json): every workload's end-to-end
 # metrics in reference seconds, outputs checked against the goldens.

@@ -25,6 +25,7 @@ import math
 import sys
 from typing import Sequence
 
+from repro.core.presentations import build_audio_ladder
 from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
 from repro.experiments.figures import figure3_and_4, paper_method_specs
 from repro.experiments.reporting import render_series_table
@@ -78,11 +79,29 @@ def _parse_faults(text: str):
 
 
 def _parse_method(text: str) -> MethodSpec:
-    """``richnote`` | ``fifo:3`` | ``util:2`` (see :meth:`MethodSpec.parse`)."""
+    """``richnote`` | ``fifo:3`` | ``util:2`` (see :meth:`MethodSpec.parse`);
+    a baseline's level must be a rung of the audio ladder."""
     try:
-        return MethodSpec.parse(text)
+        spec = MethodSpec.parse(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
+    top = build_audio_ladder().max_level
+    if spec.fixed_level is not None and spec.fixed_level > top:
+        raise argparse.ArgumentTypeError(
+            f"bad method {text!r}: the ladder's top level is {top}"
+        )
+    return spec
+
+
+def _parse_methods(text: str) -> tuple[MethodSpec, ...]:
+    """``richnote,util:3``: distinct method specs, in the order given."""
+    specs: list[MethodSpec] = []
+    for entry in text.split(","):
+        spec = _parse_method(entry)
+        if spec in specs:
+            raise argparse.ArgumentTypeError(f"duplicate method {entry!r} in {text!r}")
+        specs.append(spec)
+    return tuple(specs)
 
 
 def _parse_probability(text: str) -> float:
@@ -140,8 +159,27 @@ def _parse_positive_count(text: str) -> int:
     return _parse_count(text, 1)
 
 
+#: What reading a trace raises when the file is not one: ``OSError`` (a
+#: missing path, a directory, a ``.gz`` that is not gzip), ``ValueError``
+#: (not JSON, not a richnote trace) and ``EOFError`` (a truncated ``.gz``).
+UNREADABLE_TRACE = (OSError, ValueError, EOFError)
+
+
+def _unreadable_trace(path: str, error: Exception) -> SystemExit:
+    """An unreadable ``--trace`` is a usage error (exit 2) naming the path."""
+    reason = (error.strerror if isinstance(error, OSError) else None) or str(error)
+    if path not in reason:
+        reason = f"{path}: {reason}"
+    sys.stderr.write(f"richnote: error: argument --trace: {reason}\n")
+    return SystemExit(2)
+
+
 def _load_workload(path: str) -> Workload:
-    return Workload.from_records(read_trace(path))
+    try:
+        records = read_trace(path)
+    except UNREADABLE_TRACE as error:
+        raise _unreadable_trace(path, error) from error
+    return Workload.from_records(records)
 
 
 def cmd_generate_trace(args: argparse.Namespace) -> int:
@@ -167,7 +205,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     workload = _load_workload(args.trace)
-    spec = _parse_method(args.method)
+    spec = args.method
     config = ExperimentConfig(
         weekly_budget_mb=args.budget, seed=args.seed, faults=args.faults
     )
@@ -187,11 +225,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     workload = _load_workload(args.trace)
-    specs = (
-        [_parse_method(m) for m in args.methods.split(",")]
-        if args.methods
-        else paper_method_specs()
-    )
+    specs = list(args.methods) if args.methods else paper_method_specs()
     annotations = UtilityAnnotations.train(workload, seed=args.seed)
     users = workload.top_users(args.users) if args.users else None
     config = ExperimentConfig(seed=args.seed, faults=args.faults)
@@ -262,7 +296,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.trace.stats import compute_stats, render_stats
 
     # Streaming: stats are a single fold, so never materialize the trace.
-    print(render_stats(compute_stats(iter_trace(args.trace))))
+    try:
+        stats = compute_stats(iter_trace(args.trace))
+    except UNREADABLE_TRACE as error:
+        raise _unreadable_trace(args.trace, error) from error
+    print(render_stats(stats))
     return 0
 
 
@@ -399,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="replay one policy at one budget")
     run.add_argument("--trace", required=True)
-    run.add_argument("--method", default="richnote",
+    run.add_argument("--method", type=_parse_method, default="richnote",
                      help="richnote | fifo:<level> | util:<level>")
     run.add_argument("--budget", type=_parse_positive, default=10.0,
                      help="weekly data budget in MB")
@@ -415,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--trace", required=True)
     sweep.add_argument("--budgets", type=_parse_budgets, default="1,2,5,10,20,50,100")
-    sweep.add_argument("--methods", default="",
+    sweep.add_argument("--methods", type=_parse_methods, default=None,
                        help="comma list, e.g. richnote,util:3 (default: paper's five)")
     sweep.add_argument("--users", type=_parse_count_or_zero, default=0)
     sweep.add_argument("--faults", type=_parse_faults, default=None,

@@ -1,4 +1,10 @@
-"""The paper's primary contribution: utility-driven selection + scheduling."""
+"""The paper's primary contribution: utility-driven selection + scheduling.
+
+The product selects through :mod:`repro.runtime.kernels`; the MCKP solvers
+here (:func:`select_presentations`, :func:`solve_exact_dp`,
+:func:`fractional_upper_bound`) are the oracles those kernels are checked
+against.
+"""
 
 from repro.core.content import ContentItem, ContentKind, Presentation, PresentationLadder
 from repro.core.presentations import AudioPresentationSpec, build_audio_ladder
@@ -6,10 +12,8 @@ from repro.core.mckp import (
     MckpInstance,
     MckpItem,
     MckpSolution,
-    convex_hull_levels,
     fractional_upper_bound,
     select_presentations,
-    select_presentations_general,
     solve_exact_dp,
 )
 from repro.core.lyapunov import LyapunovConfig, LyapunovController, LyapunovState
@@ -30,6 +34,5 @@ from repro.core.media import (
     VideoPresentationSpec,
     build_image_ladder,
     build_video_ladder,
-    default_registry,
 )
 from repro.core.multifeed import FeedCadences, MultiFeedScheduler

@@ -21,17 +21,17 @@ item's choice set is the union of every channel's ladder, priced in
 *billed* bytes against the data budget while energy is priced on *wire*
 bytes (see :func:`repro.runtime.kernels.merge_channel_rows_batched`).
 
-Built-in channels are registered by name (``push`` / ``inapp`` /
-``email`` / ``messenger``); custom channels plug in via
-:func:`register_channel` (docs/EXTENDING.md section 10).  The raw cost
-tables live in :mod:`repro.core._channel_costs`, which only this module
-may import (``tests/test_layering.py``).
+Built-in channels are built by name (``push`` / ``inapp`` / ``email`` /
+``messenger``, :func:`builtin_channel`); a custom channel is a
+:class:`Channel` placed in a :class:`ChannelSet` (docs/EXTENDING.md
+section 10).  The raw cost tables live in :mod:`repro.core._channel_costs`,
+which only this module may import (``tests/test_layering.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core import _channel_costs
 from repro.core.content import ContentItem, Presentation, PresentationLadder
@@ -42,8 +42,6 @@ __all__ = [
     "ChannelSet",
     "builtin_channel",
     "default_channel_set",
-    "register_channel",
-    "registered_channels",
 ]
 
 
@@ -216,62 +214,21 @@ def _ladder_from_shape(shape: tuple[tuple[int, float], ...]) -> PresentationLadd
     return PresentationLadder(levels)
 
 
-def _builtin_factory(name: str) -> Callable[[], Channel]:
-    per_byte, overhead = _channel_costs.COST_CURVES[name]
-    shape = _channel_costs.LADDER_SHAPES.get(name)
-
-    def factory() -> Channel:
-        return Channel(
-            name=name,
-            cost=ChannelCostCurve(per_byte=per_byte, overhead_bytes=overhead),
-            ladder=_ladder_from_shape(shape) if shape is not None else None,
-            cell_coupled=name in _channel_costs.CELL_COUPLED,
-        )
-
-    return factory
-
-
-_REGISTRY: dict[str, Callable[[], Channel]] = {
-    name: _builtin_factory(name) for name in _channel_costs.COST_CURVES
-}
-
-
-def register_channel(
-    name: str, factory: Callable[[], Channel], *, replace: bool = False
-) -> None:
-    """Register a channel factory under ``name`` (EXTENDING.md section 10).
-
-    The factory must build a :class:`Channel` whose ``name`` matches the
-    registered name.  Built-ins can only be shadowed with ``replace=True``.
-    """
-    if not name:
-        raise ValueError("channel name must be non-empty")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"channel {name!r} is already registered (pass replace=True)"
-        )
-    _REGISTRY[name] = factory
-
-
-def registered_channels() -> tuple[str, ...]:
-    """Names of every registered channel, built-ins first."""
-    return tuple(_REGISTRY)
-
-
 def builtin_channel(name: str) -> Channel:
-    """Instantiate a registered channel by name."""
+    """A built-in channel by name, from the cost tables."""
     try:
-        factory = _REGISTRY[name]
+        per_byte, overhead = _channel_costs.COST_CURVES[name]
     except KeyError:
         raise KeyError(
-            f"unknown channel {name!r}; registered: {list(_REGISTRY)}"
+            f"unknown channel {name!r}; built-ins: {list(_channel_costs.COST_CURVES)}"
         ) from None
-    channel = factory()
-    if channel.name != name:
-        raise ValueError(
-            f"factory for {name!r} built a channel named {channel.name!r}"
-        )
-    return channel
+    shape = _channel_costs.LADDER_SHAPES.get(name)
+    return Channel(
+        name=name,
+        cost=ChannelCostCurve(per_byte=per_byte, overhead_bytes=overhead),
+        ladder=_ladder_from_shape(shape) if shape is not None else None,
+        cell_coupled=name in _channel_costs.CELL_COUPLED,
+    )
 
 
 def default_channel_set() -> ChannelSet:

@@ -231,42 +231,3 @@ def solve_exact_dp(instance: MckpInstance) -> MckpSolution:
     solution.total_profit = total_profit if n else 0.0
     return solution
 
-
-def convex_hull_levels(item: MckpItem) -> list[int]:
-    """Levels surviving LP-domination filtering, in increasing size order.
-
-    Classical MCKP preprocessing (Sinha & Zoltners): first drop *dominated*
-    levels (some other level has no larger size and no smaller profit),
-    then drop *LP-dominated* levels (below the upper-left convex hull of
-    the (size, profit) cloud).  The surviving levels always include level 0
-    and have strictly decreasing utility-size gradients, which is exactly
-    the precondition under which the greedy of Algorithm 1 carries its
-    one-upgrade optimality bound for ARBITRARY profit profiles -- e.g. the
-    Lyapunov-adjusted profits of Eq. 7, which need not be monotone.
-    """
-    return kernels.hull_levels(item.sizes, item.profits)
-
-
-def select_presentations_general(instance: MckpInstance) -> MckpSolution:
-    """Algorithm 1 with LP-domination preprocessing for arbitrary profits.
-
-    Filters each item's ladder to its convex hull (so gradients are
-    strictly decreasing), runs the greedy on the reduced ladders, and maps
-    chosen levels back to the original level indices.  For ladders that
-    are already gradient-monotone this selects exactly what
-    :func:`select_presentations` does, at the cost of an ``O(n k)``
-    preprocessing pass.  Hull reduction, greedy and level back-mapping all
-    live in :func:`repro.runtime.kernels.greedy_select_hull`.
-    """
-    keys = [item.key for item in instance.items]
-    levels, total_size, total_profit = kernels.greedy_select_hull(
-        keys,
-        [item.sizes for item in instance.items],
-        [item.profits for item in instance.items],
-        instance.budget,
-    )
-    return MckpSolution(
-        levels=dict(zip(keys, levels)),
-        total_size=total_size,
-        total_profit=total_profit,
-    )

@@ -30,8 +30,6 @@ from repro.core.content import ContentKind, Presentation, PresentationLadder
 from repro.core.presentations import (
     METADATA_SIZE_BYTES,
     METADATA_UTILITY_FRACTION,
-    AudioPresentationSpec,
-    build_audio_ladder,
 )
 from repro.survey.pareto import CandidatePresentation, pareto_frontier
 
@@ -267,19 +265,3 @@ class LadderRegistry:
             self._cache[kind] = self._builders[kind]()
         return self._cache[kind]
 
-    def registered_kinds(self) -> frozenset[ContentKind]:
-        return frozenset(self._builders)
-
-
-def default_registry(
-    audio_spec: AudioPresentationSpec | None = None,
-) -> LadderRegistry:
-    """The Spotify-flavoured registry: audio ladders for every feed kind.
-
-    Album releases could plausibly carry cover-art image ladders instead;
-    swap with :func:`build_image_ladder` via :meth:`LadderRegistry.register`.
-    """
-    registry = LadderRegistry()
-    for kind in ContentKind:
-        registry.register(kind, lambda spec=audio_spec: build_audio_ladder(spec))
-    return registry

@@ -153,29 +153,3 @@ def build_audio_ladder(spec: AudioPresentationSpec | None = None) -> Presentatio
         )
     return PresentationLadder(presentations)
 
-
-def fixed_level_ladder(
-    ladder: PresentationLadder, level: int
-) -> PresentationLadder:
-    """Collapse a ladder to {not sent, one fixed level}.
-
-    The FIFO and UTIL baselines of the paper deliver at a *fixed*
-    presentation level (e.g. metadata + 10 s preview).  This helper builds
-    the two-rung ladder such a baseline effectively uses.
-    """
-    if level < 1 or level > ladder.max_level:
-        raise ValueError(
-            f"fixed level must be in [1, {ladder.max_level}], got {level}"
-        )
-    chosen = ladder[level]
-    return PresentationLadder(
-        [
-            Presentation(level=0, size_bytes=0, utility=0.0, description="not sent"),
-            Presentation(
-                level=1,
-                size_bytes=chosen.size_bytes,
-                utility=chosen.utility,
-                description=chosen.description,
-            ),
-        ]
-    )

@@ -80,8 +80,8 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method {name!r}; choose richnote, fifo:<L>, util:<L>"
             ) from None
-        if not level:
-            raise ValueError(f"{name} needs a level, e.g. {name}:3")
+        if not level.isdecimal():
+            raise ValueError(f"{name} needs an integer level, e.g. {name}:3")
         return cls(method, fixed_level=int(level))
 
     @property

@@ -186,10 +186,6 @@ class ExperimentResult:
     summary: CellSummary | None = None
 
     @property
-    def label(self) -> str:
-        return self.spec.label
-
-    @property
     def mean_backlog_bytes(self) -> float:
         if not self.per_user:
             return self.summary.mean_backlog_bytes if self.summary else 0.0

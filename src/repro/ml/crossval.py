@@ -17,38 +17,13 @@ import numpy as np
 from repro.ml.metrics import confusion_matrix
 
 
-def kfold_indices(
-    n_samples: int,
-    n_folds: int = 5,
-    shuffle: bool = True,
-    random_state: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(train_indices, test_indices)`` for each fold.
-
-    Folds differ in size by at most one sample.
-    """
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
-    if n_samples < n_folds:
-        raise ValueError(f"cannot split {n_samples} samples into {n_folds} folds")
-    indices = np.arange(n_samples)
-    if shuffle:
-        np.random.default_rng(random_state).shuffle(indices)
-    folds = np.array_split(indices, n_folds)
-    for fold_index in range(n_folds):
-        test = folds[fold_index]
-        train = np.concatenate(
-            [folds[i] for i in range(n_folds) if i != fold_index]
-        )
-        yield train, test
-
-
 def stratified_kfold_indices(
     labels,
     n_folds: int = 5,
     random_state: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stratified variant preserving the class balance in every fold."""
+    """Yield ``(train_indices, test_indices)`` for each of ``n_folds`` folds,
+    each fold keeping the class balance of ``labels``."""
     labels = np.asarray(labels, dtype=int)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
@@ -108,27 +83,22 @@ def cross_validate(
     x,
     y,
     n_folds: int = 5,
-    stratified: bool = True,
     random_state: int | None = None,
 ) -> CrossValResult:
     """Fit a fresh model per fold and aggregate accuracy/precision/recall.
 
     ``model_factory`` must return an unfitted object with ``fit(x, y)`` and
     ``predict(x)`` -- a fresh instance per fold keeps folds independent.
+    Folds are stratified (:func:`stratified_kfold_indices`).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(x) != len(y):
         raise ValueError("x and y must align")
-    splits = (
-        stratified_kfold_indices(y, n_folds, random_state)
-        if stratified
-        else kfold_indices(len(y), n_folds, random_state=random_state)
-    )
     accuracies: list[float] = []
     precisions: list[float] = []
     recalls: list[float] = []
-    for train, test in splits:
+    for train, test in stratified_kfold_indices(y, n_folds, random_state):
         model = model_factory()
         model.fit(x[train], y[train])
         predictions = model.predict(x[test])

@@ -9,7 +9,6 @@ The forest bootstraps the training set per tree, subsamples ``sqrt(f)``
 features per split, and averages leaf probabilities across trees --
 ``predict_proba`` is the mean of tree probabilities, which is what
 :class:`repro.core.utility.LearnedContentUtility` converts into ``U_c``.
-Out-of-bag scoring is included as a cheap generalization check.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ class RandomForestClassifier:
         self.bootstrap = bootstrap
         self.random_state = random_state
         self._trees: list[DecisionTreeClassifier] = []
-        self._oob_indices: list[np.ndarray] = []
         self._n_features = 0
 
     def fit(self, x, y) -> "RandomForestClassifier":
@@ -66,15 +64,9 @@ class RandomForestClassifier:
         n = len(x)
         rng = np.random.default_rng(self.random_state)
         self._trees = []
-        self._oob_indices = []
         for tree_index in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                oob = np.setdiff1d(np.arange(n), np.unique(sample))
-            else:
-                sample = np.arange(n)
-                oob = np.array([], dtype=int)
+            sample = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
@@ -84,9 +76,6 @@ class RandomForestClassifier:
             )
             tree._fit_checked(x[sample], y[sample], n_candidates)
             self._trees.append(tree)
-            self._oob_indices.append(oob)
-        self._train_x = x
-        self._train_y = y
         return self
 
     def _check_fitted(self) -> None:
@@ -105,29 +94,6 @@ class RandomForestClassifier:
     def predict(self, x) -> np.ndarray:
         """Majority-probability class at the 0.5 threshold."""
         return (self.predict_proba(x)[:, 1] >= 0.5).astype(int)
-
-    def oob_score(self) -> float:
-        """Out-of-bag accuracy (requires ``bootstrap=True``).
-
-        Each sample is scored only by trees that did not see it; samples
-        never out-of-bag are skipped.
-        """
-        self._check_fitted()
-        if not self.bootstrap:
-            raise RuntimeError("OOB score requires bootstrap sampling")
-        n = len(self._train_x)
-        votes = np.zeros(n)
-        counts = np.zeros(n)
-        for tree, oob in zip(self._trees, self._oob_indices):
-            if oob.size == 0:
-                continue
-            votes[oob] += tree._proba_checked(self._train_x[oob])[:, 1]
-            counts[oob] += 1
-        seen = counts > 0
-        if not seen.any():
-            raise RuntimeError("no out-of-bag samples; add trees or data")
-        predictions = (votes[seen] / counts[seen]) >= 0.5
-        return float((predictions.astype(int) == self._train_y[seen]).mean())
 
     def feature_importances(self) -> np.ndarray:
         """Split-frequency feature importances (normalized to sum to 1).

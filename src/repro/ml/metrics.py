@@ -2,8 +2,8 @@
 
 The paper reports classifier quality as precision and accuracy under
 five-fold cross validation ("we got a precision of 0.700 and accuracy of
-0.689").  This module provides those plus the usual companions used by the
-test-suite and EXPERIMENTS.md.
+0.689").  :func:`confusion_matrix` counts the outcomes; the cross-validation
+fold (:mod:`repro.ml.crossval`) reads accuracy, precision and recall off it.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class ConfusionMatrix:
         denominator = self.true_positive + self.false_negative
         return self.true_positive / denominator if denominator else 0.0
 
-    def f1(self) -> float:
-        p, r = self.precision(), self.recall()
-        return 2 * p * r / (p + r) if (p + r) else 0.0
-
 
 def confusion_matrix(y_true, y_pred) -> ConfusionMatrix:
     """Build the binary confusion matrix from aligned label vectors."""
@@ -67,49 +63,3 @@ def confusion_matrix(y_true, y_pred) -> ConfusionMatrix:
         false_negative=int(((y_true == 1) & (y_pred == 0)).sum()),
     )
 
-
-def accuracy(y_true, y_pred) -> float:
-    return confusion_matrix(y_true, y_pred).accuracy()
-
-
-def precision(y_true, y_pred) -> float:
-    return confusion_matrix(y_true, y_pred).precision()
-
-
-def recall(y_true, y_pred) -> float:
-    return confusion_matrix(y_true, y_pred).recall()
-
-
-def f1_score(y_true, y_pred) -> float:
-    return confusion_matrix(y_true, y_pred).f1()
-
-
-def roc_auc(y_true, scores) -> float:
-    """Area under the ROC curve via the rank-sum (Mann-Whitney) identity.
-
-    Ties in scores receive the average rank, so a constant classifier
-    scores exactly 0.5.
-    """
-    y_true = np.asarray(y_true, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    if y_true.shape != scores.shape:
-        raise ValueError("labels and scores must align")
-    positives = int((y_true == 1).sum())
-    negatives = int((y_true == 0).sum())
-    if positives == 0 or negatives == 0:
-        raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    # Average ranks over tied groups.
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    positive_rank_sum = float(ranks[y_true == 1].sum())
-    return (positive_rank_sum - positives * (positives + 1) / 2.0) / (
-        positives * negatives
-    )

@@ -21,10 +21,11 @@ per-round hot path allocates matrices instead of one object per
   a whole group of users in one segmented pass (the columnar engine's
   selector); :func:`greedy_select_heap` -- the same algorithm for one
   user as the paper's heap (the scalar round loop's selector and the
-  segmented kernel's parity oracle); :func:`greedy_select_hull` -- the
-  heap behind the LP-domination (convex hull) preprocessing of
-  :func:`hull_levels`, :mod:`repro.core.mckp`'s selector for arbitrary
-  profit rows;
+  segmented kernel's parity oracle); :func:`hull_levels` -- the
+  per-row LP-domination (convex hull) filter, the scalar oracle of
+  :func:`hull_levels_batched`; :func:`greedy_select_hull` -- the heap
+  behind :func:`hull_levels` for arbitrary profit rows, which no product
+  path calls (the benchmark harness wraps it by name);
 * :func:`feature_matrix` -- Section V-A's classifier feature layout for a
   whole record batch in one array pass (the scoring hot path of
   :meth:`repro.experiments.runner.UtilityAnnotations.train`).

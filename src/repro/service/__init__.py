@@ -17,8 +17,9 @@ package runs them *continuously*, the deployment shape of Section II:
   of :class:`repro.core.breaker.SinkCircuit`);
 * :mod:`repro.service.server` -- :class:`NotificationService`, the
   composition of all of the above around ``runtime/loop.py`` round loops;
-* :mod:`repro.service.health` -- conservation accounting and latency
-  percentiles;
+* :mod:`repro.service.health` -- the service's counters and latency
+  percentiles (the conservation ledger is
+  :meth:`NotificationService.accounting`);
 * :mod:`repro.service.chaos` -- flash-crowd load and flaky sinks for
   chaos runs;
 * :mod:`repro.service.clock` -- real monotonic vs simulated time, each
@@ -43,7 +44,7 @@ from repro.service.degrade import (
     DegradationController,
     PressureLevel,
 )
-from repro.service.health import HealthSnapshot, ServiceStats
+from repro.service.health import ServiceStats
 from repro.service.queues import (
     Admission,
     BoundedUserQueue,
@@ -70,7 +71,6 @@ __all__ = [
     "DegradationConfig",
     "DegradationController",
     "GuardedSink",
-    "HealthSnapshot",
     "IngestFrontier",
     "IngestResult",
     "MonotonicClock",

@@ -1,7 +1,9 @@
-"""Service health: conservation accounting and latency percentiles.
+"""Service health: the counters behind conservation accounting, and
+latency percentiles.
 
 Every event offered to the service must end in exactly one place.  The
-conservation identity the chaos gate asserts (integers, exact):
+conservation identity the chaos gate asserts (integers, exact;
+:meth:`repro.service.server.NotificationService.accounting` reports it):
 
     ingested == delivered + shed + deferred_pending + dead_lettered
                 + pending
@@ -20,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from repro.service.degrade import PressureLevel
 
 
 def quantile(samples: list[float], q: float) -> float:
@@ -75,39 +75,3 @@ class ServiceStats:
     def latency_quantile(self, q: float) -> float:
         return quantile(self.latencies, q)
 
-
-@dataclass(frozen=True)
-class HealthSnapshot:
-    """Point-in-time health view (what a /healthz endpoint would serve)."""
-
-    time: float
-    pressure_level: PressureLevel
-    pressure: float
-    queue_depth: int
-    queue_high_water: int
-    deferred_pending: int
-    loop_backlog: int
-    breaker_states: tuple[str, ...]
-    conservation_error: int
-
-    @property
-    def healthy(self) -> bool:
-        """Conserving and not shedding: the green-check definition."""
-        return (
-            self.conservation_error == 0
-            and self.pressure_level < PressureLevel.SHED
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "pressure_level": self.pressure_level.name,
-            "pressure": self.pressure,
-            "queue_depth": self.queue_depth,
-            "queue_high_water": self.queue_high_water,
-            "deferred_pending": self.deferred_pending,
-            "loop_backlog": self.loop_backlog,
-            "breaker_states": list(self.breaker_states),
-            "conservation_error": self.conservation_error,
-            "healthy": self.healthy,
-        }

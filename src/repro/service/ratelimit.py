@@ -84,13 +84,6 @@ class RateLimitConfig:
             if burst < 1:
                 raise ValueError(f"{name} must be >= 1, got {burst}")
 
-    @property
-    def enabled(self) -> bool:
-        return any(
-            rate is not None
-            for rate in (self.global_rate, self.per_user_rate, self.per_topic_rate)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class RateDecision:

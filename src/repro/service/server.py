@@ -38,7 +38,7 @@ from repro.runtime.loop import RoundLoop
 from repro.runtime.types import Delivery
 from repro.service.clock import Clock, MonotonicClock
 from repro.service.degrade import DegradationConfig, DegradationController
-from repro.service.health import HealthSnapshot, ServiceStats
+from repro.service.health import ServiceStats
 from repro.service.queues import (
     Admission,
     IngestFrontier,
@@ -120,7 +120,6 @@ class NotificationService:
         #: In-flight egress: a task per tick, one per sink call that has to
         #: wait; settled before ``run`` returns.
         self._delivery_tasks: list[asyncio.Task] = []
-        self._stop_requested = False
         self._started = False
         for user_id in self._user_ids:
             self.frontier.register(user_id)
@@ -253,47 +252,23 @@ class NotificationService:
 
     # -- the scheduler loop ----------------------------------------------------
 
-    def request_stop(self) -> None:
-        """Ask the scheduler to exit at the next tick (live mode)."""
-        self._stop_requested = True
-
-    async def run(
-        self,
-        rounds: int | None = None,
-        run_seconds: float | None = None,
-    ) -> None:
-        """Run the scheduler until the bound expires (or
-        :meth:`request_stop`).
-
-        ``rounds`` bounds the run to that many round periods -- with
-        staggered timers every user fires exactly ``rounds`` times.
-        Exactly one of ``rounds`` / ``run_seconds`` may be given;
-        neither means run until stopped.
-        """
-        if rounds is not None and run_seconds is not None:
-            raise ValueError("pass rounds or run_seconds, not both")
+    async def run(self, rounds: int) -> None:
+        """Run the scheduler for ``rounds`` round periods -- with staggered
+        timers every user fires exactly ``rounds`` times."""
         if self._started:
             raise RuntimeError("service already ran; build a fresh instance")
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
         self._started = True
         start = self.clock.now()
-        end: float | None = None
-        if rounds is not None:
-            if rounds < 1:
-                raise ValueError("rounds must be >= 1")
-            end = start + rounds * self.config.round_seconds
-        elif run_seconds is not None:
-            if run_seconds <= 0:
-                raise ValueError("run_seconds must be positive")
-            end = start + run_seconds
+        end = start + rounds * self.config.round_seconds
 
         for user_id in self._user_ids:
             self.timers.register(user_id, start)
 
-        while not self._stop_requested:
+        while True:
             deadline = self.timers.next_deadline()
-            if deadline is None:
-                break
-            if end is not None and deadline > end + 1e-9:
+            if deadline is None or deadline > end + 1e-9:
                 break
             await self.clock.sleep(deadline - self.clock.now())
             self._tick(self.clock.now())
@@ -426,21 +401,3 @@ class NotificationService:
             "pending": pending,
             "error": stats.ingested - accounted,
         }
-
-    def conservation_error(self) -> int:
-        return int(self.accounting()["error"])
-
-    def health(self) -> HealthSnapshot:
-        return HealthSnapshot(
-            time=self.clock.now(),
-            pressure_level=self.controller.level,
-            pressure=self.controller.pressure,
-            queue_depth=self.frontier.total_depth(),
-            queue_high_water=self.frontier.high_water(),
-            deferred_pending=self.deferred_pending,
-            loop_backlog=self.loop_backlog(),
-            breaker_states=tuple(
-                sink.breaker_state.value for sink in self.sinks
-            ),
-            conservation_error=self.conservation_error(),
-        )

@@ -37,10 +37,6 @@ class RoundTimers:
         self._heap: list[tuple[float, int, int]] = []
         self._registered: set[int] = set()
 
-    @property
-    def user_count(self) -> int:
-        return len(self._registered)
-
     def register(self, user_id: int, now: float) -> float:
         """Schedule a user's first round; returns its fire time."""
         if user_id in self._registered:

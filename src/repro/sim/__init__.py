@@ -1,12 +1,15 @@
-"""Connectivity, battery, energy and fault models of the simulated device."""
+"""Connectivity, battery, energy and fault models of the simulated device.
+
+Connectivity follows the paper's two regimes (``NetworkMode``): the
+WIFI/CELL/OFF :class:`MarkovNetworkModel` and :class:`CellularOnlyNetwork`;
+:class:`TraceConnectivity` replays a scripted state sequence.
+"""
 
 from repro.sim.network import (
     CellularOnlyNetwork,
     MarkovNetworkModel,
     NetworkState,
-    SporadicCellularNetwork,
     TraceConnectivity,
-    stationary_distribution,
 )
 from repro.sim.energy import (
     GSM_PROFILE,

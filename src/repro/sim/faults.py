@@ -129,10 +129,6 @@ class FaultConfig:
     def total_probability(self) -> float:
         return self.p_disconnect + self.p_timeout + self.p_corrupt + self.p_reject
 
-    @property
-    def enabled(self) -> bool:
-        return self.total_probability > 0.0
-
 
 #: Convenience config that injects nothing (delivery reduces to the
 #: fault-free fast path, byte for byte).

@@ -169,92 +169,6 @@ class CellularOnlyNetwork:
         return self.bandwidth * round_seconds
 
 
-def stationary_distribution(
-    transitions: dict[NetworkState, dict[NetworkState, float]] | None = None,
-    iterations: int = 200,
-) -> dict[NetworkState, float]:
-    """Stationary distribution of the chain by power iteration.
-
-    Used by tests and by workload sizing heuristics (expected fraction of
-    rounds with connectivity).  The default chain is doubly stochastic, so
-    the answer is uniform (1/3 each).
-    """
-    transitions = transitions or DEFAULT_TRANSITIONS
-    _validate_transitions(transitions)
-    states = list(NetworkState)
-    dist = {state: 1.0 / len(states) for state in states}
-    for _ in range(iterations):
-        nxt = {state: 0.0 for state in states}
-        for src in states:
-            for dst, probability in transitions[src].items():
-                nxt[dst] += dist[src] * probability
-        dist = nxt
-    return dist
-
-
-@dataclass
-class SporadicCellularNetwork:
-    """Two-state CELL/OFF chain: a mobile user 'sporadically connected ...
-    through a cellular connection' (Section V-C) without WiFi.
-
-    Parameterized by the stay probabilities of each state; the stationary
-    connected fraction is ``(1-p_stay_off) / (2 - p_stay_connected -
-    p_stay_off)``.
-    """
-
-    p_stay_connected: float = 0.75
-    p_stay_off: float = 0.5
-    bandwidth_cell_bps: float = DEFAULT_BANDWIDTH_BPS[NetworkState.CELL]
-    initial_state: NetworkState = NetworkState.CELL
-    rng: random.Random = field(default_factory=random.Random)
-    _state: NetworkState = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name, p in (
-            ("p_stay_connected", self.p_stay_connected),
-            ("p_stay_off", self.p_stay_off),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.initial_state is NetworkState.WIFI:
-            raise ValueError("sporadic cellular model has no WIFI state")
-        self._state = self.initial_state
-
-    @property
-    def state(self) -> NetworkState:
-        return self._state
-
-    @property
-    def connected(self) -> bool:
-        return self._state is NetworkState.CELL
-
-    @property
-    def bandwidth(self) -> float:
-        return self.bandwidth_cell_bps if self.connected else 0.0
-
-    def step(self) -> NetworkState:
-        stay = (
-            self.p_stay_connected if self.connected else self.p_stay_off
-        )
-        if self.rng.random() >= stay:
-            self._state = (
-                NetworkState.OFF if self.connected else NetworkState.CELL
-            )
-        return self._state
-
-    def capacity_per_round(self, round_seconds: float) -> float:
-        if round_seconds < 0:
-            raise ValueError("round duration must be >= 0")
-        return self.bandwidth * round_seconds
-
-    def expected_connected_fraction(self) -> float:
-        """Stationary fraction of rounds spent connected."""
-        denominator = 2.0 - self.p_stay_connected - self.p_stay_off
-        if denominator == 0.0:
-            return 1.0 if self.initial_state is NetworkState.CELL else 0.0
-        return (1.0 - self.p_stay_off) / denominator
-
-
 class TraceConnectivity:
     """Replays a recorded per-round connectivity trace.
 

@@ -156,12 +156,6 @@ class Catalog:
                         f"playlist {playlist.playlist_id} has unknown track"
                     )
 
-    def tracks_of_artist(self, artist_id: int) -> list[Track]:
-        return [t for t in self.tracks.values() if t.artist_id == artist_id]
-
-    def genre_of_track(self, track_id: int) -> str:
-        return self.artists[self.tracks[track_id].artist_id].genre
-
 
 def _zipf_popularity(rank: int, n: int, exponent: float) -> int:
     """Map a rank (0 = most popular) to a 1-100 popularity score."""

@@ -94,8 +94,11 @@ def iter_trace(path: str | Path) -> Iterator[NotificationRecord]:
         header_line = handle.readline()
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
-        if header.get("format") != FORMAT_NAME:
+        try:
+            header = json.loads(header_line)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ValueError(f"{path}: not a {FORMAT_NAME} file")
         if header.get("version") != FORMAT_VERSION:
             raise ValueError(
@@ -415,7 +418,6 @@ class TraceShardStore:
                 f"{len(self._kinds)} kinds"
             )
         self._check_values()
-        self._position_of: dict[int, int] | None = None
 
     def _check_values(self) -> None:
         """Raise ``ValueError`` naming the column file, user and row of the
@@ -497,14 +499,6 @@ class TraceShardStore:
         """The raw memory-mapped column (length ``n_records``)."""
         return self._open_maps()[name]
 
-    def position_of(self, user_id: int) -> int:
-        """Partition position of a user id (built lazily, O(1) after)."""
-        if self._position_of is None:
-            self._position_of = {
-                int(uid): i for i, uid in enumerate(self.user_ids)
-            }
-        return self._position_of[user_id]
-
     def records_at(self, position: int) -> RecordsView:
         """One partition as a lazy view over the mapped columns (no copy)."""
         maps = self._open_maps()
@@ -516,9 +510,6 @@ class TraceShardStore:
             {name: column[start:end] for name, column in maps.items()},
             self._kinds,
         )
-
-    def records_for_user(self, user_id: int) -> RecordsView:
-        return self.records_at(self.position_of(user_id))
 
     def iter_users(self) -> Iterator[tuple[int, RecordsView]]:
         """Stream ``(user_id, records)`` partitions in store order."""

@@ -218,7 +218,6 @@ class ReferenceForest:
         self.bootstrap = bootstrap
         self.random_state = random_state
         self._trees: list[ReferenceTree] = []
-        self._oob_indices: list[np.ndarray] = []
         self._n_features = 0
 
     def fit(self, x, y) -> "ReferenceForest":
@@ -228,15 +227,9 @@ class ReferenceForest:
         n = len(x)
         rng = np.random.default_rng(self.random_state)
         self._trees = []
-        self._oob_indices = []
         for tree_index in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                oob = np.setdiff1d(np.arange(n), np.unique(sample))
-            else:
-                sample = np.arange(n)
-                oob = np.array([], dtype=int)
+            sample = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = ReferenceTree(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
@@ -246,9 +239,6 @@ class ReferenceForest:
             )
             tree.fit(x[sample], y[sample])
             self._trees.append(tree)
-            self._oob_indices.append(oob)
-        self._train_x = x
-        self._train_y = y
         return self
 
     def predict_proba(self, x) -> np.ndarray:
@@ -258,22 +248,6 @@ class ReferenceForest:
         for tree in self._trees:
             total += tree.predict_proba(x)
         return total / len(self._trees)
-
-    def oob_score(self) -> float:
-        """Out-of-bag accuracy; raises ``RuntimeError`` without OOB samples."""
-        n = len(self._train_x)
-        votes = np.zeros(n)
-        counts = np.zeros(n)
-        for tree, oob in zip(self._trees, self._oob_indices):
-            if oob.size == 0:
-                continue
-            votes[oob] += tree.predict_proba(self._train_x[oob])[:, 1]
-            counts[oob] += 1
-        seen = counts > 0
-        if not seen.any():
-            raise RuntimeError("no out-of-bag samples; add trees or data")
-        predictions = (votes[seen] / counts[seen]) >= 0.5
-        return float((predictions.astype(int) == self._train_y[seen]).mean())
 
     def feature_importances(self) -> np.ndarray:
         """Split-frequency importances, sample-weighted, normalized."""

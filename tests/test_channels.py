@@ -24,8 +24,6 @@ from repro.core.channels import (
     ChannelSet,
     builtin_channel,
     default_channel_set,
-    register_channel,
-    registered_channels,
 )
 from repro.core.content import (
     ContentItem,
@@ -134,27 +132,15 @@ class TestChannel:
         )
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"push", "inapp", "email", "messenger"} <= set(
-            registered_channels()
-        )
+class TestBuiltins:
+    def test_builtins_built_by_name(self):
+        for name in ("push", "inapp", "email", "messenger"):
+            assert builtin_channel(name).name == name
         assert builtin_channel("email").cell_coupled is False
         assert builtin_channel("push").cell_coupled is True
 
-    def test_register_rejects_duplicates_without_replace(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_channel("push", lambda: builtin_channel("push"))
-
-    def test_factory_name_mismatch_rejected(self):
-        register_channel(
-            "test-mismatch", lambda: builtin_channel("push"), replace=True
-        )
-        with pytest.raises(ValueError, match="named"):
-            builtin_channel("test-mismatch")
-
-    def test_unknown_channel_names_the_registry(self):
-        with pytest.raises(KeyError, match="unknown channel"):
+    def test_unknown_channel_names_the_builtins(self):
+        with pytest.raises(KeyError, match="unknown channel.*messenger"):
             builtin_channel("carrier-pigeon")
 
 

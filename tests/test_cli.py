@@ -1,5 +1,7 @@
 """Tests for the richnote CLI."""
 
+import gzip
+
 import pytest
 
 from repro.cli import _parse_method, build_parser, main
@@ -85,11 +87,86 @@ class TestParser:
         assert exit_info.value.code == 2
         assert bad in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["run", "--method", "bogus"], "unknown method 'bogus'"),
+            (["run", "--method", "fifo:abc"], "fifo needs an integer level"),
+            (["run", "--method", "fifo:0"], "fifo needs a fixed level >= 1"),
+            (["run", "--method", "richnote:2"], "richnote does not take a level"),
+            (["run", "--method", "fifo:99"], "'fifo:99': the ladder's top level is 6"),
+            (["sweep", "--methods", "fifo:1,fifo:1"], "duplicate method 'fifo:1'"),
+            (["sweep", "--methods", "richnote,util:7"], "the ladder's top level is 6"),
+            (["sweep", "--methods", "util:2,"], "unknown method ''"),
+        ],
+    )
+    def test_bad_methods_are_usage_errors_before_the_trace_is_read(
+        self, argv, bad, monkeypatch, capsys
+    ):
+        def read_trace(path):
+            raise AssertionError(f"{path} was read before --method was checked")
+
+        monkeypatch.setattr("repro.cli.read_trace", read_trace)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--trace", "unused.jsonl"])
+        assert exit_info.value.code == 2
+        assert bad in capsys.readouterr().err
+
     def test_lint_is_not_a_command(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["lint", "src/repro"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+
+class TestUnreadableTrace:
+    """A trace that cannot be read is a usage error naming the path, in the
+    commands that load it whole (``run``) and stream it (``stats``)."""
+
+    @staticmethod
+    def _exit_code(command: str, path, capsys) -> int:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--trace", str(path)])
+        assert str(path) in capsys.readouterr().err
+        return exit_info.value.code
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_missing_path(self, command, tmp_path, capsys):
+        assert self._exit_code(command, tmp_path / "missing.jsonl", capsys) == 2
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_directory(self, command, tmp_path, capsys):
+        assert self._exit_code(command, tmp_path, capsys) == 2
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    @pytest.mark.parametrize("header", ["not json", "5", '{"format": "other"}'])
+    def test_not_a_trace(self, command, header, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n")
+        assert self._exit_code(command, path, capsys) == 2
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_empty_file(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert self._exit_code(command, path, capsys) == 2
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_gz_that_is_not_gzip(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl.gz"
+        path.write_text("not gzip\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--trace", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Not a gzipped file" in err
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_truncated_gz(self, command, trace_path, tmp_path, capsys):
+        path = tmp_path / "truncated.jsonl.gz"
+        whole = gzip.compress(trace_path.read_bytes())
+        path.write_bytes(whole[: len(whole) // 2])
+        assert self._exit_code(command, path, capsys) == 2
 
 
 @pytest.fixture(scope="module")

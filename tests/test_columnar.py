@@ -819,8 +819,9 @@ class TestShardStore:
         with TraceShardStore(tmp_path / "store") as store:
             assert store.n_users == len(pairs)
             assert store.n_records == count
-            for user_id, records in pairs:
-                assert store.records_for_user(user_id) == records
+            for position, (user_id, records) in enumerate(pairs):
+                assert store.records_at(position) == records
+                assert store.records_at(position).user_id == user_id
             streamed = list(store.iter_users())
             assert streamed == [(u, r) for u, r in pairs]
 
@@ -890,8 +891,6 @@ class TestShardStore:
             for position in (-1, -store.n_users, store.n_users, store.n_users + 5):
                 with pytest.raises(IndexError):
                     store.records_at(position)
-            with pytest.raises(KeyError):
-                store.records_for_user(10**9)
 
     def test_reads_after_close_raise_a_typed_error(self, tmp_path):
         write_shard_store(tmp_path / "store", list(iter_users(3, TraceConfig(seed=13))))
@@ -1098,7 +1097,7 @@ class TestNoObjectsOnTheCohortPath:
         assert all(o.delivery_digest for o in outcomes)
         # The counters are live: the scalar edge of the same store builds
         # records (once per user, not once per pass) and deliveries.
-        records = list(state.store.records_for_user(pairs[0][0]))
+        records = list(state.store.records_at(0))
         assert built[NotificationRecord] == len(pairs[0][1])
         twin = run_user(
             pairs[0][0], records, MethodSpec(Method.RICHNOTE),

@@ -3,36 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.crossval import (
-    cross_validate,
-    kfold_indices,
-    stratified_kfold_indices,
-)
-
-
-class TestKfold:
-    def test_folds_partition_the_data(self):
-        seen = []
-        for train, test in kfold_indices(23, n_folds=5, random_state=0):
-            assert set(train) & set(test) == set()
-            assert len(train) + len(test) == 23
-            seen.extend(test)
-        assert sorted(seen) == list(range(23))
-
-    def test_fold_sizes_balanced(self):
-        sizes = [len(test) for _, test in kfold_indices(23, 5)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            list(kfold_indices(10, n_folds=1))
-        with pytest.raises(ValueError):
-            list(kfold_indices(3, n_folds=5))
-
-    def test_shuffle_deterministic_by_seed(self):
-        a = [tuple(test) for _, test in kfold_indices(20, 4, random_state=1)]
-        b = [tuple(test) for _, test in kfold_indices(20, 4, random_state=1)]
-        assert a == b
+from repro.ml.crossval import cross_validate, stratified_kfold_indices
 
 
 class TestStratified:
@@ -42,6 +13,25 @@ class TestStratified:
             test_labels = labels[test]
             assert (test_labels == 1).sum() == 2
             assert (test_labels == 0).sum() == 8
+
+    def test_folds_partition_the_data(self):
+        labels = np.array([0, 1, 0] * 8 + [1])
+        seen = []
+        for train, test in stratified_kfold_indices(labels, n_folds=5, random_state=0):
+            assert set(train) & set(test) == set()
+            assert len(train) + len(test) == 25
+            seen.extend(test)
+        assert sorted(seen) == list(range(25))
+
+    def test_shuffle_deterministic_by_seed(self):
+        labels = np.array([0, 1] * 10)
+        a = [tuple(t) for _, t in stratified_kfold_indices(labels, 4, random_state=1)]
+        b = [tuple(t) for _, t in stratified_kfold_indices(labels, 4, random_state=1)]
+        assert a == b
+
+    def test_fewer_than_two_folds_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            list(stratified_kfold_indices(np.array([0, 1] * 5), n_folds=1))
 
     def test_rare_class_smaller_than_folds_rejected(self):
         labels = np.array([0] * 20 + [1] * 3)
@@ -82,9 +72,7 @@ class TestCrossValidate:
     def test_majority_model_scores_base_rate(self):
         y = np.array([0] * 30 + [1] * 10)
         x = np.zeros((40, 1))
-        result = cross_validate(
-            _MajorityModel, x, y, n_folds=5, stratified=True, random_state=0
-        )
+        result = cross_validate(_MajorityModel, x, y, n_folds=5, random_state=0)
         assert result.accuracy == pytest.approx(0.75)
         assert result.recall == 0.0
 

@@ -71,7 +71,7 @@ class TestRunnerConveniences:
             user_ids=workload.top_users(2),
         )
         assert result.mean_backlog_bytes >= 0.0
-        assert result.label == "RichNote"
+        assert result.spec.label == "RichNote"
 
     def test_sweep_without_annotations(self, workload):
         grid = sweep_budgets(

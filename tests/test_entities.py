@@ -77,14 +77,6 @@ class TestGeneration:
         catalog = generate_catalog(CatalogConfig())
         assert all(a.genre in GENRES for a in catalog.artists.values())
 
-    def test_track_lookup_helpers(self):
-        catalog = generate_catalog(CatalogConfig(n_artists=5))
-        tracks = catalog.tracks_of_artist(0)
-        assert tracks
-        assert all(t.artist_id == 0 for t in tracks)
-        genre = catalog.genre_of_track(tracks[0].track_id)
-        assert genre == catalog.artists[0].genre
-
     def test_user_activity_positive_and_skewed(self):
         catalog = generate_catalog(CatalogConfig(n_users=100))
         activities = sorted(u.activity_level for u in catalog.users.values())

@@ -125,23 +125,6 @@ class TestLearning:
         assert len(np.unique(p_many)) > len(np.unique(p_single))
 
 
-class TestOob:
-    def test_oob_score_reasonable(self):
-        x, y = noisy_data(n=500)
-        forest = RandomForestClassifier(
-            n_estimators=25, max_depth=6, random_state=0
-        ).fit(x, y)
-        assert 0.6 < forest.oob_score() <= 1.0
-
-    def test_oob_requires_bootstrap(self):
-        x, y = noisy_data(n=100)
-        forest = RandomForestClassifier(
-            n_estimators=3, bootstrap=False, random_state=0
-        ).fit(x, y)
-        with pytest.raises(RuntimeError):
-            forest.oob_score()
-
-
 class TestFeatureImportances:
     def test_informative_features_rank_highest(self):
         x, y = noisy_data(n=600)
@@ -192,7 +175,6 @@ class TestPinnedBits:
         assert hashlib.sha256(proba.tobytes()).hexdigest() == (
             "518b1006be2e7e0bf1c7254994d1b98f06c5c3963abf06cbb1aec559698b9c00"
         )
-        assert forest.oob_score() == 0.7947947947947948
         assert hashlib.sha256(forest.feature_importances().tobytes()).hexdigest() == (
             "5f3b109e2f81ba0061b0a7fe2a417a56b70125ca8ac2cb75b89155d1ca4fc8c8"
         )

@@ -1,5 +1,11 @@
-"""Tests for MCKP LP-domination preprocessing (general profits)."""
+"""MCKP LP-domination preprocessing (general profits) on the product's
+kernels: each item's row reduced by :func:`kernels.hull_levels_batched`,
+Algorithm 1 run by :func:`kernels.greedy_select_heap` on the reduced rows,
+and the chosen hull positions mapped back to ladder levels -- the fused
+path of ``RichNotePolicy.select`` -- with :func:`solve_exact_dp` as the
+oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,31 +13,56 @@ from hypothesis import strategies as st
 from repro.core.mckp import (
     MckpInstance,
     MckpItem,
-    convex_hull_levels,
+    MckpSolution,
     select_presentations,
-    select_presentations_general,
     solve_exact_dp,
 )
+from repro.runtime import kernels
+
+
+def hull_levels_of(item: MckpItem) -> list[int]:
+    """The item's hull levels, as ``RichNotePolicy.select`` reduces a row."""
+    hull, lengths = kernels.hull_levels_batched(
+        item.sizes, np.array([item.profits], dtype=np.float64)
+    )
+    return hull[0, : lengths[0]].tolist()
+
+
+def select_on_hull(instance: MckpInstance) -> MckpSolution:
+    """Hull-reduce every row, run the heap greedy, map levels back."""
+    hulls = [hull_levels_of(item) for item in instance.items]
+    keys = [item.key for item in instance.items]
+    levels, total_size, total_profit = kernels.greedy_select_heap(
+        keys,
+        [[item.sizes[j] for j in hull] for item, hull in zip(instance.items, hulls)],
+        [[item.profits[j] for j in hull] for item, hull in zip(instance.items, hulls)],
+        instance.budget,
+    )
+    return MckpSolution(
+        levels={key: hull[level] for key, hull, level in zip(keys, hulls, levels)},
+        total_size=total_size,
+        total_profit=total_profit,
+    )
 
 
 class TestConvexHull:
     def test_monotone_concave_ladder_kept_fully(self):
         item = MckpItem(key=0, sizes=(0, 10, 20, 30), profits=(0.0, 3.0, 5.0, 6.0))
-        assert convex_hull_levels(item) == [0, 1, 2, 3]
+        assert hull_levels_of(item) == [0, 1, 2, 3]
 
     def test_dominated_level_dropped(self):
         # Level 2 has more size but less profit than level 1.
         item = MckpItem(key=0, sizes=(0, 10, 20, 30), profits=(0.0, 3.0, 2.0, 6.0))
-        assert convex_hull_levels(item) == [0, 1, 3]
+        assert hull_levels_of(item) == [0, 1, 3]
 
     def test_lp_dominated_level_dropped(self):
         # Level 1 sits below the chord from 0 to 2.
         item = MckpItem(key=0, sizes=(0, 10, 20), profits=(0.0, 0.5, 5.0))
-        assert convex_hull_levels(item) == [0, 2]
+        assert hull_levels_of(item) == [0, 2]
 
     def test_all_negative_ladder_keeps_only_zero(self):
         item = MckpItem(key=0, sizes=(0, 10, 20), profits=(0.0, -1.0, -2.0))
-        assert convex_hull_levels(item) == [0]
+        assert hull_levels_of(item) == [0]
 
     def test_hull_gradients_strictly_decrease(self):
         item = MckpItem(
@@ -39,7 +70,7 @@ class TestConvexHull:
             sizes=(0, 5, 10, 15, 20, 25),
             profits=(0.0, 1.0, 5.0, 5.5, 9.0, 9.1),
         )
-        hull = convex_hull_levels(item)
+        hull = hull_levels_of(item)
         gradients = [
             (item.profits[b] - item.profits[a]) / (item.sizes[b] - item.sizes[a])
             for a, b in zip(hull, hull[1:])
@@ -55,7 +86,7 @@ class TestGeneralSelection:
         )
         instance = MckpInstance(items=items, budget=55)
         plain = select_presentations(instance)
-        general = select_presentations_general(instance)
+        general = select_on_hull(instance)
         assert general.levels == plain.levels
         assert general.total_profit == pytest.approx(plain.total_profit)
 
@@ -69,7 +100,7 @@ class TestGeneralSelection:
         item = MckpItem(key=0, sizes=(0, 10, 20), profits=(0.0, -0.1, 5.0))
         instance = MckpInstance(items=(item,), budget=20)
         plain = select_presentations(instance)
-        general = select_presentations_general(instance)
+        general = select_on_hull(instance)
         optimum = solve_exact_dp(instance).total_profit
         assert general.total_profit == pytest.approx(optimum)
         # The plain greedy gets stuck at the LP-dominated rung.
@@ -78,7 +109,7 @@ class TestGeneralSelection:
     def test_levels_map_back_to_original_indices(self):
         item = MckpItem(key=0, sizes=(0, 10, 20, 30), profits=(0.0, 0.1, 0.2, 9.0))
         instance = MckpInstance(items=(item,), budget=30)
-        solution = select_presentations_general(instance)
+        solution = select_on_hull(instance)
         assert solution.levels[0] == 3
 
     @st.composite
@@ -104,12 +135,12 @@ class TestGeneralSelection:
     @settings(max_examples=100, deadline=None)
     def test_general_within_one_hull_upgrade_of_optimum(self, instance):
         """The one-upgrade bound extends to ARBITRARY profits via the hull."""
-        general = select_presentations_general(instance)
+        general = select_on_hull(instance)
         optimum = solve_exact_dp(instance).total_profit
         assert general.total_profit <= optimum + 1e-9
         max_hull_gain = 0.0
         for item in instance.items:
-            hull = convex_hull_levels(item)
+            hull = hull_levels_of(item)
             for a, b in zip(hull, hull[1:]):
                 max_hull_gain = max(
                     max_hull_gain, item.profits[b] - item.profits[a]
@@ -119,7 +150,7 @@ class TestGeneralSelection:
     @given(arbitrary_instances())
     @settings(max_examples=100, deadline=None)
     def test_general_respects_budget(self, instance):
-        solution = select_presentations_general(instance)
+        solution = select_on_hull(instance)
         total = sum(
             item.sizes[solution.levels[item.key]] for item in instance.items
         )

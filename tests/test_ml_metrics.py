@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.metrics import (
-    accuracy,
-    confusion_matrix,
-    f1_score,
-    precision,
-    recall,
-    roc_auc,
-)
+from repro.ml.metrics import confusion_matrix
 
 
 class TestConfusionMatrix:
@@ -24,20 +17,18 @@ class TestConfusionMatrix:
         assert cm.total == 5
 
     def test_perfect_prediction(self):
-        y = [0, 1, 1, 0]
-        assert accuracy(y, y) == 1.0
-        assert precision(y, y) == 1.0
-        assert recall(y, y) == 1.0
-        assert f1_score(y, y) == 1.0
+        cm = confusion_matrix([0, 1, 1, 0], [0, 1, 1, 0])
+        assert cm.accuracy() == 1.0
+        assert cm.precision() == 1.0
+        assert cm.recall() == 1.0
 
     def test_all_wrong(self):
-        assert accuracy([0, 1], [1, 0]) == 0.0
+        assert confusion_matrix([0, 1], [1, 0]).accuracy() == 0.0
 
     def test_zero_division_conventions(self):
         # No positive predictions -> precision 0; no positives -> recall 0.
-        assert precision([1, 1], [0, 0]) == 0.0
-        assert recall([0, 0], [0, 0]) == 0.0
-        assert f1_score([1, 0], [0, 0]) == 0.0
+        assert confusion_matrix([1, 1], [0, 0]).precision() == 0.0
+        assert confusion_matrix([0, 0], [0, 0]).recall() == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,41 +48,5 @@ class TestConfusionMatrix:
         y_true = [a for a, _ in pairs]
         y_pred = [b for _, b in pairs]
         expected = sum(a == b for a, b in pairs) / len(pairs)
-        assert accuracy(y_true, y_pred) == pytest.approx(expected)
+        assert confusion_matrix(y_true, y_pred).accuracy() == pytest.approx(expected)
 
-
-class TestRocAuc:
-    def test_perfect_ranking(self):
-        assert roc_auc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9]) == 1.0
-
-    def test_inverted_ranking(self):
-        assert roc_auc([0, 0, 1, 1], [0.9, 0.8, 0.2, 0.1]) == 0.0
-
-    def test_constant_scores_give_half(self):
-        assert roc_auc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.5)
-
-    def test_requires_both_classes(self):
-        with pytest.raises(ValueError):
-            roc_auc([1, 1], [0.2, 0.8])
-
-    def test_tie_handling_average_rank(self):
-        # One tie straddling the classes contributes 0.5.
-        auc = roc_auc([0, 1], [0.5, 0.5])
-        assert auc == pytest.approx(0.5)
-
-    @given(
-        st.lists(
-            # Two-decimal grid keeps the transform exactly tie-preserving
-            # (denormal floats would collapse distinct scores).
-            st.integers(min_value=0, max_value=100).map(lambda v: v / 100.0),
-            min_size=4,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_auc_invariant_to_monotone_transform(self, scores):
-        labels = [i % 2 for i in range(len(scores))]
-        transformed = [s * 10 + 3 for s in scores]
-        assert roc_auc(labels, scores) == pytest.approx(
-            roc_auc(labels, transformed)
-        )

@@ -10,7 +10,6 @@ from repro.sim.network import (
     CellularOnlyNetwork,
     MarkovNetworkModel,
     NetworkState,
-    stationary_distribution,
 )
 
 
@@ -86,23 +85,3 @@ class TestCellularOnly:
             assert model.step() is NetworkState.CELL
         assert model.connected
         assert model.bandwidth > 0
-
-
-class TestStationaryDistribution:
-    def test_uniform_for_default_chain(self):
-        dist = stationary_distribution()
-        for state in NetworkState:
-            assert dist[state] == pytest.approx(1 / 3, abs=1e-9)
-
-    def test_respects_biased_chain(self):
-        sticky_wifi = {
-            NetworkState.WIFI: {NetworkState.WIFI: 0.9, NetworkState.CELL: 0.05,
-                                NetworkState.OFF: 0.05},
-            NetworkState.CELL: {NetworkState.WIFI: 0.5, NetworkState.CELL: 0.4,
-                                NetworkState.OFF: 0.1},
-            NetworkState.OFF: {NetworkState.WIFI: 0.5, NetworkState.CELL: 0.1,
-                               NetworkState.OFF: 0.4},
-        }
-        dist = stationary_distribution(sticky_wifi)
-        assert dist[NetworkState.WIFI] > 0.7
-        assert sum(dist.values()) == pytest.approx(1.0)

@@ -1,55 +1,8 @@
-"""Tests for sporadic cellular and trace-driven connectivity models."""
-
-import random
+"""Tests for the trace-driven connectivity model."""
 
 import pytest
 
-from repro.sim.network import (
-    NetworkState,
-    SporadicCellularNetwork,
-    TraceConnectivity,
-)
-
-
-class TestSporadicCellular:
-    def test_never_wifi(self):
-        model = SporadicCellularNetwork(rng=random.Random(0))
-        states = {model.step() for _ in range(500)}
-        assert NetworkState.WIFI not in states
-        assert states == {NetworkState.CELL, NetworkState.OFF}
-
-    def test_empirical_matches_stationary(self):
-        model = SporadicCellularNetwork(
-            p_stay_connected=0.8, p_stay_off=0.4, rng=random.Random(1)
-        )
-        expected = model.expected_connected_fraction()
-        connected = sum(
-            model.step() is NetworkState.CELL for _ in range(8000)
-        ) / 8000
-        assert connected == pytest.approx(expected, abs=0.03)
-
-    def test_bandwidth_zero_when_off(self):
-        model = SporadicCellularNetwork(
-            initial_state=NetworkState.OFF, rng=random.Random(2)
-        )
-        assert not model.connected
-        assert model.bandwidth == 0.0
-        assert model.capacity_per_round(3600.0) == 0.0
-
-    def test_always_connected_extreme(self):
-        model = SporadicCellularNetwork(
-            p_stay_connected=1.0, rng=random.Random(3)
-        )
-        assert all(model.step() is NetworkState.CELL for _ in range(50))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SporadicCellularNetwork(p_stay_connected=1.5)
-        with pytest.raises(ValueError):
-            SporadicCellularNetwork(initial_state=NetworkState.WIFI)
-        model = SporadicCellularNetwork()
-        with pytest.raises(ValueError):
-            model.capacity_per_round(-1.0)
+from repro.sim.network import NetworkState, TraceConnectivity
 
 
 class TestTraceConnectivity:

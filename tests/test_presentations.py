@@ -9,7 +9,6 @@ from repro.core.presentations import (
     METADATA_SIZE_BYTES,
     AudioPresentationSpec,
     build_audio_ladder,
-    fixed_level_ladder,
     logarithmic_duration_utility,
     polynomial_duration_utility,
 )
@@ -102,19 +101,3 @@ class TestAudioLadder:
     def test_spec_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             AudioPresentationSpec(preview_durations=(0.0, 5.0))
-
-
-class TestFixedLevelLadder:
-    def test_collapses_to_two_rungs(self):
-        full = build_audio_ladder()
-        fixed = fixed_level_ladder(full, 3)
-        assert fixed.max_level == 1
-        assert fixed.size(1) == full.size(3)
-        assert fixed.utility(1) == full.utility(3)
-
-    def test_rejects_level_zero_and_out_of_range(self):
-        full = build_audio_ladder()
-        with pytest.raises(ValueError):
-            fixed_level_ladder(full, 0)
-        with pytest.raises(ValueError):
-            fixed_level_ladder(full, 7)

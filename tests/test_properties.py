@@ -23,16 +23,14 @@ from repro.core.presentations import build_audio_ladder
 from repro.runtime import RoundLoop, registry
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
-from repro.sim.network import SporadicCellularNetwork
+from repro.sim.network import MarkovNetworkModel
 
 LADDER = build_audio_ladder()
 ROUND = 3600.0
 
 
 def build_scheduler(policy: str, theta: float, network_seed: int):
-    network = SporadicCellularNetwork(
-        p_stay_connected=0.7, p_stay_off=0.4, rng=random.Random(network_seed)
-    )
+    network = MarkovNetworkModel(rng=random.Random(network_seed))
     device = MobileDevice(
         user_id=1,
         network=network,

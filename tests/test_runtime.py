@@ -193,6 +193,20 @@ class TestKernels:
         )
         assert levels == [3]
 
+    def test_hull_then_heap_maps_levels_back(self):
+        # RichNotePolicy.select's fused path: hull_levels_batched reduces
+        # the row, greedy_select_heap picks a hull position, and the
+        # position maps back to the ladder level.
+        sizes = [0, 10, 20, 30]
+        profits = [0.0, 1.0, 1.1, 6.0]  # level 3 only reachable via hull
+        hull, lengths = kernels.hull_levels_batched(sizes, np.array([profits]))
+        kept = hull[0, : lengths[0]].tolist()
+        assert kept == [0, 3]
+        picked, _, _ = kernels.greedy_select_heap(
+            [0], [[sizes[j] for j in kept]], [[profits[j] for j in kept]], budget=30
+        )
+        assert [kept[level] for level in picked] == [3]
+
 
 class TestRegistry:
     def test_builtins_registered(self):
