@@ -66,6 +66,10 @@ def _parse_faults(text: str):
                 "disconnect=0.2,timeout=0.05 (kinds: disconnect, timeout, "
                 "corrupt, reject) or a bare probability"
             )
+        if f"p_{kind}" in kwargs:
+            raise argparse.ArgumentTypeError(
+                f"duplicate fault kind {kind!r} in {text!r}"
+            )
         try:
             kwargs[f"p_{kind}"] = float(value)
         except ValueError as error:

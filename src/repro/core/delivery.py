@@ -39,7 +39,7 @@ module-level ``random`` state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.content import ContentItem
@@ -100,11 +100,13 @@ class ChannelDeliveryStats:
 
 @dataclass
 class DeliveryStats:
-    """Cumulative engine counters (mirrored per-round into RoundResult).
+    """The fault ledger: cumulative engine counters, the one account of
+    attempts, refunds and dead letters.
 
     Byte counters are in *billed* (data-budget) bytes; on the push
     channel billed and wire bytes coincide.  ``per_channel`` breaks
-    attempts/retries/dead-letters down by delivery channel.
+    attempts/retries/dead-letters down by delivery channel.  Cross-user
+    totals are :meth:`merge` folds of per-user ledgers.
     """
 
     attempts: int = 0
@@ -116,7 +118,6 @@ class DeliveryStats:
     bytes_delivered: float = 0.0
     bytes_refunded: float = 0.0
     bytes_wasted: float = 0.0
-    energy_refunded_joules: float = 0.0
     fault_counts: dict[str, int] = field(default_factory=dict)
     per_channel: dict[str, ChannelDeliveryStats] = field(default_factory=dict)
 
@@ -127,12 +128,47 @@ class DeliveryStats:
             self.per_channel[name] = stats
         return stats
 
+    def merge(self, other: "DeliveryStats") -> None:
+        """Fold another ledger into this one, per-channel slices included."""
+        _add_counters(self, other)
+        for kind, count in other.fault_counts.items():
+            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + count
+        for name, slice_ in other.per_channel.items():
+            _add_counters(self.channel(name), slice_)
+
+    @property
+    def failure_rate(self) -> float:
+        """Fraction of delivery attempts that failed."""
+        if self.attempts == 0:
+            return 0.0
+        return self.failed_attempts / self.attempts
+
     def conservation_error(self) -> float:
         """``|debited - (delivered + refunded + wasted)|`` -- 0 when sound."""
         return abs(
             self.bytes_debited
             - (self.bytes_delivered + self.bytes_refunded + self.bytes_wasted)
         )
+
+    def row(self) -> dict[str, float]:
+        """Flat dict for table rendering."""
+        return {
+            "attempts": float(self.attempts),
+            "failed_attempts": float(self.failed_attempts),
+            "failure_rate": self.failure_rate,
+            "retries": float(self.retries_scheduled),
+            "dead_letters": float(self.dead_letters),
+            "refunded_mb": self.bytes_refunded / 1e6,
+            "wasted_mb": self.bytes_wasted / 1e6,
+        }
+
+
+def _add_counters(into, other) -> None:
+    """``into.x += other.x`` for every numeric field of a stats dataclass."""
+    for spec in fields(into):
+        value = getattr(other, spec.name)
+        if not isinstance(value, dict):
+            setattr(into, spec.name, getattr(into, spec.name) + value)
 
 
 @dataclass(slots=True)
@@ -241,13 +277,11 @@ class DeliveryEngine:
             bytes_drained = data_budget.debit(billed, channel=channel_name)
             energy_drained = energy_budget.debit(share)
             self.stats.bytes_debited += billed
-            result.debited_bytes += billed
             state = self._states.setdefault(item.item_id, _RetryState())
             state.attempts += 1
             state.channel = channel_name
             self.stats.attempts += 1
             channel_stats.attempts += 1
-            result.attempts += 1
 
             outcome = None
             if self.fault_policy is not None:
@@ -298,12 +332,7 @@ class DeliveryEngine:
             channel_stats.failed_attempts += 1
             self.stats.bytes_refunded += refund_bytes
             self.stats.bytes_wasted += wasted
-            self.stats.energy_refunded_joules += energy_refund
             self.stats.fault_counts[kind] = self.stats.fault_counts.get(kind, 0) + 1
-            result.failed_attempts += 1
-            result.refunded_bytes += refund_bytes
-            result.wasted_bytes += wasted
-            result.fault_counts[kind] = result.fault_counts.get(kind, 0) + 1
 
             if state.attempts >= self.retry.max_attempts:
                 self._dead_letter(
@@ -325,7 +354,6 @@ class DeliveryEngine:
                 state.level_cap = max(1, level - 1)
             self.stats.retries_scheduled += 1
             channel_stats.retries_scheduled += 1
-            result.retries_scheduled += 1
         return removed
 
     def _dead_letter(
@@ -346,7 +374,6 @@ class DeliveryEngine:
                 channel=state.channel,
             )
         )
-        result.dead_letters += 1
         self.stats.dead_letters += 1
         self.stats.channel(state.channel).dead_letters += 1
         removed.add(item.item_id)

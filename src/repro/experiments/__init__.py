@@ -11,7 +11,6 @@ from repro.experiments.config import (
 from repro.experiments.adapters import record_to_item
 from repro.experiments.metrics import (
     AggregateMetrics,
-    FailureStats,
     MetricsAccumulator,
     UserMetrics,
     aggregate,

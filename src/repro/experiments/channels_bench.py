@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.channels import ChannelSet, builtin_channel
 from repro.core.content import ContentItem, ContentKind
-from repro.core.delivery import DeliveryEngine, RetryPolicy
+from repro.core.delivery import DeliveryEngine, DeliveryStats, RetryPolicy
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.pubsub.capacity import CellTopology, SharedCellCapacity
@@ -54,6 +54,8 @@ __all__ = ["ChannelsBenchConfig", "bench_channels"]
 SHARED_CELL = 0
 #: The control bystanders' cell -- same pool size, no crowd.
 CONTROL_CELL = 1
+#: Probability of one organic arrival per user per round.
+ARRIVAL_PROB = 0.45
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,6 @@ class ChannelsBenchConfig:
     round_seconds: float = 300.0
     crowd_users: int = 12
     bystanders_per_cell: int = 4
-    #: Probability of one organic arrival per user per round.
-    arrival_prob: float = 0.45
     #: The flash-crowd window (round indices) and its arrival burst.
     crowd: FlashCrowd = field(
         default_factory=lambda: FlashCrowd(
@@ -85,8 +85,6 @@ class ChannelsBenchConfig:
             raise ValueError("rounds must be >= 1")
         if self.crowd_users < 1 or self.bystanders_per_cell < 1:
             raise ValueError("need at least one crowd user and one bystander per cell")
-        if not 0.0 <= self.arrival_prob <= 1.0:
-            raise ValueError("arrival_prob must be in [0, 1]")
         if self.crowd.cell != SHARED_CELL:
             raise ValueError("the flash crowd must sit on the shared cell")
 
@@ -135,7 +133,7 @@ def _arrival_schedule(
         burst = config.crowd.active(round_index)
         arrivals: list[tuple[int, int, float]] = []
         for user_id in crowd + shared + control:
-            if rng.random() < config.arrival_prob:
+            if rng.random() < ARRIVAL_PROB:
                 arrivals.append((next_id, user_id, rng.uniform(0.35, 0.95)))
                 next_id += 1
             if burst and user_id in crowd_set:
@@ -178,14 +176,7 @@ def _run_population(
     battery = BatteryTrace([BatterySample(time=0.0, level=0.9, charging=True)])
 
     loops: dict[int, RoundLoop] = {}
-    engines: dict[int, DeliveryEngine] = {}
     for user_id in order:
-        engine = DeliveryEngine(
-            fault_policy=RandomFaultPolicy(fault_config),
-            retry=retry,
-            rng=random.Random(config.seed * 1_000 + user_id),
-        )
-        engines[user_id] = engine
         loops[user_id] = RoundLoop(
             device=MobileDevice(
                 user_id=user_id,
@@ -195,7 +186,11 @@ def _run_population(
             data_budget=DataBudget(theta_bytes=config.theta_bytes),
             energy_budget=EnergyBudget(kappa_joules=config.kappa_joules),
             utility_model=model,
-            delivery_engine=engine,
+            delivery_engine=DeliveryEngine(
+                fault_policy=RandomFaultPolicy(fault_config),
+                retry=retry,
+                rng=random.Random(config.seed * 1_000 + user_id),
+            ),
             policy=RichNotePolicy(),
             channels=channels,
             shared_capacity=pool,
@@ -224,40 +219,10 @@ def _run_population(
                 utility_by_user[user_id] += delivery.utility
                 deliveries_by_user[user_id] += 1
 
-    # Aggregate engine counters across the population.
-    per_channel: dict[str, dict] = {}
-    conservation = 0.0
-    totals = {
-        "attempts": 0,
-        "delivered": 0,
-        "failed_attempts": 0,
-        "retries_scheduled": 0,
-        "dead_letters": 0,
-    }
+    ledger = DeliveryStats()
     billed_by_channel: dict[str, float] = {}
     for user_id in order:
-        stats = engines[user_id].stats
-        conservation += stats.conservation_error()
-        for key in totals:
-            totals[key] += getattr(stats, key)
-        for name, slice_ in stats.per_channel.items():
-            row = per_channel.setdefault(
-                name,
-                {
-                    "delivered": 0,
-                    "shed": 0,
-                    "dead_letters": 0,
-                    "retries_scheduled": 0,
-                    "bytes_delivered": 0.0,
-                },
-            )
-            row["delivered"] += slice_.delivered
-            # "Shed" at the transport: attempts that failed mid-flight
-            # (the terminal subset of which dead-letters).
-            row["shed"] += slice_.failed_attempts
-            row["dead_letters"] += slice_.dead_letters
-            row["retries_scheduled"] += slice_.retries_scheduled
-            row["bytes_delivered"] += slice_.bytes_delivered
+        ledger.merge(loops[user_id].delivery_engine.stats)
         for name, net in loops[user_id].data_budget.per_channel_bytes.items():
             billed_by_channel[name] = billed_by_channel.get(name, 0.0) + net
 
@@ -274,16 +239,27 @@ def _run_population(
     outcome = {
         "per_channel": {
             name: {
-                **{k: v for k, v in row.items() if k != "bytes_delivered"},
-                "bytes_delivered": round(row["bytes_delivered"], 3),
+                "delivered": slice_.delivered,
+                # "Shed" at the transport: attempts that failed mid-flight
+                # (the terminal subset of which dead-letters).
+                "shed": slice_.failed_attempts,
+                "dead_letters": slice_.dead_letters,
+                "retries_scheduled": slice_.retries_scheduled,
+                "bytes_delivered": round(slice_.bytes_delivered, 3),
             }
-            for name, row in sorted(per_channel.items())
+            for name, slice_ in sorted(ledger.per_channel.items())
         },
         "billed_bytes_by_channel": {
             name: round(net, 3) for name, net in sorted(billed_by_channel.items())
         },
-        "conservation_error_bytes": conservation,
-        "totals": totals,
+        "conservation_error_bytes": ledger.conservation_error(),
+        "totals": {
+            key: getattr(ledger, key)
+            for key in (
+                "attempts", "delivered", "failed_attempts",
+                "retries_scheduled", "dead_letters",
+            )
+        },
         "groups": {
             "crowd": _group(crowd),
             "shared_bystanders": _group(shared),
@@ -337,7 +313,7 @@ def bench_channels(config: ChannelsBenchConfig | None = None) -> dict:
             "channels": list(_channel_set().names),
             "crowd_users": config.crowd_users,
             "bystanders_per_cell": config.bystanders_per_cell,
-            "arrival_prob": config.arrival_prob,
+            "arrival_prob": ARRIVAL_PROB,
             "arrivals": arrivals,
             "flash_crowd": {
                 "cell": config.crowd.cell,

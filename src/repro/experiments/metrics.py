@@ -29,86 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.runtime.types import Delivery, RoundResult
+from repro.runtime.types import Delivery
 from repro.trace.records import NotificationRecord
-
-
-@dataclass
-class FailureStats:
-    """Delivery-failure accounting accumulated over RoundResult streams.
-
-    Byte conservation must hold whenever the fault-tolerant delivery
-    engine is active: ``debited == delivered + refunded + wasted``
-    (:meth:`conservation_error` is ~0).  ``wasted`` is the mid-flight
-    bytes of failed attempts -- spent over the air, never delivered.
-    """
-
-    attempts: int = 0
-    failed_attempts: int = 0
-    retries_scheduled: int = 0
-    dead_letters: int = 0
-    debited_bytes: float = 0.0
-    delivered_bytes: float = 0.0
-    refunded_bytes: float = 0.0
-    wasted_bytes: float = 0.0
-    fault_counts: dict[str, int] = field(default_factory=dict)
-
-    def observe(self, result: RoundResult) -> None:
-        """Fold one round's failure counters into the running totals."""
-        self.attempts += result.attempts
-        self.failed_attempts += result.failed_attempts
-        self.retries_scheduled += result.retries_scheduled
-        self.dead_letters += result.dead_letters
-        self.debited_bytes += result.debited_bytes
-        if result.attempts:
-            # Only the fault-tolerant engine populates attempt/debit
-            # counters; on the atomic fast path delivered bytes have no
-            # matching debit record here, so folding them in would make
-            # the conservation check vacuously fail.
-            self.delivered_bytes += result.delivered_bytes
-        self.refunded_bytes += result.refunded_bytes
-        self.wasted_bytes += result.wasted_bytes
-        for kind, count in result.fault_counts.items():
-            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + count
-
-    def merge(self, other: "FailureStats") -> None:
-        """Fold another user's totals into these (cross-user aggregation)."""
-        self.attempts += other.attempts
-        self.failed_attempts += other.failed_attempts
-        self.retries_scheduled += other.retries_scheduled
-        self.dead_letters += other.dead_letters
-        self.debited_bytes += other.debited_bytes
-        self.delivered_bytes += other.delivered_bytes
-        self.refunded_bytes += other.refunded_bytes
-        self.wasted_bytes += other.wasted_bytes
-        for kind, count in other.fault_counts.items():
-            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + count
-
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of delivery attempts that failed."""
-        if self.attempts == 0:
-            return 0.0
-        return self.failed_attempts / self.attempts
-
-    def conservation_error(self) -> float:
-        """``|debited - (delivered + refunded + wasted)|``; ~0 when sound."""
-        return abs(
-            self.debited_bytes
-            - (self.delivered_bytes + self.refunded_bytes + self.wasted_bytes)
-        )
-
-    def row(self) -> dict[str, float]:
-        """Flat dict for table rendering."""
-        return {
-            "attempts": float(self.attempts),
-            "failed_attempts": float(self.failed_attempts),
-            "failure_rate": self.failure_rate,
-            "retries": float(self.retries_scheduled),
-            "dead_letters": float(self.dead_letters),
-            "refunded_mb": self.refunded_bytes / 1e6,
-            "wasted_mb": self.wasted_bytes / 1e6,
-        }
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.delivery import DeliveryStats
 from repro.experiments.columnar import concat_record_columns, supports
 from repro.experiments.config import ExperimentConfig, MethodSpec
-from repro.experiments.metrics import FailureStats, MetricsAccumulator
+from repro.experiments.metrics import MetricsAccumulator
 from repro.experiments.runner import (
     Cell,
     CellSummary,
@@ -282,7 +283,7 @@ class _CellState:
         #: start -> (stop, outcomes) of ranges waiting on an earlier one.
         self._pending: dict[int, tuple[int, Sequence[UserRunOutcome]]] = {}
         self._accumulator = MetricsAccumulator()
-        self._failures = FailureStats()
+        self._failures = DeliveryStats()
         self._backlog_sum = 0.0
         self._max_queue = 0
         self._keep = keep_per_user

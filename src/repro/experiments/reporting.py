@@ -80,9 +80,11 @@ def render_sensitivity(points: Sequence[SensitivityPoint]) -> str:
 def render_failure_stats(stats, label: str = "") -> str:
     """Delivery-failure accounting table (chaos runs).
 
-    ``stats`` is a :class:`repro.experiments.metrics.FailureStats`; the
-    table lists attempts/retries/dead-letters, byte conservation terms and
-    the per-kind fault mix.
+    ``stats`` is a :class:`repro.core.delivery.DeliveryStats`, the fault
+    ledger (a cell's is :attr:`ExperimentResult.failures`, its users'
+    engine ledgers merged in user order); the table lists
+    attempts/retries/dead-letters, the refunded and wasted billed bytes,
+    the byte-conservation check and the per-kind fault mix.
     """
     title = "# delivery failures" + (f" -- {label}" if label else "")
     lines = [title]

@@ -26,14 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.budgets import DataBudget, EnergyBudget
-from repro.core.delivery import DeliveryEngine
+from repro.core.delivery import DeliveryEngine, DeliveryStats
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel
 from repro.experiments.adapters import record_to_item
 from repro.experiments.config import ExperimentConfig, MethodSpec, NetworkMode
 from repro.experiments.metrics import (
     AggregateMetrics,
-    FailureStats,
     UserMetrics,
     aggregate,
     compute_user_metrics,
@@ -156,7 +155,7 @@ class UserRunOutcome:
     mean_backlog_bytes: float
     max_queue_length: int
     final_queue_length: int
-    failures: FailureStats = field(default_factory=FailureStats)
+    failures: DeliveryStats = field(default_factory=DeliveryStats)
     delivery_digest: str | None = None
 
 
@@ -172,7 +171,7 @@ class CellSummary:
 
     mean_backlog_bytes: float = 0.0
     max_queue_length: int = 0
-    failures: FailureStats = field(default_factory=FailureStats)
+    failures: DeliveryStats = field(default_factory=DeliveryStats)
 
 
 @dataclass
@@ -192,11 +191,12 @@ class ExperimentResult:
         return sum(u.mean_backlog_bytes for u in self.per_user) / len(self.per_user)
 
     @property
-    def failures(self) -> FailureStats:
-        """Cross-user delivery-failure totals for this cell."""
+    def failures(self) -> DeliveryStats:
+        """Cross-user fault ledger of this cell: the users' engine ledgers
+        merged in user order."""
         if not self.per_user and self.summary is not None:
             return self.summary.failures
-        totals = FailureStats()
+        totals = DeliveryStats()
         for user in self.per_user:
             totals.merge(user.failures)
         return totals
@@ -420,7 +420,6 @@ def run_user(
     deliveries: list[Delivery] = []
     backlog_samples: list[float] = []
     queue_samples: list[int] = []
-    failures = FailureStats()
 
     arrived = 0
     for now, end in round_arrivals(
@@ -433,9 +432,9 @@ def run_user(
         deliveries.extend(result.deliveries)
         backlog_samples.append(result.backlog_bytes_after)
         queue_samples.append(result.queue_length_after)
-        failures.observe(result)
 
     metrics = compute_user_metrics(user_id, records, deliveries)
+    engine = scheduler.delivery_engine
     return UserRunOutcome(
         metrics=metrics,
         mean_backlog_bytes=(
@@ -443,7 +442,7 @@ def run_user(
         ),
         max_queue_length=max(queue_samples, default=0),
         final_queue_length=queue_samples[-1] if queue_samples else 0,
-        failures=failures,
+        failures=engine.stats if engine is not None else DeliveryStats(),
         delivery_digest=delivery_digest(deliveries) if digest_deliveries else None,
     )
 

@@ -47,6 +47,10 @@ from repro.trace.records import NotificationRecord
 from repro.trace.socialgraph import SocialGraph
 
 
+#: Per-user inbox cap of the broker's capacity filter (when it is on).
+USER_INBOX_CAPACITY = 200
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Knobs of the live-system run."""
@@ -55,7 +59,6 @@ class SystemConfig:
     method: MethodSpec = field(default_factory=lambda: MethodSpec(Method.RICHNOTE))
     #: Per-round broker fan-out cap; None disables broker-side filtering.
     broker_capacity_per_round: int | None = None
-    user_inbox_capacity: int = 200
 
 
 @dataclass
@@ -142,7 +145,7 @@ class SystemSimulation:
         if self.config.broker_capacity_per_round is not None:
             capacity_config = CapacityConfig(
                 broker_capacity=self.config.broker_capacity_per_round,
-                default_user_capacity=self.config.user_inbox_capacity,
+                default_user_capacity=USER_INBOX_CAPACITY,
             )
 
         labeller = InteractionSimulator(

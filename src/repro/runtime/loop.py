@@ -104,7 +104,6 @@ class RoundLoop:
         self._incoming: list[ContentItem] = []
         self._scheduling: list[ContentItem] = []
         self._round_index = 0
-        self.total_dropped = 0
         #: Orchestration hook (:mod:`repro.service`): when set, selections
         #: are capped at this presentation level (floored at level 1, so
         #: items still deliver as metadata-only).  ``None`` -- the default,
@@ -255,7 +254,6 @@ class RoundLoop:
                     state.result.dropped.append(
                         DroppedItem(time=now, item=item, reason="ttl_expired")
                     )
-                    self.total_dropped += 1
                 else:
                     fresh.append(item)
             self._scheduling = fresh
@@ -337,7 +335,6 @@ class RoundLoop:
                 result=result,
                 ttl_seconds=self.ttl_seconds,
             )
-            self.total_dropped += result.dead_letters
         else:
             wire_sizes = [
                 channel.wire_size(item, level) for item, level, channel in selected

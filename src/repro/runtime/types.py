@@ -2,7 +2,7 @@
 
 These are the *wire types* of the scheduling runtime: what a round
 delivers (:class:`Delivery`), what it evicts (:class:`DroppedItem`) and
-the per-round ledger (:class:`RoundResult`).  They sit at the bottom of
+one user's round (:class:`RoundResult`).  They sit at the bottom of
 the runtime stack -- kernels, policies, the round loop, the delivery
 engine and every orchestration layer exchange them -- so this module
 imports nothing above :mod:`repro.core.content`.
@@ -74,21 +74,6 @@ class RoundResult:
     data_budget_after: float = 0.0
     energy_budget_after: float = 0.0
     connected: bool = True
-    # Failure accounting, populated by the fault-tolerant delivery engine
-    # (:class:`repro.core.delivery.DeliveryEngine`); all zero on the atomic
-    # fast path.
-    attempts: int = 0
-    failed_attempts: int = 0
-    retries_scheduled: int = 0
-    dead_letters: int = 0
-    debited_bytes: float = 0.0
-    refunded_bytes: float = 0.0
-    wasted_bytes: float = 0.0
-    fault_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def delivered_bytes(self) -> float:
-        return float(sum(d.size_bytes for d in self.deliveries))
 
     @property
     def delivered_utility(self) -> float:

@@ -39,6 +39,12 @@ class ScheduledEvent:
     kind: ContentKind
 
 
+#: Fraction of users that receive the crowd's concentrated traffic.
+HOTSPOT_FRACTION = 0.3
+#: Probability a crowd event targets the hotspot subset.
+HOTSPOT_WEIGHT = 0.8
+
+
 @dataclass(frozen=True)
 class FlashCrowdConfig:
     """Shape of the load: background Poisson + a concentrated spike."""
@@ -51,10 +57,6 @@ class FlashCrowdConfig:
     crowd_duration: float = 120.0
     #: Multiplier on ``base_rate`` inside the crowd window.
     crowd_multiplier: float = 20.0
-    #: Fraction of users that receive the crowd's concentrated traffic.
-    hotspot_fraction: float = 0.3
-    #: Probability a crowd event targets the hotspot subset.
-    hotspot_weight: float = 0.8
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
@@ -69,10 +71,6 @@ class FlashCrowdConfig:
             raise ValueError("crowd_duration must be >= 0")
         if self.crowd_multiplier < 1:
             raise ValueError("crowd_multiplier must be >= 1")
-        if not 0.0 < self.hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in (0, 1]")
-        if not 0.0 <= self.hotspot_weight <= 1.0:
-            raise ValueError("hotspot_weight must be in [0, 1]")
 
     def rate_at(self, t: float) -> float:
         in_crowd = (
@@ -112,7 +110,7 @@ class FlashCrowdScenario:
             return self._schedule
         config = self.config
         rng = random.Random(self.seed)
-        hotspot_count = max(1, round(config.n_users * config.hotspot_fraction))
+        hotspot_count = max(1, round(config.n_users * HOTSPOT_FRACTION))
         hotspot = list(range(hotspot_count))
         everyone = list(range(config.n_users))
         events: list[ScheduledEvent] = []
@@ -126,7 +124,7 @@ class FlashCrowdScenario:
             in_crowd = (
                 config.crowd_start <= t < config.crowd_start + config.crowd_duration
             )
-            if in_crowd and rng.random() < config.hotspot_weight:
+            if in_crowd and rng.random() < HOTSPOT_WEIGHT:
                 user_id = hotspot[rng.randrange(len(hotspot))]
             else:
                 user_id = everyone[rng.randrange(len(everyone))]

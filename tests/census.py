@@ -128,6 +128,7 @@ def _tour(work: Path) -> list[tuple[list[str], int]]:
         ["survey", "--respondents", "0"],
         ["run", "--trace", trace, "--method", "bogus"],
         ["sweep", "--trace", trace, "--methods", "fifo:1,fifo:1"],
+        ["run", "--trace", trace, "--faults", "disconnect=0.2,disconnect=0.3"],
         ["run", "--trace", str(work / "missing.jsonl")],
     ]
     examples = [

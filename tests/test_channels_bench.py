@@ -5,8 +5,8 @@
   relative to the uncoupled replay of the *same* arrival schedule, while
   the control cell (no crowd) is untouched.
 * **Per-channel accounting closes** -- the delivery engine's byte
-  conservation error is exactly zero in both runs, and per-channel rows
-  sum to the totals.
+  conservation error is exactly zero in both runs, per-channel rows
+  sum to the totals, and both are the merge of the engines' ledgers.
 * **Determinism** -- two runs from the same config are equal.
 """
 
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.delivery import DeliveryEngine, DeliveryStats
+from repro.experiments import channels_bench
 from repro.experiments.channels_bench import ChannelsBenchConfig, bench_channels
 
 GATE_CONFIG = ChannelsBenchConfig()
@@ -78,3 +80,44 @@ def test_per_channel_breakdowns_and_conservation(payload):
 
 def test_two_runs_are_equal(payload):
     assert bench_channels(GATE_CONFIG) == payload
+
+
+def test_totals_and_channels_are_the_merged_engine_ledgers(payload, monkeypatch):
+    """Each run's ``totals`` / ``per_channel`` is one ``merge`` of its
+    engines' ledgers in service order (coupled run first)."""
+    engines = []
+
+    class RecordingEngine(DeliveryEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(channels_bench, "DeliveryEngine", RecordingEngine)
+    assert bench_channels(GATE_CONFIG) == payload
+    population = len(engines) // 2
+    for run, run_engines in (
+        ("coupled", engines[:population]),
+        ("uncoupled", engines[population:]),
+    ):
+        merged = DeliveryStats()
+        for engine in run_engines:
+            merged.merge(engine.stats)
+        doc = payload[run]
+        assert doc["totals"] == {
+            key: getattr(merged, key)
+            for key in (
+                "attempts", "delivered", "failed_attempts",
+                "retries_scheduled", "dead_letters",
+            )
+        }
+        assert doc["per_channel"] == {
+            name: {
+                "delivered": slice_.delivered,
+                "shed": slice_.failed_attempts,
+                "dead_letters": slice_.dead_letters,
+                "retries_scheduled": slice_.retries_scheduled,
+                "bytes_delivered": round(slice_.bytes_delivered, 3),
+            }
+            for name, slice_ in sorted(merged.per_channel.items())
+        }
+        assert doc["conservation_error_bytes"] == merged.conservation_error()

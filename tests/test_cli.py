@@ -59,6 +59,14 @@ class TestParser:
             (["run", "--budget", "0"], "'0'"),
             (["run", "--budget", "nan"], "'nan'"),
             (["run", "--users", "-3"], "'-3'"),
+            (
+                ["run", "--faults", "disconnect=0.2,disconnect=0.3"],
+                "duplicate fault kind 'disconnect'",
+            ),
+            (
+                ["sweep", "--faults", "timeout=0.1, Timeout=0.1"],
+                "duplicate fault kind 'timeout'",
+            ),
             (["figures", "--out", "unused", "--users", "-1"], "'-1'"),
             (["serve", "--users", "0"], "'0'"),
             (["serve", "--rounds", "0"], "'0'"),

@@ -219,12 +219,13 @@ class TestFlakyTransfers:
 
         first = scheduler.run_round(ROUND, ROUND)
         assert first.deliveries == []
-        assert first.attempts == 1
-        assert first.failed_attempts == 1
-        assert first.retries_scheduled == 1
-        assert first.refunded_bytes == pytest.approx(PREVIEW_30S_BYTES / 2)
-        assert first.wasted_bytes == pytest.approx(PREVIEW_30S_BYTES / 2)
-        assert first.fault_counts == {"disconnect": 1}
+        stats = engine.stats  # the ledger after round 1 is round 1's account
+        assert stats.attempts == 1
+        assert stats.failed_attempts == 1
+        assert stats.retries_scheduled == 1
+        assert stats.bytes_refunded == pytest.approx(PREVIEW_30S_BYTES / 2)
+        assert stats.bytes_wasted == pytest.approx(PREVIEW_30S_BYTES / 2)
+        assert stats.fault_counts == {"disconnect": 1}
         assert scheduler.pending_items == 1
         # Half the attempt was refunded to B(t).
         assert scheduler.data_budget.available == pytest.approx(
@@ -234,7 +235,6 @@ class TestFlakyTransfers:
         second = scheduler.run_round(2 * ROUND, ROUND)
         assert [d.level for d in second.deliveries] == [5]
         assert scheduler.pending_items == 0
-        stats = engine.stats
         assert stats.bytes_debited == pytest.approx(2 * PREVIEW_30S_BYTES)
         assert stats.conservation_error() < 1e-6
 
@@ -249,19 +249,20 @@ class TestFlakyTransfers:
         )
         scheduler = make_util_scheduler(engine, fixed_level=5)
         scheduler.enqueue(make_item(1))
-        results = [
-            scheduler.run_round(i * ROUND, ROUND) for i in range(1, 4)
-        ]
-        assert sum(r.failed_attempts for r in results) == 3
+        stats = engine.stats
+        results, dead_letters = [], []
+        for i in range(1, 4):
+            results.append(scheduler.run_round(i * ROUND, ROUND))
+            dead_letters.append(stats.dead_letters)
+        assert stats.failed_attempts == 3
         dead = results[-1].dropped
         assert len(dead) == 1
         assert dead[0].reason == "delivery_failed:timeout"
         assert dead[0].attempts == 3
-        assert results[-1].dead_letters == 1
+        assert dead_letters == [0, 0, 1]
         assert scheduler.pending_items == 0
-        assert scheduler.total_dropped == 1
+        assert sum(len(r.dropped) for r in results) == 1
         # Timeouts transfer nothing: every debit was refunded in full.
-        stats = engine.stats
         assert stats.bytes_wasted == 0.0
         assert stats.bytes_refunded == pytest.approx(stats.bytes_debited)
         assert stats.conservation_error() < 1e-6
@@ -316,7 +317,7 @@ class TestFlakyTransfers:
         )
         scheduler.enqueue(make_item(1, created_at=0.0))
         result = scheduler.run_round(ROUND, ROUND)
-        assert result.dead_letters == 1
+        assert engine.stats.dead_letters == 1
         assert result.dropped[0].reason == "retry_would_expire:disconnect"
         assert scheduler.pending_items == 0
 
@@ -330,9 +331,9 @@ class TestFlakyTransfers:
         )
         scheduler = make_util_scheduler(engine, fixed_level=5)
         scheduler.enqueue(make_item(1))
-        result = scheduler.run_round(ROUND, ROUND)
-        assert result.refunded_bytes == 0.0
-        assert result.wasted_bytes == pytest.approx(PREVIEW_30S_BYTES)
+        scheduler.run_round(ROUND, ROUND)
+        assert engine.stats.bytes_refunded == 0.0
+        assert engine.stats.bytes_wasted == pytest.approx(PREVIEW_30S_BYTES)
         assert scheduler.data_budget.available == pytest.approx(
             2_000_000.0 - PREVIEW_30S_BYTES
         )
@@ -385,7 +386,8 @@ class TestNoFaultParity:
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 class TestFaultDeterminism:
-    """Same seed => identical RoundResult streams (reproducibility fix)."""
+    """Same seed => identical RoundResult streams and per-round ledger
+    snapshots (reproducibility fix)."""
 
     @classmethod
     def _stream(cls, seed):
@@ -416,6 +418,7 @@ class TestFaultDeterminism:
                     make_item(round_index, created_at=(round_index - 1) * ROUND)
                 )
             result = scheduler.run_round(round_index * ROUND, ROUND)
+            stats = engine.stats
             stream.append(
                 (
                     result.round_index,
@@ -425,11 +428,11 @@ class TestFaultDeterminism:
                     ),
                     tuple((drop.item.item_id, drop.reason, drop.attempts)
                           for drop in result.dropped),
-                    result.attempts,
-                    result.failed_attempts,
-                    result.refunded_bytes,
-                    result.wasted_bytes,
-                    tuple(sorted(result.fault_counts.items())),
+                    stats.attempts,
+                    stats.failed_attempts,
+                    stats.bytes_refunded,
+                    stats.bytes_wasted,
+                    tuple(sorted(stats.fault_counts.items())),
                     result.data_budget_after,
                     result.energy_budget_after,
                 )
@@ -735,7 +738,7 @@ class TestChaosEndToEnd:
         assert failures.attempts > 0
         assert failures.failed_attempts > 0
         assert failures.fault_counts.get("disconnect", 0) > 0
-        assert failures.refunded_bytes <= failures.debited_bytes + 1e-6
+        assert failures.bytes_refunded <= failures.bytes_debited + 1e-6
         assert failures.conservation_error() < 1e-3
         # The report renders without blowing up and flags conservation ok.
         assert "conservation" in render_failure_stats(failures)
@@ -762,3 +765,81 @@ class TestChaosEndToEnd:
         assert baseline.aggregate.row() == again.aggregate.row()
         assert baseline.failures.attempts == 0
         assert baseline.failures.dead_letters == 0
+
+
+class TestOneLedger:
+    """The engine's :class:`DeliveryStats` is the only fault account: a
+    user's ledger is its engine's, a cell's is their ordered merge, and
+    conservation holds in billed bytes on every channel."""
+
+    @staticmethod
+    def _setting():
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import UtilityAnnotations
+        from repro.experiments.workloads import eval_workload
+
+        workload = eval_workload("small")
+        config = ExperimentConfig(
+            weekly_budget_mb=5.0,
+            seed=CHAOS_SEEDS[0],
+            use_oracle_utility=True,
+            faults=FaultConfig(p_disconnect=0.2, p_timeout=0.05),
+        )
+        return workload, config, UtilityAnnotations.train(workload, oracle=True)
+
+    def test_multichannel_run_user_conserves_exactly(self):
+        """Billed bytes throughout: a channel whose billed size differs
+        from its wire size must still close the ledger to 0 B."""
+        from repro.core.channels import ChannelSet, builtin_channel
+        from repro.experiments.config import Method, MethodSpec
+        from repro.experiments.reporting import render_failure_stats
+        from repro.experiments.runner import run_user
+
+        workload, config, annotations = self._setting()
+        channels = ChannelSet(
+            [builtin_channel(name) for name in ("push", "inapp", "email")]
+        )
+        for user_id in workload.top_users(3):
+            failures = run_user(
+                user_id,
+                workload.records_for_user(user_id),
+                MethodSpec(Method.RICHNOTE),
+                config,
+                annotations,
+                workload.config.duration_hours * 3600.0,
+                channels=channels,
+            ).failures
+            assert failures.failed_attempts > 0
+            assert failures.conservation_error() == 0.0
+            assert set(failures.per_channel) - {"push"}
+            assert "conservation: ok (err=0 B)" in render_failure_stats(failures)
+
+    def test_cell_failures_are_the_ordered_merge_of_engine_ledgers(
+        self, monkeypatch
+    ):
+        from repro.core.delivery import DeliveryStats
+        from repro.experiments import runner
+        from repro.experiments.config import Method, MethodSpec
+
+        engines = []
+
+        class RecordingEngine(DeliveryEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(runner, "DeliveryEngine", RecordingEngine)
+        workload, config, annotations = self._setting()
+        users = workload.top_users(5)
+        result = runner.run_experiment(
+            workload, MethodSpec(Method.FIFO, 3), config, annotations, users
+        )
+        assert len(engines) == len(result.per_user) == len(users)
+        merged = DeliveryStats()
+        for engine in engines:
+            merged.merge(engine.stats)
+        assert merged.failed_attempts > 0
+        assert result.failures == merged
+        # The merge folds every per-channel slice, not only the totals.
+        assert merged.per_channel["push"].attempts == merged.attempts
+        assert merged.per_channel["push"].bytes_delivered == merged.bytes_delivered

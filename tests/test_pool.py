@@ -206,7 +206,23 @@ class TestPoolParity:
         assert streamed.aggregate == kept.aggregate
         assert streamed.summary is not None
         assert streamed.mean_backlog_bytes == kept.mean_backlog_bytes
-        assert streamed.failures.attempts == kept.failures.attempts
+        assert streamed.failures == kept.failures
+
+    def test_streamed_fault_ledger_is_the_sequential_merge(
+        self, workload, annotations, users, pool
+    ):
+        """Under faults the pool's cell state merges each user's engine
+        ledger in store order: the streamed summary, the kept outcomes
+        and the in-process run hold the same ledger, bit for bit."""
+        config = ExperimentConfig(
+            weekly_budget_mb=5.0, seed=7, faults=FaultConfig(p_disconnect=0.2)
+        )
+        spec = MethodSpec(Method.RICHNOTE)
+        streamed = pool.run_cell(spec, config, keep_per_user=False)
+        kept = pool.run_cell(spec, config, keep_per_user=True)
+        sequential = run_experiment(workload, spec, config, annotations, users)
+        assert streamed.failures.failed_attempts > 0
+        assert streamed.failures == kept.failures == sequential.failures
 
 
 class TestBudgetGroups:

@@ -69,7 +69,7 @@ class TestTtl:
         assert len(dropped) == 1
         assert dropped[0].reason == "ttl_expired"
         assert dropped[0].item.item_id == 1
-        assert scheduler.total_dropped == 1
+        assert dropped[0].attempts == 0
         assert scheduler.pending_items == 0
 
     def test_conservation_with_ttl(self):
