@@ -1,10 +1,11 @@
-"""Fault-tolerant delivery engine: retries, refunds, dead letters.
+"""The delivery engine: the deliver phase of every round loop, with
+retries, refunds and dead letters.
 
-The round loop of :class:`repro.runtime.loop.RoundLoop` treats
-delivery as atomic: a selected presentation is debited and recorded in one
-step.  This module inserts a failure surface between selection and
-delivery.  Each attempt is judged by a :class:`repro.sim.faults.FaultPolicy`;
-on failure the engine
+Every :class:`repro.runtime.loop.RoundLoop` drains its delivery queue
+through one :class:`DeliveryEngine`.  Each attempt is debited, then judged
+by the engine's :class:`repro.sim.faults.FaultPolicy`; without one (the
+default, and the paper's delivery) every attempt succeeds, and a selected
+presentation is debited and recorded in one step.  On failure the engine
 
 * **refunds** the un-transferred bytes to the :class:`DataBudget` and the
   proportional energy share to the virtual ``P(t)`` queue, so Lyapunov
@@ -77,13 +78,18 @@ class RetryPolicy:
 
     def backoff_seconds(self, failed_attempts: int, rng: random.Random) -> float:
         """Full-jitter delay after the ``failed_attempts``-th failure."""
-        if failed_attempts < 1:
-            raise ValueError("failed_attempts must be >= 1")
-        ceiling = min(
-            self.max_backoff_seconds,
-            self.base_backoff_seconds * (2.0 ** (failed_attempts - 1)),
+        return full_jitter_backoff(
+            failed_attempts, self.base_backoff_seconds, self.max_backoff_seconds, rng
         )
-        return rng.uniform(0.0, ceiling)
+
+
+def full_jitter_backoff(n: int, base: float, ceiling: float, rng: random.Random) -> float:
+    """One ``rng.uniform`` draw over ``[0, min(ceiling, base * 2**(n-1))]``
+    after the ``n``-th failure: the backoff of both :class:`RetryPolicy`
+    and the service's :class:`~repro.service.sinks.SinkPolicy`."""
+    if n < 1:
+        raise ValueError("failed_attempts must be >= 1")
+    return rng.uniform(0.0, min(ceiling, base * (2.0 ** (n - 1))))
 
 
 @dataclass
@@ -173,7 +179,8 @@ def _add_counters(into, other) -> None:
 
 @dataclass(slots=True)
 class _RetryState:
-    """Engine-private per-item retry bookkeeping."""
+    """Engine-private retry bookkeeping of an item whose last attempt failed
+    (a first attempt that succeeds never allocates one)."""
 
     attempts: int = 0
     next_eligible: float = float("-inf")
@@ -188,13 +195,15 @@ class DeliveryEngine:
     Parameters
     ----------
     fault_policy:
-        Judge of each attempt; ``None`` means every attempt succeeds (the
-        engine then reproduces the atomic fast path byte for byte).
+        Judge of each attempt; ``None`` (the round loop's default engine)
+        means every attempt succeeds: the paper's delivery.
     retry:
         Backoff/degradation/dead-letter policy.
     rng:
-        Explicit seeded stream for backoff jitter *and* fault draws.
-        Required so runs are reproducible from configuration alone.
+        Explicit seeded stream for backoff jitter *and* fault draws, so
+        runs are reproducible from configuration alone (``Random(0)`` when
+        omitted).  An engine without a fault policy never draws and holds
+        none.
     """
 
     def __init__(
@@ -205,30 +214,36 @@ class DeliveryEngine:
     ) -> None:
         self.fault_policy = fault_policy
         self.retry = retry or RetryPolicy()
-        self.rng = rng or random.Random(0)
+        self.rng = rng if rng is not None or fault_policy is None else random.Random(0)
         self.stats = DeliveryStats()
         self._states: dict[int, _RetryState] = {}
 
     # -- scheduling-queue hooks ---------------------------------------------
 
-    def eligible(self, item: ContentItem, now: float) -> bool:
-        """Is the item out of backoff and allowed another attempt?"""
-        state = self._states.get(item.item_id)
-        return state is None or now >= state.next_eligible
-
-    def level_cap(self, item: ContentItem) -> int | None:
-        """Degraded max level for a previously failed item, if any."""
-        state = self._states.get(item.item_id)
-        return None if state is None else state.level_cap
+    def eligible_items(self, items: list, now: float) -> list:
+        """The ``items`` out of retry backoff (``items`` itself while no
+        attempt has failed)."""
+        states = self._states
+        if not states:
+            return items
+        return [
+            item
+            for item in items
+            if (state := states.get(item.item_id)) is None
+            or now >= state.next_eligible
+        ]
 
     def apply_level_caps(self, selected: list) -> list:
         """Clamp the levels of ``(item, level, channel)`` selections to
         each item's degradation cap; the channel passes through."""
+        states = self._states
+        if not states:
+            return selected
         capped: list = []
         for item, level, channel in selected:
-            cap = self.level_cap(item)
-            if cap is not None and level > cap:
-                level = cap
+            state = states.get(item.item_id)
+            if state is not None and state.level_cap is not None:
+                level = min(level, state.level_cap)
             capped.append((item, level, channel))
         return capped
 
@@ -269,28 +284,28 @@ class DeliveryEngine:
         ]
         batch_energy = device.download_batch(sizes)
         total_size = sum(sizes)
+        states, stats, fault_policy = self._states, self.stats, self.fault_policy
         for (item, level, channel), size in zip(selected, sizes):
             billed = channel.cost.billed_bytes(size)
             channel_name = channel.name
-            channel_stats = self.stats.channel(channel_name)
+            channel_stats = stats.channel(channel_name)
             share = batch_energy * (size / total_size) if total_size else 0.0
             bytes_drained = data_budget.debit(billed, channel=channel_name)
             energy_drained = energy_budget.debit(share)
-            self.stats.bytes_debited += billed
-            state = self._states.setdefault(item.item_id, _RetryState())
-            state.attempts += 1
-            state.channel = channel_name
-            self.stats.attempts += 1
+            stats.bytes_debited += billed
+            state = states.get(item.item_id)
+            attempt = 1 if state is None else state.attempts + 1
+            stats.attempts += 1
             channel_stats.attempts += 1
 
             outcome = None
-            if self.fault_policy is not None:
-                outcome = self.fault_policy.sample(
+            if fault_policy is not None:
+                outcome = fault_policy.sample(
                     TransferContext(
                         item_id=item.item_id,
                         level=level,
                         size_bytes=size,
-                        attempt=state.attempts,
+                        attempt=attempt,
                         time=now,
                         network_state=device.network.state,
                     ),
@@ -298,8 +313,8 @@ class DeliveryEngine:
                 )
 
             if outcome is None:
-                self.stats.delivered += 1
-                self.stats.bytes_delivered += billed
+                stats.delivered += 1
+                stats.bytes_delivered += billed
                 channel_stats.delivered += 1
                 channel_stats.bytes_delivered += billed
                 result.deliveries.append(
@@ -315,9 +330,14 @@ class DeliveryEngine:
                     )
                 )
                 removed.add(item.item_id)
-                del self._states[item.item_id]
+                if state is not None:
+                    del states[item.item_id]
                 continue
 
+            if state is None:
+                state = states[item.item_id] = _RetryState()
+            state.attempts = attempt
+            state.channel = channel_name
             # Failed attempt: refund the un-transferred remainder.
             fraction = outcome.fraction_completed
             refund_bytes = min(billed * (1.0 - fraction), bytes_drained)
@@ -328,11 +348,11 @@ class DeliveryEngine:
             device.cancel_transfer(size, fraction, share)
 
             kind = outcome.kind.value
-            self.stats.failed_attempts += 1
+            stats.failed_attempts += 1
             channel_stats.failed_attempts += 1
-            self.stats.bytes_refunded += refund_bytes
-            self.stats.bytes_wasted += wasted
-            self.stats.fault_counts[kind] = self.stats.fault_counts.get(kind, 0) + 1
+            stats.bytes_refunded += refund_bytes
+            stats.bytes_wasted += wasted
+            stats.fault_counts[kind] = stats.fault_counts.get(kind, 0) + 1
 
             if state.attempts >= self.retry.max_attempts:
                 self._dead_letter(
@@ -352,7 +372,7 @@ class DeliveryEngine:
             state.next_eligible = next_eligible
             if state.attempts >= self.retry.degrade_after_attempts:
                 state.level_cap = max(1, level - 1)
-            self.stats.retries_scheduled += 1
+            stats.retries_scheduled += 1
             channel_stats.retries_scheduled += 1
         return removed
 

@@ -20,9 +20,8 @@ scoring rule are per-row policy columns.
 Scope mirrors the engine's: the paper-default pipeline.  :func:`supports`
 says whether a config is inside it; the one caller that acts on the
 answer is :func:`repro.experiments.runner.sweep_users`, which sends every
-experiment entry point here and the rest (fault injection, multi-feed
-cadences) to the scalar ``run_user`` -- the parity oracle for everything
-this path does handle.
+experiment entry point here and fault injection to the scalar
+``run_user`` -- the parity oracle for everything this path does handle.
 """
 
 from __future__ import annotations
@@ -68,12 +67,12 @@ __all__ = [
 def supports(config: ExperimentConfig) -> bool:
     """Whether a config runs on the columnar path.
 
-    The engine models the paper-default atomic pipeline; fault injection
-    and multi-feed cadences stay on the scalar runner.  The engine is
-    *chosen* in one place (:func:`repro.experiments.runner.sweep_users`);
+    The engine models the paper-default pipeline, where every delivery
+    attempt succeeds; fault injection stays on the scalar runner.  The
+    engine is *chosen* in one place (:func:`repro.experiments.runner.sweep_users`);
     the entry points that only take columnar input raise on ``False``.
     """
-    return config.faults is None and config.feed_cadences is None
+    return config.faults is None
 
 
 @dataclass
@@ -324,8 +323,7 @@ def sweep_cohort(
     if not supports(config):
         raise ValueError(
             "columnar execution supports the paper-default pipeline only "
-            "(no fault injection, no multi-feed cadences); use the scalar "
-            "runner for this config"
+            "(no fault injection); use the scalar runner for this config"
         )
     if not cells:
         return []

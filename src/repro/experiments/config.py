@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.core.delivery import RetryPolicy
-from repro.core.multifeed import FeedCadences
 from repro.core.presentations import AudioPresentationSpec
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.sim.faults import FaultConfig
@@ -128,14 +127,9 @@ class ExperimentConfig:
     #: a day-late delivery worth ~5% of a prompt one.  Set to None to
     #: disable (ablation -- see tests/claims/test_ablations.py).
     aging_tau_seconds: float | None = 8 * 3600.0
-    #: Optional per-feed round cadences (Section II).  When set, the
-    #: scheduler ticks at the cadences' base period (which must equal
-    #: ``round_seconds``) and album/playlist items batch up to their
-    #: coarser release boundaries.
-    feed_cadences: FeedCadences | None = None
-    #: Fault injection for the delivery path (chaos runs).  ``None``
-    #: disables the fault-tolerant engine entirely, keeping the paper's
-    #: atomic delivery semantics bit for bit.
+    #: Fault injection for the delivery path (chaos runs, replayed on the
+    #: scalar round loop).  ``None`` -- every attempt succeeds, the
+    #: paper's delivery -- runs on the columnar engine.
     faults: FaultConfig | None = None
     #: Retry/backoff/dead-letter policy used when ``faults`` is set.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -160,13 +154,6 @@ class ExperimentConfig:
         if tau is not None and not (math.isfinite(tau) and tau > 0):
             raise ValueError(
                 f"aging_tau_seconds must be None or finite and > 0, got {tau!r}"
-            )
-        if self.feed_cadences is not None and (
-            abs(self.feed_cadences.base_period - self.round_seconds) > 1e-9
-        ):
-            raise ValueError(
-                "feed cadences' base period must equal round_seconds "
-                f"({self.feed_cadences.base_period} != {self.round_seconds})"
             )
 
     @property

@@ -21,8 +21,8 @@ stop, digest_deliveries)``, a cell being a ``(MethodSpec, budget)`` pair
 :class:`~repro.trace.io.RecordsView` s and hands them, with the cells of
 one engine pass, to :func:`repro.experiments.runner.sweep_users` -- the
 dispatch the sequential runner uses, so a range runs its cells as one
-pass over one columnar cohort (or, for fault / multi-feed configs, cell
-by cell and user by user on ``run_user``).
+pass over one columnar cohort (or, under fault injection, cell by cell
+and user by user on ``run_user``).
 
 What makes it a system rather than a ``map``:
 
@@ -472,7 +472,7 @@ def run_store_columnar_parallel(
     if not supports(config):
         raise ValueError(
             "columnar execution supports the paper-default pipeline only "
-            "(no fault injection, no multi-feed cadences)"
+            "(no fault injection)"
         )
     store_path = str(store_path)
     with TraceShardStore(store_path) as store:

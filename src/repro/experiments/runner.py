@@ -50,7 +50,7 @@ from repro.sim.battery import DiurnalBatteryModel
 from repro.sim.device import MobileDevice
 from repro.sim.energy import TransferEnergyModel
 from repro.sim.network import CellularOnlyNetwork, MarkovNetworkModel
-from repro.trace.generator import Workload
+from repro.trace.generator import Workload, stream_seed
 from repro.trace.records import NotificationRecord
 
 
@@ -202,26 +202,9 @@ class ExperimentResult:
         return totals
 
 
-def _stream_seed(seed: int, user_id: int, salt: int) -> int:
-    """Stable per-(user, purpose) seed from pure integer arithmetic.
-
-    ``hash()`` is salted per process for strings and its tuple mix is an
-    implementation detail that may change between Python versions; an
-    explicit mix keeps every RNG stream stable across interpreters and
-    processes by construction.  Distinct ``salt`` values keep the fault
-    and device streams decorrelated.
-    """
-    return (seed * 1_000_003 + user_id * 7_919 + salt) & 0x7FFFFFFF
-
-
-def _fault_stream_seed(seed: int, user_id: int) -> int:
-    """Stable per-user seed for fault/backoff randomness."""
-    return _stream_seed(seed, user_id, 13)
-
-
 def _device_stream_seed(seed: int, user_id: int) -> int:
     """Stable per-user seed for connectivity/battery randomness."""
-    return _stream_seed(seed, user_id, 29)
+    return stream_seed(seed, user_id, 29)
 
 
 def _row_texts(column: np.ndarray, template: str):
@@ -311,19 +294,6 @@ def delivery_digest(deliveries: Sequence[Delivery]) -> str:
     )[0]
 
 
-def _build_delivery_engine(
-    config: ExperimentConfig, user_id: int
-) -> DeliveryEngine | None:
-    """Fault-tolerant delivery engine for one user, or None when disabled."""
-    if config.faults is None:
-        return None
-    return DeliveryEngine(
-        fault_policy=RandomFaultPolicy(config.faults),
-        retry=config.retry,
-        rng=random.Random(_fault_stream_seed(config.seed, user_id)),
-    )
-
-
 def _build_scheduler(
     spec: MethodSpec,
     config: ExperimentConfig,
@@ -335,18 +305,24 @@ def _build_scheduler(
 
     The runner never imports concrete policy classes: ``spec`` carries
     the registry key (one of the paper's three methods) plus parameters.
+    Under ``config.faults`` the loop drains through a fault-injecting
+    engine on the user's fault/backoff stream (salt 13); without, through
+    its default engine, where every attempt succeeds.
     """
-    data_budget = DataBudget(theta_bytes=config.theta_bytes_per_round)
-    energy_budget = EnergyBudget(kappa_joules=config.kappa_joules_per_round)
-    engine = _build_delivery_engine(config, device.user_id)
-    policy = registry.create(spec.policy_name, **spec.policy_params(config))
+    engine = None
+    if config.faults is not None:
+        engine = DeliveryEngine(
+            fault_policy=RandomFaultPolicy(config.faults),
+            retry=config.retry,
+            rng=random.Random(stream_seed(config.seed, device.user_id, 13)),
+        )
     return RoundLoop(
         device,
-        data_budget,
-        energy_budget,
+        DataBudget(theta_bytes=config.theta_bytes_per_round),
+        EnergyBudget(kappa_joules=config.kappa_joules_per_round),
         utility_model,
         delivery_engine=engine,
-        policy=policy,
+        policy=registry.create(spec.policy_name, **spec.policy_params(config)),
         channels=channels,
     )
 
@@ -388,8 +364,8 @@ def run_user(
 
     The scalar reference: one :class:`~repro.runtime.loop.RoundLoop` on
     the round clock of :func:`~repro.runtime.columnar.round_arrivals`
-    (items stable-sorted by ``created_at``), and the only runner for fault injection and
-    multi-feed cadences.  ``ladder`` is the presentation ladder of
+    (items stable-sorted by ``created_at``), and the only runner for fault
+    injection.  ``ladder`` is the presentation ladder of
     ``config.presentation_spec``; it is identical for every user of a
     cell, so cell-level callers build it once and pass it in (``None``
     rebuilds it, for standalone use).  ``channels`` (a
@@ -411,11 +387,6 @@ def run_user(
     scheduler = _build_scheduler(
         spec, config, device, config.utility_model(), channels
     )
-    front = scheduler
-    if config.feed_cadences is not None:
-        from repro.core.multifeed import MultiFeedScheduler
-
-        front = MultiFeedScheduler(scheduler, config.feed_cadences)
 
     deliveries: list[Delivery] = []
     backlog_samples: list[float] = []
@@ -426,15 +397,14 @@ def run_user(
         [item.created_at for item in items], config.round_seconds, duration_seconds
     ):
         for item in items[arrived:end]:
-            front.enqueue(item)
+            scheduler.enqueue(item)
         arrived = end
-        result = front.run_round(now, config.round_seconds)
+        result = scheduler.run_round(now, config.round_seconds)
         deliveries.extend(result.deliveries)
         backlog_samples.append(result.backlog_bytes_after)
         queue_samples.append(result.queue_length_after)
 
     metrics = compute_user_metrics(user_id, records, deliveries)
-    engine = scheduler.delivery_engine
     return UserRunOutcome(
         metrics=metrics,
         mean_backlog_bytes=(
@@ -442,7 +412,11 @@ def run_user(
         ),
         max_queue_length=max(queue_samples, default=0),
         final_queue_length=queue_samples[-1] if queue_samples else 0,
-        failures=engine.stats if engine is not None else DeliveryStats(),
+        # Without faults the ledger stays empty, as on the columnar engine.
+        failures=(
+            DeliveryStats() if config.faults is None
+            else scheduler.delivery_engine.stats
+        ),
         delivery_digest=delivery_digest(deliveries) if digest_deliveries else None,
     )
 
@@ -464,9 +438,9 @@ def sweep_users(
     (:func:`repro.experiments.columnar.supports`) runs every cell as one
     pass over one cohort on :class:`~repro.runtime.columnar.ColumnarEngine`,
     so the cells' specs must share a pass (:func:`spec_passes`); fault
-    injection and multi-feed cadences replay cell by cell, user by user,
-    through :func:`run_user`.  The two are bit-identical where both apply,
-    so the choice is invisible in the outcomes.  Every experiment entry
+    injection replays cell by cell, user by user, through :func:`run_user`.
+    The two are bit-identical where both apply, so the choice is invisible
+    in the outcomes.  Every experiment entry
     point -- :func:`run_experiment`, :func:`sweep_budgets`, the pool's task
     -- comes through this function.
     """

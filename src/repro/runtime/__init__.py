@@ -16,7 +16,7 @@ direction):
    which resolve policies through the registry only.
 
 See DESIGN.md section 9 for the layer contracts and docs/EXTENDING.md
-section 6 for writing a custom policy.
+section 1 for writing a custom policy.
 """
 
 from repro.runtime import registry

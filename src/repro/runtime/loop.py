@@ -15,8 +15,9 @@ is a fixed sequence of phases (:attr:`RoundLoop.phase_names`):
     scheduling-queue items, each at a presentation level on a delivery
     channel, sorted into the delivery queue by descending utility;
 ``deliver``
-    the delivery queue drains to the device; delivered items are debited
-    from both budgets and all of their presentations leave the
+    the delivery queue drains to the device through the loop's
+    :class:`~repro.core.delivery.DeliveryEngine`; delivered items are
+    debited from both budgets and all of their presentations leave the
     scheduling queue.
 
 Every selection names its channel: the paper's single push channel is
@@ -25,15 +26,15 @@ code path.
 
 Each phase is a ``<name>_phase(state)`` method, so subclasses can
 override or extend individual phases without re-implementing the loop.
-The selection rule is a :class:`~repro.runtime.policy.SchedulerPolicy`
-bound via :meth:`RoundLoop.bind_policy` (docs/EXTENDING.md section 6) --
-the only policy extension point.
+The selection rule is the :class:`~repro.runtime.policy.SchedulerPolicy`
+the loop is constructed with (docs/EXTENDING.md section 1) -- the only
+policy extension point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (delivery imports us)
     from repro.core.delivery import DeliveryEngine
@@ -43,7 +44,7 @@ from repro.core.channels import ChannelSet, default_channel_set
 from repro.core.content import ContentItem
 from repro.core.utility import CombinedUtilityModel
 from repro.runtime.policy import RoundContext, SchedulerPolicy
-from repro.runtime.types import Delivery, DroppedItem, RoundResult
+from repro.runtime.types import DroppedItem, RoundResult
 from repro.sim.device import MobileDevice
 
 
@@ -65,8 +66,8 @@ class RoundLoop:
     """Queue/budget/delivery machinery shared by every scheduling policy.
 
     The loop owns the state Algorithm 2 mutates (queues, budgets, the
-    round counter); the *decision* of what to deliver is delegated to the
-    bound policy each round via a frozen
+    round counter); the *decision* of what to deliver is delegated to
+    ``policy`` each round via a frozen
     :class:`~repro.runtime.policy.RoundContext` snapshot.
     """
 
@@ -82,7 +83,8 @@ class RoundLoop:
         utility_model: CombinedUtilityModel | None = None,
         ttl_seconds: float | None = None,
         delivery_engine: "DeliveryEngine | None" = None,
-        policy: SchedulerPolicy | None = None,
+        *,
+        policy: SchedulerPolicy,
         channels: ChannelSet | None = None,
         shared_capacity=None,
     ) -> None:
@@ -92,10 +94,12 @@ class RoundLoop:
         self.data_budget = data_budget
         self.energy_budget = energy_budget
         self.utility_model = utility_model or CombinedUtilityModel()
-        #: Optional fault-tolerant delivery path
-        #: (:class:`repro.core.delivery.DeliveryEngine`).  ``None`` keeps
-        #: the paper's atomic delivery semantics.
-        self.delivery_engine = delivery_engine
+        # Function-level import: repro.core.delivery imports this package.
+        from repro.core import delivery
+
+        #: The one drain of the deliver phase.  The default engine has no
+        #: fault policy: every attempt succeeds (the paper's delivery).
+        self.delivery_engine = delivery_engine or delivery.DeliveryEngine()
         #: Optional notification expiry: items older than this are evicted
         #: at the start of a round instead of being delivered stale.  The
         #: paper keeps items queued indefinitely (None, the default); real
@@ -118,31 +122,13 @@ class RoundLoop:
         #: this user's round budget to everyone sharing the same cell;
         #: ``None`` keeps budgets private, as in the paper.
         self.shared_capacity = shared_capacity
-        self._observers: list[Callable[["RoundLoop", RoundResult], None]] = []
-        self.policy: SchedulerPolicy | None = None
-        if policy is not None:
-            self.bind_policy(policy)
-
-    # -- policy binding -------------------------------------------------------
-
-    def bind_policy(self, policy: SchedulerPolicy) -> None:
-        """Attach ``policy`` as this loop's selection rule.
-
-        Runs the policy's optional ``attach(loop)`` hook, which may
-        validate configuration against the loop's budgets (and raise).
-        """
+        #: The selection rule.  Its optional ``attach(loop)`` hook runs
+        #: here and may validate configuration against the loop's budgets
+        #: (and raise).
         self.policy = policy
         attach = getattr(policy, "attach", None)
         if attach is not None:
             attach(self)
-
-    def add_observer(
-        self, observer: Callable[["RoundLoop", RoundResult], None]
-    ) -> None:
-        """Register a callback invoked with ``(loop, result)`` after every
-        round -- the seam health monitors and the live service use to watch
-        a fleet without subclassing the loop."""
-        self._observers.append(observer)
 
     # -- queue management -----------------------------------------------------
 
@@ -174,13 +160,7 @@ class RoundLoop:
         Items in retry backoff (fault-tolerant delivery) are held back but
         still count toward ``Q(t)``/backlog -- they are queued work.
         """
-        if self.delivery_engine is None:
-            return self._scheduling
-        return [
-            item
-            for item in self._scheduling
-            if self.delivery_engine.eligible(item, now)
-        ]
+        return self.delivery_engine.eligible_items(self._scheduling, now)
 
     # -- policy hook ----------------------------------------------------------
 
@@ -199,15 +179,11 @@ class RoundLoop:
 
     def _select(self, now: float, effective_budget: int) -> list:
         """This round's ``(item, level > 0, channel)`` triples within
-        ``effective_budget`` bytes, as chosen by the bound policy.
+        ``effective_budget`` bytes, as chosen by the policy.
 
         The one place a selection gains its channel: a custom policy's
         ``(item, level)`` pairs are completed with the primary.
         """
-        if self.policy is None:
-            raise NotImplementedError(
-                "bind a SchedulerPolicy first (policy= or bind_policy)"
-            )
         decision = self.policy.select(self.make_context(now, effective_budget))
         primary = self.channels.primary
         return [
@@ -236,8 +212,6 @@ class RoundLoop:
         after_round = getattr(self.policy, "after_round", None)
         if after_round is not None:
             after_round(self, result)
-        for observer in self._observers:
-            observer(self, result)
         return result
 
     def ingest_phase(self, state: RoundState) -> None:
@@ -292,9 +266,8 @@ class RoundLoop:
                 (item, min(level, cap), channel)
                 for item, level, channel in selected
             ]
-        if self.delivery_engine is not None:
-            # Previously failed items may be capped at a degraded level.
-            selected = self.delivery_engine.apply_level_caps(selected)
+        # Previously failed items may be capped at a degraded level.
+        selected = self.delivery_engine.apply_level_caps(selected)
 
         # Delivery queue drains in descending utility order (Alg. 2, step 1),
         # each selection ranked by its chosen channel's utility.
@@ -306,64 +279,28 @@ class RoundLoop:
         state.selected = selected
 
     def deliver_phase(self, state: RoundState) -> None:
-        self._deliver(state.now, state.selected, state.result)
-
-    def _deliver(
-        self,
-        now: float,
-        selected: list,
-        result: RoundResult,
-    ) -> None:
-        """Drain the delivery queue: debit budgets, record deliveries.
+        """Drain the delivery queue through the engine, then drop every
+        presentation of the delivered (or dead-lettered) items.
 
         Energy and the device transfer are priced on *wire* bytes (what
         crosses the air on the channel's ladder); the data budget is
-        debited the channel's *billed* bytes.  Without a delivery engine
-        the drain is atomic: every debit is a delivery, nothing refunds.
+        debited the channel's *billed* bytes.
         """
-        if not selected:
+        if not state.selected:
             return
+        result = state.result
         first_new = len(result.deliveries)
-        if self.delivery_engine is not None:
-            removed = self.delivery_engine.deliver_batch(
-                now=now,
-                selected=selected,
-                device=self.device,
-                data_budget=self.data_budget,
-                energy_budget=self.energy_budget,
-                utility_model=self.utility_model,
-                result=result,
-                ttl_seconds=self.ttl_seconds,
-            )
-        else:
-            wire_sizes = [
-                channel.wire_size(item, level) for item, level, channel in selected
-            ]
-            batch_energy = self.device.download_batch(wire_sizes)
-            total_wire = sum(wire_sizes)
-            removed = set()
-            for (item, level, channel), wire in zip(selected, wire_sizes):
-                # Realized energy attribution: proportional share of the batch.
-                share = batch_energy * (wire / total_wire) if total_wire else 0.0
-                self.data_budget.debit(
-                    channel.cost.billed_bytes(wire), channel=channel.name
-                )
-                self.energy_budget.debit(share)
-                result.deliveries.append(
-                    Delivery(
-                        time=now,
-                        user_id=self.device.user_id,
-                        item=item,
-                        level=level,
-                        size_bytes=wire,
-                        energy_joules=share,
-                        utility=channel.utility(self.utility_model, item, level, now),
-                        channel=channel.name,
-                    )
-                )
-                removed.add(item.item_id)
-        # Step 3: drop all presentations of delivered (or dead-lettered)
-        # items from the queue.
+        removed = self.delivery_engine.deliver_batch(
+            now=state.now,
+            selected=state.selected,
+            device=self.device,
+            data_budget=self.data_budget,
+            energy_budget=self.energy_budget,
+            utility_model=self.utility_model,
+            result=result,
+            ttl_seconds=self.ttl_seconds,
+        )
+        # Step 3: drop all presentations of the removed items from the queue.
         if removed:
             self._scheduling = [
                 item for item in self._scheduling if item.item_id not in removed

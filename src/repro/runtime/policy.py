@@ -26,7 +26,7 @@ Built-in policies, registered by name in :mod:`repro.runtime.registry`:
 Custom policies need only ``select``, and may return plain
 ``(item, level)`` pairs (the loop routes them over the primary channel);
 ``attach(loop)`` and ``after_round(loop, result)`` are optional lifecycle
-hooks discovered by duck typing (see docs/EXTENDING.md section 6).
+hooks discovered by duck typing (see docs/EXTENDING.md section 1).
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class SchedulerPolicy(Protocol):
 
     Optional hooks, discovered via ``getattr``:
 
-    * ``attach(loop)`` -- called once when the policy is bound to a
-      :class:`~repro.runtime.loop.RoundLoop`; validate or derive
-      configuration from the loop's budgets here.
+    * ``attach(loop)`` -- called once, by the constructor of the
+      :class:`~repro.runtime.loop.RoundLoop` given the policy; validate or
+      derive configuration from the loop's budgets here.
     * ``after_round(loop, result)`` -- called after every round with the
       finalized :class:`~repro.runtime.types.RoundResult`; record
       diagnostics here.
@@ -114,7 +114,7 @@ class RichNotePolicy:
     ----------
     lyapunov:
         Control configuration (V, kappa, unit scales).  When ``None`` the
-        config is derived from the bound loop's energy budget at
+        config is derived from the loop's energy budget at
         ``attach`` time; when given, its ``kappa`` must match the loop's.
     """
 

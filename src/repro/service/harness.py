@@ -32,18 +32,15 @@ from repro.sim.device import MobileDevice
 from repro.sim.energy import TransferEnergyModel
 from repro.sim.faults import FlakyConnectivity
 from repro.sim.network import MarkovNetworkModel
+from repro.trace.generator import stream_seed
 
-#: Seed salts keeping the harness's independent RNG streams decorrelated
-#: (same scheme as the experiment runner's _stream_seed).
+#: :func:`~repro.trace.generator.stream_seed` salts keeping the harness's
+#: independent RNG streams decorrelated.
 _SALT_DEVICE = 29
 _SALT_BATTERY = 31
 _SALT_OUTAGE = 37
 _SALT_CONTENT = 41
 _SALT_SINK = 43
-
-
-def _stream_seed(seed: int, user_id: int, salt: int) -> int:
-    return (seed * 1_000_003 + user_id * 7_919 + salt) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)
@@ -122,19 +119,19 @@ def build_loop_factory(config: DemoConfig):
     duration = config.rounds * config.round_seconds
 
     def loop_factory(user_id: int) -> RoundLoop:
-        device_seed = _stream_seed(config.seed, user_id, _SALT_DEVICE)
+        device_seed = stream_seed(config.seed, user_id, _SALT_DEVICE)
         network = MarkovNetworkModel(rng=random.Random(device_seed))
         wrapped = (
             FlakyConnectivity(
                 network,
                 config.p_outage,
-                random.Random(_stream_seed(config.seed, user_id, _SALT_OUTAGE)),
+                random.Random(stream_seed(config.seed, user_id, _SALT_OUTAGE)),
             )
             if config.p_outage > 0
             else network
         )
         battery = DiurnalBatteryModel(
-            rng=random.Random(_stream_seed(config.seed, user_id, _SALT_BATTERY))
+            rng=random.Random(stream_seed(config.seed, user_id, _SALT_BATTERY))
         ).generate(
             duration + config.round_seconds,
             sample_period_seconds=config.round_seconds,
@@ -160,7 +157,7 @@ def build_loop_factory(config: DemoConfig):
 def build_item_factory(config: DemoConfig):
     """Seeded ContentItems over a shared audio ladder."""
     ladder = build_audio_ladder()
-    content_rng = random.Random(_stream_seed(config.seed, 0, _SALT_CONTENT))
+    content_rng = random.Random(stream_seed(config.seed, 0, _SALT_CONTENT))
 
     def item_factory(index: int, event: ScheduledEvent) -> ContentItem:
         return ContentItem(
@@ -188,7 +185,7 @@ def run_demo(config: DemoConfig | None = None) -> DemoRun:
     chaotic = config.chaos != "none"
     flaky = FlakySink(
         clock=clock,
-        rng=random.Random(_stream_seed(config.seed, 0, _SALT_SINK)),
+        rng=random.Random(stream_seed(config.seed, 0, _SALT_SINK)),
         p_fail=config.sink_fail if chaotic else 0.0,
         # Stalls get what failures leave: sink_fail=1.0 is "always down".
         p_stall=min(config.sink_stall, 1.0 - config.sink_fail) if chaotic else 0.0,

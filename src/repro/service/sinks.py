@@ -10,9 +10,8 @@ the service's egress contract:
   which would hang forever on simulated time) -- no task per attempt,
   and a sink that answers synchronously arms nothing;
 * failures retry within a bounded **retry budget**, spaced by full-jitter
-  exponential backoff (the same idiom as
-  :class:`repro.core.delivery.RetryPolicy`) drawn from an explicit seeded
-  RNG;
+  exponential backoff (:func:`repro.core.delivery.full_jitter_backoff`,
+  the round loop's retry backoff too) drawn from an explicit seeded RNG;
 * the whole thing sits behind a
   :class:`~repro.core.breaker.SinkCircuit` breaker, of which this is the
   one driver.  Because attempts here are *in flight across awaits*, the
@@ -33,6 +32,7 @@ from dataclasses import dataclass
 from typing import Awaitable, Callable, Union
 
 from repro.core.breaker import BreakerState, CircuitBreakerConfig, SinkCircuit
+from repro.core.delivery import full_jitter_backoff
 from repro.runtime.types import Delivery
 from repro.service.clock import Clock
 
@@ -69,11 +69,9 @@ class SinkPolicy:
 
     def backoff_seconds(self, failed_attempts: int, rng: random.Random) -> float:
         """Full-jitter exponential backoff after ``failed_attempts`` >= 1."""
-        ceiling = min(
-            self.max_backoff_seconds,
-            self.base_backoff_seconds * (2 ** (failed_attempts - 1)),
+        return full_jitter_backoff(
+            failed_attempts, self.base_backoff_seconds, self.max_backoff_seconds, rng
         )
-        return rng.uniform(0.0, ceiling)
 
 
 @dataclass

@@ -339,13 +339,17 @@ class TraceGenerator:
         )
 
 
-def _user_stream_seed(seed: int, user_id: int) -> int:
-    """Stable per-user trace seed (same explicit mix as the runner's streams).
+def stream_seed(seed: int, user_id: int, salt: int) -> int:
+    """Stable per-(user, purpose) seed from pure integer arithmetic: the one
+    seed mix of every per-user RNG stream (trace, device, fault, service).
 
-    Salt 101 keeps the trace stream decorrelated from the device (29) and
-    fault (13) streams derived from the same experiment seed.
+    ``hash()`` is salted per process for strings and its tuple mix is an
+    implementation detail that may change between Python versions; an
+    explicit mix keeps every RNG stream stable across interpreters and
+    processes by construction.  Distinct ``salt`` values keep the streams
+    derived from one seed decorrelated (trace 101, fault 13, device 29).
     """
-    return (seed * 1_000_003 + user_id * 7_919 + 101) & 0x7FFFFFFF
+    return (seed * 1_000_003 + user_id * 7_919 + salt) & 0x7FFFFFFF
 
 
 #: :func:`diurnal_factor` of each whole hour of the day (a function of
@@ -379,7 +383,7 @@ def iter_users(
     of users, prohibitive at the 10k-1M cohorts the columnar core sweeps.
     This generator trades the cross-user fan-out for *per-user
     independent* seeded streams: each user's records derive from their
-    own :func:`_user_stream_seed` lane, so user ``k``'s stream is
+    own :func:`stream_seed` lane, so user ``k``'s stream is
     identical whether you generate 10 users or a million, and peak memory
     is one user's columns.
 
@@ -425,7 +429,7 @@ def _user_records(
     non-integer ``duration_hours`` makes ties), and
     :func:`check_record_columns` holds them to the record invariants.
     """
-    rng = random.Random(_user_stream_seed(config.seed, user_id))
+    rng = random.Random(stream_seed(config.seed, user_id, 101))  # trace salt
     random_, getrandbits = rng.random, rng.getrandbits
     activity = 0.2 + 1.6 * random_()
     lams = [

@@ -62,6 +62,7 @@ def make_loop(
     kappa=3_000.0,
     channels=None,
     shared_capacity=None,
+    policy=None,
 ):
     return RoundLoop(
         MobileDevice(
@@ -72,7 +73,7 @@ def make_loop(
         DataBudget(theta_bytes=theta),
         EnergyBudget(kappa_joules=kappa),
         CombinedUtilityModel(),
-        policy=registry.create("richnote"),
+        policy=policy or registry.create("richnote"),
         channels=channels,
         shared_capacity=shared_capacity,
     )
@@ -335,8 +336,9 @@ class TestMultichannelLoop:
                 return RoundDecision([(queued, 1) for queued in ctx.items])
 
         inapp = builtin_channel("inapp")
-        loop = make_loop(channels=ChannelSet([inapp, builtin_channel("push")]))
-        loop.bind_policy(MetadataOnly())
+        loop = make_loop(
+            channels=ChannelSet([inapp, builtin_channel("push")]), policy=MetadataOnly()
+        )
         for item_id in range(3):
             loop.enqueue(item(item_id))
         result = loop.run_round(now=900.0, round_seconds=900.0)

@@ -14,8 +14,8 @@ def python_blocks() -> list[str]:
 
 
 class TestExtendingDoc:
-    def test_has_ten_walkthroughs(self):
-        assert len(python_blocks()) == 10
+    def test_has_nine_walkthroughs(self):
+        assert len(python_blocks()) == 9
 
     @pytest.mark.parametrize(
         "index,block",

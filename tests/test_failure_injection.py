@@ -339,11 +339,64 @@ class TestFlakyTransfers:
         )
 
 
+#: ``TestNoFaultParity._run(theta, per_round)`` as the round loop's atomic
+#: drain produced it, before every loop drained through a DeliveryEngine:
+#: per round, the ``(item, level, size, energy, utility)`` deliveries, then
+#: the data budget, energy budget and backlog after the round.
+ATOMIC_DRAIN_OUTCOMES = {
+    (700_000.0, 1): [
+        ([(1, 5, 600200, 18.1533203125, 0.5357731341600626)], 99800.0, 5381.8466796875, 0.0),
+        ([(2, 5, 600200, 18.1533203125, 0.5357731341600626)], 199600.0, 5363.693359375, 0.0),
+        ([(3, 6, 800200, 23.0361328125, 0.6)], 99400.0, 5340.6572265625, 0.0),
+        ([(4, 5, 600200, 18.1533203125, 0.5357731341600626)], 199200.0, 5322.50390625, 0.0),
+        ([(5, 6, 800200, 23.0361328125, 0.6)], 99000.0, 5299.4677734375, 0.0),
+        ([], 799000.0, 5299.4677734375, 0.0),
+        ([], 1499000.0, 5299.4677734375, 0.0),
+    ],
+    (250_000.0, 3): [
+        (
+            [(3, 2, 100200, 4.194544296797108, 0.15851687073510828),
+             (4, 2, 100200, 4.194544296797108, 0.15851687073510828),
+             (5, 1, 200, 0.008372343905782651, 0.006)],
+            49400.0, 5391.6025390625, 0.0,
+        ),
+        (
+            [(6, 2, 100200, 4.194544296797108, 0.15851687073510828),
+             (7, 2, 100200, 4.194544296797108, 0.15851687073510828),
+             (8, 1, 200, 0.008372343905782651, 0.006)],
+            98800.0, 5383.205078125, 0.0,
+        ),
+        (
+            [(9, 2, 100200, 3.6129557291666665, 0.15851687073510828),
+             (10, 2, 100200, 3.6129557291666665, 0.15851687073510828),
+             (11, 2, 100200, 3.6129557291666665, 0.15851687073510828)],
+            48200.0, 5372.366210937499, 0.0,
+        ),
+        (
+            [(12, 2, 100200, 4.194544296797108, 0.15851687073510828),
+             (13, 2, 100200, 4.194544296797108, 0.15851687073510828),
+             (14, 1, 200, 0.008372343905782651, 0.006)],
+            97600.0, 5363.968749999999, 0.0,
+        ),
+        (
+            [(15, 2, 100200, 3.6129557291666665, 0.15851687073510828),
+             (16, 2, 100200, 3.6129557291666665, 0.15851687073510828),
+             (17, 2, 100200, 3.6129557291666665, 0.15851687073510828)],
+            47000.0, 5353.129882812498, 0.0,
+        ),
+        ([], 297000.0, 5353.129882812498, 0.0),
+        ([], 547000.0, 5353.129882812498, 0.0),
+    ],
+}
+
+
 class TestNoFaultParity:
-    """With no fault policy the engine is byte-identical to the fast path."""
+    """Without a fault policy the engine's drain is the paper's atomic
+    delivery, bit for bit: the default loop reproduces the outcomes the
+    atomic drain recorded (:data:`ATOMIC_DRAIN_OUTCOMES`)."""
 
     @staticmethod
-    def _run(engine):
+    def _run(theta, per_round, engine=None):
         device = MobileDevice(
             user_id=1,
             network=TraceConnectivity([NetworkState.CELL]),
@@ -351,7 +404,7 @@ class TestNoFaultParity:
         )
         scheduler = RoundLoop(
             device=device,
-            data_budget=DataBudget(theta_bytes=700_000.0),
+            data_budget=DataBudget(theta_bytes=theta),
             energy_budget=EnergyBudget(kappa_joules=3000.0),
             delivery_engine=engine,
             policy=registry.create("richnote"),
@@ -359,9 +412,13 @@ class TestNoFaultParity:
         outcomes = []
         for round_index in range(1, 8):
             if round_index <= 5:
-                scheduler.enqueue(
-                    make_item(round_index, created_at=(round_index - 1) * ROUND)
-                )
+                for k in range(per_round):
+                    scheduler.enqueue(
+                        make_item(
+                            per_round * round_index + k,
+                            created_at=(round_index - 1) * ROUND,
+                        )
+                    )
             result = scheduler.run_round(round_index * ROUND, ROUND)
             outcomes.append(
                 (
@@ -377,10 +434,20 @@ class TestNoFaultParity:
             )
         return outcomes
 
-    def test_deliveries_and_budgets_bit_identical(self):
-        atomic = self._run(engine=None)
-        engine = self._run(engine=DeliveryEngine(fault_policy=None))
-        assert atomic == engine
+    @pytest.mark.parametrize("theta, per_round", sorted(ATOMIC_DRAIN_OUTCOMES))
+    def test_default_loop_matches_the_atomic_drain(self, theta, per_round):
+        assert self._run(theta, per_round) == ATOMIC_DRAIN_OUTCOMES[theta, per_round]
+
+    def test_success_path_allocates_no_retry_state(self, monkeypatch):
+        import repro.core.delivery as delivery
+
+        def no_retry_state():
+            raise AssertionError("a successful attempt allocated retry state")
+
+        monkeypatch.setattr(delivery, "_RetryState", no_retry_state)
+        engine = DeliveryEngine()
+        assert self._run(250_000.0, 3, engine) == ATOMIC_DRAIN_OUTCOMES[250_000.0, 3]
+        assert engine.stats.delivered == engine.stats.attempts == 15
 
 
 @pytest.mark.chaos

@@ -1,5 +1,7 @@
 """Tests for per-feed round cadences (Section II's round-based model)."""
 
+import random
+
 import pytest
 
 from repro.core.budgets import DataBudget, EnergyBudget
@@ -132,3 +134,77 @@ class TestMultiFeedScheduler:
         second = scheduler.run_round(2 * BASE)
         assert [d.item.item_id for d in first.deliveries] == [1]
         assert [d.item.item_id for d in second.deliveries] == [2]
+
+
+def mixed_arrivals(rounds, seed=5):
+    """Items of every kind arriving at random times over ``rounds`` rounds."""
+    rng = random.Random(seed)
+    items = []
+    for tick in range(rounds):
+        for _ in range(rng.randint(0, 3)):
+            items.append(make_item(
+                len(items) + 1,
+                rng.choice(list(ContentKind)),
+                created_at=tick * BASE + rng.uniform(0.0, BASE),
+            ))
+    return items
+
+
+def replay(front, items, rounds):
+    """Each item enters ``front`` at the first round after its arrival;
+    returns every delivery of ``rounds`` base rounds."""
+    deliveries = []
+    for tick in range(1, rounds + 1):
+        now = tick * BASE
+        for queued in items:
+            if now - BASE <= queued.created_at < now:
+                front.enqueue(queued)
+        deliveries += front.run_round(now, BASE).deliveries
+    return deliveries
+
+
+class TestMultiFeedOverRoundLoop:
+    """A day of mixed feeds through a wrapped :class:`RoundLoop`."""
+
+    ARRIVAL_ROUNDS = 48
+    COARSE = cadences(album=12 * BASE, playlist=12 * BASE)
+
+    def test_every_item_is_delivered_exactly_once(self):
+        items = mixed_arrivals(self.ARRIVAL_ROUNDS)
+        scheduler = MultiFeedScheduler(make_inner(), self.COARSE)
+        # One more coarse period drains the last buffered batch.
+        deliveries = replay(scheduler, items, self.ARRIVAL_ROUNDS + 12)
+        assert sorted(d.item.item_id for d in deliveries) == [
+            queued.item_id for queued in items
+        ]
+        assert scheduler.pending_items == 0
+
+    def test_coarse_feeds_wait_for_their_boundary(self):
+        """Album/playlist items batch up to their cadence; friend items do
+        not wait, and no item is delivered earlier than without cadences."""
+        items = mixed_arrivals(self.ARRIVAL_ROUNDS)
+        rounds = self.ARRIVAL_ROUNDS + 12
+        plain = {d.item.item_id: d for d in replay(make_inner(), items, rounds)}
+        multi = {
+            d.item.item_id: d
+            for d in replay(MultiFeedScheduler(make_inner(), self.COARSE), items, rounds)
+        }
+        assert plain.keys() == multi.keys() == {queued.item_id for queued in items}
+        waited = 0
+        for queued in items:
+            before, after = plain[queued.item_id].time, multi[queued.item_id].time
+            assert after >= before
+            if queued.kind is ContentKind.FRIEND_FEED:
+                assert after == before
+            else:
+                assert after % (12 * BASE) == 0
+                waited += after > before
+        assert waited > 0
+
+        def mean_delay(deliveries):
+            return sum(d.time - d.item.created_at for d in deliveries.values()) / len(
+                deliveries
+            )
+
+        # Batching can only increase the mean queuing delay.
+        assert mean_delay(multi) > mean_delay(plain)

@@ -18,8 +18,6 @@ from dataclasses import replace
 import pytest
 
 import repro.experiments.pool as pool_module
-from repro.core.content import ContentKind
-from repro.core.multifeed import FeedCadences
 from repro.experiments.config import (
     PAPER_BUDGET_SWEEP_MB,
     ExperimentConfig,
@@ -361,20 +359,10 @@ class TestPoolBoundary:
         assert pickle.loads(pickle.dumps(config)) == config
 
 
-HOURLY_FEEDS = FeedCadences(
-    base_period=3600.0,
-    periods={
-        ContentKind.FRIEND_FEED: 3600.0,
-        ContentKind.ALBUM_RELEASE: 6 * 3600.0,
-        ContentKind.PLAYLIST_UPDATE: 6 * 3600.0,
-    },
-)
-
-
 class TestEngineDispatch:
     """``runner.sweep_users`` is where the engine is chosen, for every entry
     point: the columnar engine (no ``RoundLoop`` round at all) on a config
-    it supports, the scalar loop under faults or feed cadences -- and the
+    it supports, the scalar loop under faults -- and the
     outcomes are a plain ``run_user`` fold either way."""
 
     @pytest.mark.skipif(
@@ -386,9 +374,8 @@ class TestEngineDispatch:
         [
             ({}, False),
             ({"faults": FaultConfig(p_disconnect=0.2)}, True),
-            ({"feed_cadences": HOURLY_FEEDS}, True),
         ],
-        ids=["default", "faults", "feed-cadences"],
+        ids=["default", "faults"],
     )
     def test_entry_points_pick_the_engine(
         self, workload, annotations, users, tmp_path, monkeypatch,

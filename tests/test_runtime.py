@@ -243,16 +243,14 @@ class TestRegistry:
 
 
 class TestRoundLoopComposition:
-    def test_loop_without_policy_raises_on_select(self):
-        loop = RoundLoop(
-            device=make_device(),
-            data_budget=DataBudget(theta_bytes=1_000_000.0),
-            energy_budget=EnergyBudget(kappa_joules=3000.0),
-            utility_model=CombinedUtilityModel(),
-        )
-        loop.enqueue(make_item(1))
-        with pytest.raises(NotImplementedError, match="bind a SchedulerPolicy"):
-            loop.run_round(ROUND, ROUND)
+    def test_constructing_without_a_policy_raises_type_error(self):
+        with pytest.raises(TypeError, match="policy"):
+            RoundLoop(
+                device=make_device(),
+                data_budget=DataBudget(theta_bytes=1_000_000.0),
+                energy_budget=EnergyBudget(kappa_joules=3000.0),
+                utility_model=CombinedUtilityModel(),
+            )
 
     def test_phase_order_is_ingest_replenish_select_deliver(self):
         assert RoundLoop.phase_names == (

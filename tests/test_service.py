@@ -834,14 +834,6 @@ class TestRoundLoopHooks:
         # The cap binds: without it the same queue picks richer levels.
         assert max(d.level for d in free_result.deliveries) > 1
 
-    def test_observers_see_every_round_result(self):
-        loop = make_loop()
-        loop.enqueue(item(0))
-        seen = []
-        loop.add_observer(lambda lp, result: seen.append((lp, result)))
-        result = loop.run_round(60.0, 60.0)
-        assert seen == [(loop, result)]
-
 
 class TestServiceAdmission:
     def _service(self, config=None, users=(1, 2)):
