@@ -28,6 +28,7 @@ from repro.core.content import ContentItem, ContentKind, Presentation, Presentat
 from repro.core.delivery import DeliveryEngine, RetryPolicy
 from repro.core.presentations import build_audio_ladder
 from repro.runtime import RoundLoop, registry
+from repro.service.sinks import SinkPolicy
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
 from repro.sim.faults import (
@@ -448,6 +449,46 @@ class TestNoFaultParity:
         engine = DeliveryEngine()
         assert self._run(250_000.0, 3, engine) == ATOMIC_DRAIN_OUTCOMES[250_000.0, 3]
         assert engine.stats.delivered == engine.stats.attempts == 15
+
+
+class TestFullJitterBackoff:
+    """The round loop's :class:`RetryPolicy` and the service's
+    :class:`SinkPolicy` share one full-jitter backoff; each draws exactly
+    what its own ``min(max, base * 2**(n-1))`` ceiling drew before."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        base=st.floats(0.0, 1e4),
+        spread=st.floats(1.0, 64.0),
+        failed_attempts=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_retry_and_sink_policies_draw_the_same_bits(
+        self, base, spread, failed_attempts, seed
+    ):
+        ceiling = base * spread
+        policies = (
+            RetryPolicy(base_backoff_seconds=base, max_backoff_seconds=ceiling),
+            SinkPolicy(base_backoff_seconds=base, max_backoff_seconds=ceiling),
+        )
+        expected = random.Random(seed).uniform(
+            0.0, min(ceiling, base * 2 ** (failed_attempts - 1))
+        )
+        for policy in policies:
+            drawn = policy.backoff_seconds(failed_attempts, random.Random(seed))
+            assert drawn.hex() == expected.hex()
+
+    def test_ceiling_caps_the_window_and_attempts_start_at_one(self):
+        for policy in (
+            RetryPolicy(base_backoff_seconds=900.0, max_backoff_seconds=4 * 3600.0),
+            SinkPolicy(base_backoff_seconds=900.0, max_backoff_seconds=4 * 3600.0),
+        ):
+            windows = [
+                policy.backoff_seconds(n, _MaxJitterRng()) for n in range(1, 8)
+            ]
+            assert windows == [900.0, 1800.0, 3600.0, 7200.0] + [14400.0] * 3
+            with pytest.raises(ValueError, match=">= 1"):
+                policy.backoff_seconds(0, random.Random(0))
 
 
 @pytest.mark.chaos

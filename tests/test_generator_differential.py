@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pubsub.topics import TopicKind
-from repro.trace.generator import TraceConfig, iter_users
+from repro.trace.generator import TraceConfig, iter_users, stream_seed
 from repro.trace.io import SHARD_COLUMNS, write_shard_store
 from tests import reference_generator as reference
 
@@ -70,6 +70,35 @@ def observe(seen, config, mean_rate_per_hour, user_id, records):
     )
     if activity * peak * config.listen_rate_scale * mean_rate_per_hour > 30:
         seen["normal_branch"] += 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), user_id=st.integers(0, 10**6))
+def test_stream_seed_trace_lane_is_the_reference_mix(seed, user_id):
+    assert stream_seed(seed, user_id, 101) == reference._user_stream_seed(seed, user_id)
+
+
+#: Seeds of the runner's fault (13) and device (29) lanes and the service
+#: harness's device, battery, outage, content and sink lanes (29..43),
+#: recorded from each layer's own copy of the mix before they became
+#: :func:`stream_seed`.  Shard stores and service goldens depend on them.
+RECORDED_STREAM_SEEDS = {
+    (0, 0): {13: 13, 29: 29, 31: 31, 37: 37, 41: 41, 43: 43},
+    (97, 5): {
+        13: 97039899, 29: 97039915, 31: 97039917,
+        37: 97039923, 41: 97039927, 43: 97039929,
+    },
+    (2**31 - 1, 10**6): {
+        13: 1475549066, 29: 1475549082, 31: 1475549084,
+        37: 1475549090, 41: 1475549094, 43: 1475549096,
+    },
+}
+
+
+def test_stream_seed_keeps_every_recorded_lane():
+    for (seed, user_id), lanes in RECORDED_STREAM_SEEDS.items():
+        for salt, expected in lanes.items():
+            assert stream_seed(seed, user_id, salt) == expected, (seed, user_id, salt)
 
 
 def test_column_generator_matches_the_reference():
