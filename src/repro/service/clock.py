@@ -9,7 +9,11 @@ wraps ``time.monotonic`` for live runs.
 Tests and chaos scenarios need the opposite of real time:
 :class:`SimulatedClock` keeps a heap of sleepers and fires the earliest
 one each time the event loop goes quiescent, so a 10-minute flash crowd
-replays in milliseconds and every interleaving is reproducible.
+replays in milliseconds and every interleaving is reproducible.  A task a
+sleep has just woken is the only thing ready to run, so it may also step
+time itself: ``advance_to(t)`` moves ``now`` to ``t`` exactly when no live
+sleeper is due at or before ``t`` -- the wake that sleeping until ``t``
+would have cost, without the loop pass.  The live clock always refuses.
 
 Deadlines are a scope, not a race: ``with clock.timeout(seconds) as scope:``
 cancels the task running the block at its current await when the *service
@@ -77,6 +81,8 @@ class Clock(Protocol):
 
     def timeout(self, seconds: float) -> DeadlineScope: ...  # pragma: no cover
 
+    def advance_to(self, t: float) -> bool: ...  # pragma: no cover
+
 
 class MonotonicClock:
     """Live clock: ``time.monotonic`` + ``asyncio.sleep``.
@@ -95,6 +101,10 @@ class MonotonicClock:
         loop = asyncio.get_running_loop()
         when = loop.time() + max(0.0, _checked(seconds))
         return DeadlineScope(seconds, lambda expire: loop.call_at(when, expire))
+
+    def advance_to(self, t: float) -> bool:
+        """Real time cannot be stepped: the caller sleeps instead."""
+        return False
 
 
 class ClockStalled(RuntimeError):
@@ -132,10 +142,12 @@ class SimulatedClock:
     live sleeper fires and ``now`` becomes its wake time.  Time therefore
     never runs ahead of causality, however deep the await chain a wakeup
     sets off, and work is done per transition, never per poll.
+    :meth:`advance_to` is the same step, taken by the task just woken.
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        # Moved only by the selector, i.e. between event-loop callbacks.
+        # Moved by the selector between event-loop callbacks, and by
+        # advance_to when no sleeper is due first.
         self._now = float(start)
         self._seq = itertools.count()
         self._sleepers: list[tuple[float, int, asyncio.Future]] = []
@@ -170,6 +182,23 @@ class SimulatedClock:
             return timer
 
         return DeadlineScope(seconds, arm)
+
+    def advance_to(self, t: float) -> bool:
+        """Move ``now`` to ``t`` if no live sleeper is due at or before it;
+        False, with time unmoved, otherwise.  A sleeper due at ``t`` itself
+        parked first, so it fires first.  Only a task a sleep has just
+        woken may step, before it yields: then nothing else is ready, and
+        the step is the wake its own sleep until ``t`` would have been.
+        Disarmed entries at the heap top are dropped on the way."""
+        if not t >= self._now:  # NaN too
+            raise ValueError(f"cannot advance the clock from {self._now!r} to {t!r}")
+        sleepers = self._sleepers
+        while sleepers and sleepers[0][2].done():
+            heapq.heappop(sleepers)
+        if sleepers and sleepers[0][0] <= t:
+            return False
+        self._now = t
+        return True
 
     def _fire_next(self) -> bool:
         """Wake the earliest live sleeper; False when none is left.

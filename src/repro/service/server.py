@@ -3,8 +3,9 @@
 One service instance owns, per Section IV's deployment shape:
 
 * an :class:`~repro.service.queues.IngestFrontier` of bounded per-user
-  queues fed by :meth:`NotificationService.ingest` (which answers every
-  offer with an explicit :class:`~repro.service.queues.IngestResult`);
+  queues fed by the synchronous :meth:`NotificationService.ingest` (which
+  answers every offer with an explicit
+  :class:`~repro.service.queues.IngestResult`);
 * a :class:`~repro.service.ratelimit.TieredRateLimiter` gating admission
   at global / per-user / per-topic granularity;
 * per-user :class:`~repro.runtime.loop.RoundLoop` instances fired by
@@ -155,17 +156,18 @@ class NotificationService:
 
     # -- ingest ----------------------------------------------------------------
 
-    async def ingest(self, item: ContentItem) -> IngestResult:
-        """Offer one notification event; always answers explicitly.
+    def ingest(self, item: ContentItem) -> IngestResult:
+        """Offer one notification event at ``clock.now()``; always answers
+        explicitly.
 
         The admission pipeline: overload shedding (ladder at SHED) ->
         tiered rate limiting -> deferral (ladder at DEFER) -> the user's
         bounded queue.  A full queue is an explicit ``Overload`` result,
         never silent growth.
 
-        The decision itself is synchronous (bounded queues consume O(1),
-        token buckets refill lazily), so admission never yields: a burst
-        of arrivals is decided in arrival order with no interleaving.
+        A plain method: bounded queues consume O(1) and token buckets
+        refill lazily, so admission never waits, and a burst of arrivals
+        is decided in arrival order with no interleaving.
         """
         now = self.clock.now()
         self.stats.ingested += 1

@@ -19,18 +19,12 @@ from hypothesis import strategies as st
 
 from repro.core.budgets import DataBudget, EnergyBudget
 from repro.core.channels import (
-    Channel,
     ChannelCostCurve,
     ChannelSet,
     builtin_channel,
     default_channel_set,
 )
-from repro.core.content import (
-    ContentItem,
-    ContentKind,
-    Presentation,
-    PresentationLadder,
-)
+from repro.core.content import ContentItem, ContentKind
 from repro.core.presentations import build_audio_ladder
 from repro.core.utility import CombinedUtilityModel, ExponentialAging
 from repro.pubsub.capacity import CellTopology, SharedCellCapacity

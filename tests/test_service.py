@@ -43,7 +43,13 @@ from repro.service import (
     TieredRateLimiter,
     TokenBucket,
 )
-from repro.service.chaos import FlakySink, FlashCrowdConfig, SinkFault
+from repro.service.chaos import (
+    FlakySink,
+    FlashCrowdConfig,
+    FlashCrowdScenario,
+    ScheduledEvent,
+    SinkFault,
+)
 from repro.service.harness import DemoConfig, run_demo
 from repro.sim.battery import BatterySample, BatteryTrace
 from repro.sim.device import MobileDevice
@@ -363,6 +369,75 @@ class TestDeadlineScope:
 
         drive(clock, scenario())
         assert order == [(label, 4.0) for label in range(8)]
+
+
+class TestClockStep:
+    """``advance_to``: the step a task a sleep has just woken takes itself,
+    and the ingest driver that takes it."""
+
+    def test_a_step_onto_a_live_sleeper_is_refused(self):
+        clock = SimulatedClock()
+
+        async def scenario():
+            sleeper = asyncio.ensure_future(clock.sleep(4.0))
+            await asyncio.sleep(0)  # the sleeper parks at 4.0
+            steps = [clock.advance_to(1.5), clock.advance_to(4.0), clock.advance_to(5.0)]
+            stepped_to = clock.now()
+            await sleeper
+            return steps, stepped_to
+
+        assert drive(clock, scenario()) == ([True, False, False], 1.5)
+        assert clock.now() == 4.0
+
+    def test_a_disarmed_deadline_at_the_heap_top_does_not_block(self):
+        clock = SimulatedClock()
+
+        async def scenario():
+            with clock.timeout(2.0):
+                pass  # disarmed; its entry stays on the heap until reached
+            parked = len(clock._sleepers)
+            return parked, clock.advance_to(3.0), len(clock._sleepers)
+
+        assert drive(clock, scenario()) == (1, True, 0)
+        assert clock.now() == 3.0
+
+    def test_nan_and_backward_steps_are_refused_by_raising(self):
+        clock = SimulatedClock(start=5.0)
+        with pytest.raises(ValueError, match="advance"):
+            clock.advance_to(float("nan"))
+        with pytest.raises(ValueError, match="advance"):
+            clock.advance_to(4.0)
+        assert clock.now() == 5.0
+        assert clock.advance_to(5.0)
+
+    def test_the_live_clock_never_steps(self):
+        assert MonotonicClock().advance_to(time.monotonic() + 1.0) is False
+
+    def test_drive_on_the_live_clock_ingests_in_order_and_never_early(self):
+        clock = MonotonicClock()
+        times = [0.0, 0.02, 0.02, 0.05, 0.11, 0.11, 0.11, 0.2]
+        schedule = [ScheduledEvent(t, 0, ContentKind.FRIEND_FEED) for t in times]
+        seen = []
+
+        class Replay(FlashCrowdScenario):
+            def schedule(self):
+                return schedule
+
+        class Recorder:
+            def ingest(self, it):
+                seen.append((clock.now(), it.item_id))
+                return it.item_id
+
+        scenario = Replay(FlashCrowdConfig(), lambda index, e: item(index, created_at=e.time))
+
+        async def session():
+            return clock.now(), await scenario.drive(Recorder(), clock)
+
+        start, results = asyncio.run(session())
+        assert results == [item_id for _, item_id in seen] == list(range(len(times)))
+        # asyncio may fire a timer up to one clock resolution early
+        early = time.get_clock_info("monotonic").resolution
+        assert all(at >= start + t - early for (at, _), t in zip(seen, times))
 
 
 class TestTokenBucket:
@@ -847,10 +922,7 @@ class TestServiceAdmission:
         return service, clock
 
     def _ingest(self, service, *items):
-        async def scenario():
-            return [await service.ingest(it) for it in items]
-
-        return asyncio.run(scenario())
+        return [service.ingest(it) for it in items]
 
     def test_admits_until_the_bound_then_sheds_explicitly(self):
         service, _ = self._service()
@@ -930,7 +1002,7 @@ class TestServiceRuns:
         async def scenario():
             run_task = asyncio.ensure_future(service.run(rounds=2))
             for i in range(4):
-                await service.ingest(item(i, user_id=1 + i % 2))
+                service.ingest(item(i, user_id=1 + i % 2))
             await run_task
 
         drive(clock, scenario())
@@ -954,7 +1026,7 @@ class TestServiceRuns:
         async def scenario():
             run_task = asyncio.ensure_future(service.run(rounds=2))
             for i in range(3):
-                await service.ingest(item(i))
+                service.ingest(item(i))
             await run_task
 
         drive(clock, scenario())
@@ -992,7 +1064,7 @@ class TestServiceRuns:
             run_task = asyncio.ensure_future(service.run(rounds=4))
             for i in range(36):
                 await clock.sleep(5.0)
-                await service.ingest(item(i, user_id=1 + i % 3, created_at=clock.now()))
+                service.ingest(item(i, user_id=1 + i % 3, created_at=clock.now()))
             await run_task
 
         drive(clock, scenario())
@@ -1073,6 +1145,21 @@ class TestFlashCrowdChaos:
         assert service.loop_backlog() == sum(
             service.loop_for(user).pending_items for user in range(16)
         )
+
+    def test_one_wake_ingests_a_batch_of_arrivals(self, monkeypatch):
+        """The driver steps the clock to every arrival due before the next
+        sleeper: this session takes 117 wakes for 814 arrivals; a driver
+        sleeping once per arrival needs 886."""
+        wakes = []
+        fire_next = SimulatedClock._fire_next
+
+        def counted(clock):
+            wakes.append(fire_next(clock))
+            return wakes[-1]
+
+        monkeypatch.setattr(SimulatedClock, "_fire_next", counted)
+        run = run_demo(DemoConfig(users=8, rounds=3))
+        assert sum(wakes) < len(run.ingest_results)
 
     def test_queues_never_exceed_their_bound(self, run):
         bound = run.service.config.queue_bound
@@ -1200,7 +1287,7 @@ class TestEgressPass:
         async def scenario():
             run_task = asyncio.ensure_future(service.run(rounds=3))
             for i in range(24):
-                await service.ingest(item(i, user_id=1 + i % 4))
+                service.ingest(item(i, user_id=1 + i % 4))
             await run_task
 
         drive(clock, scenario())
@@ -1224,10 +1311,10 @@ class TestEgressPass:
         async def scenario():
             run_task = asyncio.ensure_future(service.run(rounds=2))
             for i in range(4):
-                await service.ingest(item(i, user_id=1 + i))
+                service.ingest(item(i, user_id=1 + i))
             await clock.sleep(60.0)  # past every user's first tick
             for i in range(4, 8):
-                await service.ingest(item(i, user_id=1 + i % 4, created_at=clock.now()))
+                service.ingest(item(i, user_id=1 + i % 4, created_at=clock.now()))
             await run_task
             return asyncio.all_tasks()
 
@@ -1315,7 +1402,7 @@ class TestDeliveryTaskRetention:
         service.add_sink(slow)
 
         async def scenario():
-            await service.ingest(item(0, utility=0.9))
+            service.ingest(item(0, utility=0.9))
             service.timers.register(1, now=0.0)
             service._tick(60.0)
             # The tick's spawn must be retained, not bare ...
