@@ -120,15 +120,16 @@ def build_cohort(
     """Flatten many users' streams into one set of columns.
 
     Within each user, records are stable-sorted by timestamp -- the order
-    the scalar replay enqueues them.
+    the scalar replay enqueues them.  ``contents`` is one
+    :meth:`~repro.experiments.runner.ScoreTable.lookup` of the item-id
+    column: no Python object per item.
     """
     user_ids = [user_id for user_id, _ in user_records]
     counts, item_ids, created, clicked, click_time = concat_record_columns(user_records)
     # lexsort is stable: users stay in place, ties keep their stream order.
     order = np.lexsort((created, np.repeat(np.arange(len(counts)), counts)))
-    item_ids = item_ids[order].tolist()
-    scores = annotations.scores
-    contents = [scores[item_id] for item_id in item_ids]
+    item_ids = item_ids[order]
+    contents = annotations.scores.lookup(item_ids)
     cohort = ColumnarCohort(
         user_ids=user_ids,
         offsets=np.concatenate(([0], np.cumsum(counts))),
@@ -272,7 +273,7 @@ def fold_outcomes(
         )
         if digest_deliveries:
             digests += delivery_digests(
-                offsets, user_ids, times, cohort.item_id_column[flat],
+                offsets, user_ids, times, cohort.item_ids[flat],
                 levels, sizes, energies, utilities,
             )
         metrics += user_metrics_from_columns(

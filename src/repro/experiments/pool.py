@@ -13,7 +13,9 @@ run reads one store.  Two entry points:
   the caller's store.
 
 Both start one :class:`_WorkerPool`.  Its initializer ships ``(store
-path, scores or None, duration)`` -- never a record; workers memory-map
+path, scores or None, duration)`` -- never a record, and the scores as a
+:class:`~repro.experiments.runner.ScoreTable` (two arrays, 16 bytes a
+record), never a per-record map; workers memory-map
 the store and read its pages through the shared page cache.  The pool
 has **one task**, :func:`_run_range`: ``(pass cells, config, start,
 stop, digest_deliveries)``, a cell being a ``(MethodSpec, budget)`` pair
@@ -47,11 +49,12 @@ What makes it a system rather than a ``map``:
   naming the task that surfaced it.
 
 Determinism: every user's simulation is seeded independently of
-scheduling order (see ``_stream_seed`` in the runner), per-user outcomes
-do not depend on which users share a cohort, and the fold follows store
-order whatever order ranges complete in -- float summation order is
-preserved, so aggregates and per-user delivery digests are bit-identical
-to :func:`repro.experiments.runner.run_experiment`.
+scheduling order (see :func:`repro.trace.generator.stream_seed`),
+per-user outcomes do not depend on which users share a cohort, and the
+fold follows store order whatever order ranges complete in -- float
+summation order is preserved, so aggregates and per-user delivery
+digests are bit-identical to
+:func:`repro.experiments.runner.run_experiment`.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from repro.experiments.runner import (
     Cell,
     CellSummary,
     ExperimentResult,
+    ScoreTable,
     UserRunOutcome,
     UtilityAnnotations,
     distinct_budgets,
@@ -128,16 +132,18 @@ def _worker_count(workers: int | None, name: str) -> int:
 
 def oracle_scores(
     user_records: Sequence[tuple[int, Sequence[NotificationRecord]]],
-) -> dict[int, float]:
-    """Oracle content-utility annotations for a record batch.
+) -> ScoreTable:
+    """Oracle content-utility annotations for a record batch, as a
+    :class:`~repro.experiments.runner.ScoreTable` built from the batch's
+    id and clicked columns (no Python object per record).
 
     The bench-standard labeling (clicked items are worth 0.9, the rest
     0.1).  Pure per-record, so any partition of the same records produces
     the same scores -- workers can derive their own slice locally instead
-    of receiving a population-wide map through the initializer.
+    of receiving a population-wide table through the initializer.
     """
     _, item_ids, _, clicked, _ = concat_record_columns(user_records)
-    return dict(zip(item_ids.tolist(), np.where(clicked, 0.9, 0.1).tolist()))
+    return ScoreTable(item_ids, np.where(clicked, 0.9, 0.1))
 
 
 # -- worker side ---------------------------------------------------------------
@@ -153,7 +159,7 @@ class _WorkerState:
     """
 
     store_path: str
-    scores: dict[int, float] | None
+    scores: ScoreTable | None
     duration_seconds: float
     store: TraceShardStore | None = None
 
@@ -188,7 +194,7 @@ _WORKER: _WorkerState | None = None
 
 
 def _init_worker(
-    store_path: str, scores: dict[int, float] | None, duration_seconds: float
+    store_path: str, scores: ScoreTable | None, duration_seconds: float
 ) -> None:
     """Pool initializer: receive the shared state exactly once."""
     global _WORKER
@@ -338,7 +344,7 @@ class _WorkerPool:
     def __init__(
         self,
         store_path: str,
-        scores: dict[int, float] | None,
+        scores: ScoreTable | None,
         duration_seconds: float,
         counts: Sequence[int] | np.ndarray,
         max_workers: int,
@@ -465,7 +471,7 @@ def run_store_columnar_parallel(
     ``ValueError``.  A killed worker costs one executor restart; a second
     break raises :class:`WorkerPoolBroken`.
 
-    ``annotations=None`` ships no score map at all; each worker derives
+    ``annotations=None`` ships no scores at all; each worker derives
     :func:`oracle_scores` for its own ranges.
     """
     workers = _worker_count(workers, "workers")
@@ -502,7 +508,9 @@ class ExperimentPool:
     Construction trains (or adopts) the content-utility annotations,
     writes the simulatable users to a temporary shard store in canonical
     fold order and starts the process pool over it, shipping the store
-    path and the score map of its records to each worker exactly once.
+    path and the scores of its records -- one lookup of their ids, a
+    :class:`~repro.experiments.runner.ScoreTable` -- to each worker
+    exactly once.
     Every :meth:`run_cell` / :meth:`run_cells` call submits only
     ``(cells, config, start, stop)`` tasks.  :attr:`batches` are the
     store ranges of a one-pass submission.
@@ -534,11 +542,11 @@ class ExperimentPool:
         self.sim_users = [u for u in users if by_user[u]]
         if not self.sim_users:
             raise ValueError("no users with notifications to simulate")
-        scores = {
-            record.notification_id: annotations.scores[record.notification_id]
-            for user in self.sim_users
-            for record in by_user[user]
-        }
+        ids = np.fromiter(
+            (record.notification_id for user in self.sim_users for record in by_user[user]),
+            dtype=np.int64,
+        )
+        scores = ScoreTable(ids, annotations.scores.lookup(ids))
         self.duration_seconds = workload.config.duration_hours * 3600.0
         self._directory = tempfile.mkdtemp(prefix="richnote-pool-")
         try:

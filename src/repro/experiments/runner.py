@@ -8,8 +8,9 @@ produce the Section V-C metrics.
 
 Content utility is annotated up front: a Random Forest is trained on the
 workload's attended (clicked-vs-hovered) records and every notification is
-scored once -- the score map is then shared by all (method, budget) cells
-of a sweep, exactly as a deployed model would be.
+scored once -- the scores, a :class:`ScoreTable` (two aligned columns, no
+Python object per notification), are then shared by all (method, budget)
+cells of a sweep, exactly as a deployed model would be.
 
 Delivery digests, the parity surface between engines, have one
 implementation: :func:`delivery_digests`, over a cohort's columns.
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +53,7 @@ from repro.sim.device import MobileDevice
 from repro.sim.energy import TransferEnergyModel
 from repro.sim.network import CellularOnlyNetwork, MarkovNetworkModel
 from repro.trace.generator import Workload, stream_seed
+from repro.trace.io import shard_columns
 from repro.trace.records import NotificationRecord
 
 
@@ -87,12 +90,77 @@ def _forest_factory(seed: int):
     )
 
 
+class ScoreTable(Mapping):
+    """Per-notification content utility ``U_c``: a read-only
+    ``Mapping[int, float]`` over two aligned columns.
+
+    ``id_column`` holds the notification ids, sorted and unique (int64);
+    ``score_column`` their scores (float64) -- 16 bytes a notification and
+    no Python object per entry.  Built from any ``ids`` / ``scores`` pair of
+    one length; a repeated id keeps its last score, as building a ``dict``
+    from the pairs would.  :meth:`lookup` gathers many scores with one
+    ``searchsorted``; ``table[item_id]`` is one score as a Python float.
+    Either way the bits are the ones stored.  Equal to any mapping with the
+    same items, a ``dict`` included; iteration is in id order.
+    """
+
+    def __init__(self, ids, scores) -> None:
+        ids = np.asarray(ids, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != scores.shape:
+            raise ValueError(
+                f"ids and scores must be 1-D columns of one length, got "
+                f"shapes {ids.shape} and {scores.shape}"
+            )
+        # A stable sort keeps a repeated id's scores in input order: the
+        # last of each run of equal ids is the one a dict would keep.
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        last = np.ones(len(ids), dtype=bool)
+        last[:-1] = ids[1:] != ids[:-1]
+        self.id_column, self.score_column = ids[last], scores[order[last]]
+
+    def lookup(self, ids) -> np.ndarray:
+        """The scores of ``ids``, in their order, as one float64 column;
+        ``KeyError`` names the first id the table lacks."""
+        ids = np.asarray(ids, dtype=np.int64)
+        at = np.searchsorted(self.id_column, ids)
+        if len(self.id_column):
+            known = self.id_column[np.minimum(at, len(self.id_column) - 1)] == ids
+        else:
+            known = np.zeros(ids.shape, dtype=bool)
+        if not known.all():
+            raise KeyError(int(ids[~known][0]))
+        return self.score_column[at]
+
+    def __getitem__(self, item_id: int) -> float:
+        try:
+            (score,) = self.lookup([index(item_id)])
+        except (TypeError, OverflowError):  # not an int64: no such key
+            raise KeyError(item_id) from None
+        return float(score)
+
+    def __iter__(self):
+        return iter(self.id_column.tolist())
+
+    def __len__(self) -> int:
+        return len(self.id_column)
+
+
 @dataclass
 class UtilityAnnotations:
-    """Per-notification content-utility scores plus classifier diagnostics."""
+    """Per-notification content-utility scores plus classifier diagnostics.
 
-    scores: dict[int, float]
+    ``scores`` is a :class:`ScoreTable`; any other mapping of notification
+    id to score (a ``dict``, say) is converted to one on construction.
+    """
+
+    scores: ScoreTable
     cross_validation: CrossValResult | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.scores, ScoreTable):
+            self.scores = ScoreTable(list(self.scores), list(self.scores.values()))
 
     @classmethod
     def train(
@@ -105,15 +173,14 @@ class UtilityAnnotations:
     ) -> "UtilityAnnotations":
         """Train on attended records and score every record in the workload.
 
-        ``oracle=True`` bypasses learning and scores from ground truth
-        (ablation: perfect content utility).
+        The table is built straight from the records' id column and the
+        forest's probability column.  ``oracle=True`` bypasses learning and
+        scores from ground truth (ablation: perfect content utility):
+        clicked records 0.9, the rest 0.1.
         """
         if oracle:
-            scores = {
-                r.notification_id: (0.9 if r.clicked else 0.1)
-                for r in workload.records
-            }
-            return cls(scores=scores)
+            ids, clicked = shard_columns(workload.records, ("notification_id", "clicked"))
+            return cls(scores=ScoreTable(ids, np.where(clicked, 0.9, 0.1)))
 
         extractor = FeatureExtractor()
         x, y = build_training_set(workload.records, extractor)
@@ -133,11 +200,8 @@ class UtilityAnnotations:
         # (bit-identical to per-record extraction -- see
         # repro.runtime.kernels.feature_matrix).
         all_features = extractor.features_for_records(workload.records)
-        probabilities = forest.predict_proba(all_features)[:, 1]
-        scores = {
-            record.notification_id: float(p)
-            for record, p in zip(workload.records, probabilities)
-        }
+        (ids,) = shard_columns(workload.records, ("notification_id",))
+        scores = ScoreTable(ids, forest.predict_proba(all_features)[:, 1])
         return cls(scores=scores, cross_validation=cv)
 
 
@@ -374,13 +438,12 @@ def run_user(
     """
     if ladder is None:
         ladder = build_audio_ladder(config.presentation_spec)
+    (ids,) = shard_columns(records, ("notification_id",))
+    scores = annotations.scores.lookup(ids)
     # ``replace`` re-runs the constructor, so a score outside [0, 1] raises.
     items = sorted((
-        replace(
-            record_to_item(record, ladder),
-            content_utility=annotations.scores[record.notification_id],
-        )
-        for record in records
+        replace(record_to_item(record, ladder), content_utility=score)
+        for record, score in zip(records, scores.tolist())
     ), key=attrgetter("created_at"))
 
     device = _build_device(user_id, config, duration_seconds)

@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 from types import SimpleNamespace
@@ -176,20 +176,21 @@ class ColumnarCohort:
     Items of user ``user_ids[u]`` occupy flat positions
     ``offsets[u]:offsets[u + 1]``, stable-sorted by ``created_at`` within
     the user (the order the scalar replay enqueues them).  One
-    presentation ladder is shared cohort-wide.
+    presentation ladder is shared cohort-wide.  ``item_ids``,
+    ``created_at`` and ``contents`` are flat columns (int64, float64,
+    float64; any sequence is converted on construction).
     """
 
     user_ids: list[int]
     offsets: np.ndarray
-    item_ids: list[int]
+    item_ids: np.ndarray
     created_at: np.ndarray
     contents: np.ndarray
     ladder: PresentationLadder
-    #: ``item_ids`` as an array, for gathers by flat index.
-    item_id_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.item_ids = np.asarray(self.item_ids, dtype=np.int64)
         self.created_at = np.asarray(self.created_at, dtype=np.float64)
         self.contents = np.asarray(self.contents, dtype=np.float64)
         n_users = len(self.user_ids)
@@ -228,10 +229,9 @@ class ColumnarCohort:
         # Item ids break Algorithm 1's gradient ties, so they must be
         # unique within a user.  Equal ids stay in flat (= user) order
         # under a stable sort, which puts a user's duplicates side by side.
-        self.item_id_column = np.asarray(self.item_ids)
-        order = np.argsort(self.item_id_column, kind="stable")
+        order = np.argsort(self.item_ids, kind="stable")
         owner = np.repeat(np.arange(n_users), np.diff(self.offsets))[order]
-        ids = self.item_id_column[order]
+        ids = self.item_ids[order]
         repeated = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
         if repeated.any():
             at = np.flatnonzero(repeated)[0]
@@ -255,7 +255,7 @@ class ColumnarCohort:
         return ColumnarCohort(
             user_ids=self.user_ids * copies,
             offsets=np.concatenate(([0], np.cumsum(counts))),
-            item_ids=self.item_ids * copies,
+            item_ids=np.tile(self.item_ids, copies),
             created_at=np.tile(self.created_at, copies),
             contents=np.tile(self.contents, copies),
             ladder=self.ladder,
@@ -905,7 +905,7 @@ class ColumnarEngine:
             sizes,
             profits,
             lengths,
-            self.cohort.item_id_column[group.flat],
+            self.cohort.item_ids[group.flat],
             np.concatenate(([0], np.cumsum(group.counts))),
             self._budgets(group.members, group.codes),
         )

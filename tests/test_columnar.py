@@ -1048,8 +1048,8 @@ class TestBuildCohortFromColumns:
             assert columns.user_ids == cohort.user_ids == user_ids
             assert cohort.offsets.tolist() == offsets
             assert cohort.offsets.dtype == np.int64
-            assert cohort.item_ids == item_ids
-            assert all(type(item_id) is int for item_id in cohort.item_ids)
+            assert cohort.item_ids.tolist() == item_ids
+            assert cohort.item_ids.dtype == np.int64
             assert cohort.created_at.tobytes() == np.asarray(created, "<f8").tobytes()
             assert cohort.contents.tobytes() == np.asarray(contents, "<f8").tobytes()
             assert columns.clicked.tolist() == [r.clicked for r in ordered]

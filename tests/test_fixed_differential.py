@@ -398,7 +398,7 @@ class TestRowsGatheredPerRound:
         counters = []
         for holder, names in (
             (engine, ("_user_of", "_flat_of", "_rank_value")),
-            (engine.cohort, ("contents", "created_at", "item_id_column")),
+            (engine.cohort, ("contents", "created_at", "item_ids")),
         ):
             for name in names:
                 if getattr(holder, name) is not None:
