@@ -244,12 +244,13 @@ def fold_outcomes(
 ) -> list[UserRunOutcome]:
     """Fold engine outcome columns back into per-user ``UserRunOutcome``s.
 
-    Takes the engine's delivery rows regrouped per user and hands them, a
+    Gathers the engine's delivery rows through the result's user order, a
     block of whole users at a time (:data:`FOLD_ROWS` deliveries or one
-    larger user), to the kernels the scalar metric/digest functions adapt,
-    with the delivered items' fields gathered by flat index -- no
-    per-delivery object, and the fold's transient arrays bounded by the
-    block, not the cohort.  ``result`` must come from an engine over
+    larger user), and hands each block to the kernels the scalar
+    metric/digest functions adapt, with the delivered items' fields
+    gathered by flat index -- no per-delivery object and no user-sorted
+    copy of the log: the fold's transient arrays are bounded by the block,
+    not the cohort.  ``result`` must come from an engine over
     ``columns`` (``ValueError`` otherwise).
     """
     cohort = columns.cohort
@@ -259,12 +260,12 @@ def fold_outcomes(
             f"result holds {len(result.backlog_sum_bytes)} users, the cohort "
             f"columns {users}: fold a result with the columns its engine ran"
         )
-    rows, starts = result.user_sorted
+    order, starts = result.user_order
     starts = starts.tolist()
     records = cohort.offsets.tolist()
     metrics, digests = [], []
     for first, last in _user_blocks(starts, FOLD_ROWS):
-        block = rows[starts[first] : starts[last]]
+        block = result.delivered.take(order[starts[first] : starts[last]])
         flat = block["index"]
         offsets = np.subtract(starts[first : last + 1], starts[first])
         user_ids = columns.user_ids[first:last]

@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.delivery import DeliveryStats
-from repro.experiments.columnar import concat_record_columns, supports
+from repro.experiments.columnar import supports
 from repro.experiments.config import ExperimentConfig, MethodSpec
 from repro.experiments.metrics import MetricsAccumulator
 from repro.experiments.runner import (
@@ -90,7 +90,7 @@ from repro.experiments.runner import (
     sweep_users,
 )
 from repro.trace.generator import Workload
-from repro.trace.io import TraceShardStore, write_shard_store
+from repro.trace.io import TraceShardStore, shard_columns, write_shard_store
 from repro.trace.records import NotificationRecord
 
 __all__ = [
@@ -135,14 +135,18 @@ def oracle_scores(
 ) -> ScoreTable:
     """Oracle content-utility annotations for a record batch, as a
     :class:`~repro.experiments.runner.ScoreTable` built from the batch's
-    id and clicked columns (no Python object per record).
+    id and clicked columns, the only two it reads
+    (:func:`~repro.trace.io.shard_columns`; no Python object per record).
 
     The bench-standard labeling (clicked items are worth 0.9, the rest
     0.1).  Pure per-record, so any partition of the same records produces
     the same scores -- workers can derive their own slice locally instead
     of receiving a population-wide table through the initializer.
     """
-    _, item_ids, _, clicked, _ = concat_record_columns(user_records)
+    names = ("notification_id", "clicked")
+    parts = [shard_columns(records, names) for _, records in user_records]
+    parts.append(shard_columns((), names))  # np.concatenate needs one array
+    item_ids, clicked = (np.concatenate(column) for column in zip(*parts))
     return ScoreTable(item_ids, np.where(clicked, 0.9, 0.1))
 
 

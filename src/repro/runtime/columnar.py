@@ -250,9 +250,14 @@ class ColumnarCohort:
     def tiled(self, copies: int) -> "ColumnarCohort":
         """The population ``copies`` times end to end (row ``c * n_users + u``
         copies user ``u``): independent users to the engine, so one pass can
-        carry a per-row setting, such as a budget, per copy."""
+        carry a per-row setting, such as a budget, per copy.
+
+        Tiling keeps every invariant ``__post_init__`` checks (column
+        dtypes and lengths, value ranges, item ids unique per user row), so
+        the copy is built without checking them again."""
         counts = np.tile(np.diff(self.offsets), copies)
-        return ColumnarCohort(
+        tiled = object.__new__(ColumnarCohort)
+        vars(tiled).update(
             user_ids=self.user_ids * copies,
             offsets=np.concatenate(([0], np.cumsum(counts))),
             item_ids=np.tile(self.item_ids, copies),
@@ -260,6 +265,7 @@ class ColumnarCohort:
             contents=np.tile(self.contents, copies),
             ladder=self.ladder,
         )
+        return tiled
 
 
 @dataclass
@@ -393,9 +399,12 @@ def build_device_columns(
 #: descending).  ``index`` is the item's flat cohort
 #: position, ``size`` the wire bytes, ``energy`` the item's share of its
 #: batch energy and ``channel`` indexes ``ColumnarRunResult.channel_names``.
+#: Each field is stored at the width its values need (42 bytes a row, packed);
+#: the engine refuses at construction a cohort, ladder or channel set whose
+#: user rows, levels, wire sizes or channel codes would not fit.
 DELIVERY_DTYPE = np.dtype(
-    [("user", "i8"), ("time", "f8"), ("index", "i8"), ("level", "i8"),
-     ("size", "i8"), ("energy", "f8"), ("utility", "f8"), ("channel", "i8")]
+    [("user", "i4"), ("time", "f8"), ("index", "i8"), ("level", "i1"),
+     ("size", "i4"), ("energy", "f8"), ("utility", "f8"), ("channel", "i1")]
 )
 
 
@@ -431,12 +440,17 @@ class ColumnarRoundState:
 
 
 class _PerUser(Sequence):
-    """``view[u]``: user ``u``'s run of some user-sorted columns, as a list
-    of plain Python scalars (one column) or of tuples (several), built on
-    access."""
+    """``view[u]``: user ``u``'s delivery-log rows, gathered through the
+    user order (:attr:`ColumnarRunResult.user_order`), as a list of plain
+    Python scalars (one field) or of tuples (several), built on access."""
 
-    def __init__(self, columns: list[np.ndarray], offsets: np.ndarray) -> None:
-        self._columns = columns
+    def __init__(
+        self, rows: np.ndarray, names: tuple[str, ...], order: np.ndarray,
+        offsets: np.ndarray,
+    ) -> None:
+        self._rows = rows
+        self._names = names
+        self._order = order
         self._offsets = offsets
 
     def __len__(self) -> int:
@@ -444,8 +458,8 @@ class _PerUser(Sequence):
 
     def __getitem__(self, u: int) -> list:
         u = range(len(self))[u]
-        mine = slice(self._offsets[u], self._offsets[u + 1])
-        columns = [column[mine].tolist() for column in self._columns]
+        mine = self._rows.take(self._order[self._offsets[u] : self._offsets[u + 1]])
+        columns = [mine[name].tolist() for name in self._names]
         return columns[0] if len(columns) == 1 else list(zip(*columns))
 
     def __eq__(self, other: object) -> bool:
@@ -457,11 +471,13 @@ class ColumnarRunResult:
     """Outcome columns of one engine run; a snapshot, not a live view.
 
     ``delivered`` holds every realized delivery as one
-    :data:`DELIVERY_DTYPE` row in delivery order -- bit-exact the fields
-    the scalar path's :class:`~repro.runtime.types.Delivery` records.
-    :attr:`user_sorted` regroups the rows per user for folds;
-    :attr:`deliveries` / :attr:`channel_codes` present them per user as
-    lists of plain Python scalars, built when a user is read.
+    :data:`DELIVERY_DTYPE` row in delivery order -- bit-exact the values
+    the scalar path's :class:`~repro.runtime.types.Delivery` records, each
+    field at its value width.  The log is never copied per user:
+    :attr:`user_order` indexes it user by user, and folds gather a block
+    of whole users at a time through it (``delivered.take(order[a:b])``);
+    :attr:`deliveries` / :attr:`channel_codes` present one user's rows as
+    lists of plain Python scalars, gathered when a user is read.
     ``backlog_sum_bytes`` is the per-user sum of end-of-round ``Q(t)``.
     """
 
@@ -477,28 +493,29 @@ class ColumnarRunResult:
         return self.backlog_sum_bytes / max(self.rounds, 1)
 
     @cached_property
-    def user_sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, offsets)``: user ``u``'s deliveries, in order, are
-        ``rows[offsets[u]:offsets[u + 1]]``."""
-        order = np.argsort(self.delivered["user"], kind="stable")
-        rows = self.delivered.take(order)  # far cheaper than [order] on records
-        users = np.arange(len(self.backlog_sum_bytes) + 1)
-        return rows, np.searchsorted(rows["user"], users)
+    def user_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, offsets)``: user ``u``'s deliveries, in delivery order,
+        are ``delivered[order[offsets[u]:offsets[u + 1]]]``."""
+        users = self.delivered["user"]
+        order = np.argsort(users, kind="stable")
+        counts = np.bincount(users, minlength=len(self.backlog_sum_bytes))
+        return order, np.concatenate(([0], np.cumsum(counts)))
+
+    def _per_user(self, *names: str) -> Sequence[list]:
+        order, offsets = self.user_order
+        return _PerUser(self.delivered, names, order, offsets)
 
     @property
     def deliveries(self) -> Sequence[list[tuple]]:
         """``deliveries[u]``: ``(time, flat_index, level, size_bytes,
         energy_share_joules, utility)`` per delivery of user ``u``."""
-        rows, offsets = self.user_sorted
-        fields = ("time", "index", "level", "size", "energy", "utility")
-        return _PerUser([rows[name] for name in fields], offsets)
+        return self._per_user("time", "index", "level", "size", "energy", "utility")
 
     @property
     def channel_codes(self) -> Sequence[list[int]]:
         """Parallel to :attr:`deliveries`: the carrying channel's index in
         ``channel_names``."""
-        rows, offsets = self.user_sorted
-        return _PerUser([rows["channel"]], offsets)
+        return self._per_user("channel")
 
 
 class _Group(NamedTuple):
@@ -568,6 +585,9 @@ class ColumnarEngine:
         self.policy = policy
         self.channels = channels or default_channel_set()
         self.channel_names = tuple(self.channels.names)
+        ladders = [channel.ladder or cohort.ladder for channel in self.channels]
+        wire_rows = [[step.size_bytes for step in ladder] for ladder in ladders]
+        _refuse_log_overflow(cohort.n_users, wire_rows)
         self.utility_model = utility_model or CombinedUtilityModel()
         self.times = round_times(round_seconds, duration_seconds)
         n_rounds = len(self.times)
@@ -611,8 +631,6 @@ class ColumnarEngine:
         # priced on *wire* bytes, plus dense (channel, level) lookup tables
         # (ragged rows zero-padded; a selection never indexes past its own
         # channel's ladder).
-        ladders = [channel.ladder or cohort.ladder for channel in self.channels]
-        wire_rows = [[step.size_bytes for step in ladder] for ladder in ladders]
         self._billed_rows = [
             [channel.cost.billed_bytes(size) for size in wire]
             for channel, wire in zip(self.channels, wire_rows)
@@ -1094,18 +1112,10 @@ class ColumnarEngine:
                 np.repeat(batch_energy, batch_sizes) * (wire / totals),
                 0.0,
             )
-        # Debits are sequential ``max(0, x - s)`` float steps per user, so
-        # they vectorise across users one batch position at a time.
         state = self.state
-        for step in range(int(batch_sizes.max())):
-            at = starts[batch_sizes > step] + step
-            who = users[at]
-            state.data_available[who] = np.maximum(
-                0.0, state.data_available[who] - billed[at]
-            )
-            state.energy_available[who] = np.maximum(
-                0.0, state.energy_available[who] - share[at]
-            )
+        who = users[starts]
+        state.data_available[who] = _debited(state.data_available[who], billed, starts)
+        state.energy_available[who] = _debited(state.energy_available[who], share, starts)
         index = keys if self._flat_of is None else self._flat_of[keys]
         end = self._n_delivered + users.size
         rows = self._delivered[self._n_delivered : end]
@@ -1142,6 +1152,34 @@ def _checked_theta(theta_bytes, user_ids: Sequence[int]) -> np.ndarray:
         where = f" at row {row} (user {user_ids[row]})" if theta.ndim else ""
         raise ValueError(f"theta_bytes must be finite and >= 0, got {theta.flat[row]}{where}")
     return theta
+
+
+def _refuse_log_overflow(n_users: int, wire_rows: Sequence[Sequence[int]]) -> None:
+    """``ValueError`` naming the :data:`DELIVERY_DTYPE` field that the
+    engine's user rows, ladder levels, wire bytes or channels would not fit:
+    each count, and every wire size, must be within the field's range."""
+    for name, what, value in (
+        ("user", "user rows", n_users),
+        ("level", "ladder levels", max(map(len, wire_rows))),
+        ("size", "wire bytes", max(map(max, wire_rows))),
+        ("channel", "channels", len(wire_rows)),
+    ):
+        dtype = DELIVERY_DTYPE[name]
+        if value > np.iinfo(dtype).max:
+            raise ValueError(
+                f"delivery log field {name!r} is {dtype.name}, up to "
+                f"{np.iinfo(dtype).max}: {value} {what} do not fit"
+            )
+
+
+def _debited(budgets: np.ndarray, debits: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each budget after its batch's debits, ``debits[starts[i]:starts[i + 1]]``
+    for ``budgets[i]``: the sequential steps ``x = max(0, x - s)`` as one
+    left fold ``((b - s1) - s2) - ...`` per batch, floored once.  The same
+    bits: every ``s >= 0``, so the unfloored fold agrees with the floored
+    steps until it first reaches 0 or less, and stays there after."""
+    folded = np.insert(debits.astype(np.float64), starts, budgets)
+    return np.maximum(0.0, np.subtract.reduceat(folded, starts + np.arange(len(starts))))
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

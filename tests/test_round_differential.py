@@ -216,8 +216,8 @@ def _state(engine):
 
 
 def _per_user(result):
-    rows, offsets = result.user_sorted
-    return rows.tobytes(), offsets.tolist()
+    order, offsets = result.user_order
+    return result.delivered.take(order).tobytes(), offsets.tolist()
 
 
 def _recorded_profits(engine):
