@@ -312,9 +312,16 @@ class DeviceColumns:
             )
 
     def tiled(self, copies: int) -> "DeviceColumns":
-        """The user axis ``copies`` times over, as :meth:`ColumnarCohort.tiled`."""
-        states = None if self.states is None else np.tile(self.states, (1, copies))
-        return DeviceColumns(e_t=np.tile(self.e_t, (1, copies)), states=states)
+        """The user axis ``copies`` times over, as :meth:`ColumnarCohort.tiled`.
+
+        Tiling keeps the shapes matched and every code a connectivity code,
+        so the copy is built without checking them again."""
+        tiled = object.__new__(DeviceColumns)
+        vars(tiled).update(
+            e_t=np.tile(self.e_t, (1, copies)),
+            states=None if self.states is None else np.tile(self.states, (1, copies)),
+        )
+        return tiled
 
 
 #: Users per pass of :func:`build_device_columns`: bounds its (round x user)
@@ -588,6 +595,7 @@ class ColumnarEngine:
         ladders = [channel.ladder or cohort.ladder for channel in self.channels]
         wire_rows = [[step.size_bytes for step in ladder] for ladder in ladders]
         _refuse_log_overflow(cohort.n_users, wire_rows)
+        _refuse_key_overflow(cohort.n_users, cohort.n_items, wire_rows)
         self.utility_model = utility_model or CombinedUtilityModel()
         self.times = round_times(round_seconds, duration_seconds)
         n_rounds = len(self.times)
@@ -839,9 +847,7 @@ class ColumnarEngine:
             self._ingest_offsets[k] : self._ingest_offsets[k + 1]
         ]
         if joining.size:
-            state.queue = np.insert(
-                state.queue, np.searchsorted(state.queue, joining), joining
-            )
+            state.queue = _merged(state.queue, joining)
             state.pending = state.pending + np.bincount(
                 self._user_of[joining], minlength=self.cohort.n_users
             )
@@ -859,7 +865,7 @@ class ColumnarEngine:
         """Connectivity-gated selection: one call over every connected user
         with a queue, whatever their network state."""
         codes = self._all_cell if self.device.states is None else self.device.states[k]
-        members = np.flatnonzero((self.state.pending > 0) & (codes != _OFF_CODE))
+        members = ((self.state.pending > 0) & (codes != _OFF_CODE)).nonzero()[0]
         if members.size:
             self._select(now, members, codes)
 
@@ -895,15 +901,13 @@ class ColumnarEngine:
         cfg = self._lyapunov
         # q = len(queue) * ladder_total: exact int -> float64 conversion,
         # identical bits to the scalar path's float(len * total).
-        q_column = np.repeat(group.counts * self._ladder_total_f, group.counts)
-        p_column = np.repeat(
-            self.state.energy_available[group.members], group.counts
-        )
-        row_codes = np.repeat(group.codes[group.members], group.counts)
+        q_column = (group.counts * self._ladder_total_f).repeat(group.counts)
+        p_column = self.state.energy_available[group.members].repeat(group.counts)
+        row_codes = group.codes[group.members].repeat(group.counts)
         return [
             kernels.lyapunov_adjusted_rows(
                 kernels.combined_utility_matrix(decayed, presentation_row),
-                np.take(energies_table, row_codes, axis=0),
+                energies_table.take(row_codes, axis=0),
                 self._ladder_total_f,
                 q_column,
                 p_column,
@@ -924,7 +928,7 @@ class ColumnarEngine:
             profits,
             lengths,
             self.cohort.item_ids[group.flat],
-            np.concatenate(([0], np.cumsum(group.counts))),
+            np.concatenate(([0], group.counts.cumsum())),
             self._budgets(group.members, group.codes),
         )
 
@@ -956,7 +960,7 @@ class ColumnarEngine:
         if counts.sum() < queue.size:  # some queued users are offline
             member = np.zeros(pending.size, dtype=bool)
             member[members] = True
-            queue = queue[np.repeat(member, pending)]
+            queue = queue[member.repeat(pending)]
         group = _Group(queue, members, counts, codes)
         decayed = self._decay_column_at(group.flat, now)
         adjusted = self._adjusted_rows(group, decayed)
@@ -972,7 +976,7 @@ class ColumnarEngine:
             # One channel: its row of the billed table carries no padding.
             sizes, (profits,), lengths = self._billed_table[0], adjusted, None
         picked = self._greedy(group, sizes, profits, lengths)
-        rows = np.flatnonzero(picked)
+        rows = picked.nonzero()[0]
         level = picked[rows]
         channel = np.zeros(rows.size, dtype=np.int64)
         if fuse:
@@ -1016,19 +1020,19 @@ class ColumnarEngine:
         take = np.minimum(np.where(size > 0, budgets // np.maximum(size, 1), counts), counts)
         if not take.any():
             return
-        starts = (np.cumsum(pending) - pending)[members]  # each member's run
+        starts = (pending.cumsum() - pending)[members]  # each member's run
         scored = take + self._band(members, starts, take, counts)
         keys = self.state.queue[_runs(starts, scored)]
         flat = keys if self._flat_of is None else self._flat_of[keys]
-        presentation = np.repeat(self._pres_table[0, level], scored)
+        presentation = self._pres_table[0, level].repeat(scored)
         utility = self._decay_column_at(flat, now) * presentation
         order = self._by_utility(flat, utility)
-        kept = order[_runs(np.cumsum(scored) - scored, take)]
+        kept = order[_runs(scored.cumsum() - scored, take)]
         self._deliver(
             now,
             codes,
             keys[kept],
-            np.repeat(level, take),
+            level.repeat(take),
             utility[kept],
             np.zeros(kept.size, dtype=np.int64),
         )
@@ -1052,8 +1056,8 @@ class ColumnarEngine:
         ranked = self._ranks_queue[members] & (take > 0)
         if self._rank_value is None:
             return np.where(ranked, counts - take, 0)
-        band = np.zeros_like(take)
-        open_ = np.flatnonzero(ranked & (take < counts))
+        band = np.zeros(take.size, dtype=take.dtype)
+        open_ = (ranked & (take < counts)).nonzero()[0]
         if not open_.size:
             return band
         queue, value = self.state.queue, self._rank_value
@@ -1097,19 +1101,19 @@ class ColumnarEngine:
         wire = self._wire_table[channel, level]
         billed = self._billed_table[channel, level]
         users = self._user_of[keys]
-        starts = np.flatnonzero(np.diff(users, prepend=-1))
-        batch_sizes = np.diff(starts, append=users.size)
+        edges = np.concatenate(([True], users[1:] != users[:-1], [True])).nonzero()[0]
+        starts, batch_sizes = edges[:-1], edges[1:] - edges[:-1]
         batch_totals = np.add.reduceat(wire, starts)
         code = codes[users[starts]]
         batch_energy = (
             self._per_kb_joules[code] * (batch_totals / 1024.0)
             + self._overhead_joules[code]
         )
-        totals = np.repeat(batch_totals, batch_sizes)
+        totals = batch_totals.repeat(batch_sizes)
         with np.errstate(divide="ignore", invalid="ignore"):  # empty batches
             share = np.where(
                 totals > 0,
-                np.repeat(batch_energy, batch_sizes) * (wire / totals),
+                batch_energy.repeat(batch_sizes) * (wire / totals),
                 0.0,
             )
         state = self.state
@@ -1131,7 +1135,7 @@ class ColumnarEngine:
         """Take delivered ``keys`` off the queue, ``counts[i]`` of them
         (distinct) user ``users[i]``'s."""
         state = self.state
-        state.queue = np.delete(state.queue, np.searchsorted(state.queue, keys))
+        state.queue = _without(state.queue, keys)
         pending = state.pending.copy()
         pending[users] -= counts
         state.pending = pending
@@ -1172,20 +1176,61 @@ def _refuse_log_overflow(n_users: int, wire_rows: Sequence[Sequence[int]]) -> No
             )
 
 
+def _refuse_key_overflow(n_users: int, n_items: int, wire_rows: Sequence[Sequence[int]]) -> None:
+    """``ValueError`` when Algorithm 1's pop-order key could leave int64.
+    :func:`~repro.runtime.kernels.greedy_select` packs a segment (one of at
+    most ``n_users`` rows) with a rank among a round's ``n`` upgrades as
+    ``segment * (n + 1) - rank``; a queued item offers at most one upgrade
+    per non-null choice of every channel, so ``n`` is at most ``n_items``
+    times their count."""
+    upgrades = n_items * sum(len(row) - 1 for row in wire_rows)
+    if n_users * (upgrades + 1) > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"selection key is int64: {n_users} user rows x ({upgrades} "
+            "upgrades + 1) do not fit"
+        )
+
+
+def _merged(queue: np.ndarray, joining: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted, disjoint key columns: what
+    ``np.insert(queue, np.searchsorted(queue, joining), joining)`` returns.
+    A stable sort of the two runs end to end merges them in one pass."""
+    merged = np.concatenate((queue, joining))
+    merged.sort(kind="stable")
+    return merged
+
+
+def _without(queue: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """A sorted key column less some of its keys: what ``np.delete(queue,
+    np.searchsorted(queue, keys))`` returns, as one mask."""
+    kept = np.ones(queue.size, dtype=bool)
+    kept[queue.searchsorted(keys)] = False
+    return queue[kept]
+
+
 def _debited(budgets: np.ndarray, debits: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each budget after its batch's debits, ``debits[starts[i]:starts[i + 1]]``
     for ``budgets[i]``: the sequential steps ``x = max(0, x - s)`` as one
     left fold ``((b - s1) - s2) - ...`` per batch, floored once.  The same
     bits: every ``s >= 0``, so the unfloored fold agrees with the floored
-    steps until it first reaches 0 or less, and stays there after."""
-    folded = np.insert(debits.astype(np.float64), starts, budgets)
-    return np.maximum(0.0, np.subtract.reduceat(folded, starts + np.arange(len(starts))))
+    steps until it first reaches 0 or less, and stays there after.
+
+    The fold runs over ``[b1, s1, s2, ..., b2, ...]``: budget ``i`` lands
+    at ``starts[i] + i`` and the debits, cast to float64, fill the other
+    slots in order -- two scatters through one mask."""
+    heads = starts + np.arange(starts.size)
+    folded = np.empty(debits.size + heads.size, dtype=np.float64)
+    rest = np.ones(folded.size, dtype=bool)
+    rest[heads] = False
+    folded[heads] = budgets
+    folded[rest] = debits
+    return np.maximum(0.0, np.subtract.reduceat(folded, heads))
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Positions ``starts[i] .. starts[i] + lengths[i] - 1``, run after run."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    ends = lengths.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
 
 
 def _estimate_row(estimate, sizes: Sequence[int]) -> np.ndarray:

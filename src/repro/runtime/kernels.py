@@ -464,7 +464,15 @@ def greedy_select(
       always the largest head, so its pop order is a stable sort of all
       upgrades by (segment, running minimum of the item's gradients
       descending, key, level), cut where that minimum turns non-positive
-      (the heap's ``break``);
+      (the heap's ``break``).  One stable sort over the ``n``
+      candidates gives that order: ``lexsort`` by one packed int64,
+      ``segment * (n + 1) - rank``, then by item key, where ``rank`` is
+      a dense rank of the running minima (one unstable float argsort;
+      equal values share a rank).  Candidates arrive row by row in level
+      order, so an item's tied upgrades keep level order.  The key fits
+      while ``len(budgets) * (n + 1) < 2**63``, which
+      :class:`~repro.runtime.columnar.ColumnarEngine` guarantees for
+      every cohort it accepts;
     * *freeze* -- an upgrade that does not fit freezes its item only, so
       the budget applies iteratively: accept everything up to a segment's
       first overshoot, drop that upgrade, every later one larger than
@@ -477,46 +485,43 @@ def greedy_select(
     if n_rows == 0 or width < 2:
         return np.zeros(n_rows, dtype=np.int64)
     budgets = np.asarray(budgets, dtype=np.int64)
-    gains = np.diff(np.asarray(sizes, dtype=np.int64), axis=-1)
+    offsets = np.asarray(offsets)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    gains = sizes[..., 1:] - sizes[..., :-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # padded columns
-        gradients = np.diff(profits, axis=1) / gains
-    segment = np.repeat(np.arange(budgets.size), np.diff(offsets))
+        gradients = (profits[:, 1:] - profits[:, :-1]) / gains
+    segment = np.arange(budgets.size).repeat(offsets[1:] - offsets[:-1])
     # An upgrade is reachable while every gradient so far is positive, it
     # is a real level and it could fit an untouched budget.
     reachable = (gradients > 0.0) & (gains <= budgets[segment][:, None])
     if lengths is not None:
         reachable &= np.arange(1, width) < np.asarray(lengths)[:, None]
-    rows, ups = np.nonzero(np.logical_and.accumulate(reachable, axis=1))
-    # Cheaper than one three-key lexsort: rows ranked by (segment, key)
-    # put the candidates, stably, into the heap's tie order; a dense rank
-    # of the running minimum then packs with the segment into one integer
-    # key whose stable sort sees nearly sorted input.
-    tie_rank = np.empty(n_rows, dtype=np.int64)
-    tie_rank[np.lexsort((keys, segment))] = np.arange(n_rows)
-    ties = np.argsort(tie_rank[rows], kind="stable")
-    rows, ups = rows[ties], ups[ties]
+    rows, ups = np.logical_and.accumulate(reachable, axis=1).nonzero()
+    if not rows.size:
+        return np.zeros(n_rows, dtype=np.int64)
     running_min = np.minimum.accumulate(gradients, axis=1)[rows, ups]
-    ascending = np.argsort(running_min)
+    ascending = running_min.argsort()
     value = running_min[ascending]
     rank = np.empty(rows.size, dtype=np.int64)
-    rank[ascending] = np.cumsum(value != np.roll(value, 1))  # equal values tie
+    rank[ascending] = np.concatenate(([0], value[1:] != value[:-1])).cumsum()
     seg = segment[rows]
-    order = np.argsort(seg * (rows.size + 1) - rank, kind="stable")
+    order = np.lexsort((np.asarray(keys)[rows], seg * (rows.size + 1) - rank))
     rows, ups, seg = rows[order], ups[order], seg[order]
     gain = gains[ups] if gains.ndim == 1 else gains[rows, ups]
     limit = budgets[seg]
-    head = np.searchsorted(seg, seg)  # each candidate's first of its segment
+    head = seg.searchsorted(seg)  # each candidate's first of its segment
     position = np.arange(rows.size)
     alive = np.ones(rows.size, dtype=bool)
     cap = np.full(n_rows, width, dtype=np.int64)  # first dropped upgrade per row
     while True:
-        live = np.where(alive, gain, 0)
-        total = np.cumsum(live)
+        live = gain * alive
+        total = live.cumsum()
         spent = total - (total - live)[head]
-        over = np.flatnonzero(alive & (spent > limit))
+        over = (alive & (spent > limit)).nonzero()[0]
         if not over.size:
             break
-        first = over[np.flatnonzero(np.diff(seg[over], prepend=-1))]
+        at = seg[over]
+        first = over[np.concatenate(([True], at[1:] != at[:-1]))]
         since = np.full(budgets.size, rows.size)
         since[seg[first]] = first
         left = np.zeros(budgets.size, dtype=np.int64)

@@ -456,9 +456,12 @@ class TraceShardStore:
 
         A store whose index disagrees with itself would otherwise open
         and silently re-partition users, or fail with a bare ``KeyError``
-        at the first iteration.
+        at the first iteration.  User ids are distinct when no two are
+        equal neighbours once sorted (``np.unique`` would do the same sort,
+        and import ``numpy.ma`` into every pool worker that opens a store).
         """
         manifest, offsets, user_ids = self.manifest, self.offsets, self.user_ids
+        ordered = np.sort(user_ids, axis=None)
         if set(manifest["columns"]) != set(SHARD_COLUMNS):
             broken = (
                 f"manifest columns {sorted(manifest['columns'])} are not "
@@ -476,7 +479,7 @@ class TraceShardStore:
                 f"offsets end at {offsets[-1]}, the manifest says "
                 f"{manifest['n_records']} records"
             )
-        elif len(np.unique(user_ids)) != len(user_ids):
+        elif (ordered[1:] == ordered[:-1]).any():
             broken = "user ids are not unique"
         else:
             return

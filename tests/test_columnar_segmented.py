@@ -28,6 +28,7 @@ from repro.experiments.columnar import (
     build_cohort,
     fold_outcomes,
     make_engine,
+    make_pass_engine,
     run_users_columnar,
     sweep_cohort,
 )
@@ -151,6 +152,48 @@ class TestSegmentedGreedy:
             np.asarray([0, 3]), np.asarray([10]),
         )
         assert single.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "sizes, profits, offsets, budgets",
+        [
+            ([0, 5], [[0.0, -4.0]], [0, 1], [10]),  # the only upgrade loses
+            ([0, 5], [[0.0, 0.0]], [0, 1], [10]),  # a zero gradient stops the heap
+            ([0, 5, 9], [[0.0, 4.0, 5.0], [0.0, 1.0, 9.0]], [0, 1, 2], [4, 0]),  # none fits
+            ([0, 5], [[0.0, -1.0], [0.0, 0.0]], [0, 0, 2, 2], [0, 10, 7]),  # empty segments
+        ],
+        ids=["losing", "flat", "unaffordable", "empty-segments"],
+    )
+    def test_no_reachable_upgrade_selects_nothing(self, sizes, profits, offsets, budgets):
+        """No candidate reaches the pop-order sort: every row stays at level
+        0, as the heap leaves it."""
+        profits = np.asarray(profits)
+        keys = np.arange(len(profits))
+        levels = kernels.greedy_select(
+            sizes, profits, None, keys, np.asarray(offsets), np.asarray(budgets)
+        )
+        assert levels.tolist() == [0] * len(profits)
+        for segment, budget in enumerate(budgets):
+            rows = list(range(offsets[segment], offsets[segment + 1]))
+            expected, _, _ = kernels.greedy_select_heap(
+                keys[rows].tolist(), [sizes] * len(rows),
+                [profits[row].tolist() for row in rows], budget,
+            )
+            assert levels[rows].tolist() == expected
+
+    def test_keys_at_the_int64_ends_break_ties(self):
+        """Item keys enter the sort as they are, never packed into a wider
+        integer: the most negative and most positive int64 keys break an
+        exact gradient tie in key order, in two segments at once."""
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        keys = np.asarray([high, low, low, high])
+        profits = np.asarray([[0.0, 1.0, 2.0]] * 4)
+        sizes = [0, 10, 20]
+        levels = kernels.greedy_select(
+            sizes, profits, None, keys, np.asarray([0, 2, 4]), np.asarray([30, 10])
+        )
+        # Segment 0: the low key climbs twice, then the high key once.
+        # Segment 1: one upgrade fits, the low key's.
+        assert levels.tolist() == [1, 2, 1, 0]
 
 
 # -- the engine against the per-user paths --------------------------------------
@@ -462,6 +505,48 @@ class TestKernelCallsPerRun:
             channels=make_channels(),
         )
         assert calls["heap"] > 0
+
+
+    @pytest.mark.parametrize(
+        "cells",
+        [None, [("fifo", 1), ("util", 3), ("fifo", 3)]],
+        ids=["richnote-push", "stacked-fifo-util"],
+    )
+    def test_a_round_neither_inserts_nor_deletes(self, streams, cells):
+        """The round merges arrivals into the queue, takes deliveries off it
+        and folds the budget debits by sorts, scatters and masks: with
+        ``np.insert`` and ``np.delete`` raising, a RichNote push engine and
+        a stacked FIFO/UTIL engine (one cell per (policy, level), each its
+        own budget) run to the digests of a free run."""
+
+        def built():
+            if cells is None:
+                columns, _, _, engine = _build(streams, "richnote", {}, {}, no_channels)
+                return columns, engine
+            pairs, annotations, duration = streams
+            config = ExperimentConfig(seed=23, weekly_budget_mb=1.0)
+            columns = build_cohort(
+                pairs, annotations, build_audio_ladder(config.presentation_spec)
+            ).tiled(len(cells))
+            specs = [
+                (MethodSpec(Method(policy), level), 1.0 + index)
+                for index, (policy, level) in enumerate(cells)
+            ]
+            return columns, make_pass_engine(columns, specs, config, duration)
+
+        columns, engine = built()
+        free = _folded(columns, engine.run())
+        assert sum(m.delivered_notifications for _, m, *_ in free) > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the round called np.insert / np.delete")
+
+        columns, engine = built()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "insert", refuse)
+            patch.setattr(np, "delete", refuse)
+            result = engine.run()
+        assert _folded(columns, result) == free
 
 
 class TestResultIsASnapshot:
