@@ -120,29 +120,37 @@ def build_cohort(
     """Flatten many users' streams into one set of columns.
 
     Within each user, records are stable-sorted by timestamp -- the order
-    the scalar replay enqueues them.  ``contents`` is one
+    the scalar replay enqueues them.  A store (and the generator) already
+    hands each user's stream in that order, so one neighbour compare
+    checks it and the sort runs only where it is broken (a NaN timestamp
+    counts as broken).  ``contents`` is one
     :meth:`~repro.experiments.runner.ScoreTable.lookup` of the item-id
     column: no Python object per item.
     """
     user_ids = [user_id for user_id, _ in user_records]
     counts, item_ids, created, clicked, click_time = concat_record_columns(user_records)
-    # lexsort is stable: users stay in place, ties keep their stream order.
-    order = np.lexsort((created, np.repeat(np.arange(len(counts)), counts)))
-    item_ids = item_ids[order]
-    contents = annotations.scores.lookup(item_ids)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    ordered = created[1:] >= created[:-1]
+    cuts = offsets[1:-1]  # a user's first row may start below the last one's
+    ordered[cuts[(cuts > 0) & (cuts < len(created))] - 1] = True
+    if not ordered.all():
+        # lexsort is stable: users stay in place, ties keep their stream order.
+        order = np.lexsort((created, np.repeat(np.arange(len(counts)), counts)))
+        item_ids, created = item_ids[order], created[order]
+        clicked, click_time = clicked[order], click_time[order]
     cohort = ColumnarCohort(
         user_ids=user_ids,
-        offsets=np.concatenate(([0], np.cumsum(counts))),
+        offsets=offsets,
         item_ids=item_ids,
-        created_at=created[order],
-        contents=contents,
+        created_at=created,
+        contents=annotations.scores.lookup(item_ids),
         ladder=ladder,
     )
     return CohortColumns(
         cohort=cohort,
         user_ids=user_ids,
-        clicked=clicked[order],
-        click_time=click_time[order],
+        clicked=clicked,
+        click_time=click_time,
     )
 
 

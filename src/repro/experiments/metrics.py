@@ -94,6 +94,94 @@ def segment_bounds(offsets: Sequence[int], segments: int, *columns) -> list[int]
     return bounds
 
 
+class _Segments:
+    """Rows ``bounds[u]:bounds[u + 1]`` of a call's columns are user ``u``'s.
+
+    A reduction lays the rows out in one buffer, each segment behind a
+    leading 0 (at ``heads``), and reduces every segment with one
+    ``reduceat``: an empty segment reduces to its 0.
+    """
+
+    def __init__(self, bounds: list[int]) -> None:
+        self.bounds = bounds
+        cuts = np.asarray(bounds, dtype=np.int64)
+        self.lengths = cuts[1:] - cuts[:-1]
+        self.heads = cuts[:-1] + np.arange(len(self.lengths))
+        self.slots = np.ones(cuts[-1] + len(self.heads), dtype=bool)
+        self.slots[self.heads] = False
+
+    def slices(self):
+        return map(slice, self.bounds, self.bounds[1:])
+
+    def _reduce(self, ufunc: np.ufunc, values: np.ndarray, dtype) -> list:
+        if not len(self.heads):
+            return []
+        buffer = np.zeros(len(self.slots), dtype=dtype)
+        buffer[self.slots] = values
+        return ufunc.reduceat(buffer, self.heads).tolist()
+
+    def counts(self, mask: np.ndarray) -> list[int]:
+        """How many rows of each segment ``mask`` holds."""
+        return self._reduce(np.add, mask, np.int64)
+
+    def left_folds(self, negated: np.ndarray) -> list[float]:
+        """``0.0 + x1 + x2 + ...`` per segment, in row order, given ``-x``.
+
+        ``np.subtract.reduceat`` is a sequential fold, and ``a - -x`` is
+        ``a + x`` to the bit (signed zeros included): over ``[0, -x1, -x2,
+        ...]`` it yields the ``+`` fold from ``0.0``, where
+        ``np.add.reduceat`` would sum pairwise.  A row holding ``0.0`` is
+        skipped exactly (``a - 0.0`` is ``a``).
+        """
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, as the + fold gives
+            return self._reduce(np.subtract, negated, np.float64)
+
+    def totals(self, column: np.ndarray) -> list:
+        """``reduce(add, column[lo:hi].tolist(), 0)`` per segment: the total
+        of the values ``tolist()`` yields, left to right from the int 0.
+
+        A float column is one :meth:`left_folds` (an empty segment keeps
+        the int 0).  An integer column is summed exactly, as Python ints
+        are: its high and low 32 bits are summed apart, so neither int64
+        sum can overflow.  Anything else is a column of objects, each
+        added as the object it holds, one segment at a time.
+        """
+        kind = column.dtype.kind
+        if kind == "f":
+            folds = self.left_folds(-column.astype(np.float64, copy=False))
+            return [total if rows else 0 for total, rows in zip(folds, self.lengths.tolist())]
+        if kind in "biu":
+            wide = column.astype(np.uint64 if kind == "u" else np.int64)
+            high = self._reduce(np.add, wide >> 32, np.int64)
+            low = self._reduce(np.add, wide & 0xFFFFFFFF, np.int64)
+            return [(h << 32) + lo for h, lo in zip(high, low)]
+        return [reduce(add, column[rows].tolist(), 0) for rows in self.slices()]
+
+    def histograms(self, levels: np.ndarray) -> list[dict]:
+        """``dict(Counter(levels[lo:hi].tolist()))`` per segment: counts by
+        value, keys in first-row order.
+
+        An integer column groups equal values with one stable sort by
+        (segment, value), then lists each segment's groups by their first
+        row; any other column is counted as the objects it holds.
+        """
+        if levels.dtype.kind not in "biu":
+            return [dict(Counter(levels[rows].tolist())) for rows in self.slices()]
+        owner = np.arange(len(self.lengths)).repeat(self.lengths)
+        values = levels.view(np.int64) if levels.dtype.itemsize == 8 else levels.astype(np.int64)
+        order = np.lexsort((values, owner))
+        owner, values = owner[order], values[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (values[1:] != values[:-1])
+        firsts = new.nonzero()[0]
+        sizes = np.append(firsts[1:], len(order)) - firsts
+        firsts = order[firsts]
+        by_row = firsts.argsort()  # groups in row order, so by segment
+        keys, counts = levels[firsts[by_row]].tolist(), sizes[by_row].tolist()
+        cuts = np.cumsum(np.bincount(owner[new], minlength=len(self.lengths))).tolist()
+        return [dict(zip(keys[lo:hi], counts[lo:hi])) for lo, hi in zip([0] + cuts, cuts)]
+
+
 def user_metrics_from_columns(
     user_ids: Sequence[int],
     record_offsets: Sequence[int], record_clicked: Sequence[bool],
@@ -114,20 +202,22 @@ def user_metrics_from_columns(
 
     The per-delivery terms are elementwise arrays over all the rows: the
     delay clamp ``where(d > 0.0, d, 0.0)`` (``max(0.0, d)`` exactly, NaN
-    and ``-0.0`` included) and the clicked / in-time-click masks.  Each
-    user then reduces their slices with C-level built-ins, no Python loop
-    per delivery: counts are ``sum``s of masks, the level histogram is a
-    ``Counter`` (keys in first-delivery order), and float totals are left
-    folds in delivery order, so the same values give the same bits whoever
-    calls -- the built-in ``sum``, and for the clicked utility the ``+``
-    fold from ``0.0`` over the clicked rows that defines it.
+    and ``-0.0`` included) and the clicked / in-time-click masks.  Every
+    user of the call is then reduced at once (:class:`_Segments`): counts
+    are segmented sums of masks, the level histogram one stable sort (keys
+    in first-delivery order), and each float total a left fold in delivery
+    order -- ``reduce(add, values, 0)``, and for the clicked utility the
+    ``+`` fold from ``0.0`` over the clicked rows that defines it -- so the
+    same values give the same bits whoever calls.  An object column is
+    reduced per user, as the objects it holds: an int total is exact and
+    its ``float`` rounds once, which no float64 fold reproduces.
     """
     n_users = len(user_ids)
-    record_bounds = segment_bounds(record_offsets, n_users, record_clicked)
-    bounds = segment_bounds(
+    records = _Segments(segment_bounds(record_offsets, n_users, record_clicked))
+    rows = _Segments(segment_bounds(
         offsets, n_users, times, levels, sizes, energies, utilities,
         created_at, clicked, click_times,
-    )
+    ))
     levels, sizes, energies, utilities = map(np.asarray, (levels, sizes, energies, utilities))
     times = np.asarray(times, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN delay, clamped to 0.0
@@ -135,30 +225,38 @@ def user_metrics_from_columns(
     delays = np.where(delays > 0.0, delays, 0.0)
     hit = np.asarray(clicked, dtype=bool)
     in_time = hit & (times <= np.asarray(click_times, dtype=np.float64))  # NaN: False
-    record_hits = np.asarray(record_clicked, dtype=bool)
-    metrics = []
-    for u, user_id in enumerate(user_ids):
-        lo, hi = bounds[u], bounds[u + 1]
-        delivered = hi - lo
-        utility = utilities[lo:hi].tolist()
-        metrics.append(
-            UserMetrics(
-                user_id=user_id,
-                total_notifications=record_bounds[u + 1] - record_bounds[u],
-                delivered_notifications=delivered,
-                delivered_bytes=float(sum(sizes[lo:hi].tolist())),
-                clicked_total=sum(record_hits[record_bounds[u] : record_bounds[u + 1]].tolist()),
-                clicked_delivered_in_time=sum(in_time[lo:hi].tolist()),
-                total_utility=sum(utility),
-                clicked_utility=reduce(add, compress(utility, hit[lo:hi].tolist()), 0.0),
-                energy_joules=sum(energies[lo:hi].tolist()),
-                mean_queuing_delay_s=(
-                    sum(delays[lo:hi].tolist()) / delivered if delivered else 0.0
-                ),
-                level_histogram=dict(Counter(levels[lo:hi].tolist())),
-            )
+    if utilities.dtype.kind == "f":
+        clicked_utility = rows.left_folds(np.where(hit, -utilities.astype(np.float64), 0.0))
+    else:
+        hits = hit.tolist()
+        clicked_utility = [
+            reduce(add, compress(utilities[r].tolist(), hits[r]), 0.0) for r in rows.slices()
+        ]
+    delivered = rows.lengths.tolist()
+    return [
+        UserMetrics(
+            user_id=user_id,
+            total_notifications=notifications,
+            delivered_notifications=n,
+            delivered_bytes=float(size),
+            clicked_total=clicks,
+            clicked_delivered_in_time=in_time_clicks,
+            total_utility=utility,
+            clicked_utility=clicked,
+            energy_joules=energy,
+            mean_queuing_delay_s=delay / n if n else 0.0,
+            level_histogram=histogram,
         )
-    return metrics
+        for (
+            user_id, notifications, n, size, clicks, in_time_clicks,
+            utility, clicked, energy, delay, histogram,
+        ) in zip(
+            user_ids, records.lengths.tolist(), delivered, rows.totals(sizes),
+            records.counts(np.asarray(record_clicked, dtype=bool)), rows.counts(in_time),
+            rows.totals(utilities), clicked_utility, rows.totals(energies),
+            rows.left_folds(-delays), rows.histograms(levels),
+        )
+    ]
 
 
 def compute_user_metrics(
@@ -167,20 +265,20 @@ def compute_user_metrics(
     deliveries: Sequence[Delivery],
 ) -> UserMetrics:
     """Join a user's trace with their realized deliveries: the one-user
-    :func:`user_metrics_from_columns` (the summed fields as object columns,
-    so each is summed as the object it holds; a ``None`` click time reads
-    as NaN)."""
+    :func:`user_metrics_from_columns` (the counted and summed fields as
+    object columns, so each is counted and summed as the object it holds; a
+    ``None`` click time reads as NaN)."""
     items = [d.item for d in deliveries]
-    sizes, energies, utilities = (
+    levels, sizes, energies, utilities = (
         np.array(values, dtype=object)
         for values in (
-            [d.size_bytes for d in deliveries], [d.energy_joules for d in deliveries],
-            [d.utility for d in deliveries],
+            [d.level for d in deliveries], [d.size_bytes for d in deliveries],
+            [d.energy_joules for d in deliveries], [d.utility for d in deliveries],
         )
     )
     (metrics,) = user_metrics_from_columns(
         [user_id], [0, len(records)], [r.clicked for r in records], [0, len(deliveries)],
-        [d.time for d in deliveries], [d.level for d in deliveries], sizes, energies, utilities,
+        [d.time for d in deliveries], levels, sizes, energies, utilities,
         [item.created_at for item in items], [item.clicked for item in items],
         [item.click_time for item in items],
     )

@@ -22,7 +22,8 @@ import hashlib
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, index
+from itertools import chain, repeat
+from operator import attrgetter, index, sub
 from typing import Sequence
 
 import numpy as np
@@ -271,21 +272,21 @@ def _device_stream_seed(seed: int, user_id: int) -> int:
     return stream_seed(seed, user_id, 29)
 
 
-def _row_texts(column: np.ndarray, template: str):
-    """``texts(lo, hi)``: ``template % value`` for rows ``lo:hi`` of ``column``.
+def _row_texts(column: np.ndarray, template: str) -> list[str]:
+    """``template % value`` for every row of ``column``.
 
-    A numeric column renders each distinct *bit pattern* once per call (its
+    A numeric column renders each distinct *bit pattern* once (its
     same-width integer view, so ``0.0`` / ``-0.0`` and NaN payloads never
     share a text) and rows gather their text by code; an object column
     renders each row from the object it holds.
     """
     if column.dtype == object:
-        return lambda lo, hi: [template % (value,) for value in column[lo:hi].tolist()]
+        return [template % (value,) for value in column.tolist()]
     keys, codes = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
     texts = np.array(
         [template % (value,) for value in keys.view(column.dtype).tolist()], dtype=object
     )
-    return lambda lo, hi: texts[codes[lo:hi]].tolist()
+    return texts[codes].tolist()
 
 
 def delivery_digests(
@@ -305,40 +306,32 @@ def delivery_digests(
     must cut every column into exactly ``len(user_ids)`` whole segments
     (``ValueError`` otherwise).
 
-    A segment's text is built column by column: eight pieces per row, the
-    row's ``repr`` with its separators folded into the pieces.  A float's
-    ``repr`` is the expensive part, and ``times`` / ``energies`` (round grid,
-    batch-energy shares) as well as ``levels`` / ``sizes`` repeat a few
-    values, so those four come from :func:`_row_texts` tables; only the item
-    id and the realized utility are rendered per row.  What outlives a
-    segment is the tables and their per-row codes, never a string per row.
+    The call's text is built column by column, once: eight pieces per row,
+    the row's ``repr`` with its separators folded into the pieces, and each
+    segment hashes the run of that one piece list its rows hold.  A float's
+    ``repr`` is the expensive part, and ``times`` / ``energies`` (round
+    grid, batch-energy shares) as well as ``levels`` / ``sizes`` repeat a
+    few values, so those four come from :func:`_row_texts` tables; only the
+    item id and the realized utility are rendered per row.  The pieces live
+    as long as the call, so a caller bounds them by the rows it passes.
     """
     bounds = segment_bounds(
         offsets, len(user_ids), times, item_ids, levels, sizes, energies, utilities
     )
-    item_ids, utilities = np.asarray(item_ids), np.asarray(utilities)
-    time_texts, level_texts, size_texts, energy_texts = (
-        _row_texts(column, template)
-        for column, template in (
-            (np.asarray(times, dtype=np.float64), "(%r, "),
-            (np.asarray(levels), ", %r, "),
-            (np.asarray(sizes), "%r, "),
-            (np.asarray(energies, dtype=np.float64), "%r, "),
-        )
+    pieces = [")"] * (8 * bounds[-1])  # piece 7 of a row closes its tuple
+    pieces[0::8] = _row_texts(np.asarray(times, dtype=np.float64), "(%r, ")
+    pieces[1::8] = chain.from_iterable(
+        map(repeat, (f"{user_id!r}, " for user_id in user_ids), map(sub, bounds[1:], bounds))
     )
-    digests: list[str] = []
-    for segment, user_id in enumerate(user_ids):
-        lo, hi = bounds[segment], bounds[segment + 1]
-        pieces = [")"] * (8 * (hi - lo))  # piece 7 of a row closes its tuple
-        pieces[0::8] = time_texts(lo, hi)
-        pieces[1::8] = [f"{user_id!r}, "] * (hi - lo)
-        pieces[2::8] = map(repr, item_ids[lo:hi].tolist())
-        pieces[3::8] = level_texts(lo, hi)
-        pieces[4::8] = size_texts(lo, hi)
-        pieces[5::8] = energy_texts(lo, hi)
-        pieces[6::8] = map(repr, utilities[lo:hi].tolist())
-        digests.append(hashlib.sha256("".join(pieces).encode()).hexdigest())
-    return digests
+    pieces[2::8] = map(repr, np.asarray(item_ids).tolist())
+    pieces[3::8] = _row_texts(np.asarray(levels), ", %r, ")
+    pieces[4::8] = _row_texts(np.asarray(sizes), "%r, ")
+    pieces[5::8] = _row_texts(np.asarray(energies, dtype=np.float64), "%r, ")
+    pieces[6::8] = map(repr, np.asarray(utilities).tolist())
+    return [
+        hashlib.sha256("".join(pieces[8 * lo : 8 * hi]).encode()).hexdigest()
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def delivery_digest(deliveries: Sequence[Delivery]) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +34,10 @@ def user_metrics_from_columns(
     ``record_clicked`` has one entry per notification of the user's trace,
     every other column one per realized delivery, in delivery order (the
     last three are the delivered item's fields; ``None`` or ``NaN`` is no
-    click time).  Sums are sequential left folds: the same values in the
-    same order give the same bits, whoever calls.
+    click time).  Sums are sequential left folds from the int 0
+    (``reduce(add, values, 0)``, which the built-in ``sum`` is for floats
+    only before CPython 3.12): the same values in the same order give the
+    same bits, whoever calls and on any CPython.
     """
     delivered = len(times)
     delays = [max(0.0, time - created) for time, created in zip(times, created_at)]
@@ -48,13 +52,13 @@ def user_metrics_from_columns(
         user_id=user_id,
         total_notifications=len(record_clicked),
         delivered_notifications=delivered,
-        delivered_bytes=float(sum(sizes)),
+        delivered_bytes=float(reduce(add, sizes, 0)),
         clicked_total=sum(map(bool, record_clicked)),
         clicked_delivered_in_time=in_time_clicks,
-        total_utility=sum(utilities),
+        total_utility=reduce(add, utilities, 0),
         clicked_utility=clicked_utility,
-        energy_joules=sum(energies),
-        mean_queuing_delay_s=(sum(delays) / delivered) if delivered else 0.0,
+        energy_joules=reduce(add, energies, 0),
+        mean_queuing_delay_s=(reduce(add, delays, 0) / delivered) if delivered else 0.0,
         level_histogram=dict(Counter(levels)),  # keys in first-delivery order
     )
 

@@ -125,6 +125,33 @@ class TestSegmentedGreedy:
             )
             assert levels[list(rows)].tolist() == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(segmented_instances(), st.data())
+    def test_cells_past_lengths_change_no_pick(self, instance, data):
+        """Whatever a row holds past ``lengths`` -- NaN or infinite profits,
+        zero size gains (0/0 and x/0 gradients) -- no pick changes."""
+        sizes, profits, lengths, keys, offsets, budgets = instance
+        if lengths is None:
+            lengths = np.full(len(keys), profits.shape[1], dtype=np.int64)
+        clean = kernels.greedy_select(sizes, profits, lengths, keys, offsets, budgets)
+        padding = np.arange(profits.shape[1]) >= lengths[:, None]
+        fill = data.draw(st.sampled_from(["nan", "inf", "-inf", "zero_gain", "mixed"]))
+        profits = profits.copy()
+        if fill == "mixed":
+            junk = [np.nan, np.inf, -np.inf, 0.0, 1e300]
+            profits[padding] = data.draw(
+                st.lists(st.sampled_from(junk), min_size=int(padding.sum()),
+                         max_size=int(padding.sum()))
+            )
+        elif fill != "zero_gain":
+            profits[padding] = float(fill)
+        if fill in ("zero_gain", "mixed") and sizes.ndim == 2:
+            last = sizes[np.arange(len(keys)), lengths - 1]
+            sizes = np.where(padding, last[:, None], sizes)  # every gain past lengths 0
+            profits[padding] += 1.0
+        padded = kernels.greedy_select(sizes, profits, lengths, keys, offsets, budgets)
+        assert padded.tolist() == clean.tolist()
+
     def test_freeze_is_per_item_and_ties_break_by_key(self):
         # Segment 0: the 90-byte upgrade freezes, the cheap ladder still
         # climbs.  Segment 1: equal gradients, the lower key upgrades first

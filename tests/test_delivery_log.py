@@ -224,8 +224,9 @@ class TestLogMemory:
         assert per_delivery <= 64, f"{per_delivery:.1f} B a delivery"
 
     def test_fold_peak_is_bounded_by_its_block(self, guard_store, monkeypatch):
-        """With 1 024-row blocks the fold's peak, the user order included,
-        read 24.0 bytes a delivery; the user-sorted copy alone is 64."""
+        """With 1 024-row blocks the fold's peak, the user order and the
+        digest's one piece list per block included, read 30.7 bytes a
+        delivery; the user-sorted copy alone is 64."""
         monkeypatch.setattr(columnar_module, "FOLD_ROWS", 1024)
         columns, engine = self._engine(guard_store)
         result = engine.run()

@@ -1,9 +1,11 @@
 """Differential property: the array fold kernels == the per-delivery reference.
 
 ``repro.experiments.metrics.user_metrics_from_columns`` joins a cohort's
-delivery columns with elementwise arrays and per-user C-level reductions
-(``sum``, ``Counter``, a ``+`` fold), and ``repro.experiments.runner.delivery_digests``
-builds each user's row text column by column from bit-pattern tables;
+delivery columns with elementwise arrays and reduces every user of a call
+at once (prefix sums, one stable sort for the level histogram, a
+``np.subtract.reduceat`` left fold per float total; object columns per
+user), and ``repro.experiments.runner.delivery_digests`` builds a call's
+row text column by column from bit-pattern tables;
 ``tests/reference_fold.py`` is the per-delivery loop and the per-row
 ``%``-formatted ``repr`` they replaced.  Every user's ``UserMetrics`` must
 have the same ``repr`` (every float bit, histogram key order) and the
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 from hypothesis import given, settings
@@ -189,7 +193,7 @@ def observe(seen, user_ids, records, lengths, hub, object_columns, c):
         with np.errstate(invalid="ignore"):
             seen["pairwise_sum_differs"] += any(
                 np.sum(c["utilities"][lo:hi]).tobytes()
-                != np.float64(sum(c["utilities"][lo:hi].tolist())).tobytes()
+                != np.float64(reduce(add, c["utilities"][lo:hi].tolist(), 0)).tobytes()
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             )
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from functools import cache
+from functools import cache, reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -51,12 +52,14 @@ FLOATS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 def reference_metrics(user_id, records, deliveries) -> UserMetrics:
-    """The object-form join as it was before the column kernels."""
+    """The object-form join as it was before the column kernels, its float
+    sums spelled as the left folds they were (the built-in ``sum`` of
+    floats is compensated from CPython 3.12)."""
     clicked_total = sum(1 for r in records if r.clicked)
     delivered = len(deliveries)
-    bytes_delivered = float(sum(d.size_bytes for d in deliveries))
-    energy = sum(d.energy_joules for d in deliveries)
-    total_utility = sum(d.utility for d in deliveries)
+    bytes_delivered = float(reduce(add, (d.size_bytes for d in deliveries), 0))
+    energy = reduce(add, (d.energy_joules for d in deliveries), 0)
+    total_utility = reduce(add, (d.utility for d in deliveries), 0)
     in_time_clicks = 0
     clicked_utility = 0.0
     delays = []
@@ -79,7 +82,7 @@ def reference_metrics(user_id, records, deliveries) -> UserMetrics:
         total_utility=total_utility,
         clicked_utility=clicked_utility,
         energy_joules=energy,
-        mean_queuing_delay_s=(sum(delays) / len(delays)) if delays else 0.0,
+        mean_queuing_delay_s=(reduce(add, delays, 0) / len(delays)) if delays else 0.0,
         level_histogram=histogram,
     )
 
